@@ -93,86 +93,185 @@ def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.n
     return -terms.sum(axis=1)
 
 
-def _best_threshold(values: np.ndarray, labels: np.ndarray, class_count: int,
-                    min_leaf: int, criterion: str, parent_imp: float):
-    """Best midpoint split of one feature: (decrease, threshold) or None.
+# One pass visits popped nodes holding at most about this many (node,
+# candidate, row) elements, plus one node, so its working arrays stay a few
+# hundred kB however many trees grow at once.
+_PASS_ELEMENTS = 4096
 
-    Candidate thresholds sit between adjacent distinct sorted values; a
-    candidate must actually separate in float (value <= t routes left) and
-    satisfy min_leaf on both sides. First maximum wins, so equal decreases
-    resolve to the lowest threshold.
+
+def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class_count,
+                 min_leaf, criterion):
+    """Best split of each node: (decrease, feature, threshold, n_left) arrays.
+
+    Node i owns rows[offsets[i]:offsets[i] + sizes[i]]. Every (node, candidate)
+    pair is one segment, and one stable sort of (segment, rank of value)
+    orders each segment by value, as a lexsort would. Candidate thresholds
+    sit between adjacent sorted values, must separate in float (value <= t
+    routes left) and satisfy min_leaf on both sides. The first maximum in
+    (feature, threshold) order wins, so ties resolve to the lowest feature,
+    then the lowest threshold. A decrease <= 1e-12 means no split.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    onehot = np.zeros((n, class_count))
-    onehot[np.arange(n), labels[order]] = 1.0
+    mtry = candidates.shape[1]
+    seg_len = np.repeat(sizes, mtry)
+    seg_start = np.cumsum(seg_len) - seg_len
+    total = int(seg_len.sum())
+    pos = np.arange(total) - np.repeat(seg_start, seg_len)  # position within segment
+    seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    r = rows[np.repeat(np.repeat(offsets, mtry), seg_len) + pos]
+    feature = np.repeat(candidates.ravel(), seg_len)
+    order = np.argsort(seg * len(rank) + rank[r, feature], kind="stable")
+    sv = X[r, feature][order]
+    onehot = np.zeros((total, class_count))
+    onehot[np.arange(total), y[r[order]]] = 1.0
     cum = np.cumsum(onehot, axis=0)
+    left_counts = cum - np.repeat(cum[seg_start] - onehot[seg_start], seg_len, axis=0)
+    right_counts = np.repeat(cum[seg_start + seg_len - 1], seg_len, axis=0) - cum
 
-    thr = (sv[:-1] + sv[1:]) / 2.0
-    n_left = np.arange(1, n, dtype=np.float64)
+    n = np.repeat(seg_len, seg_len).astype(np.float64)
+    n_left = pos + 1.0
     n_right = n - n_left
-    valid = (sv[:-1] <= thr) & (thr < sv[1:])
-    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
+    nxt = np.append(sv[1:], sv[-1])  # a segment's last position is invalid anyway
+    thr = (sv + nxt) / 2.0
+    valid = (sv <= thr) & (thr < nxt) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_right == 0 at segment ends
+        weighted = (n_left * _row_impurity(left_counts, n_left, criterion)
+                    + n_right * _row_impurity(right_counts, n_right, criterion)) / n
+    decrease = np.where(valid, np.repeat(parent_imp, mtry * sizes) - weighted, -np.inf)
 
-    left_counts = cum[:-1]
-    right_counts = cum[-1] - left_counts
-    weighted = (n_left * _row_impurity(left_counts, n_left, criterion)
-                + n_right * _row_impurity(right_counts, n_right, criterion)) / n
-    decrease = np.where(valid, parent_imp - weighted, -np.inf)
-    best = int(np.argmax(decrease))
-    if decrease[best] <= 1e-12:
-        return None
-    return float(decrease[best]), float(thr[best])
+    node_start = seg_start[::mtry]
+    best = np.maximum.reduceat(decrease, node_start)
+    hits = np.flatnonzero(decrease == np.repeat(best, mtry * sizes))
+    first = hits[np.searchsorted(hits, node_start)]
+    return best, candidates.ravel()[seg[first]], thr[first], pos[first] + 1
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray, class_count: int,
-                config: ForestConfig, mtry: int, rng) -> DecisionTree:
-    feature, threshold, left, right, counts, gain = [], [], [], [], [], []
+class _Grower:
+    """Grows all trees of one fit together, one node per unfinished tree per step.
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(None)
-        gain.append(0.0)
-        return len(feature) - 1
+    Row t of `samples` holds tree t's bootstrap rows; each node owns a
+    contiguous range of it, which a split partitions stably in place, left
+    rows first. Each step pops the top of every tree's own depth-first stack
+    (right child pushed first), draws that tree's mtry candidates from its
+    own rng, and scores the popped nodes in bounded vectorized passes. A
+    tree's pop order, rng draws and node numbering are those of growing it
+    alone, so each tree is bit-for-bit the tree that growing it alone gives.
+    Visited nodes go to one growing record array, so a fit leaves no trail of
+    small long-lived buffers behind its passes.
+    """
 
-    n_boot = len(sample_idx)
-    stack = [(new_node(), sample_idx, 0)]
-    while stack:
-        nid, idx, depth = stack.pop()
-        labs = y[idx]
-        cnt = np.bincount(labs, minlength=class_count).astype(np.float64)
-        counts[nid] = cnt
-        if ((cnt > 0).sum() < 2 or len(idx) < 2 * config.min_leaf
-                or (config.max_depth is not None and depth >= config.max_depth)):
-            continue
-        parent_imp = _impurity(cnt, config.criterion)
-        candidates = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-        best = None  # (decrease, feature, threshold); strict > keeps lowest feature on ties
-        for f in candidates:
-            found = _best_threshold(X[idx, f], labs, class_count,
-                                    config.min_leaf, config.criterion, parent_imp)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(f), found[1])
-        if best is None:
-            continue
-        dec, f, t = best
-        mask = X[idx, f] <= t
-        lid, rid = new_node(), new_node()
-        feature[nid], threshold[nid] = f, t
-        left[nid], right[nid] = lid, rid
-        gain[nid] = dec * len(idx) / n_boot
-        stack.append((rid, idx[~mask], depth + 1))
-        stack.append((lid, idx[mask], depth + 1))
+    def __init__(self, X, y, samples, rngs, class_count, config, mtry):
+        self.X, self.y, self.samples, self.rngs = X, y, samples, rngs
+        self.class_count, self.config, self.mtry = class_count, config, mtry
+        tree_count, n_boot = samples.shape
+        # rank[i, f] orders column f as its values do, equal values sharing a rank
+        by_value = np.argsort(X, axis=0, kind="stable")
+        steps = np.diff(np.take_along_axis(X, by_value, axis=0), axis=0) != 0
+        self.rank = np.empty(X.shape, dtype=np.int64)
+        np.put_along_axis(self.rank, by_value, np.cumsum(
+            np.vstack([np.zeros((1, X.shape[1]), bool), steps]), axis=0), axis=0)
+        self.stack = np.zeros((tree_count, 16, 4), dtype=np.int64)  # (id, lo, hi, depth)
+        self.stack[:, 0] = (0, 0, n_boot, 0)
+        self.height = np.ones(tree_count, dtype=np.int64)
+        self.node_count = np.ones(tree_count, dtype=np.int64)
+        self.nodes = np.zeros(16 * tree_count, dtype=[
+            ("tree", np.int32), ("id", np.int32), ("counts", np.float64, (class_count,)),
+            ("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+            ("gain", np.float64)])
+        self.visited = 0
 
-    return DecisionTree(np.array(feature, np.int32), np.array(threshold, np.float64),
-                        np.array(left, np.int32), np.array(right, np.int32),
-                        np.stack(counts), np.array(gain, np.float64))
+    def grow(self) -> list[DecisionTree]:
+        while True:
+            trees = np.flatnonzero(self.height)
+            if len(trees) == 0:
+                return self._trees()
+            self.height[trees] -= 1
+            popped = self.stack[trees, self.height[trees]].T
+            elements = self.mtry * (popped[2] - popped[1])
+            pass_id = (np.cumsum(elements) - elements) // _PASS_ELEMENTS
+            bounds = np.concatenate([[0], np.flatnonzero(np.diff(pass_id)) + 1, [len(trees)]])
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                self._visit(trees[a:b], *popped[:, a:b])
+
+    def _visit(self, trees, nid, lo, hi, depth):
+        X, y, config, class_count = self.X, self.y, self.config, self.class_count
+        n_boot = self.samples.shape[1]
+        sizes = hi - lo
+        offsets = np.cumsum(sizes) - sizes
+        where = np.repeat(trees * n_boot + lo - offsets, sizes) + np.arange(sizes.sum())
+        rows = self.samples.ravel()[where]
+        node_of_row = np.repeat(np.arange(len(trees)), sizes)
+        counts = np.bincount(node_of_row * class_count + y[rows],
+                             minlength=len(trees) * class_count)
+        counts = counts.reshape(len(trees), class_count).astype(np.float64)
+        if self.visited + len(trees) > len(self.nodes):
+            self.nodes = np.concatenate([self.nodes, np.zeros_like(self.nodes)])
+        rec = self.nodes[self.visited:self.visited + len(trees)]
+        self.visited += len(trees)
+        rec["tree"], rec["id"], rec["counts"] = trees, nid, counts
+        rec["feature"], rec["left"] = -1, -1
+
+        open_ = ((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * config.min_leaf)
+        if config.max_depth is not None:
+            open_ &= depth < config.max_depth
+        open_ = np.flatnonzero(open_)
+        if len(open_) == 0:
+            return
+        candidates = np.empty((len(open_), self.mtry), dtype=np.int64)
+        parent_imp = np.empty(len(open_))
+        for j, k in enumerate(open_):
+            candidates[j] = self.rngs[trees[k]].choice(X.shape[1], size=self.mtry,
+                                                       replace=False)
+            parent_imp[j] = _impurity(counts[k], config.criterion)
+        candidates.sort(axis=1)
+        decrease, feature, threshold, n_left = _best_splits(
+            X, self.rank, y, rows, offsets[open_], sizes[open_], candidates, parent_imp,
+            class_count, config.min_leaf, config.criterion)
+
+        split = decrease > 1e-12
+        k = open_[split]
+        if len(k) == 0:
+            return
+        feature, threshold, n_left = feature[split], threshold[split], n_left[split]
+        slot = np.full(len(trees), -1)
+        slot[k] = np.arange(len(k))
+        moved = slot[node_of_row] >= 0
+        r, node = rows[moved], slot[node_of_row[moved]]
+        goes_right = ~(X[r, feature[node]] <= threshold[node])
+        self.samples.ravel()[where[moved]] = r[np.lexsort((goes_right, node))]
+
+        t = trees[k]
+        left_id = self.node_count[t]
+        self.node_count[t] += 2
+        rec["feature"][k], rec["threshold"][k], rec["left"][k] = feature, threshold, left_id
+        rec["gain"][k] = decrease[split] * sizes[k] / n_boot
+
+        height = self.height
+        if height.max() + 2 > self.stack.shape[1]:
+            self.stack = np.concatenate([self.stack, np.zeros_like(self.stack)], axis=1)
+        mid = lo[k] + n_left
+        self.stack[t, height[t]] = np.stack([left_id + 1, mid, hi[k], depth[k] + 1], axis=1)
+        self.stack[t, height[t] + 1] = np.stack([left_id, lo[k], mid, depth[k] + 1], axis=1)
+        height[t] += 2
+
+    def _trees(self) -> list[DecisionTree]:
+        rec = self.nodes[:self.visited]
+        order = np.lexsort((rec["id"], rec["tree"]))  # each tree's nodes in id order
+        ends = np.cumsum(self.node_count)
+        trees = []
+        for a, b in zip(ends - self.node_count, ends):
+            node = rec[order[a:b]]
+            left = node["left"].copy()
+            right = np.where(left >= 0, left + 1, -1).astype(np.int32)
+            trees.append(DecisionTree(node["feature"].copy(), node["threshold"].copy(), left,
+                                      right, node["counts"].copy(), node["gain"].copy()))
+        return trees
+
+
+def _require_finite(X: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"non-finite feature value {X[r, c]} at row {r}, column {c}")
 
 
 def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -187,6 +286,7 @@ def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
         raise ValueError(f"{n} feature rows but {len(y)} labels")
     if n < 2:
         raise ValueError("need at least 2 samples")
+    _require_finite(X)
     if y.min() < 0:
         raise ValueError("labels must be nonnegative class indices")
     class_count = int(y.max()) + 1
@@ -196,16 +296,14 @@ def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
     if mtry > p:
         raise ValueError(f"mtry {mtry} exceeds feature count {p}")
 
-    trees, oob = [], []
-    for t in range(config.tree_count):
-        rng = np.random.default_rng([config.seed, t])
-        if config.bootstrap:
-            boot = rng.integers(0, n, n)
-            oob.append(np.setdiff1d(np.arange(n), boot))
-        else:
-            boot = np.arange(n)
-            oob.append(np.empty(0, dtype=np.int64))
-        trees.append(_build_tree(X, y, boot, class_count, config, mtry, rng))
+    rngs = [np.random.default_rng([config.seed, t]) for t in range(config.tree_count)]
+    if config.bootstrap:
+        boots = np.stack([rng.integers(0, n, n) for rng in rngs])
+        oob = [np.setdiff1d(np.arange(n), boot) for boot in boots]
+    else:
+        boots = np.tile(np.arange(n), (config.tree_count, 1))
+        oob = [np.empty(0, dtype=np.int64) for _ in rngs]
+    trees = _Grower(X, y, boots, rngs, class_count, config, mtry).grow()
 
     split_counts = np.zeros(p, dtype=np.int64)
     for tree in trees:
@@ -214,11 +312,22 @@ def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
     return ForestModel(trees, p, class_count, config, mtry, split_counts, oob)
 
 
-def _walk(tree: DecisionTree, x: np.ndarray) -> int:
-    nid = 0
-    while tree.feature[nid] >= 0:
-        nid = tree.left[nid] if x[tree.feature[nid]] <= tree.threshold[nid] else tree.right[nid]
-    return nid
+def _leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """Index of the leaf each row of X reaches, all rows walked together."""
+    node = np.zeros(len(X), dtype=np.intp)
+    live = np.arange(len(X))
+    while len(live):
+        f = tree.feature[node[live]]
+        live = live[f >= 0]
+        nid, f = node[live], f[f >= 0]
+        node[live] = np.where(X[live, f] <= tree.threshold[nid],
+                              tree.left[nid], tree.right[nid])
+    return node
+
+
+def _leaf_distributions(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    cnt = tree.counts[_leaves(tree, X)]
+    return cnt / cnt.sum(axis=1, keepdims=True)
 
 
 def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
@@ -226,18 +335,19 @@ def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
     x = np.asarray(feature_vector, dtype=np.float64).ravel()
     if len(x) != model.feature_count:
         raise ValueError(f"feature vector length {len(x)} != {model.feature_count}")
-    acc = np.zeros(model.class_count)
-    for tree in model.trees:
-        cnt = tree.counts[_walk(tree, x)]
-        acc += cnt / cnt.sum()
-    return acc / len(model.trees)
+    return predict_proba_many(model, x[None, :])[0]
 
 
 def predict_proba_many(model: ForestModel, features) -> np.ndarray:
+    """predict_proba for every row; per-tree distributions are summed in tree order."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise ValueError(f"features must be (n, {model.feature_count}), got {X.shape}")
-    return np.stack([predict_proba(model, row) for row in X])
+    _require_finite(X)
+    acc = np.zeros((len(X), model.class_count))
+    for tree in model.trees:
+        acc += _leaf_distributions(tree, X)
+    return acc / len(model.trees)
 
 
 @dataclass(frozen=True)
@@ -270,10 +380,8 @@ def oob_score(model: ForestModel, features, labels) -> float:
     votes = np.zeros((len(X), model.class_count))
     seen = np.zeros(len(X), dtype=bool)
     for tree, oob in zip(model.trees, model.oob_indices):
-        for i in oob:
-            cnt = tree.counts[_walk(tree, X[i])]
-            votes[i] += cnt / cnt.sum()
-            seen[i] = True
+        votes[oob] += _leaf_distributions(tree, X[oob])
+        seen[oob] = True
     if not seen.any():
         raise ValueError("no out-of-bag samples (bootstrap disabled?)")
     pred = votes[seen].argmax(axis=1)

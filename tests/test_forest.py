@@ -1,12 +1,196 @@
 """Random-forest construction, prediction arithmetic, and persistence."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centpipe import forest
-from centpipe.forest import (DecisionTree, ForestConfig, ForestError,
+from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestError,
                              ForestModel, feature_importance, fit, oob_score,
                              predict_proba, predict_proba_many)
+
+
+# --- reference: one tree at a time, one node and one feature at a time ------
+# fit grows all trees together and scores all candidates of many nodes in one
+# vectorized pass; predict_proba_many walks all rows of a tree at once. Both
+# must reproduce this straightforward grower and per-row walk byte for byte.
+
+def _ref_impurity(counts, criterion):
+    p = counts / counts.sum()
+    if criterion == "gini":
+        return float(1.0 - (p * p).sum())
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def _ref_row_impurity(counts, sizes, criterion):
+    p = counts / sizes[:, None]
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p), 0.0)
+    return -terms.sum(axis=1)
+
+
+def _ref_best_threshold(values, labels, class_count, min_leaf, criterion, parent_imp):
+    """(decrease, threshold) of the first best midpoint split of one feature, or None."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    onehot = np.zeros((n, class_count))
+    onehot[np.arange(n), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+
+    thr = (sv[:-1] + sv[1:]) / 2.0
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    valid = (sv[:-1] <= thr) & (thr < sv[1:])
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+
+    left_counts = cum[:-1]
+    right_counts = cum[-1] - left_counts
+    weighted = (n_left * _ref_row_impurity(left_counts, n_left, criterion)
+                + n_right * _ref_row_impurity(right_counts, n_right, criterion)) / n
+    decrease = np.where(valid, parent_imp - weighted, -np.inf)
+    best = int(np.argmax(decrease))
+    if decrease[best] <= 1e-12:
+        return None
+    return float(decrease[best]), float(thr[best])
+
+
+def _ref_build_tree(X, y, sample_idx, class_count, config, mtry, rng):
+    feature, threshold, left, right, counts, gain = [], [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(None)
+        gain.append(0.0)
+        return len(feature) - 1
+
+    n_boot = len(sample_idx)
+    stack = [(new_node(), sample_idx, 0)]
+    while stack:
+        nid, idx, depth = stack.pop()
+        labs = y[idx]
+        cnt = np.bincount(labs, minlength=class_count).astype(np.float64)
+        counts[nid] = cnt
+        if ((cnt > 0).sum() < 2 or len(idx) < 2 * config.min_leaf
+                or (config.max_depth is not None and depth >= config.max_depth)):
+            continue
+        parent_imp = _ref_impurity(cnt, config.criterion)
+        candidates = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
+        best = None  # (decrease, feature, threshold); strict > keeps lowest feature on ties
+        for f in candidates:
+            found = _ref_best_threshold(X[idx, f], labs, class_count,
+                                        config.min_leaf, config.criterion, parent_imp)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], int(f), found[1])
+        if best is None:
+            continue
+        dec, f, t = best
+        mask = X[idx, f] <= t
+        lid, rid = new_node(), new_node()
+        feature[nid], threshold[nid] = f, t
+        left[nid], right[nid] = lid, rid
+        gain[nid] = dec * len(idx) / n_boot
+        stack.append((rid, idx[~mask], depth + 1))
+        stack.append((lid, idx[mask], depth + 1))
+
+    return DecisionTree(np.array(feature, np.int32), np.array(threshold, np.float64),
+                        np.array(left, np.int32), np.array(right, np.int32),
+                        np.stack(counts), np.array(gain, np.float64))
+
+
+def _ref_fit(X, y, config):
+    """(trees, split_counts, oob_indices) as the one-tree-at-a-time grower gives them."""
+    n, p = X.shape
+    class_count = int(y.max()) + 1
+    mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(p)))
+    trees, oob = [], []
+    for t in range(config.tree_count):
+        rng = np.random.default_rng([config.seed, t])
+        if config.bootstrap:
+            boot = rng.integers(0, n, n)
+            oob.append(np.setdiff1d(np.arange(n), boot))
+        else:
+            boot = np.arange(n)
+            oob.append(np.empty(0, dtype=np.int64))
+        trees.append(_ref_build_tree(X, y, boot, class_count, config, mtry, rng))
+    split_counts = np.zeros(p, dtype=np.int64)
+    for tree in trees:
+        split_counts += np.bincount(tree.feature[tree.feature >= 0], minlength=p)
+    return trees, split_counts, oob
+
+
+def _ref_walk(tree, x):
+    nid = 0
+    while tree.feature[nid] >= 0:
+        nid = tree.left[nid] if x[tree.feature[nid]] <= tree.threshold[nid] else tree.right[nid]
+    return nid
+
+
+def _ref_predict_proba_many(trees, class_count, X):
+    rows = []
+    for x in X:
+        acc = np.zeros(class_count)
+        for tree in trees:
+            cnt = tree.counts[_ref_walk(tree, x)]
+            acc += cnt / cnt.sum()
+        rows.append(acc / len(trees))
+    return np.stack(rows)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _forest_cases(draw):
+    criterion = draw(st.sampled_from(CRITERIA))
+    n = draw(st.integers(4, 80))
+    p = draw(st.integers(1, 8))
+    classes = draw(st.integers(2, 12 if criterion == "entropy" else 4))
+    levels = draw(st.sampled_from([None, 2, 3, 5]))  # few levels: many tied values
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.integers(0, classes, n)
+    y[:2] = (0, 1)
+    X = (rng.normal(size=(n, p)) if levels is None
+         else rng.integers(0, levels, (n, p)).astype(np.float64))
+    config = ForestConfig(tree_count=draw(st.integers(1, 6)),
+                          mtry=draw(st.none() | st.integers(1, p)),
+                          max_depth=draw(st.sampled_from([None, 1, 3])),
+                          min_leaf=draw(st.integers(1, 3)),
+                          seed=draw(st.integers(0, 10**6)),
+                          bootstrap=draw(st.booleans()), criterion=criterion)
+    return X, y, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forest_cases())
+def test_fit_and_predict_match_reference(case):
+    X, y, config = case
+    model = fit(X, y, config)
+    trees, split_counts, oob = _ref_fit(X, y, config)
+    assert len(model.trees) == len(trees)
+    for tree, ref in zip(model.trees, trees):
+        for name in ("feature", "threshold", "left", "right", "counts", "gain"):
+            assert _same_bytes(getattr(tree, name), getattr(ref, name)), name
+    assert _same_bytes(model.split_counts, split_counts)
+    assert len(model.oob_indices) == len(oob)
+    assert all(_same_bytes(a, b) for a, b in zip(model.oob_indices, oob))
+    queries = np.vstack([X, X[:5] + 0.25, X[-5:] - 0.5])
+    assert _same_bytes(predict_proba_many(model, queries),
+                       _ref_predict_proba_many(trees, model.class_count, queries))
 
 
 def _two_blobs(n_per=30, seed=0, spread=0.3):
@@ -51,6 +235,34 @@ def test_fit_contract_errors():
         fit(X, y, ForestConfig(mtry=5))  # mtry > feature count
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected_with_position(bad):
+    X, y = _two_blobs()
+    model = fit(X, y, ForestConfig(tree_count=3))
+    X[7, 1], X[9, 0] = bad, bad  # row 7 comes first
+    with pytest.raises(ValueError, match="row 7, column 1"):
+        fit(X, y, ForestConfig(tree_count=3))
+    with pytest.raises(ValueError, match="row 7, column 1"):
+        predict_proba_many(model, X)
+    with pytest.raises(ValueError, match="row 0, column 1"):
+        predict_proba(model, X[7])
+
+
+def test_fit_memory_stays_bounded():
+    """All trees grow at once, so an unbounded scoring pass would hold every
+    node's candidate rows together; passes stay small whatever the forest."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(240, 21))
+    y = rng.permutation(np.arange(240) % 2)  # shuffled labels grow deep trees
+    tracemalloc.start()
+    try:
+        fit(X, y, ForestConfig(tree_count=100, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def test_separable_perfect_on_training_points():
     X, y = _two_blobs(seed=1)
     model = fit(X, y, ForestConfig(tree_count=25, seed=1))
@@ -82,20 +294,13 @@ def test_fit_bitwise_deterministic():
         assert np.array_equal(oa, ob)
 
 
-def _walk_manually(tree, x):
-    i = 0
-    while tree.feature[i] != -1:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-    c = tree.counts[i]
-    return c / c.sum()
-
-
 def test_predict_proba_is_mean_of_leaf_distributions():
     X, y = _xor(seed=3)
     model = fit(X, y, ForestConfig(tree_count=12, seed=3))
     rng = np.random.default_rng(0)
     for x in rng.normal(0.5, 0.5, size=(20, 2)):
-        manual = np.mean([_walk_manually(t, x) for t in model.trees], axis=0)
+        leaves = [t.counts[_ref_walk(t, x)] for t in model.trees]
+        manual = np.mean([c / c.sum() for c in leaves], axis=0)
         assert np.abs(predict_proba(model, x) - manual).max() < 1e-12
 
 
@@ -184,10 +389,10 @@ def test_monotone_transform_preserves_structure_and_inbag_routing():
     for ta, tb, oob in zip(base.trees, warped.trees, base.oob_indices):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.counts, tb.counts)
-        for i in np.setdiff1d(everyone, oob):
-            leaf_a = forest._walk(ta, X[i])
-            leaf_b = forest._walk(tb, np.exp(X[i]))
-            assert np.array_equal(ta.counts[leaf_a], tb.counts[leaf_b])
+        inbag = np.setdiff1d(everyone, oob)
+        leaf_a = forest._leaves(ta, X[inbag])
+        leaf_b = forest._leaves(tb, np.exp(X[inbag]))
+        assert np.array_equal(ta.counts[leaf_a], tb.counts[leaf_b])
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
