@@ -1,8 +1,9 @@
 """Cross-validation, ROC/AUC, and the label-permutation control.
 
-AUC is the trapezoid over a tie-grouped threshold sweep, which equals the
-Mann-Whitney pairwise statistic (ties count half) exactly; tests pin the two
-against each other. Fold assignment is deterministic in the seed, and the
+AUC is the trapezoid over a tie-grouped threshold sweep, summed in integer
+true/false-positive counts and divided once, so it equals the Mann-Whitney
+pairwise statistic (ties count half) bit for bit and never leaves [0, 1];
+tests pin the two against each other. Fold assignment is deterministic in the seed, and the
 permutation control shuffles labels before folds are built so the null
 experiment re-stratifies on the shuffled labels.
 """
@@ -72,15 +73,23 @@ def kfold_split(labels, k: int = 5, seed: int = 0, stratified: bool = True) -> F
 @dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray  # starts at +inf (no positives predicted)
-    fpr: np.ndarray
-    tpr: np.ndarray
+    tp: np.ndarray  # int64, positives scored >= each threshold
+    fp: np.ndarray  # int64, negatives scored >= each threshold
 
     def __post_init__(self):
-        f, t = np.asarray(self.fpr), np.asarray(self.tpr)
-        if not (f[0] == 0 and t[0] == 0 and f[-1] == 1 and t[-1] == 1):
+        t, f = np.asarray(self.tp), np.asarray(self.fp)
+        if not (t[0] == 0 and f[0] == 0 and t[-1] > 0 and f[-1] > 0):
             raise ValueError("curve must run from (0,0) to (1,1)")
-        if (np.diff(f) < 0).any() or (np.diff(t) < 0).any():
+        if (np.diff(t) < 0).any() or (np.diff(f) < 0).any():
             raise ValueError("curve coordinates must be nondecreasing")
+
+    @property
+    def fpr(self) -> np.ndarray:
+        return self.fp / self.fp[-1]
+
+    @property
+    def tpr(self) -> np.ndarray:
+        return self.tp / self.tp[-1]
 
 
 def roc_curve(scores, labels) -> RocCurve:
@@ -97,21 +106,23 @@ def roc_curve(scores, labels) -> RocCurve:
     ss, yy = s[order], y[order]
     distinct = np.flatnonzero(np.diff(ss) != 0)
     cut = np.concatenate([distinct, [len(ss) - 1]])  # last index of each tie group
-    tp = np.cumsum(yy == 1)[cut]
-    fp = np.cumsum(yy == 0)[cut]
+    tp = np.concatenate([[0], np.cumsum(yy == 1)[cut]])
+    fp = np.concatenate([[0], np.cumsum(yy == 0)[cut]])
     thresholds = np.concatenate([[np.inf], ss[cut]])
-    fpr = np.concatenate([[0.0], fp / neg])
-    tpr = np.concatenate([[0.0], tp / pos])
-    return RocCurve(thresholds, fpr, tpr)
+    return RocCurve(thresholds, tp, fp)
 
 
 def auc(scores_or_curve, labels=None) -> float:
-    """Trapezoidal area under the ROC curve, in [0, 1]."""
+    """Trapezoidal area under the ROC curve, in [0, 1].
+
+    Twice the area in count units, sum of dfp * (tp_prev + tp), is an exact
+    integer; one division by 2 * pos * neg rounds it once.
+    """
     curve = (scores_or_curve if isinstance(scores_or_curve, RocCurve)
              else roc_curve(scores_or_curve, labels))
-    df = np.diff(curve.fpr)
-    mid = (curve.tpr[1:] + curve.tpr[:-1]) / 2.0
-    return float((df * mid).sum())
+    tp, fp = curve.tp, curve.fp
+    twice_area = int((np.diff(fp) * (tp[1:] + tp[:-1])).sum())
+    return twice_area / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def mann_whitney(scores, labels) -> float:

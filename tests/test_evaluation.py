@@ -120,7 +120,7 @@ def test_roc_contract_errors():
 
 def test_roc_curve_monotone_validation():
     with pytest.raises(ValueError):
-        RocCurve(np.array([np.inf, 0.0]), np.array([0.0, 0.5]), np.array([1.0, 0.0]))
+        RocCurve(np.array([np.inf, 0.5, 0.0]), np.array([0, 2, 1]), np.array([0, 1, 2]))
 
 
 def test_auc_equals_mann_whitney_fuzz():
@@ -133,7 +133,18 @@ def test_auc_equals_mann_whitney_fuzz():
             labels[0] = 1 - labels[0]
         # quantized scores force plenty of ties
         scores = np.round(rng.normal(size=n) * 2) / 2
-        assert abs(auc(scores, labels) - mann_whitney(scores, labels)) < 1e-9
+        assert auc(scores, labels) == mann_whitney(scores, labels)
+
+
+def test_auc_of_tied_perfect_separation_is_exactly_one():
+    # positives tied in groups of 25, 4, 1 above negatives tied in groups of
+    # 1, 1, 7, 1, 20: float fpr steps once summed to 1.0000000000000002
+    pos = np.repeat([0.9, 0.8, 0.7], [25, 4, 1])
+    neg = np.repeat([0.6, 0.5, 0.4, 0.3, 0.2], [1, 1, 7, 1, 20])
+    scores = np.concatenate([pos, neg])
+    labels = np.repeat([1, 0], [30, 30])
+    assert auc(scores, labels) == 1.0
+    assert mann_whitney(scores, labels) == 1.0
 
 
 def test_auc_sign_reversal():
