@@ -96,7 +96,7 @@ def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.n
 # One pass visits popped nodes holding at most about this many (node,
 # candidate, row) elements, plus one node, so its working arrays stay a few
 # hundred kB however many trees grow at once.
-_PASS_ELEMENTS = 4096
+_PASS_ELEMENTS = 2048
 
 
 def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class_count,
@@ -155,8 +155,8 @@ class _Grower:
     own rng, and scores the popped nodes in bounded vectorized passes. A
     tree's pop order, rng draws and node numbering are those of growing it
     alone, so each tree is bit-for-bit the tree that growing it alone gives.
-    Visited nodes go to one growing record array, so a fit leaves no trail of
-    small long-lived buffers behind its passes.
+    Each step's visited nodes go to one record array, so a fit keeps few
+    small long-lived buffers among its passes' temporaries.
     """
 
     def __init__(self, X, y, samples, rngs, class_count, config, mtry):
@@ -173,11 +173,11 @@ class _Grower:
         self.stack[:, 0] = (0, 0, n_boot, 0)
         self.height = np.ones(tree_count, dtype=np.int64)
         self.node_count = np.ones(tree_count, dtype=np.int64)
-        self.nodes = np.zeros(16 * tree_count, dtype=[
+        self.record = np.dtype([
             ("tree", np.int32), ("id", np.int32), ("counts", np.float64, (class_count,)),
             ("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
             ("gain", np.float64)])
-        self.visited = 0
+        self.records = []  # one array per step, a row per visited node
 
     def grow(self) -> list[DecisionTree]:
         while True:
@@ -185,14 +185,18 @@ class _Grower:
             if len(trees) == 0:
                 return self._trees()
             self.height[trees] -= 1
-            popped = self.stack[trees, self.height[trees]].T
-            elements = self.mtry * (popped[2] - popped[1])
+            nid, lo, hi, depth = self.stack[trees, self.height[trees]].T
+            rec = np.zeros(len(trees), dtype=self.record)
+            rec["tree"], rec["id"], rec["feature"], rec["left"] = trees, nid, -1, -1
+            self.records.append(rec)
+            elements = self.mtry * (hi - lo)
             pass_id = (np.cumsum(elements) - elements) // _PASS_ELEMENTS
             bounds = np.concatenate([[0], np.flatnonzero(np.diff(pass_id)) + 1, [len(trees)]])
             for a, b in zip(bounds[:-1], bounds[1:]):
-                self._visit(trees[a:b], *popped[:, a:b])
+                self._visit(rec[a:b], trees[a:b], lo[a:b], hi[a:b], depth[a:b])
 
-    def _visit(self, trees, nid, lo, hi, depth):
+    def _visit(self, rec, trees, lo, hi, depth):
+        """Count, score and split one pass of popped nodes, filling their records."""
         X, y, config, class_count = self.X, self.y, self.config, self.class_count
         n_boot = self.samples.shape[1]
         sizes = hi - lo
@@ -203,12 +207,7 @@ class _Grower:
         counts = np.bincount(node_of_row * class_count + y[rows],
                              minlength=len(trees) * class_count)
         counts = counts.reshape(len(trees), class_count).astype(np.float64)
-        if self.visited + len(trees) > len(self.nodes):
-            self.nodes = np.concatenate([self.nodes, np.zeros_like(self.nodes)])
-        rec = self.nodes[self.visited:self.visited + len(trees)]
-        self.visited += len(trees)
-        rec["tree"], rec["id"], rec["counts"] = trees, nid, counts
-        rec["feature"], rec["left"] = -1, -1
+        rec["counts"] = counts
 
         open_ = ((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * config.min_leaf)
         if config.max_depth is not None:
@@ -254,7 +253,7 @@ class _Grower:
         height[t] += 2
 
     def _trees(self) -> list[DecisionTree]:
-        rec = self.nodes[:self.visited]
+        rec = np.concatenate(self.records)
         order = np.lexsort((rec["id"], rec["tree"]))  # each tree's nodes in id order
         ends = np.cumsum(self.node_count)
         trees = []
