@@ -3,9 +3,9 @@
 AUC is the trapezoid over a tie-grouped threshold sweep, summed in integer
 true/false-positive counts and divided once, so it equals the Mann-Whitney
 pairwise statistic (ties count half) bit for bit and never leaves [0, 1];
-tests pin the two against each other. Fold assignment is deterministic in the seed, and the
-permutation control shuffles labels before folds are built so the null
-experiment re-stratifies on the shuffled labels.
+tests pin the two against each other. Fold assignment is deterministic in
+the seed, and the permutation control shuffles labels before folds are built
+so the null experiment re-stratifies on the shuffled labels.
 """
 
 from __future__ import annotations
