@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -117,6 +118,21 @@ TRAIN_DEFAULTS = {
 }
 
 
+def _epoch_reporter():
+    """net.train callback printing one JSON line per epoch to stderr (epoch,
+    mean loss, wall seconds of that epoch). Times go to stderr only, never
+    into an output file."""
+    last = time.perf_counter()
+
+    def report(epoch: int, mean_loss: float) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        print(json.dumps({"epoch": epoch, "mean_loss": mean_loss,
+                          "seconds": round(now - last, 6)}), file=sys.stderr, flush=True)
+        last = now
+    return report
+
+
 def cmd_train(args) -> dict:
     cfg = _resolve(TRAIN_DEFAULTS, args)
     out = _require_out(cfg)
@@ -137,7 +153,7 @@ def cmd_train(args) -> dict:
         raise ConfigError(f"arch must be desk2d or reference3d, got {cfg['arch']!r}")
     train_cfg = net.TrainConfig(cfg["learning_rate"], cfg["epochs"],
                                 cfg["batch_size"], cfg["seed"], cfg["shuffle"])
-    network, trace = net.train(network, dataset, train_cfg)
+    network, trace = net.train(network, dataset, train_cfg, on_epoch=_epoch_reporter())
     ckpt = os.path.join(out, "checkpoint.ckpt")
     net.save_checkpoint(network, ckpt)
     with open(os.path.join(out, "loss_trace.csv"), "w", newline="\n") as f:

@@ -197,21 +197,22 @@ def build_desk_2d(input_extent: int, classes: int, seed: int = 0) -> Network:
     return build_network((1, input_extent, input_extent), specs, seed)
 
 
-def block_ends(specs: list[LayerSpec]) -> list[int]:
-    """Index of the last layer of each block (conv + its relu/pool tail, fc, softmax)."""
-    ends = []
+def _blocks(specs: list[LayerSpec]):
+    """(first, last) layer index of each block: a conv with its relu/maxpool
+    tail, or any other single layer."""
     i = 0
     while i < len(specs):
+        j = i
         if specs[i].kind == "conv":
-            j = i
             while j + 1 < len(specs) and specs[j + 1].kind in ("relu", "maxpool"):
                 j += 1
-            ends.append(j)
-            i = j + 1
-        else:
-            ends.append(i)
-            i += 1
-    return ends
+        yield i, j
+        i = j + 1
+
+
+def block_ends(specs: list[LayerSpec]) -> list[int]:
+    """Index of the last layer of each block (conv + its relu/pool tail, fc, softmax)."""
+    return [last for _, last in _blocks(specs)]
 
 
 def shape_trace(net: Network) -> list[tuple[int, ...]]:
@@ -226,26 +227,15 @@ def cent_read_points(specs: list[LayerSpec], pre_relu: bool = False) -> list[int
     when pre_relu), and every fully_connected layer contributes its output.
     The softmax layer never does.
     """
-    points = []
-    i = 0
-    while i < len(specs):
-        if specs[i].kind == "conv":
-            j = i
-            while j + 1 < len(specs) and specs[j + 1].kind in ("relu", "maxpool"):
-                j += 1
-            points.append(i if pre_relu else j)
-            i = j + 1
-        else:
-            if specs[i].kind == "fully_connected":
-                points.append(i)
-            i += 1
-    return points
+    return [first if pre_relu else last for first, last in _blocks(specs)
+            if specs[first].kind in ("conv", "fully_connected")]
 
 
 def _forward_layers(net: Network, x: np.ndarray):
-    """Run all layers, returning per-layer outputs and backward caches."""
-    if tuple(x.shape) != net.input_shape:
-        raise ShapeMismatch(f"input {x.shape} != network input shape {net.input_shape}")
+    """Run all layers on a (batch, *input_shape) array, returning per-layer
+    batched outputs and backward caches."""
+    if tuple(x.shape[1:]) != net.input_shape:
+        raise ShapeMismatch(f"input {x.shape[1:]} != network input shape {net.input_shape}")
     outs, caches = [], []
     cur = x
     for spec, par in zip(net.specs, net.params):
@@ -259,13 +249,9 @@ def _forward_layers(net: Network, x: np.ndarray):
         elif spec.kind == "maxpool":
             nxt, cache = ops.maxpool(cur, spec.window, spec.stride, spec.padding)
             caches.append(cache)
-        elif spec.kind == "fully_connected":
+        else:  # fully_connected, or softmax's affine map to logits
             w, b = par
             nxt = ops.fully_connected(cur, w, b)
-            caches.append(cur)
-        else:  # softmax: affine to logits; probs computed by the caller's need
-            w, b = par
-            nxt = ops.fully_connected(cur, w, b)  # logits
             caches.append(cur)
         outs.append(nxt)
         cur = nxt
@@ -279,10 +265,9 @@ def forward_collect(net: Network, x: np.ndarray, pre_relu: bool = False
     Activations default to post-ReLU block outputs; pre_relu reads the raw conv
     outputs instead (ablation switch).
     """
-    outs, _ = _forward_layers(net, x)
-    acts = [outs[i] for i in cent_read_points(net.specs, pre_relu)]
-    logits = outs[-1]
-    probs, _, _ = ops.softmax_cross_entropy(logits, 0)
+    outs, _ = _forward_layers(net, x[None])
+    acts = [outs[i][0] for i in cent_read_points(net.specs, pre_relu)]
+    probs, _, _ = ops.softmax_cross_entropy(outs[-1][0], 0)
     return acts, probs
 
 
@@ -291,27 +276,56 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     return forward_collect(net, x)[1]
 
 
-def _loss_and_grads(net: Network, x: np.ndarray, label: int):
-    """Per-sample loss and float64 parameter gradients, chain rule layer by layer."""
+def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
+    """Per-sample losses of a (batch, *input_shape) chunk and its float64
+    parameter gradients {layer: (weights, bias)} summed over the chunk: one
+    forward and one backward op call per layer."""
     outs, caches = _forward_layers(net, x)
-    _, loss, grad = ops.softmax_cross_entropy(outs[-1], int(label))
+    _, losses, grad = ops.softmax_cross_entropy(outs[-1], labels)
+    del outs  # the backward pass needs only the caches, freed as it goes
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad.astype(np.float64)
     for i in range(len(net.specs) - 1, -1, -1):
-        spec = net.specs[i]
+        spec, cache = net.specs[i], caches.pop()
         if spec.kind == "conv":
             w, _ = net.params[i]
-            g, gw, gb = ops.conv_backward(g, caches[i].astype(np.float64), w, spec.conv)
+            g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv)
             grads[i] = (gw, gb)
         elif spec.kind == "relu":
-            g = ops.relu_backward(g, caches[i])
+            g = ops.relu_backward(g, cache)
         elif spec.kind == "maxpool":
-            g = ops.maxpool_backward(g, caches[i])
+            g = ops.maxpool_backward(g, cache)
         else:  # fully_connected or softmax affine
             w, _ = net.params[i]
-            g, gw, gb = ops.fully_connected_backward(g, caches[i].astype(np.float64), w)
+            g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w)
             grads[i] = (gw, gb)
-    return loss, grads
+    return losses, grads
+
+
+# Most activation elements one training chunk may hold in a single layer.
+# Batched kernels allocate float64 temporaries (activations, gradients, the
+# convolution's im2col copy) in proportion to the chunk, so however large the
+# mini-batch, a chunk's largest activation stays at 8 MB in float64: a
+# 10x32x32 desk activation allows 102 samples, while a 10x64^3 volume exceeds
+# the bound alone and trains one sample per chunk, as memory-lean as
+# per-sample training.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _chunk_size(net: Network) -> int:
+    """Samples per training chunk: _CHUNK_ELEMENTS over the largest
+    per-sample activation (input included), at least one."""
+    largest = max(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
+    return max(1, _CHUNK_ELEMENTS // largest)
+
+
+def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
+    """float32(param - scale * grad), computed in float64 in grad's buffer
+    (overwriting it): the values of param.astype(float64) - scale * grad
+    without two more float64 copies of the parameter."""
+    np.multiply(grad, scale, out=grad)
+    np.subtract(param, grad, out=grad)
+    return grad.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -329,14 +343,19 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
-def train(net: Network, dataset, config: TrainConfig) -> tuple[Network, list[float]]:
+def train(net: Network, dataset, config: TrainConfig, on_epoch=None
+          ) -> tuple[Network, list[float]]:
     """Mini-batch SGD on softmax cross-entropy; mutates `net` in place.
 
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
-    Batch order is a pure function of config.seed. Returns (net, per-epoch
-    mean loss). Raises TrainingDiverged naming the epoch/batch on NaN loss.
+    Batch order is a pure function of config.seed. Each mini-batch runs as
+    one batched forward and backward pass per chunk of at most
+    _chunk_size(net) samples; gradients are summed in float64. Returns (net,
+    per-epoch mean loss) and calls on_epoch(epoch, mean_loss), if given,
+    after each epoch. Raises TrainingDiverged naming the epoch, the batch and
+    the dataset index of the first sample whose loss is not finite.
     """
-    images, labels = dataset.images, np.asarray(dataset.labels)
+    images, labels = np.asarray(dataset.images), np.asarray(dataset.labels)
     n = len(images)
     if n == 0:
         raise ValueError("dataset is empty")
@@ -346,6 +365,7 @@ def train(net: Network, dataset, config: TrainConfig) -> tuple[Network, list[flo
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels outside [0, {n_classes})")
 
+    chunk = _chunk_size(net)
     rng = np.random.default_rng(config.seed)
     trace = []
     for epoch in range(config.epochs):
@@ -353,28 +373,32 @@ def train(net: Network, dataset, config: TrainConfig) -> tuple[Network, list[flo
         epoch_losses = []
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
-            acc: dict[int, list[np.ndarray]] = {}
-            for idx in batch:
-                loss, grads = _loss_and_grads(net, images[idx], labels[idx])
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {bi} (sample {idx})")
-                epoch_losses.append(loss)
-                for li, (gw, gb) in grads.items():
-                    if li in acc:
-                        acc[li][0] += gw.astype(np.float64)
-                        acc[li][1] += gb.astype(np.float64)
-                    else:
-                        acc[li] = [gw.astype(np.float64), gb.astype(np.float64)]
+            grads = None
+            for lo in range(0, len(batch), chunk):
+                part = batch[lo:lo + chunk]
+                losses, part_grads = _loss_and_grads(net, images[part], labels[part])
+                bad = ~np.isfinite(losses)
+                if bad.any():
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "
+                                           f"(sample {part[np.argmax(bad)]})")
+                epoch_losses.append(losses)
+                if grads is None:
+                    grads = part_grads
+                else:
+                    for (acc_w, acc_b), (gw, gb) in zip(grads.values(), part_grads.values()):
+                        acc_w += gw
+                        acc_b += gb
+                del part_grads  # not held while the next chunk runs
             scale = config.learning_rate / len(batch)
-            for li, (gw, gb) in acc.items():
+            for li, (gw, gb) in grads.items():
                 w, b = net.params[li]
-                net.params[li] = ((w.astype(np.float64) - scale * gw).astype(np.float32),
-                                  (b.astype(np.float64) - scale * gb).astype(np.float32))
+                net.params[li] = (_sgd_step(w, gw, scale), _sgd_step(b, gb, scale))
         for par in net.params:
             if par is not None and not (np.isfinite(par[0]).all() and np.isfinite(par[1]).all()):
                 raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
-        trace.append(float(np.mean(epoch_losses)))
+        trace.append(float(np.mean(np.concatenate(epoch_losses))))
+        if on_epoch is not None:
+            on_epoch(epoch, trace[-1])
     return net, trace
 
 

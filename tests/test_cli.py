@@ -94,6 +94,26 @@ def test_train_outputs(pipeline):
     assert all("np.float" not in line for line in trace)
 
 
+def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        code, _, err = run_cli(["train", "--out", str(out_dir), "--data", pipeline["data"],
+                                "--epochs", "3", "--seed", "3"])
+        assert code == 0, err
+        lines = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        runs.append((out_dir, lines))
+    out_dir, lines = runs[0]
+    assert [line["epoch"] for line in lines] == [0, 1, 2]
+    assert all(set(line) == {"epoch", "mean_loss", "seconds"} for line in lines)
+    assert all(line["seconds"] >= 0 for line in lines)
+    trace = open(out_dir / "loss_trace.csv").read().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in trace] == [line["mean_loss"] for line in lines]
+    # the timings reach stderr only: the files of both runs are byte-identical
+    for name in ("loss_trace.csv", "checkpoint.ckpt"):
+        assert (runs[0][0] / name).read_bytes() == (runs[1][0] / name).read_bytes()
+
+
 def test_train_missing_data_exits_2(tmp_path):
     code, _, err = run_cli(["train", "--out", str(tmp_path / "t")])
     assert code == 2

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from centpipe import net
+import copy
+
+from centpipe import net, ops
 from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
 from centpipe.ops import ShapeMismatch
 
+import reference_ops as R
 from conftest import small_dataset
 
 
@@ -140,11 +143,8 @@ def test_single_full_batch_step_decreases_loss():
     dataset = small_dataset(per_class=10, seed=2)
 
     def total_loss(network):
-        total = 0.0
-        for img, lab in zip(dataset.images, dataset.labels):
-            loss, _ = net._loss_and_grads(network, img, int(lab))
-            total += loss
-        return total / len(dataset.images)
+        losses, _ = net._loss_and_grads(network, dataset.images, dataset.labels)
+        return float(np.mean(losses))
 
     lr = 1e-4
     for _ in range(5):
@@ -169,6 +169,62 @@ def test_train_diverged_names_location():
     with pytest.raises(TrainingDiverged) as e:
         net.train(network, dataset, TrainConfig(0.01, 1, 5, seed=0))
     assert "epoch 0" in str(e.value) and "batch 0" in str(e.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverged_names_first_bad_sample_of_a_chunk():
+    dataset = small_dataset(per_class=5, seed=3)
+    order = np.random.default_rng(0).permutation(10)  # batch 0 is order[:5]
+    dataset.images[order[3]] = np.nan
+    dataset.images[order[4]] = np.inf
+    network = net.build_desk_2d(32, 2, seed=6)
+    with pytest.raises(TrainingDiverged) as e:
+        net.train(network, dataset, TrainConfig(0.01, 1, 5, seed=0))
+    assert "epoch 0" in str(e.value) and "batch 0" in str(e.value)
+    assert f"(sample {order[3]})" in str(e.value)
+
+
+def test_chunk_bound_from_largest_activation():
+    assert net._chunk_size(net.build_desk_2d(32, 2)) >= 10  # a desk batch is one chunk
+    assert net._chunk_size(net.build_reference_3d()) == 1   # 10x64^3 alone exceeds it
+
+
+@pytest.mark.parametrize("chunk_elements,chunks", [(None, [10]), (3 * 10 * 32 * 32, [3, 3, 3, 1])])
+def test_one_conv_backward_per_conv_layer_per_chunk(monkeypatch, chunk_elements, chunks):
+    if chunk_elements is not None:
+        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+    real = ops.conv_backward
+    calls = []
+
+    def counting(grad_output, cached_input, filters, spec):
+        calls.append(len(cached_input))
+        return real(grad_output, cached_input, filters, spec)
+
+    monkeypatch.setattr(ops, "conv_backward", counting)
+    dataset = small_dataset(per_class=10, seed=0)
+    net.train(net.build_desk_2d(32, 2, seed=0), dataset, TrainConfig(0.05, 1, 10, seed=0))
+    # 20 images in 2 batches; per chunk, one call for each of the 2 conv layers
+    assert calls == [size for _ in range(2) for size in chunks for _ in range(2)]
+
+
+@pytest.mark.parametrize("chunk_elements", [None, 3 * 10 * 32 * 32])
+def test_train_matches_per_sample_reference(monkeypatch, chunk_elements):
+    """Batched chunks (one chunk per batch, or several summed) against the
+    per-sample SGD loop over the reference ops. Only the float64 summation
+    order differs, so the float32 results agree to a few float32 ulps."""
+    if chunk_elements is not None:
+        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+    dataset = small_dataset(per_class=10, seed=4)
+    config = TrainConfig(0.05, 2, 10, seed=4)
+    batched = net.build_desk_2d(32, 2, seed=4)
+    reference = copy.deepcopy(batched)
+    _, trace = net.train(batched, dataset, config)
+    ref_trace = R.train(reference, dataset, config)
+    np.testing.assert_allclose(trace, ref_trace, rtol=1e-6)
+    for got, want in zip(batched.params, reference.params):
+        if got is not None:
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-7)
 
 
 def test_checkpoint_roundtrip_forward_bitwise(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from centpipe import ops
 from centpipe.ops import ConvSpec, ShapeMismatch
 
+import reference_ops as R
 from conftest import fd_grad, pool_safe_input, rel_err
 
 
@@ -272,3 +273,195 @@ def test_ops_preserve_dtype():
     pooled, _ = ops.maxpool(x32, (2, 2), (2, 2))
     assert pooled.dtype == np.float32
     assert ops.relu(x32).dtype == np.float32
+
+
+# --- batch axis: batched ops against a per-sample loop over the reference ---
+
+BATCH_TOL = 1e-12
+
+
+@st.composite
+def _conv_cases(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    kernel = draw(st.integers(1, 3))
+    spec = ConvSpec((kernel,) * rank, (draw(st.integers(1, 2)),) * rank,
+                    draw(st.sampled_from(["same", "valid"])), draw(st.integers(1, 3)))
+    extent = draw(st.integers(kernel, 6 if rank == 2 else 4))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3))) + (extent,) * rank
+    return spec, shape, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_conv_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_conv_matches_per_sample_reference(case):
+    spec, shape, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(spec.filter_count, shape[1]) + spec.kernel)
+    b = rng.normal(size=spec.filter_count)
+    y = ops.conv_forward(x, w, b, spec)
+    assert rel_err(y, np.stack([R.conv_forward(xi, w, b, spec) for xi in x])) < BATCH_TOL
+    g = rng.normal(size=y.shape)
+    gi, gw, gb = ops.conv_backward(g, x, w, spec)
+    ref = [R.conv_backward(gj, xi, w, spec) for gj, xi in zip(g, x)]
+    assert rel_err(gi, np.stack([r[0] for r in ref])) < BATCH_TOL
+    assert rel_err(gw, sum(r[1] for r in ref)) < BATCH_TOL
+    assert rel_err(gb, sum(r[2] for r in ref)) < BATCH_TOL
+
+
+@st.composite
+def _pool_cases(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):  # windows that tile the input: no overlap, no padding
+        window = draw(st.integers(1, 3))
+        stride, padding = window, "valid"
+        extent = window * draw(st.integers(1, 6 // window if rank == 2 else 4 // window))
+    else:
+        window = draw(st.integers(1, 3))
+        stride = draw(st.integers(1, 3))
+        padding = draw(st.sampled_from(["same", "valid"]))
+        extent = draw(st.integers(window, 6 if rank == 2 else 4))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3))) + (extent,) * rank
+    return (window,) * rank, (stride,) * rank, padding, shape, draw(st.booleans()), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@given(_pool_cases())
+@settings(max_examples=80, deadline=None)
+def test_batched_pool_and_relu_match_per_sample_reference(case):
+    window, stride, padding, shape, rectified, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    if rectified:  # post-ReLU inputs put ties (zeros) in many windows
+        x = ops.relu(x)
+        assert np.array_equal(x, np.stack([R.relu(xi) for xi in x]))
+    pooled, cache = ops.maxpool(x, window, stride, padding)
+    refs = [R.maxpool(xi, window, stride, padding) for xi in x]
+    assert rel_err(pooled, np.stack([p for p, _ in refs])) < BATCH_TOL
+    g = rng.normal(size=pooled.shape)
+    expect = np.stack([R.maxpool_backward(gj, c) for gj, (_, c) in zip(g, refs)])
+    assert rel_err(ops.maxpool_backward(g, cache), expect) < BATCH_TOL
+    gr = rng.normal(size=shape)
+    assert np.array_equal(ops.relu_backward(gr, x),
+                          np.stack([R.relu_backward(gj, xi) for gj, xi in zip(gr, x)]))
+
+
+@given(st.integers(1, 4), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_fully_connected_matches_per_sample_reference(batch, sample_shape, width, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch,) + tuple(sample_shape))
+    w = rng.normal(size=(width, int(np.prod(sample_shape))))
+    b = rng.normal(size=width)
+    y = ops.fully_connected(x, w, b)
+    assert y.shape == (batch, width)
+    assert rel_err(y, np.stack([R.fully_connected(xi, w, b) for xi in x])) < BATCH_TOL
+    g = rng.normal(size=y.shape)
+    gi, gw, gb = ops.fully_connected_backward(g, x, w)
+    ref = [R.fully_connected_backward(gj, xi, w) for gj, xi in zip(g, x)]
+    assert gi.shape == x.shape
+    assert rel_err(gi, np.stack([r[0] for r in ref])) < BATCH_TOL
+    assert rel_err(gw, sum(r[1] for r in ref)) < BATCH_TOL
+    assert rel_err(gb, sum(r[2] for r in ref)) < BATCH_TOL
+
+
+@given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batched_softmax_matches_per_sample_reference(batch, k, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=rng.uniform(0.5, 50.0), size=(batch, k))
+    labels = rng.integers(0, k, size=batch)
+    probs, losses, grad = ops.softmax_cross_entropy(logits, labels)
+    refs = [R.softmax_cross_entropy(z, int(c)) for z, c in zip(logits, labels)]
+    assert losses.shape == (batch,)
+    assert rel_err(probs, np.stack([r[0] for r in refs])) < BATCH_TOL
+    assert rel_err(losses, np.array([r[1] for r in refs])) < BATCH_TOL
+    assert rel_err(grad, np.stack([r[2] for r in refs])) < BATCH_TOL
+
+
+def test_maxpool_nan_and_tie_routing_matches_reference():
+    x = np.array([[[[np.nan, 1.0, 2.0, 2.0],
+                    [3.0, np.nan, 2.0, 2.0],
+                    [0.0, -0.0, 5.0, np.nan],
+                    [-0.0, 0.0, np.inf, 1.0]]]])
+    for window, stride, padding in [((2, 2), (2, 2), "valid"), ((2, 2), (1, 1), "same")]:
+        pooled, cache = ops.maxpool(x, window, stride, padding)
+        ref_pooled, ref_cache = R.maxpool(x[0], window, stride, padding)
+        assert np.array_equal(pooled[0], ref_pooled, equal_nan=True)
+        assert np.array_equal(cache.argmax[0], ref_cache["argmax"])
+        g = np.arange(1.0, pooled.size + 1).reshape(pooled.shape)
+        assert np.array_equal(ops.maxpool_backward(g, cache)[0],
+                              R.maxpool_backward(g[0], ref_cache))
+
+
+# --- finite differences on batched inputs ---
+
+@pytest.mark.parametrize("shape,kspec", [
+    ((2, 1, 4, 4), ConvSpec((2, 2), (1, 1), "same", 2)),
+    ((3, 2, 5, 5), ConvSpec((2, 2), (2, 2), "valid", 2)),
+    ((2, 1, 3, 3, 3), ConvSpec((2, 2, 2), (1, 1, 1), "same", 2)),
+])
+def test_batched_conv_gradients_match_fd(shape, kspec):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(kspec.filter_count, shape[1]) + kspec.kernel)
+    b = rng.normal(size=kspec.filter_count)
+    g = rng.normal(size=ops.conv_forward(x, w, b, kspec).shape)
+    gi, gw, gb = ops.conv_backward(g, x, w, kspec)
+
+    def loss(xx=x, ww=w, bb=b):
+        return float((ops.conv_forward(xx, ww, bb, kspec) * g).sum())
+
+    assert rel_err(gi, fd_grad(lambda v: loss(xx=v), x)) < 1e-4
+    assert rel_err(gw, fd_grad(lambda v: loss(ww=v), w)) < 1e-4
+    assert rel_err(gb, fd_grad(lambda v: loss(bb=v), b)) < 1e-4
+
+
+@pytest.mark.parametrize("window,stride,padding", [
+    ((2, 2), (2, 2), "valid"), ((2, 2), (1, 1), "same"), ((2, 2, 2), (2, 2, 2), "valid")])
+def test_batched_maxpool_gradient_matches_fd(window, stride, padding):
+    rng = np.random.default_rng(12)
+    x = pool_safe_input(rng, (3, 2) + (4,) * len(window), window)
+    out, cache = ops.maxpool(x, window, stride, padding)
+    g = rng.normal(size=out.shape)
+    fd = fd_grad(lambda v: float((ops.maxpool(v, window, stride, padding)[0] * g).sum()), x)
+    assert rel_err(ops.maxpool_backward(g, cache), fd) < 1e-4
+
+
+def test_batched_fully_connected_and_softmax_gradients_match_fd():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 2, 3))
+    w = rng.normal(size=(4, 6))
+    b = rng.normal(size=4)
+    g = rng.normal(size=(3, 4))
+    gi, gw, gb = ops.fully_connected_backward(g, x, w)
+    assert rel_err(gi, fd_grad(lambda v: float((ops.fully_connected(v, w, b) * g).sum()), x)) < 1e-4
+    assert rel_err(gw, fd_grad(lambda v: float((ops.fully_connected(x, v, b) * g).sum()), w)) < 1e-4
+    assert rel_err(gb, fd_grad(lambda v: float((ops.fully_connected(x, w, v) * g).sum()), b)) < 1e-4
+    logits = rng.normal(size=(3, 5))
+    labels = np.array([0, 4, 2])
+    _, _, grad = ops.softmax_cross_entropy(logits, labels)
+    fd = fd_grad(lambda v: float(ops.softmax_cross_entropy(v, labels)[1].sum()), logits)
+    assert rel_err(grad, fd) < 1e-4
+
+
+def test_fully_connected_batch_of_one_shape_rule():
+    """(n,) is one sample giving (m,); (1, n) and (1, *s) with prod(s) == n
+    are a batch of one giving (1, m); (2, 3) against n = 6 is one sample."""
+    rng = np.random.default_rng(14)
+    w = rng.normal(size=(3, 6))
+    b = rng.normal(size=3)
+    flat = rng.normal(size=6)
+    single = ops.fully_connected(flat, w, b)
+    assert single.shape == (3,)
+    for batched in (flat.reshape(1, 6), flat.reshape(1, 2, 3)):
+        y = ops.fully_connected(batched, w, b)
+        assert y.shape == (1, 3) and np.array_equal(y[0], single)
+        gi, gw, gb = ops.fully_connected_backward(y - 1.0, batched, w)
+        ri, rw, rb = ops.fully_connected_backward(single - 1.0, flat, w)
+        assert gi.shape == batched.shape and np.array_equal(gi.reshape(-1), ri)
+        assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+    assert ops.fully_connected(flat.reshape(2, 3), w, b).shape == (3,)
+    with pytest.raises(ShapeMismatch):
+        ops.fully_connected(rng.normal(size=(2, 4)), w, b)
