@@ -251,7 +251,7 @@ def _forward_layers(net: Network, x: np.ndarray):
             caches.append(cache)
         else:  # fully_connected, or softmax's affine map to logits
             w, b = par
-            nxt = ops.fully_connected(cur, w, b)
+            nxt = ops.fully_connected(cur.reshape(len(cur), -1), w, b)
             caches.append(cur)
         outs.append(nxt)
         cur = nxt

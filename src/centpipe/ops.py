@@ -260,7 +260,9 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
         better &= pooled == pooled        # ... but a NaN maximum stays
         # offsets rise, so a later winner always has the larger index
         np.maximum(argmax, better * argmax.dtype.type(flat), out=argmax)
-        # np.maximum keeps its second argument on ties: the first maximum
+        # np.maximum keeps its second argument on ties: the first maximum, so
+        # a -0.0 maximum tied with a later +0.0 stays -0.0 (tests check the
+        # signs against a gather at argmax)
         np.maximum(candidate, pooled, out=pooled)
     cache = PoolCache(x.shape, tuple(window), tuple(stride), padding,
                       tuple(b for b, _ in pads), xw.shape[x.ndim - rank:], argmax)
@@ -270,11 +272,10 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
 def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     """Route the upstream gradient to each window's recorded argmax position.
 
-    When the windows tile the input (window == stride, no padding, extents
-    divisible by the window), every input element lies in exactly one window:
-    the gradient is written offset by offset through a reshaped view of one
-    buffer, each element once. Overlapping or padded windows scatter with
-    np.add.at, which accumulates where windows share an element.
+    The window offsets are walked in turn: at one offset every window covers
+    a different element, so the gradients of the windows whose argmax is that
+    offset are added through one strided slice of a zeroed, padded buffer.
+    Overlapping windows accumulate across offsets; the padding is cropped.
     """
     rank = len(cache.window)
     lead = cache.input_shape[:len(cache.input_shape) - rank]
@@ -283,51 +284,29 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     _require(grad_output.shape == lead + out,
              f"grad_output {grad_output.shape} != pooled shape {lead + out}")
     g = grad_output.astype(np.float64, copy=False)
-
-    if cache.window == cache.stride and all(
-            o * w == s for o, w, s in zip(out, cache.window, spatial)):
-        g = g + 0.0  # as 0.0 + g in the scatter: -0.0 lands as +0.0
-        grad_input = np.empty(cache.input_shape, dtype=np.float64)
-        # (*lead, o1, w1, o2, w2, ...): window offset u on axis d is index u of w_d
-        tiles = grad_input.reshape(lead + tuple(
-            n for o, w in zip(out, cache.window) for n in (o, w)))
-        for flat, offset in enumerate(itertools.product(*(range(w) for w in cache.window))):
-            at = (Ellipsis,) + tuple(i for u in offset for i in (slice(None), u))
-            tiles[at] = np.where(cache.argmax == flat, g, 0.0)
-        return grad_input.astype(grad_output.dtype, copy=False)
-
-    nlead = int(np.prod(lead)) if lead else 1
-    g = g.reshape((nlead,) + out)
-    arg = cache.argmax.reshape((nlead,) + out)
-    gpad = np.zeros((nlead,) + cache.padded_spatial, dtype=np.float64)
-
-    offs = np.unravel_index(arg, cache.window)
-    grids = np.indices((nlead,) + out)
-    idx = [grids[0]]
-    for d in range(rank):
-        idx.append(grids[1 + d] * cache.stride[d] + offs[d])
-    np.add.at(gpad, tuple(idx), g)  # overlapping windows accumulate
-
+    gpad = np.zeros(lead + cache.padded_spatial, dtype=np.float64)
+    for flat, offset in enumerate(itertools.product(*(range(w) for w in cache.window))):
+        sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, cache.stride, out))
+        gpad[(Ellipsis,) + sl] += np.where(cache.argmax == flat, g, 0.0)
     crop = tuple(slice(b, b + s) for b, s in zip(cache.pad_before, spatial))
-    grad_input = gpad[(slice(None),) + crop].reshape(cache.input_shape)
-    return grad_input.astype(grad_output.dtype, copy=False)
+    return gpad[(Ellipsis,) + crop].astype(grad_output.dtype, copy=False)
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map: weights (m, n) @ flattened input + bias (m,).
 
-    Input-shape rule: x is a batch when it has at least two axes and its
-    trailing axes x.shape[1:] hold n elements; then each row is one sample and
-    the result is (batch, m). Otherwise all of x flattens to one sample of n
-    elements and the result is (m,). So (1, n) is a batch of one giving
-    (1, m), while (n,) gives (m,); (1, *s) with prod(s) == n is likewise a
-    batch of one.
+    Input-shape rule: a 2-D x of n columns, (batch, n), is a batch and gives
+    (batch, m), one row per sample; (1, n) is a batch of one giving (1, m).
+    Any other x flattens whole to one sample of n elements and gives (m,), so
+    a per-sample caller may pass any shape holding n elements, (1, H, W)
+    included. A caller holding a batch of multi-axis samples flattens each
+    sample first, as the network does: x.reshape(len(x), -1).
     """
     _require(weights.ndim == 2, f"weights {weights.shape} are not (m, n)")
     _require(bias.shape == (weights.shape[0],),
              f"bias {bias.shape} != ({weights.shape[0]},)")
     n = weights.shape[1]
-    single = not (x.ndim >= 2 and math.prod(x.shape[1:]) == n)
+    single = not (x.ndim == 2 and x.shape[1] == n)
     _require(not single or x.size == n,
              f"weights {weights.shape} incompatible with input {x.shape}: it "
              f"flattens neither to ({n},) nor to (batch, {n})")

@@ -354,7 +354,7 @@ def test_batched_fully_connected_matches_per_sample_reference(batch, sample_shap
     x = rng.normal(size=(batch,) + tuple(sample_shape))
     w = rng.normal(size=(width, int(np.prod(sample_shape))))
     b = rng.normal(size=width)
-    y = ops.fully_connected(x, w, b)
+    y = ops.fully_connected(x.reshape(batch, -1), w, b)
     assert y.shape == (batch, width)
     assert rel_err(y, np.stack([R.fully_connected(xi, w, b) for xi in x])) < BATCH_TOL
     g = rng.normal(size=y.shape)
@@ -389,10 +389,34 @@ def test_maxpool_nan_and_tie_routing_matches_reference():
         pooled, cache = ops.maxpool(x, window, stride, padding)
         ref_pooled, ref_cache = R.maxpool(x[0], window, stride, padding)
         assert np.array_equal(pooled[0], ref_pooled, equal_nan=True)
+        # array_equal counts -0.0 == +0.0; the sign of a zero maximum must match too
+        assert np.array_equal(np.signbit(pooled[0]), np.signbit(ref_pooled))
         assert np.array_equal(cache.argmax[0], ref_cache["argmax"])
         g = np.arange(1.0, pooled.size + 1).reshape(pooled.shape)
         assert np.array_equal(ops.maxpool_backward(g, cache)[0],
                               R.maxpool_backward(g[0], ref_cache))
+        # a -0.0 gradient lands as +0.0, as 0.0 + g in the reference scatter
+        gz = -np.zeros(pooled.shape)
+        assert not np.signbit(ops.maxpool_backward(gz, cache)).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride,padding", [
+    ((2, 2), (2, 2), "valid"), ((3, 3), (1, 1), "same"), ((2, 2, 2), (2, 2, 2), "valid"),
+])
+def test_maxpool_signed_zero_ties_keep_first_maximum(dtype, window, stride, padding):
+    """Windows full of tied -0.0/+0.0 (and 1.0) on arrays long enough for
+    numpy's vector loops: the pooled value must carry the sign of the element
+    at argmax, as the reference's gather does."""
+    rng = np.random.default_rng(21)
+    shape = (3, 4) + (24,) * len(window)
+    x = rng.choice(np.array([-0.0, 0.0, 0.0, -0.0, 1.0]), size=shape).astype(dtype)
+    pooled, cache = ops.maxpool(x, window, stride, padding)
+    for xi, pi, ai in zip(x, pooled, cache.argmax):
+        ref_pooled, ref_cache = R.maxpool(xi, window, stride, padding)
+        assert np.array_equal(ai, ref_cache["argmax"])
+        assert np.array_equal(pi, ref_pooled)
+        assert np.array_equal(np.signbit(pi), np.signbit(ref_pooled))
 
 
 # --- finite differences on batched inputs ---
@@ -436,9 +460,12 @@ def test_batched_fully_connected_and_softmax_gradients_match_fd():
     b = rng.normal(size=4)
     g = rng.normal(size=(3, 4))
     gi, gw, gb = ops.fully_connected_backward(g, x, w)
-    assert rel_err(gi, fd_grad(lambda v: float((ops.fully_connected(v, w, b) * g).sum()), x)) < 1e-4
-    assert rel_err(gw, fd_grad(lambda v: float((ops.fully_connected(x, v, b) * g).sum()), w)) < 1e-4
-    assert rel_err(gb, fd_grad(lambda v: float((ops.fully_connected(x, w, v) * g).sum()), b)) < 1e-4
+    def loss(xx=x, ww=w, bb=b):
+        return float((ops.fully_connected(xx.reshape(3, -1), ww, bb) * g).sum())
+
+    assert rel_err(gi, fd_grad(lambda v: loss(xx=v), x)) < 1e-4
+    assert rel_err(gw, fd_grad(lambda v: loss(ww=v), w)) < 1e-4
+    assert rel_err(gb, fd_grad(lambda v: loss(bb=v), b)) < 1e-4
     logits = rng.normal(size=(3, 5))
     labels = np.array([0, 4, 2])
     _, _, grad = ops.softmax_cross_entropy(logits, labels)
@@ -447,21 +474,26 @@ def test_batched_fully_connected_and_softmax_gradients_match_fd():
 
 
 def test_fully_connected_batch_of_one_shape_rule():
-    """(n,) is one sample giving (m,); (1, n) and (1, *s) with prod(s) == n
-    are a batch of one giving (1, m); (2, 3) against n = 6 is one sample."""
+    """Only a 2-D (batch, n) input is a batch: (1, n) gives (1, m). Every
+    other shape holding n elements is one sample giving (m,), (1, 2, 3) and
+    (2, 3) against n = 6 included, as per-sample callers always had it."""
     rng = np.random.default_rng(14)
     w = rng.normal(size=(3, 6))
     b = rng.normal(size=3)
     flat = rng.normal(size=6)
     single = ops.fully_connected(flat, w, b)
     assert single.shape == (3,)
-    for batched in (flat.reshape(1, 6), flat.reshape(1, 2, 3)):
-        y = ops.fully_connected(batched, w, b)
-        assert y.shape == (1, 3) and np.array_equal(y[0], single)
-        gi, gw, gb = ops.fully_connected_backward(y - 1.0, batched, w)
-        ri, rw, rb = ops.fully_connected_backward(single - 1.0, flat, w)
-        assert gi.shape == batched.shape and np.array_equal(gi.reshape(-1), ri)
+    y = ops.fully_connected(flat.reshape(1, 6), w, b)
+    assert y.shape == (1, 3) and np.array_equal(y[0], single)
+    ri, rw, rb = ops.fully_connected_backward(single - 1.0, flat, w)
+    # the backward pass tells a batch by grad_output's rank and shapes
+    # grad_input like the cached input, whatever its axes
+    for cached in (flat.reshape(1, 6), flat.reshape(1, 2, 3)):
+        gi, gw, gb = ops.fully_connected_backward(y - 1.0, cached, w)
+        assert gi.shape == cached.shape and np.array_equal(gi.reshape(-1), ri)
         assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
-    assert ops.fully_connected(flat.reshape(2, 3), w, b).shape == (3,)
+    for sample in (flat.reshape(1, 2, 3), flat.reshape(2, 3), flat.reshape(1, 1, 6)):
+        out = ops.fully_connected(sample, w, b)
+        assert out.shape == (3,) and np.array_equal(out, single)
     with pytest.raises(ShapeMismatch):
         ops.fully_connected(rng.normal(size=(2, 4)), w, b)
