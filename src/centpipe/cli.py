@@ -233,51 +233,38 @@ def _load_binary_features(cfg: dict):
     return ids, labels, matrix
 
 
-def _write_eval_outputs(out: str, metrics, labels, permutation_seed=None) -> dict:
+def _write_eval_outputs(out: str, metrics, permutation_seed=None) -> dict:
     evaluation.write_metrics_csv(metrics, os.path.join(out, "metrics.csv"),
                                  permutation_seed=permutation_seed)
     files = {"metrics": os.path.join(out, "metrics.csv")}
-    pooled_scores, pooled_labels = [], []
-    for i, (scores, test_idx) in enumerate(zip(metrics.fold_scores,
-                                               metrics.fold_test_indices)):
-        curve = evaluation.roc_curve(scores, labels[test_idx])
+    for i, (scores, labels) in enumerate(zip(metrics.fold_scores, metrics.fold_labels)):
         path = os.path.join(out, f"roc_fold_{i}.csv")
-        evaluation.write_roc_csv(curve, path)
+        evaluation.write_roc_csv(evaluation.roc_curve(scores, labels), path)
         files[f"roc_fold_{i}"] = path
-        pooled_scores.append(scores)
-        pooled_labels.append(labels[test_idx])
-    pooled = evaluation.roc_curve(np.concatenate(pooled_scores),
-                                  np.concatenate(pooled_labels))
+    pooled = evaluation.roc_curve(np.concatenate(metrics.fold_scores),
+                                  np.concatenate(metrics.fold_labels))
     files["roc_pooled"] = os.path.join(out, "roc_pooled.csv")
     evaluation.write_roc_csv(pooled, files["roc_pooled"])
     return files
 
 
 def cmd_evaluate(args) -> dict:
-    cfg = _resolve(EVALUATE_DEFAULTS, args)
+    """evaluate, and permute: the same cross-validation after a seeded label
+    shuffle (perm_seed None, evaluate's case, is the identity)."""
+    permute = args.command == "permute"
+    cfg = _resolve(PERMUTE_DEFAULTS if permute else EVALUATE_DEFAULTS, args)
     out = _require_out(cfg)
     _, labels, matrix = _load_binary_features(cfg)
-    plan = evaluation.kfold_split(labels, k=cfg["k"], seed=cfg["fold_seed"],
-                                  stratified=cfg["stratified"])
-    metrics = evaluation.cross_validate(matrix, labels, _forest_config(cfg), plan)
-    files = _write_eval_outputs(out, metrics, labels)
-    return {"command": "evaluate", "config": cfg, "files": files,
-            "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc}
-
-
-def cmd_permute(args) -> dict:
-    cfg = _resolve(PERMUTE_DEFAULTS, args)
-    out = _require_out(cfg)
-    _, labels, matrix = _load_binary_features(cfg)
-    permuted = evaluation.permute_labels(labels, cfg["perm_seed"])
-    plan = evaluation.kfold_split(permuted, k=cfg["k"], seed=cfg["fold_seed"],
-                                  stratified=cfg["stratified"])
-    metrics = evaluation.cross_validate(matrix, permuted, _forest_config(cfg), plan)
-    files = _write_eval_outputs(out, metrics, permuted,
-                                permutation_seed=cfg["perm_seed"])
-    return {"command": "permute", "config": cfg, "files": files,
-            "perm_seed": cfg["perm_seed"],
-            "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc}
+    perm_seed = cfg.get("perm_seed")
+    metrics = evaluation.permutation_baseline(
+        matrix, labels, _forest_config(cfg), k=cfg["k"], fold_seed=cfg["fold_seed"],
+        stratified=cfg["stratified"], perm_seed=perm_seed)
+    summary = {"command": args.command, "config": cfg,
+               "files": _write_eval_outputs(out, metrics, permutation_seed=perm_seed),
+               "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc}
+    if permute:
+        summary["perm_seed"] = perm_seed
+    return summary
 
 
 THEORY_DEFAULTS = {
@@ -312,8 +299,13 @@ def cmd_theory(args) -> dict:
     out = _require_out(cfg)
     network, dataset = _theory_network_and_data(cfg)
 
-    conv_layers = [i for i, shape in enumerate(
-        net.shape_trace(network)[1:]) if len(shape) >= 2]
+    # FilterSelector layers index the CENT read points
+    read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]
+    part_layer = cfg["partition_layer"]
+    if not 0 <= part_layer < len(read_shapes):
+        raise ConfigError(f"partition_layer {part_layer} out of range: the network has "
+                          f"read points 0..{len(read_shapes) - 1}")
+    conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
     conditioning = []
     for layer in conv_layers:
         sel = infotheory.FilterSelector(layer)
@@ -325,20 +317,20 @@ def cmd_theory(args) -> dict:
 
     classes = [int(c) for c in np.unique(dataset.labels)]
     partition = (tuple(classes[:1]), tuple(classes[1:]))
-    layer = cfg["partition_layer"]
     if cfg["partition_filter"] is None:
         # pick the filter with the widest entropy gap between the two sides
+        shape = read_shapes[part_layer]
         reports = [infotheory.partition_check(
-            dataset, network, infotheory.FilterSelector(layer, (f,)),
+            dataset, network, infotheory.FilterSelector(part_layer, (f,)),
             partition, cfg["bins"])
-            for f in range(network.layer_shapes[net.block_ends(network.specs)[layer]][0])]
+            for f in range(shape[0] if len(shape) >= 2 else 1)]
         gaps = [abs(r.h_informative - r.h_uninformative) for r in reports]
         chosen = int(np.argmax(gaps))
         report = reports[chosen]
     else:
         chosen = cfg["partition_filter"]
         report = infotheory.partition_check(
-            dataset, network, infotheory.FilterSelector(layer, (chosen,)),
+            dataset, network, infotheory.FilterSelector(part_layer, (chosen,)),
             partition, cfg["bins"])
 
     chain = data_io.generate_markov_chain(
@@ -351,7 +343,7 @@ def cmd_theory(args) -> dict:
         "config": cfg,
         "conditioning": conditioning,
         "partition": {
-            "layer": layer, "filter": chosen,
+            "layer": part_layer, "filter": chosen,
             "partition": [list(partition[0]), list(partition[1])],
             "h_informative": report.h_informative,
             "h_uninformative": report.h_uninformative,
@@ -446,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permute", help="label-permutation null control")
     eval_flags(p)
     p.add_argument("--perm-seed", dest="perm_seed", type=_opt_int)
-    p.set_defaults(handler=cmd_permute)
+    p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("theory", help="run the information-theoretic checks")
     common(p)

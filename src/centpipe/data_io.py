@@ -1,85 +1,41 @@
-"""Tensor file format, dataset manifests, synthetic image generation,
-Markov-chain sampling for the data-processing check, and activation-dump
-exchange so CENT extraction can run on activations from any network.
+"""Tensor files, dataset manifests, synthetic image generation, Markov-chain
+sampling for the data-processing check, and activation-dump exchange so CENT
+extraction can run on activations from any network.
 
-TensorFile layout (little-endian): magic "CENTTNSR", u32 version, u32 rank,
-u64 dims[rank], float32 payload, trailing u32 CRC32 of everything before it.
+A tensor file is a framed file (see framing) whose body is one tensor record:
+magic "CENTTNSR", u32 version, u32 rank, u64 dims[rank], float32 payload,
+trailing u32 CRC32 of everything before it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-import zlib
 
 import numpy as np
 
+from .framing import FramedReader, tensor_record, write_framed
+# load_tensor raises these; TensorFileError is their common base
+from .framing import (BadMagicError, ChecksumError, TruncatedError,  # noqa: F401
+                      VersionError)
+from .framing import FramedFileError as TensorFileError  # noqa: F401
 from .net import Network, forward_collect
 
 TENSOR_MAGIC = b"CENTTNSR"
 TENSOR_VERSION = 1
 
 
-class TensorFileError(Exception):
-    """Base class for tensor file failures."""
-
-
-class BadMagicError(TensorFileError):
-    pass
-
-
-class VersionError(TensorFileError):
-    pass
-
-
-class TruncatedError(TensorFileError):
-    pass
-
-
-class ChecksumError(TensorFileError):
-    pass
-
-
 def save_tensor(path, tensor) -> None:
-    arr = np.asarray(tensor)
-    if arr.ndim == 0:
+    if np.ndim(tensor) == 0:
         raise ValueError("rank-0 tensors are not supported")
-    parts = [TENSOR_MAGIC,
-             np.uint32(TENSOR_VERSION).tobytes(),
-             np.uint32(arr.ndim).tobytes(),
-             np.asarray(arr.shape, dtype="<u8").tobytes(),
-             np.ascontiguousarray(arr, dtype="<f4").tobytes()]
-    body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(np.uint32(zlib.crc32(body)).tobytes())
+    write_framed(path, TENSOR_MAGIC, TENSOR_VERSION, tensor_record(tensor))
 
 
 def load_tensor(path) -> np.ndarray:
-    # structural checks precede the CRC so truncation classifies as truncation
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(TENSOR_MAGIC) or raw[:len(TENSOR_MAGIC)] != TENSOR_MAGIC:
-        raise BadMagicError(f"{path}: not a tensor file (bad magic)")
-    if len(raw) < len(TENSOR_MAGIC) + 12:
-        raise TruncatedError(f"{path}: too short for a tensor header")
-    pos = len(TENSOR_MAGIC)
-    version = int(np.frombuffer(raw[pos:pos + 4], "<u4")[0])
-    if version != TENSOR_VERSION:
-        raise VersionError(f"{path}: unsupported tensor version {version}")
-    rank = int(np.frombuffer(raw[pos + 4:pos + 8], "<u4")[0])
-    pos += 8
-    if pos + 8 * rank > len(raw) - 4:
-        raise TruncatedError(f"{path}: dimension table cut short")
-    dims = tuple(int(d) for d in np.frombuffer(raw[pos:pos + 8 * rank], "<u8"))
-    pos += 8 * rank
-    count = math.prod(dims)
-    if pos + 4 * count != len(raw) - 4:
-        raise TruncatedError(f"{path}: payload length does not match dims {dims}")
-    if zlib.crc32(raw[:-4]) != int(np.frombuffer(raw[-4:], "<u4")[0]):
-        raise ChecksumError(f"{path}: checksum mismatch")
-    return np.frombuffer(raw[pos:pos + 4 * count], "<f4").reshape(dims).copy()
+    reader = FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file")
+    tensor = reader.tensor()
+    reader.finish()
+    return tensor
 
 
 MANIFEST_HEADER = "image_id,path,label"

@@ -136,21 +136,12 @@ def mann_whitney(scores, labels) -> float:
     return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (len(p) * len(n)))
 
 
-def one_vs_rest_auc(probs, labels) -> float:
-    """Macro mean of per-class one-vs-rest AUCs for multiclass score matrices."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    vals = [auc(probs[:, c], (labels == c).astype(np.int64))
-            for c in np.unique(labels)]
-    return float(np.mean(vals))
-
-
 @dataclass(frozen=True)
 class Metrics:
     per_fold_auc: tuple
     mean_auc: float
-    fold_scores: tuple        # positive-class scores per fold, for audit
-    fold_test_indices: tuple  # matching test index arrays
+    fold_scores: tuple  # positive-class scores per fold, for audit
+    fold_labels: tuple  # the labels those scores were ranked against
 
     def __post_init__(self):
         if any(not 0.0 <= a <= 1.0 for a in self.per_fold_auc):
@@ -163,15 +154,16 @@ def cross_validate(features, labels, config: ForestConfig, plan: FoldPlan) -> Me
     y = np.asarray(labels, dtype=np.int64)
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows but {len(y)} labels")
-    fold_auc, fold_scores = [], []
+    fold_auc, fold_scores, fold_labels = [], [], []
     for i, test_idx in enumerate(plan.test_folds):
         train_idx = plan.train_fold(i)
         model = fit(X[train_idx], y[train_idx], config)
         scores = predict_proba_many(model, X[test_idx])[:, 1]
         fold_auc.append(auc(scores, y[test_idx]))
         fold_scores.append(scores)
+        fold_labels.append(y[test_idx])
     return Metrics(tuple(fold_auc), float(np.mean(fold_auc)),
-                   tuple(fold_scores), tuple(plan.test_folds))
+                   tuple(fold_scores), tuple(fold_labels))
 
 
 def permute_labels(labels, perm_seed: int | None) -> np.ndarray:

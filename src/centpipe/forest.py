@@ -9,21 +9,12 @@ so fits are bit-for-bit reproducible and schedule-independent.
 
 from __future__ import annotations
 
-import json
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-MODEL_MAGIC = b"CENTFRST"
-MODEL_VERSION = 1
-
 CRITERIA = ("gini", "entropy")
-
-
-class ForestError(Exception):
-    """Model file load failure (magic/version/truncation/checksum)."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +44,13 @@ class ForestConfig:
 class DecisionTree:
     """Flat node arrays; feature == -1 marks a leaf, children are -1 there.
 
-    counts[i] holds the training class counts reaching node i; gain[i] is the
-    split's impurity decrease weighted by the fraction of bootstrap samples
-    at the node (0 at leaves).
+    counts[i] holds the training class counts reaching node i.
     """
     feature: np.ndarray    # int32
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32
     right: np.ndarray      # int32
     counts: np.ndarray     # float64 (nodes, classes)
-    gain: np.ndarray       # float64
 
 
 @dataclass
@@ -72,8 +60,6 @@ class ForestModel:
     class_count: int
     config: ForestConfig
     mtry: int  # resolved value actually used
-    split_counts: np.ndarray       # int64 per feature
-    oob_indices: list[np.ndarray]  # per tree, sorted sample indices left out
 
 
 def _impurity(counts: np.ndarray, criterion: str) -> float:
@@ -175,8 +161,7 @@ class _Grower:
         self.node_count = np.ones(tree_count, dtype=np.int64)
         self.record = np.dtype([
             ("tree", np.int32), ("id", np.int32), ("counts", np.float64, (class_count,)),
-            ("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
-            ("gain", np.float64)])
+            ("feature", np.int32), ("threshold", np.float64), ("left", np.int32)])
         self.records = []  # one array per step, a row per visited node
 
     def grow(self) -> list[DecisionTree]:
@@ -242,7 +227,6 @@ class _Grower:
         left_id = self.node_count[t]
         self.node_count[t] += 2
         rec["feature"][k], rec["threshold"][k], rec["left"][k] = feature, threshold, left_id
-        rec["gain"][k] = decrease[split] * sizes[k] / n_boot
 
         height = self.height
         if height.max() + 2 > self.stack.shape[1]:
@@ -262,7 +246,7 @@ class _Grower:
             left = node["left"].copy()
             right = np.where(left >= 0, left + 1, -1).astype(np.int32)
             trees.append(DecisionTree(node["feature"].copy(), node["threshold"].copy(), left,
-                                      right, node["counts"].copy(), node["gain"].copy()))
+                                      right, node["counts"].copy()))
         return trees
 
 
@@ -298,17 +282,10 @@ def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
     rngs = [np.random.default_rng([config.seed, t]) for t in range(config.tree_count)]
     if config.bootstrap:
         boots = np.stack([rng.integers(0, n, n) for rng in rngs])
-        oob = [np.setdiff1d(np.arange(n), boot) for boot in boots]
     else:
         boots = np.tile(np.arange(n), (config.tree_count, 1))
-        oob = [np.empty(0, dtype=np.int64) for _ in rngs]
     trees = _Grower(X, y, boots, rngs, class_count, config, mtry).grow()
-
-    split_counts = np.zeros(p, dtype=np.int64)
-    for tree in trees:
-        used = tree.feature[tree.feature >= 0]
-        split_counts += np.bincount(used, minlength=p)
-    return ForestModel(trees, p, class_count, config, mtry, split_counts, oob)
+    return ForestModel(trees, p, class_count, config, mtry)
 
 
 def _leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
@@ -322,11 +299,6 @@ def _leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
         node[live] = np.where(X[live, f] <= tree.threshold[nid],
                               tree.left[nid], tree.right[nid])
     return node
-
-
-def _leaf_distributions(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    cnt = tree.counts[_leaves(tree, X)]
-    return cnt / cnt.sum(axis=1, keepdims=True)
 
 
 def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
@@ -345,156 +317,6 @@ def predict_proba_many(model: ForestModel, features) -> np.ndarray:
     _require_finite(X)
     acc = np.zeros((len(X), model.class_count))
     for tree in model.trees:
-        acc += _leaf_distributions(tree, X)
+        cnt = tree.counts[_leaves(tree, X)]
+        acc += cnt / cnt.sum(axis=1, keepdims=True)
     return acc / len(model.trees)
-
-
-@dataclass(frozen=True)
-class FeatureImportance:
-    split_counts: np.ndarray       # int64, per feature
-    impurity_decrease: np.ndarray  # float64, per feature, averaged over trees
-
-
-def feature_importance(model: ForestModel) -> FeatureImportance:
-    """Split counts plus sample-weighted impurity decrease per feature.
-
-    Each split contributes its decrease scaled by the fraction of that tree's
-    bootstrap samples reaching the node; totals are averaged over trees.
-    Features never chosen score 0 on both measures.
-    """
-    if not model.trees:
-        raise ValueError("model has no trees")
-    decrease = np.zeros(model.feature_count)
-    for tree in model.trees:
-        internal = tree.feature >= 0
-        np.add.at(decrease, tree.feature[internal], tree.gain[internal])
-    return FeatureImportance(model.split_counts.copy(), decrease / len(model.trees))
-
-
-def oob_score(model: ForestModel, features, labels) -> float:
-    """Out-of-bag accuracy: each sample voted on only by trees that never saw
-    it. Samples in every bootstrap are skipped."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    votes = np.zeros((len(X), model.class_count))
-    seen = np.zeros(len(X), dtype=bool)
-    for tree, oob in zip(model.trees, model.oob_indices):
-        votes[oob] += _leaf_distributions(tree, X[oob])
-        seen[oob] = True
-    if not seen.any():
-        raise ValueError("no out-of-bag samples (bootstrap disabled?)")
-    pred = votes[seen].argmax(axis=1)
-    return float((pred == y[seen]).mean())
-
-
-def _config_json(model: ForestModel) -> bytes:
-    c = model.config
-    return json.dumps({
-        "tree_count": c.tree_count, "mtry": c.mtry, "max_depth": c.max_depth,
-        "min_leaf": c.min_leaf, "seed": c.seed, "bootstrap": c.bootstrap,
-        "criterion": c.criterion, "resolved_mtry": model.mtry,
-    }, sort_keys=True).encode()
-
-
-def save_model(model: ForestModel, path) -> None:
-    parts = [MODEL_MAGIC, np.uint32(MODEL_VERSION).tobytes(),
-             np.uint32(model.feature_count).tobytes(),
-             np.uint32(model.class_count).tobytes(),
-             np.uint32(len(model.trees)).tobytes()]
-    blob = _config_json(model)
-    parts.append(np.uint32(len(blob)).tobytes())
-    parts.append(blob)
-    for tree, oob in zip(model.trees, model.oob_indices):
-        parts.append(np.uint32(len(tree.feature)).tobytes())
-        parts.append(tree.feature.astype("<i4").tobytes())
-        parts.append(tree.threshold.astype("<f8").tobytes())
-        parts.append(tree.left.astype("<i4").tobytes())
-        parts.append(tree.right.astype("<i4").tobytes())
-        parts.append(tree.counts.astype("<f8").tobytes())
-        parts.append(tree.gain.astype("<f8").tobytes())
-        parts.append(np.uint32(len(oob)).tobytes())
-        parts.append(np.asarray(oob, dtype="<i8").tobytes())
-    parts.append(model.split_counts.astype("<i8").tobytes())
-    body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(np.uint32(zlib.crc32(body)).tobytes())
-
-
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf, self.pos = buf, 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ForestError("truncated model file")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return int(np.frombuffer(self.take(4), "<u4")[0])
-
-    def array(self, dtype: str, count: int, itemsize: int) -> np.ndarray:
-        return np.frombuffer(self.take(itemsize * count), dtype).copy()
-
-
-def load_model(path) -> ForestModel:
-    # parse structure first, CRC last: truncation reports as truncation
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MODEL_MAGIC) + 8 or raw[:len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ForestError(f"{path}: not a forest model file (bad magic)")
-    cur = _Cursor(raw[:-4])
-    cur.take(len(MODEL_MAGIC))
-    version = cur.u32()
-    if version != MODEL_VERSION:
-        raise ForestError(f"{path}: unsupported model version {version}")
-    feature_count = cur.u32()
-    class_count = cur.u32()
-    n_trees = cur.u32()
-    meta = json.loads(cur.take(cur.u32()).decode())
-    config = ForestConfig(meta["tree_count"], meta["mtry"], meta["max_depth"],
-                          meta["min_leaf"], meta["seed"], meta["bootstrap"],
-                          meta["criterion"])
-    trees, oob = [], []
-    for _ in range(n_trees):
-        n_nodes = cur.u32()
-        tree = DecisionTree(
-            cur.array("<i4", n_nodes, 4).astype(np.int32),
-            cur.array("<f8", n_nodes, 8),
-            cur.array("<i4", n_nodes, 4).astype(np.int32),
-            cur.array("<i4", n_nodes, 4).astype(np.int32),
-            cur.array("<f8", n_nodes * class_count, 8).reshape(n_nodes, class_count),
-            cur.array("<f8", n_nodes, 8))
-        trees.append(tree)
-        oob.append(cur.array("<i8", cur.u32(), 8))
-    split_counts = cur.array("<i8", feature_count, 8)
-    if cur.pos != len(cur.buf):
-        raise ForestError(f"{path}: trailing bytes after model tables")
-    if zlib.crc32(raw[:-4]) != int(np.frombuffer(raw[-4:], "<u4")[0]):
-        raise ForestError(f"{path}: checksum mismatch")
-    return ForestModel(trees, feature_count, class_count, config,
-                       meta["resolved_mtry"], split_counts, oob)
-
-
-def dump_model(model: ForestModel) -> str:
-    """Human-readable tree listing for debugging."""
-    lines = [f"forest: {len(model.trees)} trees, {model.feature_count} features, "
-             f"{model.class_count} classes, criterion={model.config.criterion}"]
-    for ti, tree in enumerate(model.trees):
-        lines.append(f"tree {ti}: {len(tree.feature)} nodes")
-
-        def emit(nid: int, depth: int):
-            pad = "  " * (depth + 1)
-            if tree.feature[nid] < 0:
-                dist = ", ".join(f"{int(c)}" for c in tree.counts[nid])
-                lines.append(f"{pad}leaf [{dist}]")
-            else:
-                lines.append(f"{pad}node {nid}: f{tree.feature[nid]} <= "
-                             f"{tree.threshold[nid]:.6g} (gain {tree.gain[nid]:.4g})")
-                emit(tree.left[nid], depth + 1)
-                emit(tree.right[nid], depth + 1)
-
-        emit(0, 0)
-    return "\n".join(lines) + "\n"

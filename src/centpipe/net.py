@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
+from .framing import FramedReader, i64, tensor_record, u32, write_framed
+# load_checkpoint raises the framing errors; CheckpointError is their common base
+from .framing import FramedFileError as CheckpointError
 from .ops import ConvSpec, ShapeMismatch
 
 CHECKPOINT_MAGIC = b"CENTCKPT"
 CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(Exception):
-    """Structured checkpoint load failure (magic/version/truncation/checksum)."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -271,11 +269,6 @@ def forward_collect(net: Network, x: np.ndarray, pre_relu: bool = False
     return acts, probs
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Softmax output vector for one input."""
-    return forward_collect(net, x)[1]
-
-
 def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
     """Per-sample losses of a (batch, *input_shape) chunk and its float64
     parameter gradients {layer: (weights, bias)} summed over the chunk: one
@@ -402,80 +395,32 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     return net, trace
 
 
-def _write_tensor(parts: list[bytes], arr: np.ndarray) -> None:
-    parts.append(np.uint32(arr.ndim).tobytes())
-    parts.append(np.asarray(arr.shape, dtype="<u8").tobytes())
-    parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
 def save_checkpoint(net: Network, path) -> None:
+    """Checkpoint file: a framed file (see framing) whose body is i64 seed,
+    u32 blob_len, JSON layer table, u32 tensor_count, then the weights and
+    bias of each parameterized layer as tensor records, in layer order."""
     header = {"input_shape": list(net.input_shape),
               "specs": [s.to_dict() for s in net.specs]}
     blob = json.dumps(header, sort_keys=True).encode()
-    parts = [CHECKPOINT_MAGIC,
-             np.uint32(CHECKPOINT_VERSION).tobytes(),
-             np.int64(net.seed).tobytes(),
-             np.uint32(len(blob)).tobytes(), blob]
     tensors = [a for par in net.params if par is not None for a in par]
-    parts.append(np.uint32(len(tensors)).tobytes())
+    body = [i64(net.seed), u32(len(blob)), blob, u32(len(tensors))]
     for arr in tensors:
-        _write_tensor(parts, arr)
-    body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(np.uint32(zlib.crc32(body)).tobytes())
-
-
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf, self.pos = buf, 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return int(np.frombuffer(self.take(4), "<u4")[0])
-
-    def i64(self) -> int:
-        return int(np.frombuffer(self.take(8), "<i8")[0])
+        body += tensor_record(arr)
+    write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body)
 
 
 def load_checkpoint(path) -> Network:
-    # parse structure first, CRC last: truncation reports as truncation
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 8 or raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    cur = _Cursor(raw[:-4])
-    cur.take(len(CHECKPOINT_MAGIC))
-    version = cur.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    seed = cur.i64()
+    reader = FramedReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    seed = reader.i64()
+    blob = reader.take(reader.u32())
+    tensors = [reader.tensor() for _ in range(reader.u32())]
+    reader.finish()
     try:
-        header = json.loads(cur.take(cur.u32()).decode())
+        header = json.loads(blob.tobytes())
         specs = [LayerSpec.from_dict(d) for d in header["specs"]]
         input_shape = tuple(header["input_shape"])
-    except CheckpointError:
-        raise
     except Exception as exc:
         raise CheckpointError(f"{path}: corrupt layer table ({exc})") from None
-    n_tensors = cur.u32()
-    tensors = []
-    for _ in range(n_tensors):
-        rank = cur.u32()
-        dims = tuple(int(d) for d in np.frombuffer(cur.take(8 * rank), "<u8"))
-        count = math.prod(dims)
-        data = np.frombuffer(cur.take(4 * count), "<f4").reshape(dims).copy()
-        tensors.append(data)
-    if cur.pos != len(cur.buf):
-        raise CheckpointError(f"{path}: trailing bytes after parameter table")
-    if zlib.crc32(raw[:-4]) != int(np.frombuffer(raw[-4:], "<u4")[0]):
-        raise CheckpointError(f"{path}: checksum mismatch")
 
     shapes = _chain_shapes(input_shape, specs)
     params: list[tuple[np.ndarray, np.ndarray] | None] = []

@@ -259,6 +259,18 @@ def test_permute_identity_matches_evaluate(leak_features, tmp_path):
         assert a == b, name
 
 
+def test_permute_roc_files_use_the_shuffled_labels(leak_features, tmp_path):
+    """Each fold's ROC file ranks the scores against the shuffled labels that
+    metrics.csv was scored on, so its area is that fold's AUC."""
+    out_dir = tmp_path / "p"
+    code, out, err = run_cli(["permute", "--out", str(out_dir), "--features", leak_features,
+                              "--tree-count", "10", "--perm-seed", "3"])
+    assert code == 0, err
+    for i, fold_auc in enumerate(json.loads(out)["per_fold_auc"]):
+        roc = np.loadtxt(out_dir / f"roc_fold_{i}.csv", delimiter=",", skiprows=1)
+        assert abs(np.trapezoid(roc[:, 2], roc[:, 1]) - fold_auc) < 1e-12
+
+
 def test_permute_shuffles_before_folding(leak_features, tmp_path):
     # a permuted leak column scores near chance, not near 1
     code, out, err = run_cli(["permute", "--out", str(tmp_path / "p"),
@@ -317,6 +329,29 @@ def test_theory_partial_inputs_exit_2(tmp_path, pipeline):
                             "--checkpoint", pipeline["ckpt"]])
     assert code == 2
     assert "both" in err
+
+
+def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
+    """Read point 2 of the desk net is the fully connected layer: one pooled
+    value per image, so the only filter is 0."""
+    out_dir = tmp_path / "t"
+    code, _, err = run_cli(["theory", "--out", str(out_dir), "--checkpoint", pipeline["ckpt"],
+                            "--data", pipeline["data"], "--chain-n", "20000",
+                            "--partition-layer", "2"])
+    assert code == 0, err
+    part = json.load(open(out_dir / "theory_report.json"))["partition"]
+    assert part["layer"] == 2 and part["filter"] == 0
+    assert part["decomposition_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("layer", ["3", "5", "-1"])
+def test_theory_partition_layer_out_of_range_exits_2(tmp_path, pipeline, layer):
+    code, _, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                            "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                            "--partition-layer", layer])
+    assert code == 2, err
+    assert f"partition_layer {layer} out of range" in err
+    assert "read points 0..2" in err
 
 
 # --- configuration files ---

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centpipe.evaluation import (Metrics, RocCurve, auc, cross_validate,
-                                 kfold_split, mann_whitney, one_vs_rest_auc,
+                                 kfold_split, mann_whitney,
                                  permutation_baseline, permute_labels,
                                  roc_curve, write_metrics_csv, write_roc_csv)
 from centpipe.forest import ForestConfig
@@ -153,14 +153,6 @@ def test_auc_sign_reversal():
     labels = rng.integers(0, 2, 30)
     labels[0], labels[1] = 0, 1
     assert abs(auc(-scores, labels) - (1.0 - auc(scores, labels))) < 1e-12
-
-
-def test_one_vs_rest_auc_matches_binary():
-    rng = np.random.default_rng(2)
-    labels = rng.integers(0, 2, 40)
-    labels[:2] = [0, 1]
-    probs = rng.dirichlet((1, 1), size=40)
-    assert abs(one_vs_rest_auc(probs, labels) - auc(probs[:, 1], labels)) < 1e-12
 
 
 # --- cross-validation ---

@@ -1,4 +1,4 @@
-"""Random-forest construction, prediction arithmetic, and persistence."""
+"""Random-forest construction and prediction arithmetic."""
 
 import math
 import tracemalloc
@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centpipe import forest
-from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestError,
-                             ForestModel, feature_importance, fit, oob_score,
+from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, fit,
                              predict_proba, predict_proba_many)
 
 
@@ -65,7 +64,7 @@ def _ref_best_threshold(values, labels, class_count, min_leaf, criterion, parent
 
 
 def _ref_build_tree(X, y, sample_idx, class_count, config, mtry, rng):
-    feature, threshold, left, right, counts, gain = [], [], [], [], [], []
+    feature, threshold, left, right, counts = [], [], [], [], []
 
     def new_node():
         feature.append(-1)
@@ -73,10 +72,8 @@ def _ref_build_tree(X, y, sample_idx, class_count, config, mtry, rng):
         left.append(-1)
         right.append(-1)
         counts.append(None)
-        gain.append(0.0)
         return len(feature) - 1
 
-    n_boot = len(sample_idx)
     stack = [(new_node(), sample_idx, 0)]
     while stack:
         nid, idx, depth = stack.pop()
@@ -96,39 +93,30 @@ def _ref_build_tree(X, y, sample_idx, class_count, config, mtry, rng):
                 best = (found[0], int(f), found[1])
         if best is None:
             continue
-        dec, f, t = best
+        _, f, t = best
         mask = X[idx, f] <= t
         lid, rid = new_node(), new_node()
         feature[nid], threshold[nid] = f, t
         left[nid], right[nid] = lid, rid
-        gain[nid] = dec * len(idx) / n_boot
         stack.append((rid, idx[~mask], depth + 1))
         stack.append((lid, idx[mask], depth + 1))
 
     return DecisionTree(np.array(feature, np.int32), np.array(threshold, np.float64),
                         np.array(left, np.int32), np.array(right, np.int32),
-                        np.stack(counts), np.array(gain, np.float64))
+                        np.stack(counts))
 
 
 def _ref_fit(X, y, config):
-    """(trees, split_counts, oob_indices) as the one-tree-at-a-time grower gives them."""
+    """The trees as the one-tree-at-a-time grower gives them."""
     n, p = X.shape
     class_count = int(y.max()) + 1
     mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(p)))
-    trees, oob = [], []
+    trees = []
     for t in range(config.tree_count):
         rng = np.random.default_rng([config.seed, t])
-        if config.bootstrap:
-            boot = rng.integers(0, n, n)
-            oob.append(np.setdiff1d(np.arange(n), boot))
-        else:
-            boot = np.arange(n)
-            oob.append(np.empty(0, dtype=np.int64))
+        boot = rng.integers(0, n, n) if config.bootstrap else np.arange(n)
         trees.append(_ref_build_tree(X, y, boot, class_count, config, mtry, rng))
-    split_counts = np.zeros(p, dtype=np.int64)
-    for tree in trees:
-        split_counts += np.bincount(tree.feature[tree.feature >= 0], minlength=p)
-    return trees, split_counts, oob
+    return trees
 
 
 def _ref_walk(tree, x):
@@ -180,14 +168,11 @@ def _forest_cases(draw):
 def test_fit_and_predict_match_reference(case):
     X, y, config = case
     model = fit(X, y, config)
-    trees, split_counts, oob = _ref_fit(X, y, config)
+    trees = _ref_fit(X, y, config)
     assert len(model.trees) == len(trees)
     for tree, ref in zip(model.trees, trees):
-        for name in ("feature", "threshold", "left", "right", "counts", "gain"):
+        for name in ("feature", "threshold", "left", "right", "counts"):
             assert _same_bytes(getattr(tree, name), getattr(ref, name)), name
-    assert _same_bytes(model.split_counts, split_counts)
-    assert len(model.oob_indices) == len(oob)
-    assert all(_same_bytes(a, b) for a, b in zip(model.oob_indices, oob))
     queries = np.vstack([X, X[:5] + 0.25, X[-5:] - 0.5])
     assert _same_bytes(predict_proba_many(model, queries),
                        _ref_predict_proba_many(trees, model.class_count, queries))
@@ -270,28 +255,22 @@ def test_separable_perfect_on_training_points():
     assert (probs.argmax(axis=1) == y).all()
 
 
-def test_xor_oob_accuracy():
-    hits = 0
+def test_xor_held_out_accuracy():
     for seed in range(5):
         X, y = _xor(seed=seed)
         model = fit(X, y, ForestConfig(tree_count=60, seed=seed))
-        if oob_score(model, X, y) > 0.9:
-            hits += 1
-    assert hits == 5
+        X_new, y_new = _xor(seed=seed + 100)
+        assert (predict_proba_many(model, X_new).argmax(axis=1) == y_new).mean() > 0.9
 
 
 def test_fit_bitwise_deterministic():
     X, y = _xor(seed=2)
     a = fit(X, y, ForestConfig(tree_count=15, seed=7))
     b = fit(X, y, ForestConfig(tree_count=15, seed=7))
-    assert np.array_equal(a.split_counts, b.split_counts)
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
         assert np.array_equal(ta.counts, tb.counts)
-        assert np.array_equal(ta.gain, tb.gain)
-    for oa, ob in zip(a.oob_indices, b.oob_indices):
-        assert np.array_equal(oa, ob)
 
 
 def test_predict_proba_is_mean_of_leaf_distributions():
@@ -308,23 +287,20 @@ def _leaf_tree(class_idx, class_count=2):
     counts = np.zeros((1, class_count))
     counts[0, class_idx] = 1.0
     return DecisionTree(np.array([-1], np.int32), np.zeros(1),
-                        np.array([-1], np.int32), np.array([-1], np.int32),
-                        counts, np.zeros(1))
+                        np.array([-1], np.int32), np.array([-1], np.int32), counts)
 
 
 def test_vote_arithmetic_explicit_split():
     # 60 pure-class-0 leaves and 40 pure-class-1 leaves average to (0.6, 0.4)
     trees = [_leaf_tree(0)] * 60 + [_leaf_tree(1)] * 40
-    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=100), 1,
-                        np.zeros(2, np.int64), [np.array([], np.int64)] * 100)
+    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=100), 1)
     probs = predict_proba(model, np.zeros(2))
     assert np.allclose(probs, [0.6, 0.4], atol=1e-12)
 
 
 def test_unanimous_vote():
     trees = [_leaf_tree(1)] * 10
-    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=10), 1,
-                        np.zeros(2, np.int64), [np.array([], np.int64)] * 10)
+    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=10), 1)
     assert np.array_equal(predict_proba(model, np.zeros(2)), [0.0, 1.0])
 
 
@@ -333,6 +309,20 @@ def test_predict_length_mismatch():
     model = fit(X, y, ForestConfig(tree_count=5))
     with pytest.raises(ValueError):
         predict_proba(model, np.zeros(3))
+
+
+def _impurity_decrease(model):
+    """Per feature, the summed impurity decrease of its splits, each weighted
+    by the fraction of its tree's bootstrap rows reaching the node."""
+    total = np.zeros(model.feature_count)
+    for tree in model.trees:
+        n_boot = tree.counts[0].sum()
+        for i in np.flatnonzero(tree.feature >= 0):
+            parent, kids = tree.counts[i], (tree.counts[tree.left[i]], tree.counts[tree.right[i]])
+            weighted = sum(k.sum() * forest._impurity(k, "gini") for k in kids) / parent.sum()
+            total[tree.feature[i]] += ((forest._impurity(parent, "gini") - weighted)
+                                       * parent.sum() / n_boot)
+    return total
 
 
 def test_informative_feature_ranks_first():
@@ -344,25 +334,9 @@ def test_informative_feature_ranks_first():
         X = rng.normal(size=(n, 4))
         X[:, 2] = y + rng.normal(0, 0.1, n)  # feature 2 carries the label
         model = fit(X, y, ForestConfig(tree_count=40, seed=seed))
-        imp = feature_importance(model)
-        if imp.impurity_decrease.argmax() == 2:
+        if _impurity_decrease(model).argmax() == 2:
             wins += 1
-        assert imp.split_counts.argmax() == 2 or wins >= 0  # counts track too
     assert wins >= 4
-
-
-def test_importance_requires_fitted_model():
-    model = ForestModel([], 2, 2, ForestConfig(), 1,
-                        np.zeros(2, np.int64), [])
-    with pytest.raises(ValueError):
-        feature_importance(model)
-
-
-def test_split_count_accounting():
-    X, y = _xor(seed=4)
-    model = fit(X, y, ForestConfig(tree_count=10, seed=4))
-    internal = sum(int((t.feature != -1).sum()) for t in model.trees)
-    assert int(model.split_counts.sum()) == internal
 
 
 def test_power_of_two_scaling_preserves_all_predictions():
@@ -383,13 +357,15 @@ def test_monotone_transform_preserves_structure_and_inbag_routing():
     to out-of-bag points between split neighbors, so exact routing equality is
     asserted on each tree's in-bag samples."""
     X, y = _xor(seed=5)
-    base = fit(X, y, ForestConfig(tree_count=20, seed=5))
-    warped = fit(np.exp(X), y, ForestConfig(tree_count=20, seed=5))
-    everyone = np.arange(len(X))
-    for ta, tb, oob in zip(base.trees, warped.trees, base.oob_indices):
+    config = ForestConfig(tree_count=20, seed=5)
+    base = fit(X, y, config)
+    warped = fit(np.exp(X), y, config)
+    for t, (ta, tb) in enumerate(zip(base.trees, warped.trees)):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.counts, tb.counts)
-        inbag = np.setdiff1d(everyone, oob)
+        # tree t's bootstrap, drawn first from its own generator as fit draws it
+        boot = np.random.default_rng([config.seed, t]).integers(0, len(X), len(X))
+        inbag = np.unique(boot)
         leaf_a = forest._leaves(ta, X[inbag])
         leaf_b = forest._leaves(tb, np.exp(X[inbag]))
         assert np.array_equal(ta.counts[leaf_a], tb.counts[leaf_b])
@@ -420,57 +396,3 @@ def test_constant_features_yield_single_leaf():
         assert len(tree.feature) == 1 and tree.feature[0] == -1
     probs = predict_proba(model, np.ones(3))
     assert abs(probs.sum() - 1.0) < 1e-12
-
-
-def test_oob_requires_bootstrap():
-    X, y = _two_blobs()
-    model = fit(X, y, ForestConfig(tree_count=5, bootstrap=False))
-    with pytest.raises(ValueError):
-        oob_score(model, X, y)
-
-
-def test_model_roundtrip(tmp_path):
-    X, y = _xor(seed=7)
-    model = fit(X, y, ForestConfig(tree_count=8, seed=7))
-    path = tmp_path / "model.frst"
-    forest.save_model(model, path)
-    loaded = forest.load_model(path)
-    assert loaded.feature_count == model.feature_count
-    assert loaded.mtry == model.mtry
-    assert np.array_equal(loaded.split_counts, model.split_counts)
-    rng = np.random.default_rng(1)
-    pts = rng.normal(0.5, 0.5, size=(10, 2))
-    assert np.array_equal(predict_proba_many(model, pts),
-                          predict_proba_many(loaded, pts))
-
-
-def test_model_corruption_detected(tmp_path):
-    X, y = _two_blobs()
-    model = fit(X, y, ForestConfig(tree_count=3))
-    path = tmp_path / "model.frst"
-    forest.save_model(model, path)
-    raw = path.read_bytes()
-
-    path.write_bytes(raw[:len(raw) - 10])
-    with pytest.raises(ForestError) as e:
-        forest.load_model(path)
-    assert "truncated" in str(e.value)
-
-    flipped = bytearray(raw)
-    flipped[-1] ^= 0xFF  # checksum byte
-    path.write_bytes(bytes(flipped))
-    with pytest.raises(ForestError):
-        forest.load_model(path)
-
-    path.write_bytes(b"WRONGFMT" + raw[8:])
-    with pytest.raises(ForestError) as e:
-        forest.load_model(path)
-    assert "magic" in str(e.value) or "not a" in str(e.value)
-
-
-def test_dump_model_text(tmp_path):
-    X, y = _two_blobs(n_per=10)
-    model = fit(X, y, ForestConfig(tree_count=2, seed=2))
-    text = forest.dump_model(model)
-    assert "tree 0" in text and "leaf" in text
-    assert "feature" in text

@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centpipe import infotheory as it
 from centpipe import net
@@ -189,6 +191,30 @@ def test_mutual_information_random_tables():
         h_row = it._entropy_p(p.sum(axis=1))
         h_col = it._entropy_p(p.sum(axis=0))
         assert -1e-12 <= mi <= min(h_row, h_col) + 1e-9
+
+
+@st.composite
+def _contingency_tables(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, 50), min_size=rows * cols, max_size=rows * cols))
+    table = np.array(cells).reshape(rows, cols)
+    table[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += 1
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contingency_tables())
+def test_mutual_information_forward_and_reverse_forms_agree(table):
+    p = table / table.sum()
+    row, col = p.sum(axis=1), p.sum(axis=0)
+    h_y_given_c = sum(col[k] * it._entropy_p(p[:, k] / col[k])
+                      for k in range(p.shape[1]) if col[k] > 0)
+    h_c_given_y = sum(row[m] * it._entropy_p(p[m, :] / row[m])
+                      for m in range(p.shape[0]) if row[m] > 0)
+    forward = it._entropy_p(row) - h_y_given_c  # H(Y) - H(Y|C)
+    reverse = it._entropy_p(col) - h_c_given_y  # H(C) - H(C|Y)
+    assert abs(forward - reverse) <= 1e-9
+    assert mutual_information(table) == max(forward, 0.0)
 
 
 def test_mutual_information_contract_errors():

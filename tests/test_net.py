@@ -36,7 +36,7 @@ def test_reference_3d_bad_variant():
 def test_reference_3d_untrained_probs_valid():
     network = net.build_reference_3d(seed=1)
     rng = np.random.default_rng(0)
-    probs = net.forward(network, rng.normal(size=(1, 64, 64, 64)).astype(np.float32))
+    _, probs = net.forward_collect(network, rng.normal(size=(1, 64, 64, 64)).astype(np.float32))
     assert probs.shape == (2,)
     assert abs(probs.sum() - 1.0) < 1e-6 and (probs >= 0).all()
 
@@ -237,9 +237,9 @@ def test_checkpoint_roundtrip_forward_bitwise(tmp_path):
     assert loaded.seed == network.seed
     assert loaded.input_shape == network.input_shape
     x = dataset.images[0]
-    assert np.array_equal(net.forward(network, x), net.forward(loaded, x))
-    acts_a, _ = net.forward_collect(network, x)
-    acts_b, _ = net.forward_collect(loaded, x)
+    acts_a, probs_a = net.forward_collect(network, x)
+    acts_b, probs_b = net.forward_collect(loaded, x)
+    assert np.array_equal(probs_a, probs_b)
     for a, b in zip(acts_a, acts_b):
         assert np.array_equal(a, b)
 
