@@ -306,23 +306,24 @@ def cmd_theory(args) -> dict:
         raise ConfigError(f"partition_layer {part_layer} out of range: the network has "
                           f"read points 0..{len(read_shapes) - 1}")
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
+    acts = net.forward_collect(network, dataset.images)  # the one pass every check reads
+    labels = dataset.labels
     conditioning = []
     for layer in conv_layers:
         sel = infotheory.FilterSelector(layer)
-        expected = infotheory.expected_cent(dataset, network, sel, cfg["bins"])
-        pooled = infotheory.pooled_unconditional_entropy(dataset, network, sel, cfg["bins"])
+        expected = infotheory.expected_cent(acts, labels, sel, cfg["bins"])
+        pooled = infotheory.pooled_unconditional_entropy(acts, labels, sel, cfg["bins"])
         conditioning.append({"layer": layer, "expected_cent": expected,
                              "pooled_entropy": pooled,
                              "reduced": bool(expected <= pooled + 1e-9)})
 
-    classes = [int(c) for c in np.unique(dataset.labels)]
+    classes = [int(c) for c in np.unique(labels)]
     partition = (tuple(classes[:1]), tuple(classes[1:]))
     if cfg["partition_filter"] is None:
         # pick the filter with the widest entropy gap between the two sides
         shape = read_shapes[part_layer]
         reports = [infotheory.partition_check(
-            dataset, network, infotheory.FilterSelector(part_layer, (f,)),
-            partition, cfg["bins"])
+            acts, labels, infotheory.FilterSelector(part_layer, (f,)), partition, cfg["bins"])
             for f in range(shape[0] if len(shape) >= 2 else 1)]
         gaps = [abs(r.h_informative - r.h_uninformative) for r in reports]
         chosen = int(np.argmax(gaps))
@@ -330,7 +331,7 @@ def cmd_theory(args) -> dict:
     else:
         chosen = cfg["partition_filter"]
         report = infotheory.partition_check(
-            dataset, network, infotheory.FilterSelector(part_layer, (chosen,)),
+            acts, labels, infotheory.FilterSelector(part_layer, (chosen,)),
             partition, cfg["bins"])
 
     chain = data_io.generate_markov_chain(

@@ -248,7 +248,8 @@ def generate_markov_chain(n: int, noise_levels: int, quantizer_levels: int | Non
 
 @dataclass
 class ActivationDump:
-    """Per-image layer activations in read order, as forward_collect yields."""
+    """Per-image layer activations in read order: image i's rows of what
+    forward_collect returns."""
     activations: list       # activations[i][layer] -> np.ndarray
     labels: np.ndarray
     class_names: tuple
@@ -260,14 +261,14 @@ def export_activation_dump(dataset: LabeledDataset, net: Network, out_dir,
     """One directory per image holding layer_00.tnsr, layer_01.tnsr, ...;
     the manifest's path column names the per-image directory."""
     os.makedirs(os.path.join(out_dir, "activations"), exist_ok=True)
+    acts = forward_collect(net, dataset.images, pre_relu=pre_relu)
     rows = []
     for i, image_id in enumerate(dataset.image_ids):
         rel = f"activations/{image_id}"
         img_dir = os.path.join(out_dir, rel)
         os.makedirs(img_dir, exist_ok=True)
-        acts, _ = forward_collect(net, dataset.images[i], pre_relu=pre_relu)
         for li, act in enumerate(acts):
-            save_tensor(os.path.join(img_dir, f"layer_{li:02d}.tnsr"), act)
+            save_tensor(os.path.join(img_dir, f"layer_{li:02d}.tnsr"), act[i])
         rows.append((image_id, rel, int(dataset.labels[i])))
     write_manifest(os.path.join(out_dir, "manifest.csv"), rows, dataset.class_names)
 

@@ -18,9 +18,6 @@ import numpy as np
 
 from .net import Network, forward_collect
 
-RangeMode = "minmax"  # the other accepted form is an explicit (lo, hi) pair
-
-
 def _resolve_range(values: np.ndarray, range_mode):
     if isinstance(range_mode, str):
         if range_mode != "minmax":
@@ -30,6 +27,10 @@ def _resolve_range(values: np.ndarray, range_mode):
     if not lo < hi:
         raise ValueError(f"fixed range needs lo < hi, got ({lo}, {hi})")
     return lo, hi
+
+
+class NonFiniteError(ArithmeticError):
+    """NaN or infinite samples reached a histogram (not a ValueError: exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,23 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
 
     range_mode "minmax" uses the sample min/max; an explicit (lo, hi) pair
     fixes the range and clips outliers into the edge bins. Constant samples
-    under minmax set the degenerate flag and load a single bin.
+    under minmax set the degenerate flag and load a single bin. NaN or
+    infinite samples raise NonFiniteError before any binning.
     """
     values = np.asarray(samples, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("samples must be nonempty")
     if bin_count < 2:
         raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NonFiniteError(f"{bad} of {values.size} samples are NaN or infinite")
     lo, hi = _resolve_range(values, range_mode)
-    counts = np.zeros(bin_count, dtype=np.int64)
     if lo == hi:
+        counts = np.zeros(bin_count, dtype=np.int64)
         counts[0] = values.size
         return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=True)
-    np.add.at(counts, _bin_indices(values, lo, hi, bin_count), 1)
+    counts = np.bincount(_bin_indices(values, lo, hi, bin_count), minlength=bin_count)
     return Histogram(bin_count, lo, hi, counts, int(values.size))
 
 
@@ -157,16 +162,6 @@ def mutual_information(joint_counts) -> float:
     return float(mi) if mi > 0.0 else 0.0
 
 
-def cent_per_filter(feature_map, bin_count: int = 256, range_mode="minmax") -> float:
-    """Entropy of one filter's response histogram (all spatial values pooled)."""
-    return entropy(make_histogram(np.asarray(feature_map).ravel(), bin_count, range_mode))
-
-
-def cent_per_layer(layer_activations, bin_count: int = 256, range_mode="minmax") -> float:
-    """Entropy of the pooled histogram over every value in the layer."""
-    return entropy(make_histogram(np.asarray(layer_activations).ravel(), bin_count, range_mode))
-
-
 @dataclass(frozen=True)
 class CentVector:
     mode: str  # "per-filter" | "per-layer"
@@ -199,10 +194,10 @@ def extract_cent_from_activations(activations, mode: str = "per-filter",
         act = np.asarray(act)
         if act.ndim >= 2 and mode == "per-filter":
             for fi in range(act.shape[0]):
-                values.append(cent_per_filter(act[fi], bin_count, range_mode))
+                values.append(entropy(make_histogram(act[fi], bin_count, range_mode)))
                 provenance.append((li, fi))
         else:
-            values.append(cent_per_layer(act, bin_count, range_mode))
+            values.append(entropy(make_histogram(act, bin_count, range_mode)))
             provenance.append((li, None))
     return CentVector(mode, np.array(values), tuple(provenance), bin_count)
 
@@ -215,8 +210,8 @@ def extract_cent_features(net: Network, image: np.ndarray, mode: str = "per-filt
     Reference 3D stack: 10 + 10 + 1 = 21 values per-filter, 1 + 1 + 1 = 3
     per-layer (the fully-connected layer pools to one value in both modes).
     """
-    acts, _ = forward_collect(net, image, pre_relu=pre_relu)
-    return extract_cent_from_activations(acts, mode, bin_count, range_mode)
+    acts = forward_collect(net, image[None], pre_relu=pre_relu)
+    return extract_cent_from_activations([a[0] for a in acts], mode, bin_count, range_mode)
 
 
 @dataclass(frozen=True)
@@ -232,36 +227,32 @@ class FilterSelector:
             raise ValueError("filters tuple must be nonempty (or None for all)")
 
 
-def _collect_filter_samples(dataset, net: Network, selector: FilterSelector,
-                            pre_relu: bool = False):
-    """Per-(filter, class) pooled activation values plus image-count priors.
-
-    Returns (samples[fi][cls] -> 1-D array, filter ids, LabelSpace, class ids).
-    """
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    classes = [int(c) for c in np.unique(labels)]
-    first_acts, _ = forward_collect(net, dataset.images[0], pre_relu=pre_relu)
-    if selector.layer >= len(first_acts):
+def _collect_filter_samples(activations, labels, selector: FilterSelector):
+    """(filter ids, image-count LabelSpace, class ids, samples) of the selected
+    read point, where activations are net.forward_collect's arrays for images
+    with the given labels and samples(fi) -> {class: 1-D float64 values of
+    filter fi}, converting one filter per call."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if selector.layer >= len(activations):
         raise ValueError(f"selector layer {selector.layer} out of range "
-                         f"(network has {len(first_acts)} read points)")
-    act0 = np.asarray(first_acts[selector.layer])
-    available = act0.shape[0] if act0.ndim >= 2 else 1
+                         f"(the activations hold {len(activations)} read points)")
+    layer = np.asarray(activations[selector.layer])
+    if len(layer) != len(labels):
+        raise ValueError(f"{len(layer)} activation rows for {len(labels)} labels")
+    available = layer.shape[1] if layer.ndim >= 3 else 1
     filter_ids = list(selector.filters) if selector.filters is not None else list(range(available))
     for fi in filter_ids:
         if not 0 <= fi < available:
             raise ValueError(f"filter {fi} out of range (layer has {available})")
+    classes = [int(c) for c in np.unique(labels)]
+    masks = [labels == c for c in classes]
 
-    per = {fi: {c: [] for c in classes} for fi in filter_ids}
-    for img, lab in zip(dataset.images, labels):
-        acts, _ = forward_collect(net, img, pre_relu=pre_relu)
-        layer = np.asarray(acts[selector.layer])
-        for fi in filter_ids:
-            vals = layer[fi] if layer.ndim >= 2 else layer
-            per[fi][int(lab)].append(np.asarray(vals, dtype=np.float64).ravel())
-    samples = {fi: {c: np.concatenate(per[fi][c]) for c in classes} for fi in filter_ids}
-    counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
-    space = LabelSpace(len(classes), counts / counts.sum())
-    return samples, filter_ids, space, classes
+    def samples(fi: int) -> dict:
+        vals = layer[:, fi] if layer.ndim >= 3 else layer
+        return {c: vals[m].astype(np.float64).ravel() for c, m in zip(classes, masks)}
+
+    counts = np.array([m.sum() for m in masks], dtype=np.float64)
+    return filter_ids, LabelSpace(len(classes), counts / counts.sum()), classes, samples
 
 
 def _shared_filter_range(samples_by_class: dict) -> tuple[float, float]:
@@ -272,35 +263,36 @@ def _shared_filter_range(samples_by_class: dict) -> tuple[float, float]:
     return lo, hi
 
 
-def expected_cent(dataset, net: Network, selector: FilterSelector,
-                  bin_count: int = 256, pre_relu: bool = False) -> float:
+def expected_cent(activations, labels, selector: FilterSelector,
+                  bin_count: int = 256) -> float:
     """Class-conditioned expected entropy over the selected filters.
 
     For each filter, class-conditional entropies use a shared fixed range
     (global min/max over the dataset) and empirical class priors; filters are
     weighted uniformly. Images contribute equally many values, so priors by
     image count equal priors by value count and the result is bounded above
-    by pooled_unconditional_entropy (plug-in concavity).
+    by pooled_unconditional_entropy (plug-in concavity). Arguments as in
+    _collect_filter_samples.
     """
-    samples, filter_ids, space, classes = _collect_filter_samples(dataset, net, selector, pre_relu)
+    filter_ids, space, classes, samples = _collect_filter_samples(activations, labels, selector)
     total = 0.0
     for fi in filter_ids:
-        shared = _shared_filter_range(samples[fi])
-        per_class = {j: samples[fi][c] for j, c in enumerate(classes)}
-        total += conditional_entropy(per_class, space, bin_count, shared)
+        by_class = samples(fi)
+        per_class = {j: by_class[c] for j, c in enumerate(classes)}
+        total += conditional_entropy(per_class, space, bin_count, _shared_filter_range(by_class))
     return float(total / len(filter_ids))
 
 
-def pooled_unconditional_entropy(dataset, net: Network, selector: FilterSelector,
-                                 bin_count: int = 256, pre_relu: bool = False) -> float:
+def pooled_unconditional_entropy(activations, labels, selector: FilterSelector,
+                                 bin_count: int = 256) -> float:
     """Unconditioned counterpart of expected_cent: pooled entropy per filter,
     same shared ranges, uniform filter weighting."""
-    samples, filter_ids, _, _ = _collect_filter_samples(dataset, net, selector, pre_relu)
+    filter_ids, _, _, samples = _collect_filter_samples(activations, labels, selector)
     total = 0.0
     for fi in filter_ids:
-        shared = _shared_filter_range(samples[fi])
-        pooled = np.concatenate(list(samples[fi].values()))
-        total += entropy(make_histogram(pooled, bin_count, shared))
+        by_class = samples(fi)
+        pooled = np.concatenate(list(by_class.values()))
+        total += entropy(make_histogram(pooled, bin_count, _shared_filter_range(by_class)))
     return float(total / len(filter_ids))
 
 
@@ -316,9 +308,8 @@ class PartitionReport:
     partition: tuple = field(default=((), ()))
 
 
-def partition_check(dataset, net: Network, selector: FilterSelector,
-                    partition: tuple, bin_count: int = 256,
-                    pre_relu: bool = False) -> PartitionReport:
+def partition_check(activations, labels, selector: FilterSelector,
+                    partition: tuple, bin_count: int = 256) -> PartitionReport:
     """Binary class-partition decomposition for one filter.
 
     Verifies H(Y|C,F) = p(C')H(Y|C',F) + p(C'')H(Y|C'',F) with shared binning
@@ -333,12 +324,12 @@ def partition_check(dataset, net: Network, selector: FilterSelector,
     if set(part_a) & set(part_b):
         raise ValueError("partition sides must be disjoint")
 
-    samples, filter_ids, space, classes = _collect_filter_samples(dataset, net, selector, pre_relu)
+    filter_ids, space, classes, samples = _collect_filter_samples(activations, labels, selector)
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
-    fi = filter_ids[0]
-    shared = _shared_filter_range(samples[fi])
-    class_h = {c: entropy(make_histogram(samples[fi][c], bin_count, shared)) for c in classes}
+    by_class = samples(filter_ids[0])
+    shared = _shared_filter_range(by_class)
+    class_h = {c: entropy(make_histogram(by_class[c], bin_count, shared)) for c in classes}
     prior = {c: space.priors[j] for j, c in enumerate(classes)}
 
     def side(members):
@@ -362,9 +353,8 @@ def contingency_table(a, b) -> np.ndarray:
         raise ValueError("sequences must be nonempty and equal length")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    rows, cols = ai.max() + 1, bi.max() + 1
+    return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
 
 
 def discretize(values, max_levels: int = 64) -> np.ndarray:

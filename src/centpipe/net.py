@@ -256,17 +256,22 @@ def _forward_layers(net: Network, x: np.ndarray):
     return outs, caches
 
 
-def forward_collect(net: Network, x: np.ndarray, pre_relu: bool = False
-                    ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Forward pass returning (CENT-eligible activations, softmax output vector).
-
-    Activations default to post-ReLU block outputs; pre_relu reads the raw conv
-    outputs instead (ablation switch).
+def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False
+                    ) -> list[np.ndarray]:
+    """One (n, *read_shape) array per CENT read point, in read order, for
+    (n, *input_shape) images, filled one chunk of _chunk_size(net) images at a
+    time. Activations default to post-ReLU block outputs; pre_relu reads the
+    raw conv outputs instead (ablation switch).
     """
-    outs, _ = _forward_layers(net, x[None])
-    acts = [outs[i][0] for i in cent_read_points(net.specs, pre_relu)]
-    probs, _, _ = ops.softmax_cross_entropy(outs[-1][0], 0)
-    return acts, probs
+    points = cent_read_points(net.specs, pre_relu)
+    acts = [np.empty((len(images),) + net.layer_shapes[i], images.dtype) for i in points]
+    chunk = _chunk_size(net)
+    for lo in range(0, len(images), chunk):
+        outs = _forward_layers(net, images[lo:lo + chunk])[0]
+        for act, i in zip(acts, points):
+            act[lo:lo + chunk] = outs[i]
+        del outs  # not held while the next chunk runs
+    return acts
 
 
 def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
@@ -295,19 +300,17 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
     return losses, grads
 
 
-# Most activation elements one training chunk may hold in a single layer.
-# Batched kernels allocate float64 temporaries (activations, gradients, the
-# convolution's im2col copy) in proportion to the chunk, so however large the
-# mini-batch, a chunk's largest activation stays at 8 MB in float64: a
-# 10x32x32 desk activation allows 102 samples, while a 10x64^3 volume exceeds
-# the bound alone and trains one sample per chunk, as memory-lean as
-# per-sample training.
-_CHUNK_ELEMENTS = 1 << 20
+# Most activation elements one chunk of training or of forward_collect may
+# hold in a single layer. Batched kernels allocate float64 temporaries in
+# proportion to the chunk, so a chunk's largest activation stays at 1 MB in
+# float64: a 10x32x32 desk activation allows 12 samples (a batch of 10 is one
+# chunk), a 10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _chunk_size(net: Network) -> int:
-    """Samples per training chunk: _CHUNK_ELEMENTS over the largest
-    per-sample activation (input included), at least one."""
+    """Samples per chunk: _CHUNK_ELEMENTS over the largest per-sample
+    activation (input included), at least one."""
     largest = max(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
     return max(1, _CHUNK_ELEMENTS // largest)
 

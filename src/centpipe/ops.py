@@ -19,7 +19,8 @@ Convolution forward and backward run as im2col GEMMs: one matmul call covers
 the whole batch, one GEMM per sample inside it. A batch costs memory in
 proportion to its size (a convolution's im2col copy holds channels x kernel
 float64 values per output position, 17 MB for one 64^3 sample), so the
-training loop caps how many samples one call carries; see
+training loop and net.forward_collect cap how many samples one call carries
+at 2^17 elements in the largest per-sample activation; see
 net._CHUNK_ELEMENTS.
 """
 

@@ -246,10 +246,11 @@ def test_criterion_04_conditioning(capsys, trained_runs):
 
     def check():
         run = runs[0]
+        acts = net.forward_collect(run.network, run.dataset.images)
         for layer in (0, 1):  # both conv read points
             sel = FilterSelector(layer)
-            cond = expected_cent(run.dataset, run.network, sel)
-            pooled = pooled_unconditional_entropy(run.dataset, run.network, sel)
+            cond = expected_cent(acts, run.dataset.labels, sel)
+            pooled = pooled_unconditional_entropy(acts, run.dataset.labels, sel)
             assert cond <= pooled + 0.05, f"layer {layer}: {cond} vs {pooled}"
 
     _report(capsys, 4, "class conditioning never raises expected activation "

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from centpipe import cli, data_io
+from centpipe import cli, data_io, net
 
 
 def run_cli(argv):
@@ -173,6 +173,20 @@ def test_extract_from_dump_matches_checkpoint_source(pipeline, tmp_path):
     assert from_dump == direct
 
 
+def test_extract_non_finite_activation_exits_1(pipeline, tmp_path):
+    """One NaN pixel spreads to the activations; the histogram refuses them
+    by name (a runtime failure, exit 1) instead of emitting a 0-bit feature."""
+    data = data_io.load_dataset(pipeline["data"])
+    data.images[3, 0, 5, 5] = np.nan
+    data_io.save_dataset(data, str(tmp_path / "nan_data"))
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"),
+                              "--checkpoint", pipeline["ckpt"],
+                              "--data", str(tmp_path / "nan_data")])
+    assert code == 1 and out == ""
+    assert "runtime failure: NonFiniteError" in err and "NaN or infinite" in err
+    assert not (tmp_path / "f" / "features.csv").exists()
+
+
 def test_extract_corrupt_checkpoint_exits_1(pipeline, tmp_path):
     bad = tmp_path / "bad.ckpt"
     raw = open(pipeline["ckpt"], "rb").read()
@@ -322,6 +336,20 @@ def test_theory_rerun_byte_identical(theory_report):
                             "--chain-n", "20000"])
     assert code == 0, err
     assert open(out_dir / "theory_report.json", "rb").read() == first
+
+
+def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monkeypatch):
+    """Every check reads one forward_collect call: one _forward_layers call per
+    chunk of the dataset, none per image, layer, measure or filter."""
+    calls = []
+    forward = net._forward_layers
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    code, _, err = run_cli(["theory", "--out", str(tmp_path / "t"), "--checkpoint", pipeline["ckpt"],
+                            "--data", pipeline["data"], "--chain-n", "20000"])
+    assert code == 0, err
+    n = len(data_io.load_dataset(pipeline["data"]).images)
+    chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
+    assert len(calls) == -(-n // chunk) and sum(calls) == n
 
 
 def test_theory_partial_inputs_exit_2(tmp_path, pipeline):

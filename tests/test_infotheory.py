@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from centpipe import infotheory as it
 from centpipe import net
 from centpipe.infotheory import (CentVector, FilterSelector, LabelSpace,
-                                 conditional_entropy, contingency_table,
-                                 cent_per_filter, cent_per_layer, discretize,
-                                 dpi_check, entropy, expected_cent,
-                                 extract_cent_features, make_histogram,
+                                 NonFiniteError, conditional_entropy,
+                                 contingency_table, discretize, dpi_check,
+                                 entropy, expected_cent,
+                                 extract_cent_features,
+                                 extract_cent_from_activations, make_histogram,
                                  mutual_information, partition_check,
                                  pooled_unconditional_entropy)
 
@@ -63,6 +64,28 @@ def test_histogram_contract_errors():
 
 
 # --- entropy ---
+
+@given(st.integers(1, 40), st.data())
+def test_histogram_rejects_non_finite_anywhere(size, data):
+    values = np.linspace(-1.0, 1.0, size)
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    values[data.draw(st.integers(0, size - 1))] = bad
+    range_mode = data.draw(st.sampled_from(["minmax", (-1.0, 1.0)]))
+    with pytest.raises(NonFiniteError, match=f"1 of {size} samples"):
+        make_histogram(values, 8, range_mode)
+
+
+def test_non_finite_is_named_and_not_a_value_error():
+    assert not issubclass(NonFiniteError, ValueError)
+    values = np.array([0.0, np.nan, 1.0, np.inf, -np.inf, 2.0])
+    with pytest.raises(NonFiniteError, match="3 of 6 samples"):
+        make_histogram(values)
+    layer = np.zeros((2, 4, 4))
+    layer[1, 2, 3] = np.nan
+    for mode in ("per-filter", "per-layer"):
+        with pytest.raises(NonFiniteError):
+            extract_cent_from_activations([layer], mode)
+
 
 def test_entropy_uniform_four_bins():
     h = make_histogram(np.array([0.0, 1.0, 2.0, 3.0]), bin_count=4, range_mode=(0.0, 4.0))
@@ -228,35 +251,40 @@ def test_mutual_information_contract_errors():
 
 # --- CENT values ---
 
+def _cent(activations, mode="per-filter", bins=256):
+    return extract_cent_from_activations(activations, mode, bins).values
+
+
 def test_cent_constant_map_is_zero():
-    assert cent_per_filter(np.full((8, 8), 2.0)) == 0.0
-    assert cent_per_layer(np.zeros((3, 8, 8))) == 0.0
+    assert _cent([np.full((1, 8, 8), 2.0)]).tolist() == [0.0]
+    assert _cent([np.zeros((3, 8, 8))], "per-layer").tolist() == [0.0]
 
 
 @pytest.mark.parametrize("bins", [2, 7, 256])
 def test_cent_alternating_two_values_is_one_bit(bins):
-    m = np.tile([0.0, 1.0], 32).reshape(8, 8)
-    assert abs(cent_per_filter(m, bin_count=bins) - 1.0) < 1e-12
+    m = np.tile([0.0, 1.0], 32).reshape(1, 8, 8)
+    assert abs(_cent([m], bins=bins)[0] - 1.0) < 1e-12
 
 
 def test_cent_concentrated_below_uniform():
     rng = np.random.default_rng(5)
     flat = rng.uniform(0.0, 1.0, 10000)
     peaked = rng.laplace(0.0, 0.05, 10000)
-    assert cent_per_filter(peaked) < cent_per_filter(flat)
+    h_peaked, h_flat = _cent([peaked, flat])  # rank-1 layers pool in either mode
+    assert h_peaked < h_flat
 
 
 def test_cent_per_layer_equals_pooled_concatenation():
     rng = np.random.default_rng(6)
     layer = rng.normal(size=(4, 5, 5))
     direct = entropy(make_histogram(layer.ravel()))
-    assert cent_per_layer(layer) == direct
+    assert _cent([layer], "per-layer").tolist() == [direct]
 
 
 def test_cent_single_filter_layer_matches_per_filter():
     rng = np.random.default_rng(8)
     layer = rng.normal(size=(1, 6, 6))
-    assert cent_per_layer(layer) == cent_per_filter(layer[0])
+    assert np.array_equal(_cent([layer], "per-layer"), _cent([layer], "per-filter"))
 
 
 def test_cent_vector_contract():
@@ -302,30 +330,30 @@ def test_cent_invariant_under_power_of_two_rescaling():
 
 def test_expected_cent_single_class_equals_pooled():
     data = small_dataset(per_class=6, seed=0)
-    one_class = types.SimpleNamespace(images=data.images[data.labels == 0],
-                                      labels=data.labels[data.labels == 0])
+    one_class = data.labels == 0
     network = net.build_desk_2d(32, 2, seed=0)
+    acts = net.forward_collect(network, data.images[one_class])
     sel = FilterSelector(0, (0,))
-    cond = expected_cent(one_class, network, sel)
-    pooled = pooled_unconditional_entropy(one_class, network, sel)
+    cond = expected_cent(acts, data.labels[one_class], sel)
+    pooled = pooled_unconditional_entropy(acts, data.labels[one_class], sel)
     assert abs(cond - pooled) < 1e-12
 
 
 def test_expected_cent_is_mean_over_filters():
     data = small_dataset(per_class=5, seed=1)
-    network = net.build_desk_2d(32, 2, seed=1)
-    both = expected_cent(data, network, FilterSelector(0, (2, 5)))
-    f2 = expected_cent(data, network, FilterSelector(0, (2,)))
-    f5 = expected_cent(data, network, FilterSelector(0, (5,)))
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=1), data.images)
+    both = expected_cent(acts, data.labels, FilterSelector(0, (2, 5)))
+    f2 = expected_cent(acts, data.labels, FilterSelector(0, (2,)))
+    f5 = expected_cent(acts, data.labels, FilterSelector(0, (5,)))
     assert abs(both - (f2 + f5) / 2) < 1e-12
 
 
 def test_expected_cent_bounded_by_pooled_every_conv_layer():
     data = small_dataset(per_class=8, seed=2)
-    network = net.build_desk_2d(32, 2, seed=2)
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=2), data.images)
     for layer in (0, 1):
-        cond = expected_cent(data, network, FilterSelector(layer))
-        pooled = pooled_unconditional_entropy(data, network, FilterSelector(layer))
+        cond = expected_cent(acts, data.labels, FilterSelector(layer))
+        pooled = pooled_unconditional_entropy(acts, data.labels, FilterSelector(layer))
         assert cond <= pooled + 1e-9, f"layer {layer}: {cond} > {pooled}"
 
 
@@ -335,34 +363,36 @@ def test_filter_selector_contract():
     with pytest.raises(ValueError):
         FilterSelector(0, ())
     data = small_dataset(per_class=3, seed=3)
-    network = net.build_desk_2d(32, 2, seed=3)
-    with pytest.raises(ValueError):
-        expected_cent(data, network, FilterSelector(9))
-    with pytest.raises(ValueError):
-        expected_cent(data, network, FilterSelector(0, (99,)))
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=3), data.images)
+    with pytest.raises(ValueError, match="out of range"):
+        expected_cent(acts, data.labels, FilterSelector(9))
+    with pytest.raises(ValueError, match="out of range"):
+        expected_cent(acts, data.labels, FilterSelector(0, (99,)))
+    with pytest.raises(ValueError, match="activation rows"):
+        expected_cent(acts, data.labels[1:], FilterSelector(0))
 
 
 # --- partition decomposition ---
 
 def test_partition_check_contract_errors():
     data = small_dataset(per_class=4, seed=4)
-    network = net.build_desk_2d(32, 2, seed=4)
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=4), data.images)
     with pytest.raises(ValueError):
-        partition_check(data, network, FilterSelector(0), ((0,), (1,)))
+        partition_check(acts, data.labels, FilterSelector(0), ((0,), (1,)))
     sel = FilterSelector(0, (0,))
     with pytest.raises(ValueError):
-        partition_check(data, network, sel, ((0,), ()))
+        partition_check(acts, data.labels, sel, ((0,), ()))
     with pytest.raises(ValueError):
-        partition_check(data, network, sel, ((0, 1), (1,)))
+        partition_check(acts, data.labels, sel, ((0, 1), (1,)))
     with pytest.raises(ValueError):
-        partition_check(data, network, sel, ((0,), (2,)))
+        partition_check(acts, data.labels, sel, ((0,), (2,)))
 
 
 def test_partition_decomposition_exact():
     data = small_dataset(per_class=6, seed=5)
-    network = net.build_desk_2d(32, 2, seed=5)
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=5), data.images)
     sel = FilterSelector(0, (1,))
-    report = partition_check(data, network, sel, ((0,), (1,)))
+    report = partition_check(acts, data.labels, sel, ((0,), (1,)))
     assert report.decomposition_residual < 1e-9
     recombined = (report.p_informative * report.h_informative
                   + report.p_uninformative * report.h_uninformative)
@@ -370,15 +400,15 @@ def test_partition_decomposition_exact():
     assert abs(report.p_informative + report.p_uninformative - 1.0) < 1e-12
     # the single-filter conditional entropy is the same quantity expected_cent
     # computes for that selector
-    assert abs(report.h_conditional - expected_cent(data, network, sel)) < 1e-12
+    assert abs(report.h_conditional - expected_cent(acts, data.labels, sel)) < 1e-12
 
 
 def test_partition_direction_reported_not_assumed():
     data = small_dataset(per_class=6, seed=6)
-    network = net.build_desk_2d(32, 2, seed=6)
+    acts = net.forward_collect(net.build_desk_2d(32, 2, seed=6), data.images)
     sel = FilterSelector(0, (0,))
-    fwd = partition_check(data, network, sel, ((0,), (1,)))
-    rev = partition_check(data, network, sel, ((1,), (0,)))
+    fwd = partition_check(acts, data.labels, sel, ((0,), (1,)))
+    rev = partition_check(acts, data.labels, sel, ((1,), (0,)))
     assert fwd.h_informative == rev.h_uninformative
     assert fwd.h_uninformative == rev.h_informative
     if fwd.h_informative != fwd.h_uninformative:

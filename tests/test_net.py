@@ -36,7 +36,8 @@ def test_reference_3d_bad_variant():
 def test_reference_3d_untrained_probs_valid():
     network = net.build_reference_3d(seed=1)
     rng = np.random.default_rng(0)
-    _, probs = net.forward_collect(network, rng.normal(size=(1, 64, 64, 64)).astype(np.float32))
+    outs, _ = net._forward_layers(network, rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32))
+    probs, _, _ = ops.softmax_cross_entropy(outs[-1][0], 0)
     assert probs.shape == (2,)
     assert abs(probs.sum() - 1.0) < 1e-6 and (probs >= 0).all()
 
@@ -57,25 +58,49 @@ def test_desk_2d_contract():
 
 def test_forward_collect_shapes_and_zero_case():
     network = net.build_reference_3d(seed=2)
-    acts, probs = net.forward_collect(network, np.zeros((1, 64, 64, 64), np.float32))
-    assert [a.shape for a in acts] == [(10, 32, 32, 32), (10, 16, 16, 16), (128,)]
+    acts = net.forward_collect(network, np.zeros((2, 1, 64, 64, 64), np.float32))
+    assert [a.shape for a in acts] == [(2, 10, 32, 32, 32), (2, 10, 16, 16, 16), (2, 128)]
+    assert all(a.dtype == np.float32 for a in acts)
     # zero input with zero biases keeps every read point at zero
     assert all(not a.any() for a in acts)
-    assert abs(probs.sum() - 1.0) < 1e-6
 
 
 def test_forward_collect_shape_mismatch():
     network = net.build_desk_2d(32, 2)
     with pytest.raises(ShapeMismatch):
-        net.forward_collect(network, np.zeros((1, 16, 16), np.float32))
+        net.forward_collect(network, np.zeros((1, 1, 16, 16), np.float32))
+
+
+@pytest.mark.parametrize("pre_relu", [False, True])
+@pytest.mark.parametrize("chunks", [1, 2, 8])
+def test_forward_collect_batched_equals_per_image(monkeypatch, pre_relu, chunks):
+    """One call over the dataset gives each image's per-image activations bit
+    for bit, in one chunk, in two, or in one chunk per image."""
+    dataset = small_dataset(per_class=4, seed=9)  # n = 8 images
+    network = net.build_desk_2d(32, 2, seed=9)
+    network, _ = net.train(network, dataset, TrainConfig(0.05, 1, 4, seed=9))
+    n = len(dataset.images)
+    per_image = [net.forward_collect(network, img[None], pre_relu=pre_relu)
+                 for img in dataset.images]
+    largest = max(int(np.prod(s)) for s in [network.input_shape] + network.layer_shapes)
+    monkeypatch.setattr(net, "_CHUNK_ELEMENTS", largest * -(-n // chunks))
+    calls = []
+    forward = net._forward_layers
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    batched = net.forward_collect(network, dataset.images, pre_relu=pre_relu)
+    assert len(calls) == chunks and sum(calls) == n
+    for i, acts in enumerate(per_image):
+        for layer, (one, many) in enumerate(zip(acts, batched)):
+            assert one.dtype == many.dtype
+            assert np.array_equal(one[0], many[i]), (i, layer)
 
 
 def test_pre_relu_reads_conv_output():
     network = net.build_desk_2d(32, 2, seed=3)
-    x = np.random.default_rng(1).normal(size=(1, 32, 32)).astype(np.float32)
-    post, _ = net.forward_collect(network, x)
-    pre, _ = net.forward_collect(network, x, pre_relu=True)
-    assert pre[0].shape == (10, 32, 32)  # conv output before pooling
+    x = np.random.default_rng(1).normal(size=(1, 1, 32, 32)).astype(np.float32)
+    post = net.forward_collect(network, x)
+    pre = net.forward_collect(network, x, pre_relu=True)
+    assert pre[0].shape == (1, 10, 32, 32)  # conv output before pooling
     assert (pre[0] < 0).any()            # raw conv responses keep negatives
     assert (post[0] >= 0).all()          # block output is post-ReLU
 
@@ -186,6 +211,7 @@ def test_train_diverged_names_first_bad_sample_of_a_chunk():
 
 def test_chunk_bound_from_largest_activation():
     assert net._chunk_size(net.build_desk_2d(32, 2)) >= 10  # a desk batch is one chunk
+    assert net._chunk_size(net.build_desk_2d(64, 2)) == 3
     assert net._chunk_size(net.build_reference_3d()) == 1   # 10x64^3 alone exceeds it
 
 
@@ -236,11 +262,10 @@ def test_checkpoint_roundtrip_forward_bitwise(tmp_path):
     loaded = net.load_checkpoint(path)
     assert loaded.seed == network.seed
     assert loaded.input_shape == network.input_shape
-    x = dataset.images[0]
-    acts_a, probs_a = net.forward_collect(network, x)
-    acts_b, probs_b = net.forward_collect(loaded, x)
-    assert np.array_equal(probs_a, probs_b)
-    for a, b in zip(acts_a, acts_b):
+    x = dataset.images[:1]
+    outs_a, _ = net._forward_layers(network, x)
+    outs_b, _ = net._forward_layers(loaded, x)
+    for a, b in zip(outs_a, outs_b):  # every layer, the logits included
         assert np.array_equal(a, b)
 
 
