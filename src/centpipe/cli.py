@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import data_io, evaluation, forest, infotheory, net
+from . import data_io, evaluation, forest, framing, infotheory, net
 
 
 class ConfigError(Exception):
@@ -156,10 +156,8 @@ def cmd_train(args) -> dict:
     network, trace = net.train(network, dataset, train_cfg, on_epoch=_epoch_reporter())
     ckpt = os.path.join(out, "checkpoint.ckpt")
     net.save_checkpoint(network, ckpt)
-    with open(os.path.join(out, "loss_trace.csv"), "w", newline="\n") as f:
-        f.write("epoch,mean_loss\n")
-        for e, v in enumerate(trace):
-            f.write(f"{e},{v!r}\n")
+    framing.write_text(os.path.join(out, "loss_trace.csv"), "epoch,mean_loss\n" + "".join(
+        f"{e},{v!r}\n" for e, v in enumerate(trace)))
     return {"command": "train", "config": cfg, "checkpoint": ckpt,
             "epochs": len(trace), "final_loss": trace[-1]}
 
@@ -362,9 +360,7 @@ def cmd_theory(args) -> dict:
         },
     }
     report_path = os.path.join(out, "theory_report.json")
-    with open(report_path, "w", newline="\n") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-        f.write("\n")
+    framing.write_text(report_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     result["report"] = report_path
     return result
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import FramedReader, tensor_record, write_framed
+from .framing import FramedReader, tensor_record, write_framed, write_text
 # load_tensor raises these; TensorFileError is their common base
 from .framing import (BadMagicError, ChecksumError, TruncatedError,  # noqa: F401
                       VersionError)
@@ -43,11 +43,9 @@ MANIFEST_HEADER = "image_id,path,label"
 
 def write_manifest(path, rows, class_names) -> None:
     """rows: (image_id, relative path, label index) triples."""
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# classes: {','.join(class_names)}\n")
-        f.write(MANIFEST_HEADER + "\n")
-        for image_id, rel, label in rows:
-            f.write(f"{image_id},{rel},{label}\n")
+    lines = [f"# classes: {','.join(class_names)}", MANIFEST_HEADER]
+    lines += [f"{image_id},{rel},{label}" for image_id, rel, label in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path):
@@ -308,12 +306,10 @@ def import_activation_dump(path) -> ActivationDump:
 
 def write_features_csv(path, image_ids, labels, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="\n") as f:
-        cols = ",".join(f"feat_{j}" for j in range(matrix.shape[1]))
-        f.write(f"image_id,label,{cols}\n")
-        for image_id, label, row in zip(image_ids, labels, matrix):
-            vals = ",".join(repr(float(v)) for v in row)
-            f.write(f"{image_id},{int(label)},{vals}\n")
+    lines = ["image_id,label," + ",".join(f"feat_{j}" for j in range(matrix.shape[1]))]
+    lines += [f"{image_id},{int(label)}," + ",".join(repr(float(v)) for v in row)
+              for image_id, label, row in zip(image_ids, labels, matrix)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import ForestConfig, fit, predict_proba_many
+from .framing import write_text
 
 
 @dataclass(frozen=True)
@@ -149,16 +150,19 @@ class Metrics:
 
 
 def cross_validate(features, labels, config: ForestConfig, plan: FoldPlan) -> Metrics:
-    """Fit on each fold's train split, score its test split, average fold AUCs."""
+    """Fit on each fold's train split, score its test split, average fold AUCs.
+
+    One fit call grows every fold's forest together; each equals the forest
+    fit on that fold's train split alone.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows but {len(y)} labels")
+    model = fit(X, y, config, [plan.train_fold(i) for i in range(len(plan.test_folds))])
     fold_auc, fold_scores, fold_labels = [], [], []
     for i, test_idx in enumerate(plan.test_folds):
-        train_idx = plan.train_fold(i)
-        model = fit(X[train_idx], y[train_idx], config)
-        scores = predict_proba_many(model, X[test_idx])[:, 1]
+        scores = predict_proba_many(model.fold(i), X[test_idx])[:, 1]
         fold_auc.append(auc(scores, y[test_idx]))
         fold_scores.append(scores)
         fold_labels.append(y[test_idx])
@@ -187,17 +191,14 @@ def permutation_baseline(features, labels, config: ForestConfig, *, k: int = 5,
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     # float() unwrapping keeps repr output plain across numpy versions
-    with open(path, "w", newline="\n") as f:
-        f.write("threshold,fpr,tpr\n")
-        for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr):
-            f.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+    lines = ["threshold,fpr,tpr"] + [f"{float(t)!r},{float(x)!r},{float(y)!r}"
+                                     for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_metrics_csv(metrics: Metrics, path, permutation_seed: int | None = None) -> None:
-    with open(path, "w", newline="\n") as f:
-        if permutation_seed is not None:
-            f.write(f"# permutation_seed: {permutation_seed}\n")
-        f.write("fold,auc\n")
-        for i, a in enumerate(metrics.per_fold_auc):
-            f.write(f"{i},{float(a)!r}\n")
-        f.write(f"mean,{float(metrics.mean_auc)!r}\n")
+    lines = [] if permutation_seed is None else [f"# permutation_seed: {permutation_seed}"]
+    lines.append("fold,auc")
+    lines += [f"{i},{float(a)!r}" for i, a in enumerate(metrics.per_fold_auc)]
+    lines.append(f"mean,{float(metrics.mean_auc)!r}")
+    write_text(path, "\n".join(lines) + "\n")

@@ -4,7 +4,9 @@ Axis-aligned CART trees grown on seeded bootstrap resamples, mtry features
 per split (default floor(sqrt(p))), thresholds at midpoints of adjacent
 observed values, ties broken toward the lowest feature index then lowest
 threshold. Every tree draws from np.random.default_rng([seed, tree_index]),
-so fits are bit-for-bit reproducible and schedule-independent.
+so fits are bit-for-bit reproducible and schedule-independent. One fit grows
+the forests of several training row sets (a cross-validation's folds)
+together; each is bit for bit the forest that fitting its set alone gives.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .infotheory import NonFiniteError
 
 CRITERIA = ("gini", "entropy")
 
@@ -55,34 +59,58 @@ class DecisionTree:
 
 @dataclass
 class ForestModel:
+    """One forest of config.tree_count trees per training row set, end to end
+    in set order in `trees`; fold(i) is set i's forest as a model of its own."""
     trees: list[DecisionTree]
     feature_count: int
-    class_count: int
+    class_count: int  # the largest over the training sets
     config: ForestConfig
     mtry: int  # resolved value actually used
+    set_class_counts: tuple = ()  # class count of each training set; () for one
 
-
-def _impurity(counts: np.ndarray, criterion: str) -> float:
-    p = counts / counts.sum()
-    if criterion == "gini":
-        return float(1.0 - (p * p).sum())
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    def fold(self, i: int) -> "ForestModel":
+        counts = self.set_class_counts or (self.class_count,)
+        if not 0 <= i < len(counts):
+            raise IndexError(f"model holds {len(counts)} forests, no forest {i}")
+        size = len(self.trees) // len(counts)
+        return ForestModel(self.trees[i * size:(i + 1) * size], self.feature_count, counts[i],
+                           self.config, self.mtry, (counts[i],))
 
 
 def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
     p = counts / sizes[:, None]
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=1)
+        return 1.0 - np.multiply(p, p, out=p).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p), 0.0)
     return -terms.sum(axis=1)
 
 
+def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of each node's class counts (a row), bit for bit what one
+    node's own sum gives: gini over every share, entropy over the nonzero
+    shares only. Summing an entropy row with its zeros groups the terms
+    differently from 8 classes on, so rows are summed as one (rows, k) block
+    per nonzero count k.
+    """
+    sizes = counts.sum(axis=1)
+    if criterion == "gini":
+        return _row_impurity(counts, sizes, criterion)
+    p = counts / sizes[:, None]
+    nonzero = p > 0
+    width = nonzero.sum(axis=1)
+    out = np.empty(len(p))
+    for k in np.unique(width):
+        at = width == k
+        nz = p[at][nonzero[at]].reshape(-1, k)
+        out[at] = -(nz * np.log2(nz)).sum(axis=1)
+    return out
+
+
 # One pass visits popped nodes holding at most about this many (node,
-# candidate, row) elements, plus one node, so its working arrays stay a few
-# hundred kB however many trees grow at once.
-_PASS_ELEMENTS = 2048
+# candidate, row) elements, plus one node, so its working arrays stay well
+# under a MB however many trees grow at once.
+_PASS_ELEMENTS = 8192
 
 
 def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class_count,
@@ -101,27 +129,38 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
     seg_len = np.repeat(sizes, mtry)
     seg_start = np.cumsum(seg_len) - seg_len
     total = int(seg_len.sum())
-    pos = np.arange(total) - np.repeat(seg_start, seg_len)  # position within segment
     seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    r = rows[np.repeat(np.repeat(offsets, mtry), seg_len) + pos]
-    feature = np.repeat(candidates.ravel(), seg_len)
+    pos = np.arange(total) - seg_start[seg]  # position within segment
+    r = rows[np.repeat(offsets, mtry)[seg] + pos]
+    feature = candidates.ravel()[seg]
     order = np.argsort(seg * len(rank) + rank[r, feature], kind="stable")
     sv = X[r, feature][order]
     onehot = np.zeros((total, class_count))
     onehot[np.arange(total), y[r[order]]] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left_counts = cum - np.repeat(cum[seg_start] - onehot[seg_start], seg_len, axis=0)
-    right_counts = np.repeat(cum[seg_start + seg_len - 1], seg_len, axis=0) - cum
+    del r, feature, order
+    # Class counts up to and after each position of its segment. They are
+    # exact integers, so the in-place forms give the bytes any order would;
+    # temporaries are freed as soon as they are spent.
+    left_counts = np.cumsum(onehot, axis=0)  # running counts over the whole pass
+    before = left_counts[seg_start] - onehot[seg_start]
+    del onehot
+    right_counts = left_counts[(seg_start + seg_len - 1)[seg]]
+    right_counts -= left_counts
+    left_counts -= before[seg]
 
-    n = np.repeat(seg_len, seg_len).astype(np.float64)
+    n = seg_len[seg].astype(np.float64)
     n_left = pos + 1.0
     n_right = n - n_left
     nxt = np.append(sv[1:], sv[-1])  # a segment's last position is invalid anyway
     thr = (sv + nxt) / 2.0
     valid = (sv <= thr) & (thr < nxt) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    del sv, nxt
     with np.errstate(divide="ignore", invalid="ignore"):  # n_right == 0 at segment ends
-        weighted = (n_left * _row_impurity(left_counts, n_left, criterion)
-                    + n_right * _row_impurity(right_counts, n_right, criterion)) / n
+        weighted = n_left * _row_impurity(left_counts, n_left, criterion)
+        del left_counts
+        weighted += n_right * _row_impurity(right_counts, n_right, criterion)
+        del right_counts
+        weighted /= n
     decrease = np.where(valid, np.repeat(parent_imp, mtry * sizes) - weighted, -np.inf)
 
     node_start = seg_start[::mtry]
@@ -132,37 +171,50 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
 
 
 class _Grower:
-    """Grows all trees of one fit together, one node per unfinished tree per step.
+    """Grows the forests of several training row sets together, one node per
+    unfinished tree per step.
 
-    Row t of `samples` holds tree t's bootstrap rows; each node owns a
-    contiguous range of it, which a split partitions stably in place, left
-    rows first. Each step pops the top of every tree's own depth-first stack
-    (right child pushed first), draws that tree's mtry candidates from its
-    own rng, and scores the popped nodes in bounded vectorized passes. A
-    tree's pop order, rng draws and node numbering are those of growing it
-    alone, so each tree is bit-for-bit the tree that growing it alone gives.
-    Each step's visited nodes go to one record array, so a fit keeps few
-    small long-lived buffers among its passes' temporaries.
+    Every tree's bootstrap rows, as row indices of the whole matrix, fill its
+    own contiguous block of `samples`; each node owns a contiguous range of
+    it, which a split partitions stably in place, left rows first. Each step
+    pops the top of every tree's own depth-first stack (right child pushed
+    first), draws that tree's mtry candidates from its own rng, and scores the
+    popped nodes in bounded vectorized passes. A tree's pop order, rng draws
+    and node numbering are those of growing it alone, and `rank` orders any
+    subset of rows as a rank over that subset would, so each tree is bit for
+    bit the tree that fitting its training set alone gives.
     """
 
-    def __init__(self, X, y, samples, rngs, class_count, config, mtry):
-        self.X, self.y, self.samples, self.rngs = X, y, samples, rngs
+    def __init__(self, X, y, rank, sets, class_count, config, mtry):
+        self.X, self.y, self.rank = X, y, rank
         self.class_count, self.config, self.mtry = class_count, config, mtry
-        tree_count, n_boot = samples.shape
-        # rank[i, f] orders column f as its values do, equal values sharing a rank
-        by_value = np.argsort(X, axis=0, kind="stable")
-        steps = np.diff(np.take_along_axis(X, by_value, axis=0), axis=0) != 0
-        self.rank = np.empty(X.shape, dtype=np.int64)
-        np.put_along_axis(self.rank, by_value, np.cumsum(
-            np.vstack([np.zeros((1, X.shape[1]), bool), steps]), axis=0), axis=0)
-        self.stack = np.zeros((tree_count, 16, 4), dtype=np.int64)  # (id, lo, hi, depth)
-        self.stack[:, 0] = (0, 0, n_boot, 0)
-        self.height = np.ones(tree_count, dtype=np.int64)
-        self.node_count = np.ones(tree_count, dtype=np.int64)
-        self.record = np.dtype([
-            ("tree", np.int32), ("id", np.int32), ("counts", np.float64, (class_count,)),
-            ("feature", np.int32), ("threshold", np.float64), ("left", np.int32)])
-        self.records = []  # one array per step, a row per visited node
+        lengths = np.repeat([len(rows) for rows in sets], config.tree_count)
+        ends = np.cumsum(lengths)
+        # Long-lived arrays use the smallest unsigned type that holds their
+        # values: 2 * lengths.max() bounds node ids, depths, stack ranges and
+        # class counts.
+        small = np.min_scalar_type
+        width = 2 * int(lengths.max())
+        self.samples = np.empty(ends[-1], dtype=small(len(y)))
+        self.rngs = []
+        for rows in sets:
+            for t in range(config.tree_count):
+                rng = np.random.default_rng([config.seed, t])
+                end = ends[len(self.rngs)]
+                self.samples[end - len(rows):end] = (
+                    rows[rng.integers(0, len(rows), len(rows))] if config.bootstrap else rows)
+                self.rngs.append(rng)
+        self.start = ends - lengths  # tree t's block of samples starts here
+        self.stack = np.zeros((len(lengths), 16, 4), dtype=small(width))  # (id, lo, hi, depth)
+        self.stack[:, 0, 2] = lengths  # lo and hi count from the tree's start
+        self.height = np.ones(len(lengths), dtype=np.int64)
+        self.node_count = np.ones(len(lengths), dtype=np.int64)
+        # Per field, one array per step with a row per visited node. A leaf
+        # keeps left 0 (no child is node 0), feature 0 and threshold 0.0.
+        self.fields = {"tree": small(len(lengths)), "id": small(width),
+                       "counts": small(width), "threshold": np.float64,
+                       "feature": small(X.shape[1]), "left": small(width)}
+        self.steps = {name: [] for name in self.fields}
 
     def grow(self) -> list[DecisionTree]:
         while True:
@@ -170,29 +222,35 @@ class _Grower:
             if len(trees) == 0:
                 return self._trees()
             self.height[trees] -= 1
-            nid, lo, hi, depth = self.stack[trees, self.height[trees]].T
-            rec = np.zeros(len(trees), dtype=self.record)
-            rec["tree"], rec["id"], rec["feature"], rec["left"] = trees, nid, -1, -1
-            self.records.append(rec)
+            nid, lo, hi, depth = self.stack[trees, self.height[trees]].T.astype(np.int64)
+            step = {name: np.zeros((len(trees), self.class_count) if name == "counts"
+                                   else len(trees), dtype)
+                    for name, dtype in self.fields.items()}
+            step["tree"][:], step["id"][:] = trees, nid
+            for name, array in step.items():
+                self.steps[name].append(array)
             elements = self.mtry * (hi - lo)
             pass_id = (np.cumsum(elements) - elements) // _PASS_ELEMENTS
             bounds = np.concatenate([[0], np.flatnonzero(np.diff(pass_id)) + 1, [len(trees)]])
             for a, b in zip(bounds[:-1], bounds[1:]):
-                self._visit(rec[a:b], trees[a:b], lo[a:b], hi[a:b], depth[a:b])
+                self._visit({name: array[a:b] for name, array in step.items()},
+                            trees[a:b], lo[a:b], hi[a:b], depth[a:b])
+            for t in trees[self.height[trees] == 0]:
+                self.rngs[t] = None  # the tree is finished and draws no more
 
     def _visit(self, rec, trees, lo, hi, depth):
-        """Count, score and split one pass of popped nodes, filling their records."""
+        """Count, score and split one pass of popped nodes, filling their rows
+        of the step's arrays (`rec`, one view per field)."""
         X, y, config, class_count = self.X, self.y, self.config, self.class_count
-        n_boot = self.samples.shape[1]
         sizes = hi - lo
         offsets = np.cumsum(sizes) - sizes
-        where = np.repeat(trees * n_boot + lo - offsets, sizes) + np.arange(sizes.sum())
-        rows = self.samples.ravel()[where]
+        where = np.repeat(self.start[trees] + lo - offsets, sizes) + np.arange(sizes.sum())
+        rows = self.samples[where]
         node_of_row = np.repeat(np.arange(len(trees)), sizes)
         counts = np.bincount(node_of_row * class_count + y[rows],
                              minlength=len(trees) * class_count)
-        counts = counts.reshape(len(trees), class_count).astype(np.float64)
-        rec["counts"] = counts
+        counts = counts.reshape(len(trees), class_count)
+        rec["counts"][:] = counts
 
         open_ = ((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * config.min_leaf)
         if config.max_depth is not None:
@@ -201,12 +259,10 @@ class _Grower:
         if len(open_) == 0:
             return
         candidates = np.empty((len(open_), self.mtry), dtype=np.int64)
-        parent_imp = np.empty(len(open_))
-        for j, k in enumerate(open_):
-            candidates[j] = self.rngs[trees[k]].choice(X.shape[1], size=self.mtry,
-                                                       replace=False)
-            parent_imp[j] = _impurity(counts[k], config.criterion)
+        for j, t in enumerate(trees[open_]):
+            candidates[j] = self.rngs[t].choice(X.shape[1], size=self.mtry, replace=False)
         candidates.sort(axis=1)
+        parent_imp = _node_impurity(counts[open_].astype(np.float64), config.criterion)
         decrease, feature, threshold, n_left = _best_splits(
             X, self.rank, y, rows, offsets[open_], sizes[open_], candidates, parent_imp,
             class_count, config.min_leaf, config.criterion)
@@ -221,7 +277,7 @@ class _Grower:
         moved = slot[node_of_row] >= 0
         r, node = rows[moved], slot[node_of_row[moved]]
         goes_right = ~(X[r, feature[node]] <= threshold[node])
-        self.samples.ravel()[where[moved]] = r[np.lexsort((goes_right, node))]
+        self.samples[where[moved]] = r[np.lexsort((goes_right, node))]
 
         t = trees[k]
         left_id = self.node_count[t]
@@ -237,29 +293,58 @@ class _Grower:
         height[t] += 2
 
     def _trees(self) -> list[DecisionTree]:
-        rec = np.concatenate(self.records)
-        order = np.lexsort((rec["id"], rec["tree"]))  # each tree's nodes in id order
+        """Every tree, as views of one column per field holding the trees end to
+        end, each in node id order. Each step's array of a field is freed as
+        it is copied, so the columns and the step arrays never both hold
+        every node."""
+        self.samples = self.stack = None  # spent: free them before the columns exist
         ends = np.cumsum(self.node_count)
-        trees = []
-        for a, b in zip(ends - self.node_count, ends):
-            node = rec[order[a:b]]
-            left = node["left"].copy()
-            right = np.where(left >= 0, left + 1, -1).astype(np.int32)
-            trees.append(DecisionTree(node["feature"].copy(), node["threshold"].copy(), left,
-                                      right, node["counts"].copy()))
-        return trees
+        start = ends - self.node_count
+        steps = self.steps
+        tree, nid = steps.pop("tree"), steps.pop("id")
+        columns = {}
+        for name, arrays in steps.items():
+            column = np.empty((ends[-1], *arrays[0].shape[1:]),
+                              dtype=np.int32 if name in ("feature", "left") else np.float64)
+            for i in reversed(range(len(tree))):
+                column[start[tree[i]] + nid[i]] = arrays.pop()
+            columns[name] = column
+        feature, left = columns["feature"], columns["left"]
+        leaf = left == 0
+        feature[leaf] = left[leaf] = -1
+        right = left + 1
+        right[leaf] = -1
+        return [DecisionTree(feature[a:b], columns["threshold"][a:b], left[a:b], right[a:b],
+                             columns["counts"][a:b]) for a, b in zip(start, ends)]
 
 
 def _require_finite(X: np.ndarray) -> None:
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
         r, c = bad[0]
-        raise ValueError(f"non-finite feature value {X[r, c]} at row {r}, column {c}")
+        raise NonFiniteError(f"non-finite feature value {X[r, c]} at row {r}, column {c}")
 
 
-def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Grow the forest. Constant features with mixed labels yield single-leaf
-    trees rather than an error."""
+def _dense_rank(X: np.ndarray) -> np.ndarray:
+    """rank[i, f] orders column f as its values do, equal values sharing a rank."""
+    by_value = np.argsort(X, axis=0, kind="stable")
+    steps = np.diff(np.take_along_axis(X, by_value, axis=0), axis=0) != 0
+    rank = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(rank, by_value, np.cumsum(
+        np.vstack([np.zeros((1, X.shape[1]), bool), steps]), axis=0), axis=0)
+    return rank
+
+
+def fit(features, labels, config: ForestConfig = ForestConfig(),
+        train_sets=None) -> ForestModel:
+    """Grow a forest on all rows, or one forest per training row set (index
+    arrays into the rows, such as a cross-validation's folds), all together.
+
+    Each set's forest is bit for bit the forest that fitting that set's rows
+    alone gives. Constant features with mixed labels yield single-leaf trees
+    rather than an error. A non-finite feature raises NonFiniteError naming
+    its row in `features`.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2:
@@ -267,38 +352,67 @@ def fit(features, labels, config: ForestConfig = ForestConfig()) -> ForestModel:
     n, p = X.shape
     if n != len(y):
         raise ValueError(f"{n} feature rows but {len(y)} labels")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    sets = ([np.arange(n)] if train_sets is None
+            else [np.asarray(rows, dtype=np.int64) for rows in train_sets])
+    if not sets:
+        raise ValueError("need at least one training set")
     _require_finite(X)
-    if y.min() < 0:
-        raise ValueError("labels must be nonnegative class indices")
-    class_count = int(y.max()) + 1
-    if len(np.unique(y)) < 2:
-        raise ValueError("need at least 2 classes present")
+    class_counts = []
+    for i, rows in enumerate(sets):
+        where = "" if train_sets is None else f" in training set {i}"
+        present = y[rows]
+        if len(rows) < 2:
+            raise ValueError("need at least 2 samples" + where)
+        if present.min() < 0:
+            raise ValueError("labels must be nonnegative class indices")
+        if len(np.unique(present)) < 2:
+            raise ValueError("need at least 2 classes present" + where)
+        class_counts.append(int(present.max()) + 1)
     mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(p)))
     if mtry > p:
         raise ValueError(f"mtry {mtry} exceeds feature count {p}")
 
-    rngs = [np.random.default_rng([config.seed, t]) for t in range(config.tree_count)]
-    if config.bootstrap:
-        boots = np.stack([rng.integers(0, n, n) for rng in rngs])
-    else:
-        boots = np.tile(np.arange(n), (config.tree_count, 1))
-    trees = _Grower(X, y, boots, rngs, class_count, config, mtry).grow()
-    return ForestModel(trees, p, class_count, config, mtry)
+    # Sets with equal class counts share a grower: the class count is the
+    # width of every row a split score sums, so a set with fewer classes
+    # cannot join. Cross-validation on binary labels makes one grower.
+    rank = _dense_rank(X)
+    forests = [None] * len(sets)
+    for c in sorted(set(class_counts)):
+        members = [i for i, count in enumerate(class_counts) if count == c]
+        trees = _Grower(X, y, rank, [sets[i] for i in members], c, config, mtry).grow()
+        for j, i in enumerate(members):
+            forests[i] = trees[j * config.tree_count:(j + 1) * config.tree_count]
+    return ForestModel([tree for forest in forests for tree in forest], p,
+                       max(class_counts), config, mtry, tuple(class_counts))
 
 
-def _leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Index of the leaf each row of X reaches, all rows walked together."""
-    node = np.zeros(len(X), dtype=np.intp)
-    live = np.arange(len(X))
+def _leaves(tree: DecisionTree, X: np.ndarray, roots=(0,)) -> np.ndarray:
+    """Index of the leaf each row of X reaches from each root, all walked
+    together: entry r * len(X) + i is row i's leaf below roots[r]."""
+    node = np.repeat(np.asarray(roots, dtype=np.intp), len(X))
+    row = np.tile(np.arange(len(X)), len(roots))
+    live = np.arange(len(node))
     while len(live):
         f = tree.feature[node[live]]
-        live = live[f >= 0]
-        nid, f = node[live], f[f >= 0]
-        node[live] = np.where(X[live, f] <= tree.threshold[nid],
+        live, f = live[f >= 0], f[f >= 0]
+        nid = node[live]
+        node[live] = np.where(X[row[live], f] <= tree.threshold[nid],
                               tree.left[nid], tree.right[nid])
     return node
+
+
+def _joined(trees: list[DecisionTree]) -> tuple[DecisionTree, np.ndarray]:
+    """The trees' nodes end to end as one node array, children re-indexed into
+    it, and the index of each tree's root."""
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+
+    def field(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    return DecisionTree(field("feature"), field("threshold"), field("left") + shift,
+                        field("right") + shift, field("counts")), roots
 
 
 def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
@@ -310,13 +424,16 @@ def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
 
 
 def predict_proba_many(model: ForestModel, features) -> np.ndarray:
-    """predict_proba for every row; per-tree distributions are summed in tree order."""
+    """predict_proba for every row; every tree is walked at once, and the
+    per-tree distributions are summed in tree order."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise ValueError(f"features must be (n, {model.feature_count}), got {X.shape}")
     _require_finite(X)
+    nodes, roots = _joined(model.trees)
+    leaves = _leaves(nodes, X, roots).reshape(len(roots), len(X))
+    dist = nodes.counts / nodes.counts.sum(axis=1, keepdims=True)
     acc = np.zeros((len(X), model.class_count))
-    for tree in model.trees:
-        cnt = tree.counts[_leaves(tree, X)]
-        acc += cnt / cnt.sum(axis=1, keepdims=True)
+    for leaf in leaves:
+        acc += dist[leaf]
     return acc / len(model.trees)

@@ -1,12 +1,13 @@
-"""CRC-framed binary files: the one layout under tensor files and checkpoints.
+"""CRC-framed binary files, the one layout under tensor files and
+checkpoints, and the atomic writer under every output file.
 
 A framed file (little-endian) is an 8-byte magic, a u32 version, a body and a
 u32 CRC32 of every byte before it. A tensor record inside a body is a u32
 rank, u64 dims[rank] and the float32 payload. The reader walks the structure
 first and checks the CRC last, so a cut file reports as truncated rather than
-as a checksum mismatch. The writer writes a temporary file beside the target
-and renames it into place, so a failed write never leaves a partial file
-under the final name.
+as a checksum mismatch. Every writer, framed or text, writes a temporary
+file beside the target and renames it into place, so a failed write never
+leaves a partial file under the final name.
 """
 
 from __future__ import annotations
@@ -55,24 +56,38 @@ def tensor_record(tensor) -> list:
     return [u32(arr.ndim), np.asarray(arr.shape, dtype="<u8").tobytes(), payload]
 
 
-def write_framed(path, magic: bytes, version: int, body: list) -> None:
-    """Frame body (byte strings or byte views, in order) and write it to path
-    through a temporary file renamed into place. Nothing is fsynced: a failed
-    or killed writer leaves the previous file, but a power loss may lose the
-    new one."""
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file for path's new content: a temporary file beside path,
+    renamed onto it when the block ends cleanly and removed otherwise.
+    Nothing is fsynced: a failed or killed writer leaves the previous file,
+    but a power loss may lose the new one."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            crc = 0
-            for part in [magic, u32(version), *body]:
-                f.write(part)
-                crc = zlib.crc32(part, crc)
-            f.write(u32(crc))
+            yield f
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write text (UTF-8, newlines as given) to path through replacing."""
+    with replacing(path) as f:
+        f.write(text.encode())
+
+
+def write_framed(path, magic: bytes, version: int, body: list) -> None:
+    """Frame body (byte strings or byte views, in order) and write it to path
+    through replacing."""
+    with replacing(path) as f:
+        crc = 0
+        for part in [magic, u32(version), *body]:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(u32(crc))
 
 
 class FramedReader:

@@ -30,7 +30,14 @@ def _resolve_range(values: np.ndarray, range_mode):
 
 
 class NonFiniteError(ArithmeticError):
-    """NaN or infinite samples reached a histogram (not a ValueError: exit 1)."""
+    """NaN or infinite samples reached a histogram or a range, or features
+    reached the forest (not a ValueError: exit 1)."""
+
+
+def _require_finite(values: np.ndarray) -> None:
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NonFiniteError(f"{bad} of {values.size} samples are NaN or infinite")
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,7 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
         raise ValueError("samples must be nonempty")
     if bin_count < 2:
         raise ValueError(f"bin_count must be >= 2, got {bin_count}")
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise NonFiniteError(f"{bad} of {values.size} samples are NaN or infinite")
+    _require_finite(values)
     lo, hi = _resolve_range(values, range_mode)
     if lo == hi:
         counts = np.zeros(bin_count, dtype=np.int64)
@@ -126,6 +131,7 @@ def conditional_entropy(per_class_samples: dict, labels: LabelSpace,
         groups[j] = s
     if isinstance(range_mode, str):
         pooled = np.concatenate([s for s in groups.values() if s.size])
+        _require_finite(pooled)  # a NaN range would fail as a bad range instead
         shared = _resolve_range(pooled, range_mode)
         if shared[0] == shared[1]:
             return 0.0  # every sample identical: all class histograms degenerate
@@ -257,6 +263,7 @@ def _collect_filter_samples(activations, labels, selector: FilterSelector):
 
 def _shared_filter_range(samples_by_class: dict) -> tuple[float, float]:
     pooled = np.concatenate(list(samples_by_class.values()))
+    _require_finite(pooled)  # a NaN range would fail as a bad range instead
     lo, hi = float(pooled.min()), float(pooled.max())
     if lo == hi:
         hi = lo + 1.0  # constant filter: any shared grid gives 0-bit entropies
@@ -355,19 +362,6 @@ def contingency_table(a, b) -> np.ndarray:
     _, bi = np.unique(b, return_inverse=True)
     rows, cols = ai.max() + 1, bi.max() + 1
     return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
-
-
-def discretize(values, max_levels: int = 64) -> np.ndarray:
-    """Integer codes for a sequence: unique values if few enough, else
-    equal-width bins over the observed range."""
-    values = np.asarray(values).ravel()
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    uniq = np.unique(values)
-    if uniq.size <= max_levels:
-        return np.searchsorted(uniq, values).astype(np.int64)
-    lo, hi = float(values.min()), float(values.max())
-    return _bin_indices(values.astype(np.float64), lo, hi, max_levels)
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,23 @@ def test_evaluate_rejects_multiclass(tmp_path):
     assert "binary" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "permute"])
+def test_non_finite_feature_exits_1_naming_the_file_row(tmp_path, command):
+    """The forest checks the whole features matrix once, so the error names
+    the row of the features CSV, not a position inside a fold's split."""
+    path = tmp_path / "features.csv"
+    rng = np.random.default_rng(1)
+    matrix = rng.normal(size=(30, 3))
+    matrix[7, 2] = np.nan
+    data_io.write_features_csv(path, tuple(f"img_{i:04d}" for i in range(30)),
+                               np.array([0, 1] * 15), matrix)
+    code, out, err = run_cli([command, "--out", str(tmp_path / "e"), "--features", str(path),
+                              "--tree-count", "5"])
+    assert code == 1 and out == ""
+    assert "runtime failure: NonFiniteError" in err and "row 7, column 2" in err
+    assert not (tmp_path / "e" / "metrics.csv").exists()
+
+
 def test_permute_records_seed(leak_features, tmp_path):
     out_dir = str(tmp_path / "perm")
     code, out, err = run_cli(["permute", "--out", out_dir,
@@ -350,6 +367,20 @@ def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monke
     n = len(data_io.load_dataset(pipeline["data"]).images)
     chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
     assert len(calls) == -(-n // chunk) and sum(calls) == n
+
+
+def test_theory_non_finite_pixel_exits_1(pipeline, tmp_path):
+    """A NaN pixel gives NaN activations; the shared histogram range refuses
+    them by name (exit 1) rather than as a bad range (exit 2)."""
+    data = data_io.load_dataset(pipeline["data"])
+    data.images[3, 0, 5, 5] = np.nan
+    data_io.save_dataset(data, str(tmp_path / "nan_data"))
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                              "--checkpoint", pipeline["ckpt"],
+                              "--data", str(tmp_path / "nan_data"), "--chain-n", "2000"])
+    assert code == 1 and out == ""
+    assert "runtime failure: NonFiniteError" in err and "NaN or infinite" in err
+    assert not (tmp_path / "t" / "theory_report.json").exists()
 
 
 def test_theory_partial_inputs_exit_2(tmp_path, pipeline):

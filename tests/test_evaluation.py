@@ -1,5 +1,7 @@
 """Fold construction, ROC/AUC arithmetic, and cross-validation behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from centpipe.evaluation import (Metrics, RocCurve, auc, cross_validate,
                                  kfold_split, mann_whitney,
                                  permutation_baseline, permute_labels,
                                  roc_curve, write_metrics_csv, write_roc_csv)
-from centpipe.forest import ForestConfig
+from centpipe.forest import ForestConfig, fit, predict_proba_many
 
 
 # --- fold plans ---
@@ -193,6 +195,39 @@ def test_cross_validate_deterministic():
     assert a.per_fold_auc == b.per_fold_auc
     for sa, sb in zip(a.fold_scores, b.fold_scores):
         assert np.array_equal(sa, sb)
+
+
+def test_cross_validate_scores_match_a_fit_per_fold():
+    """One fit grows every fold's forest; each fold is still scored by the
+    forest of its own train split, bit for bit."""
+    labels = np.array([0, 1, 1] * 11)
+    features = _noise_features(33, 4, 8)
+    features[:, 1] += 0.5 * labels
+    plan = kfold_split(labels, k=4, seed=5, stratified=False)
+    cfg = ForestConfig(tree_count=12, seed=9)
+    metrics = cross_validate(features, labels, cfg, plan)
+    for i, test_idx in enumerate(plan.test_folds):
+        train_idx = plan.train_fold(i)
+        alone = fit(features[train_idx], labels[train_idx], cfg)
+        assert np.array_equal(metrics.fold_scores[i],
+                              predict_proba_many(alone, features[test_idx])[:, 1])
+        assert np.array_equal(metrics.fold_labels[i], labels[test_idx])
+
+
+def test_cross_validate_memory_stays_bounded():
+    """All five fold forests grow together and live until scored; the whole
+    cross-validation stays within the bound a single fit is held to."""
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(300, 21))
+    labels = rng.permutation(np.arange(300) % 2)  # shuffled labels grow deep trees
+    plan = kfold_split(labels, k=5, seed=0)
+    tracemalloc.start()
+    try:
+        cross_validate(features, labels, ForestConfig(tree_count=100, seed=0), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_metrics_contract():

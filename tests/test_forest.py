@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centpipe import forest
 from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, fit,
                              predict_proba, predict_proba_many)
+from centpipe.evaluation import kfold_split
+from centpipe.infotheory import NonFiniteError
 
 
 # --- reference: one tree at a time, one node and one feature at a time ------
@@ -178,6 +180,70 @@ def test_fit_and_predict_match_reference(case):
                        _ref_predict_proba_many(trees, model.class_count, queries))
 
 
+@st.composite
+def _fold_cases(draw):
+    """Data, a config and several training row sets: a fold plan's train
+    splits (stratified or not, so sizes may differ) and, when the labels
+    allow, one more set without the top class."""
+    criterion = draw(st.sampled_from(CRITERIA))
+    classes = draw(st.integers(2, 12 if criterion == "entropy" else 4))
+    n = draw(st.integers(12, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.integers(0, classes, n)
+    y[:4] = (0, 1, 0, 1)
+    levels = draw(st.sampled_from([None, 2, 4]))
+    p = draw(st.integers(1, 6))
+    X = (rng.normal(size=(n, p)) if levels is None
+         else rng.integers(0, levels, (n, p)).astype(np.float64))
+    k = draw(st.integers(2, 5))
+    members = np.bincount(y)
+    stratified = draw(st.booleans()) and bool((members[members > 0] >= k).all())
+    plan = kfold_split(y, k=k, seed=draw(st.integers(0, 1000)), stratified=stratified)
+    sets = [plan.train_fold(i) for i in range(k)]
+    without_top = np.flatnonzero(y != y.max())
+    if len(np.unique(y[without_top])) >= 2:
+        sets.insert(draw(st.integers(0, k)), without_top)
+    config = ForestConfig(tree_count=draw(st.integers(1, 5)),
+                          mtry=draw(st.none() | st.integers(1, p)),
+                          max_depth=draw(st.sampled_from([None, 1, 3])),
+                          min_leaf=draw(st.integers(1, 3)),
+                          seed=draw(st.integers(0, 10**6)),
+                          bootstrap=draw(st.booleans()), criterion=criterion)
+    return X, y, config, sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fold_cases())
+def test_fold_forests_match_fits_on_each_set_alone(case):
+    """fit grows every training set's forest in one grower over the whole
+    matrix; each must equal fitting that set's rows alone, byte for byte."""
+    X, y, config, sets = case
+    assume(all(len(np.unique(y[rows])) >= 2 for rows in sets))
+    model = fit(X, y, config, sets)
+    assert len(model.trees) == len(sets) * config.tree_count
+    queries = np.vstack([X, X[:5] + 0.25, X[-5:] - 0.5])
+    for i, rows in enumerate(sets):
+        alone, fold = fit(X[rows], y[rows], config), model.fold(i)
+        assert (fold.class_count, fold.mtry) == (alone.class_count, alone.mtry)
+        assert len(fold.trees) == len(alone.trees)
+        for tree, ref in zip(fold.trees, alone.trees):
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                assert _same_bytes(getattr(tree, name), getattr(ref, name)), name
+        assert _same_bytes(predict_proba_many(fold, queries), predict_proba_many(alone, queries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 40), st.sampled_from(CRITERIA),
+       st.integers(0, 2**32 - 1))
+def test_node_impurity_equals_one_node_impurity_per_row(classes, rows, criterion, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, (rows, classes)) * rng.integers(0, 2, (rows, classes))
+    counts[:, rng.integers(0, classes)] += 1  # every node holds a row
+    counts = counts.astype(np.float64)
+    expected = np.array([_ref_impurity(row, criterion) for row in counts])
+    assert _same_bytes(forest._node_impurity(counts, criterion), expected)
+
+
 def _two_blobs(n_per=30, seed=0, spread=0.3):
     rng = np.random.default_rng(seed)
     a = rng.normal((0.0, 0.0), spread, size=(n_per, 2))
@@ -225,11 +291,11 @@ def test_non_finite_features_rejected_with_position(bad):
     X, y = _two_blobs()
     model = fit(X, y, ForestConfig(tree_count=3))
     X[7, 1], X[9, 0] = bad, bad  # row 7 comes first
-    with pytest.raises(ValueError, match="row 7, column 1"):
+    with pytest.raises(NonFiniteError, match="row 7, column 1"):
         fit(X, y, ForestConfig(tree_count=3))
-    with pytest.raises(ValueError, match="row 7, column 1"):
+    with pytest.raises(NonFiniteError, match="row 7, column 1"):
         predict_proba_many(model, X)
-    with pytest.raises(ValueError, match="row 0, column 1"):
+    with pytest.raises(NonFiniteError, match="row 0, column 1"):
         predict_proba(model, X[7])
 
 
@@ -319,8 +385,8 @@ def _impurity_decrease(model):
         n_boot = tree.counts[0].sum()
         for i in np.flatnonzero(tree.feature >= 0):
             parent, kids = tree.counts[i], (tree.counts[tree.left[i]], tree.counts[tree.right[i]])
-            weighted = sum(k.sum() * forest._impurity(k, "gini") for k in kids) / parent.sum()
-            total[tree.feature[i]] += ((forest._impurity(parent, "gini") - weighted)
+            weighted = sum(k.sum() * _ref_impurity(k, "gini") for k in kids) / parent.sum()
+            total[tree.feature[i]] += ((_ref_impurity(parent, "gini") - weighted)
                                        * parent.sum() / n_boot)
     return total
 
@@ -383,9 +449,9 @@ def test_weighted_child_impurity_never_exceeds_parent(criterion):
             left, right = tree.counts[tree.left[i]], tree.counts[tree.right[i]]
             n_p, n_l, n_r = parent.sum(), left.sum(), right.sum()
             assert abs(n_l + n_r - n_p) < 1e-9
-            post = (n_l * forest._impurity(left, criterion)
-                    + n_r * forest._impurity(right, criterion)) / n_p
-            assert post <= forest._impurity(parent, criterion) + 1e-12
+            post = (n_l * _ref_impurity(left, criterion)
+                    + n_r * _ref_impurity(right, criterion)) / n_p
+            assert post <= _ref_impurity(parent, criterion) + 1e-12
 
 
 def test_constant_features_yield_single_leaf():

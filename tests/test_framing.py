@@ -1,5 +1,6 @@
 """The CRC framing shared by tensor files and checkpoints: truncation and
-corruption classify by kind, and a failed write keeps the previous file."""
+corruption classify by kind, and a failed write, framed or text, keeps the
+previous file."""
 
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import framing, net
+from centpipe import data_io, evaluation, framing, net
 from centpipe.data_io import (BadMagicError, TensorFileError, TruncatedError,
                               load_tensor, save_tensor)
 from centpipe.net import CheckpointError, LayerSpec
@@ -98,5 +99,33 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(framing, "open", _DiskFull, raising=False)
     with pytest.raises(OSError):
         save(path, second)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["target"]
+
+
+def _metrics(auc):
+    return evaluation.Metrics((auc, auc), auc, (np.array([0.5]),) * 2, (np.array([1]),) * 2)
+
+
+_TEXT_WRITERS = {  # (write(path, version)) for every text artifact writer
+    "write_text": lambda p, v: framing.write_text(p, f"version {v}\n"),
+    "manifest": lambda p, v: data_io.write_manifest(p, [("a", "t/a.tnsr", v)], ("x", "y")),
+    "features": lambda p, v: data_io.write_features_csv(p, ("a",), (v,), [[0.5 * v]]),
+    "metrics": lambda p, v: evaluation.write_metrics_csv(_metrics(0.25 * v), p),
+    "roc": lambda p, v: evaluation.write_roc_csv(
+        evaluation.roc_curve([0.1, 0.2 * v + 0.3], [0, 1]), p),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_TEXT_WRITERS))
+def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    """Text artifacts (loss trace and theory report through write_text) go
+    through the same temporary file and rename as framed files."""
+    path, write = tmp_path / "target", _TEXT_WRITERS[writer]
+    write(path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(framing, "open", _DiskFull, raising=False)
+    with pytest.raises(OSError):
+        write(path, 0)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["target"]

@@ -12,7 +12,7 @@ from centpipe import infotheory as it
 from centpipe import net
 from centpipe.infotheory import (CentVector, FilterSelector, LabelSpace,
                                  NonFiniteError, conditional_entropy,
-                                 contingency_table, discretize, dpi_check,
+                                 contingency_table, dpi_check,
                                  entropy, expected_cent,
                                  extract_cent_features,
                                  extract_cent_from_activations, make_histogram,
@@ -424,16 +424,6 @@ def test_contingency_table_counts():
     assert table.tolist() == [[1, 0], [1, 1]]
     with pytest.raises(ValueError):
         contingency_table([1, 2], [1])
-
-
-def test_discretize_modes():
-    codes = discretize([3.5, 1.0, 3.5, 2.0])
-    assert codes.tolist() == [2, 0, 2, 1]
-    many = np.linspace(0.0, 1.0, 500)
-    codes = discretize(many, max_levels=64)
-    assert codes.min() == 0 and codes.max() == 63
-    with pytest.raises(ValueError):
-        discretize([])
 
 
 def test_dpi_identity_processing_preserves_information():
