@@ -170,39 +170,73 @@ EXTRACT_DEFAULTS = {
 
 
 def cmd_extract(args) -> dict:
+    """CENT features from a checkpoint and dataset, one forward_collect chunk
+    at a time (each chunk's activations also feed --dump-out), or from an
+    activation dump in chunks of the same bound."""
     cfg = _resolve(EXTRACT_DEFAULTS, args)
     out = _require_out(cfg)
     rng_mode = _parse_range(cfg["range"])
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
         raise ConfigError("provide either --dump or both --checkpoint and --data")
-    rows = []
+    if from_dump and cfg["dump_out"]:
+        raise ConfigError("--dump-out needs --checkpoint and --data; --dump is already a dump")
+    if from_dump and cfg["pre_relu"]:
+        raise ConfigError("--pre-relu has no effect with --dump: the dump holds the "
+                          "activations it was exported with")
     if from_dump:
         dump = data_io.import_activation_dump(cfg["dump"])
-        ids, labels = dump.image_ids, dump.labels
-        for acts in dump.activations:
-            vec = infotheory.extract_cent_from_activations(
-                acts, cfg["mode"], cfg["bins"], rng_mode)
-            rows.append(vec.values)
+        ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
+        chunk = max(1, net._CHUNK_ELEMENTS // max(a.size for a in dump.activations[0]))
+
+        def activations(lo):
+            return [np.stack(layer) for layer in zip(*dump.activations[lo:lo + chunk])]
     else:
         if not cfg["checkpoint"] or not cfg["data"]:
             raise ConfigError("provide either --dump or both --checkpoint and --data")
         network = net.load_checkpoint(cfg["checkpoint"])
         dataset = data_io.load_dataset(cfg["data"])
-        ids, labels = dataset.image_ids, dataset.labels
-        for image in dataset.images:
-            vec = infotheory.extract_cent_features(
-                network, image, cfg["mode"], cfg["bins"], rng_mode,
-                pre_relu=cfg["pre_relu"])
-            rows.append(vec.values)
-        if cfg["dump_out"]:
-            data_io.export_activation_dump(dataset, network, cfg["dump_out"],
-                                           pre_relu=cfg["pre_relu"])
-    matrix = np.stack(rows)
+        ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names
+        chunk = net._chunk_size(network)
+
+        def activations(lo):
+            return infotheory.forward_collect(network, dataset.images[lo:lo + chunk],
+                                              pre_relu=cfg["pre_relu"])
+    dump_writer = data_io.ActivationDumpWriter(cfg["dump_out"]) if cfg["dump_out"] else None
+    seconds = {"forward": 0.0, "cent": 0.0, "write": 0.0}
+    clock = time.perf_counter
+    blocks = []
+    for lo in range(0, len(ids), chunk):
+        start = clock()
+        acts = activations(lo)
+        forward_done = clock()
+        read_shapes = [a.shape[1:] for a in acts]
+        blocks.append(infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], rng_mode,
+                                           ids[lo:lo + chunk]))
+        cent_done = clock()
+        if dump_writer:
+            dump_writer.write_chunk(ids[lo:lo + chunk], acts)
+        del acts  # not held while the next chunk runs
+        seconds["forward"] += forward_done - start
+        seconds["cent"] += cent_done - forward_done
+        seconds["write"] += clock() - cent_done
+    matrix = np.concatenate(blocks)
+    start = clock()
     features_path = os.path.join(out, "features.csv")
     data_io.write_features_csv(features_path, ids, labels, matrix)
+    if dump_writer:
+        dump_writer.finish(ids, labels, class_names)
+    seconds["write"] += clock() - start
+    sizes = [dict(read_point=li, shape=list(shape),
+                  **infotheory.histogram_sizes(shape, cfg["mode"], cfg["bins"]))
+             for li, shape in enumerate(read_shapes)]
     return {"command": "extract", "config": cfg, "features": features_path,
-            "rows": int(matrix.shape[0]), "feature_count": int(matrix.shape[1])}
+            "rows": int(matrix.shape[0]), "feature_count": int(matrix.shape[1]),
+            "read_points": sizes,
+            "counters": {"forward_passes": 0 if from_dump else len(blocks), "images": len(ids),
+                         "histogram_rows": len(ids) * sum(
+                             s["histograms_per_image"] for s in sizes)},
+            "timings": {f"{k}_s": round(v, 6) for k, v in seconds.items()}}
 
 
 EVALUATE_DEFAULTS = {

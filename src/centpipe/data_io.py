@@ -9,6 +9,7 @@ trailing u32 CRC32 of everything before it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .framing import FramedReader, tensor_record, write_framed, write_text
 from .framing import (BadMagicError, ChecksumError, TruncatedError,  # noqa: F401
                       VersionError)
 from .framing import FramedFileError as TensorFileError  # noqa: F401
-from .net import Network, forward_collect
+from .net import Network, _chunk_size, forward_collect
 
 TENSOR_MAGIC = b"CENTTNSR"
 TENSOR_VERSION = 1
@@ -254,21 +255,44 @@ class ActivationDump:
     image_ids: tuple
 
 
+class ActivationDumpWriter:
+    """Writes an activation dump one chunk of images at a time and its
+    manifest last. A manifest already in out_dir is removed first, so a run
+    cut short leaves a dump that import_activation_dump refuses, never one
+    that mixes two runs' tensors under the old manifest."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "manifest.csv"))
+
+    def write_chunk(self, image_ids, activations) -> None:
+        """Row i of each read point's array (forward_collect's arrays for
+        these images) goes to activations/<image_ids[i]>/layer_00.tnsr, ..."""
+        for i, image_id in enumerate(image_ids):
+            img_dir = os.path.join(self.out_dir, "activations", image_id)
+            os.makedirs(img_dir, exist_ok=True)
+            for li, act in enumerate(activations):
+                save_tensor(os.path.join(img_dir, f"layer_{li:02d}.tnsr"), act[i])
+
+    def finish(self, image_ids, labels, class_names) -> None:
+        """The manifest: its path column names each image's directory."""
+        rows = [(image_id, f"activations/{image_id}", int(label))
+                for image_id, label in zip(image_ids, labels)]
+        write_manifest(os.path.join(self.out_dir, "manifest.csv"), rows, class_names)
+
+
 def export_activation_dump(dataset: LabeledDataset, net: Network, out_dir,
                            pre_relu: bool = False) -> None:
-    """One directory per image holding layer_00.tnsr, layer_01.tnsr, ...;
-    the manifest's path column names the per-image directory."""
-    os.makedirs(os.path.join(out_dir, "activations"), exist_ok=True)
-    acts = forward_collect(net, dataset.images, pre_relu=pre_relu)
-    rows = []
-    for i, image_id in enumerate(dataset.image_ids):
-        rel = f"activations/{image_id}"
-        img_dir = os.path.join(out_dir, rel)
-        os.makedirs(img_dir, exist_ok=True)
-        for li, act in enumerate(acts):
-            save_tensor(os.path.join(img_dir, f"layer_{li:02d}.tnsr"), act[i])
-        rows.append((image_id, rel, int(dataset.labels[i])))
-    write_manifest(os.path.join(out_dir, "manifest.csv"), rows, dataset.class_names)
+    """One directory per image holding layer_00.tnsr, layer_01.tnsr, ...,
+    written one forward_collect chunk at a time, so memory holds one chunk's
+    activations, then the manifest."""
+    writer = ActivationDumpWriter(out_dir)
+    chunk = _chunk_size(net)
+    for lo in range(0, len(dataset.images), chunk):
+        acts = forward_collect(net, dataset.images[lo:lo + chunk], pre_relu=pre_relu)
+        writer.write_chunk(dataset.image_ids[lo:lo + chunk], acts)
+    writer.finish(dataset.image_ids, dataset.labels, dataset.class_names)
 
 
 def import_activation_dump(path) -> ActivationDump:

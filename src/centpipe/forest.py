@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import NonFiniteError
+from .infotheory import NonFiniteError, row_entropy
 
 CRITERIA = ("gini", "entropy")
 
@@ -89,22 +89,12 @@ def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.n
 def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity of each node's class counts (a row), bit for bit what one
     node's own sum gives: gini over every share, entropy over the nonzero
-    shares only. Summing an entropy row with its zeros groups the terms
-    differently from 8 classes on, so rows are summed as one (rows, k) block
-    per nonzero count k.
+    shares only (summing an entropy row with its zeros groups the terms
+    differently from 8 classes on).
     """
-    sizes = counts.sum(axis=1)
     if criterion == "gini":
-        return _row_impurity(counts, sizes, criterion)
-    p = counts / sizes[:, None]
-    nonzero = p > 0
-    width = nonzero.sum(axis=1)
-    out = np.empty(len(p))
-    for k in np.unique(width):
-        at = width == k
-        nz = p[at][nonzero[at]].reshape(-1, k)
-        out[at] = -(nz * np.log2(nz)).sum(axis=1)
-    return out
+        return _row_impurity(counts, counts.sum(axis=1), criterion)
+    return row_entropy(counts)
 
 
 # One pass visits popped nodes holding at most about this many (node,

@@ -50,10 +50,25 @@ class Histogram:
     degenerate: bool = False  # constant samples: single loaded bin, lo == hi
 
 
-def _bin_indices(values: np.ndarray, lo: float, hi: float, bin_count: int) -> np.ndarray:
-    clipped = np.clip(values.astype(np.float64), lo, hi)
-    idx = np.floor((clipped - lo) / (hi - lo) * bin_count).astype(np.int64)
-    return np.clip(idx, 0, bin_count - 1)  # upper edge lands in the last bin
+def _bin_counts(rows: np.ndarray, lo, hi, bin_count: int) -> np.ndarray:
+    """(len(rows), bin_count) int64 equal-width bin counts of each row of a
+    (rows, width) array over [lo, hi], given per row as (rows, 1) arrays or
+    for all rows as floats: value v falls in bin floor((v - lo) / (hi - lo) *
+    bin_count), outliers clipped into the edge bins and hi into the last bin.
+    A constant row (lo == hi) loads bin 0. One bincount bins every row.
+    """
+    x = rows.astype(np.float64)  # a copy, worked on in place
+    np.clip(x, lo, hi, out=x)
+    x -= lo
+    x /= np.where(hi > lo, hi - lo, 1.0)
+    x *= bin_count
+    np.floor(x, out=x)
+    idx = x.astype(np.int64)
+    del x
+    np.clip(idx, 0, bin_count - 1, out=idx)
+    idx += np.arange(0, len(idx) * bin_count, bin_count)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=len(idx) * bin_count)
+    return counts.reshape(len(idx), bin_count)
 
 
 def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histogram:
@@ -71,18 +86,35 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
         raise ValueError(f"bin_count must be >= 2, got {bin_count}")
     _require_finite(values)
     lo, hi = _resolve_range(values, range_mode)
-    if lo == hi:
-        counts = np.zeros(bin_count, dtype=np.int64)
-        counts[0] = values.size
-        return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=True)
-    counts = np.bincount(_bin_indices(values, lo, hi, bin_count), minlength=bin_count)
-    return Histogram(bin_count, lo, hi, counts, int(values.size))
+    counts = _bin_counts(values[None], lo, hi, bin_count)[0]
+    return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=lo == hi)
 
 
 def _entropy_p(p: np.ndarray) -> float:
     nz = p[p > 0]
     h = float(-(nz * np.log2(nz)).sum())
     return h if h > 0.0 else 0.0
+
+
+def row_entropy(counts: np.ndarray) -> np.ndarray:
+    """Plug-in entropy in bits of each row of (rows, bins) counts, bit for
+    bit the row's own -sum(p * log2(p)) over its nonzero shares (-0.0 for a
+    row with one nonzero bin). Summing a row with its zeros groups the terms
+    differently, so rows are sorted by nonzero count k and the nonzero terms
+    of each group are summed as one (rows, k) block.
+    """
+    width = np.count_nonzero(counts, axis=1)
+    order = np.argsort(width, kind="stable")
+    p = counts[order] / counts.sum(axis=1, keepdims=True)[order]
+    nz = p[p > 0]
+    terms = nz * np.log2(nz)
+    h = np.empty(len(p))
+    widths, starts = np.unique(width[order], return_index=True)
+    at = 0
+    for k, lo, hi in zip(widths, starts, [*starts[1:], len(p)]):
+        h[order[lo:hi]] = -terms[at:at + (hi - lo) * k].reshape(hi - lo, k).sum(axis=1)
+        at += (hi - lo) * k
+    return h
 
 
 def entropy(hist: Histogram) -> float:
@@ -187,25 +219,92 @@ class CentVector:
         object.__setattr__(self, "values", v)
 
 
+def _split_filters(read_shape: tuple, mode: str) -> bool:
+    """Whether each filter of a read point of this per-image shape gets a
+    histogram of its own (per-filter mode, rank >= 2); otherwise the image's
+    whole read point is one histogram."""
+    return mode == "per-filter" and len(read_shape) >= 2
+
+
+def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
+    """Sizes behind one read point's CENT values: histograms per image,
+    values per histogram, samples per bin, and the entropy cap
+    log2(min(values, bins)) in bits. A histogram of v values occupies at
+    most v bins, so with few samples per bin the plug-in entropy is capped
+    below log2(bins) and biased low (Paninski 2003)."""
+    split = _split_filters(read_shape, mode)
+    values = math.prod(read_shape[1:] if split else read_shape)
+    return {"histograms_per_image": read_shape[0] if split else 1,
+            "values_per_histogram": values, "samples_per_bin": values / bin_count,
+            "entropy_cap_bits": math.log2(min(values, bin_count))}
+
+
+def _require_finite_activations(activations, image_ids) -> None:
+    """NonFiniteError naming the first NaN or infinite activation in
+    extraction order: image, then read point, then filter."""
+    if all(np.isfinite(a).all() for a in activations):
+        return
+    bad = [~np.isfinite(a.reshape(len(a), -1)) for a in activations]
+    i = min(int(np.argmax(b.any(axis=1))) for b in bad if b.any())
+    li = next(li for li, b in enumerate(bad) if b[i].any())
+    row, shape = bad[li][i], activations[li].shape[1:]
+    where = f"read point {li}"
+    if len(shape) >= 2:
+        where += f", filter {int(np.argmax(row)) // math.prod(shape[1:])}"
+    name = image_ids[i] if image_ids is not None else f"image {i}"
+    raise NonFiniteError(f"{name}: the first NaN or infinite activation is at {where} "
+                         f"({int(row.sum())} of {row.size} values there are NaN or infinite)")
+
+
+def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
+              range_mode="minmax", image_ids=None) -> np.ndarray:
+    """(n, features) CENT values of n images from forward_collect's
+    activations: one (n, *read_shape) array per read point, in read order.
+
+    Per-filter mode gives each filter of a rank >= 2 read point (filters on
+    read_shape's axis 0) a histogram of its own; per-layer mode, and every
+    rank-1 read point, pools an image's whole read point. One bincount bins
+    every histogram of a read point, and each value equals make_histogram
+    plus entropy on that map alone, bit for bit. A NaN or infinite activation
+    raises NonFiniteError naming its image (image_ids[i], else the index),
+    read point and filter.
+    """
+    if mode not in ("per-filter", "per-layer"):
+        raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
+    if bin_count < 2:
+        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    _require_finite_activations(activations, image_ids)
+    columns = []
+    for act in activations:
+        n, shape = len(act), act.shape[1:]
+        rows = act.reshape(n * (shape[0] if _split_filters(shape, mode) else 1), -1)
+        if isinstance(range_mode, str) and range_mode == "minmax":
+            lo = rows.min(axis=1, keepdims=True).astype(np.float64)
+            hi = rows.max(axis=1, keepdims=True).astype(np.float64)
+        else:
+            lo, hi = _resolve_range(rows, range_mode)  # a fixed pair, or a bad mode
+        h = row_entropy(_bin_counts(rows, lo, hi, bin_count))
+        columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
+    return np.concatenate(columns, axis=1)
+
+
 def extract_cent_from_activations(activations, mode: str = "per-filter",
                                   bin_count: int = 256, range_mode="minmax") -> CentVector:
-    """CENT vector from a list of layer activations in read order.
+    """CENT vector from one image's layer activations in read order: the
+    one-image case of cent_rows.
 
     Rank >= 2 arrays carry filters on axis 0: per-filter mode emits one entropy
     per filter, per-layer mode pools the whole layer. Rank-1 arrays (vector
     layers) contribute exactly one pooled value in both modes.
     """
-    values, provenance = [], []
-    for li, act in enumerate(activations):
-        act = np.asarray(act)
-        if act.ndim >= 2 and mode == "per-filter":
-            for fi in range(act.shape[0]):
-                values.append(entropy(make_histogram(act[fi], bin_count, range_mode)))
-                provenance.append((li, fi))
-        else:
-            values.append(entropy(make_histogram(act, bin_count, range_mode)))
-            provenance.append((li, None))
-    return CentVector(mode, np.array(values), tuple(provenance), bin_count)
+    acts = [np.asarray(a)[None] for a in activations]
+    values = cent_rows(acts, mode, bin_count, range_mode)[0]
+    provenance = []
+    for li, act in enumerate(acts):
+        shape = act.shape[1:]
+        provenance += ([(li, fi) for fi in range(shape[0])] if _split_filters(shape, mode)
+                       else [(li, None)])
+    return CentVector(mode, values, tuple(provenance), bin_count)
 
 
 def extract_cent_features(net: Network, image: np.ndarray, mode: str = "per-filter",

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from centpipe import cli, data_io, net
+from centpipe import cli, data_io, infotheory, net
 
 
 def run_cli(argv):
@@ -184,7 +184,104 @@ def test_extract_non_finite_activation_exits_1(pipeline, tmp_path):
                               "--data", str(tmp_path / "nan_data")])
     assert code == 1 and out == ""
     assert "runtime failure: NonFiniteError" in err and "NaN or infinite" in err
+    assert "img_0003" in err and "read point 0, filter" in err
     assert not (tmp_path / "f" / "features.csv").exists()
+
+
+def test_extract_cut_short_leaves_no_dump_manifest(pipeline, tmp_path):
+    """The dump streams chunk by chunk with its manifest last: a run that
+    fails after its first chunk removes the manifest of the dump it was
+    overwriting, so no dump mixing two runs' tensors can be imported."""
+    data = data_io.load_dataset(pipeline["data"])
+    data.images[-1, 0, 5, 5] = np.nan  # in the second chunk
+    data_io.save_dataset(data, str(tmp_path / "nan_data"))
+    dump = tmp_path / "dump"
+    code, _, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                            pipeline["ckpt"], "--data", pipeline["data"], "--dump-out", str(dump)])
+    assert code == 0, err
+    code, _, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                            pipeline["ckpt"], "--data", str(tmp_path / "nan_data"),
+                            "--dump-out", str(dump)])
+    assert code == 1 and "img_0019" in err
+    assert not (dump / "manifest.csv").exists()
+    with pytest.raises(FileNotFoundError):
+        data_io.import_activation_dump(str(dump))
+
+
+@pytest.mark.parametrize("flag", [["--dump-out", "E"], ["--pre-relu"]])
+def test_extract_from_dump_rejects_flags_it_would_ignore(pipeline, tmp_path, flag):
+    """--dump reads finished activations: a second dump or a pre-ReLU read
+    would silently do nothing, so both are refused by name (exit 2)."""
+    flag = [str(tmp_path / a) if a == "E" else a for a in flag]
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"),
+                              "--dump", pipeline["dump"], *flag])
+    assert code == 2 and out == ""
+    assert f"error: {flag[0]}" in err
+    assert not (tmp_path / "E").exists() and not (tmp_path / "f" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("dump_out", [False, True])
+def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch, dump_out):
+    """Features and --dump-out come from one forward_collect chunk loop:
+    ceil(n / chunk) _forward_layers calls carrying each image once (2 for the
+    20-image set), with the dump's bytes those of export_activation_dump."""
+    calls, collected = [], []
+    forward = net._forward_layers
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    collect = infotheory.forward_collect  # the binding the benchmark's tracer wraps
+    monkeypatch.setattr(infotheory, "forward_collect",
+                        lambda nw, x, **kw: collected.append(len(x)) or collect(nw, x, **kw))
+    extra = ["--dump-out", str(tmp_path / "dump")] if dump_out else []
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                              pipeline["ckpt"], "--data", pipeline["data"], *extra])
+    assert code == 0, err
+    n = len(data_io.load_dataset(pipeline["data"]).images)
+    chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
+    assert calls == collected == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+    assert len(calls) == 2
+    assert json.loads(out)["counters"] == {"forward_passes": 2, "images": n,
+                                           "histogram_rows": n * 21}
+    assert (tmp_path / "f" / "features.csv").read_bytes() == open(pipeline["features"], "rb").read()
+    if dump_out:
+        assert _tree_bytes(tmp_path / "dump") == _tree_bytes(pipeline["dump"])
+
+
+def _tree_bytes(root) -> dict:
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+def test_extract_dump_matches_export_activation_dump(pipeline, tmp_path):
+    """The dump extract --dump-out writes from its own chunks is the one
+    export_activation_dump writes, file for file and byte for byte."""
+    network = net.load_checkpoint(pipeline["ckpt"])
+    data_io.export_activation_dump(data_io.load_dataset(pipeline["data"]), network,
+                                   str(tmp_path / "dump"))
+    written = _tree_bytes(pipeline["dump"])
+    assert written == _tree_bytes(tmp_path / "dump")
+    assert len(written) == 1 + 20 * 3
+
+
+def test_extract_summary_reports_sizes_counters_and_timings(pipeline, tmp_path):
+    """Samples per bin and the entropy cap per read point (desk2d's second
+    read point: 64 values per filter at 256 bins, capped at 6 bits), counts
+    and stage seconds go to stdout only."""
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"),
+                              "--dump", pipeline["dump"], "--mode", "per-layer"])
+    assert code == 0, err
+    summary = json.loads(out)
+    points = summary["read_points"]
+    assert [p["shape"] for p in points] == [[10, 16, 16], [10, 8, 8], [128]]
+    assert [p["values_per_histogram"] for p in points] == [2560, 640, 128]
+    assert [p["entropy_cap_bits"] for p in points] == [8.0, 8.0, 7.0]
+    assert points[2]["samples_per_bin"] == 0.5
+    assert summary["counters"] == {"forward_passes": 0, "images": 20, "histogram_rows": 60}
+    assert set(summary["timings"]) == {"forward_s", "cent_s", "write_s"}
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "g"), "--checkpoint",
+                              pipeline["ckpt"], "--data", pipeline["data"]])
+    assert json.loads(out)["read_points"][1]["entropy_cap_bits"] == 6.0
+    features = (tmp_path / "f" / "features.csv").read_text()
+    assert "timings" not in features and "read_point" not in features
 
 
 def test_extract_corrupt_checkpoint_exits_1(pipeline, tmp_path):

@@ -214,6 +214,32 @@ def test_activation_dump_roundtrip_matches_in_process(tmp_path):
         assert np.array_equal(direct.values, from_dump.values)
 
 
+def test_activation_dump_streams_the_bytes_of_one_whole_dataset_pass(tmp_path, monkeypatch):
+    """Chunk by chunk (3 images a chunk at 64x64), the dump holds the bytes a
+    single whole-dataset forward_collect call gives, and its manifest."""
+    data = generate_synthetic(SyntheticSpec(per_class=4, extent=64, seed=13))
+    network = net.build_desk_2d(64, 2, seed=13)
+    acts = net.forward_collect(network, data.images, pre_relu=True)
+    rows = []
+    for i, image_id in enumerate(data.image_ids):
+        img_dir = tmp_path / "ref" / "activations" / image_id
+        img_dir.mkdir(parents=True)
+        for li, act in enumerate(acts):
+            save_tensor(img_dir / f"layer_{li:02d}.tnsr", act[i])
+        rows.append((image_id, f"activations/{image_id}", int(data.labels[i])))
+    write_manifest(tmp_path / "ref" / "manifest.csv", rows, data.class_names)
+    calls = []
+    collect = data_io.forward_collect
+    monkeypatch.setattr(data_io, "forward_collect",
+                        lambda nw, x, **kw: calls.append(len(x)) or collect(nw, x, **kw))
+    export_activation_dump(data, network, tmp_path / "dump", pre_relu=True)
+    assert calls == [3, 3, 2]
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert tree(tmp_path / "dump") == tree(tmp_path / "ref")
+
+
 def test_activation_dump_missing_directory_names_image(tmp_path):
     data = generate_synthetic(SyntheticSpec(per_class=2, extent=32, seed=10))
     network = net.build_desk_2d(32, 2, seed=10)

@@ -287,6 +287,87 @@ def test_cent_single_filter_layer_matches_per_filter():
     assert np.array_equal(_cent([layer], "per-layer"), _cent([layer], "per-filter"))
 
 
+def _loop_cent(values, bins, range_mode) -> float:
+    """One map's CENT value the per-map way: its own equal-width binning and a
+    1-D plug-in sum over the nonzero shares."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    lo, hi = (float(v.min()), float(v.max())) if range_mode == "minmax" else range_mode
+    if lo == hi:
+        return 0.0
+    idx = np.floor((np.clip(v, lo, hi) - lo) / (hi - lo) * bins).astype(np.int64)
+    p = np.bincount(np.clip(idx, 0, bins - 1), minlength=bins) / v.size
+    nz = p[p > 0]
+    h = float(-(nz * np.log2(nz)).sum())
+    return h if h > 0.0 else 0.0
+
+
+_READ_SHAPES = st.lists(st.sampled_from([(3, 4, 4), (5, 2, 3), (1, 6, 6), (2, 8), (4, 2, 2, 2),
+                                         (16,), (1,), (300,)]),
+                        min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), _READ_SHAPES, st.sampled_from(["per-filter", "per-layer"]),
+       st.integers(2, 256), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_cent_rows_equal_the_per_map_loop(n, shapes, mode, bins, fixed, seed, data):
+    """Batched CENT rows equal, bit for bit, the one-image
+    extract_cent_from_activations values and a per-map loop, for any chunking
+    of the images: constant maps, ReLU zeros, ties, and outliers beyond a
+    fixed range included."""
+    rng = np.random.default_rng(seed)
+    acts = []
+    for shape in shapes:
+        a = rng.normal(0.0, 2.0, size=(n,) + shape)
+        kind = data.draw(st.sampled_from(["normal", "relu", "ties", "float32"]))
+        if kind == "relu":
+            a = np.maximum(a, 0.0)
+        elif kind == "ties":
+            a = np.round(a)
+        elif kind == "float32":
+            a = a.astype(np.float32)
+        flat = a.reshape(n * shape[0], -1) if len(shape) >= 2 else a
+        flat[rng.random(len(flat)) < 0.3] = 1.5  # constant maps, whole images at rank 1
+        acts.append(a)
+    range_mode = (-1.0, 2.5) if fixed else "minmax"
+    chunk = data.draw(st.sampled_from([1, 2, n]))
+    rows = np.concatenate([it.cent_rows([a[lo:lo + chunk] for a in acts], mode, bins, range_mode)
+                           for lo in range(0, n, chunk)])
+    for i in range(n):
+        one = extract_cent_from_activations([a[i] for a in acts], mode, bins, range_mode)
+        loop = [_loop_cent(m, bins, range_mode) for a in acts
+                for m in (a[i] if mode == "per-filter" and a.ndim >= 3 else [a[i]])]
+        assert rows[i].tobytes() == one.values.tobytes() == np.array(loop).tobytes()
+        assert len(one.provenance) == len(loop)
+
+
+def test_cent_rows_name_the_first_non_finite_activation():
+    """The first bad value in extraction order (image, then read point, then
+    filter) is named, whichever read point holds it."""
+    acts = [np.zeros((5, 3, 4, 4)), np.zeros((5, 6))]
+    acts[0][4, 1, 0, 0] = np.nan
+    acts[1][3, 3] = np.inf
+    acts[0][2, 2, 1, 1] = -np.inf
+    acts[0][2, 2, 3, 3] = np.nan
+    ids = tuple(f"img_{i:04d}" for i in range(5))
+    with pytest.raises(NonFiniteError, match=r"img_0002: .* read point 0, filter 2 \(2 of 48"):
+        it.cent_rows(acts, "per-layer", 16, "minmax", ids)
+    acts[0][2] = 0.0
+    acts[1][2, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"image 2: .* read point 1 \(1 of 6 values there "
+                                             r"are NaN or infinite\)"):
+        it.cent_rows(acts, "per-filter")
+
+
+def test_histogram_sizes_report_the_entropy_cap():
+    """desk2d's second read point: 64 values per filter at 256 bins, so a
+    filter's entropy is capped at 6 of the nominal 8 bits."""
+    sizes = it.histogram_sizes((10, 8, 8), "per-filter", 256)
+    assert sizes == {"histograms_per_image": 10, "values_per_histogram": 64,
+                     "samples_per_bin": 0.25, "entropy_cap_bits": 6.0}
+    assert it.histogram_sizes((10, 8, 8), "per-layer", 256)["entropy_cap_bits"] == 8.0
+    assert it.histogram_sizes((128,), "per-filter", 64)["histograms_per_image"] == 1
+
+
 def test_cent_vector_contract():
     with pytest.raises(ValueError):
         CentVector("per-pixel", np.array([1.0]), ((0, 0),), 256)
