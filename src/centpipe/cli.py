@@ -153,13 +153,22 @@ def cmd_train(args) -> dict:
         raise ConfigError(f"arch must be desk2d or reference3d, got {cfg['arch']!r}")
     train_cfg = net.TrainConfig(cfg["learning_rate"], cfg["epochs"],
                                 cfg["batch_size"], cfg["seed"], cfg["shuffle"])
+    clock = time.perf_counter
+    start = clock()
     network, trace = net.train(network, dataset, train_cfg, on_epoch=_epoch_reporter())
+    trained = clock()
     ckpt = os.path.join(out, "checkpoint.ckpt")
     net.save_checkpoint(network, ckpt)
     framing.write_text(os.path.join(out, "loss_trace.csv"), "epoch,mean_loss\n" + "".join(
         f"{e},{v!r}\n" for e, v in enumerate(trace)))
+    # every mini-batch runs one forward+backward call per chunk of it
+    n, chunk = len(dataset.images), net._chunk_size(network)
+    batches = [min(train_cfg.batch_size, n - lo) for lo in range(0, n, train_cfg.batch_size)]
     return {"command": "train", "config": cfg, "checkpoint": ckpt,
-            "epochs": len(trace), "final_loss": trace[-1]}
+            "epochs": len(trace), "final_loss": trace[-1],
+            "counters": {"samples_trained": len(trace) * n,
+                         "chunks": len(trace) * sum(-(-b // chunk) for b in batches)},
+            "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
 
 
 EXTRACT_DEFAULTS = {

@@ -287,7 +287,9 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
         spec, cache = net.specs[i], caches.pop()
         if spec.kind == "conv":
             w, _ = net.params[i]
-            g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv)
+            # layer 0's input is the image: no gradient for it is needed
+            g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv,
+                                          input_grad=i > 0)
             grads[i] = (gw, gb)
         elif spec.kind == "relu":
             g = ops.relu_backward(g, cache)

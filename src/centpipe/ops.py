@@ -22,6 +22,14 @@ float64 values per output position, 17 MB for one 64^3 sample), so the
 training loop and net.forward_collect cap how many samples one call carries
 at 2^17 elements in the largest per-sample activation; see
 net._CHUNK_ELEMENTS.
+
+Training kernels skip work nothing reads. fully_connected and its backward
+cast the float32 weights to float64 in fixed blocks (whole rows forward,
+whole columns backward, at most _FC_BLOCK_ELEMENTS each), so no float64 copy
+of a large weight matrix is made; weights of at most one block take one call.
+conv_backward(..., input_grad=False) computes no input gradient, which the
+training loop asks of layer 0, whose input is the image. maxpool_backward
+routes every window's gradient to its argmax with one np.bincount.
 """
 
 from __future__ import annotations
@@ -154,13 +162,14 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
 
 
 def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
-                  filters: np.ndarray, spec: ConvSpec
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  filters: np.ndarray, spec: ConvSpec, input_grad: bool = True
+                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv_forward.
 
     Returns (grad_input, grad_filters, grad_bias) for the cached forward
     input; for a batch, grad_input keeps the batch axis and grad_filters and
-    grad_bias are summed over it.
+    grad_bias are summed over it. With input_grad=False, grad_input is None
+    and its col2im is skipped.
     """
     rank = len(spec.kernel)
     _require(cached_input.ndim in (rank + 1, rank + 2),
@@ -180,6 +189,10 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
     del cols
+    dt = cached_input.dtype
+    grad_filters, grad_bias = grad_filters.astype(dt, copy=False), grad_bias.astype(dt, copy=False)
+    if not input_grad:
+        return None, grad_filters, grad_bias
     # col2im: (C * kernel, F) @ (B, F, positions), then each tap's rows are
     # added back into the padded input at that tap's offset
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
@@ -191,10 +204,8 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     del dcols
     crop = tuple(slice(b, b + s) for (b, _), s in zip(pads, xb.shape[2:]))
     grad_input = gpad[(slice(None), slice(None)) + crop]
-
-    dt = cached_input.dtype
     return ((grad_input[0] if single else grad_input).astype(dt, copy=False),
-            grad_filters.astype(dt, copy=False), grad_bias.astype(dt, copy=False))
+            grad_filters, grad_bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -273,10 +284,11 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
 def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     """Route the upstream gradient to each window's recorded argmax position.
 
-    The window offsets are walked in turn: at one offset every window covers
-    a different element, so the gradients of the windows whose argmax is that
-    offset are added through one strided slice of a zeroed, padded buffer.
-    Overlapping windows accumulate across offsets; the padding is cropped.
+    Each window's argmax becomes one flat index into the padded input (the
+    window's origin plus the argmax's offset inside a window), and one
+    np.bincount adds the gradients there in window order, as a scatter-add
+    over the windows would. Overlapping windows accumulate; the padding is
+    cropped.
     """
     rank = len(cache.window)
     lead = cache.input_shape[:len(cache.input_shape) - rank]
@@ -284,13 +296,33 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     out = _out_extent(spatial, cache.window, cache.stride, cache.padding)
     _require(grad_output.shape == lead + out,
              f"grad_output {grad_output.shape} != pooled shape {lead + out}")
-    g = grad_output.astype(np.float64, copy=False)
-    gpad = np.zeros(lead + cache.padded_spatial, dtype=np.float64)
-    for flat, offset in enumerate(itertools.product(*(range(w) for w in cache.window))):
-        sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, cache.stride, out))
-        gpad[(Ellipsis,) + sl] += np.where(cache.argmax == flat, g, 0.0)
+    padded = cache.padded_spatial
+    offsets = np.ravel_multi_index(
+        np.unravel_index(np.arange(math.prod(cache.window)), cache.window), padded)
+    origins = np.ravel_multi_index(
+        np.ogrid[tuple(slice(0, st * n, st) for st, n in zip(cache.stride, out))], padded)
+    idx = offsets[cache.argmax]
+    idx += origins
+    idx += np.arange(math.prod(lead)).reshape(lead + (1,) * rank) * math.prod(padded)
+    gpad = np.bincount(idx.ravel(), weights=grad_output.astype(np.float64, copy=False).ravel(),
+                       minlength=math.prod(lead + padded)).reshape(lead + padded)
     crop = tuple(slice(b, b + s) for b, s in zip(cache.pad_before, spatial))
     return gpad[(Ellipsis,) + crop].astype(grad_output.dtype, copy=False)
+
+
+# Most float64 elements one fully connected weight block holds (8 MB). A block
+# is a power of two of whole rows (forward) or columns (backward): 16 rows and
+# 8192 columns of reference3d's 128x40960 weights, and one block for every
+# smaller layer of the CLI's networks. The block shape changes no bytes at any
+# chunk size those networks run at; tests/test_ops.py checks it.
+_FC_BLOCK_ELEMENTS = 1 << 20
+
+
+def _fc_blocks(count: int, size: int):
+    """Slices over `count` rows (or columns) of `size` elements each, in
+    blocks of the largest power of two that holds at most _FC_BLOCK_ELEMENTS."""
+    step = 1 << max(0, (_FC_BLOCK_ELEMENTS // size).bit_length() - 1)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -311,10 +343,13 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     _require(not single or x.size == n,
              f"weights {weights.shape} incompatible with input {x.shape}: it "
              f"flattens neither to ({n},) nor to (batch, {n})")
-    flat = x.reshape(-1, n)
-    # (m, n) @ (n, B): at B == 1 numpy runs this as the matrix-vector product
-    # of one sample, so a batch of one gives that sample's bytes
-    y = weights.astype(np.float64, copy=False) @ flat.T.astype(np.float64, copy=False)
+    flat_t = x.reshape(-1, n).T.astype(np.float64, copy=False)
+    # (m, n) @ (n, B), one block of rows at a time: at B == 1 numpy runs this
+    # as the matrix-vector product of one sample, so a batch of one gives that
+    # sample's bytes
+    y = np.empty((weights.shape[0], flat_t.shape[1]))
+    for rows in _fc_blocks(weights.shape[0], n):
+        np.matmul(weights[rows].astype(np.float64, copy=False), flat_t, out=y[rows])
     y += bias.astype(np.float64, copy=False)[:, None]
     y = y.T.astype(x.dtype, order="C", copy=False)
     return y[0] if single else y
@@ -336,8 +371,11 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     _require(cached_input.size == g.shape[0] * n,
              f"cached input {cached_input.shape} does not hold {g.shape[0]} "
              f"sample(s) of {n} elements")
-    # the float64 weights are freed before grad_weights, as large, exists
-    grad_input = (weights.astype(np.float64, copy=False).T @ g.T).T.reshape(cached_input.shape)
+    # (n, m) @ (m, B), one block of weight columns at a time
+    grad_input = np.empty((n, g.shape[0]))
+    for cols in _fc_blocks(n, m):
+        np.matmul(weights[:, cols].astype(np.float64, copy=False).T, g.T, out=grad_input[cols])
+    grad_input = grad_input.T.reshape(cached_input.shape)
     flat = cached_input.astype(np.float64, copy=False).reshape(g.shape[0], n)
     grad_weights = g.T @ flat
     grad_bias = g.sum(axis=0)

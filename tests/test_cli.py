@@ -114,6 +114,28 @@ def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
         assert (runs[0][0] / name).read_bytes() == (runs[1][0] / name).read_bytes()
 
 
+def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypatch):
+    """Samples trained, forward+backward calls (a batch of 15 desk images at
+    32^2 runs as chunks of 12 and 3) and stage seconds go to stdout only."""
+    real, calls = net._loss_and_grads, []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(net, "_loss_and_grads", counting)
+    code, out, err = run_cli(["train", "--out", str(tmp_path / "t"), "--data", pipeline["data"],
+                              "--epochs", "2", "--batch-size", "15", "--seed", "3"])
+    assert code == 0, err
+    summary = json.loads(out)
+    assert calls == [12, 3, 5] * 2
+    assert summary["counters"] == {"samples_trained": 40, "chunks": len(calls)}
+    assert set(summary["timings"]) == {"train_s", "save_s"}
+    assert all(v >= 0 for v in summary["timings"].values())
+    trace = (tmp_path / "t" / "loss_trace.csv").read_text()
+    assert "timings" not in trace and "chunks" not in trace
+
+
 def test_train_missing_data_exits_2(tmp_path):
     code, _, err = run_cli(["train", "--out", str(tmp_path / "t")])
     assert code == 2

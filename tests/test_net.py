@@ -222,9 +222,9 @@ def test_one_conv_backward_per_conv_layer_per_chunk(monkeypatch, chunk_elements,
     real = ops.conv_backward
     calls = []
 
-    def counting(grad_output, cached_input, filters, spec):
+    def counting(grad_output, cached_input, filters, spec, **kwargs):
         calls.append(len(cached_input))
-        return real(grad_output, cached_input, filters, spec)
+        return real(grad_output, cached_input, filters, spec, **kwargs)
 
     monkeypatch.setattr(ops, "conv_backward", counting)
     dataset = small_dataset(per_class=10, seed=0)

@@ -340,7 +340,8 @@ def test_batched_pool_and_relu_match_per_sample_reference(case):
     assert rel_err(pooled, np.stack([p for p, _ in refs])) < BATCH_TOL
     g = rng.normal(size=pooled.shape)
     expect = np.stack([R.maxpool_backward(gj, c) for gj, (_, c) in zip(g, refs)])
-    assert rel_err(ops.maxpool_backward(g, cache), expect) < BATCH_TOL
+    # both add each element's gradients in window order
+    assert np.array_equal(ops.maxpool_backward(g, cache), expect)
     gr = rng.normal(size=shape)
     assert np.array_equal(ops.relu_backward(gr, x),
                           np.stack([R.relu_backward(gj, xi) for gj, xi in zip(gr, x)]))
@@ -497,3 +498,57 @@ def test_fully_connected_batch_of_one_shape_rule():
         assert out.shape == (3,) and np.array_equal(out, single)
     with pytest.raises(ShapeMismatch):
         ops.fully_connected(rng.normal(size=(2, 4)), w, b)
+
+
+def _fc_whole_cast(x, w, b):
+    """fully_connected with the whole weight matrix cast in one copy."""
+    y = w.astype(np.float64) @ x.T.astype(np.float64, copy=False)
+    y += b.astype(np.float64)[:, None]
+    return y.T.astype(x.dtype, order="C", copy=False)
+
+
+def _fc_input_grad_whole_cast(g, x, w):
+    return (w.astype(np.float64).T @ g.T).T.reshape(x.shape)
+
+
+@pytest.mark.parametrize("shape,chunks", [
+    # desk2d 32^2 (2x128 is also reference3d's softmax), desk2d 64^2, reference3d
+    ((128, 640), range(1, 13)), ((2, 128), range(1, 13)), ((3, 128), range(1, 13)),
+    ((128, 2560), range(1, 4)), ((128, 40960), [1]),
+])
+def test_fully_connected_blocks_match_whole_cast_bytes(shape, chunks):
+    """The weights are cast to float64 in blocks; at every (weights, chunk
+    size) the CLI's networks train and extract at, the bytes equal those of
+    one whole-matrix cast. The float32 output of the network's forward
+    rounds most float64 differences away, so float64 input is checked too."""
+    rng = np.random.default_rng(shape[1])
+    m, n = shape
+    w = rng.uniform(-0.1, 0.1, size=shape).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, size=m).astype(np.float32)
+    # a block shape that changes the summation order changes a few of the
+    # float64 bytes of some inputs only, so each chunk size gets three
+    for chunk in [c for c in chunks for _ in range(3)]:
+        x = ops.relu(rng.normal(size=(chunk, n))).astype(np.float32)
+        for xi in (x, x.astype(np.float64)):
+            assert np.array_equal(ops.fully_connected(xi, w, b), _fc_whole_cast(xi, w, b))
+        g = rng.normal(size=(chunk, m))
+        cached = x.astype(np.float64)
+        gi, _, _ = ops.fully_connected_backward(g, cached, w)
+        assert np.array_equal(gi, _fc_input_grad_whole_cast(g, cached, w))
+
+
+@pytest.mark.parametrize("shape,kspec", [
+    ((1, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
+    ((3, 2, 5, 5), ConvSpec((2, 2), (2, 2), "valid", 2)),
+    ((2, 1, 4, 4, 4), ConvSpec((2, 2, 2), (1, 1, 1), "same", 2)),
+])
+def test_conv_backward_without_input_grad(shape, kspec):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=(kspec.filter_count, shape[-len(kspec.kernel) - 1]) + kspec.kernel)
+    g = rng.normal(size=ops.conv_forward(x, w, np.zeros(kspec.filter_count), kspec).shape)
+    _, gw, gb = ops.conv_backward(g, x, w, kspec)
+    none, gw2, gb2 = ops.conv_backward(g, x, w, kspec, input_grad=False)
+    assert none is None
+    assert gw2.dtype == gw.dtype and gw2.tobytes() == gw.tobytes()
+    assert gb2.dtype == gb.dtype and gb2.tobytes() == gb.tobytes()
