@@ -1,12 +1,13 @@
 """Batch command-line interface: synth, train, extract, evaluate, permute,
 theory. File/console in-out only.
 
-Configuration resolves in three layers: built-in defaults, then the --config
-JSON file (either flat or holding a section named after the subcommand), then
-explicit flags. The resolved config is echoed to stderr and embedded in the
-JSON summary printed to stdout. Exit codes: 0 success, 1 runtime failure,
-2 config or contract error. All outputs are deterministic: re-running a
-subcommand with the same config produces byte-identical files.
+OPTIONS declares every option once and COMMANDS every subcommand; the parser,
+the defaults and the config-file check are built from them. The config takes
+the defaults, then the --config JSON file, then explicit flags; it is echoed
+to stderr and embedded in the JSON summary printed to stdout. Exit codes: 0
+success; 2 config or contract error (ConfigError, ValueError,
+FileNotFoundError, KeyError); 1 any other failure. Re-running a subcommand
+with the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,33 +28,91 @@ class ConfigError(Exception):
     """Bad flag, config key, or input path: exit code 2."""
 
 
-def _load_config_file(path, section: str) -> dict:
+def _floats(text: str) -> list:
+    """'a,b,...' as a list of floats."""
+    return [float(x) for x in text.split(",")]
+
+
+def _opt_int(text: str):
+    """An int, or None for 'none' or 'null'."""
+    return None if text.lower() in ("none", "null") else int(text)
+
+
+def _range(text: str):
+    """'minmax', or 'lo,hi' as [lo, hi]."""
+    if text == "minmax":
+        return text
+    bounds = _floats(text)
+    if len(bounds) != 2:
+        raise argparse.ArgumentTypeError(f"range must be 'minmax' or 'lo,hi', got {text!r}")
+    return bounds
+
+
+# per flag parser: the non-string JSON types a config file may give in place
+# of the flag's text, and what the option takes, for the error message
+_FILE_TYPES = {
+    str: ((), "a string"), int: ((int,), "an integer"), float: ((int, float), "a number"),
+    _opt_int: ((int, type(None)), "an integer or null"),
+    _floats: ((list,), "a list of numbers or 'a,b,...'"),
+    _range: ((list,), "'minmax', 'lo,hi' or [lo, hi]"),
+}
+
+
+def _file_value(key: str, value):
+    """A config-file value read as its flag would read it: a string as the
+    flag's text, another JSON value only when it has the option's type."""
+    opt = OPTIONS[key]
+    if opt.kind is bool:
+        if type(value) is bool:
+            return value
+        raise ConfigError(f"config key {key!r} takes true or false, got {json.dumps(value)}")
+    types, takes = _FILE_TYPES[opt.kind]
+    typed = type(value) in types and all(  # exact types: a bool is no int
+        type(x) in (int, float) for x in (value if type(value) is list else ()))
+    if isinstance(value, str) or typed:
+        try:
+            text = value if isinstance(value, str) else "none" if value is None else (
+                ",".join(map(repr, value)) if type(value) is list else repr(value))
+            parsed = opt.kind(text)
+            if opt.choices is None or parsed in opt.choices:
+                return parsed
+        except (ValueError, argparse.ArgumentTypeError):  # repr fails on a huge int too
+            pass
+    choices = f" in {list(opt.choices)}" if opt.choices else ""
+    raise ConfigError(f"config key {key!r} takes {takes}{choices}, got {json.dumps(value)}")
+
+
+def _load_config_file(path, command: str) -> dict:
+    """The values a config file gives `command`. The file is flat, or
+    sectioned when a top-level key names a subcommand: then it gives only the
+    running subcommand's section, or nothing when that is absent."""
     try:
         with open(path, "r") as f:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if isinstance(raw, dict) and set(raw) & set(COMMANDS):
+        stray = sorted(set(raw) - set(COMMANDS))
+        if stray:
+            raise ConfigError(f"config file {path} mixes subcommand sections with keys {stray}")
+        raw = raw.get(command, {})
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    if section in raw and isinstance(raw[section], dict):
-        return raw[section]
+        raise ConfigError(f"config file {path} must hold a JSON object, or one per subcommand")
     return raw
 
 
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    cfg = dict(defaults)
+def _resolve(args: argparse.Namespace) -> dict:
+    spec = COMMANDS[args.command]
+    cfg = {key: spec.defaults.get(key, OPTIONS[key].default) for key in ("out", *spec.keys)}
     if args.config is not None:
         file_cfg = _load_config_file(args.config, args.command)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ConfigError(f"unknown config keys for {args.command}: {unknown}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+        cfg.update((key, _file_value(key, value)) for key, value in file_cfg.items())
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     print("resolved config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
     return cfg
 
@@ -64,38 +124,7 @@ def _require_out(cfg: dict) -> str:
     return cfg["out"]
 
 
-def _csv_floats(s: str) -> list:
-    return [float(x) for x in s.split(",")]
-
-
-def _opt_int(s: str):
-    return None if s.lower() in ("none", "null") else int(s)
-
-
-def _parse_range(value):
-    """'minmax', 'lo,hi', or a two-element list from a config file."""
-    if isinstance(value, str):
-        if value == "minmax":
-            return "minmax"
-        parts = value.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"range must be 'minmax' or 'lo,hi', got {value!r}")
-        return (float(parts[0]), float(parts[1]))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
-    raise ConfigError(f"range must be 'minmax' or a (lo, hi) pair, got {value!r}")
-
-
-SYNTH_DEFAULTS = {
-    "out": None, "seed": 0, "class_count": 2, "extent": 32, "per_class": 50,
-    "noise_scale": [0.1, 0.4], "spatial_frequency": [0.0, 6.0],
-    "blob_density": [0.5, 0.1], "null_generator": False,
-}
-
-
-def cmd_synth(args) -> dict:
-    cfg = _resolve(SYNTH_DEFAULTS, args)
-    out = _require_out(cfg)
+def cmd_synth(cfg: dict, out: str) -> dict:
     spec = data_io.SyntheticSpec(
         class_count=cfg["class_count"], extent=cfg["extent"],
         per_class=cfg["per_class"], seed=cfg["seed"],
@@ -109,13 +138,6 @@ def cmd_synth(args) -> dict:
             "images": len(dataset.images),
             "classes": list(dataset.class_names),
             "manifest": os.path.join(out, "manifest.csv")}
-
-
-TRAIN_DEFAULTS = {
-    "out": None, "data": None, "arch": "desk2d", "variant": "pool-reduces",
-    "net_seed": 0, "learning_rate": 0.05, "epochs": 15, "batch_size": 10,
-    "seed": 0, "shuffle": True,
-}
 
 
 def _epoch_reporter():
@@ -133,9 +155,7 @@ def _epoch_reporter():
     return report
 
 
-def cmd_train(args) -> dict:
-    cfg = _resolve(TRAIN_DEFAULTS, args)
-    out = _require_out(cfg)
+def cmd_train(cfg: dict, out: str) -> dict:
     if not cfg["data"]:
         raise ConfigError("a dataset is required (--data)")
     dataset = data_io.load_dataset(cfg["data"])
@@ -145,12 +165,10 @@ def cmd_train(args) -> dict:
         if len(shape) != 3 or shape[0] != 1 or shape[1] != shape[2]:
             raise ConfigError(f"desk2d expects (1, e, e) images, got {shape}")
         network = net.build_desk_2d(shape[1], classes, seed=cfg["net_seed"])
-    elif cfg["arch"] == "reference3d":
+    else:  # reference3d: the parser and the config check allow no other arch
         network = net.build_reference_3d(cfg["variant"], seed=cfg["net_seed"])
         if shape != network.input_shape:
             raise ConfigError(f"reference3d expects {network.input_shape} images, got {shape}")
-    else:
-        raise ConfigError(f"arch must be desk2d or reference3d, got {cfg['arch']!r}")
     train_cfg = net.TrainConfig(cfg["learning_rate"], cfg["epochs"],
                                 cfg["batch_size"], cfg["seed"], cfg["shuffle"])
     clock = time.perf_counter
@@ -171,20 +189,10 @@ def cmd_train(args) -> dict:
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
 
 
-EXTRACT_DEFAULTS = {
-    "out": None, "checkpoint": None, "data": None, "dump": None,
-    "mode": "per-filter", "bins": 256, "range": "minmax",
-    "pre_relu": False, "dump_out": None,
-}
-
-
-def cmd_extract(args) -> dict:
+def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
     at a time (each chunk's activations also feed --dump-out), or from an
     activation dump in chunks of the same bound."""
-    cfg = _resolve(EXTRACT_DEFAULTS, args)
-    out = _require_out(cfg)
-    rng_mode = _parse_range(cfg["range"])
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
         raise ConfigError("provide either --dump or both --checkpoint and --data")
@@ -220,7 +228,7 @@ def cmd_extract(args) -> dict:
         acts = activations(lo)
         forward_done = clock()
         read_shapes = [a.shape[1:] for a in acts]
-        blocks.append(infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], rng_mode,
+        blocks.append(infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], cfg["range"],
                                            ids[lo:lo + chunk]))
         cent_done = clock()
         if dump_writer:
@@ -246,15 +254,6 @@ def cmd_extract(args) -> dict:
                          "histogram_rows": len(ids) * sum(
                              s["histograms_per_image"] for s in sizes)},
             "timings": {f"{k}_s": round(v, 6) for k, v in seconds.items()}}
-
-
-EVALUATE_DEFAULTS = {
-    "out": None, "features": None, "tree_count": 100, "mtry": None,
-    "max_depth": None, "min_leaf": 1, "seed": 0, "bootstrap": True,
-    "criterion": "gini", "k": 5, "fold_seed": 0, "stratified": True,
-}
-
-PERMUTE_DEFAULTS = dict(EVALUATE_DEFAULTS, perm_seed=None)
 
 
 def _forest_config(cfg: dict) -> forest.ForestConfig:
@@ -289,33 +288,21 @@ def _write_eval_outputs(out: str, metrics, permutation_seed=None) -> dict:
     return files
 
 
-def cmd_evaluate(args) -> dict:
+def cmd_evaluate(cfg: dict, out: str) -> dict:
     """evaluate, and permute: the same cross-validation after a seeded label
     shuffle (perm_seed None, evaluate's case, is the identity)."""
-    permute = args.command == "permute"
-    cfg = _resolve(PERMUTE_DEFAULTS if permute else EVALUATE_DEFAULTS, args)
-    out = _require_out(cfg)
+    permute = "perm_seed" in cfg
     _, labels, matrix = _load_binary_features(cfg)
     perm_seed = cfg.get("perm_seed")
     metrics = evaluation.permutation_baseline(
         matrix, labels, _forest_config(cfg), k=cfg["k"], fold_seed=cfg["fold_seed"],
         stratified=cfg["stratified"], perm_seed=perm_seed)
-    summary = {"command": args.command, "config": cfg,
+    summary = {"command": "permute" if permute else "evaluate", "config": cfg,
                "files": _write_eval_outputs(out, metrics, permutation_seed=perm_seed),
                "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc}
     if permute:
         summary["perm_seed"] = perm_seed
     return summary
-
-
-THEORY_DEFAULTS = {
-    "out": None, "checkpoint": None, "data": None, "bins": 256,
-    "chain_n": 100000, "noise_levels": 12, "quantizer_levels": 4,
-    "chain_classes": 2, "chain_seed": 0, "slack": 0.02,
-    "seed": 0, "extent": 32, "per_class": 30, "epochs": 6,
-    "learning_rate": 0.05, "batch_size": 10,
-    "partition_layer": 0, "partition_filter": None,
-}
 
 
 def _theory_network_and_data(cfg: dict):
@@ -335,9 +322,7 @@ def _theory_network_and_data(cfg: dict):
     return network, dataset
 
 
-def cmd_theory(args) -> dict:
-    cfg = _resolve(THEORY_DEFAULTS, args)
-    out = _require_out(cfg)
+def cmd_theory(cfg: dict, out: str) -> dict:
     network, dataset = _theory_network_and_data(cfg)
 
     # FilterSelector layers index the CENT read points
@@ -408,6 +393,91 @@ def cmd_theory(args) -> dict:
     return result
 
 
+class Option(NamedTuple):
+    kind: Callable  # the flag's parser; bool gives an --x/--no-x pair
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+OPTIONS = {
+    "out": Option(str, None, "output directory"),
+    "seed": Option(int, 0, "primary seed for this subcommand"),
+    "class_count": Option(int, 2, "number of classes"),
+    "extent": Option(int, 32, "image side in pixels"),
+    "per_class": Option(int, 50, "images per class"),
+    "noise_scale": Option(_floats, [0.1, 0.4], "noise scale per class, 'a,b'"),
+    "spatial_frequency": Option(_floats, [0.0, 6.0], "spatial frequency per class, 'a,b'"),
+    "blob_density": Option(_floats, [0.5, 0.1], "blob density per class, 'a,b'"),
+    "null_generator": Option(bool, False, "give every class the same generator"),
+    "data": Option(str, None, "dataset directory or manifest.csv"),
+    "arch": Option(str, "desk2d", "network architecture", ("desk2d", "reference3d")),
+    "variant": Option(str, "pool-reduces", "reference3d variant", net.REFERENCE_VARIANTS),
+    "net_seed": Option(int, 0, "seed of the initial weights"),
+    "learning_rate": Option(float, 0.05, "SGD learning rate"),
+    "epochs": Option(int, 15, "training epochs"),
+    "batch_size": Option(int, 10, "mini-batch size"),
+    "shuffle": Option(bool, True, "shuffle the training set every epoch"),
+    "checkpoint": Option(str, None, "checkpoint file from train"),
+    "dump": Option(str, None, "activation-dump directory (alternative source)"),
+    "mode": Option(str, "per-filter", "entropy per filter or layer", ("per-filter", "per-layer")),
+    "bins": Option(int, 256, "histogram bins"),
+    "range": Option(_range, "minmax", "histogram range: 'minmax' or 'lo,hi'"),
+    "pre_relu": Option(bool, False, "read activations before the ReLU"),
+    "dump_out": Option(str, None, "also export the activation dump here"),
+    "features": Option(str, None, "features CSV from extract"),
+    "tree_count": Option(int, 100, "trees per forest"),
+    "mtry": Option(_opt_int, None, "features tried per split (none: floor(sqrt(features)))"),
+    "max_depth": Option(_opt_int, None, "tree depth limit (none: unlimited)"),
+    "min_leaf": Option(int, 1, "fewest samples in a leaf"),
+    "bootstrap": Option(bool, True, "grow each tree on a bootstrap resample"),
+    "criterion": Option(str, "gini", "split criterion", forest.CRITERIA),
+    "k": Option(int, 5, "cross-validation folds"),
+    "fold_seed": Option(int, 0, "seed of the fold assignment"),
+    "stratified": Option(bool, True, "keep the class proportions in every fold"),
+    "perm_seed": Option(_opt_int, None, "seed of the label shuffle (none: no shuffle)"),
+    "chain_n": Option(int, 100000, "Markov-chain samples of the DPI check"),
+    "noise_levels": Option(int, 12, "noise levels of the chain's x"),
+    "quantizer_levels": Option(_opt_int, 4, "quantizer levels of the chain's y (none: identity)"),
+    "chain_classes": Option(int, 2, "classes of the chain"),
+    "chain_seed": Option(int, 0, "seed of the chain"),
+    "slack": Option(float, 0.02, "DPI tolerance in bits"),
+    "partition_layer": Option(int, 0, "read point of the partition check"),
+    "partition_filter": Option(_opt_int, None, "partition-check filter (none: widest gap)"),
+}
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    keys: tuple  # its config keys after out, in flag order
+    defaults: dict = {}  # where its default differs from the one in OPTIONS
+
+
+_FOREST = ("seed", "features", "tree_count", "mtry", "max_depth", "min_leaf", "bootstrap",
+           "criterion", "k", "fold_seed", "stratified")
+
+# every subcommand takes --out and --seed; extract's config has no seed, so
+# there the flag is parsed and unused
+COMMANDS = {
+    "synth": Command("generate a synthetic labeled dataset", cmd_synth, (
+        "seed", "class_count", "extent", "per_class", "noise_scale", "spatial_frequency",
+        "blob_density", "null_generator")),
+    "train": Command("train a network on a dataset directory", cmd_train, (
+        "seed", "data", "arch", "variant", "net_seed", "learning_rate", "epochs",
+        "batch_size", "shuffle")),
+    "extract": Command("extract CENT features to CSV", cmd_extract, (
+        "checkpoint", "data", "dump", "mode", "bins", "range", "pre_relu", "dump_out")),
+    "evaluate": Command("cross-validated forest AUC on features", cmd_evaluate, _FOREST),
+    "permute": Command("label-permutation null control", cmd_evaluate, (*_FOREST, "perm_seed")),
+    "theory": Command("run the information-theoretic checks", cmd_theory, (
+        "seed", "checkpoint", "data", "bins", "chain_n", "noise_levels", "quantizer_levels",
+        "chain_classes", "chain_seed", "slack", "extent", "per_class", "epochs",
+        "learning_rate", "batch_size", "partition_layer", "partition_filter"),
+        {"per_class": 30, "epochs": 6}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centpipe",
@@ -415,101 +485,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classify with a random forest, and check the underlying "
                     "information-theoretic claims.")
     sub = parser.add_subparsers(dest="command", required=True)
-    boolopt = argparse.BooleanOptionalAction
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flat or per-subcommand sections)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="primary seed for this subcommand")
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    common(p)
-    p.add_argument("--class-count", dest="class_count", type=int)
-    p.add_argument("--extent", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--noise-scale", dest="noise_scale", type=_csv_floats)
-    p.add_argument("--spatial-frequency", dest="spatial_frequency", type=_csv_floats)
-    p.add_argument("--blob-density", dest="blob_density", type=_csv_floats)
-    p.add_argument("--null-generator", dest="null_generator", action=boolopt, default=None)
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("train", help="train a network on a dataset directory")
-    common(p)
-    p.add_argument("--data", help="dataset directory or manifest.csv")
-    p.add_argument("--arch", choices=["desk2d", "reference3d"])
-    p.add_argument("--variant", choices=list(net.REFERENCE_VARIANTS))
-    p.add_argument("--net-seed", dest="net_seed", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--shuffle", action=boolopt, default=None)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("extract", help="extract CENT features to CSV")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data", help="dataset directory or manifest.csv")
-    p.add_argument("--dump", help="activation-dump directory (alternative source)")
-    p.add_argument("--mode", choices=["per-filter", "per-layer"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--range", help="'minmax' or 'lo,hi'")
-    p.add_argument("--pre-relu", dest="pre_relu", action=boolopt, default=None)
-    p.add_argument("--dump-out", dest="dump_out",
-                   help="also export the activation dump here")
-    p.set_defaults(handler=cmd_extract)
-
-    def eval_flags(p):
-        common(p)
-        p.add_argument("--features", help="features CSV from extract")
-        p.add_argument("--tree-count", dest="tree_count", type=int)
-        p.add_argument("--mtry", type=_opt_int)
-        p.add_argument("--max-depth", dest="max_depth", type=_opt_int)
-        p.add_argument("--min-leaf", dest="min_leaf", type=int)
-        p.add_argument("--bootstrap", action=boolopt, default=None)
-        p.add_argument("--criterion", choices=list(forest.CRITERIA))
-        p.add_argument("--k", type=int)
-        p.add_argument("--fold-seed", dest="fold_seed", type=int)
-        p.add_argument("--stratified", action=boolopt, default=None)
-
-    p = sub.add_parser("evaluate", help="cross-validated forest AUC on features")
-    eval_flags(p)
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("permute", help="label-permutation null control")
-    eval_flags(p)
-    p.add_argument("--perm-seed", dest="perm_seed", type=_opt_int)
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("theory", help="run the information-theoretic checks")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data", help="dataset directory or manifest.csv")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--chain-n", dest="chain_n", type=int)
-    p.add_argument("--noise-levels", dest="noise_levels", type=int)
-    p.add_argument("--quantizer-levels", dest="quantizer_levels", type=_opt_int)
-    p.add_argument("--chain-classes", dest="chain_classes", type=int)
-    p.add_argument("--chain-seed", dest="chain_seed", type=int)
-    p.add_argument("--slack", type=float)
-    p.add_argument("--extent", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--partition-layer", dest="partition_layer", type=int)
-    p.add_argument("--partition-filter", dest="partition_filter", type=_opt_int)
-    p.set_defaults(handler=cmd_theory)
+    for name, command in COMMANDS.items():
+        # a flag not given sets no attribute, so it cannot mask a config-file value
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None,
+                       help="JSON config file (flat or per-subcommand sections)")
+        for key in dict.fromkeys(("out", "seed", *command.keys)):
+            opt = OPTIONS[key]
+            kind = ({"action": argparse.BooleanOptionalAction} if opt.kind is bool
+                    else {"type": opt.kind, "choices": opt.choices})
+            p.add_argument("--" + key.replace("_", "-"), **kind, help=opt.help)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        summary = args.handler(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, KeyError) as e:
+        cfg = _resolve(args)
+        summary = args.handler(cfg, _require_out(cfg))
+    except (ConfigError, ValueError, FileNotFoundError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - boundary between library and shell

@@ -137,15 +137,6 @@ class LabelSpace:
             raise ValueError("priors must be nonnegative and sum to 1 within 1e-9")
         object.__setattr__(self, "priors", p)
 
-    @classmethod
-    def from_labels(cls, labels, class_count: int | None = None) -> "LabelSpace":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("labels must be nonempty")
-        m = int(labels.max()) + 1 if class_count is None else class_count
-        counts = np.bincount(labels, minlength=m)
-        return cls(m, counts / labels.size)
-
 
 def conditional_entropy(per_class_samples: dict, labels: LabelSpace,
                         bin_count: int = 256, range_mode="minmax") -> float:

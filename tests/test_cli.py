@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net
 
@@ -17,6 +19,9 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+PARSER = cli._build_parser()
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +576,125 @@ def test_flag_overrides_config_file(tmp_path):
     summary = json.loads(out)
     assert summary["images"] == 6
     assert summary["config"]["per_class"] == 3
+
+
+def test_flag_none_overrides_config_file(leak_features, tmp_path):
+    """A flag given as 'none' still wins over the file: flags not given set
+    nothing, so None is a value like any other."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mtry": 1}))
+    code, out, err = run_cli(["evaluate", "--out", str(tmp_path / "e"), "--features",
+                              leak_features, "--tree-count", "3", "--config", str(cfg),
+                              "--mtry", "none"])
+    assert code == 0, err
+    assert json.loads(out)["config"]["mtry"] is None
+    args = PARSER.parse_args(["theory", "--quantizer-levels", "none"])
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli._resolve(args)["quantizer_levels"] is None  # its default is 4
+
+
+def test_sectioned_config_without_the_running_section_gives_nothing(leak_features, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"per_class": 4}, "evaluate": {"tree_count": 3}}))
+    code, out, err = run_cli(["permute", "--out", str(tmp_path / "p"), "--features",
+                              leak_features, "--tree-count", "4", "--config", str(cfg)])
+    assert code == 0, err
+    assert json.loads(out)["config"]["tree_count"] == 4
+
+
+def test_sectioned_config_with_stray_top_level_keys_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"per_class": 4}, "extent": 8}))
+    code, _, err = run_cli(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+    assert code == 2
+    assert "['extent']" in err
+
+
+@pytest.mark.parametrize("command,values,expected", [
+    ("train", {"epochs": "3"}, 3),  # a string reads as the flag's text
+    ("synth", {"per_class": 2.5}, None),
+    ("extract", {"bins": 3.0}, None),
+    ("synth", {"null_generator": "no"}, None),
+    ("synth", {"seed": True}, None),  # a bool is not an int
+    ("synth", {"noise_scale": "0.1,0.4"}, [0.1, 0.4]),
+])
+def test_config_file_values_are_typed(pipeline, tmp_path, command, values, expected):
+    """None expected: the value is refused by name with exit 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: values}))
+    extra = {"train": ["--data", pipeline["data"]],
+             "synth": ["--per-class", "1", "--extent", "8"]}.get(command, [])
+    code, out, err = run_cli([command, "--out", str(tmp_path / "o"), "--config", str(cfg),
+                              *extra])
+    [key] = values
+    if expected is None:
+        assert code == 2 and f"config key {key!r}" in err
+    else:
+        assert code == 0, err
+        assert json.loads(out)["config"][key] == expected
+
+
+OPTION_KEYS = [(name, key) for name, command in cli.COMMANDS.items()
+               for key in ("out", *command.keys)]
+REJECTED = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["3", "-2", "2.5", "none", "Null", "0.1,0.4", "1,2,3", "minmax", "0,1",
+                       "per-pixel", *(c for o in cli.OPTIONS.values() for c in o.choices or ())]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=2),
+    max_leaves=4)
+
+
+def _flag_value(command, key, value):
+    """What the flag gives for the text a JSON value stands for: a string is
+    the text, null is 'none', numbers and lists of numbers are written out;
+    true/false are --x/--no-x and stand for nothing else."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    flag = "--" + key.replace("_", "-")
+    try:
+        if cli.OPTIONS[key].kind is bool:
+            if not isinstance(value, bool):
+                return REJECTED
+            argv = [flag if value else "--no-" + flag[2:]]
+        elif isinstance(value, str):
+            argv = [f"{flag}={value}"]
+        elif value is None:
+            argv = [f"{flag}=none"]
+        elif number(value):
+            argv = [f"{flag}={value!r}"]
+        elif isinstance(value, list) and all(map(number, value)):
+            argv = [f"{flag}={','.join(map(repr, value))}"]
+        else:
+            return REJECTED
+        with contextlib.redirect_stderr(io.StringIO()):
+            return getattr(PARSER.parse_args([command, *argv]), key)
+    except (SystemExit, ValueError):  # ValueError: an int too long to print
+        return REJECTED
+
+
+@settings(max_examples=400, deadline=None)
+@given(option=st.sampled_from(OPTION_KEYS), value=JSON_VALUES)
+@example(("extract", "mode"), "per-pixel")
+@example(("synth", "seed"), True)
+@example(("theory", "quantizer_levels"), None)
+@example(("extract", "range"), "0,1,2")
+@example(("synth", "noise_scale"), [0.1, "0.4"])
+def test_config_file_value_reads_as_its_flag(option, value):
+    """A config-file value is what its flag gives for the same text, or a
+    ConfigError naming the key (exit 2); never another exception. So every
+    value the flag refuses, the file refuses by name."""
+    command, key = option
+    flagged = _flag_value(command, key, value)
+    try:
+        got = cli._file_value(key, value)
+    except cli.ConfigError as e:
+        assert repr(key) in str(e)
+        return
+    assert flagged is not REJECTED
+    assert repr(got) == repr(flagged)  # repr: nan equals nan, 3 differs from 3.0
 
 
 def test_config_file_missing_exits_2(tmp_path):

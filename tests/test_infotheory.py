@@ -112,14 +112,6 @@ def test_label_space_contract():
         LabelSpace(2, np.array([-0.5, 1.5]))
 
 
-def test_label_space_from_labels():
-    space = LabelSpace.from_labels([0, 0, 0, 1])
-    assert space.class_count == 2
-    assert np.allclose(space.priors, [0.75, 0.25])
-    with pytest.raises(ValueError):
-        LabelSpace.from_labels([])
-
-
 # --- conditional entropy ---
 
 def test_conditional_entropy_separated_constants():
