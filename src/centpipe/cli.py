@@ -294,12 +294,18 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
     permute = "perm_seed" in cfg
     _, labels, matrix = _load_binary_features(cfg)
     perm_seed = cfg.get("perm_seed")
+    clock = time.perf_counter
+    start = clock()
     metrics = evaluation.permutation_baseline(
         matrix, labels, _forest_config(cfg), k=cfg["k"], fold_seed=cfg["fold_seed"],
         stratified=cfg["stratified"], perm_seed=perm_seed)
-    summary = {"command": "permute" if permute else "evaluate", "config": cfg,
-               "files": _write_eval_outputs(out, metrics, permutation_seed=perm_seed),
-               "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc}
+    validated = clock()
+    files = _write_eval_outputs(out, metrics, permutation_seed=perm_seed)
+    summary = {"command": "permute" if permute else "evaluate", "config": cfg, "files": files,
+               "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc,
+               "counters": metrics.counters,
+               "timings": {"cross_validate_s": round(validated - start, 6),
+                           "write_s": round(clock() - validated, 6)}}
     if permute:
         summary["perm_seed"] = perm_seed
     return summary
@@ -457,8 +463,6 @@ class Command(NamedTuple):
 _FOREST = ("seed", "features", "tree_count", "mtry", "max_depth", "min_leaf", "bootstrap",
            "criterion", "k", "fold_seed", "stratified")
 
-# every subcommand takes --out and --seed; extract's config has no seed, so
-# there the flag is parsed and unused
 COMMANDS = {
     "synth": Command("generate a synthetic labeled dataset", cmd_synth, (
         "seed", "class_count", "extent", "per_class", "noise_scale", "spatial_frequency",
@@ -490,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", default=None,
                        help="JSON config file (flat or per-subcommand sections)")
-        for key in dict.fromkeys(("out", "seed", *command.keys)):
+        for key in ("out", *command.keys):
             opt = OPTIONS[key]
             kind = ({"action": argparse.BooleanOptionalAction} if opt.kind is bool
                     else {"type": opt.kind, "choices": opt.choices})

@@ -10,7 +10,7 @@ so the null experiment re-stratifies on the shuffled labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,6 +143,7 @@ class Metrics:
     mean_auc: float
     fold_scores: tuple  # positive-class scores per fold, for audit
     fold_labels: tuple  # the labels those scores were ranked against
+    counters: dict = field(default_factory=dict)  # trees, nodes, rows predicted
 
     def __post_init__(self):
         if any(not 0.0 <= a <= 1.0 for a in self.per_fold_auc):
@@ -166,8 +167,11 @@ def cross_validate(features, labels, config: ForestConfig, plan: FoldPlan) -> Me
         fold_auc.append(auc(scores, y[test_idx]))
         fold_scores.append(scores)
         fold_labels.append(y[test_idx])
+    counters = {"trees_grown": len(model.trees),
+                "tree_nodes": sum(len(tree.feature) for tree in model.trees),
+                "rows_predicted": sum(len(test_idx) for test_idx in plan.test_folds)}
     return Metrics(tuple(fold_auc), float(np.mean(fold_auc)),
-                   tuple(fold_scores), tuple(fold_labels))
+                   tuple(fold_scores), tuple(fold_labels), counters)
 
 
 def permute_labels(labels, perm_seed: int | None) -> np.ndarray:

@@ -7,6 +7,13 @@ threshold. Every tree draws from np.random.default_rng([seed, tree_index]),
 so fits are bit-for-bit reproducible and schedule-independent. One fit grows
 the forests of several training row sets (a cross-validation's folds)
 together; each is bit for bit the forest that fitting its set alone gives.
+
+A node's candidates are those Generator.choice(p, size=mtry, replace=False)
+would draw from its tree's generator after the bootstrap. The grower draws
+every open node's at once from each tree's uint32 stream, with the steps the
+installed numpy's choice takes: Floyd's sampling by Lemire bounded draws,
+then the words its shuffle consumes. The test suite's reference grower calls
+choice itself, so it guards this equivalence.
 """
 
 from __future__ import annotations
@@ -77,13 +84,27 @@ class ForestModel:
                            self.config, self.mtry, (counts[i],))
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the classes (rows) of class-major values, bit for bit numpy's
+    axis-1 sum of the node-major transpose: below 8 classes that sum adds in
+    order, as row adds do; from 8 on it adds pairwise, so the contiguous
+    transpose is summed instead."""
+    if len(a) >= 8:
+        return np.ascontiguousarray(a.T).sum(axis=1)
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
-    p = counts / sizes[:, None]
+    """Impurity of each column of class-major counts (class_count, n)."""
+    p = counts / sizes
     if criterion == "gini":
-        return 1.0 - np.multiply(p, p, out=p).sum(axis=1)
+        return 1.0 - _class_sum(np.multiply(p, p, out=p))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=1)
+    return -_class_sum(terms)
 
 
 def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -93,7 +114,7 @@ def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     differently from 8 classes on).
     """
     if criterion == "gini":
-        return _row_impurity(counts, counts.sum(axis=1), criterion)
+        return _row_impurity(counts.T, counts.sum(axis=1), criterion)
     return row_entropy(counts)
 
 
@@ -101,6 +122,17 @@ def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
 # candidate, row) elements, plus one node, so its working arrays stay well
 # under a MB however many trees grow at once.
 _PASS_ELEMENTS = 8192
+
+
+def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(key, kind="stable") of nonnegative int64 keys below
+    `bound`. With its position in the low bits every key is unique, and numpy
+    sorts plain integers several times faster than it argsorts them stably;
+    keys too wide to share 63 bits with their position take the argsort."""
+    bits = len(key).bit_length()
+    if bound.bit_length() + bits > 63:
+        return np.argsort(key, kind="stable")
+    return np.sort((key << bits) | np.arange(len(key))) & ((1 << bits) - 1)
 
 
 def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class_count,
@@ -120,25 +152,26 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
     seg_start = np.cumsum(seg_len) - seg_len
     total = int(seg_len.sum())
     seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    pos = np.arange(total) - seg_start[seg]  # position within segment
-    r = rows[np.repeat(offsets, mtry)[seg] + pos]
-    feature = candidates.ravel()[seg]
-    order = np.argsort(seg * len(rank) + rank[r, feature], kind="stable")
-    sv = X[r, feature][order]
-    onehot = np.zeros((total, class_count))
-    onehot[np.arange(total), y[r[order]]] = 1.0
-    del r, feature, order
-    # Class counts up to and after each position of its segment. They are
-    # exact integers, so the in-place forms give the bytes any order would;
+    pos = np.arange(total) - np.repeat(seg_start, seg_len)  # position within segment
+    r = rows[np.repeat(np.repeat(offsets, mtry), seg_len) + pos]
+    # flat index of each (row, candidate) value into X and rank alike
+    flat = r.astype(np.int64) * X.shape[1] + np.repeat(candidates.ravel(), seg_len)
+    order = _stable_argsort(seg * len(rank) + rank.ravel()[flat], len(seg_len) * len(rank))
+    sv = X.ravel()[flat[order]]
+    # Class-major (class, position) running counts over the whole pass, so
+    # that the class sums of the impurities are row adds. They are exact
+    # integers, so the in-place forms give the bytes any order would;
     # temporaries are freed as soon as they are spent.
-    left_counts = np.cumsum(onehot, axis=0)  # running counts over the whole pass
-    before = left_counts[seg_start] - onehot[seg_start]
-    del onehot
-    right_counts = left_counts[(seg_start + seg_len - 1)[seg]]
+    left_counts = np.cumsum(y[r[order]] == np.arange(class_count)[:, None], axis=1,
+                            dtype=np.float64)
+    del r, flat, order
+    at_end = left_counts[:, seg_start + seg_len - 1]  # through each segment's last position
+    right_counts = at_end.repeat(seg_len, axis=1)
     right_counts -= left_counts
-    left_counts -= before[seg]
+    before = np.hstack([np.zeros((class_count, 1)), at_end[:, :-1]])  # ahead of each segment
+    left_counts -= before.repeat(seg_len, axis=1)
 
-    n = seg_len[seg].astype(np.float64)
+    n = np.repeat(seg_len, seg_len).astype(np.float64)
     n_left = pos + 1.0
     n_right = n - n_left
     nxt = np.append(sv[1:], sv[-1])  # a segment's last position is invalid anyway
@@ -158,6 +191,102 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
     hits = np.flatnonzero(decrease == np.repeat(best, mtry * sizes))
     first = hits[np.searchsorted(hits, node_start)]
     return best, candidates.ravel()[seg[first]], thr[first], pos[first] + 1
+
+
+def _choice(next_uint32, p: int, m: int) -> list:
+    """Sorted Generator.choice(p, size=m, replace=False) over a uint32 stream,
+    one word at a time: the scalar path for draws the vectorised one cannot
+    take (a Lemire rejection, or choice's tail shuffle for large p)."""
+    def bounded(j):  # Lemire's draw of an integer in [0, j]
+        while True:
+            prod = next_uint32() * (j + 1)
+            if (prod & 0xFFFFFFFF) >= (0xFFFFFFFF - j) % (j + 1):
+                return prod >> 32
+
+    if p > 10000 and m > p // 50:
+        idx = {}
+        for i in range(p - 1, max(p - m, 1) - 1, -1):
+            j = bounded(i)
+            idx[i], idx[j] = idx.get(j, j), idx.get(i, i)
+        return sorted(idx.get(i, i) for i in range(p - m, p))
+    taken = []
+    for j in range(p - m, p):  # Floyd's algorithm; j = 0 draws nothing
+        v = bounded(j) if j else 0
+        taken.append(j if v in taken else v)
+    for i in range(m - 1, 0, -1):  # the shuffle that follows; its order is not kept
+        bounded(i)
+    return sorted(taken)
+
+
+class _Draws:
+    """Each tree's candidate features, drawn from what is left of its
+    generator's stream after the bootstrap, exactly as
+    Generator.choice(p, size=m, replace=False) would draw them there.
+
+    That stream is the state's buffered uint32, if one is set, then the low
+    and the high half of each 64-bit output. Each tree holds its unread part
+    in its own row of `block`, refilled when a draw would run past `fill`.
+    Every node's draw takes the same words as long as no Lemire draw rejects
+    (odds about 1e-8 per word at small p), so all open nodes of a pass draw
+    together; a node with a rejection takes the scalar path from its start.
+    """
+
+    def __init__(self, bitgens, p: int, m: int):
+        self.bitgens, self.p, self.m = bitgens, p, m
+        self.tail = p > 10000 and m > p // 50  # choice shuffles an arange there
+        floyd = np.arange(max(p - m, 1), p, dtype=np.uint64)
+        self.bounds = np.concatenate([floyd, np.arange(m - 1, 0, -1, dtype=np.uint64)])
+        self.threshold = (0xFFFFFFFF - self.bounds) % (self.bounds + 1)
+        width = 128 if self.tail else max(128, len(self.bounds) + 2)
+        self.block = np.zeros((len(bitgens), width), dtype=np.uint32)
+        self.fill = np.zeros(len(bitgens), dtype=np.int64)
+        self.cursor = np.zeros(len(bitgens), dtype=np.int64)
+        for t, bitgen in enumerate(bitgens):
+            state = bitgen.state
+            if state["has_uint32"]:
+                self.block[t, 0], self.fill[t] = state["uinteger"], 1
+            self._refill(t)
+
+    def _refill(self, t: int) -> None:
+        kept = self.fill[t] - self.cursor[t]
+        self.block[t, :kept] = self.block[t, self.cursor[t]:self.fill[t]]
+        raw = self.bitgens[t].random_raw((self.block.shape[1] - kept) // 2)
+        self.fill[t], self.cursor[t] = kept + 2 * len(raw), 0
+        self.block[t, kept:self.fill[t]:2] = raw & 0xFFFFFFFF
+        self.block[t, kept + 1:self.fill[t]:2] = raw >> 32
+
+    def _next(self, t: int) -> int:
+        if self.cursor[t] == self.fill[t]:
+            self._refill(t)
+        self.cursor[t] += 1
+        return int(self.block[t, self.cursor[t] - 1])
+
+    def finish(self, t: int) -> None:
+        self.bitgens[t] = None  # the tree is finished and draws no more
+
+    def sorted_candidates(self, trees: np.ndarray) -> np.ndarray:
+        """One sorted row of m candidates per tree, each tree drawing once."""
+        p, m = self.p, self.m
+        chosen = np.zeros((len(trees), m), dtype=np.int64)
+        exact = np.zeros(len(trees), dtype=bool)
+        if not self.tail:
+            words = len(self.bounds)
+            for t in trees[self.fill[trees] - self.cursor[trees] < words]:
+                self._refill(t)
+            prod = self.block[trees[:, None], self.cursor[trees, None] + np.arange(words)]
+            prod = prod * (self.bounds + 1)
+            exact = ((prod & 0xFFFFFFFF) >= self.threshold).all(axis=1)
+            value = (prod >> 32).astype(np.int64)
+            first = int(p == m)  # j = 0 draws nothing and takes 0
+            for i in range(first, m):
+                v = value[:, i - first]
+                taken = (chosen[:, :i] == v[:, None]).any(axis=1)
+                chosen[:, i] = np.where(taken, p - m + i, v)
+            self.cursor[trees[exact]] += words
+        for i in np.flatnonzero(~exact):
+            chosen[i] = _choice(lambda t=trees[i]: self._next(t), p, m)
+        chosen.sort(axis=1)
+        return chosen
 
 
 class _Grower:
@@ -186,14 +315,15 @@ class _Grower:
         small = np.min_scalar_type
         width = 2 * int(lengths.max())
         self.samples = np.empty(ends[-1], dtype=small(len(y)))
-        self.rngs = []
+        bitgens = []
         for rows in sets:
             for t in range(config.tree_count):
                 rng = np.random.default_rng([config.seed, t])
-                end = ends[len(self.rngs)]
+                end = ends[len(bitgens)]
                 self.samples[end - len(rows):end] = (
                     rows[rng.integers(0, len(rows), len(rows))] if config.bootstrap else rows)
-                self.rngs.append(rng)
+                bitgens.append(rng.bit_generator)
+        self.draws = _Draws(bitgens, X.shape[1], mtry)
         self.start = ends - lengths  # tree t's block of samples starts here
         self.stack = np.zeros((len(lengths), 16, 4), dtype=small(width))  # (id, lo, hi, depth)
         self.stack[:, 0, 2] = lengths  # lo and hi count from the tree's start
@@ -226,7 +356,7 @@ class _Grower:
                 self._visit({name: array[a:b] for name, array in step.items()},
                             trees[a:b], lo[a:b], hi[a:b], depth[a:b])
             for t in trees[self.height[trees] == 0]:
-                self.rngs[t] = None  # the tree is finished and draws no more
+                self.draws.finish(t)
 
     def _visit(self, rec, trees, lo, hi, depth):
         """Count, score and split one pass of popped nodes, filling their rows
@@ -248,10 +378,7 @@ class _Grower:
         open_ = np.flatnonzero(open_)
         if len(open_) == 0:
             return
-        candidates = np.empty((len(open_), self.mtry), dtype=np.int64)
-        for j, t in enumerate(trees[open_]):
-            candidates[j] = self.rngs[t].choice(X.shape[1], size=self.mtry, replace=False)
-        candidates.sort(axis=1)
+        candidates = self.draws.sorted_candidates(trees[open_])
         parent_imp = _node_impurity(counts[open_].astype(np.float64), config.criterion)
         decrease, feature, threshold, n_left = _best_splits(
             X, self.rank, y, rows, offsets[open_], sizes[open_], candidates, parent_imp,

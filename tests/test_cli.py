@@ -389,6 +389,31 @@ def test_non_finite_feature_exits_1_naming_the_file_row(tmp_path, command):
     assert not (tmp_path / "e" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "permute"])
+def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, command):
+    out_dir = tmp_path / "e"
+    code, out, err = run_cli([command, "--out", str(out_dir), "--features", leak_features,
+                              "--tree-count", "7", "--k", "3"])
+    assert code == 0, err
+    summary = json.loads(out)
+    counters = summary["counters"]
+    assert counters["trees_grown"] == 21 and counters["rows_predicted"] == 30
+    assert counters["tree_nodes"] >= 21
+    assert set(summary["timings"]) == {"cross_validate_s", "write_s"}
+    assert all(v >= 0 for v in summary["timings"].values())
+    for path in out_dir.iterdir():  # metrics.csv and the ROC files
+        text = path.read_text()
+        assert not any(key in text for key in (*counters, *summary["timings"]))
+
+
+def test_extract_takes_no_seed(pipeline, tmp_path):
+    """extract draws nothing at random, so it has no --seed to take."""
+    with pytest.raises(SystemExit) as e:
+        run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint", pipeline["ckpt"],
+                 "--data", pipeline["data"], "--seed", "1"])
+    assert e.value.code == 2
+
+
 def test_permute_records_seed(leak_features, tmp_path):
     out_dir = str(tmp_path / "perm")
     code, out, err = run_cli(["permute", "--out", out_dir,

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from centpipe import forest
@@ -149,7 +149,7 @@ def _forest_cases(draw):
     criterion = draw(st.sampled_from(CRITERIA))
     n = draw(st.integers(4, 80))
     p = draw(st.integers(1, 8))
-    classes = draw(st.integers(2, 12 if criterion == "entropy" else 4))
+    classes = draw(st.integers(2, 12))
     levels = draw(st.sampled_from([None, 2, 3, 5]))  # few levels: many tied values
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.integers(0, classes, n)
@@ -186,7 +186,7 @@ def _fold_cases(draw):
     splits (stratified or not, so sizes may differ) and, when the labels
     allow, one more set without the top class."""
     criterion = draw(st.sampled_from(CRITERIA))
-    classes = draw(st.integers(2, 12 if criterion == "entropy" else 4))
+    classes = draw(st.integers(2, 12))
     n = draw(st.integers(12, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.integers(0, classes, n)
@@ -242,6 +242,107 @@ def test_node_impurity_equals_one_node_impurity_per_row(classes, rows, criterion
     counts = counts.astype(np.float64)
     expected = np.array([_ref_impurity(row, criterion) for row in counts])
     assert _same_bytes(forest._node_impurity(counts, criterion), expected)
+
+
+# --- candidate draws: every open node of a pass draws at once ---------------
+# fit draws the candidates of all open nodes of a pass together, from each
+# tree's stream; each row must be the sorted rng.choice(p, size=m,
+# replace=False) that the reference grower calls, across block refills and
+# Lemire rejections too.
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_vectorised_draws_match_generator_choice(p, data):
+    m = data.draw(st.integers(1, p))
+    lengths = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))  # odd and even
+    twins, bitgens = [], []
+    for t, n in enumerate(lengths):
+        rng, twin = np.random.default_rng([p, t]), np.random.default_rng([p, t])
+        rng.integers(0, n, n), twin.integers(0, n, n)  # the bootstrap draw
+        twins.append(twin)
+        bitgens.append(rng.bit_generator)
+    draws = forest._Draws(bitgens, p, m)
+    passes = np.random.default_rng(m)
+    for _ in range(300):  # past the end of every tree's first block of 128 words
+        trees = np.flatnonzero(passes.random(len(lengths)) < 0.7)
+        for row, t in zip(draws.sorted_candidates(trees), trees):
+            assert _same_bytes(row, np.sort(twins[t].choice(p, size=m, replace=False)))
+
+
+class _ZeroWords:
+    """A bit generator stand-in: `zeros` zero 64-bit words, then a seeded
+    PCG64 stream. On a zero word every Lemire draw rejects whose bound + 1
+    is not a power of two."""
+
+    def __init__(self, zeros, seed):
+        self.zeros, self.real = zeros, np.random.PCG64(seed)
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size):
+        z = min(size, self.zeros)
+        self.zeros -= z
+        return np.concatenate([np.zeros(z, np.uint64), self.real.random_raw(size - z)])
+
+
+def _uint32s(words):
+    while True:
+        w = int(words.random_raw(1)[0])
+        yield w % 2**32
+        yield w // 2**32
+
+
+def _ref_choice(stream, p, m):
+    """Sorted Generator.choice(p, size=m, replace=False), transcribed one
+    uint32 at a time from numpy's Floyd branch and the shuffle after it."""
+    def bounded(j):
+        while True:
+            prod = next(stream) * (j + 1)
+            if prod % 2**32 >= (2**32 - 1 - j) % (j + 1):
+                return prod // 2**32
+
+    picked = []
+    for j in range(p - m, p):
+        v = bounded(j) if j > 0 else 0
+        picked.append(j if v in picked else v)
+    for i in reversed(range(1, m)):
+        bounded(i)
+    return np.sort(np.array(picked, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_rejected_draws_take_the_exact_path(p, data):
+    m = data.draw(st.integers(1, p))
+    zeros, seed = data.draw(st.integers(1, 200)), data.draw(st.integers(0, 2**32 - 1))
+    draws = forest._Draws([_ZeroWords(zeros, seed)], p, m)
+    stream = _uint32s(_ZeroWords(zeros, seed))
+    tree = np.zeros(1, dtype=np.int64)
+    for _ in range(4):  # the draws after the zeros run on from the same word
+        assert _same_bytes(draws.sorted_candidates(tree)[0], _ref_choice(stream, p, m))
+
+
+def test_large_feature_count_takes_the_tail_shuffle():
+    """Above 10000 features choice shuffles the tail of an arange when m is
+    large; that path is drawn one word at a time."""
+    for p, m in [(10001, 201), (10001, 300), (10050, 10050)]:
+        rng, twin = np.random.default_rng(p), np.random.default_rng(p)
+        draws = forest._Draws([rng.bit_generator], p, m)
+        for _ in range(2):
+            assert _same_bytes(draws.sorted_candidates(np.zeros(1, dtype=np.int64))[0],
+                               np.sort(twin.choice(p, size=m, replace=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 63), st.integers(0, 300), st.booleans(), st.integers(0, 2**32 - 1))
+@example(54, 300, False, 0)  # the widest keys the sort takes: 54 + 9 bits
+@example(55, 300, False, 0)  # one bit wider: the argsort
+def test_stable_argsort_matches_numpy(bound_bits, n, ties, seed):
+    """Split scoring orders each segment by one sort of position-tagged keys,
+    or by the argsort itself when the keys are too wide to tag."""
+    rng = np.random.default_rng(seed)
+    bound = 2**bound_bits - 1
+    key = rng.integers(0, min(bound, 3) if ties else bound, n)
+    assert _same_bytes(forest._stable_argsort(key, bound), np.argsort(key, kind="stable"))
 
 
 def _two_blobs(n_per=30, seed=0, spread=0.3):
