@@ -7,7 +7,9 @@ the defaults, then the --config JSON file, then explicit flags; it is echoed
 to stderr and embedded in the JSON summary printed to stdout. Exit codes: 0
 success; 2 config or contract error (ConfigError, ValueError,
 FileNotFoundError, KeyError); 1 any other failure. Re-running a subcommand
-with the same config produces byte-identical files.
+with the same config produces byte-identical files. `theory` and `extract`
+read the trained network and the dataset from --checkpoint and --data
+(`extract` from --dump instead); nothing here trains a network but `train`.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _load_config_file(path, command: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     spec = COMMANDS[args.command]
-    cfg = {key: spec.defaults.get(key, OPTIONS[key].default) for key in ("out", *spec.keys)}
+    cfg = {key: OPTIONS[key].default for key in ("out", *spec.keys)}
     if args.config is not None:
         file_cfg = _load_config_file(args.config, args.command)
         unknown = sorted(set(file_cfg) - set(cfg))
@@ -122,6 +124,13 @@ def _require_out(cfg: dict) -> str:
         raise ConfigError("an output directory is required (--out)")
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg["out"]
+
+
+def _network_and_dataset(cfg: dict):
+    """The trained network and the dataset given by --checkpoint and --data."""
+    if not cfg["checkpoint"] or not cfg["data"]:
+        raise ConfigError("provide both --checkpoint and --data")
+    return net.load_checkpoint(cfg["checkpoint"]), data_io.load_dataset(cfg["data"])
 
 
 def cmd_synth(cfg: dict, out: str) -> dict:
@@ -209,10 +218,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         def activations(lo):
             return [np.stack(layer) for layer in zip(*dump.activations[lo:lo + chunk])]
     else:
-        if not cfg["checkpoint"] or not cfg["data"]:
-            raise ConfigError("provide either --dump or both --checkpoint and --data")
-        network = net.load_checkpoint(cfg["checkpoint"])
-        dataset = data_io.load_dataset(cfg["data"])
+        network, dataset = _network_and_dataset(cfg)
         ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names
         chunk = net._chunk_size(network)
 
@@ -311,26 +317,8 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
     return summary
 
 
-def _theory_network_and_data(cfg: dict):
-    """Use the given checkpoint/dataset, or self-train a small stack on a
-    fresh synthetic set so the theory checks always have a subject."""
-    if cfg["checkpoint"] and cfg["data"]:
-        return net.load_checkpoint(cfg["checkpoint"]), data_io.load_dataset(cfg["data"])
-    if cfg["checkpoint"] or cfg["data"]:
-        raise ConfigError("provide both --checkpoint and --data, or neither")
-    spec = data_io.SyntheticSpec(extent=cfg["extent"], per_class=cfg["per_class"],
-                                 seed=cfg["seed"])
-    dataset = data_io.generate_synthetic(spec)
-    network = net.build_desk_2d(cfg["extent"], 2, seed=cfg["seed"])
-    train_cfg = net.TrainConfig(cfg["learning_rate"], cfg["epochs"],
-                                cfg["batch_size"], cfg["seed"])
-    network, _ = net.train(network, dataset, train_cfg)
-    return network, dataset
-
-
 def cmd_theory(cfg: dict, out: str) -> dict:
-    network, dataset = _theory_network_and_data(cfg)
-
+    network, dataset = _network_and_dataset(cfg)
     # FilterSelector layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]
     part_layer = cfg["partition_layer"]
@@ -374,6 +362,9 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     result = {
         "command": "theory",
         "config": cfg,
+        "images": len(labels),
+        "images_per_class": dict(zip(dataset.class_names, np.bincount(
+            labels, minlength=len(dataset.class_names)).tolist())),
         "conditioning": conditioning,
         "partition": {
             "layer": part_layer, "filter": chosen,
@@ -457,7 +448,6 @@ class Command(NamedTuple):
     help: str
     handler: Callable
     keys: tuple  # its config keys after out, in flag order
-    defaults: dict = {}  # where its default differs from the one in OPTIONS
 
 
 _FOREST = ("seed", "features", "tree_count", "mtry", "max_depth", "min_leaf", "bootstrap",
@@ -474,11 +464,9 @@ COMMANDS = {
         "checkpoint", "data", "dump", "mode", "bins", "range", "pre_relu", "dump_out")),
     "evaluate": Command("cross-validated forest AUC on features", cmd_evaluate, _FOREST),
     "permute": Command("label-permutation null control", cmd_evaluate, (*_FOREST, "perm_seed")),
-    "theory": Command("run the information-theoretic checks", cmd_theory, (
-        "seed", "checkpoint", "data", "bins", "chain_n", "noise_levels", "quantizer_levels",
-        "chain_classes", "chain_seed", "slack", "extent", "per_class", "epochs",
-        "learning_rate", "batch_size", "partition_layer", "partition_filter"),
-        {"per_class": 30, "epochs": 6}),
+    "theory": Command("run the information-theoretic checks on a trained network", cmd_theory, (
+        "checkpoint", "data", "bins", "chain_n", "noise_levels", "quantizer_levels",
+        "chain_classes", "chain_seed", "slack", "partition_layer", "partition_filter")),
 }
 
 

@@ -108,27 +108,31 @@ def save_dataset(dataset: LabeledDataset, out_dir) -> None:
     write_manifest(os.path.join(out_dir, "manifest.csv"), rows, dataset.class_names)
 
 
-def load_dataset(path) -> LabeledDataset:
-    """Accepts a dataset directory or a manifest.csv path."""
+def _manifest_rows(path):
+    """(rows, class_names, base directory) of the manifest in a dataset or
+    dump directory, or at a manifest.csv path; refuses a manifest with no
+    rows."""
     manifest = os.path.join(path, "manifest.csv") if os.path.isdir(path) else path
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"manifest not found: {manifest}")
     rows, class_names = read_manifest(manifest)
     if not rows:
         raise ValueError(f"{manifest}: no image rows")
-    base = os.path.dirname(manifest)
-    images, labels, ids = [], [], []
-    shape = None
-    for image_id, rel, label in rows:
+    return rows, class_names, os.path.dirname(manifest)
+
+
+def load_dataset(path) -> LabeledDataset:
+    """Accepts a dataset directory or a manifest.csv path."""
+    rows, class_names, base = _manifest_rows(path)
+    images = []
+    for image_id, rel, _ in rows:
         arr = load_tensor(os.path.join(base, rel))
-        if shape is None:
-            shape = arr.shape
-        elif arr.shape != shape:
-            raise ValueError(f"image {image_id!r} has shape {arr.shape}, expected {shape}")
+        if images and arr.shape != images[0].shape:
+            raise ValueError(f"image {image_id!r} has shape {arr.shape}, "
+                             f"expected {images[0].shape}")
         images.append(arr)
-        labels.append(label)
-        ids.append(image_id)
-    return LabeledDataset(np.stack(images), np.array(labels), class_names, tuple(ids))
+    ids, _, labels = zip(*rows)
+    return LabeledDataset(np.stack(images), np.array(labels), class_names, ids)
 
 
 @dataclass(frozen=True)
@@ -298,16 +302,10 @@ def export_activation_dump(dataset: LabeledDataset, net: Network, out_dir,
 def import_activation_dump(path) -> ActivationDump:
     """Inverse of export_activation_dump; validates per-layer shape consistency
     across images and names the offending image_id on any mismatch."""
-    manifest = os.path.join(path, "manifest.csv") if os.path.isdir(path) else path
-    if not os.path.exists(manifest):
-        raise FileNotFoundError(f"manifest not found: {manifest}")
-    rows, class_names = read_manifest(manifest)
-    if not rows:
-        raise ValueError(f"{manifest}: no image rows")
-    base = os.path.dirname(manifest)
-    per_image, labels, ids = [], [], []
+    rows, class_names, base = _manifest_rows(path)
+    per_image = []
     shapes = None
-    for image_id, rel, label in rows:
+    for image_id, rel, _ in rows:
         img_dir = os.path.join(base, rel)
         if not os.path.isdir(img_dir):
             raise FileNotFoundError(f"image {image_id!r}: activation directory missing ({img_dir})")
@@ -322,10 +320,8 @@ def import_activation_dump(path) -> ActivationDump:
         elif got != shapes:
             raise ValueError(f"image {image_id!r}: layer shapes {got} differ from {shapes}")
         per_image.append(acts)
-        labels.append(label)
-        ids.append(image_id)
-    return ActivationDump(per_image, np.array(labels, dtype=np.int64),
-                          class_names, tuple(ids))
+    ids, _, labels = zip(*rows)
+    return ActivationDump(per_image, np.array(labels, dtype=np.int64), class_names, ids)
 
 
 def write_features_csv(path, image_ids, labels, matrix) -> None:
@@ -337,17 +333,21 @@ def write_features_csv(path, image_ids, labels, matrix) -> None:
 
 
 def read_features_csv(path):
-    """Returns (image_ids, labels int64, feature matrix float64)."""
+    """Returns (image_ids, labels int64, feature matrix float64); refuses a
+    repeated image_id, so no image can sit in two cross-validation folds."""
     with open(path, "r") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("image_id,label,"):
         raise ValueError(f"{path}: expected header 'image_id,label,feat_0,...'")
-    ids, labels, rows = [], [], []
+    ids, labels, rows, seen = [], [], [], set()
     width = len(lines[0].split(",")) - 2
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != width + 2:
             raise ValueError(f"{path}: row width {len(parts)} != header width {width + 2}")
+        if parts[0] in seen:
+            raise ValueError(f"{path}: duplicate image_id {parts[0]!r}")
+        seen.add(parts[0])
         ids.append(parts[0])
         labels.append(int(parts[1]))
         rows.append([float(v) for v in parts[2:]])

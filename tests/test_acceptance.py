@@ -372,8 +372,9 @@ def test_criterion_09_determinism(capsys, tmp_path):
             ["permute", "--out", str(tmp_path / "perm"),
              "--features", str(tmp_path / "feat" / "features.csv"),
              "--tree-count", "20", "--perm-seed", "1"],
-            ["theory", "--out", str(tmp_path / "theory"), "--per-class", "6",
-             "--epochs", "1", "--chain-n", "20000"],
+            ["theory", "--out", str(tmp_path / "theory"),
+             "--checkpoint", str(tmp_path / "train" / "checkpoint.ckpt"),
+             "--data", data_dir, "--chain-n", "20000"],
         ]
         for argv in stages:
             code, _, err = _run_cli(argv)

@@ -163,6 +163,16 @@ def test_train_divergence_exits_1(pipeline, tmp_path):
     assert "runtime failure" in err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_learning_rate_exits_2(pipeline, tmp_path, lr):
+    """Refused by the config check, before any training step could diverge."""
+    code, _, err = run_cli(["train", "--out", str(tmp_path / "t"),
+                            "--data", pipeline["data"], "--learning-rate", lr])
+    assert code == 2, err
+    assert "learning_rate" in err and "runtime failure" not in err
+    assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+
+
 # --- extract ---
 
 def test_extract_per_filter_width(pipeline):
@@ -373,6 +383,18 @@ def test_evaluate_rejects_multiclass(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "permute"])
+def test_repeated_image_id_exits_2_naming_it(tmp_path, command):
+    """A repeated id could put one image in a training fold and a test fold."""
+    path = tmp_path / "features.csv"
+    ids = tuple(f"img_{i % 20:04d}" for i in range(40))
+    data_io.write_features_csv(path, ids, np.array([0, 1] * 20), np.zeros((40, 2)))
+    code, out, err = run_cli([command, "--out", str(tmp_path / "e"), "--features", str(path),
+                              "--tree-count", "5"])
+    assert code == 2 and out == ""
+    assert f"{path}: duplicate image_id 'img_0000'" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "permute"])
 def test_non_finite_feature_exits_1_naming_the_file_row(tmp_path, command):
     """The forest checks the whole features matrix once, so the error names
     the row of the features CSV, not a position inside a fold's split."""
@@ -463,10 +485,10 @@ def test_permute_shuffles_before_folding(leak_features, tmp_path):
 # --- theory ---
 
 @pytest.fixture(scope="module")
-def theory_report(tmp_path_factory):
+def theory_report(tmp_path_factory, pipeline):
     out_dir = tmp_path_factory.mktemp("theory")
     code, out, err = run_cli(["theory", "--out", str(out_dir),
-                              "--per-class", "8", "--epochs", "2",
+                              "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
                               "--chain-n", "20000"])
     assert code == 0, err
     report = json.load(open(out_dir / "theory_report.json"))
@@ -486,6 +508,9 @@ def test_theory_report_schema(theory_report):
     dpi = report["dpi"]
     assert dpi["holds"] is True
     assert dpi["i_yc"] <= dpi["i_xc"] + dpi["slack"]
+    # what the checks read: the pipeline's 10 images per class
+    assert report["images"] == 20
+    assert report["images_per_class"] == {"class_0": 10, "class_1": 10}
 
 
 def test_theory_conditioning_never_increases(theory_report):
@@ -494,11 +519,11 @@ def test_theory_conditioning_never_increases(theory_report):
         assert entry["expected_cent"] <= entry["pooled_entropy"] + 1e-9
 
 
-def test_theory_rerun_byte_identical(theory_report):
+def test_theory_rerun_byte_identical(theory_report, pipeline):
     report, out_dir = theory_report
     first = open(out_dir / "theory_report.json", "rb").read()
     code, _, err = run_cli(["theory", "--out", str(out_dir),
-                            "--per-class", "8", "--epochs", "2",
+                            "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
                             "--chain-n", "20000"])
     assert code == 0, err
     assert open(out_dir / "theory_report.json", "rb").read() == first
@@ -537,6 +562,23 @@ def test_theory_partial_inputs_exit_2(tmp_path, pipeline):
                             "--checkpoint", pipeline["ckpt"]])
     assert code == 2
     assert "both" in err
+
+
+@pytest.mark.parametrize("with_data", [False, True])
+def test_theory_needs_checkpoint_and_data(tmp_path, pipeline, with_data):
+    """theory trains nothing: without a checkpoint and a dataset it has no subject."""
+    given = ["--data", pipeline["data"]] if with_data else []
+    code, _, err = run_cli(["theory", "--out", str(tmp_path / "t"), *given])
+    assert code == 2
+    assert "--checkpoint" in err and "--data" in err
+
+
+@pytest.mark.parametrize("flag", ["--per-class", "--epochs", "--seed"])
+def test_theory_takes_no_training_options(tmp_path, pipeline, flag):
+    with pytest.raises(SystemExit) as e:
+        run_cli(["theory", "--out", str(tmp_path / "t"), "--checkpoint", pipeline["ckpt"],
+                 "--data", pipeline["data"], flag, "5"])
+    assert e.value.code == 2
 
 
 def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):

@@ -89,6 +89,15 @@ def test_manifest_rejects_duplicates_and_bad_labels(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("load", [load_dataset, import_activation_dump])
+def test_loaders_refuse_a_missing_or_empty_manifest(tmp_path, load):
+    with pytest.raises(FileNotFoundError, match="manifest not found: "):
+        load(tmp_path)
+    write_manifest(tmp_path / "manifest.csv", [], ("x", "y"))
+    with pytest.raises(ValueError, match=": no image rows$"):
+        load(tmp_path)
+
+
 def test_dataset_roundtrip(tmp_path):
     data = generate_synthetic(SyntheticSpec(per_class=3, extent=8, seed=1))
     save_dataset(data, tmp_path / "ds")

@@ -112,6 +112,13 @@ def test_train_config_contract():
         TrainConfig(0.1, 0, 1)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+def test_train_config_refuses_a_non_finite_learning_rate(lr):
+    """NaN compares false with 0, so a bare `<= 0` check would let it pass."""
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(lr, 1, 1)
+
+
 def test_train_vanishing_learning_rate_is_noop():
     """Zero-step limit of SGD. The config contract requires a positive rate,
     so the limit is pinned at lr = 1e-30: nonzero float32 weights cannot move
