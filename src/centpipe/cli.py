@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -151,16 +152,20 @@ def cmd_synth(cfg: dict, out: str) -> dict:
 
 def _epoch_reporter():
     """net.train callback printing one JSON line per epoch to stderr (epoch,
-    mean loss, wall seconds of that epoch). Times go to stderr only, never
-    into an output file."""
-    last = time.perf_counter()
+    mean loss, wall seconds of that epoch, and the process's minor page
+    faults during it). Times and faults go to stderr only, never into an
+    output file."""
+    faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    last, last_faults = time.perf_counter(), faults()
 
     def report(epoch: int, mean_loss: float) -> None:
-        nonlocal last
-        now = time.perf_counter()
+        nonlocal last, last_faults
+        now, now_faults = time.perf_counter(), faults()
         print(json.dumps({"epoch": epoch, "mean_loss": mean_loss,
-                          "seconds": round(now - last, 6)}), file=sys.stderr, flush=True)
-        last = now
+                          "seconds": round(now - last, 6),
+                          "minor_faults": now_faults - last_faults}),
+              file=sys.stderr, flush=True)
+        last, last_faults = now, now_faults
     return report
 
 

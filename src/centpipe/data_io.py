@@ -50,12 +50,16 @@ def write_manifest(path, rows, class_names) -> None:
 
 
 def read_manifest(path):
-    """Returns (rows, class_names); validates ids unique and labels in range."""
+    """Returns (rows, class_names); validates class names and ids unique and
+    labels in range."""
     with open(path, "r") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].startswith("# classes: "):
         raise ValueError(f"{path}: missing '# classes:' header line")
     class_names = tuple(lines[0][len("# classes: "):].split(","))
+    repeated = next((c for i, c in enumerate(class_names) if c in class_names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: duplicate class name {repeated!r}")
     if len(lines) < 2 or lines[1] != MANIFEST_HEADER:
         raise ValueError(f"{path}: expected header '{MANIFEST_HEADER}'")
     rows, seen = [], set()

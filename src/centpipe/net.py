@@ -229,9 +229,10 @@ def cent_read_points(specs: list[LayerSpec], pre_relu: bool = False) -> list[int
             if specs[first].kind in ("conv", "fully_connected")]
 
 
-def _forward_layers(net: Network, x: np.ndarray):
+def _forward_layers(net: Network, x: np.ndarray, workspace: ops.Workspace | None = None):
     """Run all layers on a (batch, *input_shape) array, returning per-layer
-    batched outputs and backward caches."""
+    batched outputs and backward caches. The convolutions and fully connected
+    ops draw their scratch arrays from `workspace`."""
     if tuple(x.shape[1:]) != net.input_shape:
         raise ShapeMismatch(f"input {x.shape[1:]} != network input shape {net.input_shape}")
     outs, caches = [], []
@@ -239,7 +240,7 @@ def _forward_layers(net: Network, x: np.ndarray):
     for spec, par in zip(net.specs, net.params):
         if spec.kind == "conv":
             w, b = par
-            nxt = ops.conv_forward(cur, w, b, spec.conv)
+            nxt = ops.conv_forward(cur, w, b, spec.conv, workspace=workspace)
             caches.append(cur)
         elif spec.kind == "relu":
             nxt = ops.relu(cur)
@@ -249,7 +250,7 @@ def _forward_layers(net: Network, x: np.ndarray):
             caches.append(cache)
         else:  # fully_connected, or softmax's affine map to logits
             w, b = par
-            nxt = ops.fully_connected(cur.reshape(len(cur), -1), w, b)
+            nxt = ops.fully_connected(cur.reshape(len(cur), -1), w, b, workspace=workspace)
             caches.append(cur)
         outs.append(nxt)
         cur = nxt
@@ -274,11 +275,13 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False
     return acts
 
 
-def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
+def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
+                    workspace: ops.Workspace | None = None):
     """Per-sample losses of a (batch, *input_shape) chunk and its float64
     parameter gradients {layer: (weights, bias)} summed over the chunk: one
-    forward and one backward op call per layer."""
-    outs, caches = _forward_layers(net, x)
+    forward and one backward op call per layer, drawing scratch arrays from
+    `workspace`."""
+    outs, caches = _forward_layers(net, x, workspace)
     _, losses, grad = ops.softmax_cross_entropy(outs[-1], labels)
     del outs  # the backward pass needs only the caches, freed as it goes
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -289,15 +292,16 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
             w, _ = net.params[i]
             # layer 0's input is the image: no gradient for it is needed
             g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv,
-                                          input_grad=i > 0)
+                                          input_grad=i > 0, workspace=workspace)
             grads[i] = (gw, gb)
         elif spec.kind == "relu":
-            g = ops.relu_backward(g, cache)
+            g = ops.relu_backward(g, cache)  # in place: nothing reads the old g
         elif spec.kind == "maxpool":
             g = ops.maxpool_backward(g, cache)
         else:  # fully_connected or softmax affine
             w, _ = net.params[i]
-            g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w)
+            g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w,
+                                                     workspace=workspace)
             grads[i] = (gw, gb)
     return losses, grads
 
@@ -307,6 +311,9 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray):
 # proportion to the chunk, so a chunk's largest activation stays at 1 MB in
 # float64: a 10x32x32 desk activation allows 12 samples (a batch of 10 is one
 # chunk), a 10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk.
+# Training keeps the kernels' float64 scratch arrays of at most this many
+# elements for the whole call (ops.Workspace); larger ones, such as a 64^3
+# volume's im2col copy, are allocated per call.
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -348,10 +355,13 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
     Batch order is a pure function of config.seed. Each mini-batch runs as
     one batched forward and backward pass per chunk of at most
-    _chunk_size(net) samples; gradients are summed in float64. Returns (net,
-    per-epoch mean loss) and calls on_epoch(epoch, mean_loss), if given,
-    after each epoch. Raises TrainingDiverged naming the epoch, the batch and
-    the dataset index of the first sample whose loss is not finite.
+    _chunk_size(net) samples; gradients are summed in float64. One
+    ops.Workspace lives for the whole call, so the convolutions and fully
+    connected ops reuse their scratch arrays from chunk to chunk instead of
+    allocating them. Returns (net, per-epoch mean loss) and calls
+    on_epoch(epoch, mean_loss), if given, after each epoch. Raises
+    TrainingDiverged naming the epoch, the batch and the dataset index of the
+    first sample whose loss is not finite.
     """
     images, labels = np.asarray(dataset.images), np.asarray(dataset.labels)
     n = len(images)
@@ -364,6 +374,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
         raise ValueError(f"labels outside [0, {n_classes})")
 
     chunk = _chunk_size(net)
+    workspace = ops.Workspace(_CHUNK_ELEMENTS)
     rng = np.random.default_rng(config.seed)
     trace = []
     for epoch in range(config.epochs):
@@ -374,7 +385,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
             grads = None
             for lo in range(0, len(batch), chunk):
                 part = batch[lo:lo + chunk]
-                losses, part_grads = _loss_and_grads(net, images[part], labels[part])
+                losses, part_grads = _loss_and_grads(net, images[part], labels[part], workspace)
                 bad = ~np.isfinite(losses)
                 if bad.any():
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "

@@ -30,6 +30,20 @@ of a large weight matrix is made; weights of at most one block take one call.
 conv_backward(..., input_grad=False) computes no input gradient, which the
 training loop asks of layer 0, whose input is the image. maxpool_backward
 routes every window's gradient to its argmax with one np.bincount.
+
+Training reuses its scratch memory. A Workspace holds the convolutions'
+float64 padded input ("pad"), im2col copy ("cols"), GEMM output ("out") and
+col2im buffer ("gpad"), and the fully connected ops' float64 weight block
+("fc"), keyed by role and shape; the kernels write into them through
+np.copyto and out=, which is the same arithmetic, so the bytes do not change.
+net.train keeps one Workspace for its whole call, which keeps only arrays of
+at most net._CHUNK_ELEMENTS elements: every desk array is reused, while a
+64^3 volume's arrays and reference3d's weight blocks are allocated per call
+as before, so none of them is held between calls. A call without a workspace
+gets a throwaway one, and no op returns workspace memory. relu_backward
+multiplies in place into the upstream gradient, which the training loop
+never reads again. centpipe train's per-epoch stderr line reports the minor
+page faults this saves.
 """
 
 from __future__ import annotations
@@ -104,34 +118,64 @@ def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
     return win[sub]
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec, out) -> tuple[np.ndarray, tuple, list]:
+class Workspace:
+    """Float64 scratch arrays for the kernels, one per (role, shape), reused
+    across calls. Only arrays of at most `keep_elements` values are kept; a
+    larger one is allocated for the call that takes it. A kernel overwrites
+    what it takes, so no kernel returns workspace memory. The default keeps
+    nothing: a call without a workspace gets that throwaway one.
+    """
+
+    def __init__(self, keep_elements: int = 0):
+        self.keep_elements = keep_elements
+        self.arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        if math.prod(shape) > self.keep_elements:
+            return np.empty(shape)
+        key = (role, shape)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(shape)
+        return self.arrays[key]
+
+
+def _im2col(x: np.ndarray, spec: ConvSpec, out, ws: Workspace) -> tuple[np.ndarray, tuple, list]:
     """Float64 (batch, C * kernel, positions) copy of every window of the
     (batch, C, *spatial) input, zero-padded for "same", with the padded
-    input shape and the per-axis (before, after) padding."""
+    input shape and the per-axis (before, after) padding. The padded input
+    and the copy are the workspace's "pad" and "cols" arrays."""
     spatial = x.shape[2:]
-    xw = x.astype(np.float64, copy=False)
     if spec.padding == "same":
         pads = _pad_amounts(spatial, spec.kernel, spec.stride, out)
-        xw = np.pad(xw, [(0, 0), (0, 0)] + pads)
     else:
         _require(all(s >= k for s, k in zip(spatial, spec.kernel)),
                  f"kernel {spec.kernel} exceeds input extent {spatial}")
         pads = [(0, 0)] * len(spatial)
+    xw = ws.take("pad", x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)))
+    if any(b or a for b, a in pads):
+        xw.fill(0)
+    np.copyto(xw[(slice(None), slice(None)) + _crop(pads, spatial)], x)
     rank = len(spatial)
     windows = _spatial_windows(xw, spec.kernel, spec.stride)  # (B, C, *out, *kernel)
     # copied with the output positions innermost: long contiguous runs
     order = [0, 1] + list(range(rank + 2, 2 * rank + 2)) + list(range(2, rank + 2))
-    cols = windows.transpose(order).reshape(x.shape[0], -1, math.prod(out))
+    cols = ws.take("cols", (x.shape[0], x.shape[1] * math.prod(spec.kernel), math.prod(out)))
+    np.copyto(cols.reshape(x.shape[:2] + spec.kernel + out), windows.transpose(order))
     return cols, xw.shape, pads
 
 
+def _crop(pads, spatial) -> tuple[slice, ...]:
+    """Per-axis slices of the unpadded extent inside a padded one."""
+    return tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
+
+
 def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
-                 spec: ConvSpec) -> np.ndarray:
+                 spec: ConvSpec, workspace: Workspace | None = None) -> np.ndarray:
     """Cross-correlate ([batch,] channels, *spatial) input with
     (F, channels, *kernel) filters.
 
     Returns ([batch,] F, *out_spatial); each element is the windowed dot
-    product plus bias.
+    product plus bias. Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
     _require(x.ndim in (rank + 1, rank + 2),
@@ -151,25 +195,28 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     single = x.ndim == rank + 1
     xb = x[None] if single else x
     out = _out_extent(xb.shape[2:], spec.kernel, spec.stride, spec.padding)
-    cols, _, _ = _im2col(xb, spec, out)
+    ws = workspace or Workspace()
+    cols, _, _ = _im2col(xb, spec, out, ws)
     # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample, in
     # one matmul call over the batch, straight into the (B, F, positions) layout
-    y = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1) @ cols
-    del cols
+    y = ws.take("out", (xb.shape[0], spec.filter_count, cols.shape[2]))
+    np.matmul(filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1), cols, out=y)
     y += bias.astype(np.float64, copy=False)[:, None]
-    y = y.reshape(xb.shape[:1] + (spec.filter_count,) + out).astype(x.dtype, copy=False)
+    # a copy: y is workspace memory
+    y = y.reshape(xb.shape[:1] + (spec.filter_count,) + out).astype(x.dtype)
     return y[0] if single else y
 
 
 def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
-                  filters: np.ndarray, spec: ConvSpec, input_grad: bool = True
+                  filters: np.ndarray, spec: ConvSpec, input_grad: bool = True,
+                  workspace: Workspace | None = None
                   ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv_forward.
 
     Returns (grad_input, grad_filters, grad_bias) for the cached forward
     input; for a batch, grad_input keeps the batch axis and grad_filters and
     grad_bias are summed over it. With input_grad=False, grad_input is None
-    and its col2im is skipped.
+    and its col2im is skipped. Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
     _require(cached_input.ndim in (rank + 1, rank + 2),
@@ -185,27 +232,26 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
 
     g = grad_output.astype(np.float64, copy=False).reshape(batch, spec.filter_count, -1)
     grad_bias = g.sum(axis=(0, 2))
-    cols, padded, pads = _im2col(xb, spec, out)
+    ws = workspace or Workspace()
+    cols, padded, pads = _im2col(xb, spec, out, ws)
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
-    del cols
     dt = cached_input.dtype
     grad_filters, grad_bias = grad_filters.astype(dt, copy=False), grad_bias.astype(dt, copy=False)
     if not input_grad:
         return None, grad_filters, grad_bias
-    # col2im: (C * kernel, F) @ (B, F, positions), then each tap's rows are
-    # added back into the padded input at that tap's offset
+    # col2im: (C * kernel, F) @ (B, F, positions) into the spent cols, then
+    # each tap's rows are added back into the padded input at that tap's offset
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
-    dcols = (fw.T @ g).reshape((batch, channels) + spec.kernel + out)
-    gpad = np.zeros(padded, dtype=np.float64)
+    dcols = np.matmul(fw.T, g, out=cols).reshape((batch, channels) + spec.kernel + out)
+    gpad = ws.take("gpad", padded)
+    gpad.fill(0)
     for offset in itertools.product(*(range(k) for k in spec.kernel)):
         sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, spec.stride, out))
         gpad[(slice(None), slice(None)) + sl] += dcols[(slice(None), slice(None)) + offset]
-    del dcols
-    crop = tuple(slice(b, b + s) for (b, _), s in zip(pads, xb.shape[2:]))
-    grad_input = gpad[(slice(None), slice(None)) + crop]
-    return ((grad_input[0] if single else grad_input).astype(dt, copy=False),
-            grad_filters, grad_bias)
+    grad_input = gpad[(slice(None), slice(None)) + _crop(pads, xb.shape[2:])]
+    # a copy: gpad is workspace memory
+    return (grad_input[0] if single else grad_input).astype(dt), grad_filters, grad_bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -213,10 +259,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad_output: np.ndarray, cached_input: np.ndarray) -> np.ndarray:
-    """Pass-through where the cached input was strictly positive, zero elsewhere."""
+    """Pass-through where the cached input was strictly positive, zero elsewhere.
+
+    Multiplies in place: the result is grad_output itself, overwritten."""
     _require(grad_output.shape == cached_input.shape,
              f"grad_output {grad_output.shape} != input {cached_input.shape}")
-    return grad_output * (cached_input > 0)
+    return np.multiply(grad_output, cached_input > 0, out=grad_output)
 
 
 @dataclass(frozen=True)
@@ -325,7 +373,8 @@ def _fc_blocks(count: int, size: int):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                    workspace: Workspace | None = None) -> np.ndarray:
     """Affine map: weights (m, n) @ flattened input + bias (m,).
 
     Input-shape rule: a 2-D x of n columns, (batch, n), is a batch and gives
@@ -333,7 +382,8 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     Any other x flattens whole to one sample of n elements and gives (m,), so
     a per-sample caller may pass any shape holding n elements, (1, H, W)
     included. A caller holding a batch of multi-axis samples flattens each
-    sample first, as the network does: x.reshape(len(x), -1).
+    sample first, as the network does: x.reshape(len(x), -1). The float64
+    weight blocks come from `workspace`.
     """
     _require(weights.ndim == 2, f"weights {weights.shape} are not (m, n)")
     _require(bias.shape == (weights.shape[0],),
@@ -348,20 +398,24 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     # as the matrix-vector product of one sample, so a batch of one gives that
     # sample's bytes
     y = np.empty((weights.shape[0], flat_t.shape[1]))
+    ws = workspace or Workspace()
     for rows in _fc_blocks(weights.shape[0], n):
-        np.matmul(weights[rows].astype(np.float64, copy=False), flat_t, out=y[rows])
+        block = ws.take("fc", weights[rows].shape)
+        np.copyto(block, weights[rows])
+        np.matmul(block, flat_t, out=y[rows])
     y += bias.astype(np.float64, copy=False)[:, None]
     y = y.T.astype(x.dtype, order="C", copy=False)
     return y[0] if single else y
 
 
 def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
-                             weights: np.ndarray
+                             weights: np.ndarray, workspace: Workspace | None = None
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard affine gradients; grad_input is reshaped to the cached input.
 
     A (batch, m) grad_output marks a batch: grad_weights and grad_bias are
-    then summed over it. A (m,) grad_output is one sample.
+    then summed over it. A (m,) grad_output is one sample. The float64 weight
+    blocks come from `workspace`.
     """
     m, n = weights.shape
     single = grad_output.ndim == 1
@@ -373,8 +427,11 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
              f"sample(s) of {n} elements")
     # (n, m) @ (m, B), one block of weight columns at a time
     grad_input = np.empty((n, g.shape[0]))
+    ws = workspace or Workspace()
     for cols in _fc_blocks(n, m):
-        np.matmul(weights[:, cols].astype(np.float64, copy=False).T, g.T, out=grad_input[cols])
+        block = ws.take("fc", weights[:, cols].shape)
+        np.copyto(block, weights[:, cols])
+        np.matmul(block.T, g.T, out=grad_input[cols])
     grad_input = grad_input.T.reshape(cached_input.shape)
     flat = cached_input.astype(np.float64, copy=False).reshape(g.shape[0], n)
     grad_weights = g.T @ flat

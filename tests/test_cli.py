@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -110,8 +111,9 @@ def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
         runs.append((out_dir, lines))
     out_dir, lines = runs[0]
     assert [line["epoch"] for line in lines] == [0, 1, 2]
-    assert all(set(line) == {"epoch", "mean_loss", "seconds"} for line in lines)
+    assert all(set(line) == {"epoch", "mean_loss", "seconds", "minor_faults"} for line in lines)
     assert all(line["seconds"] >= 0 for line in lines)
+    assert all(type(line["minor_faults"]) is int and line["minor_faults"] >= 0 for line in lines)
     trace = open(out_dir / "loss_trace.csv").read().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in trace] == [line["mean_loss"] for line in lines]
     # the timings reach stderr only: the files of both runs are byte-identical
@@ -152,6 +154,21 @@ def test_train_wrong_shape_for_reference3d(pipeline, tmp_path):
                             "--data", pipeline["data"], "--arch", "reference3d"])
     assert code == 2
     assert "reference3d expects" in err
+
+
+def test_repeated_class_name_exits_2(pipeline, tmp_path):
+    """A dataset whose manifest names one class twice is refused by every
+    subcommand that loads it, instead of merging the two classes' counts."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = data / "manifest.csv"
+    rows = manifest.read_text().splitlines(keepends=True)[1:]
+    manifest.write_text("# classes: a,a\n" + "".join(rows))
+    for argv in (["train"], ["extract", "--checkpoint", pipeline["ckpt"]],
+                 ["theory", "--checkpoint", pipeline["ckpt"]]):
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / argv[0]), "--data", str(data)])
+        assert code == 2 and out == "", err
+        assert f"error: {manifest}: duplicate class name 'a'" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,7 +1,11 @@
 """Binary tensor files, manifests, synthetic data, chains, and dumps."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centpipe import data_io, net
 from centpipe.data_io import (BadMagicError, ChecksumError, LabeledDataset,
@@ -86,6 +90,22 @@ def test_manifest_rejects_duplicates_and_bad_labels(tmp_path):
         read_manifest(path)
     write_manifest(path, [("a", "p", 5)], ("x", "y"))
     with pytest.raises(ValueError):
+        read_manifest(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text("abc", min_size=1, max_size=2), min_size=2, max_size=5))
+def test_manifest_refuses_a_repeated_class_name(tmp_path_factory, names):
+    """A class table is read back as written unless it repeats a name; then
+    the first repeated name is refused, so no two labels share a name."""
+    path = tmp_path_factory.mktemp("manifest") / "manifest.csv"
+    write_manifest(path, [("a", "p", 0)], names)
+    repeated = [c for i, c in enumerate(names) if c in names[:i]]
+    if not repeated:
+        assert read_manifest(path)[1] == tuple(names)
+        return
+    message = f"{path}: duplicate class name {repeated[0]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_manifest(path)
 
 

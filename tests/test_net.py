@@ -240,6 +240,32 @@ def test_one_conv_backward_per_conv_layer_per_chunk(monkeypatch, chunk_elements,
     assert calls == [size for _ in range(2) for size in chunks for _ in range(2)]
 
 
+def test_mixed_chunk_shapes_train_to_the_bytes_of_fresh_workspaces(monkeypatch, tmp_path):
+    """desk2d at 64^2 on 14 images in batches of 10 runs chunks of 3, 3, 3, 1
+    and then 3, 1. One workspace kept over the whole training gives the
+    checkpoint and loss trace of a training that gives every chunk a fresh
+    workspace."""
+    dataset = small_dataset(per_class=7, extent=64, seed=6)
+    real = net._loss_and_grads
+    runs = []
+    for fresh in (False, True):
+        chunks = []
+
+        def chunk_call(network, x, labels, workspace, fresh=fresh):
+            chunks.append(len(x))
+            if fresh:
+                workspace = ops.Workspace(workspace.keep_elements)
+            return real(network, x, labels, workspace)
+
+        monkeypatch.setattr(net, "_loss_and_grads", chunk_call)
+        network, trace = net.train(net.build_desk_2d(64, 2, seed=6), dataset,
+                                   TrainConfig(0.05, 2, 10, seed=6))
+        net.save_checkpoint(network, tmp_path / "net.ckpt")
+        runs.append(((tmp_path / "net.ckpt").read_bytes(), np.array(trace).tobytes(), chunks))
+    assert runs[0][2] == [3, 3, 3, 1, 3, 1] * 2
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("chunk_elements", [None, 3 * 10 * 32 * 32])
 def test_train_matches_per_sample_reference(monkeypatch, chunk_elements):
     """Batched chunks (one chunk per batch, or several summed) against the

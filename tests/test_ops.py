@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import ops
+from centpipe import net, ops
 from centpipe.ops import ConvSpec, ShapeMismatch
 
 import reference_ops as R
@@ -111,7 +111,7 @@ def test_relu_gradient_and_fd_away_from_zero():
     rng = np.random.default_rng(3)
     x = rng.uniform(0.1, 1.0, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4))
     g = rng.normal(size=(4, 4))
-    analytic = ops.relu_backward(g, x)
+    analytic = ops.relu_backward(g.copy(), x)  # it overwrites its gradient
     assert np.array_equal(analytic, g * (x > 0))
     fd = fd_grad(lambda v: float((ops.relu(v) * g).sum()), x)
     assert rel_err(analytic, fd) < 1e-4
@@ -343,7 +343,7 @@ def test_batched_pool_and_relu_match_per_sample_reference(case):
     # both add each element's gradients in window order
     assert np.array_equal(ops.maxpool_backward(g, cache), expect)
     gr = rng.normal(size=shape)
-    assert np.array_equal(ops.relu_backward(gr, x),
+    assert np.array_equal(ops.relu_backward(gr.copy(), x),
                           np.stack([R.relu_backward(gj, xi) for gj, xi in zip(gr, x)]))
 
 
@@ -552,3 +552,79 @@ def test_conv_backward_without_input_grad(shape, kspec):
     assert none is None
     assert gw2.dtype == gw.dtype and gw2.tobytes() == gw.tobytes()
     assert gb2.dtype == gb.dtype and gb2.tobytes() == gb.tobytes()
+
+
+# (input shape, spec): 2-D and 3-D, both paddings, with and without a batch
+# axis; the last one's im2col copy (2 x 36 x 64^2 values) exceeds the chunk
+# budget, its padded input and output do not
+_WORKSPACE_CASES = [
+    ((3, 2, 9, 8), ConvSpec((2, 2), (1, 1), "same", 4)),
+    ((2, 3, 7, 7), ConvSpec((3, 2), (2, 1), "valid", 2)),
+    ((2, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
+    ((2, 1, 6, 5, 4), ConvSpec((2, 2, 2), (1, 1, 1), "same", 2)),
+    ((1, 2, 5, 6, 5), ConvSpec((2, 3, 2), (2, 2, 1), "valid", 3)),
+    ((2, 4, 64, 64), ConvSpec((3, 3), (1, 1), "same", 3)),
+]
+
+
+def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
+    """Convolutions of differing shapes and dtypes run twice through one
+    workspace. No result shares memory with it, every result keeps the bytes
+    of a call without a shared workspace after all later calls, the second
+    round reuses the first round's arrays, and no array larger than the chunk
+    budget is kept."""
+    ws = ops.Workspace(net._CHUNK_ELEMENTS)
+    rng = np.random.default_rng(21)
+    results, kept = [], None
+    for _ in range(2):
+        for shape, spec in _WORKSPACE_CASES:
+            for dtype in (np.float32, np.float64):
+                x = rng.normal(size=shape).astype(dtype)
+                w = rng.normal(size=(spec.filter_count, shape[-len(spec.kernel) - 1]) + spec.kernel)
+                w, b = w.astype(dtype), rng.normal(size=spec.filter_count).astype(dtype)
+                y = ops.conv_forward(x, w, b, spec, workspace=ws)
+                g = rng.normal(size=y.shape).astype(dtype)
+                grads = ops.conv_backward(g, x, w, spec, workspace=ws)
+                fresh = (ops.conv_forward(x, w, b, spec),) + ops.conv_backward(g, x, w, spec)
+                results += zip((y,) + grads, fresh)
+        if kept is None:
+            kept = dict(ws.arrays)
+    assert kept and all(ws.arrays[key] is array for key, array in kept.items())
+    assert all(array.size <= net._CHUNK_ELEMENTS for array in ws.arrays.values())
+    assert ("cols", (2, 36, 64 * 64)) not in ws.arrays
+    assert ("pad", (2, 4, 66, 66)) in ws.arrays
+    for got, want in results:
+        assert not any(np.shares_memory(got, array) for array in ws.arrays.values())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_workspace_fully_connected_keeps_bytes(dtype):
+    """The fully connected ops take their float64 weight blocks from a shared
+    workspace: the bytes of calls without one, no result in workspace memory,
+    and a block above the chunk budget (16 x 40960, as in reference3d's first
+    fully connected layer) never kept."""
+    ws = ops.Workspace(net._CHUNK_ELEMENTS)
+    rng = np.random.default_rng(22)
+    results = []
+    for m, n, batch in [(128, 640, 10), (2, 128, 10), (128, 640, 3), (16, 40960, 1)]:
+        x = rng.normal(size=(batch, n)).astype(dtype)
+        w = rng.normal(size=(m, n)).astype(dtype)
+        b = rng.normal(size=m).astype(dtype)
+        g = rng.normal(size=(batch, m)).astype(dtype)
+        got = [ops.fully_connected(x, w, b, workspace=ws),
+               *ops.fully_connected_backward(g, x, w, workspace=ws)]
+        want = [ops.fully_connected(x, w, b), *ops.fully_connected_backward(g, x, w)]
+        results += zip(got, want)
+    assert set(ws.arrays) == {("fc", (128, 640)), ("fc", (2, 128))}
+    for got, want in results:
+        assert not any(np.shares_memory(got, array) for array in ws.arrays.values())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_relu_backward_overwrites_the_upstream_gradient():
+    x = np.array([[-1.0, 2.0], [0.0, 3.0]])
+    g = np.array([[5.0, -6.0], [7.0, 8.0]])
+    assert ops.relu_backward(g, x) is g
+    assert np.array_equal(g, [[0.0, -6.0], [0.0, 8.0]])

@@ -1,0 +1,47 @@
+"""The benchmark tracer's view of the centpipe API.
+
+perfbench/tracer.py wraps centpipe functions by module and attribute name and
+reads some of their arguments by position. A renamed function or a moved
+argument would only fill the benchmark's `trace_absent` list; these tests
+make it fail here instead. The tracer is imported from its file, unchanged.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+from centpipe import net
+from centpipe.net import TrainConfig
+
+from conftest import small_dataset
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def test_every_wrapped_name_resolves_to_a_callable():
+    for name, module_name, attr, _ in tracer.WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), name
+
+
+def test_conv_flop_counters_read_a_desk_training():
+    """One desk batch of 10 at 32^2 is one chunk: each of the two conv layers
+    runs one forward and one backward call, and both flop counters read
+    their arguments."""
+    dataset = small_dataset(per_class=5, seed=2)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        net.train(net.build_desk_2d(32, 2, seed=2), dataset, TrainConfig(0.05, 1, 10, seed=2))
+    assert recorder.absent == []
+    totals = recorder.totals()
+    assert totals["ops.conv_forward"][0] == totals["ops.conv_backward"][0] == 2
+    assert recorder.counters["ops.conv_forward.flop"] > 0
+    assert recorder.counters["ops.conv_backward.flop"] > 0
