@@ -15,6 +15,7 @@ read the trained network and the dataset from --checkpoint and --data
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -142,12 +143,18 @@ def cmd_synth(cfg: dict, out: str) -> dict:
         spatial_frequency=tuple(cfg["spatial_frequency"]),
         blob_density=tuple(cfg["blob_density"]),
         null_generator=cfg["null_generator"])
+    clock = time.perf_counter
+    start = clock()
     dataset = data_io.generate_synthetic(spec)
-    data_io.save_dataset(dataset, out)
+    generated = clock()
+    bytes_written = data_io.save_dataset(dataset, out)
     return {"command": "synth", "config": cfg,
             "images": len(dataset.images),
             "classes": list(dataset.class_names),
-            "manifest": os.path.join(out, "manifest.csv")}
+            "manifest": os.path.join(out, "manifest.csv"),
+            "counters": {"images": len(dataset.images), "bytes_written": bytes_written},
+            "timings": {"generate_s": round(generated - start, 6),
+                        "write_s": round(clock() - generated, 6)}}
 
 
 def _epoch_reporter():
@@ -331,7 +338,10 @@ def cmd_theory(cfg: dict, out: str) -> dict:
         raise ConfigError(f"partition_layer {part_layer} out of range: the network has "
                           f"read points 0..{len(read_shapes) - 1}")
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
+    clock = time.perf_counter
+    start = clock()
     acts = net.forward_collect(network, dataset.images)  # the one pass every check reads
+    forward_done = clock()
     labels = dataset.labels
     conditioning = []
     for layer in conv_layers:
@@ -344,25 +354,21 @@ def cmd_theory(cfg: dict, out: str) -> dict:
 
     classes = [int(c) for c in np.unique(labels)]
     partition = (tuple(classes[:1]), tuple(classes[1:]))
-    if cfg["partition_filter"] is None:
-        # pick the filter with the widest entropy gap between the two sides
-        shape = read_shapes[part_layer]
-        reports = [infotheory.partition_check(
-            acts, labels, infotheory.FilterSelector(part_layer, (f,)), partition, cfg["bins"])
-            for f in range(shape[0] if len(shape) >= 2 else 1)]
-        gaps = [abs(r.h_informative - r.h_uninformative) for r in reports]
-        chosen = int(np.argmax(gaps))
-        report = reports[chosen]
-    else:
-        chosen = cfg["partition_filter"]
-        report = infotheory.partition_check(
-            acts, labels, infotheory.FilterSelector(part_layer, (chosen,)),
-            partition, cfg["bins"])
+    # the given filter, else the one with the widest entropy gap between the two sides
+    shape = read_shapes[part_layer]
+    candidates = ([cfg["partition_filter"]] if cfg["partition_filter"] is not None
+                  else range(shape[0] if len(shape) >= 2 else 1))
+    reports = [infotheory.partition_check(
+        acts, labels, infotheory.FilterSelector(part_layer, (f,)), partition, cfg["bins"])
+        for f in candidates]
+    best = int(np.argmax([abs(r.h_informative - r.h_uninformative) for r in reports]))
+    checks_done = clock()
 
     chain = data_io.generate_markov_chain(
         cfg["chain_n"], cfg["noise_levels"], cfg["quantizer_levels"],
         cfg["chain_classes"], cfg["chain_seed"])
     dpi = infotheory.dpi_check(chain, slack=cfg["slack"])
+    dpi_done = clock()
 
     result = {
         "command": "theory",
@@ -371,27 +377,21 @@ def cmd_theory(cfg: dict, out: str) -> dict:
         "images_per_class": dict(zip(dataset.class_names, np.bincount(
             labels, minlength=len(dataset.class_names)).tolist())),
         "conditioning": conditioning,
-        "partition": {
-            "layer": part_layer, "filter": chosen,
-            "partition": [list(partition[0]), list(partition[1])],
-            "h_informative": report.h_informative,
-            "h_uninformative": report.h_uninformative,
-            "p_informative": report.p_informative,
-            "p_uninformative": report.p_uninformative,
-            "h_conditional": report.h_conditional,
-            "decomposition_residual": report.decomposition_residual,
-            "inequality_holds": report.inequality_holds,
-        },
-        "dpi": {
-            "i_xc": dpi.i_xc, "i_yc": dpi.i_yc, "holds": dpi.holds,
-            "slack": dpi.slack, "samples": cfg["chain_n"],
-            "noise_levels": cfg["noise_levels"],
-            "quantizer_levels": cfg["quantizer_levels"],
-        },
+        "partition": {"layer": part_layer, "filter": candidates[best],
+                      **dataclasses.asdict(reports[best])},
+        "dpi": {**dataclasses.asdict(dpi), "samples": cfg["chain_n"],
+                "noise_levels": cfg["noise_levels"],
+                "quantizer_levels": cfg["quantizer_levels"]},
     }
     report_path = os.path.join(out, "theory_report.json")
     framing.write_text(report_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     result["report"] = report_path
+    # stdout only: the report file above holds neither counters nor times
+    result["counters"] = {"images": len(labels), "forward_passes": len(dataset.images)}
+    result["timings"] = {"forward_s": round(forward_done - start, 6),
+                         "checks_s": round(checks_done - forward_done, 6),
+                         "dpi_s": round(dpi_done - checks_done, 6),
+                         "write_s": round(clock() - dpi_done, 6)}
     return result
 
 

@@ -100,8 +100,9 @@ class LabeledDataset:
             raise ValueError("image_ids length mismatch")
 
 
-def save_dataset(dataset: LabeledDataset, out_dir) -> None:
-    """Writes out_dir/manifest.csv plus one TensorFile per image under tensors/."""
+def save_dataset(dataset: LabeledDataset, out_dir) -> int:
+    """Writes out_dir/manifest.csv plus one TensorFile per image under
+    tensors/; returns the bytes written."""
     tensor_dir = os.path.join(out_dir, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
     rows = []
@@ -110,6 +111,8 @@ def save_dataset(dataset: LabeledDataset, out_dir) -> None:
         save_tensor(os.path.join(out_dir, rel), dataset.images[i])
         rows.append((image_id, rel, int(dataset.labels[i])))
     write_manifest(os.path.join(out_dir, "manifest.csv"), rows, dataset.class_names)
+    return sum(os.path.getsize(os.path.join(out_dir, rel))
+               for rel in ["manifest.csv", *(row[1] for row in rows)])
 
 
 def _manifest_rows(path):
@@ -163,8 +166,11 @@ class SyntheticSpec:
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
         for name in ("noise_scale", "spatial_frequency", "blob_density"):
-            if len(getattr(self, name)) != self.class_count:
+            values = getattr(self, name)
+            if len(values) != self.class_count:
                 raise ValueError(f"{name} needs {self.class_count} entries")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {list(values)}")
         triples = list(zip(self.noise_scale, self.spatial_frequency, self.blob_density))
         if not self.null_generator and len(set(triples)) != len(triples):
             raise ValueError("class parameters must be distinct unless null_generator")

@@ -3,10 +3,14 @@ information-theoretic checks (conditioning reduction, partition decomposition,
 data-processing inequality).
 
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
-Cross-class comparisons use shared fixed-range binning: with priors taken
-proportional to sample counts, the plug-in conditional entropy then never
-exceeds the pooled entropy (exact concavity at the estimator level), which is
-what the conditioning checks rely on.
+Every histogram is binned by _bin_counts, which takes a group key per value
+and fills one histogram per group in one bincount: cent_rows groups by
+histogram row, conditional_entropy and the theory checks by class (one call
+per filter), make_histogram has one group. Cross-class comparisons use shared
+fixed-range binning: with priors taken proportional to sample counts, the
+plug-in conditional entropy then never exceeds the pooled entropy (exact
+concavity at the estimator level), which is what the conditioning checks rely
+on.
 """
 
 from __future__ import annotations
@@ -50,14 +54,17 @@ class Histogram:
     degenerate: bool = False  # constant samples: single loaded bin, lo == hi
 
 
-def _bin_counts(rows: np.ndarray, lo, hi, bin_count: int) -> np.ndarray:
-    """(len(rows), bin_count) int64 equal-width bin counts of each row of a
-    (rows, width) array over [lo, hi], given per row as (rows, 1) arrays or
-    for all rows as floats: value v falls in bin floor((v - lo) / (hi - lo) *
-    bin_count), outliers clipped into the edge bins and hi into the last bin.
-    A constant row (lo == hi) loads bin 0. One bincount bins every row.
+def _bin_counts(values: np.ndarray, lo, hi, bin_count: int, group=0,
+                groups: int = 1) -> np.ndarray:
+    """(groups, bin_count) int64 equal-width bin counts over [lo, hi]: value
+    v falls in bin floor((v - lo) / (hi - lo) * bin_count) of histogram
+    group, where lo, hi and group are scalars or arrays broadcast against
+    values. Outliers clip into the edge bins and hi into the last bin; where
+    lo == hi every value loads bin 0. One bincount bins every histogram.
     """
-    x = rows.astype(np.float64)  # a copy, worked on in place
+    if bin_count < 2:
+        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    x = values.astype(np.float64)  # a copy, worked on in place
     np.clip(x, lo, hi, out=x)
     x -= lo
     x /= np.where(hi > lo, hi - lo, 1.0)
@@ -66,9 +73,8 @@ def _bin_counts(rows: np.ndarray, lo, hi, bin_count: int) -> np.ndarray:
     idx = x.astype(np.int64)
     del x
     np.clip(idx, 0, bin_count - 1, out=idx)
-    idx += np.arange(0, len(idx) * bin_count, bin_count)[:, None]
-    counts = np.bincount(idx.ravel(), minlength=len(idx) * bin_count)
-    return counts.reshape(len(idx), bin_count)
+    idx += np.asarray(group) * bin_count
+    return np.bincount(idx.ravel(), minlength=groups * bin_count).reshape(groups, bin_count)
 
 
 def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histogram:
@@ -82,11 +88,9 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
     values = np.asarray(samples, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("samples must be nonempty")
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
     _require_finite(values)
     lo, hi = _resolve_range(values, range_mode)
-    counts = _bin_counts(values[None], lo, hi, bin_count)[0]
+    counts = _bin_counts(values, lo, hi, bin_count)[0]
     return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=lo == hi)
 
 
@@ -94,6 +98,21 @@ def _entropy_p(p: np.ndarray) -> float:
     nz = p[p > 0]
     h = float(-(nz * np.log2(nz)).sum())
     return h if h > 0.0 else 0.0
+
+
+def _counts_entropy(counts: np.ndarray) -> float:
+    """Plug-in entropy in bits of one histogram's counts, as entropy() gives."""
+    return _entropy_p(counts / counts.sum())
+
+
+def _prior_weighted_entropy(table: np.ndarray, priors) -> float:
+    """sum_j priors[j] * H(row j) of a (classes, bins) count table, summed in
+    class order from 0.0 over the positive priors only."""
+    h = 0.0
+    for p, row in zip(priors, table):
+        if p > 0:
+            h += p * _counts_entropy(row)
+    return float(h)
 
 
 def row_entropy(counts: np.ndarray) -> np.ndarray:
@@ -144,29 +163,19 @@ def conditional_entropy(per_class_samples: dict, labels: LabelSpace,
 
     per_class_samples maps class index -> sample sequence; every class with a
     positive prior must have samples. range_mode "minmax" resolves to the
-    pooled min/max so all classes share one bin grid.
+    pooled min/max so all classes share one bin grid; one call bins them all.
     """
-    groups = {}
-    for j in range(labels.class_count):
-        s = np.asarray(per_class_samples.get(j, ()), dtype=np.float64).ravel()
+    groups = [np.asarray(per_class_samples.get(j, ()), dtype=np.float64).ravel()
+              for j in range(labels.class_count)]
+    for j, s in enumerate(groups):
         if s.size == 0 and labels.priors[j] > 0:
             raise ValueError(f"class {j} has no samples")
-        groups[j] = s
-    if isinstance(range_mode, str):
-        pooled = np.concatenate([s for s in groups.values() if s.size])
-        _require_finite(pooled)  # a NaN range would fail as a bad range instead
-        shared = _resolve_range(pooled, range_mode)
-        if shared[0] == shared[1]:
-            return 0.0  # every sample identical: all class histograms degenerate
-    else:
-        shared = (float(range_mode[0]), float(range_mode[1]))
-        if not shared[0] < shared[1]:
-            raise ValueError(f"fixed range needs lo < hi, got {shared}")
-    h = 0.0
-    for j in range(labels.class_count):
-        if labels.priors[j] > 0:
-            h += labels.priors[j] * entropy(make_histogram(groups[j], bin_count, shared))
-    return float(h)
+    values = np.concatenate(groups)
+    _require_finite(values)  # a NaN range would fail as a bad range instead
+    lo, hi = _resolve_range(values, range_mode)
+    group = np.repeat(np.arange(labels.class_count), [s.size for s in groups])
+    table = _bin_counts(values, lo, hi, bin_count, group, labels.class_count)
+    return _prior_weighted_entropy(table, labels.priors)
 
 
 def mutual_information(joint_counts) -> float:
@@ -262,8 +271,6 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     """
     if mode not in ("per-filter", "per-layer"):
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
     _require_finite_activations(activations, image_ids)
     columns = []
     for act in activations:
@@ -274,7 +281,8 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
             hi = rows.max(axis=1, keepdims=True).astype(np.float64)
         else:
             lo, hi = _resolve_range(rows, range_mode)  # a fixed pair, or a bad mode
-        h = row_entropy(_bin_counts(rows, lo, hi, bin_count))
+        h = row_entropy(_bin_counts(rows, lo, hi, bin_count, np.arange(len(rows))[:, None],
+                                    len(rows)))
         columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
     return np.concatenate(columns, axis=1)
 
@@ -323,11 +331,13 @@ class FilterSelector:
             raise ValueError("filters tuple must be nonempty (or None for all)")
 
 
-def _collect_filter_samples(activations, labels, selector: FilterSelector):
-    """(filter ids, image-count LabelSpace, class ids, samples) of the selected
-    read point, where activations are net.forward_collect's arrays for images
-    with the given labels and samples(fi) -> {class: 1-D float64 values of
-    filter fi}, converting one filter per call."""
+def _class_tables(activations, labels, selector: FilterSelector, bin_count: int):
+    """(class ids, image-count LabelSpace, tables) of the selected read point,
+    where activations are net.forward_collect's arrays for images with the
+    given labels. tables holds one (classes, bin_count) count table per
+    selected filter, binned in one call over that filter's dataset-wide
+    [min, max] ([lo, lo + 1] for a constant filter: any shared grid gives it
+    0-bit entropies)."""
     labels = np.asarray(labels, dtype=np.int64)
     if selector.layer >= len(activations):
         raise ValueError(f"selector layer {selector.layer} out of range "
@@ -340,24 +350,16 @@ def _collect_filter_samples(activations, labels, selector: FilterSelector):
     for fi in filter_ids:
         if not 0 <= fi < available:
             raise ValueError(f"filter {fi} out of range (layer has {available})")
-    classes = [int(c) for c in np.unique(labels)]
-    masks = [labels == c for c in classes]
-
-    def samples(fi: int) -> dict:
-        vals = layer[:, fi] if layer.ndim >= 3 else layer
-        return {c: vals[m].astype(np.float64).ravel() for c, m in zip(classes, masks)}
-
-    counts = np.array([m.sum() for m in masks], dtype=np.float64)
-    return filter_ids, LabelSpace(len(classes), counts / counts.sum()), classes, samples
-
-
-def _shared_filter_range(samples_by_class: dict) -> tuple[float, float]:
-    pooled = np.concatenate(list(samples_by_class.values()))
-    _require_finite(pooled)  # a NaN range would fail as a bad range instead
-    lo, hi = float(pooled.min()), float(pooled.max())
-    if lo == hi:
-        hi = lo + 1.0  # constant filter: any shared grid gives 0-bit entropies
-    return lo, hi
+    classes, group = np.unique(labels, return_inverse=True)
+    tables = []
+    for fi in filter_ids:
+        vals = (layer[:, fi] if layer.ndim >= 3 else layer).reshape(len(layer), -1)
+        _require_finite(vals)  # a NaN range would fail as a bad range instead
+        lo, hi = float(vals.min()), float(vals.max())
+        tables.append(_bin_counts(vals, lo, hi if lo < hi else lo + 1.0, bin_count,
+                                  group[:, None], len(classes)))
+    counts = np.bincount(group).astype(np.float64)
+    return [int(c) for c in classes], LabelSpace(len(classes), counts / counts.sum()), tables
 
 
 def expected_cent(activations, labels, selector: FilterSelector,
@@ -369,28 +371,24 @@ def expected_cent(activations, labels, selector: FilterSelector,
     weighted uniformly. Images contribute equally many values, so priors by
     image count equal priors by value count and the result is bounded above
     by pooled_unconditional_entropy (plug-in concavity). Arguments as in
-    _collect_filter_samples.
+    _class_tables.
     """
-    filter_ids, space, classes, samples = _collect_filter_samples(activations, labels, selector)
+    _, space, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
-    for fi in filter_ids:
-        by_class = samples(fi)
-        per_class = {j: by_class[c] for j, c in enumerate(classes)}
-        total += conditional_entropy(per_class, space, bin_count, _shared_filter_range(by_class))
-    return float(total / len(filter_ids))
+    for table in tables:
+        total += _prior_weighted_entropy(table, space.priors)
+    return float(total / len(tables))
 
 
 def pooled_unconditional_entropy(activations, labels, selector: FilterSelector,
                                  bin_count: int = 256) -> float:
     """Unconditioned counterpart of expected_cent: pooled entropy per filter,
     same shared ranges, uniform filter weighting."""
-    filter_ids, _, _, samples = _collect_filter_samples(activations, labels, selector)
+    _, _, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
-    for fi in filter_ids:
-        by_class = samples(fi)
-        pooled = np.concatenate(list(by_class.values()))
-        total += entropy(make_histogram(pooled, bin_count, _shared_filter_range(by_class)))
-    return float(total / len(filter_ids))
+    for table in tables:
+        total += _counts_entropy(table.sum(axis=0))
+    return float(total / len(tables))
 
 
 @dataclass(frozen=True)
@@ -421,12 +419,10 @@ def partition_check(activations, labels, selector: FilterSelector,
     if set(part_a) & set(part_b):
         raise ValueError("partition sides must be disjoint")
 
-    filter_ids, space, classes, samples = _collect_filter_samples(activations, labels, selector)
+    classes, space, (table,) = _class_tables(activations, labels, selector, bin_count)
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
-    by_class = samples(filter_ids[0])
-    shared = _shared_filter_range(by_class)
-    class_h = {c: entropy(make_histogram(by_class[c], bin_count, shared)) for c in classes}
+    class_h = {c: _counts_entropy(row) for c, row in zip(classes, table)}
     prior = {c: space.priors[j] for j, c in enumerate(classes)}
 
     def side(members):
@@ -466,8 +462,10 @@ def dpi_check(chain, slack: float = 0.02) -> DpiReport:
     """Data-processing inequality on samples from a chain X -> Y -> C.
 
     `chain` carries integer-coded .x, .y, .c arrays. Plug-in MI from
-    contingency tables; holds = I(Y;C) <= I(X;C) + slack.
+    contingency tables; holds = I(Y;C) <= I(X;C) + slack, a finite number.
     """
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     i_xc = mutual_information(contingency_table(chain.x, chain.c))
     i_yc = mutual_information(contingency_table(chain.y, chain.c))
     return DpiReport(float(i_xc), float(i_yc), bool(i_yc <= i_xc + slack), slack)

@@ -457,8 +457,10 @@ def softmax_cross_entropy(logits: np.ndarray, true_class
     labels = np.asarray(true_class).reshape(-1)
     _require(labels.shape[0] == (1 if single else logits.shape[0]),
              f"{labels.shape[0]} class indices for logits {logits.shape}")
-    _require(bool(((labels >= 0) & (labels < k)).all()),
-             f"true_class {true_class} out of range for {k} logits")
+    bad = (labels < 0) | (labels >= k)
+    if bad.any():  # the message is built only on failure
+        row = int(np.argmax(bad))
+        raise ShapeMismatch(f"row {row}: true_class {labels[row]} out of range for {k} logits")
     z = logits.astype(np.float64, copy=False).reshape(-1, k)
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)

@@ -69,6 +69,24 @@ def test_synth_summary_embeds_config(tmp_path):
     assert summary["config"]["per_class"] == 2
     assert summary["config"]["extent"] == 8
     assert summary["images"] == 4
+    assert summary["counters"]["images"] == 4
+    assert set(summary["timings"]) == {"generate_s", "write_s"}
+    assert all(v >= 0 for v in summary["timings"].values())
+    written = [os.path.join(d, f) for d, _, files in os.walk(tmp_path / "d") for f in files]
+    assert summary["counters"]["bytes_written"] == sum(map(os.path.getsize, written))
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--noise-scale", "nan,0.4"), ("--noise-scale", "inf,0.4"),
+    ("--spatial-frequency", "inf,6"), ("--spatial-frequency", "0,-inf"),
+    ("--blob-density", "inf,0.1"), ("--blob-density", "0.5,nan"),
+])
+def test_synth_non_finite_class_parameter_exits_2(tmp_path, flag, value):
+    code, out, err = run_cli(["synth", "--out", str(tmp_path / "d"), "--per-class", "2",
+                              "--extent", "8", f"{flag}={value}"])
+    assert code == 2 and out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite" in err
+    assert not (tmp_path / "d" / "manifest.csv").exists()
 
 
 def test_synth_bad_extent_exits_2(tmp_path):
@@ -539,11 +557,17 @@ def test_theory_conditioning_never_increases(theory_report):
 def test_theory_rerun_byte_identical(theory_report, pipeline):
     report, out_dir = theory_report
     first = open(out_dir / "theory_report.json", "rb").read()
-    code, _, err = run_cli(["theory", "--out", str(out_dir),
-                            "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
-                            "--chain-n", "20000"])
+    code, out, err = run_cli(["theory", "--out", str(out_dir),
+                              "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                              "--chain-n", "20000"])
     assert code == 0, err
     assert open(out_dir / "theory_report.json", "rb").read() == first
+    # counters and times reach stdout only, never the compared report
+    summary = json.loads(out)
+    assert summary["counters"] == {"images": 20, "forward_passes": 20}
+    assert set(summary["timings"]) == {"forward_s", "checks_s", "dpi_s", "write_s"}
+    assert all(v >= 0 for v in summary["timings"].values())
+    assert not {"counters", "timings", "report"} & set(report)
 
 
 def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monkeypatch):
@@ -609,6 +633,19 @@ def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
     part = json.load(open(out_dir / "theory_report.json"))["partition"]
     assert part["layer"] == 2 and part["filter"] == 0
     assert part["decomposition_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"),
+    ("--slack", "nan", "slack"), ("--slack", "inf", "slack"), ("--slack", "-inf", "slack"),
+])
+def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, flag, value, named):
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                              "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                              "--chain-n", "2000", f"{flag}={value}"])
+    assert code == 2 and out == ""
+    assert f"error: {named} must be" in err
+    assert not (tmp_path / "t" / "theory_report.json").exists()
 
 
 @pytest.mark.parametrize("layer", ["3", "5", "-1"])

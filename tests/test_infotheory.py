@@ -445,6 +445,85 @@ def test_filter_selector_contract():
         expected_cent(acts, data.labels[1:], FilterSelector(0))
 
 
+def test_bin_count_below_two_is_refused_on_every_path():
+    space = LabelSpace(2, np.array([0.5, 0.5]))
+    per_class = {0: np.array([0.0, 1.0]), 1: np.array([2.0, 3.0])}
+    for bins in (1, 0):
+        with pytest.raises(ValueError, match="bin_count"):
+            conditional_entropy(per_class, space, bin_count=bins)
+    acts = [np.arange(24, dtype=np.float32).reshape(4, 2, 3)]
+    labels = np.array([0, 1, 0, 1])
+    for measure in (expected_cent, pooled_unconditional_entropy):
+        with pytest.raises(ValueError, match="bin_count"):
+            measure(acts, labels, FilterSelector(0), bin_count=1)
+    with pytest.raises(ValueError, match="bin_count"):
+        partition_check(acts, labels, FilterSelector(0, (1,)), ((0,), (1,)), bin_count=1)
+
+
+@st.composite
+def _labelled_read_points(draw):
+    """(activations, labels) of a conv read point with one constant filter
+    and a rank-1 (fc) read point, for 2-9 classes of unequal sizes whose ids
+    need not be 0..k-1, in a drawn image order."""
+    k = draw(st.integers(2, 9))
+    ids = sorted(draw(st.sets(st.integers(0, 20), min_size=k, max_size=k)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    labels = np.repeat(ids, sizes)
+    labels = labels[draw(st.permutations(range(len(labels))))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(labels)
+    conv = (rng.normal(size=(n, 3, 4, 4)) * rng.uniform(0.1, 5.0)).astype(np.float32)
+    conv[:, draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, 1.5]))
+    fc = rng.normal(size=(n, 5)).astype(np.float32)
+    return [conv, fc], labels
+
+
+def _per_class_reference(acts, labels, layer, fi, bins):
+    """(class entropies, priors, conditional, pooled) of one filter, a
+    make_histogram per class over the dataset-wide range with image-count
+    priors: the per-class path the grouped tables must reproduce."""
+    vals = acts[layer][:, fi] if acts[layer].ndim >= 3 else acts[layer]
+    lo, hi = float(vals.min()), float(vals.max())
+    shared = (lo, hi if lo < hi else lo + 1.0)
+    classes = np.unique(labels)
+    counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
+    priors = counts / counts.sum()
+    per_class = [vals[labels == c] for c in classes]
+    class_h = [entropy(make_histogram(v, bins, shared)) for v in per_class]
+    cond = 0.0
+    for p, h in zip(priors, class_h):
+        cond += p * h
+    assert conditional_entropy(dict(enumerate(per_class)), LabelSpace(len(classes), priors),
+                               bins, shared) == cond
+    return class_h, priors, cond, entropy(make_histogram(vals, bins, shared))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labelled_read_points(), st.sampled_from([2, 3, 16, 256]), st.data())
+def test_dataset_measures_equal_the_per_class_reference(read_points, bins, data):
+    acts, labels = read_points
+    for layer, filters in ((0, 3), (1, 1)):
+        refs = [_per_class_reference(acts, labels, layer, fi, bins) for fi in range(filters)]
+        cond_sum, pooled_sum = 0.0, 0.0
+        for _, _, cond, pooled in refs:
+            cond_sum += cond
+            pooled_sum += pooled
+        sel = FilterSelector(layer)
+        assert expected_cent(acts, labels, sel, bins) == cond_sum / filters
+        assert pooled_unconditional_entropy(acts, labels, sel, bins) == pooled_sum / filters
+
+        fi = data.draw(st.integers(0, filters - 1))
+        class_h, priors, _, _ = refs[fi]
+        classes = [int(c) for c in np.unique(labels)]
+        report = partition_check(acts, labels, FilterSelector(layer, (fi,)),
+                                 (tuple(classes[:1]), tuple(classes[1:])), bins)
+        rest = range(1, len(classes))
+        p_rest = sum(priors[j] for j in rest)
+        assert report.h_informative == priors[0] * class_h[0] / priors[0]
+        assert report.h_uninformative == sum(priors[j] * class_h[j] for j in rest) / p_rest
+        assert report.h_conditional == sum(p * h for p, h in zip(priors, class_h))
+
+
 # --- partition decomposition ---
 
 def test_partition_check_contract_errors():
@@ -516,6 +595,13 @@ def test_dpi_constant_output_holds_trivially():
     chain = types.SimpleNamespace(x=x, y=np.zeros_like(x), c=c)
     report = dpi_check(chain)
     assert report.holds and report.i_yc == 0.0
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+def test_dpi_refuses_a_non_finite_slack(slack):
+    c = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="slack must be finite"):
+        dpi_check(types.SimpleNamespace(x=c, y=c, c=c), slack=slack)
 
 
 def test_dpi_detects_violation():

@@ -248,10 +248,13 @@ def test_softmax_gradient_matches_fd():
 def test_softmax_contract_errors():
     with pytest.raises(ValueError):
         ops.softmax_cross_entropy(np.zeros(1), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0: true_class 3 out of range for 3 logits"):
         ops.softmax_cross_entropy(np.zeros(3), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0: true_class -1 out of range"):
         ops.softmax_cross_entropy(np.zeros(3), -1)
+    # a batch names its first out-of-range row and that row's class
+    with pytest.raises(ops.ShapeMismatch, match="row 2: true_class 4 out of range for 3 logits"):
+        ops.softmax_cross_entropy(np.zeros((5, 3)), np.array([0, 2, 4, -1, 1]))
 
 
 @given(st.integers(0, 2**32 - 1))
