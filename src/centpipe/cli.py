@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import resource
 import sys
@@ -157,23 +158,28 @@ def cmd_synth(cfg: dict, out: str) -> dict:
                         "write_s": round(clock() - generated, 6)}}
 
 
-def _epoch_reporter():
+class _EpochReporter:
     """net.train callback printing one JSON line per epoch to stderr (epoch,
     mean loss, wall seconds of that epoch, and the process's minor page
-    faults during it). Times and faults go to stderr only, never into an
-    output file."""
-    faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    last, last_faults = time.perf_counter(), faults()
+    faults during it), and keeping the training workspace's latest size for
+    the stdout summary. Times, faults and sizes never reach an output file."""
 
-    def report(epoch: int, mean_loss: float) -> None:
-        nonlocal last, last_faults
-        now, now_faults = time.perf_counter(), faults()
+    def __init__(self):
+        self.last, self.last_faults = time.perf_counter(), self._faults()
+        self.workspace_bytes = 0
+
+    @staticmethod
+    def _faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def __call__(self, epoch: int, mean_loss: float, workspace_bytes: int) -> None:
+        now, faults = time.perf_counter(), self._faults()
         print(json.dumps({"epoch": epoch, "mean_loss": mean_loss,
-                          "seconds": round(now - last, 6),
-                          "minor_faults": now_faults - last_faults}),
+                          "seconds": round(now - self.last, 6),
+                          "minor_faults": faults - self.last_faults}),
               file=sys.stderr, flush=True)
-        last, last_faults = now, now_faults
-    return report
+        self.last, self.last_faults = now, faults
+        self.workspace_bytes = workspace_bytes
 
 
 def cmd_train(cfg: dict, out: str) -> dict:
@@ -194,7 +200,8 @@ def cmd_train(cfg: dict, out: str) -> dict:
                                 cfg["batch_size"], cfg["seed"], cfg["shuffle"])
     clock = time.perf_counter
     start = clock()
-    network, trace = net.train(network, dataset, train_cfg, on_epoch=_epoch_reporter())
+    reporter = _EpochReporter()
+    network, trace = net.train(network, dataset, train_cfg, on_epoch=reporter)
     trained = clock()
     ckpt = os.path.join(out, "checkpoint.ckpt")
     net.save_checkpoint(network, ckpt)
@@ -206,7 +213,8 @@ def cmd_train(cfg: dict, out: str) -> dict:
     return {"command": "train", "config": cfg, "checkpoint": ckpt,
             "epochs": len(trace), "final_loss": trace[-1],
             "counters": {"samples_trained": len(trace) * n,
-                         "chunks": len(trace) * sum(-(-b // chunk) for b in batches)},
+                         "chunks": len(trace) * sum(-(-b // chunk) for b in batches),
+                         "workspace_bytes": reporter.workspace_bytes},
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
 
 
@@ -329,6 +337,24 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
     return summary
 
 
+def _class_histogram_sizes(read_shapes, layers, images_per_class: dict, bins: int) -> list:
+    """Sizes behind the theory checks at each of `layers`: a class's
+    histogram of one filter holds that filter's values over the class's
+    images, so its sizes are histogram_sizes of those values as one
+    histogram."""
+    sizes = []
+    for li in layers:
+        shape = read_shapes[li]
+        filters, values = (shape[0], math.prod(shape[1:])) if len(shape) >= 2 else (1, shape[0])
+        classes = {}
+        for name, count in images_per_class.items():
+            one = infotheory.histogram_sizes((count * values,), "per-layer", bins)
+            classes[name] = {key: one[key] for key in
+                             ("values_per_histogram", "samples_per_bin", "entropy_cap_bits")}
+        sizes.append(dict(read_point=li, shape=list(shape), filters=filters, classes=classes))
+    return sizes
+
+
 def cmd_theory(cfg: dict, out: str) -> dict:
     network, dataset = _network_and_dataset(cfg)
     # FilterSelector layers index the CENT read points
@@ -386,7 +412,9 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     report_path = os.path.join(out, "theory_report.json")
     framing.write_text(report_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     result["report"] = report_path
-    # stdout only: the report file above holds neither counters nor times
+    # stdout only: the report file above holds neither sizes, counters nor times
+    result["read_points"] = _class_histogram_sizes(
+        read_shapes, sorted({*conv_layers, part_layer}), result["images_per_class"], cfg["bins"])
     result["counters"] = {"images": len(labels), "forward_passes": len(dataset.images)}
     result["timings"] = {"forward_s": round(forward_done - start, 6),
                          "checks_s": round(checks_done - forward_done, 6),

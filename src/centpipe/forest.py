@@ -161,9 +161,15 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
     # Class-major (class, position) running counts over the whole pass, so
     # that the class sums of the impurities are row adds. They are exact
     # integers, so the in-place forms give the bytes any order would;
-    # temporaries are freed as soon as they are spent.
-    left_counts = np.cumsum(y[r[order]] == np.arange(class_count)[:, None], axis=1,
-                            dtype=np.float64)
+    # temporaries are freed as soon as they are spent. The last class's row
+    # is the running position count minus the other rows, not a cumsum.
+    left_counts = np.empty((class_count, total))
+    np.cumsum(y[r[order]] == np.arange(class_count - 1)[:, None], axis=1, dtype=np.float64,
+              out=left_counts[:-1])
+    last = left_counts[-1]
+    np.subtract(np.arange(1.0, total + 1), left_counts[0] if class_count > 1 else 0.0, out=last)
+    for row in left_counts[1:-1]:
+        last -= row
     del r, flat, order
     at_end = left_counts[:, seg_start + seg_len - 1]  # through each segment's last position
     right_counts = at_end.repeat(seg_len, axis=1)

@@ -438,14 +438,24 @@ def partition_check(activations, labels, selector: FilterSelector,
                            float(p_a), float(p_b), float(h_all), (part_a, part_b))
 
 
+def _dense_codes(codes: np.ndarray) -> np.ndarray:
+    """Each code's rank among the distinct codes, np.unique's inverse. Integer
+    codes spanning at most their own count are ranked by one bincount over
+    code minus minimum, without np.unique's sort."""
+    if codes.dtype.kind not in "iu" or int(codes.max()) - int(codes.min()) >= codes.size:
+        return np.unique(codes, return_inverse=True)[1]
+    # int64 arithmetic wraps, so the offsets are exact even for uint64 codes
+    offsets = codes.astype(np.int64) - codes.min().astype(np.int64)
+    return (np.cumsum(np.bincount(offsets) > 0) - 1)[offsets]
+
+
 def contingency_table(a, b) -> np.ndarray:
     """Joint count table of two integer-coded sequences (rows: a, cols: b)."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size or a.size == 0:
         raise ValueError("sequences must be nonempty and equal length")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
+    ai, bi = _dense_codes(a), _dense_codes(b)
     rows, cols = ai.max() + 1, bi.max() + 1
     return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
 

@@ -280,7 +280,9 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
     """Per-sample losses of a (batch, *input_shape) chunk and its float64
     parameter gradients {layer: (weights, bias)} summed over the chunk: one
     forward and one backward op call per layer, drawing scratch arrays from
-    `workspace`."""
+    `workspace`. A fully connected layer's weight gradient is left as its
+    factors (g, x): the (batch, m) upstream gradient and the (batch, n)
+    flattened input, whose product g.T @ x it is."""
     outs, caches = _forward_layers(net, x, workspace)
     _, losses, grad = ops.softmax_cross_entropy(outs[-1], labels)
     del outs  # the backward pass needs only the caches, freed as it goes
@@ -300,9 +302,11 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
             g = ops.maxpool_backward(g, cache)
         else:  # fully_connected or softmax affine
             w, _ = net.params[i]
-            g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w,
-                                                     workspace=workspace)
-            grads[i] = (gw, gb)
+            x = cache.astype(np.float64).reshape(len(cache), -1)
+            grad_input, _, gb = ops.fully_connected_backward(g, x, w, workspace=workspace,
+                                                             weight_grad=False)
+            grads[i] = ((g, x), gb)
+            g = grad_input.reshape(cache.shape)
     return losses, grads
 
 
@@ -311,10 +315,9 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
 # proportion to the chunk, so a chunk's largest activation stays at 1 MB in
 # float64: a 10x32x32 desk activation allows 12 samples (a batch of 10 is one
 # chunk), a 10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk.
-# Training keeps the kernels' float64 scratch arrays of at most this many
-# elements for the whole call (ops.Workspace); larger ones, such as a 64^3
-# volume's im2col copy, are allocated per call.
-_CHUNK_ELEMENTS = 1 << 17
+# It is the ops scratch budget: training keeps the kernels' float64 scratch
+# arrays of at most this many elements for the whole call (ops.Workspace).
+_CHUNK_ELEMENTS = ops._SCRATCH_ELEMENTS
 
 
 def _chunk_size(net: Network) -> int:
@@ -324,13 +327,54 @@ def _chunk_size(net: Network) -> int:
     return max(1, _CHUNK_ELEMENTS // largest)
 
 
-def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
+def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """float32(param - scale * grad), computed in float64 in grad's buffer
     (overwriting it): the values of param.astype(float64) - scale * grad
-    without two more float64 copies of the parameter."""
+    without two more float64 copies of the parameter. Written into `out`
+    if given, else into a new array."""
     np.multiply(grad, scale, out=grad)
     np.subtract(param, grad, out=grad)
-    return grad.astype(np.float32)
+    if out is None:
+        return grad.astype(np.float32)
+    out[...] = grad
+    return out
+
+
+def _summed(parts: list[np.ndarray]) -> np.ndarray:
+    """The chunks' float64 gradients added in chunk order, into the first."""
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _fc_sgd_step(weights: np.ndarray, factors: list, scale: float,
+                 workspace: ops.Workspace) -> np.ndarray:
+    """_sgd_step on the fully connected weights with the float64 gradient
+    sum of g.T @ x over the chunks' (g, x) factors, added in chunk order,
+    without that (m, n) array: it is rebuilt one block of whole rows at a
+    time, each block at most ops._SCRATCH_ELEMENTS values in `workspace`.
+    Weights within that budget are one block, the chunks' own GEMMs."""
+    m, n = weights.shape
+    new = np.empty_like(weights)
+    # blocks of at least two rows: numpy runs one row as a matrix-vector
+    # product, which BLAS sums in another order than the GEMM
+    for rows in ops._row_parts(m, n, 2):
+        grad = workspace.take("gw", (rows.stop - rows.start, n))
+        for ci, (g, x) in enumerate(factors):
+            product = workspace.take("gw_part", grad.shape) if ci else grad
+            if len(g) == 1:
+                # one sample: np.matmul runs its plain loop, 0 + g * x per
+                # element, so the same values come from one multiply
+                np.multiply(g[0, rows, None], x, out=product)
+                product += 0.0
+            else:
+                np.matmul(g[:, rows].T, x, out=product)
+            if ci:
+                grad += product
+        _sgd_step(weights[rows], grad, scale, out=new[rows])
+    return new
 
 
 @dataclass(frozen=True)
@@ -355,11 +399,17 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
     Batch order is a pure function of config.seed. Each mini-batch runs as
     one batched forward and backward pass per chunk of at most
-    _chunk_size(net) samples; gradients are summed in float64. One
-    ops.Workspace lives for the whole call, so the convolutions and fully
-    connected ops reuse their scratch arrays from chunk to chunk instead of
-    allocating them. Returns (net, per-epoch mean loss) and calls
-    on_epoch(epoch, mean_loss), if given, after each epoch. Raises
+    _chunk_size(net) samples; gradients are summed in float64, in chunk
+    order. A fully connected layer's weight gradient stays factored until
+    the step (see _fc_sgd_step), so no (m, n) float64 weight gradient is
+    made, per chunk or summed. One ops.Workspace lives for the whole call,
+    so the kernels and the gradient blocks reuse their scratch arrays from
+    chunk to chunk instead of allocating them. Scratch above the budget is
+    still allocated per call: at reference3d's sizes, the padded conv
+    inputs, conv_backward's whole-array im2col copy and col2im buffer, and
+    the float64 fc weight blocks. Returns (net, per-epoch mean loss) and
+    calls on_epoch(epoch, mean_loss, workspace_bytes), if given, after each
+    epoch, with the bytes of scratch the workspace then keeps. Raises
     TrainingDiverged naming the epoch, the batch and the dataset index of the
     first sample whose loss is not finite.
     """
@@ -382,7 +432,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
         epoch_losses = []
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
-            grads = None
+            chunk_grads = []
             for lo in range(0, len(batch), chunk):
                 part = batch[lo:lo + chunk]
                 losses, part_grads = _loss_and_grads(net, images[part], labels[part], workspace)
@@ -391,23 +441,19 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "
                                            f"(sample {part[np.argmax(bad)]})")
                 epoch_losses.append(losses)
-                if grads is None:
-                    grads = part_grads
-                else:
-                    for (acc_w, acc_b), (gw, gb) in zip(grads.values(), part_grads.values()):
-                        acc_w += gw
-                        acc_b += gb
-                del part_grads  # not held while the next chunk runs
+                chunk_grads.append(part_grads)
             scale = config.learning_rate / len(batch)
-            for li, (gw, gb) in grads.items():
-                w, b = net.params[li]
-                net.params[li] = (_sgd_step(w, gw, scale), _sgd_step(b, gb, scale))
+            for li in chunk_grads[0]:
+                (w, b), (gws, gbs) = net.params[li], zip(*(part[li] for part in chunk_grads))
+                w = (_sgd_step(w, _summed(gws), scale) if net.specs[li].kind == "conv"
+                     else _fc_sgd_step(w, gws, scale, workspace))
+                net.params[li] = (w, _sgd_step(b, _summed(gbs), scale))
         for par in net.params:
             if par is not None and not (np.isfinite(par[0]).all() and np.isfinite(par[1]).all()):
                 raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         trace.append(float(np.mean(np.concatenate(epoch_losses))))
         if on_epoch is not None:
-            on_epoch(epoch, trace[-1])
+            on_epoch(epoch, trace[-1], workspace.nbytes)
     return net, trace
 
 

@@ -16,34 +16,41 @@ softmax_cross_entropy takes (k,) logits with one class index or (batch, k)
 logits with one index per row. Batched backward passes return the parameter
 gradients summed over the batch, which is what one SGD step needs.
 Convolution forward and backward run as im2col GEMMs: one matmul call covers
-the whole batch, one GEMM per sample inside it. A batch costs memory in
-proportion to its size (a convolution's im2col copy holds channels x kernel
-float64 values per output position, 17 MB for one 64^3 sample), so the
-training loop and net.forward_collect cap how many samples one call carries
-at 2^17 elements in the largest per-sample activation; see
-net._CHUNK_ELEMENTS.
+the whole batch, one GEMM per sample inside it. The forward builds its im2col
+copy and GEMM output one slab of output rows at a time, each within
+_SCRATCH_ELEMENTS (1 MB of float64); the backward's filter gradient reduces
+over every position, so it keeps one whole im2col copy (channels x kernel
+float64 values per output position, 17 MB for one 64^3 sample). Batched
+temporaries still grow with the batch, so the training loop and
+net.forward_collect cap how many samples one call carries at the same
+budget in the largest per-sample activation; see net._CHUNK_ELEMENTS.
 
 Training kernels skip work nothing reads. fully_connected and its backward
 cast the float32 weights to float64 in fixed blocks (whole rows forward,
 whole columns backward, at most _FC_BLOCK_ELEMENTS each), so no float64 copy
 of a large weight matrix is made; weights of at most one block take one call.
 conv_backward(..., input_grad=False) computes no input gradient, which the
-training loop asks of layer 0, whose input is the image. maxpool_backward
-routes every window's gradient to its argmax with one np.bincount.
+training loop asks of layer 0, whose input is the image, and
+fully_connected_backward(..., weight_grad=False) computes no weight
+gradient, which the training loop rebuilds from its factors at the step.
+maxpool_backward routes every window's gradient to its argmax with one
+np.bincount.
 
 Training reuses its scratch memory. A Workspace holds the convolutions'
-float64 padded input ("pad"), im2col copy ("cols"), GEMM output ("out") and
-col2im buffer ("gpad"), and the fully connected ops' float64 weight block
-("fc"), keyed by role and shape; the kernels write into them through
-np.copyto and out=, which is the same arithmetic, so the bytes do not change.
-net.train keeps one Workspace for its whole call, which keeps only arrays of
-at most net._CHUNK_ELEMENTS elements: every desk array is reused, while a
-64^3 volume's arrays and reference3d's weight blocks are allocated per call
-as before, so none of them is held between calls. A call without a workspace
-gets a throwaway one, and no op returns workspace memory. relu_backward
-multiplies in place into the upstream gradient, which the training loop
-never reads again. centpipe train's per-epoch stderr line reports the minor
-page faults this saves.
+float64 padded input ("pad"), im2col copy or slab ("cols"), GEMM output
+("out") and col2im buffer ("gpad"), the fully connected ops' float64 weight
+block ("fc"), and net.train's weight gradient blocks ("gw", "gw_part"),
+keyed by role and shape; the kernels write into them through np.copyto and
+out=, which is the same arithmetic, so the bytes do not change. net.train
+keeps one Workspace for its whole call, which keeps only arrays of at most
+_SCRATCH_ELEMENTS elements: every desk array is reused, and so are a 64^3
+volume's forward slabs and every fc weight gradient block. Still allocated
+per call, above the budget, are reference3d's padded conv inputs (65^3 and
+10x33^3 values), its backward's whole im2col copy and col2im buffer, and its
+fc weight blocks. A call without a workspace gets a throwaway one, and no op
+returns workspace memory. relu_backward multiplies in place into the
+upstream gradient, which the training loop never reads again. centpipe
+train's per-epoch stderr line reports the minor page faults this saves.
 """
 
 from __future__ import annotations
@@ -138,12 +145,33 @@ class Workspace:
             self.arrays[key] = np.empty(shape)
         return self.arrays[key]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays kept."""
+        return sum(array.nbytes for array in self.arrays.values())
 
-def _im2col(x: np.ndarray, spec: ConvSpec, out, ws: Workspace) -> tuple[np.ndarray, tuple, list]:
-    """Float64 (batch, C * kernel, positions) copy of every window of the
-    (batch, C, *spatial) input, zero-padded for "same", with the padded
-    input shape and the per-axis (before, after) padding. The padded input
-    and the copy are the workspace's "pad" and "cols" arrays."""
+
+# Most float64 elements one scratch part holds (1 MB): a conv_forward slab's
+# im2col copy and GEMM output, one block of a summed fc weight gradient
+# (net.train), and the arrays a training workspace keeps. net._CHUNK_ELEMENTS,
+# the bound on a chunk's largest activation, is this same budget.
+_SCRATCH_ELEMENTS = 1 << 17
+
+
+def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
+    """Slices over `count` rows of `row_elements` values each: parts of a
+    multiple of `align` rows, as many as fit in _SCRATCH_ELEMENTS (at least
+    `align`); a remainder shorter than `align` rows joins the part before."""
+    step = max(align, _SCRATCH_ELEMENTS // row_elements // align * align)
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] < align:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
+
+def _pad(x: np.ndarray, spec: ConvSpec, out, ws: Workspace) -> tuple[np.ndarray, list]:
+    """The workspace's float64 "pad" array holding the (batch, C, *spatial)
+    input, zero-padded for "same", and the per-axis (before, after) padding."""
     spatial = x.shape[2:]
     if spec.padding == "same":
         pads = _pad_amounts(spatial, spec.kernel, spec.stride, out)
@@ -155,13 +183,21 @@ def _im2col(x: np.ndarray, spec: ConvSpec, out, ws: Workspace) -> tuple[np.ndarr
     if any(b or a for b, a in pads):
         xw.fill(0)
     np.copyto(xw[(slice(None), slice(None)) + _crop(pads, spatial)], x)
-    rank = len(spatial)
-    windows = _spatial_windows(xw, spec.kernel, spec.stride)  # (B, C, *out, *kernel)
+    return xw, pads
+
+
+def _im2col(windows: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The workspace's float64 (batch, C * kernel, positions) "cols" copy of
+    a (batch, C, *positions, *kernel) window view of the padded input, all
+    of _spatial_windows' or a slab of it."""
+    rank = (windows.ndim - 2) // 2
     # copied with the output positions innermost: long contiguous runs
     order = [0, 1] + list(range(rank + 2, 2 * rank + 2)) + list(range(2, rank + 2))
-    cols = ws.take("cols", (x.shape[0], x.shape[1] * math.prod(spec.kernel), math.prod(out)))
-    np.copyto(cols.reshape(x.shape[:2] + spec.kernel + out), windows.transpose(order))
-    return cols, xw.shape, pads
+    channels, kernel = windows.shape[1], windows.shape[rank + 2:]
+    positions = windows.shape[2:rank + 2]
+    cols = ws.take("cols", (windows.shape[0], channels * math.prod(kernel), math.prod(positions)))
+    np.copyto(cols.reshape(windows.shape[:2] + kernel + positions), windows.transpose(order))
+    return cols
 
 
 def _crop(pads, spatial) -> tuple[slice, ...]:
@@ -175,7 +211,11 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     (F, channels, *kernel) filters.
 
     Returns ([batch,] F, *out_spatial); each element is the windowed dot
-    product plus bias. Scratch arrays come from `workspace`.
+    product plus bias. The output is computed in slabs of whole rows of its
+    first spatial axis, each slab's im2col copy and GEMM output at most
+    _SCRATCH_ELEMENTS values where whole 16-position tiles allow (see
+    below); the slabs give the bytes of one GEMM over the whole output.
+    Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
     _require(x.ndim in (rank + 1, rank + 2),
@@ -196,14 +236,26 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     xb = x[None] if single else x
     out = _out_extent(xb.shape[2:], spec.kernel, spec.stride, spec.padding)
     ws = workspace or Workspace()
-    cols, _, _ = _im2col(xb, spec, out, ws)
-    # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample, in
-    # one matmul call over the batch, straight into the (B, F, positions) layout
-    y = ws.take("out", (xb.shape[0], spec.filter_count, cols.shape[2]))
-    np.matmul(filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1), cols, out=y)
-    y += bias.astype(np.float64, copy=False)[:, None]
-    # a copy: y is workspace memory
-    y = y.reshape(xb.shape[:1] + (spec.filter_count,) + out).astype(x.dtype)
+    windows = _spatial_windows(_pad(xb, spec, out, ws)[0], spec.kernel, spec.stride)
+    fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
+    b64 = bias.astype(np.float64, copy=False)[:, None]
+    y = np.empty((len(xb), spec.filter_count) + out, x.dtype)
+    rest = math.prod(out[1:])
+    # OpenBLAS sums a partial tile of output positions in another order than
+    # a full one (slabs of 4 positions were seen to change bytes), so a slab
+    # holds a multiple of 16 positions, whole tiles of its double kernels,
+    # and an output whose positions are no such multiple runs as one slab
+    align = 16 // math.gcd(rest, 16)
+    slabs = (_row_parts(out[0], len(xb) * max(fw.shape) * rest, align)
+             if out[0] % align == 0 else [slice(0, out[0])])
+    for rows in slabs:
+        cols = _im2col(windows[:, :, rows], ws)
+        # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample,
+        # in one matmul call over the batch, straight into (B, F, positions)
+        ys = ws.take("out", (len(xb), spec.filter_count, cols.shape[2]))
+        np.matmul(fw, cols, out=ys)
+        ys += b64
+        y[:, :, rows] = ys.reshape(y[:, :, rows].shape)  # a cast copy: ys is workspace memory
     return y[0] if single else y
 
 
@@ -233,7 +285,8 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     g = grad_output.astype(np.float64, copy=False).reshape(batch, spec.filter_count, -1)
     grad_bias = g.sum(axis=(0, 2))
     ws = workspace or Workspace()
-    cols, padded, pads = _im2col(xb, spec, out, ws)
+    xw, pads = _pad(xb, spec, out, ws)
+    cols = _im2col(_spatial_windows(xw, spec.kernel, spec.stride), ws)
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
     dt = cached_input.dtype
@@ -244,7 +297,7 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     # each tap's rows are added back into the padded input at that tap's offset
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
     dcols = np.matmul(fw.T, g, out=cols).reshape((batch, channels) + spec.kernel + out)
-    gpad = ws.take("gpad", padded)
+    gpad = ws.take("gpad", xw.shape)
     gpad.fill(0)
     for offset in itertools.product(*(range(k) for k in spec.kernel)):
         sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, spec.stride, out))
@@ -409,13 +462,17 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
-                             weights: np.ndarray, workspace: Workspace | None = None
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                             weights: np.ndarray, workspace: Workspace | None = None,
+                             weight_grad: bool = True
+                             ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Standard affine gradients; grad_input is reshaped to the cached input.
 
     A (batch, m) grad_output marks a batch: grad_weights and grad_bias are
-    then summed over it. A (m,) grad_output is one sample. The float64 weight
-    blocks come from `workspace`.
+    then summed over it. A (m,) grad_output is one sample. With
+    weight_grad=False, grad_weights is None and its (m, n) outer product
+    grad_output.T @ input is skipped: the caller keeps the two factors
+    instead, as net.train does. The float64 weight blocks come from
+    `workspace`.
     """
     m, n = weights.shape
     single = grad_output.ndim == 1
@@ -433,13 +490,12 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
         np.copyto(block, weights[:, cols])
         np.matmul(block.T, g.T, out=grad_input[cols])
     grad_input = grad_input.T.reshape(cached_input.shape)
-    flat = cached_input.astype(np.float64, copy=False).reshape(g.shape[0], n)
-    grad_weights = g.T @ flat
-    grad_bias = g.sum(axis=0)
+    grad_weights = None
     dt = cached_input.dtype
-    return (grad_input.astype(dt, copy=False),
-            grad_weights.astype(dt, copy=False),
-            grad_bias.astype(dt, copy=False))
+    if weight_grad:
+        flat = cached_input.astype(np.float64, copy=False).reshape(g.shape[0], n)
+        grad_weights = (g.T @ flat).astype(dt, copy=False)
+    return grad_input.astype(dt, copy=False), grad_weights, g.sum(axis=0).astype(dt, copy=False)
 
 
 def softmax_cross_entropy(logits: np.ndarray, true_class

@@ -141,7 +141,8 @@ def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
 
 def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypatch):
     """Samples trained, forward+backward calls (a batch of 15 desk images at
-    32^2 runs as chunks of 12 and 3) and stage seconds go to stdout only."""
+    32^2 runs as chunks of 12 and 3), the workspace's kept bytes and stage
+    seconds go to stdout only."""
     real, calls = net._loss_and_grads, []
 
     def counting(*args):
@@ -154,11 +155,13 @@ def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypa
     assert code == 0, err
     summary = json.loads(out)
     assert calls == [12, 3, 5] * 2
-    assert summary["counters"] == {"samples_trained": 40, "chunks": len(calls)}
+    counters = summary["counters"]
+    assert counters.pop("workspace_bytes") > 0  # the kept float64 scratch
+    assert counters == {"samples_trained": 40, "chunks": len(calls)}
     assert set(summary["timings"]) == {"train_s", "save_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     trace = (tmp_path / "t" / "loss_trace.csv").read_text()
-    assert "timings" not in trace and "chunks" not in trace
+    assert "timings" not in trace and "chunks" not in trace and "workspace" not in trace
 
 
 def test_train_missing_data_exits_2(tmp_path):
@@ -567,7 +570,15 @@ def test_theory_rerun_byte_identical(theory_report, pipeline):
     assert summary["counters"] == {"images": 20, "forward_passes": 20}
     assert set(summary["timings"]) == {"forward_s", "checks_s", "dpi_s", "write_s"}
     assert all(v >= 0 for v in summary["timings"].values())
-    assert not {"counters", "timings", "report"} & set(report)
+    # the checked read points (the two conv blocks; partition layer 0): a
+    # class's histogram of one filter holds 10 images' values of it
+    points = summary["read_points"]
+    assert [(p["read_point"], p["shape"], p["filters"]) for p in points] == [
+        (0, [10, 16, 16], 10), (1, [10, 8, 8], 10)]
+    assert points[0]["classes"]["class_0"] == {
+        "values_per_histogram": 2560, "samples_per_bin": 10.0, "entropy_cap_bits": 8.0}
+    assert points[1]["classes"]["class_1"]["samples_per_bin"] == 2.5
+    assert not {"counters", "timings", "report", "read_points"} & set(report)
 
 
 def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monkeypatch):

@@ -578,6 +578,54 @@ def test_contingency_table_counts():
         contingency_table([1, 2], [1])
 
 
+def _unique_table(a, b):
+    """The table through np.unique's inverse codes, as it was first built."""
+    _, ai = np.unique(np.ravel(a), return_inverse=True)
+    _, bi = np.unique(np.ravel(b), return_inverse=True)
+    rows, cols = ai.max() + 1, bi.max() + 1
+    return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
+
+
+_CODES = st.sampled_from([np.int8, np.int64, np.uint8, np.uint64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_contingency_table_equals_the_unique_table(n, data):
+    """Gapped, negative, single-valued, narrow and wide integer codes (wide
+    ones span more than their count and keep np.unique) give the table of
+    np.unique's inverse codes, bit for bit."""
+    def codes():
+        dtype = data.draw(_CODES)
+        info = np.iinfo(dtype)
+        if data.draw(st.booleans()):  # any codes of the type: mostly wide spans
+            pool = data.draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=1,
+                                      max_size=6, unique=True))
+        else:  # a few gapped codes near a base
+            base = data.draw(st.integers(int(info.min), int(info.max) - 12))
+            pool = [base + d for d in data.draw(st.lists(st.integers(0, 12), min_size=1,
+                                                         max_size=6, unique=True))]
+        return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                        dtype=dtype)
+
+    a, b = codes(), codes()
+    got, want = contingency_table(a, b), _unique_table(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("codes", [[-3, -3, -1, 2, 2, 2], [7] * 6, [0, 5, 0, 5, 1, 1],
+                                   [2**63 + 4, 2**63 + 1, 2**63 + 4, 2**63, 2**63, 2**63 + 1]])
+def test_contingency_table_compacts_near_codes_without_unique(monkeypatch, codes):
+    """Codes spanning at most their count are compacted by one bincount,
+    without np.unique, to the same table."""
+    a = np.array(codes, dtype=np.uint64 if max(codes) >= 2**63 else np.int64)
+    b = np.arange(len(codes)) % 2
+    want = _unique_table(a, b)
+    monkeypatch.setattr(np, "unique", None)
+    assert contingency_table(a, b).tobytes() == want.tobytes()
+
+
 def test_dpi_identity_processing_preserves_information():
     rng = np.random.default_rng(9)
     c = rng.integers(0, 2, 2000)

@@ -1,11 +1,13 @@
 """Network assembly, training behavior, and checkpoint round-trips."""
 
+import copy
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import copy
-
-from centpipe import net, ops
+from centpipe import data_io, net, ops
 from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
 from centpipe.ops import ShapeMismatch
 
@@ -346,3 +348,125 @@ def test_checkpoint_reproduces_byte_identical_files(tmp_path):
     net.save_checkpoint(network, a)
     net.save_checkpoint(network, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _materialised_train(network, dataset, config, chunk):
+    """The training loop with every weight gradient materialised: each
+    chunk's fully connected weight gradient is fully_connected_backward's
+    g.T @ x, the chunks' float64 gradients are summed in chunk order, and
+    each parameter steps to float32(param - scale * grad) in float64."""
+    rng = np.random.default_rng(config.seed)
+    n = len(dataset.images)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            total = {}
+            for lo in range(0, len(batch), chunk):
+                part = batch[lo:lo + chunk]
+                outs, caches = net._forward_layers(network, dataset.images[part])
+                g = ops.softmax_cross_entropy(outs[-1], dataset.labels[part])[2].astype(np.float64)
+                for i in range(len(network.specs) - 1, -1, -1):
+                    spec, cache = network.specs[i], caches[i]
+                    if spec.kind == "relu":
+                        g = ops.relu_backward(g, cache)
+                        continue
+                    if spec.kind == "maxpool":
+                        g = ops.maxpool_backward(g, cache)
+                        continue
+                    w = network.params[i][0]
+                    if spec.kind == "conv":
+                        g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv,
+                                                      input_grad=i > 0)
+                    else:
+                        g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w)
+                    if i in total:
+                        total[i][0] += gw
+                        total[i][1] += gb
+                    else:
+                        total[i] = [gw, gb]
+            scale = config.learning_rate / len(batch)
+            for i, grads in total.items():
+                network.params[i] = tuple((p.astype(np.float64) - g * scale).astype(np.float32)
+                                          for p, g in zip(network.params[i], grads))
+    return network
+
+
+@pytest.mark.parametrize("extent,chunk_elements,scratch_elements,chunk", [
+    (32, 10 * 32 * 32, None, 1),
+    (32, 3 * 10 * 32 * 32, None, 3),
+    (32, None, None, 10),
+    (64, None, None, 3),           # 128 x 2560 fc weights exceed the budget
+    (32, 3 * 10 * 32 * 32, 20000, 3),  # so do 128 x 640 ones under 20000
+    (32, 3 * 10 * 32 * 32, 127 * 640, 3),  # and leave one row over 127
+])
+def test_factored_fc_gradients_train_to_materialised_bytes(
+        monkeypatch, tmp_path, extent, chunk_elements, scratch_elements, chunk):
+    """Training that keeps each fully connected weight gradient as its
+    factors and rebuilds the sum in row blocks at the step gives the
+    checkpoint bytes of a loop that materialises every chunk's g.T @ x,
+    for chunks of 1, 3 and 10 samples and for weights above the budget."""
+    if chunk_elements is not None:
+        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+    if scratch_elements is not None:
+        monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
+    dataset = small_dataset(per_class=7, extent=extent, seed=8)
+    config = TrainConfig(0.05, 2, 10, seed=8)
+    trained = net.build_desk_2d(extent, 2, seed=8)
+    reference = _materialised_train(copy.deepcopy(trained), dataset, config, chunk)
+    assert min(net._chunk_size(trained), config.batch_size) == chunk
+    blocks = ops._row_parts(128, math.prod(trained.layer_shapes[5]), 2)
+    assert (len(blocks) > 1) == (extent == 64 or scratch_elements is not None)
+    net.train(trained, dataset, config)
+    for name, network in (("trained", trained), ("reference", reference)):
+        net.save_checkpoint(network, tmp_path / f"{name}.ckpt")
+    assert (tmp_path / "trained.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
+
+
+def test_reference3d_training_chunk_memory_stays_bounded():
+    """One reference3d training step on one 64^3 volume keeps its traced
+    peak under 60 MB: no 128 x 40960 float64 weight gradient (42 MB) and no
+    whole 64^3 im2col copy in the forward (17 MB) is made. A training that
+    materialises them peaks near 87 MB."""
+    rng = np.random.default_rng(26)
+    dataset = data_io.LabeledDataset(rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32),
+                                     np.array([1]), ("a", "b"))
+    network = net.build_reference_3d(seed=26)
+    tracemalloc.start()
+    try:
+        net.train(network, dataset, TrainConfig(0.05, 1, 1, seed=26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak
+
+
+@pytest.mark.parametrize("n,chunks,scratch_elements", [
+    (640, [3, 3, 3, 1], None),        # one block: the chunks' own GEMMs
+    (640, [3, 3], 127 * 640),         # blocks of 126 and 2 rows, none of one
+    (2560, [3, 3, 1], None),          # blocks of 50, 50 and 28 rows
+    (40960, [1, 1, 1, 1], None),      # one-sample chunks, as reference3d's
+])
+def test_fc_gradient_blocks_hold_the_materialised_sum(monkeypatch, n, chunks, scratch_elements):
+    """The float64 gradient blocks _fc_sgd_step hands to _sgd_step are, in
+    row order, the bytes of each chunk's g.T @ x summed in chunk order, and
+    the weights it returns are that gradient's SGD step."""
+    if scratch_elements is not None:
+        monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
+    rng = np.random.default_rng(27)
+    factors = [(rng.normal(size=(c, 128)), rng.normal(size=(c, n))) for c in chunks]
+    weights = rng.normal(size=(128, n)).astype(np.float32)
+    want = factors[0][0].T @ factors[0][1]
+    for g, x in factors[1:]:
+        want += g.T @ x
+    real, blocks = net._sgd_step, []
+
+    def capturing(param, grad, scale, out=None):
+        blocks.append(grad.copy())
+        return real(param, grad, scale, out)
+
+    monkeypatch.setattr(net, "_sgd_step", capturing)
+    stepped = net._fc_sgd_step(weights, factors, 0.01, ops.Workspace(ops._SCRATCH_ELEMENTS))
+    assert min(len(block) for block in blocks) >= 2
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert stepped.tobytes() == real(weights, want, 0.01).tobytes()

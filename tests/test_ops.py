@@ -631,3 +631,97 @@ def test_relu_backward_overwrites_the_upstream_gradient():
     g = np.array([[5.0, -6.0], [7.0, 8.0]])
     assert ops.relu_backward(g, x) is g
     assert np.array_equal(g, [[0.0, -6.0], [0.0, 8.0]])
+
+
+@st.composite
+def _slab_cases(draw):
+    rank = draw(st.integers(2, 3))
+    batch = draw(st.integers(1, 4))
+    channels = draw(st.integers(1, 3))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    stride = tuple(draw(st.integers(1, 2)) for _ in range(rank))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    # extents of 8 and 16 make whole 16-position tiles, which slabs need
+    spatial = tuple(draw(st.integers(k, k + 6) | st.sampled_from([8, 16])) for k in kernel)
+    spec = ConvSpec(kernel, stride, padding, draw(st.integers(1, 4)))
+    # a budget of a few output rows' worth of scratch, or less than one row
+    return batch, channels, spatial, spec, draw(st.integers(1, 400)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_slab_cases())
+@settings(max_examples=80, deadline=None)
+def test_conv_forward_slabs_keep_the_one_slab_bytes(case):
+    """A scratch budget small enough to split the output into many slabs of
+    its first spatial axis (down to one 16-position tile each) gives the
+    bytes of one slab over the whole output, with or without a workspace,
+    in both dtypes."""
+    batch, channels, spatial, spec, budget, seed = case
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(spec.filter_count, channels) + spec.kernel)
+    b = rng.normal(size=spec.filter_count)
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(batch, channels) + spatial).astype(dtype)
+        wd, bd = w.astype(dtype), b.astype(dtype)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ops, "_SCRATCH_ELEMENTS", 1 << 40)
+            whole = ops.conv_forward(x, wd, bd, spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ops, "_SCRATCH_ELEMENTS", budget)
+            slabs = [ops.conv_forward(x, wd, bd, spec),
+                     ops.conv_forward(x, wd, bd, spec, workspace=ops.Workspace(budget))]
+        for got in slabs:
+            assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("spatial,slabs", [
+    ((7, 16), 7),    # 16 positions a row: a row a slab
+    ((8, 8), 4),     # 8 a row: two rows a slab
+    ((8, 5, 4), 2),  # 20 a row: four rows (80) a slab
+    ((5, 5, 4), 1),  # 100 positions are no whole number of 16-position tiles
+    ((8, 6), 1),     # 6 a row: 16-aligned slabs need all 8 rows
+])
+def test_conv_forward_slabs_hold_whole_tiles(monkeypatch, spatial, slabs):
+    """Under a budget of 16 values, each slab holds the fewest whole rows
+    that make a multiple of 16 output positions, and an output whose
+    positions are no multiple of 16 runs as one slab."""
+    monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", 16)
+    real, calls = ops._im2col, []
+    monkeypatch.setattr(ops, "_im2col", lambda windows, ws: calls.append(1) or real(windows, ws))
+    rank = len(spatial)
+    x = np.random.default_rng(25).normal(size=(1,) + spatial)
+    ops.conv_forward(x, np.ones((1, 1) + (1,) * rank), np.zeros(1),
+                     ConvSpec((1,) * rank, (1,) * rank, "valid", 1))
+    assert len(calls) == slabs
+
+
+def test_conv_forward_slabs_fit_the_budget():
+    """A 64^3 volume's layer-0 forward takes its im2col copy and GEMM output
+    in slabs within the budget: the workspace keeps them, and keeps no array
+    above the budget."""
+    rng = np.random.default_rng(23)
+    spec = ConvSpec((2, 2, 2), (1, 1, 1), "same", 10)
+    x = rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32)
+    w = rng.normal(size=(10, 1, 2, 2, 2)).astype(np.float32)
+    ws = ops.Workspace(ops._SCRATCH_ELEMENTS)
+    ops.conv_forward(x, w, np.zeros(10, np.float32), spec, workspace=ws)
+    roles = {role for role, _ in ws.arrays}
+    assert {"cols", "out"} <= roles and "pad" not in roles  # 65^3 padded values
+    assert all(a.size <= ops._SCRATCH_ELEMENTS for a in ws.arrays.values())
+    assert ws.nbytes == sum(a.nbytes for a in ws.arrays.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m,n,batch", [(128, 640, 10), (2, 128, 3), (16, 40960, 1), (5, 7, None)])
+def test_fully_connected_backward_without_weight_grad(dtype, m, n, batch):
+    """weight_grad=False returns None for the weight gradient and keeps the
+    bytes of the input and bias gradients."""
+    rng = np.random.default_rng(24)
+    lead = () if batch is None else (batch,)
+    x = rng.normal(size=lead + (n,)).astype(dtype)
+    w = rng.normal(size=(m, n)).astype(dtype)
+    g = rng.normal(size=lead + (m,)).astype(dtype)
+    gi, gw, gb = ops.fully_connected_backward(g, x, w)
+    skipped = ops.fully_connected_backward(g, x, w, weight_grad=False)
+    assert gw is not None and skipped[1] is None
+    assert skipped[0].tobytes() == gi.tobytes() and skipped[2].tobytes() == gb.tobytes()
+    assert skipped[0].dtype == gi.dtype and skipped[2].dtype == gb.dtype

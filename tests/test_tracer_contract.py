@@ -10,7 +10,9 @@ import importlib
 import importlib.util
 import pathlib
 
-from centpipe import net
+import numpy as np
+
+from centpipe import data_io, net
 from centpipe.net import TrainConfig
 
 from conftest import small_dataset
@@ -43,5 +45,23 @@ def test_conv_flop_counters_read_a_desk_training():
     assert recorder.absent == []
     totals = recorder.totals()
     assert totals["ops.conv_forward"][0] == totals["ops.conv_backward"][0] == 2
+    assert recorder.counters["ops.conv_forward.flop"] > 0
+    assert recorder.counters["ops.conv_backward.flop"] > 0
+
+
+def test_conv_counters_read_a_reference3d_training():
+    """A one-sample reference3d training runs one chunk: each of the two
+    conv layers makes one forward and one backward call, whatever slabs the
+    forward runs in, and both flop counters read their arguments."""
+    rng = np.random.default_rng(3)
+    dataset = data_io.LabeledDataset(rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32),
+                                     np.array([0]), ("a", "b"))
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        net.train(net.build_reference_3d(seed=3), dataset, TrainConfig(0.05, 1, 1, seed=3))
+    assert recorder.absent == []
+    totals = recorder.totals()
+    assert totals["ops.conv_forward"][0] == totals["ops.conv_backward"][0] == 2
+    assert totals["ops.fully_connected_backward"][0] == 2
     assert recorder.counters["ops.conv_forward.flop"] > 0
     assert recorder.counters["ops.conv_backward.flop"] > 0
