@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import data_io, evaluation, forest, framing, infotheory, net
+from . import data_io, evaluation, forest, framing, infotheory, net, ops
 
 
 class ConfigError(Exception):
@@ -233,7 +233,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     if from_dump:
         dump = data_io.import_activation_dump(cfg["dump"])
         ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
-        chunk = max(1, net._CHUNK_ELEMENTS // max(a.size for a in dump.activations[0]))
+        chunk = max(1, ops._SCRATCH_ELEMENTS // max(a.size for a in dump.activations[0]))
 
         def activations(lo):
             return [np.stack(layer) for layer in zip(*dump.activations[lo:lo + chunk])]
@@ -276,8 +276,8 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     return {"command": "extract", "config": cfg, "features": features_path,
             "rows": int(matrix.shape[0]), "feature_count": int(matrix.shape[1]),
             "read_points": sizes,
-            "counters": {"forward_passes": 0 if from_dump else len(blocks), "images": len(ids),
-                         "histogram_rows": len(ids) * sum(
+            "counters": {"forward_passes": 0 if from_dump else len(ids), "chunks": len(blocks),
+                         "images": len(ids), "histogram_rows": len(ids) * sum(
                              s["histograms_per_image"] for s in sizes)},
             "timings": {f"{k}_s": round(v, 6) for k, v in seconds.items()}}
 

@@ -49,9 +49,18 @@ def write_manifest(path, rows, class_names) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _require_plain_id(image_id: str, source) -> None:
+    """Refuses an image_id that is no plain file name: the dataset and dump
+    writers make it a path component, so an empty id, '.', '..' or one
+    holding a path separator could name a file outside their directory."""
+    seps = {"/", os.sep, os.altsep} - {None}
+    if image_id in ("", ".", "..") or any(sep in image_id for sep in seps):
+        raise ValueError(f"{source}: image_id {image_id!r} is not a plain file name")
+
+
 def read_manifest(path):
-    """Returns (rows, class_names); validates class names and ids unique and
-    labels in range."""
+    """Returns (rows, class_names); validates class names unique, ids unique
+    plain file names, and labels in range."""
     with open(path, "r") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].startswith("# classes: "):
@@ -70,6 +79,7 @@ def read_manifest(path):
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed row {ln!r}")
         image_id, rel, label = parts[0], parts[1], int(parts[2])
+        _require_plain_id(image_id, path)
         if image_id in seen:
             raise ValueError(f"{path}: duplicate image_id {image_id!r}")
         seen.add(image_id)
@@ -98,6 +108,8 @@ class LabeledDataset:
             self.image_ids = tuple(f"img_{i:04d}" for i in range(len(self.images)))
         if len(self.image_ids) != len(self.images):
             raise ValueError("image_ids length mismatch")
+        for image_id in self.image_ids:
+            _require_plain_id(image_id, "dataset")
 
 
 def save_dataset(dataset: LabeledDataset, out_dir) -> int:

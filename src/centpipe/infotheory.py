@@ -28,8 +28,8 @@ def _resolve_range(values: np.ndarray, range_mode):
             raise ValueError(f"range_mode must be 'minmax' or (lo, hi), got {range_mode!r}")
         return float(values.min()), float(values.max())
     lo, hi = float(range_mode[0]), float(range_mode[1])
-    if not lo < hi:
-        raise ValueError(f"fixed range needs lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"fixed range needs finite lo < hi, got ({lo}, {hi})")
     return lo, hi
 
 

@@ -310,21 +310,16 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
     return losses, grads
 
 
-# Most activation elements one chunk of training or of forward_collect may
-# hold in a single layer. Batched kernels allocate float64 temporaries in
-# proportion to the chunk, so a chunk's largest activation stays at 1 MB in
-# float64: a 10x32x32 desk activation allows 12 samples (a batch of 10 is one
-# chunk), a 10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk.
-# It is the ops scratch budget: training keeps the kernels' float64 scratch
-# arrays of at most this many elements for the whole call (ops.Workspace).
-_CHUNK_ELEMENTS = ops._SCRATCH_ELEMENTS
-
-
 def _chunk_size(net: Network) -> int:
-    """Samples per chunk: _CHUNK_ELEMENTS over the largest per-sample
-    activation (input included), at least one."""
+    """Samples per chunk of training or of forward_collect: the scratch
+    budget ops._SCRATCH_ELEMENTS over the largest per-sample activation
+    (input included), at least one. Batched kernels allocate float64
+    temporaries in proportion to the chunk, so a chunk's largest activation
+    stays within 1 MB of float64: a 10x32x32 desk activation allows 12
+    samples (a batch of 10 is one chunk), a 10x64x64 one 3, and a 10x64^3
+    volume runs one sample per chunk."""
     largest = max(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
-    return max(1, _CHUNK_ELEMENTS // largest)
+    return max(1, ops._SCRATCH_ELEMENTS // largest)
 
 
 def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float,
@@ -403,11 +398,12 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     order. A fully connected layer's weight gradient stays factored until
     the step (see _fc_sgd_step), so no (m, n) float64 weight gradient is
     made, per chunk or summed. One ops.Workspace lives for the whole call,
-    so the kernels and the gradient blocks reuse their scratch arrays from
-    chunk to chunk instead of allocating them. Scratch above the budget is
-    still allocated per call: at reference3d's sizes, the padded conv
-    inputs, conv_backward's whole-array im2col copy and col2im buffer, and
-    the float64 fc weight blocks. Returns (net, per-epoch mean loss) and
+    so the kernels and the gradient blocks reuse their scratch arrays of at
+    most ops._SCRATCH_ELEMENTS values from chunk to chunk instead of
+    allocating them. Scratch above that budget is still allocated per call:
+    at reference3d's sizes, the padded conv inputs, conv_backward's
+    whole-array im2col copy and col2im buffer, and fully_connected's
+    16x40960 float64 weight blocks. Returns (net, per-epoch mean loss) and
     calls on_epoch(epoch, mean_loss, workspace_bytes), if given, after each
     epoch, with the bytes of scratch the workspace then keeps. Raises
     TrainingDiverged naming the epoch, the batch and the dataset index of the
@@ -424,7 +420,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
         raise ValueError(f"labels outside [0, {n_classes})")
 
     chunk = _chunk_size(net)
-    workspace = ops.Workspace(_CHUNK_ELEMENTS)
+    workspace = ops.Workspace()
     rng = np.random.default_rng(config.seed)
     trace = []
     for epoch in range(config.epochs):

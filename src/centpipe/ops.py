@@ -16,41 +16,42 @@ softmax_cross_entropy takes (k,) logits with one class index or (batch, k)
 logits with one index per row. Batched backward passes return the parameter
 gradients summed over the batch, which is what one SGD step needs.
 Convolution forward and backward run as im2col GEMMs: one matmul call covers
-the whole batch, one GEMM per sample inside it. The forward builds its im2col
-copy and GEMM output one slab of output rows at a time, each within
-_SCRATCH_ELEMENTS (1 MB of float64); the backward's filter gradient reduces
-over every position, so it keeps one whole im2col copy (channels x kernel
-float64 values per output position, 17 MB for one 64^3 sample). Batched
-temporaries still grow with the batch, so the training loop and
-net.forward_collect cap how many samples one call carries at the same
-budget in the largest per-sample activation; see net._CHUNK_ELEMENTS.
+the whole batch, one GEMM per sample inside it.
 
-Training kernels skip work nothing reads. fully_connected and its backward
-cast the float32 weights to float64 in fixed blocks (whole rows forward,
-whole columns backward, at most _FC_BLOCK_ELEMENTS each), so no float64 copy
-of a large weight matrix is made; weights of at most one block take one call.
-conv_backward(..., input_grad=False) computes no input gradient, which the
-training loop asks of layer 0, whose input is the image, and
-fully_connected_backward(..., weight_grad=False) computes no weight
-gradient, which the training loop rebuilds from its factors at the step.
-maxpool_backward routes every window's gradient to its argmax with one
-np.bincount.
+One scratch budget, _SCRATCH_ELEMENTS (1 MB of float64), bounds every part a
+kernel is cut into, and _row_parts makes every cut: conv_forward builds its
+im2col copy and GEMM output one slab of output rows at a time, and
+fully_connected (whole rows) and its backward (whole columns) cast the
+float32 weights to float64 in blocks of a multiple of 16, so no float64 copy
+of a large weight matrix is made. The backward's filter gradient reduces over
+every position, so conv_backward keeps one whole im2col copy (17 MB for one
+64^3 sample). Batched temporaries grow with the batch, so training and
+net.forward_collect cap a chunk's largest activation at the same budget
+(net._chunk_size).
+
+Training kernels skip work nothing reads: conv_backward(...,
+input_grad=False) computes no input gradient, which the training loop asks of
+layer 0, whose input is the image, and fully_connected_backward(...,
+weight_grad=False) no weight gradient, which the training loop rebuilds from
+its factors at the step. maxpool_backward routes every window's gradient to
+its argmax with one np.bincount.
 
 Training reuses its scratch memory. A Workspace holds the convolutions'
 float64 padded input ("pad"), im2col copy or slab ("cols"), GEMM output
 ("out") and col2im buffer ("gpad"), the fully connected ops' float64 weight
-block ("fc"), and net.train's weight gradient blocks ("gw", "gw_part"),
+blocks ("fc"), and net.train's weight gradient blocks ("gw", "gw_part"),
 keyed by role and shape; the kernels write into them through np.copyto and
-out=, which is the same arithmetic, so the bytes do not change. net.train
-keeps one Workspace for its whole call, which keeps only arrays of at most
-_SCRATCH_ELEMENTS elements: every desk array is reused, and so are a 64^3
-volume's forward slabs and every fc weight gradient block. Still allocated
-per call, above the budget, are reference3d's padded conv inputs (65^3 and
-10x33^3 values), its backward's whole im2col copy and col2im buffer, and its
-fc weight blocks. A call without a workspace gets a throwaway one, and no op
-returns workspace memory. relu_backward multiplies in place into the
-upstream gradient, which the training loop never reads again. centpipe
-train's per-epoch stderr line reports the minor page faults this saves.
+out=, which is the same arithmetic, so the bytes do not change. A Workspace
+keeps every array within the budget, and net.train keeps one for its whole
+call: every desk array is reused, and so are a 64^3 volume's forward slabs,
+its backward fc weight blocks and every fc weight gradient block. Still
+allocated per call are a 64^3 volume's padded conv inputs (65^3 and 10x33^3
+values), its backward's whole im2col copy and col2im buffer, and its fc
+forward's 16x40960 weight blocks (blocks of 1 or 2 rows were seen to change
+bytes). A call without a workspace gets a throwaway one, and no op returns
+workspace memory. relu_backward multiplies in place into the upstream
+gradient, which the training loop never reads again. centpipe train's
+per-epoch stderr line reports the minor page faults this saves.
 """
 
 from __future__ import annotations
@@ -125,20 +126,24 @@ def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
     return win[sub]
 
 
+# Most float64 elements one scratch part holds (1 MB): see the module docstring
+_SCRATCH_ELEMENTS = 1 << 17
+
+
 class Workspace:
     """Float64 scratch arrays for the kernels, one per (role, shape), reused
-    across calls. Only arrays of at most `keep_elements` values are kept; a
-    larger one is allocated for the call that takes it. A kernel overwrites
-    what it takes, so no kernel returns workspace memory. The default keeps
-    nothing: a call without a workspace gets that throwaway one.
+    across calls. Only arrays of at most _SCRATCH_ELEMENTS values (read when
+    `take` runs) are kept; a larger one is allocated for the call that takes
+    it. A kernel overwrites what it takes, so no kernel returns workspace
+    memory. A call without a workspace gets a throwaway one, which its own
+    slabs and blocks still reuse within that call.
     """
 
-    def __init__(self, keep_elements: int = 0):
-        self.keep_elements = keep_elements
+    def __init__(self):
         self.arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        if math.prod(shape) > self.keep_elements:
+        if math.prod(shape) > _SCRATCH_ELEMENTS:
             return np.empty(shape)
         key = (role, shape)
         if key not in self.arrays:
@@ -149,13 +154,6 @@ class Workspace:
     def nbytes(self) -> int:
         """Bytes of the arrays kept."""
         return sum(array.nbytes for array in self.arrays.values())
-
-
-# Most float64 elements one scratch part holds (1 MB): a conv_forward slab's
-# im2col copy and GEMM output, one block of a summed fc weight gradient
-# (net.train), and the arrays a training workspace keeps. net._CHUNK_ELEMENTS,
-# the bound on a chunk's largest activation, is this same budget.
-_SCRATCH_ELEMENTS = 1 << 17
 
 
 def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
@@ -411,21 +409,6 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     return gpad[(Ellipsis,) + crop].astype(grad_output.dtype, copy=False)
 
 
-# Most float64 elements one fully connected weight block holds (8 MB). A block
-# is a power of two of whole rows (forward) or columns (backward): 16 rows and
-# 8192 columns of reference3d's 128x40960 weights, and one block for every
-# smaller layer of the CLI's networks. The block shape changes no bytes at any
-# chunk size those networks run at; tests/test_ops.py checks it.
-_FC_BLOCK_ELEMENTS = 1 << 20
-
-
-def _fc_blocks(count: int, size: int):
-    """Slices over `count` rows (or columns) of `size` elements each, in
-    blocks of the largest power of two that holds at most _FC_BLOCK_ELEMENTS."""
-    step = 1 << max(0, (_FC_BLOCK_ELEMENTS // size).bit_length() - 1)
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                     workspace: Workspace | None = None) -> np.ndarray:
     """Affine map: weights (m, n) @ flattened input + bias (m,).
@@ -449,10 +432,11 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     flat_t = x.reshape(-1, n).T.astype(np.float64, copy=False)
     # (m, n) @ (n, B), one block of rows at a time: at B == 1 numpy runs this
     # as the matrix-vector product of one sample, so a batch of one gives that
-    # sample's bytes
+    # sample's bytes. Blocks hold a multiple of 16 rows: blocks of 1 or 2 rows
+    # were seen to sum some batches in another order than the whole matrix
     y = np.empty((weights.shape[0], flat_t.shape[1]))
     ws = workspace or Workspace()
-    for rows in _fc_blocks(weights.shape[0], n):
+    for rows in _row_parts(weights.shape[0], n, 16):
         block = ws.take("fc", weights[rows].shape)
         np.copyto(block, weights[rows])
         np.matmul(block, flat_t, out=y[rows])
@@ -475,17 +459,16 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     `workspace`.
     """
     m, n = weights.shape
-    single = grad_output.ndim == 1
     _require(grad_output.shape[-1:] == (m,) and grad_output.ndim <= 2,
              f"grad_output {grad_output.shape} != ([batch,] {m})")
     g = grad_output.astype(np.float64, copy=False).reshape(-1, m)
     _require(cached_input.size == g.shape[0] * n,
              f"cached input {cached_input.shape} does not hold {g.shape[0]} "
              f"sample(s) of {n} elements")
-    # (n, m) @ (m, B), one block of weight columns at a time
+    # (n, m) @ (m, B), one block of a multiple of 16 weight columns at a time
     grad_input = np.empty((n, g.shape[0]))
     ws = workspace or Workspace()
-    for cols in _fc_blocks(n, m):
+    for cols in _row_parts(n, m, 16):
         block = ws.take("fc", weights[:, cols].shape)
         np.copyto(block, weights[:, cols])
         np.matmul(block.T, g.T, out=grad_input[cols])

@@ -192,6 +192,41 @@ def test_repeated_class_name_exits_2(pipeline, tmp_path):
         assert f"error: {manifest}: duplicate class name 'a'" in err
 
 
+def test_path_like_image_id_exits_2(pipeline, tmp_path):
+    """A manifest id that is no plain file name is refused by every
+    subcommand that loads it, before extract --dump-out could write its
+    activations outside the dump directory."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[2] = "../../escaped" + lines[2][lines[2].index(","):]
+    manifest.write_text("".join(lines))
+    work = tmp_path / "work"
+    for argv in (["extract", "--checkpoint", pipeline["ckpt"], "--dump-out", str(work / "dump")],
+                 ["train"], ["theory", "--checkpoint", pipeline["ckpt"]]):
+        code, out, err = run_cli(argv + ["--out", str(work / argv[0]), "--data", str(data)])
+        assert code == 2 and out == "", err
+        assert f"error: {manifest}: image_id '../../escaped' is not a plain file name" in err
+    assert sorted(os.listdir(work)) == ["extract", "theory", "train"]
+    assert not any(os.listdir(work / name) for name in os.listdir(work))
+
+
+@pytest.mark.parametrize("bounds", ["0,inf", "-inf,inf", "nan,1", "1,1"])
+@pytest.mark.parametrize("source", ["data", "dump"])
+def test_extract_bad_fixed_range_exits_2_without_output(pipeline, tmp_path, bounds, source):
+    """A fixed --range must be finite with lo < hi; otherwise extract exits 2
+    before writing features.csv or a dump."""
+    inputs = (["--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+               "--dump-out", str(tmp_path / "d")] if source == "data"
+              else ["--dump", pipeline["dump"]])
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), f"--range={bounds}",
+                              *inputs])
+    assert code == 2 and out == ""
+    assert "error: fixed range needs finite lo < hi" in err
+    assert os.listdir(tmp_path) == ["f"] and not os.listdir(tmp_path / "f")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1(pipeline, tmp_path):
     code, _, err = run_cli(["train", "--out", str(tmp_path / "t"),
@@ -299,7 +334,9 @@ def test_extract_from_dump_rejects_flags_it_would_ignore(pipeline, tmp_path, fla
 def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch, dump_out):
     """Features and --dump-out come from one forward_collect chunk loop:
     ceil(n / chunk) _forward_layers calls carrying each image once (2 for the
-    20-image set), with the dump's bytes those of export_activation_dump."""
+    20-image set), with the dump's bytes those of export_activation_dump.
+    forward_passes counts the images sent through the network, chunks the
+    calls."""
     calls, collected = [], []
     forward = net._forward_layers
     monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
@@ -314,7 +351,7 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
     chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
     assert calls == collected == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
     assert len(calls) == 2
-    assert json.loads(out)["counters"] == {"forward_passes": 2, "images": n,
+    assert json.loads(out)["counters"] == {"forward_passes": n, "chunks": 2, "images": n,
                                            "histogram_rows": n * 21}
     assert (tmp_path / "f" / "features.csv").read_bytes() == open(pipeline["features"], "rb").read()
     if dump_out:
@@ -350,7 +387,8 @@ def test_extract_summary_reports_sizes_counters_and_timings(pipeline, tmp_path):
     assert [p["values_per_histogram"] for p in points] == [2560, 640, 128]
     assert [p["entropy_cap_bits"] for p in points] == [8.0, 8.0, 7.0]
     assert points[2]["samples_per_bin"] == 0.5
-    assert summary["counters"] == {"forward_passes": 0, "images": 20, "histogram_rows": 60}
+    assert summary["counters"] == {"forward_passes": 0, "chunks": 1, "images": 20,
+                                   "histogram_rows": 60}
     assert set(summary["timings"]) == {"forward_s", "cent_s", "write_s"}
     code, out, err = run_cli(["extract", "--out", str(tmp_path / "g"), "--checkpoint",
                               pipeline["ckpt"], "--data", pipeline["data"]])

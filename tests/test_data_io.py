@@ -1,5 +1,6 @@
 """Binary tensor files, manifests, synthetic data, chains, and dumps."""
 
+import os
 import re
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_manifest_refuses_a_repeated_class_name(tmp_path_factory, names):
     message = f"{path}: duplicate class name {repeated[0]!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_manifest(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text("ab._/\\ ", max_size=5) | st.sampled_from(["", ".", "..", "../../escaped"]))
+def test_image_ids_must_be_plain_file_names(tmp_path_factory, image_id):
+    """read_manifest and LabeledDataset accept an image_id exactly when it is
+    a plain file name, and name a refused id (and its manifest) otherwise:
+    the dataset and dump writers join it onto their directories."""
+    plain = image_id not in ("", ".", "..") and not any(
+        sep in image_id for sep in ("/", os.sep, os.altsep) if sep)
+    path = tmp_path_factory.mktemp("manifest") / "manifest.csv"
+    write_manifest(path, [(image_id, "tensors/x.tnsr", 0)], ("x", "y"))
+    make = [lambda: read_manifest(path)[0][0][0],
+            lambda: LabeledDataset(np.zeros((1, 1, 2, 2)), [0], ("x", "y"), (image_id,)).image_ids[0]]
+    for where, build in zip((path, "dataset"), make):
+        if plain:
+            assert build() == image_id
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{where}: image_id {image_id!r} ")):
+                build()
 
 
 @pytest.mark.parametrize("load", [load_dataset, import_activation_dump])

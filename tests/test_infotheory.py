@@ -63,6 +63,27 @@ def test_histogram_contract_errors():
         make_histogram(np.array([1.0]), range_mode=(2.0, 2.0))
 
 
+_BOUNDS = st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BOUNDS, _BOUNDS)
+def test_fixed_range_must_be_finite_and_increasing_on_every_path(lo, hi):
+    """make_histogram, conditional_entropy and cent_rows take a fixed
+    (lo, hi) range exactly when both ends are finite and lo < hi."""
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    space = LabelSpace(2, np.array([0.5, 0.5]))
+    paths = [lambda: make_histogram(values, 4, (lo, hi)),
+             lambda: conditional_entropy({0: values[:2], 1: values[2:]}, space, 4, (lo, hi)),
+             lambda: it.cent_rows([values.reshape(1, 1, 4)], "per-filter", 4, (lo, hi))]
+    for path in paths:
+        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+            path()
+        else:
+            with pytest.raises(ValueError, match="fixed range needs finite lo < hi"):
+                path()
+
+
 # --- entropy ---
 
 @given(st.integers(1, 40), st.data())

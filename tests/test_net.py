@@ -85,7 +85,7 @@ def test_forward_collect_batched_equals_per_image(monkeypatch, pre_relu, chunks)
     per_image = [net.forward_collect(network, img[None], pre_relu=pre_relu)
                  for img in dataset.images]
     largest = max(int(np.prod(s)) for s in [network.input_shape] + network.layer_shapes)
-    monkeypatch.setattr(net, "_CHUNK_ELEMENTS", largest * -(-n // chunks))
+    monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", largest * -(-n // chunks))
     calls = []
     forward = net._forward_layers
     monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
@@ -227,7 +227,7 @@ def test_chunk_bound_from_largest_activation():
 @pytest.mark.parametrize("chunk_elements,chunks", [(None, [10]), (3 * 10 * 32 * 32, [3, 3, 3, 1])])
 def test_one_conv_backward_per_conv_layer_per_chunk(monkeypatch, chunk_elements, chunks):
     if chunk_elements is not None:
-        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", chunk_elements)
     real = ops.conv_backward
     calls = []
 
@@ -256,7 +256,7 @@ def test_mixed_chunk_shapes_train_to_the_bytes_of_fresh_workspaces(monkeypatch, 
         def chunk_call(network, x, labels, workspace, fresh=fresh):
             chunks.append(len(x))
             if fresh:
-                workspace = ops.Workspace(workspace.keep_elements)
+                workspace = ops.Workspace()
             return real(network, x, labels, workspace)
 
         monkeypatch.setattr(net, "_loss_and_grads", chunk_call)
@@ -274,7 +274,7 @@ def test_train_matches_per_sample_reference(monkeypatch, chunk_elements):
     per-sample SGD loop over the reference ops. Only the float64 summation
     order differs, so the float32 results agree to a few float32 ulps."""
     if chunk_elements is not None:
-        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", chunk_elements)
     dataset = small_dataset(per_class=10, seed=4)
     config = TrainConfig(0.05, 2, 10, seed=4)
     batched = net.build_desk_2d(32, 2, seed=4)
@@ -399,15 +399,23 @@ def _materialised_train(network, dataset, config, chunk):
     (64, None, None, 3),           # 128 x 2560 fc weights exceed the budget
     (32, 3 * 10 * 32 * 32, 20000, 3),  # so do 128 x 640 ones under 20000
     (32, 3 * 10 * 32 * 32, 127 * 640, 3),  # and leave one row over 127
+    # the chunk bound is the scratch budget itself
+    (32, None, 10 * 32 * 32, 1),       # 16-row blocks
+    (32, None, 3 * 10 * 32 * 32, 3),   # 48-row blocks
+    (32, None, 20000, 1),
+    (32, None, 127 * 640, 7),
 ])
 def test_factored_fc_gradients_train_to_materialised_bytes(
         monkeypatch, tmp_path, extent, chunk_elements, scratch_elements, chunk):
     """Training that keeps each fully connected weight gradient as its
     factors and rebuilds the sum in row blocks at the step gives the
     checkpoint bytes of a loop that materialises every chunk's g.T @ x,
-    for chunks of 1, 3 and 10 samples and for weights above the budget."""
+    for chunks of 1, 3, 7 and 10 samples and for weights above the budget.
+    The chunk bound (chunk_elements over the largest activation) is set
+    apart from the scratch budget, so a chunk of 3 meets split blocks."""
     if chunk_elements is not None:
-        monkeypatch.setattr(net, "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(net, "_chunk_size", lambda network: chunk_elements // max(
+            math.prod(s) for s in [network.input_shape] + network.layer_shapes))
     if scratch_elements is not None:
         monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
     dataset = small_dataset(per_class=7, extent=extent, seed=8)
@@ -466,7 +474,31 @@ def test_fc_gradient_blocks_hold_the_materialised_sum(monkeypatch, n, chunks, sc
         return real(param, grad, scale, out)
 
     monkeypatch.setattr(net, "_sgd_step", capturing)
-    stepped = net._fc_sgd_step(weights, factors, 0.01, ops.Workspace(ops._SCRATCH_ELEMENTS))
+    stepped = net._fc_sgd_step(weights, factors, 0.01, ops.Workspace())
     assert min(len(block) for block in blocks) >= 2
     assert np.concatenate(blocks).tobytes() == want.tobytes()
     assert stepped.tobytes() == real(weights, want, 0.01).tobytes()
+
+
+def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
+    """Every float64 fc weight block that desk2d at 64^2 (128 x 2560
+    weights: 48-row blocks forward, 1024-column blocks backward) and
+    reference3d (128 x 40960: 1024-column blocks backward) take in training
+    fits the scratch budget, so the workspace keeps it. The one exception is
+    reference3d's forward block of 16 x 40960, the fewest rows a block holds."""
+    real, taken = ops.Workspace.take, []
+
+    def recording(self, role, shape):
+        if role == "fc":
+            taken.append(shape)
+        return real(self, role, shape)
+
+    monkeypatch.setattr(ops.Workspace, "take", recording)
+    net.train(net.build_desk_2d(64, 2, seed=28), small_dataset(per_class=4, extent=64, seed=28),
+              TrainConfig(0.05, 1, 8, seed=28))
+    assert {(48, 2560), (32, 2560), (128, 1024), (128, 512)} <= set(taken)
+    volume = np.random.default_rng(28).normal(size=(1, 1, 64, 64, 64)).astype(np.float32)
+    net.train(net.build_reference_3d(seed=28), data_io.LabeledDataset(volume, [0], ("a", "b")),
+              TrainConfig(0.05, 1, 1, seed=28))
+    assert (128, 1024) in taken
+    assert {s for s in taken if math.prod(s) > ops._SCRATCH_ELEMENTS} == {(16, 40960)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import net, ops
+from centpipe import ops
 from centpipe.ops import ConvSpec, ShapeMismatch
 
 import reference_ops as R
@@ -524,6 +524,25 @@ def test_fully_connected_blocks_match_whole_cast_bytes(shape, chunks):
     size) the CLI's networks train and extract at, the bytes equal those of
     one whole-matrix cast. The float32 output of the network's forward
     rounds most float64 differences away, so float64 input is checked too."""
+    _check_blocks_match_whole_cast(shape, chunks)
+
+
+@pytest.mark.parametrize("budget,blocks", [(16 * 640, (8, 8)), (48 * 640, (3, 3))])
+def test_fully_connected_blocks_under_a_smaller_budget_match_whole_cast_bytes(
+        monkeypatch, budget, blocks):
+    """Desk 32^2's 128 x 640 weights under a budget of 16 or 48 of their
+    rows, as tests that shrink the scratch budget run them: the forward's
+    16- or 48-row blocks and the backward's 80- or 240-column blocks keep
+    the bytes of one whole-matrix cast at chunks of 1 to 7. A budget that
+    splits these weights (below 128 x 640 values) allows at most 7 desk
+    32^2 samples (10 x 32 x 32 each) a chunk; at 10 to 12, split forward
+    blocks were seen to change float64 bytes."""
+    monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", budget)
+    assert (len(ops._row_parts(128, 640, 16)), len(ops._row_parts(640, 128, 16))) == blocks
+    _check_blocks_match_whole_cast((128, 640), range(1, 8))
+
+
+def _check_blocks_match_whole_cast(shape, chunks):
     rng = np.random.default_rng(shape[1])
     m, n = shape
     w = rng.uniform(-0.1, 0.1, size=shape).astype(np.float32)
@@ -558,7 +577,7 @@ def test_conv_backward_without_input_grad(shape, kspec):
 
 
 # (input shape, spec): 2-D and 3-D, both paddings, with and without a batch
-# axis; the last one's im2col copy (2 x 36 x 64^2 values) exceeds the chunk
+# axis; the last one's im2col copy (2 x 36 x 64^2 values) exceeds the scratch
 # budget, its padded input and output do not
 _WORKSPACE_CASES = [
     ((3, 2, 9, 8), ConvSpec((2, 2), (1, 1), "same", 4)),
@@ -574,9 +593,9 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
     """Convolutions of differing shapes and dtypes run twice through one
     workspace. No result shares memory with it, every result keeps the bytes
     of a call without a shared workspace after all later calls, the second
-    round reuses the first round's arrays, and no array larger than the chunk
-    budget is kept."""
-    ws = ops.Workspace(net._CHUNK_ELEMENTS)
+    round reuses the first round's arrays, and no array larger than the
+    scratch budget is kept."""
+    ws = ops.Workspace()
     rng = np.random.default_rng(21)
     results, kept = [], None
     for _ in range(2):
@@ -593,7 +612,7 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
         if kept is None:
             kept = dict(ws.arrays)
     assert kept and all(ws.arrays[key] is array for key, array in kept.items())
-    assert all(array.size <= net._CHUNK_ELEMENTS for array in ws.arrays.values())
+    assert all(array.size <= ops._SCRATCH_ELEMENTS for array in ws.arrays.values())
     assert ("cols", (2, 36, 64 * 64)) not in ws.arrays
     assert ("pad", (2, 4, 66, 66)) in ws.arrays
     for got, want in results:
@@ -606,9 +625,10 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
 def test_shared_workspace_fully_connected_keeps_bytes(dtype):
     """The fully connected ops take their float64 weight blocks from a shared
     workspace: the bytes of calls without one, no result in workspace memory,
-    and a block above the chunk budget (16 x 40960, as in reference3d's first
-    fully connected layer) never kept."""
-    ws = ops.Workspace(net._CHUNK_ELEMENTS)
+    the backward's 8192-column blocks of 16 x 40960 weights kept, and the
+    forward's one 16-row block of them, above the scratch budget (as in
+    reference3d's first fully connected layer), never kept."""
+    ws = ops.Workspace()
     rng = np.random.default_rng(22)
     results = []
     for m, n, batch in [(128, 640, 10), (2, 128, 10), (128, 640, 3), (16, 40960, 1)]:
@@ -620,7 +640,7 @@ def test_shared_workspace_fully_connected_keeps_bytes(dtype):
                *ops.fully_connected_backward(g, x, w, workspace=ws)]
         want = [ops.fully_connected(x, w, b), *ops.fully_connected_backward(g, x, w)]
         results += zip(got, want)
-    assert set(ws.arrays) == {("fc", (128, 640)), ("fc", (2, 128))}
+    assert set(ws.arrays) == {("fc", (128, 640)), ("fc", (2, 128)), ("fc", (16, 8192))}
     for got, want in results:
         assert not any(np.shares_memory(got, array) for array in ws.arrays.values())
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -668,7 +688,7 @@ def test_conv_forward_slabs_keep_the_one_slab_bytes(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ops, "_SCRATCH_ELEMENTS", budget)
             slabs = [ops.conv_forward(x, wd, bd, spec),
-                     ops.conv_forward(x, wd, bd, spec, workspace=ops.Workspace(budget))]
+                     ops.conv_forward(x, wd, bd, spec, workspace=ops.Workspace())]
         for got in slabs:
             assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes()
 
@@ -702,7 +722,7 @@ def test_conv_forward_slabs_fit_the_budget():
     spec = ConvSpec((2, 2, 2), (1, 1, 1), "same", 10)
     x = rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32)
     w = rng.normal(size=(10, 1, 2, 2, 2)).astype(np.float32)
-    ws = ops.Workspace(ops._SCRATCH_ELEMENTS)
+    ws = ops.Workspace()
     ops.conv_forward(x, w, np.zeros(10, np.float32), spec, workspace=ws)
     roles = {role for role, _ in ws.arrays}
     assert {"cols", "out"} <= roles and "pad" not in roles  # 65^3 padded values
