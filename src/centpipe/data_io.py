@@ -1,6 +1,6 @@
 """Tensor files, dataset manifests, synthetic image generation, Markov-chain
-sampling for the data-processing check, and activation-dump exchange so CENT
-extraction can run on activations from any network.
+sampling for the data-processing check, activation dumps (`extract
+--dump-out` writes one, `extract --dump` reads one) and the features CSV.
 
 A tensor file is a framed file (see framing) whose body is one tensor record:
 magic "CENTTNSR", u32 version, u32 rank, u64 dims[rank], float32 payload,
@@ -20,7 +20,7 @@ from .framing import FramedReader, tensor_record, write_framed, write_text
 from .framing import (BadMagicError, ChecksumError, TruncatedError,  # noqa: F401
                       VersionError)
 from .framing import FramedFileError as TensorFileError  # noqa: F401
-from .net import Network, _chunk_size, forward_collect
+from .net import forward_collect  # noqa: F401 - unused, but the benchmark's tracer wraps it
 
 TENSOR_MAGIC = b"CENTTNSR"
 TENSOR_VERSION = 1
@@ -49,13 +49,24 @@ def write_manifest(path, rows, class_names) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _require_plain_id(image_id: str, source) -> None:
-    """Refuses an image_id that is no plain file name: the dataset and dump
-    writers make it a path component, so an empty id, '.', '..' or one
-    holding a path separator could name a file outside their directory."""
-    seps = {"/", os.sep, os.altsep} - {None}
-    if image_id in ("", ".", "..") or any(sep in image_id for sep in seps):
-        raise ValueError(f"{source}: image_id {image_id!r} is not a plain file name")
+def _require_plain_id(value: str, source, field: str = "image_id") -> None:
+    """The one check of a text field in a manifest or features CSV, shared
+    by their writers and readers: no empty value, '.' or '..', no path
+    separator or NUL (the dataset and dump writers make an image_id a path
+    component), and no ',' or line break (the readers split on them)."""
+    seps = {"/", os.sep, os.altsep, "\0", ",", "\n", "\r"} - {None}
+    if value in ("", ".", "..") or any(sep in value for sep in seps):
+        raise ValueError(f"{source}: {field} {value!r} is not a plain file name")
+
+
+def _require_plain_fields(values, source, field: str) -> None:
+    """_require_plain_id on each value in order, refusing a repeated one."""
+    seen = set()
+    for value in values:
+        _require_plain_id(value, source, field)
+        if value in seen:
+            raise ValueError(f"{source}: duplicate {field} {value!r}")
+        seen.add(value)
 
 
 def read_manifest(path):
@@ -66,12 +77,10 @@ def read_manifest(path):
     if not lines or not lines[0].startswith("# classes: "):
         raise ValueError(f"{path}: missing '# classes:' header line")
     class_names = tuple(lines[0][len("# classes: "):].split(","))
-    repeated = next((c for i, c in enumerate(class_names) if c in class_names[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"{path}: duplicate class name {repeated!r}")
+    _require_plain_fields(class_names, path, "class name")
     if len(lines) < 2 or lines[1] != MANIFEST_HEADER:
         raise ValueError(f"{path}: expected header '{MANIFEST_HEADER}'")
-    rows, seen = [], set()
+    rows = []
     for ln in lines[2:]:
         if not ln:
             continue
@@ -79,14 +88,11 @@ def read_manifest(path):
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed row {ln!r}")
         image_id, rel, label = parts[0], parts[1], int(parts[2])
-        _require_plain_id(image_id, path)
-        if image_id in seen:
-            raise ValueError(f"{path}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
         if not 0 <= label < len(class_names):
             raise ValueError(f"{path}: label {label} outside class table "
                              f"of {len(class_names)}")
         rows.append((image_id, rel, label))
+    _require_plain_fields([row[0] for row in rows], path, "image_id")
     return rows, class_names
 
 
@@ -102,19 +108,21 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.images) != len(self.labels):
             raise ValueError(f"{len(self.images)} images but {len(self.labels)} labels")
-        if len(self.labels) and not 0 <= self.labels.max() < len(self.class_names):
+        if not ((0 <= self.labels) & (self.labels < len(self.class_names))).all():
             raise ValueError("labels outside class-name table")
+        _require_plain_fields(self.class_names, "dataset", "class name")
         if not self.image_ids:
             self.image_ids = tuple(f"img_{i:04d}" for i in range(len(self.images)))
         if len(self.image_ids) != len(self.images):
             raise ValueError("image_ids length mismatch")
-        for image_id in self.image_ids:
-            _require_plain_id(image_id, "dataset")
+        _require_plain_fields(self.image_ids, "dataset", "image_id")
 
 
 def save_dataset(dataset: LabeledDataset, out_dir) -> int:
     """Writes out_dir/manifest.csv plus one TensorFile per image under
-    tensors/; returns the bytes written."""
+    tensors/; returns the bytes written. Refuses an empty one, as its loader would."""
+    if not len(dataset.images):
+        raise ValueError(f"{out_dir}: a dataset with no images is not saved")
     tensor_dir = os.path.join(out_dir, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
     rows = []
@@ -308,22 +316,9 @@ class ActivationDumpWriter:
         write_manifest(os.path.join(self.out_dir, "manifest.csv"), rows, class_names)
 
 
-def export_activation_dump(dataset: LabeledDataset, net: Network, out_dir,
-                           pre_relu: bool = False) -> None:
-    """One directory per image holding layer_00.tnsr, layer_01.tnsr, ...,
-    written one forward_collect chunk at a time, so memory holds one chunk's
-    activations, then the manifest."""
-    writer = ActivationDumpWriter(out_dir)
-    chunk = _chunk_size(net)
-    for lo in range(0, len(dataset.images), chunk):
-        acts = forward_collect(net, dataset.images[lo:lo + chunk], pre_relu=pre_relu)
-        writer.write_chunk(dataset.image_ids[lo:lo + chunk], acts)
-    writer.finish(dataset.image_ids, dataset.labels, dataset.class_names)
-
-
 def import_activation_dump(path) -> ActivationDump:
-    """Inverse of export_activation_dump; validates per-layer shape consistency
-    across images and names the offending image_id on any mismatch."""
+    """Reads ActivationDumpWriter's dump; validates per-layer shapes across
+    images and names the offending image_id on any mismatch."""
     rows, class_names, base = _manifest_rows(path)
     per_image = []
     shapes = None
@@ -347,7 +342,14 @@ def import_activation_dump(path) -> ActivationDump:
 
 
 def write_features_csv(path, image_ids, labels, matrix) -> None:
+    """Refuses, before writing, what read_features_csv would refuse or read
+    back otherwise: no row or no column, an id or label per row missing, and
+    ids that are no plain file names or repeat."""
     matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or 0 in matrix.shape or not len(image_ids) == len(labels) == len(matrix):
+        raise ValueError(f"{path}: need a nonempty matrix and one image_id and label per row, "
+                         f"got {matrix.shape} with {len(image_ids)} ids, {len(labels)} labels")
+    _require_plain_fields(image_ids, path, "image_id")
     lines = ["image_id,label," + ",".join(f"feat_{j}" for j in range(matrix.shape[1]))]
     lines += [f"{image_id},{int(label)}," + ",".join(repr(float(v)) for v in row)
               for image_id, label, row in zip(image_ids, labels, matrix)]

@@ -126,17 +126,6 @@ def auc(scores_or_curve, labels=None) -> float:
     return twice_area / (2 * int(tp[-1]) * int(fp[-1]))
 
 
-def mann_whitney(scores, labels) -> float:
-    """Fraction of (positive, negative) pairs ranked correctly, ties half."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    p, n = s[y == 1], s[y == 0]
-    if len(p) == 0 or len(n) == 0:
-        raise ValueError("labels must contain both classes")
-    diff = p[:, None] - n[None, :]
-    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (len(p) * len(n)))
-
-
 @dataclass(frozen=True)
 class Metrics:
     per_fold_auc: tuple

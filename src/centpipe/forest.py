@@ -538,17 +538,9 @@ def _joined(trees: list[DecisionTree]) -> tuple[DecisionTree, np.ndarray]:
                         field("right") + shift, field("counts")), roots
 
 
-def predict_proba(model: ForestModel, feature_vector) -> np.ndarray:
-    """Mean of per-tree leaf class distributions; sums to 1."""
-    x = np.asarray(feature_vector, dtype=np.float64).ravel()
-    if len(x) != model.feature_count:
-        raise ValueError(f"feature vector length {len(x)} != {model.feature_count}")
-    return predict_proba_many(model, x[None, :])[0]
-
-
 def predict_proba_many(model: ForestModel, features) -> np.ndarray:
-    """predict_proba for every row; every tree is walked at once, and the
-    per-tree distributions are summed in tree order."""
+    """(rows, classes): per row, the mean over trees of the reached leaf's
+    class distribution, walking every tree at once and summing in tree order."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise ValueError(f"features must be (n, {model.feature_count}), got {X.shape}")

@@ -4,13 +4,14 @@ data-processing inequality).
 
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
 Every histogram is binned by _bin_counts, which takes a group key per value
-and fills one histogram per group in one bincount: cent_rows groups by
-histogram row, conditional_entropy and the theory checks by class (one call
-per filter), make_histogram has one group. Cross-class comparisons use shared
-fixed-range binning: with priors taken proportional to sample counts, the
-plug-in conditional entropy then never exceeds the pooled entropy (exact
-concavity at the estimator level), which is what the conditioning checks rely
-on.
+and fills one histogram per group in one bincount: cent_rows (extract's CENT
+path) groups by histogram row, conditional_entropy and the theory checks by
+class (one call per filter). Cross-class comparisons use shared fixed-range
+binning: with priors taken proportional to sample counts, the plug-in
+conditional entropy then never exceeds the pooled entropy (exact concavity at
+the estimator level), which is what the conditioning checks rely on.
+make_histogram and extract_cent_features stay only as names the benchmark's
+tracer wraps; no pipeline path calls them.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _entropy_p(p: np.ndarray) -> float:
 
 
 def _counts_entropy(counts: np.ndarray) -> float:
-    """Plug-in entropy in bits of one histogram's counts, as entropy() gives."""
+    """Plug-in entropy in bits of one histogram's counts."""
     return _entropy_p(counts / counts.sum())
 
 
@@ -134,13 +135,6 @@ def row_entropy(counts: np.ndarray) -> np.ndarray:
         h[order[lo:hi]] = -terms[at:at + (hi - lo) * k].reshape(hi - lo, k).sum(axis=1)
         at += (hi - lo) * k
     return h
-
-
-def entropy(hist: Histogram) -> float:
-    """Shannon entropy of the histogram in bits, in [0, log2(bin_count)]."""
-    if hist.total <= 0:
-        raise ValueError("histogram has no counts")
-    return _entropy_p(hist.counts / hist.total)
 
 
 @dataclass(frozen=True)
@@ -200,25 +194,6 @@ def mutual_information(joint_counts) -> float:
     return float(mi) if mi > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class CentVector:
-    mode: str  # "per-filter" | "per-layer"
-    values: np.ndarray  # float64 entropies in bits
-    provenance: tuple  # (layer index, filter index or None) per entry
-    bin_count: int
-
-    def __post_init__(self):
-        if self.mode not in ("per-filter", "per-layer"):
-            raise ValueError(f"mode must be per-filter or per-layer, got {self.mode!r}")
-        v = np.asarray(self.values, dtype=np.float64)
-        if len(v) != len(self.provenance):
-            raise ValueError("values and provenance lengths differ")
-        top = math.log2(self.bin_count)
-        if (v < -1e-9).any() or (v > top + 1e-9).any():
-            raise ValueError(f"entropy values outside [0, log2({self.bin_count})]")
-        object.__setattr__(self, "values", v)
-
-
 def _split_filters(read_shape: tuple, mode: str) -> bool:
     """Whether each filter of a read point of this per-image shape gets a
     histogram of its own (per-filter mode, rank >= 2); otherwise the image's
@@ -264,10 +239,10 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     Per-filter mode gives each filter of a rank >= 2 read point (filters on
     read_shape's axis 0) a histogram of its own; per-layer mode, and every
     rank-1 read point, pools an image's whole read point. One bincount bins
-    every histogram of a read point, and each value equals make_histogram
-    plus entropy on that map alone, bit for bit. A NaN or infinite activation
-    raises NonFiniteError naming its image (image_ids[i], else the index),
-    read point and filter.
+    every histogram of a read point, and each value equals the plug-in
+    -sum(p * log2(p)) of that map's own histogram, bit for bit. A NaN or
+    infinite activation raises NonFiniteError naming its image (image_ids[i],
+    else the index), read point and filter.
     """
     if mode not in ("per-filter", "per-layer"):
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
@@ -287,35 +262,12 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     return np.concatenate(columns, axis=1)
 
 
-def extract_cent_from_activations(activations, mode: str = "per-filter",
-                                  bin_count: int = 256, range_mode="minmax") -> CentVector:
-    """CENT vector from one image's layer activations in read order: the
-    one-image case of cent_rows.
-
-    Rank >= 2 arrays carry filters on axis 0: per-filter mode emits one entropy
-    per filter, per-layer mode pools the whole layer. Rank-1 arrays (vector
-    layers) contribute exactly one pooled value in both modes.
-    """
-    acts = [np.asarray(a)[None] for a in activations]
-    values = cent_rows(acts, mode, bin_count, range_mode)[0]
-    provenance = []
-    for li, act in enumerate(acts):
-        shape = act.shape[1:]
-        provenance += ([(li, fi) for fi in range(shape[0])] if _split_filters(shape, mode)
-                       else [(li, None)])
-    return CentVector(mode, values, tuple(provenance), bin_count)
-
-
 def extract_cent_features(net: Network, image: np.ndarray, mode: str = "per-filter",
                           bin_count: int = 256, range_mode="minmax",
-                          pre_relu: bool = False) -> CentVector:
-    """Run the network on one image and summarize each read point's responses.
-
-    Reference 3D stack: 10 + 10 + 1 = 21 values per-filter, 1 + 1 + 1 = 3
-    per-layer (the fully-connected layer pools to one value in both modes).
-    """
-    acts = forward_collect(net, image[None], pre_relu=pre_relu)
-    return extract_cent_from_activations([a[0] for a in acts], mode, bin_count, range_mode)
+                          pre_relu: bool = False) -> np.ndarray:
+    """One image's cent_rows row, kept as a name the benchmark's tracer wraps."""
+    return cent_rows(forward_collect(net, image[None], pre_relu=pre_relu), mode, bin_count,
+                     range_mode)[0]
 
 
 @dataclass(frozen=True)

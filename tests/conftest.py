@@ -55,6 +55,20 @@ def small_dataset(per_class=10, extent=32, seed=0) -> data_io.LabeledDataset:
         data_io.SyntheticSpec(extent=extent, per_class=per_class, seed=seed))
 
 
+def write_reference_dump(dataset, activations, out_dir) -> None:
+    """The activation dump of `dataset` written tensor by tensor, without
+    ActivationDumpWriter: row i of each of forward_collect's `activations`
+    to activations/<id>/layer_NN.tnsr, then the manifest."""
+    rows = []
+    for i, image_id in enumerate(dataset.image_ids):
+        img_dir = out_dir / "activations" / image_id
+        img_dir.mkdir(parents=True)
+        for li, act in enumerate(activations):
+            data_io.save_tensor(img_dir / f"layer_{li:02d}.tnsr", act[i])
+        rows.append((image_id, f"activations/{image_id}", int(dataset.labels[i])))
+    data_io.write_manifest(out_dir / "manifest.csv", rows, dataset.class_names)
+
+
 @pytest.fixture(scope="session")
 def trained_desk():
     """A quickly trained desk 2D network with its dataset; shared read-only."""

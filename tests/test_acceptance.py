@@ -18,16 +18,15 @@ import pytest
 
 from centpipe import cli, data_io, evaluation, forest, infotheory, net, ops
 from centpipe.data_io import LabeledDataset, SyntheticSpec, generate_synthetic
-from centpipe.evaluation import auc, cross_validate, kfold_split, mann_whitney
+from centpipe.evaluation import auc, cross_validate, kfold_split
 from centpipe.forest import ForestConfig
-from centpipe.infotheory import (FilterSelector, LabelSpace,
-                                 conditional_entropy, entropy,
-                                 expected_cent, extract_cent_features,
-                                 extract_cent_from_activations,
-                                 make_histogram, mutual_information,
+from centpipe.infotheory import (FilterSelector, LabelSpace, cent_rows,
+                                 conditional_entropy, expected_cent,
+                                 mutual_information,
                                  pooled_unconditional_entropy)
 
 from conftest import fd_grad, rel_err, pool_safe_input
+from reference_stats import mann_whitney, mutual_information_double_sum, plugin_entropy
 
 
 def _report(capsys, number, description, limit_s, fn, extra_elapsed=0.0):
@@ -55,7 +54,8 @@ MASTER_SEEDS = (0, 1, 2, 3, 4)
 @pytest.fixture(scope="session")
 def trained_runs():
     """Per master seed: 300 synthetic images split 200 train / 100 test, a
-    trained desk network, and per-layer CENT features for the test images."""
+    trained desk network, and per-layer CENT features for the test images,
+    from one forward_collect pass and cent_rows, as `extract` computes them."""
     start = time.perf_counter()
     runs = {}
     for seed in MASTER_SEEDS:
@@ -68,9 +68,7 @@ def trained_runs():
         network = net.build_desk_2d(32, 2, seed=seed)
         network, trace = net.train(network, train_set,
                                    net.TrainConfig(0.05, 12, 10, seed=seed))
-        feats = np.stack([extract_cent_features(network, data.images[i],
-                                                mode="per-layer").values
-                          for i in test_idx])
+        feats = cent_rows(net.forward_collect(network, data.images[test_idx]), "per-layer")
         runs[seed] = types.SimpleNamespace(
             dataset=data, network=network, loss_trace=trace,
             test_idx=test_idx, features=feats,
@@ -166,23 +164,6 @@ def test_criterion_01_gradients(capsys):
 
 # --- criterion 2: entropy oracles ---
 
-def _entropy_direct(counts):
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
-
-
-def _mi_direct(table):
-    p = np.asarray(table, np.float64)
-    p = p / p.sum()
-    row, col = p.sum(axis=1), p.sum(axis=0)
-    total = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0:
-                total += p[i, j] * math.log2(p[i, j] / (row[i] * col[j]))
-    return total
-
-
 def test_criterion_02_entropy_oracles(capsys):
     def check():
         rng = np.random.default_rng(202)
@@ -190,9 +171,10 @@ def test_criterion_02_entropy_oracles(capsys):
             bins = int(rng.integers(2, 65))
             n = int(rng.integers(1, 400))
             samples = rng.uniform(0.0, 1.0, n)
-            h = make_histogram(samples, bins, (0.0, 1.0))
-            got = entropy(h)
-            assert abs(got - _entropy_direct(h.counts.astype(float))) < 1e-9
+            # one image whose one read point is rank 1: one pooled histogram
+            got = float(cent_rows([samples[None]], "per-filter", bins, (0.0, 1.0))[0, 0])
+            direct = plugin_entropy(np.histogram(samples, bins, (0.0, 1.0))[0])
+            assert abs(got - direct) < 1e-9
             assert -1e-12 <= got <= math.log2(bins) + 1e-12
         for _ in range(300):  # conditional entropy vs weighted direct sum
             bins = int(rng.integers(2, 33))
@@ -202,8 +184,7 @@ def test_criterion_02_entropy_oracles(capsys):
             space = LabelSpace(k, sizes / sizes.sum())
             got = conditional_entropy(per_class, space, bins, (0.0, 1.0))
             direct = sum(
-                space.priors[j] * _entropy_direct(
-                    np.histogram(per_class[j], bins, (0.0, 1.0))[0].astype(float))
+                space.priors[j] * plugin_entropy(np.histogram(per_class[j], bins, (0.0, 1.0))[0])
                 for j in range(k))
             assert abs(got - direct) < 1e-9
             assert -1e-12 <= got <= math.log2(bins) + 1e-12
@@ -213,7 +194,7 @@ def test_criterion_02_entropy_oracles(capsys):
             if table.sum() == 0:
                 table[0, 0] = 1
             got = mutual_information(table)
-            assert abs(got - _mi_direct(table)) < 1e-9
+            assert abs(got - mutual_information_double_sum(table)) < 1e-9
             assert got >= 0.0
 
     _report(capsys, 2, "entropy/conditional-entropy/MI match brute-force "
@@ -329,10 +310,9 @@ def test_criterion_08_architecture(capsys):
             assert net.shape_trace(network) == expected, variant
         network = net.build_reference_3d(seed=0)
         image = np.random.default_rng(0).normal(size=(1, 64, 64, 64)).astype(np.float32)
-        per_filter = extract_cent_features(network, image, mode="per-filter")
-        per_layer = extract_cent_features(network, image, mode="per-layer")
-        assert len(per_filter.values) == 21
-        assert len(per_layer.values) == 3
+        acts = net.forward_collect(network, image[None])
+        assert cent_rows(acts, "per-filter").shape == (1, 21)
+        assert cent_rows(acts, "per-layer").shape == (1, 3)
 
     _report(capsys, 8, "volumetric stack traces 64^3 -> 10x32^3 -> 10x16^3 -> "
             "128 -> 2 with 21/3 feature lengths", 10, check)
@@ -406,15 +386,20 @@ def test_criterion_10_dump_parity(capsys, trained_runs, tmp_path):
             run.dataset.images[subset_idx], run.dataset.labels[subset_idx],
             run.dataset.class_names,
             tuple(run.dataset.image_ids[i] for i in subset_idx))
-        dump_dir = tmp_path / "dump"
-        data_io.export_activation_dump(subset, run.network, dump_dir)
-        dump = data_io.import_activation_dump(dump_dir)
-        for i in range(len(subset.images)):
-            direct = extract_cent_features(run.network, subset.images[i],
-                                           mode="per-filter").values
-            loaded = extract_cent_from_activations(dump.activations[i],
-                                                   mode="per-filter").values
-            assert np.array_equal(direct, loaded)
+        data_io.save_dataset(subset, str(tmp_path / "data"))
+        ckpt = str(tmp_path / "net.ckpt")
+        net.save_checkpoint(run.network, ckpt)
+        dump_dir = str(tmp_path / "dump")
+        for argv in (["extract", "--out", str(tmp_path / "direct"), "--checkpoint", ckpt,
+                      "--data", str(tmp_path / "data"), "--dump-out", dump_dir],
+                     ["extract", "--out", str(tmp_path / "loaded"), "--dump", dump_dir]):
+            code, _, err = _run_cli(argv)
+            assert code == 0, (argv, err)
+        direct = (tmp_path / "direct" / "features.csv").read_bytes()
+        assert direct == (tmp_path / "loaded" / "features.csv").read_bytes()
+        in_process = cent_rows(net.forward_collect(run.network, subset.images), "per-filter")
+        matrix = data_io.read_features_csv(tmp_path / "direct" / "features.csv")[2]
+        assert matrix.shape == (10, 21) and matrix.tobytes() == in_process.tobytes()
 
         rng = np.random.default_rng(10)
         wide = tmp_path / "wide"
@@ -428,10 +413,13 @@ def test_criterion_10_dump_parity(capsys, trained_runs, tmp_path):
                 data_io.save_tensor(img_dir / f"layer_{li:02d}.tnsr", act)
             rows.append((image_id, f"activations/{image_id}", i % 2))
         data_io.write_manifest(wide / "manifest.csv", rows, ("a", "b"))
-        wide_dump = data_io.import_activation_dump(wide)
-        vec = extract_cent_from_activations(wide_dump.activations[0], mode="per-filter")
-        assert len(vec.values) == 1088
+        code, out, err = _run_cli(["extract", "--out", str(tmp_path / "wide_features"),
+                                   "--dump", str(wide)])
+        assert code == 0, err
+        assert json.loads(out)["feature_count"] == 1088
+        header = (tmp_path / "wide_features" / "features.csv").read_text().splitlines()[0]
+        assert header.split(",")[2:] == [f"feat_{j}" for j in range(1088)]
 
-    _report(capsys, 10, "imported activation dumps reproduce in-process "
-            "feature vectors bit-for-bit; 64+4x256 filters give 1088 features",
+    _report(capsys, 10, "extract --dump on an extract --dump-out dump reproduces the "
+            "in-process features.csv bit-for-bit; 64+4x256 filters give 1088 features",
             60, check)

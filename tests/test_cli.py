@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net
 
+from conftest import write_reference_dump
+
 
 def run_cli(argv):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
@@ -334,7 +336,7 @@ def test_extract_from_dump_rejects_flags_it_would_ignore(pipeline, tmp_path, fla
 def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch, dump_out):
     """Features and --dump-out come from one forward_collect chunk loop:
     ceil(n / chunk) _forward_layers calls carrying each image once (2 for the
-    20-image set), with the dump's bytes those of export_activation_dump.
+    20-image set), with the dump's bytes those of the pipeline fixture's dump.
     forward_passes counts the images sent through the network, chunks the
     calls."""
     calls, collected = [], []
@@ -363,12 +365,13 @@ def _tree_bytes(root) -> dict:
             for d, _, files in os.walk(root) for f in files}
 
 
-def test_extract_dump_matches_export_activation_dump(pipeline, tmp_path):
-    """The dump extract --dump-out writes from its own chunks is the one
-    export_activation_dump writes, file for file and byte for byte."""
-    network = net.load_checkpoint(pipeline["ckpt"])
-    data_io.export_activation_dump(data_io.load_dataset(pipeline["data"]), network,
-                                   str(tmp_path / "dump"))
+def test_extract_dump_matches_one_whole_dataset_pass(pipeline, tmp_path):
+    """The dump extract --dump-out writes from its own chunks holds, file for
+    file and byte for byte, one whole-dataset forward_collect pass written
+    image by image, and its manifest."""
+    data = data_io.load_dataset(pipeline["data"])
+    acts = net.forward_collect(net.load_checkpoint(pipeline["ckpt"]), data.images)
+    write_reference_dump(data, acts, tmp_path / "dump")
     written = _tree_bytes(pipeline["dump"])
     assert written == _tree_bytes(tmp_path / "dump")
     assert len(written) == 1 + 20 * 3
@@ -460,10 +463,11 @@ def test_evaluate_rejects_multiclass(tmp_path):
 
 @pytest.mark.parametrize("command", ["evaluate", "permute"])
 def test_repeated_image_id_exits_2_naming_it(tmp_path, command):
-    """A repeated id could put one image in a training fold and a test fold."""
+    """A repeated id could put one image in a training fold and a test fold.
+    write_features_csv refuses to write one, so the file is written by hand."""
     path = tmp_path / "features.csv"
-    ids = tuple(f"img_{i % 20:04d}" for i in range(40))
-    data_io.write_features_csv(path, ids, np.array([0, 1] * 20), np.zeros((40, 2)))
+    path.write_text("".join(["image_id,label,feat_0,feat_1\n"] + [
+        f"img_{i % 20:04d},{i % 2},0.0,0.0\n" for i in range(40)]))
     code, out, err = run_cli([command, "--out", str(tmp_path / "e"), "--features", str(path),
                               "--tree-count", "5"])
     assert code == 2 and out == ""

@@ -8,19 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import data_io, net
+from centpipe import cli, data_io, infotheory, net
 from centpipe.data_io import (BadMagicError, ChecksumError, LabeledDataset,
                               SyntheticSpec, TruncatedError, VersionError,
-                              export_activation_dump, generate_markov_chain,
-                              generate_synthetic, import_activation_dump,
-                              load_dataset, load_tensor, read_features_csv,
-                              read_manifest, save_dataset, save_tensor,
-                              write_features_csv, write_manifest)
+                              generate_markov_chain, generate_synthetic,
+                              import_activation_dump, load_dataset, load_tensor,
+                              read_features_csv, read_manifest, save_dataset,
+                              save_tensor, write_features_csv, write_manifest)
 from centpipe.evaluation import cross_validate, kfold_split
 from centpipe.forest import ForestConfig
-from centpipe.infotheory import (contingency_table, dpi_check,
-                                 extract_cent_from_activations,
-                                 extract_cent_features, mutual_information)
+from centpipe.infotheory import cent_rows, contingency_table, dpi_check, mutual_information
+
+from conftest import write_reference_dump
 
 
 # --- tensor files ---
@@ -152,6 +151,33 @@ def test_dataset_roundtrip(tmp_path):
     assert np.array_equal(again.images, data.images)
 
 
+# text fields: the formats' separators and the path-like values often, any text sometimes
+_FIELDS = st.text(st.sampled_from("ab.,/\\\n\r\0 #"), max_size=4) | st.text(max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FIELDS, max_size=3), st.lists(_FIELDS, max_size=4), st.data())
+def test_dataset_round_trips_or_is_refused_before_writing(tmp_path_factory, class_names,
+                                                          image_ids, data):
+    """For generated class names, ids, labels and pixel values, either the
+    dataset is refused (ValueError) before any file exists, or load_dataset
+    gives back the same names, ids, labels and pixel bytes."""
+    n = len(image_ids)
+    labels = data.draw(st.lists(st.integers(-1, len(class_names)), min_size=n, max_size=n))
+    pixels = data.draw(st.lists(st.floats(width=32), min_size=4 * n, max_size=4 * n))
+    images = np.array(pixels, dtype=np.float32).reshape(n, 1, 2, 2)
+    out = tmp_path_factory.mktemp("dataset") / "ds"
+    try:
+        save_dataset(LabeledDataset(images, labels, tuple(class_names), tuple(image_ids)), out)
+    except ValueError:
+        assert not out.exists()
+        return
+    back = load_dataset(out)
+    assert back.class_names == tuple(class_names) and back.image_ids == tuple(image_ids)
+    assert back.labels.tolist() == labels
+    assert back.images.tobytes() == images.tobytes()
+
+
 # --- synthetic generator ---
 
 def test_synthetic_deterministic():
@@ -251,38 +277,47 @@ def test_chain_contract_errors():
 
 # --- activation dumps ---
 
+def _write_dump(data, network, out_dir) -> None:
+    """A dump of one whole-dataset forward_collect pass, written by the
+    writer extract --dump-out uses."""
+    writer = data_io.ActivationDumpWriter(out_dir)
+    writer.write_chunk(data.image_ids, net.forward_collect(network, data.images))
+    writer.finish(data.image_ids, data.labels, data.class_names)
+
+
+def _dump_rows(dump, mode):
+    """cent_rows of every image of an imported dump."""
+    return cent_rows([np.stack(layer) for layer in zip(*dump.activations)], mode)
+
+
 def test_activation_dump_roundtrip_matches_in_process(tmp_path):
     data = generate_synthetic(SyntheticSpec(per_class=3, extent=32, seed=9))
     network = net.build_desk_2d(32, 2, seed=9)
-    export_activation_dump(data, network, tmp_path / "dump")
+    _write_dump(data, network, tmp_path / "dump")
     dump = import_activation_dump(tmp_path / "dump")
     assert dump.image_ids == data.image_ids
     assert np.array_equal(dump.labels, data.labels)
-    for i in range(len(data.images)):
-        direct = extract_cent_features(network, data.images[i], mode="per-filter")
-        from_dump = extract_cent_from_activations(dump.activations[i], mode="per-filter")
-        assert np.array_equal(direct.values, from_dump.values)
+    direct = cent_rows(net.forward_collect(network, data.images), "per-filter")
+    assert _dump_rows(dump, "per-filter").tobytes() == direct.tobytes()
 
 
 def test_activation_dump_streams_the_bytes_of_one_whole_dataset_pass(tmp_path, monkeypatch):
-    """Chunk by chunk (3 images a chunk at 64x64), the dump holds the bytes a
-    single whole-dataset forward_collect call gives, and its manifest."""
+    """extract --dump-out --pre-relu streams chunk by chunk (3 images a chunk
+    at 64x64), and the dump holds the bytes a single whole-dataset
+    forward_collect call gives, and its manifest."""
     data = generate_synthetic(SyntheticSpec(per_class=4, extent=64, seed=13))
     network = net.build_desk_2d(64, 2, seed=13)
-    acts = net.forward_collect(network, data.images, pre_relu=True)
-    rows = []
-    for i, image_id in enumerate(data.image_ids):
-        img_dir = tmp_path / "ref" / "activations" / image_id
-        img_dir.mkdir(parents=True)
-        for li, act in enumerate(acts):
-            save_tensor(img_dir / f"layer_{li:02d}.tnsr", act[i])
-        rows.append((image_id, f"activations/{image_id}", int(data.labels[i])))
-    write_manifest(tmp_path / "ref" / "manifest.csv", rows, data.class_names)
+    write_reference_dump(data, net.forward_collect(network, data.images, pre_relu=True),
+                         tmp_path / "ref")
+    save_dataset(data, str(tmp_path / "data"))
+    net.save_checkpoint(network, str(tmp_path / "net.ckpt"))
     calls = []
-    collect = data_io.forward_collect
-    monkeypatch.setattr(data_io, "forward_collect",
+    collect = infotheory.forward_collect  # the binding extract calls
+    monkeypatch.setattr(infotheory, "forward_collect",
                         lambda nw, x, **kw: calls.append(len(x)) or collect(nw, x, **kw))
-    export_activation_dump(data, network, tmp_path / "dump", pre_relu=True)
+    assert cli.main(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                     str(tmp_path / "net.ckpt"), "--data", str(tmp_path / "data"),
+                     "--pre-relu", "--dump-out", str(tmp_path / "dump")]) == 0
     assert calls == [3, 3, 2]
 
     def tree(root):
@@ -293,7 +328,7 @@ def test_activation_dump_streams_the_bytes_of_one_whole_dataset_pass(tmp_path, m
 def test_activation_dump_missing_directory_names_image(tmp_path):
     data = generate_synthetic(SyntheticSpec(per_class=2, extent=32, seed=10))
     network = net.build_desk_2d(32, 2, seed=10)
-    export_activation_dump(data, network, tmp_path / "dump")
+    _write_dump(data, network, tmp_path / "dump")
     import shutil
     shutil.rmtree(tmp_path / "dump" / "activations" / "img_0002")
     with pytest.raises(FileNotFoundError) as e:
@@ -304,7 +339,7 @@ def test_activation_dump_missing_directory_names_image(tmp_path):
 def test_activation_dump_inconsistent_shapes_names_image(tmp_path):
     data = generate_synthetic(SyntheticSpec(per_class=2, extent=32, seed=11))
     network = net.build_desk_2d(32, 2, seed=11)
-    export_activation_dump(data, network, tmp_path / "dump")
+    _write_dump(data, network, tmp_path / "dump")
     rogue = tmp_path / "dump" / "activations" / "img_0003" / "layer_00.tnsr"
     save_tensor(rogue, np.zeros((10, 4, 4), np.float32))
     with pytest.raises(ValueError) as e:
@@ -328,10 +363,8 @@ def test_mock_wide_dump_feature_length(tmp_path):
         rows.append((image_id, f"activations/{image_id}", i % 2))
     write_manifest(out / "manifest.csv", rows, ("a", "b"))
     dump = import_activation_dump(out)
-    vec = extract_cent_from_activations(dump.activations[0], mode="per-filter")
-    assert len(vec.values) == 1088
-    per_layer = extract_cent_from_activations(dump.activations[0], mode="per-layer")
-    assert len(per_layer.values) == 5
+    assert _dump_rows(dump, "per-filter").shape == (2, 1088)
+    assert _dump_rows(dump, "per-layer").shape == (2, 5)
 
 
 # --- features CSV ---
@@ -349,3 +382,26 @@ def test_features_csv_roundtrip(tmp_path):
     assert got_ids == ids
     assert np.array_equal(got_labels, labels)
     assert np.array_equal(got_matrix, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FIELDS, max_size=4), st.integers(0, 3), st.data())
+def test_features_csv_round_trips_or_is_refused_before_writing(tmp_path_factory, image_ids,
+                                                               width, data):
+    """For generated ids, labels and values, either write_features_csv
+    refuses (ValueError) before the file exists, or read_features_csv gives
+    back the same ids, labels and values (NaN for NaN)."""
+    n = len(image_ids)
+    labels = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    values = data.draw(st.lists(st.floats(), min_size=n * width, max_size=n * width))
+    matrix = np.array(values, dtype=np.float64).reshape(n, width)
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    try:
+        write_features_csv(path, image_ids, labels, matrix)
+    except ValueError:
+        assert not path.exists()
+        return
+    got_ids, got_labels, got_matrix = read_features_csv(path)
+    assert got_ids == tuple(image_ids) and got_labels.tolist() == labels
+    assert got_matrix.shape == matrix.shape
+    assert np.array_equal(got_matrix, matrix, equal_nan=True)

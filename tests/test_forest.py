@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from centpipe import forest
 from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, fit,
-                             predict_proba, predict_proba_many)
+                             predict_proba_many)
 from centpipe.evaluation import kfold_split
 from centpipe.infotheory import NonFiniteError
 
@@ -397,7 +397,7 @@ def test_non_finite_features_rejected_with_position(bad):
     with pytest.raises(NonFiniteError, match="row 7, column 1"):
         predict_proba_many(model, X)
     with pytest.raises(NonFiniteError, match="row 0, column 1"):
-        predict_proba(model, X[7])
+        predict_proba_many(model, X[7:8])
 
 
 def test_fit_memory_stays_bounded():
@@ -447,7 +447,7 @@ def test_predict_proba_is_mean_of_leaf_distributions():
     for x in rng.normal(0.5, 0.5, size=(20, 2)):
         leaves = [t.counts[_ref_walk(t, x)] for t in model.trees]
         manual = np.mean([c / c.sum() for c in leaves], axis=0)
-        assert np.abs(predict_proba(model, x) - manual).max() < 1e-12
+        assert np.abs(predict_proba_many(model, x[None])[0] - manual).max() < 1e-12
 
 
 def _leaf_tree(class_idx, class_count=2):
@@ -461,21 +461,22 @@ def test_vote_arithmetic_explicit_split():
     # 60 pure-class-0 leaves and 40 pure-class-1 leaves average to (0.6, 0.4)
     trees = [_leaf_tree(0)] * 60 + [_leaf_tree(1)] * 40
     model = ForestModel(trees, 2, 2, ForestConfig(tree_count=100), 1)
-    probs = predict_proba(model, np.zeros(2))
+    probs = predict_proba_many(model, np.zeros((1, 2)))[0]
     assert np.allclose(probs, [0.6, 0.4], atol=1e-12)
 
 
 def test_unanimous_vote():
     trees = [_leaf_tree(1)] * 10
     model = ForestModel(trees, 2, 2, ForestConfig(tree_count=10), 1)
-    assert np.array_equal(predict_proba(model, np.zeros(2)), [0.0, 1.0])
+    assert np.array_equal(predict_proba_many(model, np.zeros((1, 2))), [[0.0, 1.0]])
 
 
 def test_predict_length_mismatch():
     X, y = _two_blobs()
     model = fit(X, y, ForestConfig(tree_count=5))
-    with pytest.raises(ValueError):
-        predict_proba(model, np.zeros(3))
+    for bad in (np.zeros((1, 3)), np.zeros(2)):  # a wrong width, or no row axis
+        with pytest.raises(ValueError):
+            predict_proba_many(model, bad)
 
 
 def _impurity_decrease(model):
@@ -561,5 +562,5 @@ def test_constant_features_yield_single_leaf():
     model = fit(X, y, ForestConfig(tree_count=5, seed=0))
     for tree in model.trees:
         assert len(tree.feature) == 1 and tree.feature[0] == -1
-    probs = predict_proba(model, np.ones(3))
+    probs = predict_proba_many(model, np.ones((1, 3)))
     assert abs(probs.sum() - 1.0) < 1e-12

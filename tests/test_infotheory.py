@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from centpipe import infotheory as it
 from centpipe import net
-from centpipe.infotheory import (CentVector, FilterSelector, LabelSpace,
-                                 NonFiniteError, conditional_entropy,
-                                 contingency_table, dpi_check,
-                                 entropy, expected_cent,
-                                 extract_cent_features,
-                                 extract_cent_from_activations, make_histogram,
+from centpipe.infotheory import (FilterSelector, LabelSpace, NonFiniteError,
+                                 conditional_entropy, contingency_table, dpi_check,
+                                 expected_cent, make_histogram,
                                  mutual_information, partition_check,
                                  pooled_unconditional_entropy)
 
 from conftest import small_dataset
+from reference_stats import mutual_information_double_sum, plugin_entropy
 
 
 # --- histograms ---
@@ -29,13 +27,13 @@ def test_histogram_constant_is_degenerate():
     assert h.degenerate
     assert h.total == 50
     assert h.counts.sum() == 50 and (h.counts > 0).sum() == 1
-    assert entropy(h) == 0.0
+    assert _cent([np.full(50, 3.25)]).tolist() == [0.0]
 
 
 def test_histogram_two_values_two_bins():
     h = make_histogram(np.array([0.0, 1.0]), bin_count=2)
     assert list(h.counts) == [1, 1]
-    assert entropy(h) == 1.0
+    assert _cent([np.array([0.0, 1.0])], bins=2).tolist() == [1.0]
 
 
 def test_histogram_upper_edge_and_clipping():
@@ -105,20 +103,19 @@ def test_non_finite_is_named_and_not_a_value_error():
     layer[1, 2, 3] = np.nan
     for mode in ("per-filter", "per-layer"):
         with pytest.raises(NonFiniteError):
-            extract_cent_from_activations([layer], mode)
+            _cent([layer], mode)
 
 
 def test_entropy_uniform_four_bins():
-    h = make_histogram(np.array([0.0, 1.0, 2.0, 3.0]), bin_count=4, range_mode=(0.0, 4.0))
-    assert abs(entropy(h) - 2.0) < 1e-12
+    h = _cent([np.array([0.0, 1.0, 2.0, 3.0])], bins=4, range_mode=(0.0, 4.0))[0]
+    assert abs(h - 2.0) < 1e-12
 
 
 def test_entropy_examples():
-    one_bin = make_histogram(np.zeros(7), bin_count=4, range_mode=(0.0, 4.0))
-    assert entropy(one_bin) == 0.0
+    assert _cent([np.zeros(7)], bins=4, range_mode=(0.0, 4.0)).tolist() == [0.0]
     # counts (2,1,1): H = 0.5*1 + 0.25*2 + 0.25*2 = 1.5
-    h = make_histogram(np.array([0.0, 0.0, 1.0, 2.0]), bin_count=4, range_mode=(0.0, 4.0))
-    assert abs(entropy(h) - 1.5) < 1e-12
+    h = _cent([np.array([0.0, 0.0, 1.0, 2.0])], bins=4, range_mode=(0.0, 4.0))[0]
+    assert abs(h - 1.5) < 1e-12
 
 
 # --- label spaces ---
@@ -139,8 +136,8 @@ def test_conditional_entropy_separated_constants():
     per_class = {0: np.zeros(100), 1: np.ones(100)}
     space = LabelSpace(2, np.array([0.5, 0.5]))
     assert conditional_entropy(per_class, space, bin_count=2) == 0.0
-    pooled = make_histogram(np.concatenate(list(per_class.values())), 2)
-    assert entropy(pooled) == 1.0  # conditioning removed a full bit
+    pooled = np.concatenate(list(per_class.values()))
+    assert _cent([pooled], bins=2).tolist() == [1.0]  # conditioning removed a full bit
 
 
 def test_conditional_entropy_identical_distributions():
@@ -148,7 +145,7 @@ def test_conditional_entropy_identical_distributions():
     a, b = rng.normal(size=10000), rng.normal(size=10000)
     space = LabelSpace(2, np.array([0.5, 0.5]))
     cond = conditional_entropy({0: a, 1: b}, space)
-    pooled = entropy(make_histogram(np.concatenate([a, b])))
+    pooled = _cent([np.concatenate([a, b])])[0]
     assert abs(cond - pooled) < 0.05
 
 
@@ -182,7 +179,7 @@ def test_conditional_entropy_concavity_random_cases():
         pooled_vals = np.concatenate([per_class[j] for j in range(k)])
         lo, hi = float(pooled_vals.min()), float(pooled_vals.max())
         cond = conditional_entropy(per_class, space, 64, (lo, hi))
-        pooled = entropy(make_histogram(pooled_vals, 64, (lo, hi)))
+        pooled = _cent([pooled_vals], bins=64, range_mode=(lo, hi))[0]
         assert cond <= pooled + 1e-9
 
 
@@ -197,21 +194,9 @@ def test_mutual_information_identity():
     assert abs(mutual_information([[5, 0], [0, 5]]) - 1.0) < 1e-12
 
 
-def _mi_double_sum(table):
-    p = np.asarray(table, dtype=np.float64)
-    p = p / p.sum()
-    row, col = p.sum(axis=1), p.sum(axis=0)
-    total = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0:
-                total += p[i, j] * math.log2(p[i, j] / (row[i] * col[j]))
-    return total
-
-
 def test_mutual_information_against_double_sum():
     table = [[4, 1], [1, 4]]
-    assert abs(mutual_information(table) - _mi_double_sum(table)) < 1e-9
+    assert abs(mutual_information(table) - mutual_information_double_sum(table)) < 1e-9
 
 
 def test_mutual_information_random_tables():
@@ -222,7 +207,7 @@ def test_mutual_information_random_tables():
         if table.sum() == 0:
             table[0, 0] = 1
         mi = mutual_information(table)
-        assert abs(mi - _mi_double_sum(table)) < 1e-9
+        assert abs(mi - mutual_information_double_sum(table)) < 1e-9
         p = table / table.sum()
         h_row = it._entropy_p(p.sum(axis=1))
         h_col = it._entropy_p(p.sum(axis=0))
@@ -264,8 +249,14 @@ def test_mutual_information_contract_errors():
 
 # --- CENT values ---
 
-def _cent(activations, mode="per-filter", bins=256):
-    return extract_cent_from_activations(activations, mode, bins).values
+def _cent(activations, mode="per-filter", bins=256, range_mode="minmax"):
+    """cent_rows' row for one image whose read points are `activations`."""
+    return it.cent_rows([np.asarray(a)[None] for a in activations], mode, bins, range_mode)[0]
+
+
+def _image_cent(network, image, mode="per-filter"):
+    """One image's CENT values the way extract computes them."""
+    return it.cent_rows(net.forward_collect(network, image[None]), mode)[0]
 
 
 def test_cent_constant_map_is_zero():
@@ -290,7 +281,7 @@ def test_cent_concentrated_below_uniform():
 def test_cent_per_layer_equals_pooled_concatenation():
     rng = np.random.default_rng(6)
     layer = rng.normal(size=(4, 5, 5))
-    direct = entropy(make_histogram(layer.ravel()))
+    direct = plugin_entropy(make_histogram(layer.ravel()).counts)
     assert _cent([layer], "per-layer").tolist() == [direct]
 
 
@@ -323,10 +314,10 @@ _READ_SHAPES = st.lists(st.sampled_from([(3, 4, 4), (5, 2, 3), (1, 6, 6), (2, 8)
 @given(st.integers(1, 6), _READ_SHAPES, st.sampled_from(["per-filter", "per-layer"]),
        st.integers(2, 256), st.booleans(), st.integers(0, 2**32 - 1), st.data())
 def test_cent_rows_equal_the_per_map_loop(n, shapes, mode, bins, fixed, seed, data):
-    """Batched CENT rows equal, bit for bit, the one-image
-    extract_cent_from_activations values and a per-map loop, for any chunking
-    of the images: constant maps, ReLU zeros, ties, and outliers beyond a
-    fixed range included."""
+    """Batched CENT rows equal, bit for bit, a per-map loop, for any chunking
+    of the images (one image a chunk included): constant maps, ReLU zeros,
+    ties, and outliers beyond a fixed range included. Every value lies in
+    [0, log2(bins)]."""
     rng = np.random.default_rng(seed)
     acts = []
     for shape in shapes:
@@ -346,11 +337,10 @@ def test_cent_rows_equal_the_per_map_loop(n, shapes, mode, bins, fixed, seed, da
     rows = np.concatenate([it.cent_rows([a[lo:lo + chunk] for a in acts], mode, bins, range_mode)
                            for lo in range(0, n, chunk)])
     for i in range(n):
-        one = extract_cent_from_activations([a[i] for a in acts], mode, bins, range_mode)
         loop = [_loop_cent(m, bins, range_mode) for a in acts
                 for m in (a[i] if mode == "per-filter" and a.ndim >= 3 else [a[i]])]
-        assert rows[i].tobytes() == one.values.tobytes() == np.array(loop).tobytes()
-        assert len(one.provenance) == len(loop)
+        assert rows[i].tobytes() == np.array(loop).tobytes()
+    assert (rows >= 0.0).all() and (rows <= math.log2(bins)).all()
 
 
 def test_cent_rows_name_the_first_non_finite_activation():
@@ -381,32 +371,36 @@ def test_histogram_sizes_report_the_entropy_cap():
     assert it.histogram_sizes((128,), "per-filter", 64)["histograms_per_image"] == 1
 
 
-def test_cent_vector_contract():
-    with pytest.raises(ValueError):
-        CentVector("per-pixel", np.array([1.0]), ((0, 0),), 256)
-    with pytest.raises(ValueError):
-        CentVector("per-filter", np.array([9.0]), ((0, 0),), 256)  # > log2(256)
-    with pytest.raises(ValueError):
-        CentVector("per-filter", np.array([1.0, 2.0]), ((0, 0),), 256)
+def test_cent_rows_contract():
+    """An unknown mode is refused by name; values evenly spread over the
+    bins reach the log2(bins) cap exactly (the property test above bounds
+    every value by it)."""
+    with pytest.raises(ValueError, match="mode must be per-filter or per-layer, got 'per-pixel'"):
+        it.cent_rows([np.zeros((1, 2, 2, 2))], "per-pixel")
+    spread = np.tile(np.arange(1024.0), 4).reshape(4, 32, 32)  # 4 values a bin at 256 bins
+    assert _cent([spread], bins=256, range_mode=(0.0, 1024.0)).tolist() == [8.0] * 4
+    assert _cent([spread], "per-layer", 16, (0.0, 1024.0)).tolist() == [4.0]
 
 
 def test_extract_cent_feature_lengths_and_provenance():
+    """Features run read point by read point, a per-filter conv read point's
+    filters in order: 10 + 10 + 1 per-filter values, each its own map's
+    entropy, and one pooled value per read point per-layer."""
     network = net.build_desk_2d(32, 2, seed=0)
     img = np.random.default_rng(2).normal(size=(1, 32, 32)).astype(np.float32)
-    per_filter = extract_cent_features(network, img, mode="per-filter")
-    per_layer = extract_cent_features(network, img, mode="per-layer")
-    assert len(per_filter.values) == 21  # 10 + 10 + 1
-    assert len(per_layer.values) == 3
-    assert per_filter.provenance[0] == (0, 0)
-    assert per_filter.provenance[10] == (1, 0)
-    assert per_filter.provenance[20] == (2, None)  # vector layer pools once
-    assert per_layer.provenance == ((0, None), (1, None), (2, None))
+    acts = net.forward_collect(network, img[None])
+    per_filter, per_layer = _image_cent(network, img), _image_cent(network, img, "per-layer")
+    assert len(per_filter) == 21 and len(per_layer) == 3
+    maps = [*acts[0][0], *acts[1][0], acts[2][0]]  # the vector layer pools once
+    assert per_filter.tolist() == [_loop_cent(m, 256, "minmax") for m in maps]
+    assert per_layer.tolist() == [_loop_cent(a[0], 256, "minmax") for a in acts]
+    # kept for the benchmark's tracer: one image's cent_rows row
+    assert it.extract_cent_features(network, img).tobytes() == per_filter.tobytes()
 
 
 def test_extract_cent_zero_image_all_zero():
     network = net.build_desk_2d(32, 2, seed=1)
-    vec = extract_cent_features(network, np.zeros((1, 32, 32), np.float32))
-    assert not vec.values.any()
+    assert not _image_cent(network, np.zeros((1, 32, 32), np.float32)).any()
 
 
 def test_cent_invariant_under_power_of_two_rescaling():
@@ -414,9 +408,9 @@ def test_cent_invariant_under_power_of_two_rescaling():
     every activation exactly; with minmax binning the histogram counts match."""
     network = net.build_desk_2d(32, 2, seed=3)
     img = np.random.default_rng(4).normal(size=(1, 32, 32)).astype(np.float32)
-    base = extract_cent_features(network, img).values
+    base = _image_cent(network, img)
     for scale in (0.5, 2.0, 4.0):
-        scaled = extract_cent_features(network, (img * np.float32(scale))).values
+        scaled = _image_cent(network, img * np.float32(scale))
         assert np.array_equal(base, scaled)
 
 
@@ -510,13 +504,13 @@ def _per_class_reference(acts, labels, layer, fi, bins):
     counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
     priors = counts / counts.sum()
     per_class = [vals[labels == c] for c in classes]
-    class_h = [entropy(make_histogram(v, bins, shared)) for v in per_class]
+    class_h = [plugin_entropy(make_histogram(v, bins, shared).counts) for v in per_class]
     cond = 0.0
     for p, h in zip(priors, class_h):
         cond += p * h
     assert conditional_entropy(dict(enumerate(per_class)), LabelSpace(len(classes), priors),
                                bins, shared) == cond
-    return class_h, priors, cond, entropy(make_histogram(vals, bins, shared))
+    return class_h, priors, cond, plugin_entropy(make_histogram(vals, bins, shared).counts)
 
 
 @settings(max_examples=60, deadline=None)
