@@ -49,19 +49,30 @@ def write_manifest(path, rows, class_names) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+# The longest file name most file systems take (255 bytes) less ".tnsr.tmp":
+# the dataset writer names a tensor file <image_id>.tnsr, and the atomic
+# writer first writes it as <image_id>.tnsr.tmp.
+MAX_ID_BYTES = 246
+
+
 def _require_plain_id(value: str, source, field: str = "image_id") -> None:
     """The one check of a text field in a manifest or features CSV, shared
     by their writers and readers: no empty value, '.' or '..', no path
-    separator or NUL (the dataset and dump writers make an image_id a path
-    component), and no ',' or line break (the readers split on them)."""
+    separator or NUL and at most MAX_ID_BYTES of UTF-8 (the dataset and dump
+    writers make an image_id a file name), and no ',' or line break (the
+    readers split on them)."""
     seps = {"/", os.sep, os.altsep, "\0", ",", "\n", "\r"} - {None}
     if value in ("", ".", "..") or any(sep in value for sep in seps):
         raise ValueError(f"{source}: {field} {value!r} is not a plain file name")
+    if len(value.encode()) > MAX_ID_BYTES:
+        raise ValueError(f"{source}: {field} {value!r} is longer than {MAX_ID_BYTES} "
+                         "bytes of UTF-8")
 
 
-def _require_plain_fields(values, source, field: str) -> None:
-    """_require_plain_id on each value in order, refusing a repeated one."""
-    seen = set()
+def _require_plain_fields(values, source, field: str, seen=None) -> None:
+    """_require_plain_id on each value in order, refusing a repeated one,
+    also one already in `seen`, to which each value is added."""
+    seen = set() if seen is None else seen
     for value in values:
         _require_plain_id(value, source, field)
         if value in seen:
@@ -297,12 +308,16 @@ class ActivationDumpWriter:
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
+        self.written = set()  # the image ids of every chunk so far
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "manifest.csv"))
 
     def write_chunk(self, image_ids, activations) -> None:
         """Row i of each read point's array (forward_collect's arrays for
-        these images) goes to activations/<image_ids[i]>/layer_00.tnsr, ..."""
+        these images) goes to activations/<image_ids[i]>/layer_00.tnsr, ...
+        Refuses, before making any directory, an id that the reader would
+        refuse, or one that an earlier chunk wrote."""
+        _require_plain_fields(image_ids, self.out_dir, "image_id", self.written)
         for i, image_id in enumerate(image_ids):
             img_dir = os.path.join(self.out_dir, "activations", image_id)
             os.makedirs(img_dir, exist_ok=True)
@@ -310,7 +325,15 @@ class ActivationDumpWriter:
                 save_tensor(os.path.join(img_dir, f"layer_{li:02d}.tnsr"), act[i])
 
     def finish(self, image_ids, labels, class_names) -> None:
-        """The manifest: its path column names each image's directory."""
+        """The manifest: its path column names each image's directory.
+        Refuses, before writing it, what import_activation_dump would refuse
+        in it: no images, a class name that is not plain or is repeated, or
+        a label outside the class table."""
+        if not len(image_ids):
+            raise ValueError(f"{self.out_dir}: a dump with no images is not saved")
+        _require_plain_fields(class_names, self.out_dir, "class name")
+        if not all(0 <= label < len(class_names) for label in labels):
+            raise ValueError(f"{self.out_dir}: label outside class table of {len(class_names)}")
         rows = [(image_id, f"activations/{image_id}", int(label))
                 for image_id, label in zip(image_ids, labels)]
         write_manifest(os.path.join(self.out_dir, "manifest.csv"), rows, class_names)

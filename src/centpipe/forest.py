@@ -19,6 +19,10 @@ choice itself, so it guards this equivalence.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +78,7 @@ class ForestModel:
     config: ForestConfig
     mtry: int  # resolved value actually used
     set_class_counts: tuple = ()  # class count of each training set; () for one
+    workers: int = 1  # processes that grew the trees
 
     def fold(self, i: int) -> "ForestModel":
         counts = self.set_class_counts or (self.class_count,)
@@ -81,7 +86,7 @@ class ForestModel:
             raise IndexError(f"model holds {len(counts)} forests, no forest {i}")
         size = len(self.trees) // len(counts)
         return ForestModel(self.trees[i * size:(i + 1) * size], self.feature_count, counts[i],
-                           self.config, self.mtry, (counts[i],))
+                           self.config, self.mtry, (counts[i],), self.workers)
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
@@ -296,8 +301,8 @@ class _Draws:
 
 
 class _Grower:
-    """Grows the forests of several training row sets together, one node per
-    unfinished tree per step.
+    """Grows the given tree indices of the forests of several training row
+    sets together, one node per unfinished tree per step.
 
     Every tree's bootstrap rows, as row indices of the whole matrix, fill its
     own contiguous block of `samples`; each node owns a contiguous range of
@@ -310,10 +315,10 @@ class _Grower:
     bit the tree that fitting its training set alone gives.
     """
 
-    def __init__(self, X, y, rank, sets, class_count, config, mtry):
+    def __init__(self, X, y, rank, sets, class_count, config, mtry, tree_indices):
         self.X, self.y, self.rank = X, y, rank
         self.class_count, self.config, self.mtry = class_count, config, mtry
-        lengths = np.repeat([len(rows) for rows in sets], config.tree_count)
+        lengths = np.repeat([len(rows) for rows in sets], len(tree_indices))
         ends = np.cumsum(lengths)
         # Long-lived arrays use the smallest unsigned type that holds their
         # values: 2 * lengths.max() bounds node ids, depths, stack ranges and
@@ -323,7 +328,7 @@ class _Grower:
         self.samples = np.empty(ends[-1], dtype=small(len(y)))
         bitgens = []
         for rows in sets:
-            for t in range(config.tree_count):
+            for t in tree_indices:
                 rng = np.random.default_rng([config.seed, t])
                 end = ends[len(bitgens)]
                 self.samples[end - len(rows):end] = (
@@ -458,14 +463,81 @@ def _dense_rank(X: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _grow_share(X, y, rank, groups, config, mtry, tree_indices) -> list:
+    """The trees of `tree_indices` of every grower: (class count, training
+    sets) in `groups`, one list per grower, each set's trees in index order."""
+    return [_Grower(X, y, rank, sets, c, config, mtry, tree_indices).grow()
+            for c, sets in groups]
+
+
+def _worker_count(tree_count: int) -> int:
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), tree_count)
+
+
+def _fork_share(job, tree_indices) -> tuple:
+    """Fork a child that grows `tree_indices` and pickles (True, trees), or
+    (False, the exception it raised), into a pipe; returns (pid, read end).
+    The child inherits `job` and leaves by os._exit, never returning into
+    the caller's frames."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    result = (True, _grow_share(*job, tree_indices))
+                except Exception as exc:  # noqa: BLE001 - the caller raises it
+                    result = (False, exc)
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _grow_shares(job, shares: list) -> list:
+    """_grow_share of each range of tree indices: the first in this process,
+    each other one in a child forked for this call, which sends back only its
+    trees. A child's exception is raised here; if anything raises, the
+    children still growing are killed. Every child is reaped before this
+    returns or raises."""
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(job, share))
+        grown = [_grow_share(*job, shares[0])]
+        for pid, pipe in children:
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(f"forest worker {pid} ended without a result") from None
+            if not ok:
+                raise value
+            grown.append(value)
+        return grown
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def fit(features, labels, config: ForestConfig = ForestConfig(),
         train_sets=None) -> ForestModel:
     """Grow a forest on all rows, or one forest per training row set (index
     arrays into the rows, such as a cross-validation's folds), all together.
 
     Each set's forest is bit for bit the forest that fitting that set's rows
-    alone gives. Constant features with mixed labels yield single-leaf trees
-    rather than an error. A non-finite feature raises NonFiniteError naming
+    alone gives, however many worker processes grow it (model.workers).
+    Constant features with mixed labels yield single-leaf trees rather than
+    an error. A non-finite feature raises NonFiniteError naming
     its row in `features`.
     """
     X = np.asarray(features, dtype=np.float64)
@@ -498,15 +570,20 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     # Sets with equal class counts share a grower: the class count is the
     # width of every row a split score sums, so a set with fewer classes
     # cannot join. Cross-validation on binary labels makes one grower.
-    rank = _dense_rank(X)
-    forests = [None] * len(sets)
-    for c in sorted(set(class_counts)):
-        members = [i for i, count in enumerate(class_counts) if count == c]
-        trees = _Grower(X, y, rank, [sets[i] for i in members], c, config, mtry).grow()
-        for j, i in enumerate(members):
-            forests[i] = trees[j * config.tree_count:(j + 1) * config.tree_count]
+    members = [[i for i, count in enumerate(class_counts) if count == c]
+               for c in sorted(set(class_counts))]
+    groups = [(class_counts[m[0]], [sets[i] for i in m]) for m in members]
+    workers = _worker_count(config.tree_count)
+    shares = [range(config.tree_count * w // workers, config.tree_count * (w + 1) // workers)
+              for w in range(workers)]
+    job = (X, y, _dense_rank(X), groups, config, mtry)
+    forests = [[] for _ in sets]
+    for share, grown in zip(shares, _grow_shares(job, shares)):
+        for m, trees in zip(members, grown):
+            for j, i in enumerate(m):
+                forests[i] += trees[j * len(share):(j + 1) * len(share)]
     return ForestModel([tree for forest in forests for tree in forest], p,
-                       max(class_counts), config, mtry, tuple(class_counts))
+                       max(class_counts), config, mtry, tuple(class_counts), workers)
 
 
 def _leaves(tree: DecisionTree, X: np.ndarray, roots=(0,)) -> np.ndarray:

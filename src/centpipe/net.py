@@ -91,6 +91,10 @@ class Network:
     seed: int
     layer_shapes: list[tuple[int, ...]] = field(default_factory=list)  # post-layer shapes
 
+    def __post_init__(self):
+        if not -2**63 <= self.seed < 2**63:  # the checkpoint stores it as an i64
+            raise ValueError(f"net seed {self.seed} is outside the signed 64-bit range")
+
 
 def _chain_shapes(input_shape: tuple[int, ...], specs: list[LayerSpec]) -> list[tuple[int, ...]]:
     shapes = []

@@ -214,6 +214,25 @@ def test_path_like_image_id_exits_2(pipeline, tmp_path):
     assert not any(os.listdir(work / name) for name in os.listdir(work))
 
 
+def test_too_long_image_id_exits_2(pipeline, tmp_path):
+    """An id longer than 246 bytes of UTF-8 cannot name a tensor file
+    (<id>.tnsr.tmp while written): extract --dump-out refuses its manifest
+    (exit 2, not an OSError's 1) before writing any of the dump."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    long_id = "é" * 124  # 248 bytes
+    lines[2] = long_id + lines[2][lines[2].index(","):]
+    manifest.write_text("".join(lines))
+    work = tmp_path / "work"
+    code, out, err = run_cli(["extract", "--out", str(work / "f"), "--checkpoint", pipeline["ckpt"],
+                              "--data", str(data), "--dump-out", str(work / "dump")])
+    assert code == 2 and out == "", err
+    assert f"error: {manifest}: image_id {long_id!r} is longer than 246 bytes" in err
+    assert os.listdir(work) == ["f"] and not os.listdir(work / "f")
+
+
 @pytest.mark.parametrize("bounds", ["0,inf", "-inf,inf", "nan,1", "1,1"])
 @pytest.mark.parametrize("source", ["data", "dump"])
 def test_extract_bad_fixed_range_exits_2_without_output(pipeline, tmp_path, bounds, source):
@@ -236,6 +255,19 @@ def test_train_divergence_exits_1(pipeline, tmp_path):
                             "--learning-rate", "1e18", "--epochs", "8"])
     assert code == 1
     assert "runtime failure" in err
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 + 5])
+def test_train_net_seed_beyond_the_checkpoint_field_exits_2(pipeline, tmp_path, monkeypatch,
+                                                            seed):
+    """The checkpoint stores the net seed as a signed 64-bit integer, so a
+    larger one is refused before training rather than after it (exit 1)."""
+    monkeypatch.setattr(net, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    code, out, err = run_cli(["train", "--out", str(tmp_path / "t"), "--data", pipeline["data"],
+                              "--net-seed", str(seed)])
+    assert code == 2 and out == "", err
+    assert f"error: net seed {seed} is outside the signed 64-bit range" in err
+    assert not os.listdir(tmp_path / "t")
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -501,6 +533,7 @@ def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, 
     counters = summary["counters"]
     assert counters["trees_grown"] == 21 and counters["rows_predicted"] == 30
     assert counters["tree_nodes"] >= 21
+    assert counters["fit_workers"] == min(len(os.sched_getaffinity(0)), 7)
     assert set(summary["timings"]) == {"cross_validate_s", "write_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     for path in out_dir.iterdir():  # metrics.csv and the ROC files

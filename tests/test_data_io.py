@@ -153,10 +153,15 @@ def test_dataset_roundtrip(tmp_path):
 
 # text fields: the formats' separators and the path-like values often, any text sometimes
 _FIELDS = st.text(st.sampled_from("ab.,/\\\n\r\0 #"), max_size=4) | st.text(max_size=6)
+# ids of 242 to 250 bytes of UTF-8, in characters of 1 to 4 bytes: a file
+# name takes at most 255, and a tensor file is first written as <id>.tnsr.tmp
+_LONG_IDS = st.builds(lambda char, size: char * (size // len(char.encode()))
+                      + "b" * (size % len(char.encode())),
+                      st.sampled_from("bé€😀"), st.integers(242, 250))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_FIELDS, max_size=3), st.lists(_FIELDS, max_size=4), st.data())
+@given(st.lists(_FIELDS, max_size=3), st.lists(_FIELDS | _LONG_IDS, max_size=4), st.data())
 def test_dataset_round_trips_or_is_refused_before_writing(tmp_path_factory, class_names,
                                                           image_ids, data):
     """For generated class names, ids, labels and pixel values, either the
@@ -176,6 +181,21 @@ def test_dataset_round_trips_or_is_refused_before_writing(tmp_path_factory, clas
     assert back.class_names == tuple(class_names) and back.image_ids == tuple(image_ids)
     assert back.labels.tolist() == labels
     assert back.images.tobytes() == images.tobytes()
+
+
+@pytest.mark.parametrize("char", "bé€😀")
+def test_the_longest_id_that_fits_a_file_name_is_saved(tmp_path, char):
+    """An id of 246 bytes of UTF-8 names a tensor file (<id>.tnsr.tmp is 255
+    bytes while written) and reads back; one byte more is refused before any
+    file exists."""
+    width = len(char.encode())
+    longest = char * (246 // width) + "b" * (246 % width)
+    images = np.zeros((1, 1, 2, 2), dtype=np.float32)
+    save_dataset(LabeledDataset(images, [0], ("x", "y"), (longest,)), tmp_path / "ds")
+    assert load_dataset(tmp_path / "ds").image_ids == (longest,)
+    with pytest.raises(ValueError, match="is longer than 246 bytes of UTF-8"):
+        save_dataset(LabeledDataset(images, [0], ("x", "y"), (longest + "b",)), tmp_path / "no")
+    assert not (tmp_path / "no").exists()
 
 
 # --- synthetic generator ---
@@ -283,6 +303,39 @@ def _write_dump(data, network, out_dir) -> None:
     writer = data_io.ActivationDumpWriter(out_dir)
     writer.write_chunk(data.image_ids, net.forward_collect(network, data.images))
     writer.finish(data.image_ids, data.labels, data.class_names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FIELDS, max_size=3), st.lists(_FIELDS | _LONG_IDS, max_size=4),
+       st.integers(1, 3), st.data())
+def test_activation_dump_round_trips_or_is_refused_before_writing(tmp_path_factory, class_names,
+                                                                  image_ids, chunk, data):
+    """For generated ids, labels, class names and activations written in
+    chunks, either the writer refuses (ValueError) before writing the
+    refused chunk or the manifest, or import_activation_dump gives back the
+    same ids, labels, class names and tensor bytes."""
+    n = len(image_ids)
+    labels = data.draw(st.lists(st.integers(-1, len(class_names)), min_size=n, max_size=n))
+    activations = [np.array(data.draw(st.lists(st.floats(width=32), min_size=n * size,
+                                               max_size=n * size)), dtype=np.float32)
+                   .reshape(n, *shape) for size, shape in ((6, (2, 3)), (2, (2,)))]
+    out = tmp_path_factory.mktemp("dump") / "dump"
+    writer = data_io.ActivationDumpWriter(out)
+    written = []
+    try:
+        for lo in range(0, n, chunk):
+            writer.write_chunk(image_ids[lo:lo + chunk], [a[lo:lo + chunk] for a in activations])
+            written += image_ids[lo:lo + chunk]
+        writer.finish(image_ids, labels, tuple(class_names))
+    except ValueError:
+        assert not (out / "manifest.csv").exists()
+        assert sorted(os.listdir(out / "activations") if written else ()) == sorted(written)
+        return
+    dump = import_activation_dump(out)
+    assert dump.image_ids == tuple(image_ids) and dump.class_names == tuple(class_names)
+    assert dump.labels.tolist() == labels
+    for i, layers in enumerate(dump.activations):
+        assert [a.tobytes() for a in layers] == [a[i].tobytes() for a in activations]
 
 
 def _dump_rows(dump, mode):

@@ -1,6 +1,8 @@
 """Random-forest construction and prediction arithmetic."""
 
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -400,9 +402,16 @@ def test_non_finite_features_rejected_with_position(bad):
         predict_proba_many(model, X[7:8])
 
 
-def test_fit_memory_stays_bounded():
+def _use_cpus(monkeypatch, count):
+    """Make fit see `count` usable CPUs, so it grows with that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_fit_memory_stays_bounded(monkeypatch):
     """All trees grow at once, so an unbounded scoring pass would hold every
-    node's candidate rows together; passes stay small whatever the forest."""
+    node's candidate rows together; passes stay small whatever the forest.
+    tracemalloc sees only this process, so one process grows all 100 trees."""
+    _use_cpus(monkeypatch, 1)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(240, 21))
     y = rng.permutation(np.arange(240) % 2)  # shuffled labels grow deep trees
@@ -413,6 +422,75 @@ def test_fit_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def _tree_bytes(model):
+    return [tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                  (tree.feature, tree.threshold, tree.left, tree.right, tree.counts))
+            for tree in model.trees]
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("tree_count", [1, 2, 7])
+def test_fit_bytes_do_not_depend_on_the_worker_count(monkeypatch, criterion, tree_count):
+    """Workers grow contiguous ranges of tree indices, which do not split
+    evenly here, over four folds and a set without the top class (a second
+    grower); the trees are byte for byte those of one process."""
+    rng = np.random.default_rng(4)
+    y = rng.integers(0, 3, 90)
+    X = rng.normal(size=(90, 5))
+    X[:, 1] = y + rng.normal(0, 0.5, 90)
+    plan = kfold_split(y, k=4, seed=1, stratified=True)
+    sets = [plan.train_fold(i) for i in range(4)] + [np.flatnonzero(y != 2)]
+    config = ForestConfig(tree_count=tree_count, seed=9, criterion=criterion)
+    fits = {}
+    for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
+        fits[workers] = model = fit(X, y, config, sets)
+        assert model.workers == min(workers, tree_count)
+        assert model.set_class_counts == (3, 3, 3, 3, 2)
+    assert _tree_bytes(fits[1]) == _tree_bytes(fits[2]) == _tree_bytes(fits[3])
+
+
+def test_fit_without_fork_grows_in_one_process(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    X, y = _xor(seed=1)
+    assert fit(X, y, ForestConfig(tree_count=5)).workers == 1
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing, error", [
+    ("worker", "^worker failed$"), ("caller", "^caller failed$"),
+    ("worker exit", r"^forest worker \d+ ended without a result$")])
+def test_fit_leaves_no_process_behind(monkeypatch, failing, error):
+    """Every worker is reaped when fit returns, when a worker raises (the
+    error reaches the caller) or ends without a result, and when the calling
+    process's own range raises."""
+    _use_cpus(monkeypatch, 3)
+    X, y = _xor(seed=4)
+    assert fit(X, y, ForestConfig(tree_count=6)).workers == 3
+    _assert_no_child_left()
+
+    caller, grow = os.getpid(), forest._Grower.grow
+
+    def failing_grow(self):
+        in_worker = os.getpid() != caller
+        if in_worker and failing == "worker exit":
+            os._exit(3)
+        if in_worker == failing.startswith("worker"):
+            raise RuntimeError(f"{failing} failed")
+        return grow(self)
+
+    monkeypatch.setattr(forest._Grower, "grow", failing_grow)
+    with pytest.raises(RuntimeError, match=error):
+        fit(X, y, ForestConfig(tree_count=6))
+    _assert_no_child_left()
 
 
 def test_separable_perfect_on_training_points():

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centpipe import data_io, net, ops
 from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
@@ -302,6 +304,43 @@ def test_checkpoint_roundtrip_forward_bitwise(tmp_path):
     outs_b, _ = net._forward_layers(loaded, x)
     for a, b in zip(outs_a, outs_b):  # every layer, the logits included
         assert np.array_equal(a, b)
+
+
+_I64_EDGES = [-2**63 - 1, -2**63, -1, 0, 2**63 - 1, 2**63]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(net.DESK_EXTENTS), st.integers(2, 5),
+       st.sampled_from(_I64_EDGES) | st.integers(-2**64, 2**64),
+       st.lists(st.floats(width=32), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trips_or_is_refused_before_writing(tmp_path_factory, extent, classes,
+                                                             seed, values, draw_seed):
+    """For desk2d networks with generated seeds and float32 parameters
+    (signed zeros, subnormals, NaN and inf among them), either the network
+    is refused (ValueError) before a checkpoint exists, or load_checkpoint
+    gives back the same specs, input shape, seed and parameter bytes."""
+    pool = np.array(values + [-0.0, 1e-45, -1e-40], dtype=np.float32)
+    rng = np.random.default_rng(draw_seed)
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    built = net.build_desk_2d(extent, classes)
+    params = [None if par is None else tuple(pool[rng.integers(0, len(pool), a.shape)]
+                                             for a in par) for par in built.params]
+    try:
+        network = net.Network(built.input_shape, built.specs, params, seed, built.layer_shapes)
+        net.save_checkpoint(network, path)
+    except ValueError:
+        assert not -2**63 <= seed < 2**63
+        assert not path.exists()
+        return
+    loaded = net.load_checkpoint(path)
+    assert (loaded.specs, loaded.input_shape, loaded.seed) == (network.specs, network.input_shape,
+                                                               seed)
+    assert _param_bytes(loaded.params) == _param_bytes(params)
+
+
+def _param_bytes(params):
+    return [None if par is None else [(a.dtype.str, a.shape, a.tobytes()) for a in par]
+            for par in params]
 
 
 def test_checkpoint_truncated(tmp_path):
