@@ -15,6 +15,7 @@ read the trained network and the dataset from --checkpoint and --data
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import data_io, evaluation, forest, framing, infotheory, net, ops
+from . import data_io, evaluation, forest, framing, infotheory, net, ops, workers
 
 
 class ConfigError(Exception):
@@ -161,18 +162,20 @@ def cmd_synth(cfg: dict, out: str) -> dict:
 class _EpochReporter:
     """net.train callback printing one JSON line per epoch to stderr (epoch,
     mean loss, wall seconds of that epoch, and the process's minor page
-    faults during it), and keeping the training workspace's latest size for
-    the stdout summary. Times, faults and sizes never reach an output file."""
+    faults during it), and keeping the training workspace's latest size and
+    the most processes a batch ran in for the stdout summary. Times, faults,
+    sizes and process counts never reach an output file."""
 
     def __init__(self):
         self.last, self.last_faults = time.perf_counter(), self._faults()
-        self.workspace_bytes = 0
+        self.workspace_bytes, self.workers = 0, 1
 
     @staticmethod
     def _faults() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def __call__(self, epoch: int, mean_loss: float, workspace_bytes: int) -> None:
+    def __call__(self, epoch: int, mean_loss: float, workspace_bytes: int,
+                 processes: int) -> None:
         now, faults = time.perf_counter(), self._faults()
         print(json.dumps({"epoch": epoch, "mean_loss": mean_loss,
                           "seconds": round(now - self.last, 6),
@@ -180,6 +183,7 @@ class _EpochReporter:
               file=sys.stderr, flush=True)
         self.last, self.last_faults = now, faults
         self.workspace_bytes = workspace_bytes
+        self.workers = max(self.workers, processes)
 
 
 def cmd_train(cfg: dict, out: str) -> dict:
@@ -214,14 +218,16 @@ def cmd_train(cfg: dict, out: str) -> dict:
             "epochs": len(trace), "final_loss": trace[-1],
             "counters": {"samples_trained": len(trace) * n,
                          "chunks": len(trace) * sum(-(-b // chunk) for b in batches),
-                         "workspace_bytes": reporter.workspace_bytes},
+                         "workspace_bytes": reporter.workspace_bytes,
+                         "workers": reporter.workers},
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
 
 
 def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
     at a time (each chunk's activations also feed --dump-out), or from an
-    activation dump in chunks of the same bound."""
+    activation dump in chunks of the same bound. The chunks run in forked
+    workers (see workers); the dump is written chunk by chunk, in order."""
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
         raise ConfigError("provide either --dump or both --checkpoint and --data")
@@ -233,36 +239,49 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     if from_dump:
         dump = data_io.import_activation_dump(cfg["dump"])
         ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
-        chunk = max(1, ops._SCRATCH_ELEMENTS // max(a.size for a in dump.activations[0]))
+        read_shapes = [a.shape for a in dump.activations[0]]
+        chunk = max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in read_shapes))
+        work = len(ids) * sum(math.prod(s) for s in read_shapes)
 
-        def activations(lo):
-            return [np.stack(layer) for layer in zip(*dump.activations[lo:lo + chunk])]
+        def activations(rows):
+            return [np.stack(layer) for layer in zip(*dump.activations[rows])]
     else:
         network, dataset = _network_and_dataset(cfg)
         ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names
+        read_shapes = [network.layer_shapes[i]
+                       for i in net.cent_read_points(network.specs, cfg["pre_relu"])]
         chunk = net._chunk_size(network)
+        work = net._work(network, len(ids))
 
-        def activations(lo):
-            return infotheory.forward_collect(network, dataset.images[lo:lo + chunk],
+        def activations(rows):
+            return infotheory.forward_collect(network, dataset.images[rows],
                                               pre_relu=cfg["pre_relu"])
+    clock = time.perf_counter
+
+    def features(rows):
+        """A chunk's CENT rows, its activations if --dump-out takes them, and
+        the seconds of its forward and CENT steps."""
+        start = clock()
+        acts = activations(rows)
+        forward_done = clock()
+        block = infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], cfg["range"], ids[rows])
+        return block, acts if cfg["dump_out"] else None, forward_done - start, clock() - forward_done
+
+    parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
+    processes = workers.count(len(parts), work)
     dump_writer = data_io.ActivationDumpWriter(cfg["dump_out"]) if cfg["dump_out"] else None
     seconds = {"forward": 0.0, "cent": 0.0, "write": 0.0}
-    clock = time.perf_counter
     blocks = []
-    for lo in range(0, len(ids), chunk):
-        start = clock()
-        acts = activations(lo)
-        forward_done = clock()
-        read_shapes = [a.shape[1:] for a in acts]
-        blocks.append(infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], cfg["range"],
-                                           ids[lo:lo + chunk]))
-        cent_done = clock()
-        if dump_writer:
-            dump_writer.write_chunk(ids[lo:lo + chunk], acts)
-        del acts  # not held while the next chunk runs
-        seconds["forward"] += forward_done - start
-        seconds["cent"] += cent_done - forward_done
-        seconds["write"] += clock() - cent_done
+    with contextlib.closing(workers.map(features, parts, processes)) as results:
+        for rows, (block, acts, forward_s, cent_s) in zip(parts, results):
+            blocks.append(block)
+            start = clock()
+            if dump_writer:
+                dump_writer.write_chunk(ids[rows], acts)
+            del acts  # not held while the next chunk runs
+            seconds["forward"] += forward_s
+            seconds["cent"] += cent_s
+            seconds["write"] += clock() - start
     matrix = np.concatenate(blocks)
     start = clock()
     features_path = os.path.join(out, "features.csv")
@@ -278,7 +297,8 @@ def cmd_extract(cfg: dict, out: str) -> dict:
             "read_points": sizes,
             "counters": {"forward_passes": 0 if from_dump else len(ids), "chunks": len(blocks),
                          "images": len(ids), "histogram_rows": len(ids) * sum(
-                             s["histograms_per_image"] for s in sizes)},
+                             s["histograms_per_image"] for s in sizes),
+                         "workers": processes},
             "timings": {f"{k}_s": round(v, 6) for k, v in seconds.items()}}
 
 
@@ -415,7 +435,11 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     # stdout only: the report file above holds neither sizes, counters nor times
     result["read_points"] = _class_histogram_sizes(
         read_shapes, sorted({*conv_layers, part_layer}), result["images_per_class"], cfg["bins"])
-    result["counters"] = {"images": len(labels), "forward_passes": len(dataset.images)}
+    n = len(dataset.images)
+    result["counters"] = {"images": len(labels), "forward_passes": n,
+                          # the processes forward_collect ran its chunks in
+                          "workers": workers.count(len(net._chunks(network, n)),
+                                                   net._work(network, n))}
     result["timings"] = {"forward_s": round(forward_done - start, 6),
                          "checks_s": round(checks_done - forward_done, 6),
                          "dpi_s": round(dpi_done - checks_done, 6),

@@ -380,22 +380,21 @@ def write_features_csv(path, image_ids, labels, matrix) -> None:
 
 
 def read_features_csv(path):
-    """Returns (image_ids, labels int64, feature matrix float64); refuses a
-    repeated image_id, so no image can sit in two cross-validation folds."""
+    """Returns (image_ids, labels int64, feature matrix float64); refuses
+    what write_features_csv refuses in an image_id, a repeated one too, so
+    no image can sit in two cross-validation folds."""
     with open(path, "r") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("image_id,label,"):
         raise ValueError(f"{path}: expected header 'image_id,label,feat_0,...'")
-    ids, labels, rows, seen = [], [], [], set()
+    ids, labels, rows = [], [], []
     width = len(lines[0].split(",")) - 2
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != width + 2:
             raise ValueError(f"{path}: row width {len(parts)} != header width {width + 2}")
-        if parts[0] in seen:
-            raise ValueError(f"{path}: duplicate image_id {parts[0]!r}")
-        seen.add(parts[0])
         ids.append(parts[0])
         labels.append(int(parts[1]))
         rows.append([float(v) for v in parts[2:]])
+    _require_plain_fields(ids, path, "image_id")
     return tuple(ids), np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -19,14 +19,11 @@ choice itself, so it guards this equivalence.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .infotheory import NonFiniteError, row_entropy
 
 CRITERIA = ("gini", "entropy")
@@ -470,65 +467,6 @@ def _grow_share(X, y, rank, groups, config, mtry, tree_indices) -> list:
             for c, sets in groups]
 
 
-def _worker_count(tree_count: int) -> int:
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), tree_count)
-
-
-def _fork_share(job, tree_indices) -> tuple:
-    """Fork a child that grows `tree_indices` and pickles (True, trees), or
-    (False, the exception it raised), into a pipe; returns (pid, read end).
-    The child inherits `job` and leaves by os._exit, never returning into
-    the caller's frames."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                try:
-                    result = (True, _grow_share(*job, tree_indices))
-                except Exception as exc:  # noqa: BLE001 - the caller raises it
-                    result = (False, exc)
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _grow_shares(job, shares: list) -> list:
-    """_grow_share of each range of tree indices: the first in this process,
-    each other one in a child forked for this call, which sends back only its
-    trees. A child's exception is raised here; if anything raises, the
-    children still growing are killed. Every child is reaped before this
-    returns or raises."""
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(job, share))
-        grown = [_grow_share(*job, shares[0])]
-        for pid, pipe in children:
-            try:
-                ok, value = pickle.load(pipe)
-            except EOFError:
-                raise RuntimeError(f"forest worker {pid} ended without a result") from None
-            if not ok:
-                raise value
-            grown.append(value)
-        return grown
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
 def fit(features, labels, config: ForestConfig = ForestConfig(),
         train_sets=None) -> ForestModel:
     """Grow a forest on all rows, or one forest per training row set (index
@@ -573,17 +511,24 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     members = [[i for i, count in enumerate(class_counts) if count == c]
                for c in sorted(set(class_counts))]
     groups = [(class_counts[m[0]], [sets[i] for i in m]) for m in members]
-    workers = _worker_count(config.tree_count)
-    shares = [range(config.tree_count * w // workers, config.tree_count * (w + 1) // workers)
-              for w in range(workers)]
-    job = (X, y, _dense_rank(X), groups, config, mtry)
-    forests = [[] for _ in sets]
-    for share, grown in zip(shares, _grow_shares(job, shares)):
+    # at each level of a tree, a split pass writes about 16 temporaries of one
+    # value per row and candidate feature
+    work = 16 * config.tree_count * mtry * sum(len(rows) * math.log2(len(rows)) for rows in sets)
+    processes = workers.count(config.tree_count, work)
+    shares = [range(config.tree_count * w // processes, config.tree_count * (w + 1) // processes)
+              for w in range(processes)]
+    rank = _dense_rank(X)
+
+    def forest(share):  # the name a worker's error gives
+        return _grow_share(X, y, rank, groups, config, mtry, share)
+
+    per_set = [[] for _ in sets]
+    for share, grown in zip(shares, workers.map(forest, shares, processes)):
         for m, trees in zip(members, grown):
             for j, i in enumerate(m):
-                forests[i] += trees[j * len(share):(j + 1) * len(share)]
-    return ForestModel([tree for forest in forests for tree in forest], p,
-                       max(class_counts), config, mtry, tuple(class_counts), workers)
+                per_set[i] += trees[j * len(share):(j + 1) * len(share)]
+    return ForestModel([tree for trees in per_set for tree in trees], p,
+                       max(class_counts), config, mtry, tuple(class_counts), processes)
 
 
 def _leaves(tree: DecisionTree, X: np.ndarray, roots=(0,)) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import ops, workers
 from .framing import FramedReader, i64, tensor_record, u32, write_framed
 # load_checkpoint raises the framing errors; CheckpointError is their common base
 from .framing import FramedFileError as CheckpointError
@@ -266,16 +266,23 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False
     """One (n, *read_shape) array per CENT read point, in read order, for
     (n, *input_shape) images, filled one chunk of _chunk_size(net) images at a
     time. Activations default to post-ReLU block outputs; pre_relu reads the
-    raw conv outputs instead (ablation switch).
+    raw conv outputs instead (ablation switch). The chunks run in forked
+    workers (see workers), one per usable CPU, each with its own
+    ops.Workspace; the arrays do not depend on their number.
     """
     points = cent_read_points(net.specs, pre_relu)
     acts = [np.empty((len(images),) + net.layer_shapes[i], images.dtype) for i in points]
-    chunk = _chunk_size(net)
-    for lo in range(0, len(images), chunk):
-        outs = _forward_layers(net, images[lo:lo + chunk])[0]
-        for act, i in zip(acts, points):
-            act[lo:lo + chunk] = outs[i]
-        del outs  # not held while the next chunk runs
+    parts = _chunks(net, len(images))
+    workspace = ops.Workspace()
+
+    def collect(part):
+        outs = _forward_layers(net, images[part], workspace)[0]
+        return [outs[i] for i in points]  # the rest is not held while the next chunk runs
+
+    processes = workers.count(len(parts), _work(net, len(images)))
+    for part, outs in zip(parts, workers.map(collect, parts, processes)):
+        for act, out in zip(acts, outs):
+            act[part] = out
     return acts
 
 
@@ -324,6 +331,20 @@ def _chunk_size(net: Network) -> int:
     volume runs one sample per chunk."""
     largest = max(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
     return max(1, ops._SCRATCH_ELEMENTS // largest)
+
+
+def _chunks(net: Network, n: int) -> list[slice]:
+    """The chunks of n samples, in order."""
+    chunk = _chunk_size(net)
+    return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _work(net: Network, samples: int, backward: bool = False) -> int:
+    """The work of a pass over `samples` samples in workers.MIN_WORK's unit:
+    the activation values the forward pass writes, input included, and
+    three times that with the backward pass."""
+    values = samples * sum(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
+    return 3 * values if backward else values
 
 
 def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float,
@@ -399,7 +420,10 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     Batch order is a pure function of config.seed. Each mini-batch runs as
     one batched forward and backward pass per chunk of at most
     _chunk_size(net) samples; gradients are summed in float64, in chunk
-    order. A fully connected layer's weight gradient stays factored until
+    order. A batch's chunks run in forked workers, one per usable CPU (see
+    workers), and the losses are checked and the gradients summed in chunk
+    order in the calling process, so no byte depends on the number of
+    workers. A fully connected layer's weight gradient stays factored until
     the step (see _fc_sgd_step), so no (m, n) float64 weight gradient is
     made, per chunk or summed. One ops.Workspace lives for the whole call,
     so the kernels and the gradient blocks reuse their scratch arrays of at
@@ -408,8 +432,10 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     at reference3d's sizes, the padded conv inputs, conv_backward's
     whole-array im2col copy and col2im buffer, and fully_connected's
     16x40960 float64 weight blocks. Returns (net, per-epoch mean loss) and
-    calls on_epoch(epoch, mean_loss, workspace_bytes), if given, after each
-    epoch, with the bytes of scratch the workspace then keeps. Raises
+    calls on_epoch(epoch, mean_loss, workspace_bytes, processes), if given,
+    after each epoch, with the bytes of scratch the calling process's
+    workspace then keeps and the most processes a batch of the epoch ran
+    in. Raises
     TrainingDiverged naming the epoch, the batch and the dataset index of the
     first sample whose loss is not finite.
     """
@@ -425,17 +451,23 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
 
     chunk = _chunk_size(net)
     workspace = ops.Workspace()
+
+    def loss_and_grads(part):
+        return _loss_and_grads(net, images[part], labels[part], workspace)
+
     rng = np.random.default_rng(config.seed)
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
-        epoch_losses = []
+        epoch_losses, epoch_workers = [], 1
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
+            parts = [batch[lo:lo + chunk] for lo in range(0, len(batch), chunk)]
+            processes = workers.count(len(parts), _work(net, len(batch), backward=True))
+            epoch_workers = max(epoch_workers, processes)
             chunk_grads = []
-            for lo in range(0, len(batch), chunk):
-                part = batch[lo:lo + chunk]
-                losses, part_grads = _loss_and_grads(net, images[part], labels[part], workspace)
+            for part, (losses, part_grads) in zip(
+                    parts, list(workers.map(loss_and_grads, parts, processes))):
                 bad = ~np.isfinite(losses)
                 if bad.any():
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "
@@ -453,7 +485,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                 raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         trace.append(float(np.mean(np.concatenate(epoch_losses))))
         if on_epoch is not None:
-            on_epoch(epoch, trace[-1], workspace.nbytes)
+            on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers)
     return net, trace
 
 

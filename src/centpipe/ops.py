@@ -27,7 +27,9 @@ of a large weight matrix is made. The backward's filter gradient reduces over
 every position, so conv_backward keeps one whole im2col copy (17 MB for one
 64^3 sample). Batched temporaries grow with the batch, so training and
 net.forward_collect cap a chunk's largest activation at the same budget
-(net._chunk_size).
+(net._chunk_size). The chunks run in forked workers, one per usable CPU
+(see workers), each process with OpenBLAS on one thread and a Workspace of
+its own; no byte depends on the number of workers.
 
 Training kernels skip work nothing reads: conv_backward(...,
 input_grad=False) computes no input gradient, which the training loop asks of
@@ -43,7 +45,7 @@ blocks ("fc"), and net.train's weight gradient blocks ("gw", "gw_part"),
 keyed by role and shape; the kernels write into them through np.copyto and
 out=, which is the same arithmetic, so the bytes do not change. A Workspace
 keeps every array within the budget, and net.train keeps one for its whole
-call: every desk array is reused, and so are a 64^3 volume's forward slabs,
+call (a forked worker gets a copy of it): every desk array is reused, and so are a 64^3 volume's forward slabs,
 its backward fc weight blocks and every fc weight gradient block. Still
 allocated per call are a 64^3 volume's padded conv inputs (65^3 and 10x33^3
 values), its backward's whole im2col copy and col2im buffer, and its fc

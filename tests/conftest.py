@@ -1,9 +1,11 @@
 """Shared test helpers: finite-difference oracles and small trained fixtures."""
 
+import os
+
 import numpy as np
 import pytest
 
-from centpipe import data_io, net
+from centpipe import data_io, net, workers
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -48,6 +50,20 @@ def _pool_margins_ok(x, window, margin):
         return True
     top2 = np.partition(flat, -2, axis=1)[:, -2:]
     return bool((top2[:, 1] - top2[:, 0] > margin).all())
+
+
+def use_cpus(monkeypatch, count, every_map=False):
+    """Make the process see `count` usable CPUs, so that every map large
+    enough to fork (every map, with every_map) runs in that many processes,
+    at most one per item."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    if every_map:
+        monkeypatch.setattr(workers, "MIN_WORK", 0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def small_dataset(per_class=10, extent=32, seed=0) -> data_io.LabeledDataset:

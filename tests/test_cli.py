@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net
 
-from conftest import write_reference_dump
+from conftest import assert_no_child_left, use_cpus, write_reference_dump
 
 
 def run_cli(argv):
@@ -144,7 +144,9 @@ def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
 def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypatch):
     """Samples trained, forward+backward calls (a batch of 15 desk images at
     32^2 runs as chunks of 12 and 3), the workspace's kept bytes and stage
-    seconds go to stdout only."""
+    seconds go to stdout only. The chunk calls are counted in this process,
+    so it runs them all."""
+    use_cpus(monkeypatch, 1)
     real, calls = net._loss_and_grads, []
 
     def counting(*args):
@@ -159,7 +161,7 @@ def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypa
     assert calls == [12, 3, 5] * 2
     counters = summary["counters"]
     assert counters.pop("workspace_bytes") > 0  # the kept float64 scratch
-    assert counters == {"samples_trained": 40, "chunks": len(calls)}
+    assert counters == {"samples_trained": 40, "chunks": len(calls), "workers": 1}
     assert set(summary["timings"]) == {"train_s", "save_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     trace = (tmp_path / "t" / "loss_trace.csv").read_text()
@@ -370,10 +372,11 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
     ceil(n / chunk) _forward_layers calls carrying each image once (2 for the
     20-image set), with the dump's bytes those of the pipeline fixture's dump.
     forward_passes counts the images sent through the network, chunks the
-    calls."""
+    calls. The calls are counted in this process, so it runs them all."""
+    use_cpus(monkeypatch, 1)
     calls, collected = [], []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
     collect = infotheory.forward_collect  # the binding the benchmark's tracer wraps
     monkeypatch.setattr(infotheory, "forward_collect",
                         lambda nw, x, **kw: collected.append(len(x)) or collect(nw, x, **kw))
@@ -386,7 +389,7 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
     assert calls == collected == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
     assert len(calls) == 2
     assert json.loads(out)["counters"] == {"forward_passes": n, "chunks": 2, "images": n,
-                                           "histogram_rows": n * 21}
+                                           "histogram_rows": n * 21, "workers": 1}
     assert (tmp_path / "f" / "features.csv").read_bytes() == open(pipeline["features"], "rb").read()
     if dump_out:
         assert _tree_bytes(tmp_path / "dump") == _tree_bytes(pipeline["dump"])
@@ -395,6 +398,46 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
 def _tree_bytes(root) -> dict:
     return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
             for d, _, files in os.walk(root) for f in files}
+
+
+@pytest.mark.parametrize("dump_out", [False, True])
+def test_extract_bytes_do_not_depend_on_the_worker_count(pipeline, tmp_path, monkeypatch,
+                                                         dump_out):
+    """In chunks of 3 (7 for the 20 images), run in 1, 2 or 3 processes,
+    extract writes the pipeline fixture's features and dump, and reports the
+    processes on stdout only."""
+    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus, every_map=True)
+        extra = ["--dump-out", str(tmp_path / f"dump{cpus}")] if dump_out else []
+        code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                                  pipeline["ckpt"], "--data", pipeline["data"], *extra])
+        assert code == 0, err
+        counters = json.loads(out)["counters"]
+        assert counters["chunks"] == 7 and counters["workers"] == cpus
+        assert ((tmp_path / "f" / "features.csv").read_bytes()
+                == open(pipeline["features"], "rb").read())
+        if dump_out:
+            assert _tree_bytes(tmp_path / f"dump{cpus}") == _tree_bytes(pipeline["dump"])
+        assert_no_child_left()
+
+
+def test_theory_report_does_not_depend_on_the_worker_count(pipeline, theory_report,
+                                                           tmp_path, monkeypatch):
+    """forward_collect in chunks of 3, run in 1, 2 or 3 processes, gives the
+    report of one process in chunks of 12."""
+    _, out_dir = theory_report
+    first = (out_dir / "theory_report.json").read_bytes()
+    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus, every_map=True)
+        code, out, err = run_cli(["theory", "--out", str(out_dir), "--checkpoint",
+                                  pipeline["ckpt"], "--data", pipeline["data"],
+                                  "--chain-n", "20000"])
+        assert code == 0, err
+        assert json.loads(out)["counters"]["workers"] == cpus
+        assert (out_dir / "theory_report.json").read_bytes() == first
+        assert_no_child_left()
 
 
 def test_extract_dump_matches_one_whole_dataset_pass(pipeline, tmp_path):
@@ -423,7 +466,7 @@ def test_extract_summary_reports_sizes_counters_and_timings(pipeline, tmp_path):
     assert [p["entropy_cap_bits"] for p in points] == [8.0, 8.0, 7.0]
     assert points[2]["samples_per_bin"] == 0.5
     assert summary["counters"] == {"forward_passes": 0, "chunks": 1, "images": 20,
-                                   "histogram_rows": 60}
+                                   "histogram_rows": 60, "workers": 1}
     assert set(summary["timings"]) == {"forward_s", "cent_s", "write_s"}
     code, out, err = run_cli(["extract", "--out", str(tmp_path / "g"), "--checkpoint",
                               pipeline["ckpt"], "--data", pipeline["data"]])
@@ -507,6 +550,22 @@ def test_repeated_image_id_exits_2_naming_it(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "permute"])
+@pytest.mark.parametrize("bad_id", ["x" * 250, "", ".", ".."])
+def test_image_id_the_writer_refuses_exits_2(tmp_path, command, bad_id):
+    """The features CSV reader refuses what write_features_csv refuses: an
+    id longer than data_io.MAX_ID_BYTES, an empty one, '.' or '..'. The
+    file is written by hand, with the bad id first."""
+    path = tmp_path / "features.csv"
+    path.write_text("".join(["image_id,label,feat_0\n"] + [
+        f"{bad_id if i == 0 else f'img_{i}'},{i % 2},{i}.0\n" for i in range(20)]))
+    code, out, err = run_cli([command, "--out", str(tmp_path / "e"), "--features", str(path),
+                              "--tree-count", "5"])
+    assert code == 2 and out == ""
+    assert f"error: {path}: image_id {bad_id!r}" in err
+    assert not (tmp_path / "e" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "permute"])
 def test_non_finite_feature_exits_1_naming_the_file_row(tmp_path, command):
     """The forest checks the whole features matrix once, so the error names
     the row of the features CSV, not a position inside a fold's split."""
@@ -524,7 +583,9 @@ def test_non_finite_feature_exits_1_naming_the_file_row(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "permute"])
-def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, command):
+def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, command,
+                                                      monkeypatch):
+    use_cpus(monkeypatch, 2, every_map=True)
     out_dir = tmp_path / "e"
     code, out, err = run_cli([command, "--out", str(out_dir), "--features", leak_features,
                               "--tree-count", "7", "--k", "3"])
@@ -533,7 +594,7 @@ def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, 
     counters = summary["counters"]
     assert counters["trees_grown"] == 21 and counters["rows_predicted"] == 30
     assert counters["tree_nodes"] >= 21
-    assert counters["fit_workers"] == min(len(os.sched_getaffinity(0)), 7)
+    assert counters["fit_workers"] == 2
     assert set(summary["timings"]) == {"cross_validate_s", "write_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     for path in out_dir.iterdir():  # metrics.csv and the ROC files
@@ -642,7 +703,7 @@ def test_theory_rerun_byte_identical(theory_report, pipeline):
     assert open(out_dir / "theory_report.json", "rb").read() == first
     # counters and times reach stdout only, never the compared report
     summary = json.loads(out)
-    assert summary["counters"] == {"images": 20, "forward_passes": 20}
+    assert summary["counters"] == {"images": 20, "forward_passes": 20, "workers": 1}
     assert set(summary["timings"]) == {"forward_s", "checks_s", "dpi_s", "write_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     # the checked read points (the two conv blocks; partition layer 0): a
@@ -658,10 +719,12 @@ def test_theory_rerun_byte_identical(theory_report, pipeline):
 
 def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monkeypatch):
     """Every check reads one forward_collect call: one _forward_layers call per
-    chunk of the dataset, none per image, layer, measure or filter."""
+    chunk of the dataset, none per image, layer, measure or filter. The calls
+    are counted in this process, so it runs them all."""
+    use_cpus(monkeypatch, 1)
     calls = []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
     code, _, err = run_cli(["theory", "--out", str(tmp_path / "t"), "--checkpoint", pipeline["ckpt"],
                             "--data", pipeline["data"], "--chain-n", "20000"])
     assert code == 0, err

@@ -19,7 +19,7 @@ from centpipe.evaluation import cross_validate, kfold_split
 from centpipe.forest import ForestConfig
 from centpipe.infotheory import cent_rows, contingency_table, dpi_check, mutual_information
 
-from conftest import write_reference_dump
+from conftest import use_cpus, write_reference_dump
 
 
 # --- tensor files ---
@@ -357,7 +357,9 @@ def test_activation_dump_roundtrip_matches_in_process(tmp_path):
 def test_activation_dump_streams_the_bytes_of_one_whole_dataset_pass(tmp_path, monkeypatch):
     """extract --dump-out --pre-relu streams chunk by chunk (3 images a chunk
     at 64x64), and the dump holds the bytes a single whole-dataset
-    forward_collect call gives, and its manifest."""
+    forward_collect call gives, and its manifest. The chunk calls are counted
+    in this process, so it runs them all."""
+    use_cpus(monkeypatch, 1)
     data = generate_synthetic(SyntheticSpec(per_class=4, extent=64, seed=13))
     network = net.build_desk_2d(64, 2, seed=13)
     write_reference_dump(data, net.forward_collect(network, data.images, pre_relu=True),

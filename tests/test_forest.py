@@ -1,7 +1,6 @@
 """Random-forest construction and prediction arithmetic."""
 
 import math
-import multiprocessing
 import os
 import tracemalloc
 
@@ -15,6 +14,8 @@ from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, 
                              predict_proba_many)
 from centpipe.evaluation import kfold_split
 from centpipe.infotheory import NonFiniteError
+
+from conftest import assert_no_child_left, use_cpus
 
 
 # --- reference: one tree at a time, one node and one feature at a time ------
@@ -402,16 +403,11 @@ def test_non_finite_features_rejected_with_position(bad):
         predict_proba_many(model, X[7:8])
 
 
-def _use_cpus(monkeypatch, count):
-    """Make fit see `count` usable CPUs, so it grows with that many workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def test_fit_memory_stays_bounded(monkeypatch):
     """All trees grow at once, so an unbounded scoring pass would hold every
     node's candidate rows together; passes stay small whatever the forest.
     tracemalloc sees only this process, so one process grows all 100 trees."""
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(240, 21))
     y = rng.permutation(np.arange(240) % 2)  # shuffled labels grow deep trees
@@ -445,7 +441,7 @@ def test_fit_bytes_do_not_depend_on_the_worker_count(monkeypatch, criterion, tre
     config = ForestConfig(tree_count=tree_count, seed=9, criterion=criterion)
     fits = {}
     for workers in (1, 2, 3):
-        _use_cpus(monkeypatch, workers)
+        use_cpus(monkeypatch, workers, every_map=True)
         fits[workers] = model = fit(X, y, config, sets)
         assert model.workers == min(workers, tree_count)
         assert model.set_class_counts == (3, 3, 3, 3, 2)
@@ -453,16 +449,24 @@ def test_fit_bytes_do_not_depend_on_the_worker_count(monkeypatch, criterion, tre
 
 
 def test_fit_without_fork_grows_in_one_process(monkeypatch):
-    _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    use_cpus(monkeypatch, 3, every_map=True)
+    monkeypatch.delattr(os, "fork")
     X, y = _xor(seed=1)
     assert fit(X, y, ForestConfig(tree_count=5)).workers == 1
 
 
-def _assert_no_child_left():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):  # no child, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
+def test_small_fits_grow_in_one_process(monkeypatch):
+    """A fit whose work is below workers.MIN_WORK does not fork: 20 rows, 3
+    features and 4 trees took 13 ms in two processes against 5 ms in one on
+    a 2-vCPU host. The benchmark's fits (300 rows, 100 trees, 5 folds) fork."""
+    use_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(20, 3)), np.arange(20) % 2
+    assert fit(X, y, ForestConfig(tree_count=4)).workers == 1
+    X, y = rng.normal(size=(300, 3)), np.arange(300) % 2
+    plan = kfold_split(y, k=5, seed=0, stratified=True)
+    model = fit(X, y, ForestConfig(tree_count=100), [plan.train_fold(i) for i in range(5)])
+    assert model.workers == 2
 
 
 @pytest.mark.parametrize("failing, error", [
@@ -472,10 +476,10 @@ def test_fit_leaves_no_process_behind(monkeypatch, failing, error):
     """Every worker is reaped when fit returns, when a worker raises (the
     error reaches the caller) or ends without a result, and when the calling
     process's own range raises."""
-    _use_cpus(monkeypatch, 3)
+    use_cpus(monkeypatch, 3, every_map=True)
     X, y = _xor(seed=4)
     assert fit(X, y, ForestConfig(tree_count=6)).workers == 3
-    _assert_no_child_left()
+    assert_no_child_left()
 
     caller, grow = os.getpid(), forest._Grower.grow
 
@@ -490,7 +494,7 @@ def test_fit_leaves_no_process_behind(monkeypatch, failing, error):
     monkeypatch.setattr(forest._Grower, "grow", failing_grow)
     with pytest.raises(RuntimeError, match=error):
         fit(X, y, ForestConfig(tree_count=6))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_separable_perfect_on_training_points():

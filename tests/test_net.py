@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import data_io, net, ops
+from centpipe import data_io, net, ops, workers
 from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
 from centpipe.ops import ShapeMismatch
 
 import reference_ops as R
-from conftest import small_dataset
+from conftest import assert_no_child_left, small_dataset, use_cpus
 
 
 def test_reference_3d_shape_trace():
@@ -79,7 +79,9 @@ def test_forward_collect_shape_mismatch():
 @pytest.mark.parametrize("chunks", [1, 2, 8])
 def test_forward_collect_batched_equals_per_image(monkeypatch, pre_relu, chunks):
     """One call over the dataset gives each image's per-image activations bit
-    for bit, in one chunk, in two, or in one chunk per image."""
+    for bit, in one chunk, in two, or in one chunk per image. The chunk calls
+    are counted in this process, so it runs them all."""
+    use_cpus(monkeypatch, 1)
     dataset = small_dataset(per_class=4, seed=9)  # n = 8 images
     network = net.build_desk_2d(32, 2, seed=9)
     network, _ = net.train(network, dataset, TrainConfig(0.05, 1, 4, seed=9))
@@ -90,7 +92,7 @@ def test_forward_collect_batched_equals_per_image(monkeypatch, pre_relu, chunks)
     monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", largest * -(-n // chunks))
     calls = []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x: calls.append(len(x)) or forward(nw, x))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
     batched = net.forward_collect(network, dataset.images, pre_relu=pre_relu)
     assert len(calls) == chunks and sum(calls) == n
     for i, acts in enumerate(per_image):
@@ -228,6 +230,7 @@ def test_chunk_bound_from_largest_activation():
 
 @pytest.mark.parametrize("chunk_elements,chunks", [(None, [10]), (3 * 10 * 32 * 32, [3, 3, 3, 1])])
 def test_one_conv_backward_per_conv_layer_per_chunk(monkeypatch, chunk_elements, chunks):
+    use_cpus(monkeypatch, 1)  # the calls are counted in this process
     if chunk_elements is not None:
         monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", chunk_elements)
     real = ops.conv_backward
@@ -248,7 +251,9 @@ def test_mixed_chunk_shapes_train_to_the_bytes_of_fresh_workspaces(monkeypatch, 
     """desk2d at 64^2 on 14 images in batches of 10 runs chunks of 3, 3, 3, 1
     and then 3, 1. One workspace kept over the whole training gives the
     checkpoint and loss trace of a training that gives every chunk a fresh
-    workspace."""
+    workspace. The chunk calls are counted in this process, so it runs them
+    all."""
+    use_cpus(monkeypatch, 1)
     dataset = small_dataset(per_class=7, extent=64, seed=6)
     real = net._loss_and_grads
     runs = []
@@ -524,7 +529,9 @@ def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
     weights: 48-row blocks forward, 1024-column blocks backward) and
     reference3d (128 x 40960: 1024-column blocks backward) take in training
     fits the scratch budget, so the workspace keeps it. The one exception is
-    reference3d's forward block of 16 x 40960, the fewest rows a block holds."""
+    reference3d's forward block of 16 x 40960, the fewest rows a block holds.
+    The blocks are recorded in this process, so it runs every chunk."""
+    use_cpus(monkeypatch, 1)
     real, taken = ops.Workspace.take, []
 
     def recording(self, role, shape):
@@ -541,3 +548,70 @@ def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
               TrainConfig(0.05, 1, 1, seed=28))
     assert (128, 1024) in taken
     assert {s for s in taken if math.prod(s) > ops._SCRATCH_ELEMENTS} == {(16, 40960)}
+
+
+def _reference3d_pair(seed):
+    rng = np.random.default_rng(seed)
+    return data_io.LabeledDataset(rng.normal(size=(2, 1, 64, 64, 64)).astype(np.float32),
+                                  np.array([0, 1]), ("a", "b"))
+
+
+@pytest.mark.parametrize("case", ["desk2d-64", "reference3d"])
+def test_training_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, case):
+    """Every batch's chunks run in 1, 2 or 3 processes (desk2d at 64^2 on 14
+    images in batches of 10: chunks of 3, 3, 3, 1 and then 3, 1; reference3d
+    on 2 volumes in one batch: chunks of one), with the same checkpoint and
+    loss trace; on_epoch hears the processes, and none is left."""
+    if case == "desk2d-64":
+        dataset = small_dataset(per_class=7, extent=64, seed=6)
+        config = TrainConfig(0.05, 2, 10, seed=6)
+        build, chunks = (lambda: net.build_desk_2d(64, 2, seed=6)), 4
+    else:
+        dataset, config = _reference3d_pair(29), TrainConfig(0.05, 1, 2, seed=29)
+        build, chunks = (lambda: net.build_reference_3d(seed=29)), 2
+    threads = workers._blas_threads()[0]()
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus, every_map=True)
+        heard = []
+        network, trace = net.train(build(), dataset, config,
+                                   on_epoch=lambda *args: heard.append(args[3]))
+        net.save_checkpoint(network, tmp_path / "net.ckpt")
+        runs.append(((tmp_path / "net.ckpt").read_bytes(), np.array(trace).tobytes()))
+        assert heard == [min(cpus, chunks)] * config.epochs
+        assert_no_child_left()
+        assert workers._blas_threads()[0]() == threads
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_diverged_chunk_of_a_worker_names_its_sample(monkeypatch, cpus):
+    """A NaN image in chunk 1 of batch 0 (which a worker runs at 2 and 3
+    processes) raises TrainingDiverged with the message of one process; no
+    child is left and the OpenBLAS thread count is back."""
+    use_cpus(monkeypatch, cpus, every_map=True)
+    dataset = small_dataset(per_class=7, extent=64, seed=6)
+    order = np.random.default_rng(6).permutation(14)  # batch 0 is order[:10], in chunks of 3
+    dataset.images[order[4]] = np.nan
+    threads = workers._blas_threads()[0]()
+    with pytest.raises(TrainingDiverged) as e:
+        net.train(net.build_desk_2d(64, 2, seed=6), dataset, TrainConfig(0.05, 1, 10, seed=6))
+    assert str(e.value) == f"non-finite loss at epoch 0, batch 0 (sample {order[4]})"
+    assert_no_child_left()
+    assert workers._blas_threads()[0]() == threads
+
+
+@pytest.mark.parametrize("pre_relu", [False, True])
+def test_forward_collect_bytes_do_not_depend_on_the_worker_count(monkeypatch, pre_relu):
+    """30 desk images in chunks of 12, 12 and 6 give the same arrays in 1, 2
+    or 3 processes, each with its own workspace."""
+    dataset = small_dataset(per_class=15, seed=9)
+    network = net.build_desk_2d(32, 2, seed=9)
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus, every_map=True)
+        acts = net.forward_collect(network, dataset.images, pre_relu=pre_relu)
+        runs.append([(a.dtype.str, a.shape, a.tobytes()) for a in acts])
+        assert_no_child_left()
+    assert runs[0] == runs[1] == runs[2]
