@@ -212,12 +212,12 @@ def cmd_train(cfg: dict, out: str) -> dict:
     framing.write_text(os.path.join(out, "loss_trace.csv"), "epoch,mean_loss\n" + "".join(
         f"{e},{v!r}\n" for e, v in enumerate(trace)))
     # every mini-batch runs one forward+backward call per chunk of it
-    n, chunk = len(dataset.images), net._chunk_size(network)
+    n = len(dataset.images)
     batches = [min(train_cfg.batch_size, n - lo) for lo in range(0, n, train_cfg.batch_size)]
     return {"command": "train", "config": cfg, "checkpoint": ckpt,
             "epochs": len(trace), "final_loss": trace[-1],
             "counters": {"samples_trained": len(trace) * n,
-                         "chunks": len(trace) * sum(-(-b // chunk) for b in batches),
+                         "chunks": len(trace) * sum(len(net._chunks(network, b)) for b in batches),
                          "workspace_bytes": reporter.workspace_bytes,
                          "workers": reporter.workers},
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
@@ -226,8 +226,9 @@ def cmd_train(cfg: dict, out: str) -> dict:
 def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
     at a time (each chunk's activations also feed --dump-out), or from an
-    activation dump in chunks of the same bound. The chunks run in forked
-    workers (see workers); the dump is written chunk by chunk, in order."""
+    activation dump in chunks of the same bound. A checkpoint's chunks run
+    in forked workers, as forward_collect's do (see workers); a dump's run in
+    this process. The dump is written chunk by chunk, in order."""
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
         raise ConfigError("provide either --dump or both --checkpoint and --data")
@@ -241,7 +242,8 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
         read_shapes = [a.shape for a in dump.activations[0]]
         chunk = max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in read_shapes))
-        work = len(ids) * sum(math.prod(s) for s in read_shapes)
+        parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
+        processes = 1  # no forward pass: forking it was not measured to pay
 
         def activations(rows):
             return [np.stack(layer) for layer in zip(*dump.activations[rows])]
@@ -250,8 +252,8 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names
         read_shapes = [network.layer_shapes[i]
                        for i in net.cent_read_points(network.specs, cfg["pre_relu"])]
-        chunk = net._chunk_size(network)
-        work = net._work(network, len(ids))
+        parts = net._chunks(network, len(ids))
+        processes = net._collect_processes(network, len(ids))
 
         def activations(rows):
             return infotheory.forward_collect(network, dataset.images[rows],
@@ -267,8 +269,6 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         block = infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], cfg["range"], ids[rows])
         return block, acts if cfg["dump_out"] else None, forward_done - start, clock() - forward_done
 
-    parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
-    processes = workers.count(len(parts), work)
     dump_writer = data_io.ActivationDumpWriter(cfg["dump_out"]) if cfg["dump_out"] else None
     seconds = {"forward": 0.0, "cent": 0.0, "write": 0.0}
     blocks = []
@@ -438,8 +438,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     n = len(dataset.images)
     result["counters"] = {"images": len(labels), "forward_passes": n,
                           # the processes forward_collect ran its chunks in
-                          "workers": workers.count(len(net._chunks(network, n)),
-                                                   net._work(network, n))}
+                          "workers": net._collect_processes(network, n)}
     result["timings"] = {"forward_s": round(forward_done - start, 6),
                          "checks_s": round(checks_done - forward_done, 6),
                          "dpi_s": round(dpi_done - checks_done, 6),

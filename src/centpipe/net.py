@@ -279,7 +279,7 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False
         outs = _forward_layers(net, images[part], workspace)[0]
         return [outs[i] for i in points]  # the rest is not held while the next chunk runs
 
-    processes = workers.count(len(parts), _work(net, len(images)))
+    processes = _collect_processes(net, len(images))
     for part, outs in zip(parts, workers.map(collect, parts, processes)):
         for act, out in zip(acts, outs):
             act[part] = out
@@ -337,6 +337,11 @@ def _chunks(net: Network, n: int) -> list[slice]:
     """The chunks of n samples, in order."""
     chunk = _chunk_size(net)
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _collect_processes(net: Network, n: int) -> int:
+    """The processes forward_collect runs the chunks of n samples in."""
+    return workers.count(len(_chunks(net, n)), _work(net, n))
 
 
 def _work(net: Network, samples: int, backward: bool = False) -> int:
@@ -449,7 +454,6 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels outside [0, {n_classes})")
 
-    chunk = _chunk_size(net)
     workspace = ops.Workspace()
 
     def loss_and_grads(part):
@@ -462,7 +466,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
         epoch_losses, epoch_workers = [], 1
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
-            parts = [batch[lo:lo + chunk] for lo in range(0, len(batch), chunk)]
+            parts = [batch[s] for s in _chunks(net, len(batch))]
             processes = workers.count(len(parts), _work(net, len(batch), backward=True))
             epoch_workers = max(epoch_workers, processes)
             chunk_grads = []

@@ -422,6 +422,19 @@ def test_extract_bytes_do_not_depend_on_the_worker_count(pipeline, tmp_path, mon
         assert_no_child_left()
 
 
+def test_extract_from_dump_runs_in_one_process(pipeline, tmp_path, monkeypatch):
+    """A dump's chunks run no forward pass, so they are not forked, even
+    where every map large enough would be."""
+    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    use_cpus(monkeypatch, 3, every_map=True)
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"),
+                              "--dump", pipeline["dump"]])
+    assert code == 0, err
+    assert json.loads(out)["counters"]["workers"] == 1
+    assert ((tmp_path / "f" / "features.csv").read_bytes()
+            == open(pipeline["features"], "rb").read())
+
+
 def test_theory_report_does_not_depend_on_the_worker_count(pipeline, theory_report,
                                                            tmp_path, monkeypatch):
     """forward_collect in chunks of 3, run in 1, 2 or 3 processes, gives the
