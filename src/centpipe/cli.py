@@ -131,10 +131,15 @@ def _require_out(cfg: dict) -> str:
 
 
 def _network_and_dataset(cfg: dict):
-    """The trained network and the dataset given by --checkpoint and --data."""
+    """The trained network and the dataset given by --checkpoint and --data,
+    whose images the network must take."""
     if not cfg["checkpoint"] or not cfg["data"]:
         raise ConfigError("provide both --checkpoint and --data")
-    return net.load_checkpoint(cfg["checkpoint"]), data_io.load_dataset(cfg["data"])
+    network, dataset = net.load_checkpoint(cfg["checkpoint"]), data_io.load_dataset(cfg["data"])
+    if dataset.images.shape[1:] != network.input_shape:
+        raise ConfigError(f"{cfg['data']} holds {dataset.images.shape[1:]} images; the "
+                          f"checkpoint's network takes {network.input_shape}")
+    return network, dataset
 
 
 def cmd_synth(cfg: dict, out: str) -> dict:
@@ -161,9 +166,10 @@ def cmd_synth(cfg: dict, out: str) -> dict:
 
 class _EpochReporter:
     """net.train callback printing one JSON line per epoch to stderr (epoch,
-    mean loss, wall seconds of that epoch, and the process's minor page
-    faults during it), and keeping the training workspace's latest size and
-    the most processes a batch ran in for the stdout summary. Times, faults,
+    mean loss, wall seconds of that epoch, and the minor page faults during
+    it of this process and its workers, which workers.map reaps before a
+    batch ends), and keeping the training workspace's latest size and the
+    most processes a batch ran in for the stdout summary. Times, faults,
     sizes and process counts never reach an output file."""
 
     def __init__(self):
@@ -172,7 +178,8 @@ class _EpochReporter:
 
     @staticmethod
     def _faults() -> int:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return sum(resource.getrusage(who).ru_minflt
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
     def __call__(self, epoch: int, mean_loss: float, workspace_bytes: int,
                  processes: int) -> None:
@@ -228,7 +235,9 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     at a time (each chunk's activations also feed --dump-out), or from an
     activation dump in chunks of the same bound. A checkpoint's chunks run
     in forked workers, as forward_collect's do (see workers); a dump's run in
-    this process. The dump is written chunk by chunk, in order."""
+    this process. The dump is written chunk by chunk, in order, once every
+    option and the images have been checked."""
+    infotheory.check_binning(cfg["bins"], cfg["range"])
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
         raise ConfigError("provide either --dump or both --checkpoint and --data")
@@ -376,6 +385,7 @@ def _class_histogram_sizes(read_shapes, layers, images_per_class: dict, bins: in
 
 
 def cmd_theory(cfg: dict, out: str) -> dict:
+    infotheory.check_binning(cfg["bins"])
     network, dataset = _network_and_dataset(cfg)
     # FilterSelector layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]

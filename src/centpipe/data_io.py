@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framing import FramedReader, tensor_record, write_framed, write_text
-# load_tensor raises these; TensorFileError is their common base
-from .framing import (BadMagicError, ChecksumError, TruncatedError,  # noqa: F401
-                      VersionError)
-from .framing import FramedFileError as TensorFileError  # noqa: F401
 from .net import forward_collect  # noqa: F401 - unused, but the benchmark's tracer wraps it
 
 TENSOR_MAGIC = b"CENTTNSR"
@@ -33,6 +29,7 @@ def save_tensor(path, tensor) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """A tensor file's tensor; a bad file raises a framing.FramedFileError."""
     reader = FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file")
     tensor = reader.tensor()
     reader.finish()

@@ -1,11 +1,12 @@
 """Cross-validation, ROC/AUC, and the label-permutation control.
 
-AUC is the trapezoid over a tie-grouped threshold sweep, summed in integer
-true/false-positive counts and divided once, so it equals the Mann-Whitney
-pairwise statistic (ties count half) bit for bit and never leaves [0, 1];
-tests pin the two against each other. Fold assignment is deterministic in
-the seed, and the permutation control shuffles labels before folds are built
-so the null experiment re-stratifies on the shuffled labels.
+AUC of scores against 0/1 labels is the trapezoid over roc_curve's
+tie-grouped threshold sweep, summed in integer true/false-positive counts
+and divided once, so it equals the Mann-Whitney pairwise statistic (ties
+count half) bit for bit and never leaves [0, 1]; tests pin the two against
+each other. Fold assignment is deterministic in the seed, and the
+permutation control shuffles labels before folds are built so the null
+experiment re-stratifies on the shuffled labels.
 """
 
 from __future__ import annotations
@@ -113,14 +114,13 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(thresholds, tp, fp)
 
 
-def auc(scores_or_curve, labels=None) -> float:
-    """Trapezoidal area under the ROC curve, in [0, 1].
+def auc(scores, labels) -> float:
+    """Trapezoidal area under the ROC curve of scores against 0/1 labels.
 
     Twice the area in count units, sum of dfp * (tp_prev + tp), is an exact
     integer; one division by 2 * pos * neg rounds it once.
     """
-    curve = (scores_or_curve if isinstance(scores_or_curve, RocCurve)
-             else roc_curve(scores_or_curve, labels))
+    curve = roc_curve(scores, labels)
     tp, fp = curve.tp, curve.fp
     twice_area = int((np.diff(fp) * (tp[1:] + tp[:-1])).sum())
     return twice_area / (2 * int(tp[-1]) * int(fp[-1]))

@@ -3,13 +3,13 @@ information-theoretic checks (conditioning reduction, partition decomposition,
 data-processing inequality).
 
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
-Every histogram is binned by _bin_counts, which takes a group key per value
-and fills one histogram per group in one bincount: cent_rows (extract's CENT
-path) groups by histogram row, conditional_entropy and the theory checks by
-class (one call per filter). Cross-class comparisons use shared fixed-range
-binning: with priors taken proportional to sample counts, the plug-in
-conditional entropy then never exceeds the pooled entropy (exact concavity at
-the estimator level), which is what the conditioning checks rely on.
+check_binning checks every bin count and range, and _bin_counts bins every
+histogram: it takes a group key per value and fills one histogram per group
+in one bincount. cent_rows (extract's CENT path) groups by histogram row, the
+theory checks by class (one call per filter). Their plug-in H(Y|C) uses shared
+fixed-range binning: with priors taken proportional to sample counts, it then
+never exceeds the pooled entropy (exact concavity at the estimator level),
+which is what the conditioning checks rely on.
 make_histogram and extract_cent_features stay only as names the benchmark's
 tracer wraps; no pipeline path calls them.
 """
@@ -23,15 +23,18 @@ import numpy as np
 
 from .net import Network, forward_collect
 
-def _resolve_range(values: np.ndarray, range_mode):
+def check_binning(bin_count: int, range_mode="minmax") -> None:
+    """ValueError unless bin_count >= 2 and range_mode is "minmax" or a
+    finite (lo, hi) pair with lo < hi; the CLI checks its options with it."""
+    if bin_count < 2:
+        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
     if isinstance(range_mode, str):
         if range_mode != "minmax":
             raise ValueError(f"range_mode must be 'minmax' or (lo, hi), got {range_mode!r}")
-        return float(values.min()), float(values.max())
+        return
     lo, hi = float(range_mode[0]), float(range_mode[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"fixed range needs finite lo < hi, got ({lo}, {hi})")
-    return lo, hi
 
 
 class NonFiniteError(ArithmeticError):
@@ -63,8 +66,6 @@ def _bin_counts(values: np.ndarray, lo, hi, bin_count: int, group=0,
     values. Outliers clip into the edge bins and hi into the last bin; where
     lo == hi every value loads bin 0. One bincount bins every histogram.
     """
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
     x = values.astype(np.float64)  # a copy, worked on in place
     np.clip(x, lo, hi, out=x)
     x -= lo
@@ -90,7 +91,11 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
     if values.size == 0:
         raise ValueError("samples must be nonempty")
     _require_finite(values)
-    lo, hi = _resolve_range(values, range_mode)
+    check_binning(bin_count, range_mode)
+    if isinstance(range_mode, str):  # "minmax"
+        lo, hi = float(values.min()), float(values.max())
+    else:
+        lo, hi = float(range_mode[0]), float(range_mode[1])
     counts = _bin_counts(values, lo, hi, bin_count)[0]
     return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=lo == hi)
 
@@ -135,41 +140,6 @@ def row_entropy(counts: np.ndarray) -> np.ndarray:
         h[order[lo:hi]] = -terms[at:at + (hi - lo) * k].reshape(hi - lo, k).sum(axis=1)
         at += (hi - lo) * k
     return h
-
-
-@dataclass(frozen=True)
-class LabelSpace:
-    class_count: int
-    priors: np.ndarray  # float64, nonnegative, sums to 1 within 1e-9
-
-    def __post_init__(self):
-        p = np.asarray(self.priors, dtype=np.float64)
-        if len(p) != self.class_count:
-            raise ValueError(f"{len(p)} priors for {self.class_count} classes")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("priors must be nonnegative and sum to 1 within 1e-9")
-        object.__setattr__(self, "priors", p)
-
-
-def conditional_entropy(per_class_samples: dict, labels: LabelSpace,
-                        bin_count: int = 256, range_mode="minmax") -> float:
-    """Plug-in H(Y|C) = sum_j p(c_j) * H(class-j histogram), shared bins.
-
-    per_class_samples maps class index -> sample sequence; every class with a
-    positive prior must have samples. range_mode "minmax" resolves to the
-    pooled min/max so all classes share one bin grid; one call bins them all.
-    """
-    groups = [np.asarray(per_class_samples.get(j, ()), dtype=np.float64).ravel()
-              for j in range(labels.class_count)]
-    for j, s in enumerate(groups):
-        if s.size == 0 and labels.priors[j] > 0:
-            raise ValueError(f"class {j} has no samples")
-    values = np.concatenate(groups)
-    _require_finite(values)  # a NaN range would fail as a bad range instead
-    lo, hi = _resolve_range(values, range_mode)
-    group = np.repeat(np.arange(labels.class_count), [s.size for s in groups])
-    table = _bin_counts(values, lo, hi, bin_count, group, labels.class_count)
-    return _prior_weighted_entropy(table, labels.priors)
 
 
 def mutual_information(joint_counts) -> float:
@@ -246,16 +216,17 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     """
     if mode not in ("per-filter", "per-layer"):
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
+    check_binning(bin_count, range_mode)
     _require_finite_activations(activations, image_ids)
     columns = []
     for act in activations:
         n, shape = len(act), act.shape[1:]
         rows = act.reshape(n * (shape[0] if _split_filters(shape, mode) else 1), -1)
-        if isinstance(range_mode, str) and range_mode == "minmax":
+        if isinstance(range_mode, str):  # "minmax"
             lo = rows.min(axis=1, keepdims=True).astype(np.float64)
             hi = rows.max(axis=1, keepdims=True).astype(np.float64)
         else:
-            lo, hi = _resolve_range(rows, range_mode)  # a fixed pair, or a bad mode
+            lo, hi = float(range_mode[0]), float(range_mode[1])
         h = row_entropy(_bin_counts(rows, lo, hi, bin_count, np.arange(len(rows))[:, None],
                                     len(rows)))
         columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
@@ -284,12 +255,13 @@ class FilterSelector:
 
 
 def _class_tables(activations, labels, selector: FilterSelector, bin_count: int):
-    """(class ids, image-count LabelSpace, tables) of the selected read point,
+    """(class ids, image-count priors, tables) of the selected read point,
     where activations are net.forward_collect's arrays for images with the
     given labels. tables holds one (classes, bin_count) count table per
     selected filter, binned in one call over that filter's dataset-wide
     [min, max] ([lo, lo + 1] for a constant filter: any shared grid gives it
     0-bit entropies)."""
+    check_binning(bin_count)
     labels = np.asarray(labels, dtype=np.int64)
     if selector.layer >= len(activations):
         raise ValueError(f"selector layer {selector.layer} out of range "
@@ -311,7 +283,7 @@ def _class_tables(activations, labels, selector: FilterSelector, bin_count: int)
         tables.append(_bin_counts(vals, lo, hi if lo < hi else lo + 1.0, bin_count,
                                   group[:, None], len(classes)))
     counts = np.bincount(group).astype(np.float64)
-    return [int(c) for c in classes], LabelSpace(len(classes), counts / counts.sum()), tables
+    return [int(c) for c in classes], counts / counts.sum(), tables
 
 
 def expected_cent(activations, labels, selector: FilterSelector,
@@ -325,10 +297,10 @@ def expected_cent(activations, labels, selector: FilterSelector,
     by pooled_unconditional_entropy (plug-in concavity). Arguments as in
     _class_tables.
     """
-    _, space, tables = _class_tables(activations, labels, selector, bin_count)
+    _, priors, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
     for table in tables:
-        total += _prior_weighted_entropy(table, space.priors)
+        total += _prior_weighted_entropy(table, priors)
     return float(total / len(tables))
 
 
@@ -371,11 +343,11 @@ def partition_check(activations, labels, selector: FilterSelector,
     if set(part_a) & set(part_b):
         raise ValueError("partition sides must be disjoint")
 
-    classes, space, (table,) = _class_tables(activations, labels, selector, bin_count)
+    classes, priors, (table,) = _class_tables(activations, labels, selector, bin_count)
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
     class_h = {c: _counts_entropy(row) for c, row in zip(classes, table)}
-    prior = {c: space.priors[j] for j, c in enumerate(classes)}
+    prior = dict(zip(classes, priors))
 
     def side(members):
         p = sum(prior[c] for c in members)

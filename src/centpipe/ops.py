@@ -5,15 +5,13 @@ Every op is a pure function; backward passes take explicitly returned caches.
 All ops preserve the input dtype but accumulate in float64, so float64 inputs
 give full-precision results for finite-difference checking.
 
-Layouts: convolution input is (channels, *spatial), filters are
-(filter_count, channels, *kernel), 2D and 3D spatial ranks supported.
-
-Batch axis: every op also takes a leading batch axis, and each op has one
-implementation: a per-sample call runs as a batch of one. Convolution tells a
-batch (batch, channels, *spatial) from one sample by rank; relu and maxpool
-act on any leading axes; fully_connected's input rule is in its docstring;
-softmax_cross_entropy takes (k,) logits with one class index or (batch, k)
-logits with one index per row. Batched backward passes return the parameter
+Layouts: every op takes the batched arrays the network passes, and any other
+shape is refused with a ShapeMismatch naming it. Convolution input is
+(batch, channels, *spatial), filters are (filter_count, channels, *kernel),
+2D and 3D spatial ranks supported; relu and maxpool act on any leading axes;
+fully_connected takes a (batch, n) input and its backward a (batch, m)
+gradient with that input; softmax_cross_entropy takes (batch, k) logits with
+a (batch,) array of class indices. Backward passes return the parameter
 gradients summed over the batch, which is what one SGD step needs.
 Convolution forward and backward run as im2col GEMMs: one matmul call covers
 the whole batch, one GEMM per sample inside it.
@@ -207,10 +205,10 @@ def _crop(pads, spatial) -> tuple[slice, ...]:
 
 def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
                  spec: ConvSpec, workspace: Workspace | None = None) -> np.ndarray:
-    """Cross-correlate ([batch,] channels, *spatial) input with
+    """Cross-correlate (batch, channels, *spatial) input with
     (F, channels, *kernel) filters.
 
-    Returns ([batch,] F, *out_spatial); each element is the windowed dot
+    Returns (batch, F, *out_spatial); each element is the windowed dot
     product plus bias. The output is computed in slabs of whole rows of its
     first spatial axis, each slab's im2col copy and GEMM output at most
     _SCRATCH_ELEMENTS values where whole 16-position tiles allow (see
@@ -218,45 +216,43 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
-    _require(x.ndim in (rank + 1, rank + 2),
-             f"input {x.shape} is not ([batch,] channels, {rank} spatial axes)")
+    _require(x.ndim == rank + 2,
+             f"input {x.shape} is not (batch, channels, {rank} spatial axes)")
     _require(filters.ndim == rank + 2,
              f"filters {filters.shape} are not (filter_count, channels, {rank} kernel axes)")
     _require(filters.shape[0] == spec.filter_count,
              f"filters {filters.shape} disagree with spec filter_count {spec.filter_count}")
-    _require(filters.shape[1] == x.shape[-rank - 1],
-             f"input channels {x.shape[-rank - 1]} != filter channels {filters.shape[1]} "
+    _require(filters.shape[1] == x.shape[1],
+             f"input channels {x.shape[1]} != filter channels {filters.shape[1]} "
              f"(input {x.shape}, filters {filters.shape})")
     _require(tuple(filters.shape[2:]) == spec.kernel,
              f"filter kernel {filters.shape[2:]} != spec kernel {spec.kernel}")
     _require(bias.shape == (spec.filter_count,),
              f"bias {bias.shape} != (filter_count,) = ({spec.filter_count},)")
 
-    single = x.ndim == rank + 1
-    xb = x[None] if single else x
-    out = _out_extent(xb.shape[2:], spec.kernel, spec.stride, spec.padding)
+    out = _out_extent(x.shape[2:], spec.kernel, spec.stride, spec.padding)
     ws = workspace or Workspace()
-    windows = _spatial_windows(_pad(xb, spec, out, ws)[0], spec.kernel, spec.stride)
+    windows = _spatial_windows(_pad(x, spec, out, ws)[0], spec.kernel, spec.stride)
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
     b64 = bias.astype(np.float64, copy=False)[:, None]
-    y = np.empty((len(xb), spec.filter_count) + out, x.dtype)
+    y = np.empty((len(x), spec.filter_count) + out, x.dtype)
     rest = math.prod(out[1:])
     # OpenBLAS sums a partial tile of output positions in another order than
     # a full one (slabs of 4 positions were seen to change bytes), so a slab
     # holds a multiple of 16 positions, whole tiles of its double kernels,
     # and an output whose positions are no such multiple runs as one slab
     align = 16 // math.gcd(rest, 16)
-    slabs = (_row_parts(out[0], len(xb) * max(fw.shape) * rest, align)
+    slabs = (_row_parts(out[0], len(x) * max(fw.shape) * rest, align)
              if out[0] % align == 0 else [slice(0, out[0])])
     for rows in slabs:
         cols = _im2col(windows[:, :, rows], ws)
         # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample,
         # in one matmul call over the batch, straight into (B, F, positions)
-        ys = ws.take("out", (len(xb), spec.filter_count, cols.shape[2]))
+        ys = ws.take("out", (len(x), spec.filter_count, cols.shape[2]))
         np.matmul(fw, cols, out=ys)
         ys += b64
         y[:, :, rows] = ys.reshape(y[:, :, rows].shape)  # a cast copy: ys is workspace memory
-    return y[0] if single else y
+    return y
 
 
 def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
@@ -266,26 +262,23 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     """Gradients of a scalar loss through conv_forward.
 
     Returns (grad_input, grad_filters, grad_bias) for the cached forward
-    input; for a batch, grad_input keeps the batch axis and grad_filters and
-    grad_bias are summed over it. With input_grad=False, grad_input is None
+    input: grad_input keeps the batch axis, and grad_filters and grad_bias
+    are summed over it. With input_grad=False, grad_input is None
     and its col2im is skipped. Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
-    _require(cached_input.ndim in (rank + 1, rank + 2),
-             f"cached input {cached_input.shape} is not ([batch,] channels, "
-             f"{rank} spatial axes)")
-    single = cached_input.ndim == rank + 1
-    xb = cached_input[None] if single else cached_input
-    batch, channels = xb.shape[:2]
-    out = _out_extent(xb.shape[2:], spec.kernel, spec.stride, spec.padding)
+    _require(cached_input.ndim == rank + 2,
+             f"cached input {cached_input.shape} is not (batch, channels, {rank} spatial axes)")
+    batch, channels = cached_input.shape[:2]
+    out = _out_extent(cached_input.shape[2:], spec.kernel, spec.stride, spec.padding)
     expect = (batch, spec.filter_count) + out
-    _require(grad_output.shape == expect[single:],
-             f"grad_output {grad_output.shape} != forward output shape {expect[single:]}")
+    _require(grad_output.shape == expect,
+             f"grad_output {grad_output.shape} != forward output shape {expect}")
 
     g = grad_output.astype(np.float64, copy=False).reshape(batch, spec.filter_count, -1)
     grad_bias = g.sum(axis=(0, 2))
     ws = workspace or Workspace()
-    xw, pads = _pad(xb, spec, out, ws)
+    xw, pads = _pad(cached_input, spec, out, ws)
     cols = _im2col(_spatial_windows(xw, spec.kernel, spec.stride), ws)
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
@@ -302,9 +295,9 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     for offset in itertools.product(*(range(k) for k in spec.kernel)):
         sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, spec.stride, out))
         gpad[(slice(None), slice(None)) + sl] += dcols[(slice(None), slice(None)) + offset]
-    grad_input = gpad[(slice(None), slice(None)) + _crop(pads, xb.shape[2:])]
+    grad_input = gpad[(slice(None), slice(None)) + _crop(pads, cached_input.shape[2:])]
     # a copy: gpad is workspace memory
-    return (grad_input[0] if single else grad_input).astype(dt), grad_filters, grad_bias
+    return grad_input.astype(dt), grad_filters, grad_bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -413,25 +406,20 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                     workspace: Workspace | None = None) -> np.ndarray:
-    """Affine map: weights (m, n) @ flattened input + bias (m,).
+    """Affine map: weights (m, n) @ each row of x + bias (m,).
 
-    Input-shape rule: a 2-D x of n columns, (batch, n), is a batch and gives
-    (batch, m), one row per sample; (1, n) is a batch of one giving (1, m).
-    Any other x flattens whole to one sample of n elements and gives (m,), so
-    a per-sample caller may pass any shape holding n elements, (1, H, W)
-    included. A caller holding a batch of multi-axis samples flattens each
-    sample first, as the network does: x.reshape(len(x), -1). The float64
-    weight blocks come from `workspace`.
+    x is (batch, n) and the result (batch, m), one row per sample. A caller
+    holding a batch of multi-axis samples flattens each sample first, as the
+    network does: x.reshape(len(x), -1). The float64 weight blocks come from
+    `workspace`.
     """
     _require(weights.ndim == 2, f"weights {weights.shape} are not (m, n)")
     _require(bias.shape == (weights.shape[0],),
              f"bias {bias.shape} != ({weights.shape[0]},)")
     n = weights.shape[1]
-    single = not (x.ndim == 2 and x.shape[1] == n)
-    _require(not single or x.size == n,
-             f"weights {weights.shape} incompatible with input {x.shape}: it "
-             f"flattens neither to ({n},) nor to (batch, {n})")
-    flat_t = x.reshape(-1, n).T.astype(np.float64, copy=False)
+    _require(x.ndim == 2 and x.shape[1] == n,
+             f"input {x.shape} is not (batch, {n}) for weights {weights.shape}")
+    flat_t = x.T.astype(np.float64, copy=False)
     # (m, n) @ (n, B), one block of rows at a time: at B == 1 numpy runs this
     # as the matrix-vector product of one sample, so a batch of one gives that
     # sample's bytes. Blocks hold a multiple of 16 rows: blocks of 1 or 2 rows
@@ -443,30 +431,28 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         np.copyto(block, weights[rows])
         np.matmul(block, flat_t, out=y[rows])
     y += bias.astype(np.float64, copy=False)[:, None]
-    y = y.T.astype(x.dtype, order="C", copy=False)
-    return y[0] if single else y
+    return y.T.astype(x.dtype, order="C", copy=False)
 
 
 def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
                              weights: np.ndarray, workspace: Workspace | None = None,
                              weight_grad: bool = True
                              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Standard affine gradients; grad_input is reshaped to the cached input.
+    """Standard affine gradients of a (batch, m) grad_output at the
+    (batch, n) cached input.
 
-    A (batch, m) grad_output marks a batch: grad_weights and grad_bias are
-    then summed over it. A (m,) grad_output is one sample. With
-    weight_grad=False, grad_weights is None and its (m, n) outer product
-    grad_output.T @ input is skipped: the caller keeps the two factors
-    instead, as net.train does. The float64 weight blocks come from
+    grad_input is (batch, n); grad_weights and grad_bias are summed over the
+    batch. With weight_grad=False, grad_weights is None and its (m, n) outer
+    product grad_output.T @ input is skipped: the caller keeps the two
+    factors instead, as net.train does. The float64 weight blocks come from
     `workspace`.
     """
     m, n = weights.shape
-    _require(grad_output.shape[-1:] == (m,) and grad_output.ndim <= 2,
-             f"grad_output {grad_output.shape} != ([batch,] {m})")
-    g = grad_output.astype(np.float64, copy=False).reshape(-1, m)
-    _require(cached_input.size == g.shape[0] * n,
-             f"cached input {cached_input.shape} does not hold {g.shape[0]} "
-             f"sample(s) of {n} elements")
+    _require(grad_output.ndim == 2 and grad_output.shape[1] == m,
+             f"grad_output {grad_output.shape} is not (batch, {m})")
+    _require(cached_input.shape == (len(grad_output), n),
+             f"cached input {cached_input.shape} is not ({len(grad_output)}, {n})")
+    g = grad_output.astype(np.float64, copy=False)
     # (n, m) @ (m, B), one block of a multiple of 16 weight columns at a time
     grad_input = np.empty((n, g.shape[0]))
     ws = workspace or Workspace()
@@ -474,35 +460,32 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
         block = ws.take("fc", weights[:, cols].shape)
         np.copyto(block, weights[:, cols])
         np.matmul(block.T, g.T, out=grad_input[cols])
-    grad_input = grad_input.T.reshape(cached_input.shape)
     grad_weights = None
     dt = cached_input.dtype
     if weight_grad:
-        flat = cached_input.astype(np.float64, copy=False).reshape(g.shape[0], n)
-        grad_weights = (g.T @ flat).astype(dt, copy=False)
-    return grad_input.astype(dt, copy=False), grad_weights, g.sum(axis=0).astype(dt, copy=False)
+        grad_weights = (g.T @ cached_input.astype(np.float64, copy=False)).astype(dt, copy=False)
+    return grad_input.T.astype(dt, copy=False), grad_weights, g.sum(axis=0).astype(dt, copy=False)
 
 
-def softmax_cross_entropy(logits: np.ndarray, true_class
-                          ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
-    """Stabilized softmax with log loss against a class index.
+def softmax_cross_entropy(logits: np.ndarray, true_class: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stabilized softmax with log loss against class indices.
 
-    (k,) logits with an int class give (probs, loss, grad_logits) with a
-    float loss; (batch, k) logits with a (batch,) array of classes give a
-    (batch,) array of per-sample losses. grad = probs - one_hot(true_class).
+    (batch, k) logits with a (batch,) array of classes give (probs, losses,
+    grad_logits), losses a (batch,) array of per-sample losses.
+    grad = probs - one_hot(true_class).
     """
-    _require(logits.ndim in (1, 2) and logits.shape[-1] >= 2,
-             f"logits {logits.shape} must be ([batch,] k) with k >= 2")
-    single = logits.ndim == 1
-    k = logits.shape[-1]
-    labels = np.asarray(true_class).reshape(-1)
-    _require(labels.shape[0] == (1 if single else logits.shape[0]),
-             f"{labels.shape[0]} class indices for logits {logits.shape}")
+    _require(logits.ndim == 2 and logits.shape[1] >= 2,
+             f"logits {logits.shape} must be (batch, k) with k >= 2")
+    k = logits.shape[1]
+    labels = np.asarray(true_class)
+    _require(labels.shape == (len(logits),),
+             f"class indices {labels.shape} for logits {logits.shape} are not ({len(logits)},)")
     bad = (labels < 0) | (labels >= k)
     if bad.any():  # the message is built only on failure
         row = int(np.argmax(bad))
         raise ShapeMismatch(f"row {row}: true_class {labels[row]} out of range for {k} logits")
-    z = logits.astype(np.float64, copy=False).reshape(-1, k)
+    z = logits.astype(np.float64, copy=False)
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
@@ -512,7 +495,4 @@ def softmax_cross_entropy(logits: np.ndarray, true_class
     grad = probs.copy()
     grad[rows, labels] -= 1.0
     dt = logits.dtype
-    probs, grad = probs.astype(dt, copy=False), grad.astype(dt, copy=False)
-    if single:
-        return probs[0], float(loss[0]), grad[0]
-    return probs, loss, grad
+    return probs.astype(dt, copy=False), loss, grad.astype(dt, copy=False)

@@ -20,8 +20,7 @@ from centpipe import cli, data_io, evaluation, forest, infotheory, net, ops
 from centpipe.data_io import LabeledDataset, SyntheticSpec, generate_synthetic
 from centpipe.evaluation import auc, cross_validate, kfold_split
 from centpipe.forest import ForestConfig
-from centpipe.infotheory import (FilterSelector, LabelSpace, cent_rows,
-                                 conditional_entropy, expected_cent,
+from centpipe.infotheory import (FilterSelector, cent_rows, expected_cent,
                                  mutual_information,
                                  pooled_unconditional_entropy)
 
@@ -94,12 +93,16 @@ def test_criterion_01_gradients(capsys):
             x = rng.normal(size=(cin,) + (extent,) * nd)
             w = rng.normal(size=(cout, cin) + (kernel,) * nd)
             b = rng.normal(size=cout)
-            g = rng.normal(size=ops.conv_forward(x, w, b, spec).shape)
-            gx, gw, gb = ops.conv_backward(g, x, w, spec)
+
+            def conv(xx, ww, bb):  # one sample, as a batch of one
+                return ops.conv_forward(xx[None], ww, bb, spec)[0]
+
+            g = rng.normal(size=conv(x, w, b).shape)
+            gx, gw, gb = ops.conv_backward(g[None], x[None], w, spec)
             errs = [
-                rel_err(gx, fd_grad(lambda v: float((ops.conv_forward(v, w, b, spec) * g).sum()), x)),
-                rel_err(gw, fd_grad(lambda v: float((ops.conv_forward(x, v, b, spec) * g).sum()), w)),
-                rel_err(gb, fd_grad(lambda v: float((ops.conv_forward(x, w, v, spec) * g).sum()), b)),
+                rel_err(gx[0], fd_grad(lambda v: float((conv(v, w, b) * g).sum()), x)),
+                rel_err(gw, fd_grad(lambda v: float((conv(x, v, b) * g).sum()), w)),
+                rel_err(gb, fd_grad(lambda v: float((conv(x, w, v) * g).sum()), b)),
             ]
             return max(errs)
 
@@ -129,11 +132,11 @@ def test_criterion_01_gradients(capsys):
             rank = int(rng.integers(1, 4))
             shape = tuple(rng.integers(2, 4, size=rank))
             width = int(rng.integers(1, 6))
-            x = rng.normal(size=shape)
+            x = rng.normal(size=shape).reshape(1, -1)  # flattened, as the network does
             w = rng.normal(size=(width, math.prod(shape)))
             b = rng.normal(size=width)
             g = rng.normal(size=width)
-            gx, gw, gb = ops.fully_connected_backward(g, x, w)
+            gx, gw, gb = ops.fully_connected_backward(g[None], x, w)
             errs = [
                 rel_err(gx, fd_grad(lambda v: float((ops.fully_connected(v, w, b) * g).sum()), x)),
                 rel_err(gw, fd_grad(lambda v: float((ops.fully_connected(x, v, b) * g).sum()), w)),
@@ -143,12 +146,12 @@ def test_criterion_01_gradients(capsys):
 
         def softmax_case():
             k = int(rng.integers(2, 7))
-            logits = rng.normal(scale=rng.uniform(0.5, 10.0), size=k)
+            logits = rng.normal(scale=rng.uniform(0.5, 10.0), size=(1, k))
             # the least-likely label keeps the gradient O(1), so finite
             # differences stay meaningful even for confident logits
-            label = int(np.argmin(logits))
+            label = np.argmin(logits, axis=1)
             _, _, grad = ops.softmax_cross_entropy(logits, label)
-            fd = fd_grad(lambda v: ops.softmax_cross_entropy(v, label)[1], logits)
+            fd = fd_grad(lambda v: ops.softmax_cross_entropy(v, label)[1][0], logits)
             return rel_err(grad, fd)
 
         for case in (conv_case, relu_case, pool_case, fc_case, softmax_case):
@@ -176,16 +179,19 @@ def test_criterion_02_entropy_oracles(capsys):
             direct = plugin_entropy(np.histogram(samples, bins, (0.0, 1.0))[0])
             assert abs(got - direct) < 1e-9
             assert -1e-12 <= got <= math.log2(bins) + 1e-12
-        for _ in range(300):  # conditional entropy vs weighted direct sum
+        for _ in range(300):  # theory's conditional entropy vs weighted direct sum
             bins = int(rng.integers(2, 33))
             k = int(rng.integers(2, 5))
             sizes = rng.integers(5, 120, size=k)
-            per_class = {j: rng.uniform(0.0, 1.0, sizes[j]) for j in range(k)}
-            space = LabelSpace(k, sizes / sizes.sum())
-            got = conditional_entropy(per_class, space, bins, (0.0, 1.0))
-            direct = sum(
-                space.priors[j] * plugin_entropy(np.histogram(per_class[j], bins, (0.0, 1.0))[0])
-                for j in range(k))
+            per_class = [rng.uniform(0.0, 1.0, sizes[j]) for j in range(k)]
+            # a read point of one value per image: class j's samples are its images
+            values = np.concatenate(per_class)
+            got = expected_cent([values[:, None]], np.repeat(np.arange(k), sizes),
+                                FilterSelector(0), bins)
+            pooled = (values.min(), values.max())
+            priors = sizes / sizes.sum()
+            direct = sum(priors[j] * plugin_entropy(np.histogram(per_class[j], bins, pooled)[0])
+                         for j in range(k))
             assert abs(got - direct) < 1e-9
             assert -1e-12 <= got <= math.log2(bins) + 1e-12
         for _ in range(300):  # mutual information vs double sum

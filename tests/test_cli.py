@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -141,6 +143,19 @@ def test_train_prints_one_json_line_per_epoch(pipeline, tmp_path):
         assert (runs[0][0] / name).read_bytes() == (runs[1][0] / name).read_bytes()
 
 
+def test_epoch_faults_count_the_reaped_workers(monkeypatch, capsys):
+    """An epoch's minor_faults adds the faults of the reaped children, the
+    epoch's workers, to this process's own."""
+    faults = {resource.RUSAGE_SELF: 100, resource.RUSAGE_CHILDREN: 10}
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: types.SimpleNamespace(ru_minflt=faults[who]))
+    reporter = cli._EpochReporter()
+    faults[resource.RUSAGE_SELF] += 5
+    faults[resource.RUSAGE_CHILDREN] += 70
+    reporter(0, 0.5, 0, 2)
+    assert json.loads(capsys.readouterr().err)["minor_faults"] == 75
+
+
 def test_train_summary_reports_counters_and_timings(pipeline, tmp_path, monkeypatch):
     """Samples trained, forward+backward calls (a batch of 15 desk images at
     32^2 runs as chunks of 12 and 3), the workspace's kept bytes and stage
@@ -248,6 +263,32 @@ def test_extract_bad_fixed_range_exits_2_without_output(pipeline, tmp_path, boun
     assert code == 2 and out == ""
     assert "error: fixed range needs finite lo < hi" in err
     assert os.listdir(tmp_path) == ["f"] and not os.listdir(tmp_path / "f")
+
+
+def _tree_bytes(root) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+@pytest.mark.parametrize("flags,extent", [(["--bins=1"], 32), (["--range=1,0"], 32), ([], 64)])
+def test_extract_config_error_leaves_the_earlier_dump_as_it_was(pipeline, tmp_path, flags,
+                                                                 extent):
+    """A bin count or range that no histogram takes, or images that the
+    checkpoint's 32x32 network does not take, exit 2 before the dump
+    writer is made: the dump that --dump-out names keeps every byte."""
+    dump = tmp_path / "dump"
+    shutil.copytree(pipeline["dump"], dump)
+    before = _tree_bytes(dump)
+    data = pipeline["data"]
+    if extent != 32:
+        data = str(tmp_path / "data")
+        assert run_cli(["synth", "--out", data, "--extent", str(extent), "--per-class", "2"])[0] == 0
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                              pipeline["ckpt"], "--data", data, "--dump-out", str(dump), *flags])
+    assert code == 2 and out == "" and "error: " in err, err
+    assert _tree_bytes(dump) == before
+    data_io.import_activation_dump(str(dump))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -801,13 +842,19 @@ def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
     ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"),
     ("--slack", "nan", "slack"), ("--slack", "inf", "slack"), ("--slack", "-inf", "slack"),
 ])
-def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, flag, value, named):
+def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, monkeypatch,
+                                                           flag, value, named):
+    passes, real = [], net.forward_collect
+    monkeypatch.setattr(net, "forward_collect",
+                        lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
     code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
                               "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
                               "--chain-n", "2000", f"{flag}={value}"])
     assert code == 2 and out == ""
     assert f"error: {named} must be" in err
     assert not (tmp_path / "t" / "theory_report.json").exists()
+    if flag == "--bins":  # refused before the forward pass
+        assert passes == []
 
 
 @pytest.mark.parametrize("layer", ["3", "5", "-1"])

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net
-from centpipe.data_io import (BadMagicError, ChecksumError, LabeledDataset,
-                              SyntheticSpec, TruncatedError, VersionError,
+from centpipe.data_io import (LabeledDataset, SyntheticSpec,
                               generate_markov_chain, generate_synthetic,
                               import_activation_dump, load_dataset, load_tensor,
                               read_features_csv, read_manifest, save_dataset,
                               save_tensor, write_features_csv, write_manifest)
 from centpipe.evaluation import cross_validate, kfold_split
 from centpipe.forest import ForestConfig
+from centpipe.framing import BadMagicError, ChecksumError, TruncatedError, VersionError
 from centpipe.infotheory import cent_rows, contingency_table, dpi_check, mutual_information
 
 from conftest import use_cpus, write_reference_dump

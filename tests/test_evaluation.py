@@ -93,15 +93,16 @@ def test_roc_perfect_separation():
     assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
     pairs = list(zip(curve.fpr, curve.tpr))
     assert (0.0, 1.0) in pairs
-    assert auc(curve) == 1.0
+    assert auc(scores, labels) == 1.0
     assert curve.thresholds[0] == np.inf
 
 
 def test_roc_all_tied_is_diagonal():
-    curve = roc_curve(np.full(6, 0.5), np.array([0, 1, 0, 1, 0, 1]))
+    scores, labels = np.full(6, 0.5), np.array([0, 1, 0, 1, 0, 1])
+    curve = roc_curve(scores, labels)
     assert list(curve.fpr) == [0.0, 1.0]
     assert list(curve.tpr) == [0.0, 1.0]
-    assert abs(auc(curve) - 0.5) < 1e-12
+    assert abs(auc(scores, labels) - 0.5) < 1e-12
 
 
 def test_roc_interleaved_example():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centpipe import data_io, evaluation, framing, net
-from centpipe.data_io import (BadMagicError, TensorFileError, TruncatedError,
-                              load_tensor, save_tensor)
+from centpipe.data_io import load_tensor, save_tensor
+from centpipe.framing import BadMagicError, FramedFileError, TruncatedError
 from centpipe.net import CheckpointError, LayerSpec
 from centpipe.ops import ConvSpec
 
@@ -32,7 +32,7 @@ def _framed_files(draw):
     if draw(st.booleans()):
         shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
         tensor = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
-        return (lambda path: save_tensor(path, tensor)), load_tensor, TensorFileError
+        return (lambda path: save_tensor(path, tensor)), load_tensor, FramedFileError
     network = _tiny_net(draw(st.integers(1, 3)), draw(st.integers(1, 4)), seed)
     return (lambda path: net.save_checkpoint(network, path)), net.load_checkpoint, CheckpointError
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from centpipe import infotheory as it
 from centpipe import net
-from centpipe.infotheory import (FilterSelector, LabelSpace, NonFiniteError,
-                                 conditional_entropy, contingency_table, dpi_check,
+from centpipe.infotheory import (FilterSelector, NonFiniteError,
+                                 contingency_table, dpi_check,
                                  expected_cent, make_histogram,
                                  mutual_information, partition_check,
                                  pooled_unconditional_entropy)
@@ -67,12 +67,11 @@ _BOUNDS = st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf])
 @settings(max_examples=100, deadline=None)
 @given(_BOUNDS, _BOUNDS)
 def test_fixed_range_must_be_finite_and_increasing_on_every_path(lo, hi):
-    """make_histogram, conditional_entropy and cent_rows take a fixed
-    (lo, hi) range exactly when both ends are finite and lo < hi."""
+    """make_histogram, check_binning (the CLI's check) and cent_rows take a
+    fixed (lo, hi) range exactly when both ends are finite and lo < hi."""
     values = np.array([0.0, 1.0, 2.0, 3.0])
-    space = LabelSpace(2, np.array([0.5, 0.5]))
     paths = [lambda: make_histogram(values, 4, (lo, hi)),
-             lambda: conditional_entropy({0: values[:2], 1: values[2:]}, space, 4, (lo, hi)),
+             lambda: it.check_binning(4, (lo, hi)),
              lambda: it.cent_rows([values.reshape(1, 1, 4)], "per-filter", 4, (lo, hi))]
     for path in paths:
         if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
@@ -118,34 +117,29 @@ def test_entropy_examples():
     assert abs(h - 1.5) < 1e-12
 
 
-# --- label spaces ---
+# --- conditional entropy: one value per image, class j's values as its images ---
 
-def test_label_space_contract():
-    LabelSpace(2, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        LabelSpace(2, np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        LabelSpace(3, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        LabelSpace(2, np.array([-0.5, 1.5]))
+def _one_value_per_image(per_class):
+    """(activations, labels) of a read point holding one value per image,
+    with class j's values as the images of class j."""
+    values = np.concatenate(per_class)
+    return [values[:, None]], np.repeat(np.arange(len(per_class)), [len(v) for v in per_class])
 
-
-# --- conditional entropy ---
 
 def test_conditional_entropy_separated_constants():
-    per_class = {0: np.zeros(100), 1: np.ones(100)}
-    space = LabelSpace(2, np.array([0.5, 0.5]))
-    assert conditional_entropy(per_class, space, bin_count=2) == 0.0
-    pooled = np.concatenate(list(per_class.values()))
-    assert _cent([pooled], bins=2).tolist() == [1.0]  # conditioning removed a full bit
+    acts, labels = _one_value_per_image([np.zeros(100), np.ones(100)])
+    sel = FilterSelector(0)
+    assert expected_cent(acts, labels, sel, bin_count=2) == 0.0
+    # conditioning removed a full bit
+    assert pooled_unconditional_entropy(acts, labels, sel, bin_count=2) == 1.0
 
 
 def test_conditional_entropy_identical_distributions():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=10000), rng.normal(size=10000)
-    space = LabelSpace(2, np.array([0.5, 0.5]))
-    cond = conditional_entropy({0: a, 1: b}, space)
-    pooled = _cent([np.concatenate([a, b])])[0]
+    acts, labels = _one_value_per_image([a, b])
+    cond = expected_cent(acts, labels, FilterSelector(0))
+    pooled = pooled_unconditional_entropy(acts, labels, FilterSelector(0))
     assert abs(cond - pooled) < 0.05
 
 
@@ -153,18 +147,9 @@ def test_conditional_entropy_weighted_average():
     # class 0 uniform over 2 separated bins (1 bit), class 1 over 8 (3 bits)
     a = np.repeat([0.5, 4.5], 64)
     b = np.repeat(np.arange(8) + 0.5, 16)
-    space = LabelSpace(2, np.array([0.5, 0.5]))
-    cond = conditional_entropy({0: a, 1: b}, space, bin_count=8, range_mode=(0.0, 8.0))
+    acts, labels = _one_value_per_image([a, b])
+    cond = expected_cent(acts, labels, FilterSelector(0), bin_count=8)
     assert abs(cond - 2.0) < 1e-12
-
-
-def test_conditional_entropy_missing_class_rejected():
-    space = LabelSpace(2, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        conditional_entropy({0: np.zeros(5)}, space)
-    # zero-prior class may be absent
-    space = LabelSpace(2, np.array([1.0, 0.0]))
-    assert conditional_entropy({0: np.zeros(5)}, space) == 0.0
 
 
 def test_conditional_entropy_concavity_random_cases():
@@ -173,13 +158,11 @@ def test_conditional_entropy_concavity_random_cases():
     for _ in range(50):
         k = int(rng.integers(2, 5))
         sizes = rng.integers(20, 200, size=k)
-        per_class = {j: rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), sizes[j])
-                     for j in range(k)}
-        space = LabelSpace(k, sizes / sizes.sum())
-        pooled_vals = np.concatenate([per_class[j] for j in range(k)])
-        lo, hi = float(pooled_vals.min()), float(pooled_vals.max())
-        cond = conditional_entropy(per_class, space, 64, (lo, hi))
-        pooled = _cent([pooled_vals], bins=64, range_mode=(lo, hi))[0]
+        per_class = [rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), sizes[j])
+                     for j in range(k)]
+        acts, labels = _one_value_per_image(per_class)
+        cond = expected_cent(acts, labels, FilterSelector(0), 64)
+        pooled = pooled_unconditional_entropy(acts, labels, FilterSelector(0), 64)
         assert cond <= pooled + 1e-9
 
 
@@ -461,11 +444,9 @@ def test_filter_selector_contract():
 
 
 def test_bin_count_below_two_is_refused_on_every_path():
-    space = LabelSpace(2, np.array([0.5, 0.5]))
-    per_class = {0: np.array([0.0, 1.0]), 1: np.array([2.0, 3.0])}
     for bins in (1, 0):
         with pytest.raises(ValueError, match="bin_count"):
-            conditional_entropy(per_class, space, bin_count=bins)
+            it.cent_rows([np.arange(4.0).reshape(2, 2)], "per-filter", bins)
     acts = [np.arange(24, dtype=np.float32).reshape(4, 2, 3)]
     labels = np.array([0, 1, 0, 1])
     for measure in (expected_cent, pooled_unconditional_entropy):
@@ -508,8 +489,6 @@ def _per_class_reference(acts, labels, layer, fi, bins):
     cond = 0.0
     for p, h in zip(priors, class_h):
         cond += p * h
-    assert conditional_entropy(dict(enumerate(per_class)), LabelSpace(len(classes), priors),
-                               bins, shared) == cond
     return class_h, priors, cond, plugin_entropy(make_histogram(vals, bins, shared).counts)
 
 

@@ -41,7 +41,7 @@ def test_reference_3d_untrained_probs_valid():
     network = net.build_reference_3d(seed=1)
     rng = np.random.default_rng(0)
     outs, _ = net._forward_layers(network, rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32))
-    probs, _, _ = ops.softmax_cross_entropy(outs[-1][0], 0)
+    probs = ops.softmax_cross_entropy(outs[-1], np.array([0]))[0][0]
     assert probs.shape == (2,)
     assert abs(probs.sum() - 1.0) < 1e-6 and (probs >= 0).all()
 
@@ -423,7 +423,9 @@ def _materialised_train(network, dataset, config, chunk):
                         g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv,
                                                       input_grad=i > 0)
                     else:
-                        g, gw, gb = ops.fully_connected_backward(g, cache.astype(np.float64), w)
+                        x = cache.astype(np.float64).reshape(len(cache), -1)
+                        g, gw, gb = ops.fully_connected_backward(g, x, w)
+                        g = g.reshape(cache.shape)
                     if i in total:
                         total[i][0] += gw
                         total[i][1] += gb

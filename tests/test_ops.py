@@ -1,6 +1,8 @@
 """Layer primitives: forward examples, contract errors, and gradient checks
 against central finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from conftest import fd_grad, pool_safe_input, rel_err
 def test_conv_sum_window():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     w = np.ones((1, 1, 2, 2))
-    out = ops.conv_forward(x, w, np.zeros(1), ConvSpec((2, 2), (1, 1)))
+    out = ops.conv_forward(x[None], w, np.zeros(1), ConvSpec((2, 2), (1, 1)))[0]
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == 10.0
 
@@ -25,7 +27,7 @@ def test_conv_one_by_one_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, 5, 7))
     w = np.ones((1, 1, 1, 1))
-    out = ops.conv_forward(x, w, np.zeros(1), ConvSpec((1, 1), (1, 1)))
+    out = ops.conv_forward(x[None], w, np.zeros(1), ConvSpec((1, 1), (1, 1)))[0]
     assert np.array_equal(out, x)
 
 
@@ -34,7 +36,7 @@ def test_conv_matches_loop_oracle():
     x = rng.normal(size=(1, 5, 5))
     w = rng.normal(size=(2, 1, 2, 2))
     b = rng.normal(size=2)
-    out = ops.conv_forward(x, w, b, ConvSpec((2, 2), (2, 2), "valid", 2))
+    out = ops.conv_forward(x[None], w, b, ConvSpec((2, 2), (2, 2), "valid", 2))[0]
     expect = np.zeros((2, 2, 2))
     for f in range(2):
         for i in range(2):
@@ -55,7 +57,7 @@ def test_conv_shape_mismatch_names_shapes():
     x = np.zeros((2, 4, 4))
     w = np.zeros((3, 1, 2, 2))  # channel count disagrees with x
     with pytest.raises(ShapeMismatch) as e:
-        ops.conv_forward(x, w, np.zeros(3), ConvSpec((2, 2), (1, 1), "valid", 3))
+        ops.conv_forward(x[None], w, np.zeros(3), ConvSpec((2, 2), (1, 1), "valid", 3))
     assert "2" in str(e.value) and "1" in str(e.value)
 
 
@@ -65,7 +67,7 @@ def test_conv_zero_upstream_gradient():
     w = rng.normal(size=(2, 1, 2, 2))
     spec = ConvSpec((2, 2), (1, 1), "valid", 2)
     g = np.zeros((2, 3, 3))
-    gi, gw, gb = ops.conv_backward(g, x, w, spec)
+    gi, gw, gb = ops.conv_backward(g[None], x[None], w, spec)
     assert not gi.any() and not gw.any() and not gb.any()
 
 
@@ -73,7 +75,7 @@ def test_conv_single_window_filter_gradient():
     x = np.ones((1, 2, 2))
     w = np.ones((1, 1, 2, 2))
     spec = ConvSpec((2, 2), (1, 1), "valid", 1)
-    _, gw, gb = ops.conv_backward(np.ones((1, 1, 1)), x, w, spec)
+    _, gw, gb = ops.conv_backward(np.ones((1, 1, 1))[None], x[None], w, spec)
     assert np.array_equal(gw, np.ones((1, 1, 2, 2)))
     assert np.array_equal(gb, np.ones(1))
 
@@ -91,12 +93,12 @@ def test_conv_gradients_match_fd(shape, kspec):
     w = rng.normal(size=(kspec.filter_count, shape[0]) + kspec.kernel)
     b = rng.normal(size=kspec.filter_count)
     g = rng.normal(size=(kspec.filter_count,) + kspec.output_extent(shape[1:]))
-    gi, gw, gb = ops.conv_backward(g, x, w, kspec)
+    gi, gw, gb = ops.conv_backward(g[None], x[None], w, kspec)
 
     def loss(xx=x, ww=w, bb=b):
-        return float((ops.conv_forward(xx, ww, bb, kspec) * g).sum())
+        return float((ops.conv_forward(xx[None], ww, bb, kspec)[0] * g).sum())
 
-    assert rel_err(gi, fd_grad(lambda v: loss(xx=v), x)) < 1e-4
+    assert rel_err(gi[0], fd_grad(lambda v: loss(xx=v), x)) < 1e-4
     assert rel_err(gw, fd_grad(lambda v: loss(ww=v), w)) < 1e-4
     assert rel_err(gb, fd_grad(lambda v: loss(bb=v), b)) < 1e-4
 
@@ -191,14 +193,14 @@ def test_maxpool_output_within_input_bounds(seed):
 
 def test_fully_connected_examples():
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(ops.fully_connected(x, np.eye(3), np.zeros(3)), x)
+    assert np.array_equal(ops.fully_connected(x[None], np.eye(3), np.zeros(3))[0], x)
     b = np.array([4.0, 5.0])
-    assert np.array_equal(ops.fully_connected(x, np.zeros((2, 3)), b), b)
+    assert np.array_equal(ops.fully_connected(x[None], np.zeros((2, 3)), b)[0], b)
 
 
 def test_fully_connected_mismatch():
     with pytest.raises(ShapeMismatch):
-        ops.fully_connected(np.zeros(4), np.zeros((2, 3)), np.zeros(2))
+        ops.fully_connected(np.zeros((1, 4)), np.zeros((2, 3)), np.zeros(2))
 
 
 def test_fully_connected_gradients_match_fd():
@@ -207,32 +209,43 @@ def test_fully_connected_gradients_match_fd():
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
     g = rng.normal(size=3)
-    gi, gw, gb = ops.fully_connected_backward(g, x, w)
-    assert rel_err(gi, fd_grad(lambda v: float((ops.fully_connected(v, w, b) * g).sum()), x)) < 1e-4
-    assert rel_err(gw, fd_grad(lambda v: float((ops.fully_connected(x, v, b) * g).sum()), w)) < 1e-4
-    assert rel_err(gb, fd_grad(lambda v: float((ops.fully_connected(x, w, v) * g).sum()), b)) < 1e-4
+    gi, gw, gb = ops.fully_connected_backward(g[None], x[None], w)
+
+    def loss(xx=x, ww=w, bb=b):
+        return float((ops.fully_connected(xx[None], ww, bb)[0] * g).sum())
+
+    assert rel_err(gi[0], fd_grad(lambda v: loss(xx=v), x)) < 1e-4
+    assert rel_err(gw, fd_grad(lambda v: loss(ww=v), w)) < 1e-4
+    assert rel_err(gb, fd_grad(lambda v: loss(bb=v), b)) < 1e-4
 
 
 def test_fully_connected_flattens_input():
+    """A multi-axis sample is flattened by its caller, as the network does."""
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3, 2))
     w = rng.normal(size=(5, 12))
-    out = ops.fully_connected(x, w, np.zeros(5))
+    out = ops.fully_connected(x.reshape(1, -1), w, np.zeros(5))[0]
     assert np.allclose(out, w @ x.ravel())
 
 
+def _softmax_one(logits, true_class):
+    """softmax_cross_entropy of one sample, as a batch of one."""
+    probs, losses, grad = ops.softmax_cross_entropy(logits[None], np.array([true_class]))
+    return probs[0], float(losses[0]), grad[0]
+
+
 def test_softmax_symmetry():
-    probs, loss, grad = ops.softmax_cross_entropy(np.zeros(2), 0)
+    probs, loss, grad = _softmax_one(np.zeros(2), 0)
     assert np.allclose(probs, [0.5, 0.5])
     assert abs(loss - np.log(2)) < 1e-12
     assert np.allclose(grad, [-0.5, 0.5])
 
 
 def test_softmax_large_logit_stability():
-    probs, loss, _ = ops.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+    probs, loss, _ = _softmax_one(np.array([1000.0, 0.0]), 0)
     assert np.isfinite(probs).all() and np.isfinite(loss)
     assert loss < 1e-6 and loss >= 0.0
-    probs, loss, _ = ops.softmax_cross_entropy(np.array([1e4, -1e4, 0.0]), 1)
+    probs, loss, _ = _softmax_one(np.array([1e4, -1e4, 0.0]), 1)
     assert np.isfinite(loss) and abs(probs.sum() - 1) < 1e-6
     assert (probs >= 0).all() and (probs <= 1).all()
 
@@ -240,18 +253,18 @@ def test_softmax_large_logit_stability():
 def test_softmax_gradient_matches_fd():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=5)
-    _, _, grad = ops.softmax_cross_entropy(logits, 2)
-    fd = fd_grad(lambda v: ops.softmax_cross_entropy(v, 2)[1], logits)
+    _, _, grad = _softmax_one(logits, 2)
+    fd = fd_grad(lambda v: _softmax_one(v, 2)[1], logits)
     assert rel_err(grad, fd) < 1e-4
 
 
 def test_softmax_contract_errors():
     with pytest.raises(ValueError):
-        ops.softmax_cross_entropy(np.zeros(1), 0)
+        _softmax_one(np.zeros(1), 0)
     with pytest.raises(ValueError, match="row 0: true_class 3 out of range for 3 logits"):
-        ops.softmax_cross_entropy(np.zeros(3), 3)
+        _softmax_one(np.zeros(3), 3)
     with pytest.raises(ValueError, match="row 0: true_class -1 out of range"):
-        ops.softmax_cross_entropy(np.zeros(3), -1)
+        _softmax_one(np.zeros(3), -1)
     # a batch names its first out-of-range row and that row's class
     with pytest.raises(ops.ShapeMismatch, match="row 2: true_class 4 out of range for 3 logits"):
         ops.softmax_cross_entropy(np.zeros((5, 3)), np.array([0, 2, 4, -1, 1]))
@@ -262,14 +275,35 @@ def test_softmax_contract_errors():
 def test_softmax_probability_vector_property(seed):
     rng = np.random.default_rng(seed)
     logits = rng.uniform(-1e4, 1e4, size=rng.integers(2, 8))
-    probs, loss, _ = ops.softmax_cross_entropy(logits, 0)
+    probs, loss, _ = _softmax_one(logits, 0)
     assert abs(probs.sum() - 1.0) < 1e-6
     assert (probs >= 0).all()
     assert loss >= 0.0
 
 
+def test_ops_refuse_unbatched_inputs():
+    """Each op takes only the batched arrays the network passes: a
+    per-sample array is refused with a ShapeMismatch naming its shape."""
+    spec = ConvSpec((2, 2), (1, 1), "valid", 1)
+    w, b, fc_w = np.ones((1, 1, 2, 2)), np.zeros(1), np.ones((3, 6))
+    cases = [
+        ((1, 4, 4), lambda a: ops.conv_forward(a, w, b, spec)),
+        ((1, 4, 4), lambda a: ops.conv_backward(np.ones((1, 3, 3)), a, w, spec)),
+        ((1, 3, 3), lambda a: ops.conv_backward(a, np.ones((1, 1, 4, 4)), w, spec)),
+        ((2, 3), lambda a: ops.fully_connected(a, fc_w, np.zeros(3))),
+        ((6,), lambda a: ops.fully_connected(a, fc_w, np.zeros(3))),
+        ((3,), lambda a: ops.fully_connected_backward(a, np.ones((1, 6)), fc_w)),
+        ((6,), lambda a: ops.fully_connected_backward(np.ones((1, 3)), a, fc_w)),
+        ((4,), lambda a: ops.softmax_cross_entropy(a, np.array([0]))),
+        ((), lambda a: ops.softmax_cross_entropy(np.zeros((1, 4)), a.astype(int))),
+    ]
+    for shape, op in cases:
+        with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
+            op(np.zeros(shape))
+
+
 def test_ops_preserve_dtype():
-    x32 = np.ones((1, 4, 4), dtype=np.float32)
+    x32 = np.ones((1, 1, 4, 4), dtype=np.float32)
     w32 = np.ones((1, 1, 2, 2), dtype=np.float32)
     out = ops.conv_forward(x32, w32, np.zeros(1, np.float32), ConvSpec((2, 2), (1, 1)))
     assert out.dtype == np.float32
@@ -362,10 +396,10 @@ def test_batched_fully_connected_matches_per_sample_reference(batch, sample_shap
     assert y.shape == (batch, width)
     assert rel_err(y, np.stack([R.fully_connected(xi, w, b) for xi in x])) < BATCH_TOL
     g = rng.normal(size=y.shape)
-    gi, gw, gb = ops.fully_connected_backward(g, x, w)
+    gi, gw, gb = ops.fully_connected_backward(g, x.reshape(batch, -1), w)
     ref = [R.fully_connected_backward(gj, xi, w) for gj, xi in zip(g, x)]
-    assert gi.shape == x.shape
-    assert rel_err(gi, np.stack([r[0] for r in ref])) < BATCH_TOL
+    assert gi.shape == (batch, w.shape[1])
+    assert rel_err(gi.reshape(x.shape), np.stack([r[0] for r in ref])) < BATCH_TOL
     assert rel_err(gw, sum(r[1] for r in ref)) < BATCH_TOL
     assert rel_err(gb, sum(r[2] for r in ref)) < BATCH_TOL
 
@@ -463,11 +497,11 @@ def test_batched_fully_connected_and_softmax_gradients_match_fd():
     w = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
     g = rng.normal(size=(3, 4))
-    gi, gw, gb = ops.fully_connected_backward(g, x, w)
+    gi, gw, gb = ops.fully_connected_backward(g, x.reshape(3, -1), w)
     def loss(xx=x, ww=w, bb=b):
         return float((ops.fully_connected(xx.reshape(3, -1), ww, bb) * g).sum())
 
-    assert rel_err(gi, fd_grad(lambda v: loss(xx=v), x)) < 1e-4
+    assert rel_err(gi.reshape(x.shape), fd_grad(lambda v: loss(xx=v), x)) < 1e-4
     assert rel_err(gw, fd_grad(lambda v: loss(ww=v), w)) < 1e-4
     assert rel_err(gb, fd_grad(lambda v: loss(bb=v), b)) < 1e-4
     logits = rng.normal(size=(3, 5))
@@ -478,27 +512,22 @@ def test_batched_fully_connected_and_softmax_gradients_match_fd():
 
 
 def test_fully_connected_batch_of_one_shape_rule():
-    """Only a 2-D (batch, n) input is a batch: (1, n) gives (1, m). Every
-    other shape holding n elements is one sample giving (m,), (1, 2, 3) and
-    (2, 3) against n = 6 included, as per-sample callers always had it."""
+    """A (1, n) input is a batch of one giving (1, m), the bytes of that row
+    in a larger batch, and its backward gives (1, n) and the batch's
+    gradients of that row alone. No other shape holding n elements is
+    taken: (1, 2, 3) and (2, 3) against n = 6 are refused."""
     rng = np.random.default_rng(14)
     w = rng.normal(size=(3, 6))
     b = rng.normal(size=3)
     flat = rng.normal(size=6)
-    single = ops.fully_connected(flat, w, b)
-    assert single.shape == (3,)
     y = ops.fully_connected(flat.reshape(1, 6), w, b)
-    assert y.shape == (1, 3) and np.array_equal(y[0], single)
-    ri, rw, rb = ops.fully_connected_backward(single - 1.0, flat, w)
-    # the backward pass tells a batch by grad_output's rank and shapes
-    # grad_input like the cached input, whatever its axes
-    for cached in (flat.reshape(1, 6), flat.reshape(1, 2, 3)):
-        gi, gw, gb = ops.fully_connected_backward(y - 1.0, cached, w)
-        assert gi.shape == cached.shape and np.array_equal(gi.reshape(-1), ri)
-        assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+    assert y.shape == (1, 3) and np.array_equal(y[0], w @ flat + b)
+    gi, gw, gb = ops.fully_connected_backward(y - 1.0, flat.reshape(1, 6), w)
+    assert gi.shape == (1, 6) and np.array_equal(gi[0], w.T @ (y[0] - 1.0))
+    assert np.array_equal(gw, np.outer(y[0] - 1.0, flat)) and np.array_equal(gb, y[0] - 1.0)
     for sample in (flat.reshape(1, 2, 3), flat.reshape(2, 3), flat.reshape(1, 1, 6)):
-        out = ops.fully_connected(sample, w, b)
-        assert out.shape == (3,) and np.array_equal(out, single)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"input {sample.shape} is not (batch, 6)")):
+            ops.fully_connected(sample, w, b)
     with pytest.raises(ShapeMismatch):
         ops.fully_connected(rng.normal(size=(2, 4)), w, b)
 
@@ -560,7 +589,7 @@ def _check_blocks_match_whole_cast(shape, chunks):
 
 
 @pytest.mark.parametrize("shape,kspec", [
-    ((1, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
+    ((1, 1, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
     ((3, 2, 5, 5), ConvSpec((2, 2), (2, 2), "valid", 2)),
     ((2, 1, 4, 4, 4), ConvSpec((2, 2, 2), (1, 1, 1), "same", 2)),
 ])
@@ -576,13 +605,13 @@ def test_conv_backward_without_input_grad(shape, kspec):
     assert gb2.dtype == gb.dtype and gb2.tobytes() == gb.tobytes()
 
 
-# (input shape, spec): 2-D and 3-D, both paddings, with and without a batch
-# axis; the last one's im2col copy (2 x 36 x 64^2 values) exceeds the scratch
+# (input shape, spec): 2-D and 3-D, both paddings, batches of one to three;
+# the last one's im2col copy (2 x 36 x 64^2 values) exceeds the scratch
 # budget, its padded input and output do not
 _WORKSPACE_CASES = [
     ((3, 2, 9, 8), ConvSpec((2, 2), (1, 1), "same", 4)),
     ((2, 3, 7, 7), ConvSpec((3, 2), (2, 1), "valid", 2)),
-    ((2, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
+    ((1, 2, 6, 6), ConvSpec((2, 2), (1, 1), "same", 3)),
     ((2, 1, 6, 5, 4), ConvSpec((2, 2, 2), (1, 1, 1), "same", 2)),
     ((1, 2, 5, 6, 5), ConvSpec((2, 3, 2), (2, 2, 1), "valid", 3)),
     ((2, 4, 64, 64), ConvSpec((3, 3), (1, 1), "same", 3)),
@@ -708,7 +737,7 @@ def test_conv_forward_slabs_hold_whole_tiles(monkeypatch, spatial, slabs):
     real, calls = ops._im2col, []
     monkeypatch.setattr(ops, "_im2col", lambda windows, ws: calls.append(1) or real(windows, ws))
     rank = len(spatial)
-    x = np.random.default_rng(25).normal(size=(1,) + spatial)
+    x = np.random.default_rng(25).normal(size=(1, 1) + spatial)
     ops.conv_forward(x, np.ones((1, 1) + (1,) * rank), np.zeros(1),
                      ConvSpec((1,) * rank, (1,) * rank, "valid", 1))
     assert len(calls) == slabs
@@ -736,10 +765,10 @@ def test_fully_connected_backward_without_weight_grad(dtype, m, n, batch):
     """weight_grad=False returns None for the weight gradient and keeps the
     bytes of the input and bias gradients."""
     rng = np.random.default_rng(24)
-    lead = () if batch is None else (batch,)
-    x = rng.normal(size=lead + (n,)).astype(dtype)
+    batch = batch or 1  # None: one sample, as a batch of one
+    x = rng.normal(size=(batch, n)).astype(dtype)
     w = rng.normal(size=(m, n)).astype(dtype)
-    g = rng.normal(size=lead + (m,)).astype(dtype)
+    g = rng.normal(size=(batch, m)).astype(dtype)
     gi, gw, gb = ops.fully_connected_backward(g, x, w)
     skipped = ops.fully_connected_backward(g, x, w, weight_grad=False)
     assert gw is not None and skipped[1] is None
