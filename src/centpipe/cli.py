@@ -234,8 +234,9 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
     at a time (each chunk's activations also feed --dump-out), or from an
     activation dump in chunks of the same bound. A checkpoint's chunks run
-    in forked workers, as forward_collect's do (see workers); a dump's run in
-    this process. The dump is written chunk by chunk, in order, once every
+    in forked workers, as forward_collect's do (see workers), and each
+    process keeps one ops.Workspace for all its chunks; a dump's run in this
+    process. The dump is written chunk by chunk, in order, once every
     option and the images have been checked."""
     infotheory.check_binning(cfg["bins"], cfg["range"])
     from_dump = cfg["dump"] is not None
@@ -263,10 +264,11 @@ def cmd_extract(cfg: dict, out: str) -> dict:
                        for i in net.cent_read_points(network.specs, cfg["pre_relu"])]
         parts = net._chunks(network, len(ids))
         processes = net._collect_processes(network, len(ids))
+        workspace = ops.Workspace()  # each process's chunks share its copy
 
         def activations(rows):
             return infotheory.forward_collect(network, dataset.images[rows],
-                                              pre_relu=cfg["pre_relu"])
+                                              pre_relu=cfg["pre_relu"], workspace=workspace)
     clock = time.perf_counter
 
     def features(rows):
@@ -282,7 +284,8 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     seconds = {"forward": 0.0, "cent": 0.0, "write": 0.0}
     blocks = []
     with contextlib.closing(workers.map(features, parts, processes)) as results:
-        for rows, (block, acts, forward_s, cent_s) in zip(parts, results):
+        for rows in parts:  # not a zip: its reused tuple would hold the last acts
+            block, acts, forward_s, cent_s = next(results)
             blocks.append(block)
             start = clock()
             if dump_writer:
@@ -386,6 +389,7 @@ def _class_histogram_sizes(read_shapes, layers, images_per_class: dict, bins: in
 
 def cmd_theory(cfg: dict, out: str) -> dict:
     infotheory.check_binning(cfg["bins"])
+    infotheory.check_slack(cfg["slack"])
     network, dataset = _network_and_dataset(cfg)
     # FilterSelector layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]

@@ -392,14 +392,19 @@ class DpiReport:
     slack: float
 
 
+def check_slack(slack: float) -> None:
+    """Refuse a DPI slack that is not a finite number (ValueError)."""
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
+
+
 def dpi_check(chain, slack: float = 0.02) -> DpiReport:
     """Data-processing inequality on samples from a chain X -> Y -> C.
 
     `chain` carries integer-coded .x, .y, .c arrays. Plug-in MI from
     contingency tables; holds = I(Y;C) <= I(X;C) + slack, a finite number.
     """
-    if not math.isfinite(slack):
-        raise ValueError(f"slack must be finite, got {slack}")
+    check_slack(slack)
     i_xc = mutual_information(contingency_table(chain.x, chain.c))
     i_yc = mutual_information(contingency_table(chain.y, chain.c))
     return DpiReport(float(i_xc), float(i_yc), bool(i_yc <= i_xc + slack), slack)

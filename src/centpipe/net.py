@@ -131,17 +131,27 @@ def _init_params(input_shape, specs, layer_shapes, seed):
             ksize = math.prod(c.kernel)
             fan_in, fan_out = prev[0] * ksize, c.filter_count * ksize
             s = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-s, s, size=(c.filter_count, prev[0]) + c.kernel)
-            params.append((w.astype(np.float32), np.zeros(c.filter_count, np.float32)))
+            w = _uniform(rng, s, (c.filter_count, prev[0]) + c.kernel)
+            params.append((w, np.zeros(c.filter_count, np.float32)))
         elif spec.kind in ("fully_connected", "softmax"):
             n = math.prod(prev)
             s = math.sqrt(6.0 / (n + spec.width))
-            w = rng.uniform(-s, s, size=(spec.width, n))
-            params.append((w.astype(np.float32), np.zeros(spec.width, np.float32)))
+            params.append((_uniform(rng, s, (spec.width, n)), np.zeros(spec.width, np.float32)))
         else:
             params.append(None)
         prev = shape
     return params
+
+
+def _uniform(rng, s: float, shape: tuple[int, ...]) -> np.ndarray:
+    """float32 Uniform[-s, s] draws of `shape`, taken from rng's float64
+    stream in blocks of whole rows within ops._SCRATCH_ELEMENTS: the values
+    of one float64 draw of the whole shape, without that float64 array."""
+    w = np.empty(shape, np.float32)
+    rows = w.reshape(shape[0], -1)
+    for part in ops._row_parts(*rows.shape):
+        rows[part] = rng.uniform(-s, s, size=(part.stop - part.start, rows.shape[1]))
+    return w
 
 
 def build_network(input_shape: tuple[int, ...], specs: list[LayerSpec], seed: int = 0) -> Network:
@@ -199,17 +209,31 @@ def build_desk_2d(input_extent: int, classes: int, seed: int = 0) -> Network:
     return build_network((1, input_extent, input_extent), specs, seed)
 
 
-def _blocks(specs: list[LayerSpec]):
+def _blocks(specs: list[LayerSpec], streamed: bool = False):
     """(first, last) layer index of each block: a conv with its relu/maxpool
-    tail, or any other single layer."""
+    tail, or any other single layer. With streamed, the blocks the network
+    runs: a conv's block ends before the first tail layer that does not act
+    on whole rows of the conv output's first spatial axis (see _by_rows),
+    and that layer starts a block of its own."""
     i = 0
     while i < len(specs):
         j = i
         if specs[i].kind == "conv":
-            while j + 1 < len(specs) and specs[j + 1].kind in ("relu", "maxpool"):
+            rank = len(specs[i].conv.kernel)
+            while (j + 1 < len(specs) and specs[j + 1].kind in ("relu", "maxpool")
+                   and not (streamed and not _by_rows(specs[j + 1], rank))):
                 j += 1
         yield i, j
         i = j + 1
+
+
+def _by_rows(spec: LayerSpec, rank: int) -> bool:
+    """Whether a relu or max-pool after a rank-`rank` conv acts on whole rows
+    of its first spatial axis: a relu does, and so does a valid pool over
+    every spatial axis whose windows tile that axis. A pool whose windows
+    overlap, such as conv-stride-reduces' stride-1 "same" pool, does not."""
+    return spec.kind == "relu" or (len(spec.window) == rank and spec.padding == "valid"
+                                   and spec.stride[0] == spec.window[0])
 
 
 def block_ends(specs: list[LayerSpec]) -> list[int]:
@@ -233,55 +257,182 @@ def cent_read_points(specs: list[LayerSpec], pre_relu: bool = False) -> list[int
             if specs[first].kind in ("conv", "fully_connected")]
 
 
-def _forward_layers(net: Network, x: np.ndarray, workspace: ops.Workspace | None = None):
-    """Run all layers on a (batch, *input_shape) array, returning per-layer
-    batched outputs and backward caches. The convolutions and fully connected
-    ops draw their scratch arrays from `workspace`."""
+def _forward_layers(net: Network, x: np.ndarray, workspace: ops.Workspace | None = None,
+                    reads=None, train: bool = False):
+    """Run all layers on a (batch, *input_shape) array, one block of
+    _blocks(streamed=True) at a time, a conv block slab by slab (see
+    _block_forward). Returns (outs, caches): outs[i] is layer i's batched
+    output for each i in `reads` (every layer, if None) and for the last
+    layer, and None for the others, which are not kept; with train, caches
+    holds each block's backward cache, in block order (else it is empty).
+    The convolutions and fully connected ops draw their scratch arrays from
+    `workspace`."""
     if tuple(x.shape[1:]) != net.input_shape:
         raise ShapeMismatch(f"input {x.shape[1:]} != network input shape {net.input_shape}")
-    outs, caches = [], []
+    keep = set(range(len(net.specs)) if reads is None else reads) | {len(net.specs) - 1}
+    outs: list[np.ndarray | None] = [None] * len(net.specs)
+    caches = []
     cur = x
-    for spec, par in zip(net.specs, net.params):
+    for first, last in _blocks(net.specs, streamed=True):
+        spec, par = net.specs[first], net.params[first]
         if spec.kind == "conv":
-            w, b = par
-            nxt = ops.conv_forward(cur, w, b, spec.conv, workspace=workspace)
-            caches.append(cur)
-        elif spec.kind == "relu":
-            nxt = ops.relu(cur)
-            caches.append(cur)
-        elif spec.kind == "maxpool":
-            nxt, cache = ops.maxpool(cur, spec.window, spec.stride, spec.padding)
-            caches.append(cache)
+            got, cache = _block_forward(net, first, last, cur, workspace, keep, train)
+        elif spec.kind in ("relu", "maxpool"):
+            nxt, cache = _tail_forward(spec, cur, train)
+            got = {first: nxt}
         else:  # fully_connected, or softmax's affine map to logits
-            w, b = par
-            nxt = ops.fully_connected(cur.reshape(len(cur), -1), w, b, workspace=workspace)
-            caches.append(cur)
-        outs.append(nxt)
-        cur = nxt
+            got = {first: ops.fully_connected(cur.reshape(len(cur), -1), *par,
+                                              workspace=workspace)}
+            cache = cur
+        for i in keep & got.keys():
+            outs[i] = got[i]
+        cur = got[last]
+        if train:
+            caches.append(cache)
     return outs, caches
 
 
-def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False
-                    ) -> list[np.ndarray]:
+def _tail_forward(spec: LayerSpec, x: np.ndarray, train: bool):
+    """A relu or max-pool layer on x, with what its backward reads: the
+    relu's > 0 mask (with train only) or the pool cache."""
+    if spec.kind == "relu":
+        return ops.relu(x), (x > 0 if train else None)
+    return ops.maxpool(x, spec.window, spec.stride, spec.padding)
+
+
+def _tail_backward(g: np.ndarray, cache) -> np.ndarray:
+    """The gradient through a relu (cache: its mask, multiplied into g in
+    place) or a max-pool (cache: its PoolCache)."""
+    if isinstance(cache, ops.PoolCache):
+        return ops.maxpool_backward(g, cache)
+    return ops.relu_backward(g, cache)
+
+
+def _slabs(net: Network, first: int, last: int, batch: int) -> list[slice]:
+    """The slabs of output rows (first spatial axis) of the conv at `first`
+    that its block through `last` runs in, for a chunk of `batch` samples:
+    runs of whole windows of the block's max-pools and of whole 16-position
+    tiles (see below), as many as keep the larger of a slab's conv output
+    and im2col copy within ops._SCRATCH_ELEMENTS, and at least one of each.
+    A block within the budget, every desk block among them, runs as one
+    slab."""
+    conv = net.specs[first].conv
+    channels = (net.layer_shapes[first - 1] if first else net.input_shape)[0]
+    out = net.layer_shapes[first]  # (filters, *spatial)
+    rest = math.prod(out[2:])
+    # OpenBLAS sums a partial tile of output positions in another order than
+    # a full one (slabs of 4 positions were seen to change bytes), so a slab
+    # holds a multiple of 16 positions and the slabs give the forward bytes
+    # of one slab; an output whose positions are no such multiple is one slab
+    tile = 16 // math.gcd(rest, 16)
+    if out[1] % tile:
+        return [slice(0, out[1])]
+    window = math.prod(spec.window[0] for spec in net.specs[first + 1:last + 1]
+                       if spec.kind == "maxpool")
+    row = batch * max(conv.filter_count, channels * math.prod(conv.kernel)) * rest
+    return ops._row_parts(out[1], row, math.lcm(window, tile))
+
+
+def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
+                   workspace: ops.Workspace | None, keep: set, train: bool):
+    """Run the conv block first..last of _blocks(streamed=True) on x one
+    slab of output rows at a time (see _slabs): each slab convolves the
+    rows of x it needs, halo included, taken from x padded once (one slab
+    convolves x itself), then runs the tail layers, and its rows of every
+    layer in `keep` and of the block's last layer are written into whole
+    arrays (one slab's arrays are kept as they are). Returns ({layer:
+    output} for those layers, and with train the cache _block_backward
+    reads, else None): the conv's input and spec (padded and "valid" for
+    several slabs), the slices of x in that input (None for one slab), and
+    per slab its input rows, its rows of the block output and its tail
+    layers' caches (the relu's > 0 mask, the pool's argmax)."""
+    w, b = net.params[first]
+    slabs = _slabs(net, first, last, len(x))
+    xp, conv, crop = (ops.pad_input(x, net.specs[first].conv) if len(slabs) > 1
+                      else (x, net.specs[first].conv, None))
+    cache = (xp, conv, crop, [])
+    outs: dict[int, np.ndarray] = {}
+    for rows in slabs:
+        in_rows = _input_rows(rows, conv) if crop else slice(None)
+        cur = ops.conv_forward(xp[:, :, in_rows], w, b, conv, workspace=workspace)
+        tails, lo = [], rows.start
+        for i in range(first, last + 1):
+            if i > first:
+                cur, tail = _tail_forward(net.specs[i], cur, train)
+                tails.append(tail)
+                if net.specs[i].kind == "maxpool":
+                    lo //= net.specs[i].window[0]
+            out_rows = slice(lo, lo + cur.shape[2])
+            if i in keep or i == last:
+                if len(slabs) == 1:
+                    outs[i] = cur
+                else:
+                    if i not in outs:
+                        outs[i] = np.empty((len(x),) + net.layer_shapes[i], cur.dtype)
+                    outs[i][:, :, out_rows] = cur
+        cache[3].append((in_rows, out_rows, tails))
+    return outs, (cache if train else None)
+
+
+def _input_rows(rows: slice, conv: ConvSpec) -> slice:
+    """The input rows (first spatial axis) that output rows `rows` of a
+    "valid" conv read."""
+    return slice(rows.start * conv.stride[0], (rows.stop - 1) * conv.stride[0] + conv.kernel[0])
+
+
+def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool,
+                    workspace: ops.Workspace | None):
+    """(grad_input, grad_filters, grad_bias) of a conv block from the float64
+    gradient g of its output, slab by slab in the forward's slabs: each
+    slab's rows of g run back through its tail layers and then
+    conv_backward. The filter and bias gradients, and the input-gradient
+    slabs, are added in slab order; with input_grad=False grad_input is
+    None and no input gradient is computed."""
+    xp, conv, crop, slabs = cache
+    gx = np.zeros(xp.shape) if input_grad and crop else None
+    gw = gb = None
+    for in_rows, out_rows, tails in slabs:
+        gs = g[:, :, out_rows]
+        for tail in reversed(tails):
+            gs = _tail_backward(gs, tail)
+        gi, gws, gbs = ops.conv_backward(gs, xp[:, :, in_rows].astype(np.float64), w, conv,
+                                         input_grad=input_grad, workspace=workspace)
+        if gw is None:
+            gw, gb = gws, gbs
+        else:
+            gw += gws
+            gb += gbs
+        if gx is not None:
+            gx[:, :, in_rows] += gi
+    return (gi if gx is None else gx[crop]), gw, gb
+
+
+def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
+                    workspace: ops.Workspace | None = None) -> list[np.ndarray]:
     """One (n, *read_shape) array per CENT read point, in read order, for
     (n, *input_shape) images, filled one chunk of _chunk_size(net) images at a
     time. Activations default to post-ReLU block outputs; pre_relu reads the
-    raw conv outputs instead (ablation switch). The chunks run in forked
-    workers (see workers), one per usable CPU, each with its own
-    ops.Workspace; the arrays do not depend on their number.
+    raw conv outputs instead (ablation switch). Only the read points' arrays
+    are kept: a conv block runs slab by slab (see _block_forward), and its
+    raw conv output is assembled only when pre_relu reads it. The chunks run in
+    forked workers (see workers), one per usable CPU, each process with its
+    own copy of `workspace` (a fresh one if None), which its chunks share;
+    the arrays do not depend on their number.
     """
     points = cent_read_points(net.specs, pre_relu)
     acts = [np.empty((len(images),) + net.layer_shapes[i], images.dtype) for i in points]
     parts = _chunks(net, len(images))
-    workspace = ops.Workspace()
+    workspace = workspace or ops.Workspace()
 
     def collect(part):
-        outs = _forward_layers(net, images[part], workspace)[0]
+        outs = _forward_layers(net, images[part], workspace, points)[0]
         return [outs[i] for i in points]  # the rest is not held while the next chunk runs
 
-    processes = _collect_processes(net, len(images))
-    for part, outs in zip(parts, workers.map(collect, parts, processes)):
-        for act, out in zip(acts, outs):
+    # no zip over the results: its reused result tuple would hold a chunk's
+    # arrays while the next chunk runs
+    results = workers.map(collect, parts, _collect_processes(net, len(images)))
+    for part in parts:
+        for act, out in zip(acts, next(results)):
             act[part] = out
     return acts
 
@@ -290,33 +441,30 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
                     workspace: ops.Workspace | None = None):
     """Per-sample losses of a (batch, *input_shape) chunk and its float64
     parameter gradients {layer: (weights, bias)} summed over the chunk: one
-    forward and one backward op call per layer, drawing scratch arrays from
-    `workspace`. A fully connected layer's weight gradient is left as its
-    factors (g, x): the (batch, m) upstream gradient and the (batch, n)
-    flattened input, whose product g.T @ x it is."""
-    outs, caches = _forward_layers(net, x, workspace)
+    forward and one backward pass per block (a conv block slab by slab, see
+    _block_forward), drawing scratch arrays from `workspace`. A fully
+    connected layer's weight gradient is left as its factors (g, x): the
+    (batch, m) upstream gradient and the (batch, n) flattened input, whose
+    product g.T @ x it is."""
+    outs, caches = _forward_layers(net, x, workspace, (), train=True)
     _, losses, grad = ops.softmax_cross_entropy(outs[-1], labels)
     del outs  # the backward pass needs only the caches, freed as it goes
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad.astype(np.float64)
-    for i in range(len(net.specs) - 1, -1, -1):
-        spec, cache = net.specs[i], caches.pop()
+    for first, _ in reversed(list(_blocks(net.specs, streamed=True))):
+        spec, cache = net.specs[first], caches.pop()
         if spec.kind == "conv":
-            w, _ = net.params[i]
             # layer 0's input is the image: no gradient for it is needed
-            g, gw, gb = ops.conv_backward(g, cache.astype(np.float64), w, spec.conv,
-                                          input_grad=i > 0, workspace=workspace)
-            grads[i] = (gw, gb)
-        elif spec.kind == "relu":
-            g = ops.relu_backward(g, cache)  # in place: nothing reads the old g
-        elif spec.kind == "maxpool":
-            g = ops.maxpool_backward(g, cache)
+            g, gw, gb = _block_backward(net.params[first][0], g, cache, first > 0, workspace)
+            grads[first] = (gw, gb)
+        elif spec.kind in ("relu", "maxpool"):
+            g = _tail_backward(g, cache)
         else:  # fully_connected or softmax affine
-            w, _ = net.params[i]
+            w, _ = net.params[first]
             x = cache.astype(np.float64).reshape(len(cache), -1)
             grad_input, _, gb = ops.fully_connected_backward(g, x, w, workspace=workspace,
                                                              weight_grad=False)
-            grads[i] = ((g, x), gb)
+            grads[first] = ((g, x), gb)
             g = grad_input.reshape(cache.shape)
     return losses, grads
 
@@ -376,13 +524,14 @@ def _summed(parts: list[np.ndarray]) -> np.ndarray:
 
 def _fc_sgd_step(weights: np.ndarray, factors: list, scale: float,
                  workspace: ops.Workspace) -> np.ndarray:
-    """_sgd_step on the fully connected weights with the float64 gradient
-    sum of g.T @ x over the chunks' (g, x) factors, added in chunk order,
-    without that (m, n) array: it is rebuilt one block of whole rows at a
-    time, each block at most ops._SCRATCH_ELEMENTS values in `workspace`.
-    Weights within that budget are one block, the chunks' own GEMMs."""
+    """_sgd_step on the fully connected weights, in place, with the float64
+    gradient sum of g.T @ x over the chunks' (g, x) factors, added in chunk
+    order, without that (m, n) array: it is rebuilt one block of whole rows
+    at a time, each block at most ops._SCRATCH_ELEMENTS values in
+    `workspace`, and each block of the weights is read before it is
+    written. Weights within that budget are one block, the chunks' own
+    GEMMs. Returns `weights`."""
     m, n = weights.shape
-    new = np.empty_like(weights)
     # blocks of at least two rows: numpy runs one row as a matrix-vector
     # product, which BLAS sums in another order than the GEMM
     for rows in ops._row_parts(m, n, 2):
@@ -398,8 +547,8 @@ def _fc_sgd_step(weights: np.ndarray, factors: list, scale: float,
                 np.matmul(g[:, rows].T, x, out=product)
             if ci:
                 grad += product
-        _sgd_step(weights[rows], grad, scale, out=new[rows])
-    return new
+        _sgd_step(weights[rows], grad, scale, out=weights[rows])
+    return weights
 
 
 @dataclass(frozen=True)
@@ -428,21 +577,27 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     order. A batch's chunks run in forked workers, one per usable CPU (see
     workers), and the losses are checked and the gradients summed in chunk
     order in the calling process, so no byte depends on the number of
-    workers. A fully connected layer's weight gradient stays factored until
-    the step (see _fc_sgd_step), so no (m, n) float64 weight gradient is
-    made, per chunk or summed. One ops.Workspace lives for the whole call,
-    so the kernels and the gradient blocks reuse their scratch arrays of at
-    most ops._SCRATCH_ELEMENTS values from chunk to chunk instead of
-    allocating them. Scratch above that budget is still allocated per call:
-    at reference3d's sizes, the padded conv inputs, conv_backward's
-    whole-array im2col copy and col2im buffer, and fully_connected's
-    16x40960 float64 weight blocks. Returns (net, per-epoch mean loss) and
-    calls on_epoch(epoch, mean_loss, workspace_bytes, processes), if given,
-    after each epoch, with the bytes of scratch the calling process's
-    workspace then keeps and the most processes a batch of the epoch ran
-    in. Raises
-    TrainingDiverged naming the epoch, the batch and the dataset index of the
-    first sample whose loss is not finite.
+    workers. A conv block above the scratch budget runs forward and
+    backward one slab of output rows at a time (see _block_forward), keeping
+    for the backward only its padded input, the relu's > 0 mask and the
+    pool's argmax, so a 64^3 volume makes no whole 10x64^3 conv output,
+    relu output, pool gradient or im2col copy. A fully connected layer's
+    weight gradient stays factored until the step, which writes the new
+    weights in place (see _fc_sgd_step), so no (m, n) float64 weight
+    gradient and no second weight array is made. One ops.Workspace lives
+    for the whole call, so the kernels and the gradient blocks reuse their
+    scratch arrays of at most ops._SCRATCH_ELEMENTS values from chunk to
+    chunk and from slab to slab instead of allocating them. Still allocated
+    per call at reference3d's sizes are the padded block inputs, the second
+    block's float64 input gradient (10x33^3 values), its slabs' im2col
+    copies (one pool window of rows, 80x2048 values, exceeds the budget)
+    and fully_connected's 16x40960 float64 weight blocks, one at a time.
+    Returns (net, per-epoch mean loss) and calls on_epoch(epoch, mean_loss,
+    workspace_bytes, processes), if given, after each epoch, with the bytes
+    of scratch the calling process's workspace then keeps and the most
+    processes a batch of the epoch ran in. Raises TrainingDiverged naming
+    the epoch, the batch and the dataset index of the first sample whose
+    loss is not finite.
     """
     images, labels = np.asarray(dataset.images), np.asarray(dataset.labels)
     n = len(images)

@@ -16,14 +16,15 @@ gradients summed over the batch, which is what one SGD step needs.
 Convolution forward and backward run as im2col GEMMs: one matmul call covers
 the whole batch, one GEMM per sample inside it.
 
-One scratch budget, _SCRATCH_ELEMENTS (1 MB of float64), bounds every part a
-kernel is cut into, and _row_parts makes every cut: conv_forward builds its
-im2col copy and GEMM output one slab of output rows at a time, and
-fully_connected (whole rows) and its backward (whole columns) cast the
-float32 weights to float64 in blocks of a multiple of 16, so no float64 copy
-of a large weight matrix is made. The backward's filter gradient reduces over
-every position, so conv_backward keeps one whole im2col copy (17 MB for one
-64^3 sample). Batched temporaries grow with the batch, so training and
+One scratch budget, _SCRATCH_ELEMENTS (1 MB of float64), bounds every part
+the work is cut into, and _row_parts makes every cut. The convolutions run
+on what they are given as one GEMM; the network cuts a conv block (conv,
+relu, max-pool) above the budget into slabs of output rows before it calls
+them (net._block_forward), so a 64^3 volume's convolutions never build a
+whole im2col copy, GEMM output or col2im buffer. fully_connected (whole
+rows) and its backward (whole columns) cast the float32 weights to float64
+in blocks of a multiple of 16, so no float64 copy of a large weight matrix
+is made. Batched temporaries grow with the batch, so training and
 net.forward_collect cap a chunk's largest activation at the same budget
 (net._chunk_size). The chunks run in forked workers, one per usable CPU
 (see workers), each process with OpenBLAS on one thread and a Workspace of
@@ -37,28 +38,29 @@ its factors at the step. maxpool_backward routes every window's gradient to
 its argmax with one np.bincount.
 
 Training reuses its scratch memory. A Workspace holds the convolutions'
-float64 padded input ("pad"), im2col copy or slab ("cols"), GEMM output
-("out") and col2im buffer ("gpad"), the fully connected ops' float64 weight
-blocks ("fc"), and net.train's weight gradient blocks ("gw", "gw_part"),
-keyed by role and shape; the kernels write into them through np.copyto and
-out=, which is the same arithmetic, so the bytes do not change. A Workspace
-keeps every array within the budget, and net.train keeps one for its whole
-call (a forked worker gets a copy of it): every desk array is reused, and so are a 64^3 volume's forward slabs,
+float64 padded input ("pad"), im2col copy ("cols"), GEMM output ("out") and
+col2im buffer ("gpad"), the fully connected ops' float64 weight blocks
+("fc"), and net.train's weight gradient blocks ("gw", "gw_part"), keyed by
+role and shape; the kernels write into them through np.copyto and out=,
+which is the same arithmetic, so the bytes do not change. A Workspace keeps
+every array within the budget, and net.train keeps one for its whole call
+and net.forward_collect for all its chunks (a forked worker gets a copy of
+it): every desk array is reused, and so are a 64^3 volume's slab arrays,
 its backward fc weight blocks and every fc weight gradient block. Still
-allocated per call are a 64^3 volume's padded conv inputs (65^3 and 10x33^3
-values), its backward's whole im2col copy and col2im buffer, and its fc
-forward's 16x40960 weight blocks (blocks of 1 or 2 rows were seen to change
-bytes). A call without a workspace gets a throwaway one, and no op returns
-workspace memory. relu_backward multiplies in place into the upstream
-gradient, which the training loop never reads again. centpipe train's
-per-epoch stderr line reports the minor page faults this saves.
+allocated per call are the im2col copies of its layer-1 slabs (one pool
+window of rows, 80x2048 values, exceeds the budget) and its fc forward's
+16x40960 weight blocks, one at a time (blocks of 1 or 2 rows were seen to
+change bytes). A call without a workspace gets a throwaway one, and no op
+returns workspace memory. relu_backward multiplies in place into the
+upstream gradient, which the training loop never reads again. centpipe
+train's per-epoch stderr line reports the minor page faults this saves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -132,11 +134,13 @@ _SCRATCH_ELEMENTS = 1 << 17
 
 class Workspace:
     """Float64 scratch arrays for the kernels, one per (role, shape), reused
-    across calls. Only arrays of at most _SCRATCH_ELEMENTS values (read when
-    `take` runs) are kept; a larger one is allocated for the call that takes
-    it. A kernel overwrites what it takes, so no kernel returns workspace
-    memory. A call without a workspace gets a throwaway one, which its own
-    slabs and blocks still reuse within that call.
+    across calls: from block to block of a fully connected op, from slab to
+    slab of a conv block and from chunk to chunk. Only arrays of at most
+    _SCRATCH_ELEMENTS values (read when `take` runs) are kept; a larger one
+    is allocated for the call that takes it. A kernel overwrites what it
+    takes, so no kernel returns workspace memory. A call without a
+    workspace gets a throwaway one, which its own blocks still reuse within
+    that call.
     """
 
     def __init__(self):
@@ -167,27 +171,47 @@ def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
-def _pad(x: np.ndarray, spec: ConvSpec, out, ws: Workspace) -> tuple[np.ndarray, list]:
-    """The workspace's float64 "pad" array holding the (batch, C, *spatial)
-    input, zero-padded for "same", and the per-axis (before, after) padding."""
+def _padding(x: np.ndarray, spec: ConvSpec) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """The shape of the (batch, C, *spatial) input x zero-padded as spec's
+    padding asks, and the slices of x's place in it."""
     spatial = x.shape[2:]
-    if spec.padding == "same":
-        pads = _pad_amounts(spatial, spec.kernel, spec.stride, out)
-    else:
+    if spec.padding == "valid":
         _require(all(s >= k for s, k in zip(spatial, spec.kernel)),
                  f"kernel {spec.kernel} exceeds input extent {spatial}")
         pads = [(0, 0)] * len(spatial)
-    xw = ws.take("pad", x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)))
-    if any(b or a for b, a in pads):
+    else:
+        pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
+    return (x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)),
+            (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial)))
+
+
+def pad_input(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
+    """x zero-padded once as spec's padding asks (x itself for "valid"), in
+    x's dtype, the "valid" spec that gives spec's output on it, and the
+    slices of x's place in it."""
+    shape, crop = _padding(x, spec)
+    if spec.padding == "valid":
+        return x, spec, crop
+    xp = np.zeros(shape, x.dtype)
+    xp[crop] = x
+    return xp, replace(spec, padding="valid"), crop
+
+
+def _pad(x: np.ndarray, spec: ConvSpec, ws: Workspace) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """The workspace's float64 "pad" array holding x zero-padded as spec's
+    padding asks, and the slices of x's place in it."""
+    shape, crop = _padding(x, spec)
+    xw = ws.take("pad", shape)
+    if shape != x.shape:
         xw.fill(0)
-    np.copyto(xw[(slice(None), slice(None)) + _crop(pads, spatial)], x)
-    return xw, pads
+    np.copyto(xw[crop], x)
+    return xw, crop
 
 
 def _im2col(windows: np.ndarray, ws: Workspace) -> np.ndarray:
     """The workspace's float64 (batch, C * kernel, positions) "cols" copy of
-    a (batch, C, *positions, *kernel) window view of the padded input, all
-    of _spatial_windows' or a slab of it."""
+    _spatial_windows' (batch, C, *positions, *kernel) view of the padded
+    input."""
     rank = (windows.ndim - 2) // 2
     # copied with the output positions innermost: long contiguous runs
     order = [0, 1] + list(range(rank + 2, 2 * rank + 2)) + list(range(2, rank + 2))
@@ -198,22 +222,15 @@ def _im2col(windows: np.ndarray, ws: Workspace) -> np.ndarray:
     return cols
 
 
-def _crop(pads, spatial) -> tuple[slice, ...]:
-    """Per-axis slices of the unpadded extent inside a padded one."""
-    return tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
-
-
 def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
                  spec: ConvSpec, workspace: Workspace | None = None) -> np.ndarray:
     """Cross-correlate (batch, channels, *spatial) input with
     (F, channels, *kernel) filters.
 
     Returns (batch, F, *out_spatial); each element is the windowed dot
-    product plus bias. The output is computed in slabs of whole rows of its
-    first spatial axis, each slab's im2col copy and GEMM output at most
-    _SCRATCH_ELEMENTS values where whole 16-position tiles allow (see
-    below); the slabs give the bytes of one GEMM over the whole output.
-    Scratch arrays come from `workspace`.
+    product plus bias. Scratch arrays come from `workspace`; the network
+    cuts a large convolution into slabs of output rows before it calls this
+    (see net._block_forward).
     """
     rank = len(spec.kernel)
     _require(x.ndim == rank + 2,
@@ -232,27 +249,15 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
 
     out = _out_extent(x.shape[2:], spec.kernel, spec.stride, spec.padding)
     ws = workspace or Workspace()
-    windows = _spatial_windows(_pad(x, spec, out, ws)[0], spec.kernel, spec.stride)
+    cols = _im2col(_spatial_windows(_pad(x, spec, ws)[0], spec.kernel, spec.stride), ws)
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
-    b64 = bias.astype(np.float64, copy=False)[:, None]
-    y = np.empty((len(x), spec.filter_count) + out, x.dtype)
-    rest = math.prod(out[1:])
-    # OpenBLAS sums a partial tile of output positions in another order than
-    # a full one (slabs of 4 positions were seen to change bytes), so a slab
-    # holds a multiple of 16 positions, whole tiles of its double kernels,
-    # and an output whose positions are no such multiple runs as one slab
-    align = 16 // math.gcd(rest, 16)
-    slabs = (_row_parts(out[0], len(x) * max(fw.shape) * rest, align)
-             if out[0] % align == 0 else [slice(0, out[0])])
-    for rows in slabs:
-        cols = _im2col(windows[:, :, rows], ws)
-        # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample,
-        # in one matmul call over the batch, straight into (B, F, positions)
-        ys = ws.take("out", (len(x), spec.filter_count, cols.shape[2]))
-        np.matmul(fw, cols, out=ys)
-        ys += b64
-        y[:, :, rows] = ys.reshape(y[:, :, rows].shape)  # a cast copy: ys is workspace memory
-    return y
+    # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample, in
+    # one matmul call over the batch, straight into (B, F, positions)
+    y = ws.take("out", (len(x), spec.filter_count, cols.shape[2]))
+    np.matmul(fw, cols, out=y)
+    y += bias.astype(np.float64, copy=False)[:, None]
+    # a cast copy: y is workspace memory
+    return y.reshape((len(x), spec.filter_count) + out).astype(x.dtype)
 
 
 def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
@@ -278,7 +283,7 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     g = grad_output.astype(np.float64, copy=False).reshape(batch, spec.filter_count, -1)
     grad_bias = g.sum(axis=(0, 2))
     ws = workspace or Workspace()
-    xw, pads = _pad(cached_input, spec, out, ws)
+    xw, crop = _pad(cached_input, spec, ws)
     cols = _im2col(_spatial_windows(xw, spec.kernel, spec.stride), ws)
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
@@ -295,7 +300,7 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     for offset in itertools.product(*(range(k) for k in spec.kernel)):
         sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, spec.stride, out))
         gpad[(slice(None), slice(None)) + sl] += dcols[(slice(None), slice(None)) + offset]
-    grad_input = gpad[(slice(None), slice(None)) + _crop(pads, cached_input.shape[2:])]
+    grad_input = gpad[crop]
     # a copy: gpad is workspace memory
     return grad_input.astype(dt), grad_filters, grad_bias
 
@@ -307,10 +312,15 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(grad_output: np.ndarray, cached_input: np.ndarray) -> np.ndarray:
     """Pass-through where the cached input was strictly positive, zero elsewhere.
 
-    Multiplies in place: the result is grad_output itself, overwritten."""
+    cached_input is the relu's input or its > 0 mask as bool, which the
+    network keeps instead (a mask is true where it is positive). Multiplies
+    in place: the result is grad_output itself, overwritten."""
     _require(grad_output.shape == cached_input.shape,
              f"grad_output {grad_output.shape} != input {cached_input.shape}")
-    return np.multiply(grad_output, cached_input > 0, out=grad_output)
+    # compared with a zero of its own dtype: a bool mask against 0 would go
+    # through numpy's integer loop, several times slower than the bool one
+    zero = cached_input.dtype.type(0)
+    return np.multiply(grad_output, cached_input > zero, out=grad_output)
 
 
 @dataclass(frozen=True)
@@ -430,6 +440,7 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         block = ws.take("fc", weights[rows].shape)
         np.copyto(block, weights[rows])
         np.matmul(block, flat_t, out=y[rows])
+        del block  # one above the budget is freed before the next is taken
     y += bias.astype(np.float64, copy=False)[:, None]
     return y.T.astype(x.dtype, order="C", copy=False)
 

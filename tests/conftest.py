@@ -1,6 +1,7 @@
 """Shared test helpers: finite-difference oracles and small trained fixtures."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def use_cpus(monkeypatch, count, every_map=False):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     if every_map:
         monkeypatch.setattr(workers, "MIN_WORK", 0)
+
+
+def traced_peak(fn) -> int:
+    """The peak of the bytes tracemalloc traces while fn() runs; it sees
+    this process only."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_no_child_left():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centpipe import cli, data_io, infotheory, net
+from centpipe import cli, data_io, infotheory, net, ops
 
 from conftest import assert_no_child_left, use_cpus, write_reference_dump
 
@@ -417,7 +417,7 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
     use_cpus(monkeypatch, 1)
     calls, collected = [], []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, *rest: calls.append(len(x)) or forward(nw, x, *rest))
     collect = infotheory.forward_collect  # the binding the benchmark's tracer wraps
     monkeypatch.setattr(infotheory, "forward_collect",
                         lambda nw, x, **kw: collected.append(len(x)) or collect(nw, x, **kw))
@@ -434,6 +434,27 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
     assert (tmp_path / "f" / "features.csv").read_bytes() == open(pipeline["features"], "rb").read()
     if dump_out:
         assert _tree_bytes(tmp_path / "dump") == _tree_bytes(pipeline["dump"])
+
+
+def test_extract_keeps_one_workspace_for_its_chunks(pipeline, tmp_path, monkeypatch):
+    """A one-process extract over the 2 chunks of the 20-image set makes one
+    ops.Workspace, which every chunk's forward pass shares, and writes the
+    pipeline fixture's features."""
+    use_cpus(monkeypatch, 1)
+    made = []
+
+    class Counted(ops.Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(ops, "Workspace", Counted)
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                              pipeline["ckpt"], "--data", pipeline["data"]])
+    assert code == 0, err
+    assert json.loads(out)["counters"]["chunks"] == 2
+    assert len(made) == 1
+    assert (tmp_path / "f" / "features.csv").read_bytes() == open(pipeline["features"], "rb").read()
 
 
 def _tree_bytes(root) -> dict:
@@ -778,7 +799,7 @@ def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monke
     use_cpus(monkeypatch, 1)
     calls = []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, *rest: calls.append(len(x)) or forward(nw, x, *rest))
     code, _, err = run_cli(["theory", "--out", str(tmp_path / "t"), "--checkpoint", pipeline["ckpt"],
                             "--data", pipeline["data"], "--chain-n", "20000"])
     assert code == 0, err
@@ -853,8 +874,7 @@ def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, m
     assert code == 2 and out == ""
     assert f"error: {named} must be" in err
     assert not (tmp_path / "t" / "theory_report.json").exists()
-    if flag == "--bins":  # refused before the forward pass
-        assert passes == []
+    assert passes == []  # refused before the forward pass
 
 
 @pytest.mark.parametrize("layer", ["3", "5", "-1"])

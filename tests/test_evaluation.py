@@ -1,7 +1,5 @@
 """Fold construction, ROC/AUC arithmetic, and cross-validation behavior."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from centpipe.evaluation import (Metrics, RocCurve, auc, cross_validate,
                                  roc_curve, write_metrics_csv, write_roc_csv)
 from centpipe.forest import ForestConfig, fit, predict_proba_many
 
+from conftest import traced_peak
 from reference_stats import mann_whitney
 
 
@@ -223,13 +222,8 @@ def test_cross_validate_memory_stays_bounded():
     features = rng.normal(size=(300, 21))
     labels = rng.permutation(np.arange(300) % 2)  # shuffled labels grow deep trees
     plan = kfold_split(labels, k=5, seed=0)
-    tracemalloc.start()
-    try:
-        cross_validate(features, labels, ForestConfig(tree_count=100, seed=0), plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert traced_peak(lambda: cross_validate(features, labels,
+                                              ForestConfig(tree_count=100, seed=0), plan)) <= 4 * 2**20
 
 
 def test_metrics_contract():

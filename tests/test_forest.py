@@ -2,7 +2,6 @@
 
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, 
 from centpipe.evaluation import kfold_split
 from centpipe.infotheory import NonFiniteError
 
-from conftest import assert_no_child_left, use_cpus
+from conftest import assert_no_child_left, traced_peak, use_cpus
 
 
 # --- reference: one tree at a time, one node and one feature at a time ------
@@ -411,13 +410,7 @@ def test_fit_memory_stays_bounded(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(240, 21))
     y = rng.permutation(np.arange(240) % 2)  # shuffled labels grow deep trees
-    tracemalloc.start()
-    try:
-        fit(X, y, ForestConfig(tree_count=100, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert traced_peak(lambda: fit(X, y, ForestConfig(tree_count=100, seed=0))) <= 4 * 2**20
 
 
 def _tree_bytes(model):

@@ -2,7 +2,6 @@
 
 import copy
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
 from centpipe.ops import ShapeMismatch
 
 import reference_ops as R
-from conftest import assert_no_child_left, small_dataset, use_cpus
+from conftest import assert_no_child_left, small_dataset, traced_peak, use_cpus
 
 
 def test_reference_3d_shape_trace():
@@ -92,7 +91,7 @@ def test_forward_collect_batched_equals_per_image(monkeypatch, pre_relu, chunks)
     monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", largest * -(-n // chunks))
     calls = []
     forward = net._forward_layers
-    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, ws=None: calls.append(len(x)) or forward(nw, x, ws))
+    monkeypatch.setattr(net, "_forward_layers", lambda nw, x, *rest: calls.append(len(x)) or forward(nw, x, *rest))
     batched = net.forward_collect(network, dataset.images, pre_relu=pre_relu)
     assert len(calls) == chunks and sum(calls) == n
     for i, acts in enumerate(per_image):
@@ -395,10 +394,11 @@ def test_checkpoint_reproduces_byte_identical_files(tmp_path):
 
 
 def _materialised_train(network, dataset, config, chunk):
-    """The training loop with every weight gradient materialised: each
-    chunk's fully connected weight gradient is fully_connected_backward's
-    g.T @ x, the chunks' float64 gradients are summed in chunk order, and
-    each parameter steps to float32(param - scale * grad) in float64."""
+    """The training loop with every weight gradient materialised, through
+    the ops layer by layer on whole arrays: each chunk's fully connected
+    weight gradient is fully_connected_backward's g.T @ x, the chunks'
+    float64 gradients are summed in chunk order, and each parameter steps
+    to float32(param - scale * grad) in float64."""
     rng = np.random.default_rng(config.seed)
     n = len(dataset.images)
     for _ in range(config.epochs):
@@ -408,8 +408,18 @@ def _materialised_train(network, dataset, config, chunk):
             total = {}
             for lo in range(0, len(batch), chunk):
                 part = batch[lo:lo + chunk]
-                outs, caches = net._forward_layers(network, dataset.images[part])
-                g = ops.softmax_cross_entropy(outs[-1], dataset.labels[part])[2].astype(np.float64)
+                cur, caches = dataset.images[part], []
+                for spec, par in zip(network.specs, network.params):
+                    caches.append(cur)
+                    if spec.kind == "conv":
+                        cur = ops.conv_forward(cur, *par, spec.conv)
+                    elif spec.kind == "relu":
+                        cur = ops.relu(cur)
+                    elif spec.kind == "maxpool":
+                        cur, caches[-1] = ops.maxpool(cur, spec.window, spec.stride, spec.padding)
+                    else:
+                        cur = ops.fully_connected(cur.reshape(len(cur), -1), *par)
+                g = ops.softmax_cross_entropy(cur, dataset.labels[part])[2].astype(np.float64)
                 for i in range(len(network.specs) - 1, -1, -1):
                     spec, cache = network.specs[i], caches[i]
                     if spec.kind == "relu":
@@ -443,7 +453,10 @@ def _materialised_train(network, dataset, config, chunk):
     (32, 3 * 10 * 32 * 32, None, 3),
     (32, None, None, 10),
     (64, None, None, 3),           # 128 x 2560 fc weights exceed the budget
-    (32, 3 * 10 * 32 * 32, 20000, 3),  # so do 128 x 640 ones under 20000
+    # so do 128 x 640 ones under 20000, which also cuts both conv blocks
+    # into 2 slabs: their float64 gradients differ in the last bits from
+    # whole arrays, and the float32 weights still round to the same bytes
+    (32, 3 * 10 * 32 * 32, 20000, 3),
     (32, 3 * 10 * 32 * 32, 127 * 640, 3),  # and leave one row over 127
     # the chunk bound is the scratch budget itself
     (32, None, 10 * 32 * 32, 1),       # 16-row blocks
@@ -477,22 +490,23 @@ def test_factored_fc_gradients_train_to_materialised_bytes(
     assert (tmp_path / "trained.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
 
 
-def test_reference3d_training_chunk_memory_stays_bounded():
+def test_reference3d_training_chunk_memory_stays_bounded(monkeypatch):
     """One reference3d training step on one 64^3 volume keeps its traced
-    peak under 60 MB: no 128 x 40960 float64 weight gradient (42 MB) and no
-    whole 64^3 im2col copy in the forward (17 MB) is made. A training that
-    materialises them peaks near 87 MB."""
+    peak under 32 MB: no 128 x 40960 float64 weight gradient (42 MB), no
+    second fc weight array at the step (21 MB), and no whole 10x64^3 conv
+    output, relu output, pool gradient or im2col copy is made (the blocks
+    run slab by slab). So do forward_collect of 4 volumes in one process,
+    under 32 MB, and building the network, under 30 MB: its fc weights are
+    drawn in row blocks, without a 42 MB float64 draw. Whole-array blocks
+    peaked at 52.6, 50.9 and 62.9 MB."""
+    use_cpus(monkeypatch, 1)  # tracemalloc sees only this process
     rng = np.random.default_rng(26)
-    dataset = data_io.LabeledDataset(rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32),
-                                     np.array([1]), ("a", "b"))
+    volumes = rng.normal(size=(4, 1, 64, 64, 64)).astype(np.float32)
+    dataset = data_io.LabeledDataset(volumes[:1], np.array([1]), ("a", "b"))
     network = net.build_reference_3d(seed=26)
-    tracemalloc.start()
-    try:
-        net.train(network, dataset, TrainConfig(0.05, 1, 1, seed=26))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 60e6, peak
+    assert traced_peak(lambda: net.train(network, dataset, TrainConfig(0.05, 1, 1, seed=26))) < 32e6
+    assert traced_peak(lambda: net.forward_collect(network, volumes)) < 32e6
+    assert traced_peak(lambda: net.build_reference_3d(seed=26)) < 30e6
 
 
 @pytest.mark.parametrize("n,chunks,scratch_elements", [
@@ -504,7 +518,7 @@ def test_reference3d_training_chunk_memory_stays_bounded():
 def test_fc_gradient_blocks_hold_the_materialised_sum(monkeypatch, n, chunks, scratch_elements):
     """The float64 gradient blocks _fc_sgd_step hands to _sgd_step are, in
     row order, the bytes of each chunk's g.T @ x summed in chunk order, and
-    the weights it returns are that gradient's SGD step."""
+    the weights it steps in place are that gradient's SGD step."""
     if scratch_elements is not None:
         monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
     rng = np.random.default_rng(27)
@@ -520,10 +534,12 @@ def test_fc_gradient_blocks_hold_the_materialised_sum(monkeypatch, n, chunks, sc
         return real(param, grad, scale, out)
 
     monkeypatch.setattr(net, "_sgd_step", capturing)
+    before = weights.copy()  # the step writes the weights in place
     stepped = net._fc_sgd_step(weights, factors, 0.01, ops.Workspace())
+    assert stepped is weights
     assert min(len(block) for block in blocks) >= 2
     assert np.concatenate(blocks).tobytes() == want.tobytes()
-    assert stepped.tobytes() == real(weights, want, 0.01).tobytes()
+    assert stepped.tobytes() == real(before, want, 0.01).tobytes()
 
 
 def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
@@ -617,3 +633,59 @@ def test_forward_collect_bytes_do_not_depend_on_the_worker_count(monkeypatch, pr
         runs.append([(a.dtype.str, a.shape, a.tobytes()) for a in acts])
         assert_no_child_left()
     assert runs[0] == runs[1] == runs[2]
+
+
+def _stride_reduces_3d(seed):
+    """A small 3D stack of conv-stride-reduces' blocks, whose stride-1
+    "same" pools overlap: 16^3 -> 4x8^3 -> 4x4^3 -> 8 -> 2."""
+    block = lambda f: net._conv_block(f, (2, 2, 2), (2, 2, 2), "valid", (1, 1, 1), "same")
+    specs = block(4) + block(4) + [net.LayerSpec("fully_connected", width=8),
+                                   net.LayerSpec("softmax", width=2)]
+    return net.build_network((1, 16, 16, 16), specs, seed)
+
+
+@pytest.mark.parametrize("case,budget,slabs", [
+    ("desk2d", 4000, [8, 8]),    # 2 pool windows of rows a slab, then 1
+    ("stride-reduces", 3000, [8, 4]),  # a row a slab; the pools run whole
+])
+def test_block_slabs_give_the_one_slab_results(monkeypatch, case, budget, slabs):
+    """A scratch budget that cuts every conv block into several slabs, in
+    chunks of 3 samples, against the same chunks as one slab per block. The
+    forward slabs hold whole 16-position tiles, so forward_collect keeps its
+    bytes, raw conv outputs included; training sums the slabs' gradients in
+    another order, so it agrees within the tolerance of chunked training.
+    desk2d's pools tile the rows and run in the slabs; conv-stride-reduces'
+    overlapping pools run on the whole conv block output."""
+    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    if case == "desk2d":
+        dataset = small_dataset(per_class=4, seed=30)
+        build = lambda: net.build_desk_2d(32, 2, seed=30)
+        ends = [2, 5]  # each block's pool runs in its slabs
+    else:
+        rng = np.random.default_rng(30)
+        dataset = data_io.LabeledDataset(rng.normal(size=(8, 1, 16, 16, 16)).astype(np.float32),
+                                         np.arange(8) % 2, ("a", "b"))
+        build = lambda: _stride_reduces_3d(30)
+        ends = [1, 4]  # conv and relu stream; the pools are blocks of their own
+    config = TrainConfig(0.05, 2, 4, seed=30)
+    runs = []
+    for scratch in (None, budget):
+        if scratch is not None:
+            monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch)
+        network = build()
+        streamed = [(first, last) for first, last in net._blocks(network.specs, streamed=True)
+                    if network.specs[first].kind == "conv"]
+        assert [last for _, last in streamed] == ends
+        assert [len(net._slabs(network, *block, 3)) for block in streamed] == (
+            [1, 1] if scratch is None else slabs)
+        acts = [net.forward_collect(network, dataset.images, pre_relu=pre) for pre in (False, True)]
+        network, trace = net.train(network, dataset, config)
+        runs.append((acts, network, trace))
+    (one_acts, one_net, one_trace), (acts, network, trace) = runs
+    for want, got in zip(sum(one_acts, []), sum(acts, [])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(trace, one_trace, rtol=1e-6)
+    for got, want in zip(network.params, one_net.params):
+        if got is not None:
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-7)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import ops
+from centpipe import net, ops
 from centpipe.ops import ConvSpec, ShapeMismatch
 
 import reference_ops as R
@@ -697,11 +697,21 @@ def _slab_cases(draw):
     return batch, channels, spatial, spec, draw(st.integers(1, 400)), draw(st.integers(0, 2**32 - 1))
 
 
+def _one_conv(channels, spatial, spec, params=None):
+    """A network of one conv layer, whose forward the network cuts into
+    slabs of output rows (see net._block_forward)."""
+    network = net.build_network((channels,) + spatial, [net.LayerSpec("conv", conv=spec)])
+    if params is not None:
+        network.params[0] = params
+    return network
+
+
 @given(_slab_cases())
 @settings(max_examples=80, deadline=None)
 def test_conv_forward_slabs_keep_the_one_slab_bytes(case):
-    """A scratch budget small enough to split the output into many slabs of
-    its first spatial axis (down to one 16-position tile each) gives the
+    """A scratch budget small enough to split a conv's output into many
+    slabs of its first spatial axis (down to one 16-position tile each),
+    each convolving the rows of the once-padded input it reads, gives the
     bytes of one slab over the whole output, with or without a workspace,
     in both dtypes."""
     batch, channels, spatial, spec, budget, seed = case
@@ -710,14 +720,14 @@ def test_conv_forward_slabs_keep_the_one_slab_bytes(case):
     b = rng.normal(size=spec.filter_count)
     for dtype in (np.float32, np.float64):
         x = rng.normal(size=(batch, channels) + spatial).astype(dtype)
-        wd, bd = w.astype(dtype), b.astype(dtype)
+        network = _one_conv(channels, spatial, spec, (w.astype(dtype), b.astype(dtype)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ops, "_SCRATCH_ELEMENTS", 1 << 40)
-            whole = ops.conv_forward(x, wd, bd, spec)
+            whole = net._forward_layers(network, x)[0][0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ops, "_SCRATCH_ELEMENTS", budget)
-            slabs = [ops.conv_forward(x, wd, bd, spec),
-                     ops.conv_forward(x, wd, bd, spec, workspace=ops.Workspace())]
+            slabs = [net._forward_layers(network, x)[0][0],
+                     net._forward_layers(network, x, ops.Workspace())[0][0]]
         for got in slabs:
             assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes()
 
@@ -730,31 +740,29 @@ def test_conv_forward_slabs_keep_the_one_slab_bytes(case):
     ((8, 6), 1),     # 6 a row: 16-aligned slabs need all 8 rows
 ])
 def test_conv_forward_slabs_hold_whole_tiles(monkeypatch, spatial, slabs):
-    """Under a budget of 16 values, each slab holds the fewest whole rows
-    that make a multiple of 16 output positions, and an output whose
-    positions are no multiple of 16 runs as one slab."""
+    """Under a budget of 16 values, each slab of a conv's output holds the
+    fewest whole rows that make a multiple of 16 output positions, and an
+    output whose positions are no multiple of 16 runs as one slab."""
+    rank = len(spatial)
+    network = _one_conv(1, spatial, ConvSpec((1,) * rank, (1,) * rank, "valid", 1))
     monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", 16)
     real, calls = ops._im2col, []
     monkeypatch.setattr(ops, "_im2col", lambda windows, ws: calls.append(1) or real(windows, ws))
-    rank = len(spatial)
-    x = np.random.default_rng(25).normal(size=(1, 1) + spatial)
-    ops.conv_forward(x, np.ones((1, 1) + (1,) * rank), np.zeros(1),
-                     ConvSpec((1,) * rank, (1,) * rank, "valid", 1))
+    net._forward_layers(network, np.random.default_rng(25).normal(size=(1, 1) + spatial))
     assert len(calls) == slabs
 
 
 def test_conv_forward_slabs_fit_the_budget():
-    """A 64^3 volume's layer-0 forward takes its im2col copy and GEMM output
-    in slabs within the budget: the workspace keeps them, and keeps no array
-    above the budget."""
+    """A 64^3 volume's layer-0 forward takes its padded input slab, im2col
+    copy and GEMM output one slab at a time within the budget: the
+    workspace keeps them, and keeps no array above the budget. The 65^3
+    padded input is made once, outside the workspace."""
     rng = np.random.default_rng(23)
-    spec = ConvSpec((2, 2, 2), (1, 1, 1), "same", 10)
+    network = _one_conv(1, (64, 64, 64), ConvSpec((2, 2, 2), (1, 1, 1), "same", 10))
     x = rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32)
-    w = rng.normal(size=(10, 1, 2, 2, 2)).astype(np.float32)
     ws = ops.Workspace()
-    ops.conv_forward(x, w, np.zeros(10, np.float32), spec, workspace=ws)
-    roles = {role for role, _ in ws.arrays}
-    assert {"cols", "out"} <= roles and "pad" not in roles  # 65^3 padded values
+    net._forward_layers(network, x, ws)
+    assert {role for role, _ in ws.arrays} == {"pad", "cols", "out"}
     assert all(a.size <= ops._SCRATCH_ELEMENTS for a in ws.arrays.values())
     assert ws.nbytes == sum(a.nbytes for a in ws.arrays.values())
 
