@@ -251,7 +251,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         dump = data_io.import_activation_dump(cfg["dump"])
         ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
         read_shapes = [a.shape for a in dump.activations[0]]
-        chunk = max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in read_shapes))
+        chunk = net._chunk_size(read_shapes)
         parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
         processes = 1  # no forward pass: forking it was not measured to pay
 
@@ -488,7 +488,7 @@ OPTIONS = {
     "checkpoint": Option(str, None, "checkpoint file from train"),
     "dump": Option(str, None, "activation-dump directory (alternative source)"),
     "mode": Option(str, "per-filter", "entropy per filter or layer", ("per-filter", "per-layer")),
-    "bins": Option(int, 256, "histogram bins"),
+    "bins": Option(int, 256, "histogram bins, 2 to 131072"),
     "range": Option(_range, "minmax", "histogram range: 'minmax' or 'lo,hi'"),
     "pre_relu": Option(bool, False, "read activations before the ReLU"),
     "dump_out": Option(str, None, "also export the activation dump here"),

@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .net import Network, forward_collect
 
 def check_binning(bin_count: int, range_mode="minmax") -> None:
-    """ValueError unless bin_count >= 2 and range_mode is "minmax" or a
-    finite (lo, hi) pair with lo < hi; the CLI checks its options with it."""
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    """ValueError unless 2 <= bin_count <= ops._SCRATCH_ELEMENTS (one
+    histogram's counts within the scratch budget) and range_mode is
+    "minmax" or a finite (lo, hi) pair with lo < hi; the CLI checks its
+    options with it."""
+    if not 2 <= bin_count <= ops._SCRATCH_ELEMENTS:
+        raise ValueError(f"bin_count must be in [2, {ops._SCRATCH_ELEMENTS}], got {bin_count}")
     if isinstance(range_mode, str):
         if range_mode != "minmax":
             raise ValueError(f"range_mode must be 'minmax' or (lo, hi), got {range_mode!r}")

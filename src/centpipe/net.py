@@ -336,24 +336,20 @@ def _slabs(net: Network, first: int, last: int, batch: int) -> list[slice]:
 def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
                    workspace: ops.Workspace | None, keep: set, train: bool):
     """Run the conv block first..last of _blocks(streamed=True) on x one
-    slab of output rows at a time (see _slabs): each slab convolves the
-    rows of x it needs, halo included, taken from x padded once (one slab
-    convolves x itself), then runs the tail layers, and its rows of every
-    layer in `keep` and of the block's last layer are written into whole
-    arrays (one slab's arrays are kept as they are). Returns ({layer:
+    slab of output rows at a time (see _slabs): x is padded once
+    (ops.pad_input), each slab convolves its rows of it, halo included,
+    then runs the tail layers, and its rows of every layer in `keep` and of
+    the block's last layer are written into whole arrays. Returns ({layer:
     output} for those layers, and with train the cache _block_backward
-    reads, else None): the conv's input and spec (padded and "valid" for
-    several slabs), the slices of x in that input (None for one slab), and
-    per slab its input rows, its rows of the block output and its tail
-    layers' caches (the relu's > 0 mask, the pool's argmax)."""
+    reads, else None): the padded input, its "valid" spec, the slices of x
+    in it, and per slab its input rows, its rows of the block output and
+    its tail layers' caches (the relu's > 0 mask, the pool's argmax)."""
     w, b = net.params[first]
-    slabs = _slabs(net, first, last, len(x))
-    xp, conv, crop = (ops.pad_input(x, net.specs[first].conv) if len(slabs) > 1
-                      else (x, net.specs[first].conv, None))
+    xp, conv, crop = ops.pad_input(x, net.specs[first].conv)
     cache = (xp, conv, crop, [])
     outs: dict[int, np.ndarray] = {}
-    for rows in slabs:
-        in_rows = _input_rows(rows, conv) if crop else slice(None)
+    for rows in _slabs(net, first, last, len(x)):
+        in_rows = _input_rows(rows, conv)
         cur = ops.conv_forward(xp[:, :, in_rows], w, b, conv, workspace=workspace)
         tails, lo = [], rows.start
         for i in range(first, last + 1):
@@ -364,12 +360,9 @@ def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
                     lo //= net.specs[i].window[0]
             out_rows = slice(lo, lo + cur.shape[2])
             if i in keep or i == last:
-                if len(slabs) == 1:
-                    outs[i] = cur
-                else:
-                    if i not in outs:
-                        outs[i] = np.empty((len(x),) + net.layer_shapes[i], cur.dtype)
-                    outs[i][:, :, out_rows] = cur
+                if i not in outs:
+                    outs[i] = np.empty((len(x),) + net.layer_shapes[i], cur.dtype)
+                outs[i][:, :, out_rows] = cur
         cache[3].append((in_rows, out_rows, tails))
     return outs, (cache if train else None)
 
@@ -386,10 +379,11 @@ def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool
     gradient g of its output, slab by slab in the forward's slabs: each
     slab's rows of g run back through its tail layers and then
     conv_backward. The filter and bias gradients, and the input-gradient
-    slabs, are added in slab order; with input_grad=False grad_input is
-    None and no input gradient is computed."""
+    slabs (into the padded input's shape, then cropped to x's), are added
+    in slab order; with input_grad=False grad_input is None and no input
+    gradient is computed."""
     xp, conv, crop, slabs = cache
-    gx = np.zeros(xp.shape) if input_grad and crop else None
+    gx = np.zeros(xp.shape) if input_grad else None
     gw = gb = None
     for in_rows, out_rows, tails in slabs:
         gs = g[:, :, out_rows]
@@ -402,15 +396,15 @@ def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool
         else:
             gw += gws
             gb += gbs
-        if gx is not None:
+        if input_grad:
             gx[:, :, in_rows] += gi
-    return (gi if gx is None else gx[crop]), gw, gb
+    return (gx[crop] if input_grad else None), gw, gb
 
 
 def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
                     workspace: ops.Workspace | None = None) -> list[np.ndarray]:
     """One (n, *read_shape) array per CENT read point, in read order, for
-    (n, *input_shape) images, filled one chunk of _chunk_size(net) images at a
+    (n, *input_shape) images, filled one chunk of _chunks(net, n) at a
     time. Activations default to post-ReLU block outputs; pre_relu reads the
     raw conv outputs instead (ablation switch). Only the read points' arrays
     are kept: a conv block runs slab by slab (see _block_forward), and its
@@ -469,21 +463,21 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
     return losses, grads
 
 
-def _chunk_size(net: Network) -> int:
-    """Samples per chunk of training or of forward_collect: the scratch
-    budget ops._SCRATCH_ELEMENTS over the largest per-sample activation
-    (input included), at least one. Batched kernels allocate float64
-    temporaries in proportion to the chunk, so a chunk's largest activation
-    stays within 1 MB of float64: a 10x32x32 desk activation allows 12
-    samples (a batch of 10 is one chunk), a 10x64x64 one 3, and a 10x64^3
-    volume runs one sample per chunk."""
-    largest = max(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
-    return max(1, ops._SCRATCH_ELEMENTS // largest)
+def _chunk_size(shapes: list[tuple[int, ...]]) -> int:
+    """Samples per chunk of a pass over samples whose per-sample arrays have
+    `shapes` (a network's input and layer shapes for training and
+    forward_collect, a dump's read shapes for extract --dump): the scratch
+    budget ops._SCRATCH_ELEMENTS over the largest, at least one. Batched
+    kernels allocate float64 temporaries in proportion to the chunk, so a
+    chunk's largest activation stays within 1 MB of float64: a 10x32x32
+    desk activation allows 12 samples (a batch of 10 is one chunk), a
+    10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk."""
+    return max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in shapes))
 
 
 def _chunks(net: Network, n: int) -> list[slice]:
     """The chunks of n samples, in order."""
-    chunk = _chunk_size(net)
+    chunk = _chunk_size([net.input_shape] + net.layer_shapes)
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -572,12 +566,11 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
 
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
     Batch order is a pure function of config.seed. Each mini-batch runs as
-    one batched forward and backward pass per chunk of at most
-    _chunk_size(net) samples; gradients are summed in float64, in chunk
-    order. A batch's chunks run in forked workers, one per usable CPU (see
-    workers), and the losses are checked and the gradients summed in chunk
-    order in the calling process, so no byte depends on the number of
-    workers. A conv block above the scratch budget runs forward and
+    one batched forward and backward pass per chunk (see _chunks);
+    gradients are summed in float64, in chunk order. A batch's chunks run
+    in forked workers, one per usable CPU (see workers), and the losses are
+    checked and the gradients summed in chunk order in the calling process,
+    so no byte depends on the number of workers. A conv block above the scratch budget runs forward and
     backward one slab of output rows at a time (see _block_forward), keeping
     for the backward only its padded input, the relu's > 0 mask and the
     pool's argmax, so a 64^3 volume makes no whole 10x64^3 conv output,
@@ -588,10 +581,11 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     for the whole call, so the kernels and the gradient blocks reuse their
     scratch arrays of at most ops._SCRATCH_ELEMENTS values from chunk to
     chunk and from slab to slab instead of allocating them. Still allocated
-    per call at reference3d's sizes are the padded block inputs, the second
-    block's float64 input gradient (10x33^3 values), its slabs' im2col
-    copies (one pool window of rows, 80x2048 values, exceeds the budget)
-    and fully_connected's 16x40960 float64 weight blocks, one at a time.
+    per call are every conv block's padded float32 input (desk's small ones
+    too), and at reference3d's sizes the second block's float64 input
+    gradient (10x33^3 values), its slabs' im2col copies (one pool window of
+    rows, 80x2048 values, exceeds the budget) and fully_connected's
+    16x40960 float64 weight blocks, one at a time.
     Returns (net, per-epoch mean loss) and calls on_epoch(epoch, mean_loss,
     workspace_bytes, processes), if given, after each epoch, with the bytes
     of scratch the calling process's workspace then keeps and the most

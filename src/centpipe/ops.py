@@ -37,23 +37,27 @@ weight_grad=False) no weight gradient, which the training loop rebuilds from
 its factors at the step. maxpool_backward routes every window's gradient to
 its argmax with one np.bincount.
 
+A convolution's input is zero-padded by pad_input alone, in its own dtype:
+the network pads a conv block's input once and convolves slabs of it with
+a "valid" spec, and a "same" spec given to conv_forward or conv_backward is
+padded by them the same way. im2col's copy casts it to float64 exactly.
+
 Training reuses its scratch memory. A Workspace holds the convolutions'
-float64 padded input ("pad"), im2col copy ("cols"), GEMM output ("out") and
-col2im buffer ("gpad"), the fully connected ops' float64 weight blocks
-("fc"), and net.train's weight gradient blocks ("gw", "gw_part"), keyed by
-role and shape; the kernels write into them through np.copyto and out=,
-which is the same arithmetic, so the bytes do not change. A Workspace keeps
-every array within the budget, and net.train keeps one for its whole call
-and net.forward_collect for all its chunks (a forked worker gets a copy of
-it): every desk array is reused, and so are a 64^3 volume's slab arrays,
-its backward fc weight blocks and every fc weight gradient block. Still
-allocated per call are the im2col copies of its layer-1 slabs (one pool
+float64 im2col copy ("cols"), GEMM output ("out") and col2im buffer
+("gpad"), the fully connected ops' float64 weight blocks ("fc"), and
+net.train's weight gradient blocks ("gw", "gw_part"), keyed by role and
+shape; the kernels write into them through np.copyto and out=, which is the
+same arithmetic, so the bytes do not change. net.train keeps one Workspace
+for its whole call and net.forward_collect one for all its chunks (a forked
+worker gets a copy of it): every desk scratch array is reused, and so are a
+64^3 volume's slab arrays, its backward fc weight blocks and every fc
+weight gradient block. Still allocated per call are each conv block's
+padded input, the im2col copies of a 64^3 volume's layer-1 slabs (one pool
 window of rows, 80x2048 values, exceeds the budget) and its fc forward's
 16x40960 weight blocks, one at a time (blocks of 1 or 2 rows were seen to
-change bytes). A call without a workspace gets a throwaway one, and no op
-returns workspace memory. relu_backward multiplies in place into the
-upstream gradient, which the training loop never reads again. centpipe
-train's per-epoch stderr line reports the minor page faults this saves.
+change bytes). relu_backward multiplies in place into the upstream
+gradient, which the training loop never reads again. centpipe train's
+per-epoch stderr line reports the minor page faults this saves.
 """
 
 from __future__ import annotations
@@ -134,13 +138,10 @@ _SCRATCH_ELEMENTS = 1 << 17
 
 class Workspace:
     """Float64 scratch arrays for the kernels, one per (role, shape), reused
-    across calls: from block to block of a fully connected op, from slab to
-    slab of a conv block and from chunk to chunk. Only arrays of at most
-    _SCRATCH_ELEMENTS values (read when `take` runs) are kept; a larger one
-    is allocated for the call that takes it. A kernel overwrites what it
-    takes, so no kernel returns workspace memory. A call without a
-    workspace gets a throwaway one, which its own blocks still reuse within
-    that call.
+    across calls. Only arrays of at most _SCRATCH_ELEMENTS values (read when
+    `take` runs) are kept; a larger one is allocated for the call that takes
+    it. A kernel overwrites what it takes, so no kernel returns workspace
+    memory. A call without a workspace gets a throwaway one.
     """
 
     def __init__(self):
@@ -171,41 +172,18 @@ def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
-def _padding(x: np.ndarray, spec: ConvSpec) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-    """The shape of the (batch, C, *spatial) input x zero-padded as spec's
-    padding asks, and the slices of x's place in it."""
-    spatial = x.shape[2:]
-    if spec.padding == "valid":
-        _require(all(s >= k for s, k in zip(spatial, spec.kernel)),
-                 f"kernel {spec.kernel} exceeds input extent {spatial}")
-        pads = [(0, 0)] * len(spatial)
-    else:
-        pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
-    return (x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)),
-            (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial)))
-
-
 def pad_input(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
-    """x zero-padded once as spec's padding asks (x itself for "valid"), in
-    x's dtype, the "valid" spec that gives spec's output on it, and the
-    slices of x's place in it."""
-    shape, crop = _padding(x, spec)
+    """The (batch, C, *spatial) input x zero-padded once as spec's padding
+    asks (x itself for "valid"), in x's dtype, the "valid" spec that gives
+    spec's output on it, and the slices of x's place in it."""
+    spatial = x.shape[2:]
+    pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
+    crop = (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
     if spec.padding == "valid":
         return x, spec, crop
-    xp = np.zeros(shape, x.dtype)
+    xp = np.zeros(x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)), x.dtype)
     xp[crop] = x
     return xp, replace(spec, padding="valid"), crop
-
-
-def _pad(x: np.ndarray, spec: ConvSpec, ws: Workspace) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """The workspace's float64 "pad" array holding x zero-padded as spec's
-    padding asks, and the slices of x's place in it."""
-    shape, crop = _padding(x, spec)
-    xw = ws.take("pad", shape)
-    if shape != x.shape:
-        xw.fill(0)
-    np.copyto(xw[crop], x)
-    return xw, crop
 
 
 def _im2col(windows: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -249,7 +227,7 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
 
     out = _out_extent(x.shape[2:], spec.kernel, spec.stride, spec.padding)
     ws = workspace or Workspace()
-    cols = _im2col(_spatial_windows(_pad(x, spec, ws)[0], spec.kernel, spec.stride), ws)
+    cols = _im2col(_spatial_windows(pad_input(x, spec)[0], spec.kernel, spec.stride), ws)
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
     # (F, C * kernel) @ (B, C * kernel, positions): one GEMM per sample, in
     # one matmul call over the batch, straight into (B, F, positions)
@@ -283,8 +261,8 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     g = grad_output.astype(np.float64, copy=False).reshape(batch, spec.filter_count, -1)
     grad_bias = g.sum(axis=(0, 2))
     ws = workspace or Workspace()
-    xw, crop = _pad(cached_input, spec, ws)
-    cols = _im2col(_spatial_windows(xw, spec.kernel, spec.stride), ws)
+    xp, _, crop = pad_input(cached_input, spec)
+    cols = _im2col(_spatial_windows(xp, spec.kernel, spec.stride), ws)
     # (B, F, positions) @ (B, positions, C * kernel), summed over the batch
     grad_filters = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(filters.shape)
     dt = cached_input.dtype
@@ -295,7 +273,7 @@ def conv_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     # each tap's rows are added back into the padded input at that tap's offset
     fw = filters.astype(np.float64, copy=False).reshape(spec.filter_count, -1)
     dcols = np.matmul(fw.T, g, out=cols).reshape((batch, channels) + spec.kernel + out)
-    gpad = ws.take("gpad", xw.shape)
+    gpad = ws.take("gpad", xp.shape)
     gpad.fill(0)
     for offset in itertools.product(*(range(k) for k in spec.kernel)):
         sl = tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, spec.stride, out))

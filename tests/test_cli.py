@@ -271,7 +271,8 @@ def _tree_bytes(root) -> dict:
             for d, _, files in os.walk(root) for f in files}
 
 
-@pytest.mark.parametrize("flags,extent", [(["--bins=1"], 32), (["--range=1,0"], 32), ([], 64)])
+@pytest.mark.parametrize("flags,extent", [(["--bins=1"], 32), (["--range=1,0"], 32), ([], 64),
+                                          (["--bins=131073"], 32)])
 def test_extract_config_error_leaves_the_earlier_dump_as_it_was(pipeline, tmp_path, flags,
                                                                  extent):
     """A bin count or range that no histogram takes, or images that the
@@ -426,7 +427,8 @@ def test_extract_runs_one_forward_pass_per_chunk(pipeline, tmp_path, monkeypatch
                               pipeline["ckpt"], "--data", pipeline["data"], *extra])
     assert code == 0, err
     n = len(data_io.load_dataset(pipeline["data"]).images)
-    chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
+    network = net.load_checkpoint(pipeline["ckpt"])
+    chunk = net._chunk_size([network.input_shape] + network.layer_shapes)
     assert calls == collected == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
     assert len(calls) == 2
     assert json.loads(out)["counters"] == {"forward_passes": n, "chunks": 2, "images": n,
@@ -485,14 +487,16 @@ def test_extract_bytes_do_not_depend_on_the_worker_count(pipeline, tmp_path, mon
 
 
 def test_extract_from_dump_runs_in_one_process(pipeline, tmp_path, monkeypatch):
-    """A dump's chunks run no forward pass, so they are not forked, even
-    where every map large enough would be."""
-    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    """A dump's chunks, cut by the network's chunk rule, run no forward
+    pass, so they are not forked, even where every map large enough would
+    be."""
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
     use_cpus(monkeypatch, 3, every_map=True)
     code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"),
                               "--dump", pipeline["dump"]])
     assert code == 0, err
-    assert json.loads(out)["counters"]["workers"] == 1
+    counters = json.loads(out)["counters"]
+    assert counters["workers"] == 1 and counters["chunks"] == 7
     assert ((tmp_path / "f" / "features.csv").read_bytes()
             == open(pipeline["features"], "rb").read())
 
@@ -804,7 +808,8 @@ def test_theory_runs_one_forward_pass_over_the_dataset(tmp_path, pipeline, monke
                             "--data", pipeline["data"], "--chain-n", "20000"])
     assert code == 0, err
     n = len(data_io.load_dataset(pipeline["data"]).images)
-    chunk = net._chunk_size(net.load_checkpoint(pipeline["ckpt"]))
+    network = net.load_checkpoint(pipeline["ckpt"])
+    chunk = net._chunk_size([network.input_shape] + network.layer_shapes)
     assert len(calls) == -(-n // chunk) and sum(calls) == n
 
 
@@ -860,7 +865,7 @@ def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
 
 
 @pytest.mark.parametrize("flag,value,named", [
-    ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"),
+    ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"), ("--bins", "131073", "bin_count"),
     ("--slack", "nan", "slack"), ("--slack", "inf", "slack"), ("--slack", "-inf", "slack"),
 ])
 def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, monkeypatch,

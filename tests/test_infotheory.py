@@ -81,6 +81,14 @@ def test_fixed_range_must_be_finite_and_increasing_on_every_path(lo, hi):
                 path()
 
 
+def test_bin_count_is_capped_at_the_scratch_budget():
+    """check_binning takes 131072 bins, one histogram's counts within the
+    2^17-element scratch budget, and refuses one more by name."""
+    it.check_binning(131072)
+    with pytest.raises(ValueError, match="bin_count must be in"):
+        it.check_binning(131073)
+
+
 # --- entropy ---
 
 @given(st.integers(1, 40), st.data())

@@ -222,9 +222,32 @@ def test_train_diverged_names_first_bad_sample_of_a_chunk():
 
 
 def test_chunk_bound_from_largest_activation():
-    assert net._chunk_size(net.build_desk_2d(32, 2)) >= 10  # a desk batch is one chunk
-    assert net._chunk_size(net.build_desk_2d(64, 2)) == 3
-    assert net._chunk_size(net.build_reference_3d()) == 1   # 10x64^3 alone exceeds it
+    def chunk_size(network):
+        return net._chunk_size([network.input_shape] + network.layer_shapes)
+    assert chunk_size(net.build_desk_2d(32, 2)) >= 10  # a desk batch is one chunk
+    assert chunk_size(net.build_desk_2d(64, 2)) == 3
+    assert chunk_size(net.build_reference_3d()) == 1   # 10x64^3 alone exceeds it
+
+
+@pytest.mark.parametrize("build,split", [
+    (lambda: net.build_desk_2d(32, 2), []),
+    (lambda: net.build_desk_2d(64, 2), [6]),
+    (lambda: net.build_reference_3d("pool-reduces"), [6]),
+    (lambda: net.build_reference_3d("conv-stride-reduces"), [6]),
+], ids=["desk2d-32", "desk2d-64", "reference3d-pool-reduces", "reference3d-conv-stride-reduces"])
+def test_split_fc_weights_run_in_chunks_below_ten_samples(build, split):
+    """fully_connected's float64 bytes depend on how its weights are cut
+    into row blocks once a chunk holds 10 samples or more (OpenBLAS), so
+    every fully connected layer whose weights _row_parts(m, n, 16) cuts
+    into several blocks must run in chunks of fewer than 10 samples: a
+    change to the budget or the chunk rule cannot change training bytes
+    unnoticed."""
+    network = build()
+    chunk = net._chunk_size([network.input_shape] + network.layer_shapes)
+    assert split == [i for i, spec in enumerate(network.specs)
+                     if spec.kind in ("fully_connected", "softmax")
+                     and len(ops._row_parts(*network.params[i][0].shape, 16)) > 1]
+    assert not split or chunk < 10
 
 
 @pytest.mark.parametrize("chunk_elements,chunks", [(None, [10]), (3 * 10 * 32 * 32, [3, 3, 3, 1])])
@@ -473,15 +496,16 @@ def test_factored_fc_gradients_train_to_materialised_bytes(
     The chunk bound (chunk_elements over the largest activation) is set
     apart from the scratch budget, so a chunk of 3 meets split blocks."""
     if chunk_elements is not None:
-        monkeypatch.setattr(net, "_chunk_size", lambda network: chunk_elements // max(
-            math.prod(s) for s in [network.input_shape] + network.layer_shapes))
+        monkeypatch.setattr(net, "_chunk_size", lambda shapes: chunk_elements // max(
+            math.prod(s) for s in shapes))
     if scratch_elements is not None:
         monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
     dataset = small_dataset(per_class=7, extent=extent, seed=8)
     config = TrainConfig(0.05, 2, 10, seed=8)
     trained = net.build_desk_2d(extent, 2, seed=8)
     reference = _materialised_train(copy.deepcopy(trained), dataset, config, chunk)
-    assert min(net._chunk_size(trained), config.batch_size) == chunk
+    assert min(net._chunk_size([trained.input_shape] + trained.layer_shapes),
+               config.batch_size) == chunk
     blocks = ops._row_parts(128, math.prod(trained.layer_shapes[5]), 2)
     assert (len(blocks) > 1) == (extent == 64 or scratch_elements is not None)
     net.train(trained, dataset, config)
