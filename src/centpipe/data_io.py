@@ -30,9 +30,9 @@ def save_tensor(path, tensor) -> None:
 
 def load_tensor(path) -> np.ndarray:
     """A tensor file's tensor; a bad file raises a framing.FramedFileError."""
-    reader = FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file")
-    tensor = reader.tensor()
-    reader.finish()
+    with FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file") as reader:
+        tensor = reader.tensor()
+        reader.finish()
     return tensor
 
 
@@ -157,17 +157,21 @@ def _manifest_rows(path):
 
 
 def load_dataset(path) -> LabeledDataset:
-    """Accepts a dataset directory or a manifest.csv path."""
+    """Accepts a dataset directory or a manifest.csv path. The images go
+    into one array, whose shape the first image fixes."""
     rows, class_names, base = _manifest_rows(path)
-    images = []
-    for image_id, rel, _ in rows:
+    images = None
+    for i, (image_id, rel, _) in enumerate(rows):
         arr = load_tensor(os.path.join(base, rel))
-        if images and arr.shape != images[0].shape:
+        if images is None:
+            images = np.empty((len(rows),) + arr.shape, arr.dtype)
+        elif arr.shape != images.shape[1:]:
             raise ValueError(f"image {image_id!r} has shape {arr.shape}, "
-                             f"expected {images[0].shape}")
-        images.append(arr)
+                             f"expected {images.shape[1:]}")
+        images[i] = arr
+        del arr  # freed before the next image is read
     ids, _, labels = zip(*rows)
-    return LabeledDataset(np.stack(images), np.array(labels), class_names, ids)
+    return LabeledDataset(images, np.array(labels), class_names, ids)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ checkpoints, and the atomic writer under every output file.
 
 A framed file (little-endian) is an 8-byte magic, a u32 version, a body and a
 u32 CRC32 of every byte before it. A tensor record inside a body is a u32
-rank, u64 dims[rank] and the float32 payload. The reader walks the structure
-first and checks the CRC last, so a cut file reports as truncated rather than
-as a checksum mismatch. Every writer, framed or text, writes a temporary
-file beside the target and renames it into place, so a failed write never
-leaves a partial file under the final name.
+rank, u64 dims[rank] and the float32 payload. The reader reads the file field
+by field, each payload straight into the array it returns, and computes the
+CRC over the bytes as it reads them; it checks every field's extent against
+the file's size before it reads or allocates, and the CRC last, so a cut
+file reports as truncated rather than as a checksum mismatch. Every writer,
+framed or text, writes a temporary file beside the target and renames it
+into place, so a failed write never leaves a partial file under the final
+name.
 """
 
 from __future__ import annotations
@@ -91,30 +94,54 @@ def write_framed(path, magic: bytes, version: int, body: list) -> None:
 
 
 class FramedReader:
-    """Walks the body of one framed file, field by field.
+    """Reads the body of one framed file field by field, in a with block
+    that closes the file.
 
     Opening checks the magic and the version; take, u32, i64 and tensor
-    consume the body in order and raise TruncatedError past its end; finish
-    checks that the body was used up and that the CRC matches. `what` names
-    the format in error messages.
+    consume the body in order, each raising TruncatedError before it reads
+    if its field would run past the body's end; finish checks that the body
+    was used up and that the CRC matches. `what` names the format in error
+    messages.
     """
 
     def __init__(self, path, magic: bytes, version: int, what: str):
-        with open(path, "rb") as f:
-            raw = f.read()
-        if raw[:len(magic)] != magic:
-            raise BadMagicError(f"{path}: not a {what} (bad magic)")
         self.path, self.what = path, what
-        self.raw, self.pos, self.end = memoryview(raw), len(magic), len(raw) - 4
-        found = self.u32()
-        if found != version:
-            raise VersionError(f"{path}: unsupported {what} version {found}")
+        self.file = open(path, "rb")
+        try:
+            self.end = os.fstat(self.file.fileno()).st_size - 4
+            if self.file.read(len(magic)) != magic:
+                raise BadMagicError(f"{path}: not a {what} (bad magic)")
+            self.pos, self.crc = len(magic), zlib.crc32(magic)
+            found = self.u32()
+            if found != version:
+                raise VersionError(f"{path}: unsupported {what} version {found}")
+        except BaseException:
+            self.file.close()
+            raise
 
-    def take(self, n: int) -> memoryview:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def _claim(self, n: int) -> None:
         if self.pos + n > self.end:
             raise TruncatedError(f"{self.path}: truncated {self.what}")
         self.pos += n
-        return self.raw[self.pos - n:self.pos]
+
+    def _read_into(self, buffer) -> None:
+        """Fill the byte buffer from the file (its extent already claimed)
+        and add it to the CRC."""
+        if self.file.readinto(buffer) != len(buffer):  # the file shrank while read
+            raise TruncatedError(f"{self.path}: truncated {self.what}")
+        self.crc = zlib.crc32(buffer, self.crc)
+
+    def take(self, n: int) -> bytearray:
+        self._claim(n)
+        data = bytearray(n)
+        self._read_into(data)
+        return data
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
@@ -124,15 +151,17 @@ class FramedReader:
 
     def tensor(self) -> np.ndarray:
         dims = tuple(int(d) for d in np.frombuffer(self.take(8 * self.u32()), "<u8"))
-        payload = np.frombuffer(self.take(4 * math.prod(dims)), "<f4")
+        self._claim(4 * math.prod(dims))
         try:
-            return payload.reshape(dims).copy()
+            tensor = np.empty(dims, "<f4")
         except ValueError:  # no elements, but an extent numpy cannot hold
             raise FramedFileError(f"{self.path}: impossible dims {dims}") from None
+        self._read_into(tensor.reshape(-1).view(np.uint8))
+        return tensor
 
     def finish(self) -> None:
         if self.pos != self.end:
             raise FramedFileError(
                 f"{self.path}: {self.end - self.pos} bytes after the {self.what} body")
-        if zlib.crc32(self.raw[:self.end]) != int.from_bytes(self.raw[self.end:], "little"):
+        if self.crc != int.from_bytes(self.file.read(4), "little"):
             raise ChecksumError(f"{self.path}: checksum mismatch")

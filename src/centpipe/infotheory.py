@@ -211,8 +211,10 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
 
     Per-filter mode gives each filter of a rank >= 2 read point (filters on
     read_shape's axis 0) a histogram of its own; per-layer mode, and every
-    rank-1 read point, pools an image's whole read point. One bincount bins
-    every histogram of a read point, and each value equals the plug-in
+    rank-1 read point, pools an image's whole read point. The rows are
+    binned in blocks of at most ops._SCRATCH_ELEMENTS values (whole rows, or
+    pieces of one longer row, whose integer counts are added), so the
+    temporaries stay within the budget, and each value equals the plug-in
     -sum(p * log2(p)) of that map's own histogram, bit for bit. A NaN or
     infinite activation raises NonFiniteError naming its image (image_ids[i],
     else the index), read point and filter.
@@ -225,13 +227,19 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     for act in activations:
         n, shape = len(act), act.shape[1:]
         rows = act.reshape(n * (shape[0] if _split_filters(shape, mode) else 1), -1)
-        if isinstance(range_mode, str):  # "minmax"
-            lo = rows.min(axis=1, keepdims=True).astype(np.float64)
-            hi = rows.max(axis=1, keepdims=True).astype(np.float64)
-        else:
-            lo, hi = float(range_mode[0]), float(range_mode[1])
-        h = row_entropy(_bin_counts(rows, lo, hi, bin_count, np.arange(len(rows))[:, None],
-                                    len(rows)))
+        counts = np.zeros((len(rows), bin_count), np.int64)
+        for part in ops._row_parts(*rows.shape):
+            block = rows[part]
+            if isinstance(range_mode, str):  # "minmax"
+                lo = block.min(axis=1, keepdims=True).astype(np.float64)
+                hi = block.max(axis=1, keepdims=True).astype(np.float64)
+            else:
+                lo, hi = float(range_mode[0]), float(range_mode[1])
+            # a row longer than the budget is binned in pieces, its counts added
+            for cols in ops._row_parts(rows.shape[1], len(block)):
+                counts[part] += _bin_counts(block[:, cols], lo, hi, bin_count,
+                                            np.arange(len(block))[:, None], len(block))
+        h = row_entropy(counts)
         columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
     return np.concatenate(columns, axis=1)
 

@@ -343,7 +343,10 @@ def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
     output} for those layers, and with train the cache _block_backward
     reads, else None): the padded input, its "valid" spec, the slices of x
     in it, and per slab its input rows, its rows of the block output and
-    its tail layers' caches (the relu's > 0 mask, the pool's argmax)."""
+    its tail layers' caches in layer order: a pool's argmax, and a relu's
+    > 0 mask, which for a relu that a max-pool follows is the pooled
+    output's mask, kept after the pool's cache and a window's volume
+    smaller than the relu's own."""
     w, b = net.params[first]
     xp, conv, crop = ops.pad_input(x, net.specs[first].conv)
     cache = (xp, conv, crop, [])
@@ -353,11 +356,16 @@ def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
         cur = ops.conv_forward(xp[:, :, in_rows], w, b, conv, workspace=workspace)
         tails, lo = [], rows.start
         for i in range(first, last + 1):
+            spec = net.specs[i]
             if i > first:
-                cur, tail = _tail_forward(net.specs[i], cur, train)
-                tails.append(tail)
-                if net.specs[i].kind == "maxpool":
-                    lo //= net.specs[i].window[0]
+                pooled = spec.kind == "relu" and i < last and net.specs[i + 1].kind == "maxpool"
+                cur, tail = _tail_forward(spec, cur, train and not pooled)
+                if not pooled:
+                    tails.append(tail)
+                if spec.kind == "maxpool":
+                    lo //= spec.window[0]
+                    if train and net.specs[i - 1].kind == "relu":
+                        tails.append(cur > 0)  # the mask of the relu before
             out_rows = slice(lo, lo + cur.shape[2])
             if i in keep or i == last:
                 if i not in outs:
@@ -377,11 +385,15 @@ def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool
                     workspace: ops.Workspace | None):
     """(grad_input, grad_filters, grad_bias) of a conv block from the float64
     gradient g of its output, slab by slab in the forward's slabs: each
-    slab's rows of g run back through its tail layers and then
-    conv_backward. The filter and bias gradients, and the input-gradient
-    slabs (into the padded input's shape, then cropped to x's), are added
-    in slab order; with input_grad=False grad_input is None and no input
-    gradient is computed."""
+    slab's rows of g run back through its tail caches, last first, and then
+    conv_backward. A pooled relu mask multiplies the pool's gradient before
+    maxpool_backward routes it: only each window's argmax gets gradient,
+    and there the relu input is positive exactly when the pooled value is.
+    The relu masks multiply in place, so g is overwritten. The filter and
+    bias gradients, and the input-gradient slabs (into the padded input's
+    shape, then cropped to x's), are added in slab order; with
+    input_grad=False grad_input is None and no input gradient is
+    computed."""
     xp, conv, crop, slabs = cache
     gx = np.zeros(xp.shape) if input_grad else None
     gw = gb = None
@@ -570,22 +582,23 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     gradients are summed in float64, in chunk order. A batch's chunks run
     in forked workers, one per usable CPU (see workers), and the losses are
     checked and the gradients summed in chunk order in the calling process,
-    so no byte depends on the number of workers. A conv block above the scratch budget runs forward and
-    backward one slab of output rows at a time (see _block_forward), keeping
-    for the backward only its padded input, the relu's > 0 mask and the
-    pool's argmax, so a 64^3 volume makes no whole 10x64^3 conv output,
-    relu output, pool gradient or im2col copy. A fully connected layer's
-    weight gradient stays factored until the step, which writes the new
-    weights in place (see _fc_sgd_step), so no (m, n) float64 weight
-    gradient and no second weight array is made. One ops.Workspace lives
-    for the whole call, so the kernels and the gradient blocks reuse their
-    scratch arrays of at most ops._SCRATCH_ELEMENTS values from chunk to
+    so no byte depends on the number of workers. A conv block above the
+    scratch budget runs forward and backward one slab of output rows at a
+    time (see _block_forward), keeping for the backward only its padded
+    input, the pool's argmax and the relu's > 0 mask (of the pooled output,
+    where a max-pool follows the relu), so a 64^3 volume makes no whole
+    10x64^3 conv output, relu output, pool gradient or im2col copy. A fully
+    connected layer's weight gradient stays factored until the step, which
+    writes the new weights in place (see _fc_sgd_step), so no (m, n) float64
+    weight gradient and no second weight array is made. One ops.Workspace
+    lives for the whole call, so the kernels and the gradient blocks reuse
+    its two buffers of at most ops._SCRATCH_ELEMENTS values from chunk to
     chunk and from slab to slab instead of allocating them. Still allocated
     per call are every conv block's padded float32 input (desk's small ones
     too), and at reference3d's sizes the second block's float64 input
     gradient (10x33^3 values), its slabs' im2col copies (one pool window of
-    rows, 80x2048 values, exceeds the budget) and fully_connected's
-    16x40960 float64 weight blocks, one at a time.
+    rows, 80x2048 values, exceeds the budget) and fully_connected's 4x40960
+    float64 weight blocks, one at a time.
     Returns (net, per-epoch mean loss) and calls on_epoch(epoch, mean_loss,
     workspace_bytes, processes), if given, after each epoch, with the bytes
     of scratch the calling process's workspace then keeps and the most
@@ -634,7 +647,9 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                      else _fc_sgd_step(w, gws, scale, workspace))
                 net.params[li] = (w, _sgd_step(b, _summed(gbs), scale))
         for par in net.params:
-            if par is not None and not (np.isfinite(par[0]).all() and np.isfinite(par[1]).all()):
+            # min and max are finite exactly when every value is, and unlike
+            # isfinite they make no array of the weights' size
+            if par is not None and not all(np.isfinite([a.min(), a.max()]).all() for a in par):
                 raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         trace.append(float(np.mean(np.concatenate(epoch_losses))))
         if on_epoch is not None:
@@ -657,13 +672,13 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    reader = FramedReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    seed = reader.i64()
-    blob = reader.take(reader.u32())
-    tensors = [reader.tensor() for _ in range(reader.u32())]
-    reader.finish()
+    with FramedReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint") as reader:
+        seed = reader.i64()
+        blob = reader.take(reader.u32())
+        tensors = [reader.tensor() for _ in range(reader.u32())]
+        reader.finish()
     try:
-        header = json.loads(blob.tobytes())
+        header = json.loads(blob)
         specs = [LayerSpec.from_dict(d) for d in header["specs"]]
         input_shape = tuple(header["input_shape"])
     except Exception as exc:

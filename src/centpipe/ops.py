@@ -23,9 +23,9 @@ relu, max-pool) above the budget into slabs of output rows before it calls
 them (net._block_forward), so a 64^3 volume's convolutions never build a
 whole im2col copy, GEMM output or col2im buffer. fully_connected (whole
 rows) and its backward (whole columns) cast the float32 weights to float64
-in blocks of a multiple of 16, so no float64 copy of a large weight matrix
-is made. Batched temporaries grow with the batch, so training and
-net.forward_collect cap a chunk's largest activation at the same budget
+in blocks of a multiple of _FC_ALIGN (4), so no float64 copy of a large
+weight matrix is made. Batched temporaries grow with the batch, so training
+and net.forward_collect cap a chunk's largest activation at the same budget
 (net._chunk_size). The chunks run in forked workers, one per usable CPU
 (see workers), each process with OpenBLAS on one thread and a Workspace of
 its own; no byte depends on the number of workers.
@@ -42,22 +42,19 @@ the network pads a conv block's input once and convolves slabs of it with
 a "valid" spec, and a "same" spec given to conv_forward or conv_backward is
 padded by them the same way. im2col's copy casts it to float64 exactly.
 
-Training reuses its scratch memory. A Workspace holds the convolutions'
-float64 im2col copy ("cols"), GEMM output ("out") and col2im buffer
-("gpad"), the fully connected ops' float64 weight blocks ("fc"), and
-net.train's weight gradient blocks ("gw", "gw_part"), keyed by role and
-shape; the kernels write into them through np.copyto and out=, which is the
-same arithmetic, so the bytes do not change. net.train keeps one Workspace
-for its whole call and net.forward_collect one for all its chunks (a forked
-worker gets a copy of it): every desk scratch array is reused, and so are a
-64^3 volume's slab arrays, its backward fc weight blocks and every fc
-weight gradient block. Still allocated per call are each conv block's
-padded input, the im2col copies of a 64^3 volume's layer-1 slabs (one pool
-window of rows, 80x2048 values, exceeds the budget) and its fc forward's
-16x40960 weight blocks, one at a time (blocks of 1 or 2 rows were seen to
-change bytes). relu_backward multiplies in place into the upstream
-gradient, which the training loop never reads again. centpipe train's
-per-epoch stderr line reports the minor page faults this saves.
+Training reuses its scratch memory: the kernels take their float64 scratch
+arrays from a Workspace (two buffers, see Workspace) and write into them
+through np.copyto and out=, which is the same arithmetic, so the bytes do
+not change. net.train keeps one Workspace for its whole call and
+net.forward_collect one for all its chunks (a forked worker gets a copy).
+Still allocated per call are each conv block's padded input, the im2col
+copies of a 64^3 volume's layer-1 slabs (one pool window of rows, 80x2048
+values, exceeds the budget) and its fc forward's 4x40960 weight blocks, one
+at a time. relu_backward multiplies in place into the upstream gradient,
+which the training loop never reads again; it takes the relu's input or a
+bool mask, and for a relu that a max-pool follows the network keeps the
+pooled output's mask (net._block_forward). centpipe train's per-epoch
+stderr line reports the minor page faults reuse saves.
 """
 
 from __future__ import annotations
@@ -135,30 +132,42 @@ def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
 # Most float64 elements one scratch part holds (1 MB): see the module docstring
 _SCRATCH_ELEMENTS = 1 << 17
 
+# A float64 fc weight block holds a multiple of this many rows (forward) or
+# columns (backward): blocks of 1 or 2 rows were seen to sum some batches in
+# another order than the whole matrix, and blocks of 4 to 64 rows were not
+# for batches of 1 to 9 samples, which net._chunk_size keeps split fc layers to
+_FC_ALIGN = 4
+
 
 class Workspace:
-    """Float64 scratch arrays for the kernels, one per (role, shape), reused
-    across calls. Only arrays of at most _SCRATCH_ELEMENTS values (read when
-    `take` runs) are kept; a larger one is allocated for the call that takes
-    it. A kernel overwrites what it takes, so no kernel returns workspace
-    memory. A call without a workspace gets a throwaway one.
+    """Two float64 scratch buffers, reused across calls: `take` returns the
+    first values of one of them in the shape asked, "cols", "fc" and "gw"
+    from the first and "out", "gpad" and "gw_part" from the second. No
+    kernel holds two arrays of one buffer at once, and a kernel overwrites
+    what it takes, so no kernel returns workspace memory. A buffer grows to
+    the largest array taken from it, up to _SCRATCH_ELEMENTS values (read
+    when `take` runs); a larger array is allocated for the call that takes
+    it.
     """
 
+    _BUFFER = {"cols": 0, "fc": 0, "gw": 0, "out": 1, "gpad": 1, "gw_part": 1}
+
     def __init__(self):
-        self.arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self.buffers = [np.empty(0), np.empty(0)]
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        if math.prod(shape) > _SCRATCH_ELEMENTS:
+        size = math.prod(shape)
+        if size > _SCRATCH_ELEMENTS:
             return np.empty(shape)
-        key = (role, shape)
-        if key not in self.arrays:
-            self.arrays[key] = np.empty(shape)
-        return self.arrays[key]
+        i = self._BUFFER[role]
+        if self.buffers[i].size < size:
+            self.buffers[i] = np.empty(size)
+        return self.buffers[i][:size].reshape(shape)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays kept."""
-        return sum(array.nbytes for array in self.arrays.values())
+        """Bytes of the buffers kept."""
+        return sum(buffer.nbytes for buffer in self.buffers)
 
 
 def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
@@ -408,13 +417,12 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     _require(x.ndim == 2 and x.shape[1] == n,
              f"input {x.shape} is not (batch, {n}) for weights {weights.shape}")
     flat_t = x.T.astype(np.float64, copy=False)
-    # (m, n) @ (n, B), one block of rows at a time: at B == 1 numpy runs this
-    # as the matrix-vector product of one sample, so a batch of one gives that
-    # sample's bytes. Blocks hold a multiple of 16 rows: blocks of 1 or 2 rows
-    # were seen to sum some batches in another order than the whole matrix
+    # (m, n) @ (n, B), one block of a multiple of _FC_ALIGN rows at a time: at
+    # B == 1 numpy runs this as the matrix-vector product of one sample, so a
+    # batch of one gives that sample's bytes
     y = np.empty((weights.shape[0], flat_t.shape[1]))
     ws = workspace or Workspace()
-    for rows in _row_parts(weights.shape[0], n, 16):
+    for rows in _row_parts(weights.shape[0], n, _FC_ALIGN):
         block = ws.take("fc", weights[rows].shape)
         np.copyto(block, weights[rows])
         np.matmul(block, flat_t, out=y[rows])
@@ -442,10 +450,10 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
     _require(cached_input.shape == (len(grad_output), n),
              f"cached input {cached_input.shape} is not ({len(grad_output)}, {n})")
     g = grad_output.astype(np.float64, copy=False)
-    # (n, m) @ (m, B), one block of a multiple of 16 weight columns at a time
+    # (n, m) @ (m, B), one block of a multiple of _FC_ALIGN weight columns at a time
     grad_input = np.empty((n, g.shape[0]))
     ws = workspace or Workspace()
-    for cols in _row_parts(n, m, 16):
+    for cols in _row_parts(n, m, _FC_ALIGN):
         block = ws.take("fc", weights[:, cols].shape)
         np.copyto(block, weights[:, cols])
         np.matmul(block.T, g.T, out=grad_input[cols])

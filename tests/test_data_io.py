@@ -19,7 +19,7 @@ from centpipe.forest import ForestConfig
 from centpipe.framing import BadMagicError, ChecksumError, TruncatedError, VersionError
 from centpipe.infotheory import cent_rows, contingency_table, dpi_check, mutual_information
 
-from conftest import use_cpus, write_reference_dump
+from conftest import traced_peak, use_cpus, write_reference_dump
 
 
 # --- tensor files ---
@@ -72,6 +72,28 @@ def test_tensor_corruption_taxonomy(tmp_path):
 
 
 # --- manifests and datasets ---
+
+def test_load_dataset_fills_one_array(tmp_path):
+    """load_dataset reads the images into one array that the first image
+    shapes: 4 volumes of 64^3 load within that array, one image and 0.5 MB.
+    A list of images stacked at the end peaked at 8.4 MB."""
+    images = np.random.default_rng(32).normal(size=(4, 1, 64, 64, 64)).astype(np.float32)
+    save_dataset(LabeledDataset(images, np.array([0, 1, 0, 1]), ("a", "b")), tmp_path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_dataset(tmp_path)))
+    assert peak < images.nbytes + images[0].nbytes + 0.5e6
+    assert loaded[0].images.dtype == images.dtype
+    assert loaded[0].images.tobytes() == images.tobytes()
+
+
+def test_load_dataset_refuses_an_image_of_another_shape(tmp_path):
+    data = generate_synthetic(SyntheticSpec(per_class=2, extent=8, seed=2))
+    save_dataset(data, tmp_path)
+    save_tensor(tmp_path / "tensors" / f"{data.image_ids[2]}.tnsr", np.zeros((1, 8, 9), np.float32))
+    with pytest.raises(ValueError, match=rf"image '{data.image_ids[2]}' has shape \(1, 8, 9\), "
+                                         r"expected \(1, 8, 8\)"):
+        load_dataset(tmp_path)
+
 
 def test_manifest_roundtrip(tmp_path):
     rows = [("img_0000", "tensors/img_0000.tnsr", 0),

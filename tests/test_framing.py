@@ -15,6 +15,8 @@ from centpipe.framing import BadMagicError, FramedFileError, TruncatedError
 from centpipe.net import CheckpointError, LayerSpec
 from centpipe.ops import ConvSpec
 
+from conftest import traced_peak
+
 
 def _tiny_net(filters, width, seed):
     specs = [LayerSpec("conv", conv=ConvSpec((2, 2), (1, 1), "same", filters)),
@@ -129,3 +131,63 @@ def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch, writer
         write(path, 0)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["target"]
+
+
+def _save_small(fmt, path):
+    """A small tensor file or checkpoint at path, and its loader."""
+    if fmt == "tensor":
+        save_tensor(path, np.arange(12, dtype=np.float32).reshape(3, 4))
+        return load_tensor
+    net.save_checkpoint(_tiny_net(2, 3, 0), path)
+    return net.load_checkpoint
+
+
+def _impossible_dims(fmt, path):
+    """A framed file whose first tensor record has dims (0, 2^63): no
+    elements, but an extent numpy cannot hold."""
+    record = [framing.u32(2), np.array([0, 2**63], "<u8").tobytes()]
+    if fmt == "tensor":
+        framing.write_framed(path, data_io.TENSOR_MAGIC, data_io.TENSOR_VERSION, record)
+    else:
+        blob = b"{}"
+        framing.write_framed(path, net.CHECKPOINT_MAGIC, net.CHECKPOINT_VERSION,
+                             [framing.i64(0), framing.u32(len(blob)), blob, framing.u32(1),
+                              *record])
+
+
+_CORRUPTIONS = {  # case -> (raw bytes -> corrupted bytes, the error class raised)
+    "magic": (lambda raw: b"SOMEFILE" + raw[8:], BadMagicError),
+    "version": (lambda raw: raw[:8] + bytes([99]) + raw[9:], framing.VersionError),
+    "truncated": (lambda raw: raw[:-6], TruncatedError),
+    "payload": (lambda raw: raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:], framing.ChecksumError),
+    "dims": (None, FramedFileError),
+}
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("fmt", ["tensor", "checkpoint"])
+def test_a_bad_file_raises_its_error_and_leaves_no_file_open(tmp_path, monkeypatch, fmt, case):
+    """Each kind of bad tensor file or checkpoint raises exactly its framing
+    error class, and the reader closes the file it opened. Impossible dims
+    are refused before anything is allocated."""
+    path = tmp_path / "file"
+    corrupt, error = _CORRUPTIONS[case]
+    load = _save_small(fmt, path)
+    if corrupt is None:
+        _impossible_dims(fmt, path)
+    else:
+        path.write_bytes(corrupt(path.read_bytes()))
+    opened, real_open = [], open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(framing, "open", recording_open, raising=False)
+    with pytest.raises(FramedFileError) as raised:
+        load(path)
+    assert type(raised.value) is error
+    assert len(opened) == 1 and opened[0].closed
+    if case == "dims":
+        assert traced_peak(lambda: pytest.raises(FramedFileError, load, path)) < 1e6

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centpipe import infotheory as it
-from centpipe import net
+from centpipe import net, ops
 from centpipe.infotheory import (FilterSelector, NonFiniteError,
                                  contingency_table, dpi_check,
                                  expected_cent, make_histogram,
                                  mutual_information, partition_check,
                                  pooled_unconditional_entropy)
 
-from conftest import small_dataset
+from conftest import small_dataset, traced_peak
 from reference_stats import mutual_information_double_sum, plugin_entropy
 
 
@@ -332,6 +332,29 @@ def test_cent_rows_equal_the_per_map_loop(n, shapes, mode, bins, fixed, seed, da
                 for m in (a[i] if mode == "per-filter" and a.ndim >= 3 else [a[i]])]
         assert rows[i].tobytes() == np.array(loop).tobytes()
     assert (rows >= 0.0).all() and (rows <= math.log2(bins)).all()
+
+
+@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_cent_rows_in_blocks_keep_their_bytes(monkeypatch, mode, fixed):
+    """Under a scratch budget of 16 values, cent_rows bins one 16-value row
+    a block (per-filter), or each 48-value row in pieces whose counts it
+    adds (per-layer), and gives the bytes of one block."""
+    acts = [np.random.default_rng(33).normal(size=(5, 3, 4, 4)).astype(np.float32),
+            np.random.default_rng(34).normal(size=(5, 6))]
+    range_mode = (-1.0, 2.5) if fixed else "minmax"
+    whole = it.cent_rows(acts, mode, 16, range_mode)
+    monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", 16)
+    assert it.cent_rows(acts, mode, 16, range_mode).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
+def test_cent_rows_temporaries_stay_within_the_budget(mode):
+    """One 10x64^3 float32 read (reference3d's layer-0 --pre-relu read,
+    10.5 MB) takes at most its finiteness mask (a byte a value) and 3 MB in
+    cent_rows. Binning the whole read at once peaked at 41.9 MB."""
+    act = np.random.default_rng(35).normal(size=(1, 10, 64, 64, 64)).astype(np.float32)
+    assert traced_peak(lambda: it.cent_rows([act], mode)) < act.size + 3e6
 
 
 def test_cent_rows_name_the_first_non_finite_activation():

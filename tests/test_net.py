@@ -2,6 +2,7 @@
 
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
@@ -238,15 +239,15 @@ def test_chunk_bound_from_largest_activation():
 def test_split_fc_weights_run_in_chunks_below_ten_samples(build, split):
     """fully_connected's float64 bytes depend on how its weights are cut
     into row blocks once a chunk holds 10 samples or more (OpenBLAS), so
-    every fully connected layer whose weights _row_parts(m, n, 16) cuts
-    into several blocks must run in chunks of fewer than 10 samples: a
-    change to the budget or the chunk rule cannot change training bytes
-    unnoticed."""
+    every fully connected layer whose weights _row_parts(m, n, _FC_ALIGN)
+    cuts into several blocks must run in chunks of fewer than 10 samples: a
+    change to the budget, the block rule or the chunk rule cannot change
+    training bytes unnoticed."""
     network = build()
     chunk = net._chunk_size([network.input_shape] + network.layer_shapes)
     assert split == [i for i, spec in enumerate(network.specs)
                      if spec.kind in ("fully_connected", "softmax")
-                     and len(ops._row_parts(*network.params[i][0].shape, 16)) > 1]
+                     and len(ops._row_parts(*network.params[i][0].shape, ops._FC_ALIGN)) > 1]
     assert not split or chunk < 10
 
 
@@ -516,21 +517,36 @@ def test_factored_fc_gradients_train_to_materialised_bytes(
 
 def test_reference3d_training_chunk_memory_stays_bounded(monkeypatch):
     """One reference3d training step on one 64^3 volume keeps its traced
-    peak under 32 MB: no 128 x 40960 float64 weight gradient (42 MB), no
-    second fc weight array at the step (21 MB), and no whole 10x64^3 conv
-    output, relu output, pool gradient or im2col copy is made (the blocks
-    run slab by slab). So do forward_collect of 4 volumes in one process,
-    under 32 MB, and building the network, under 30 MB: its fc weights are
-    drawn in row blocks, without a 42 MB float64 draw. Whole-array blocks
-    peaked at 52.6, 50.9 and 62.9 MB."""
+    peak under 13 MB: no 128 x 40960 float64 weight gradient (42 MB), no
+    second fc weight array at the step (21 MB), no whole 10x64^3 conv
+    output, relu output, pool gradient or im2col copy (the blocks run slab
+    by slab), fc weight blocks of 4 rows, relu masks of the pooled output
+    and one pair of workspace buffers. So does forward_collect of 4 volumes
+    in one process, under 13 MB, and building the network stays under
+    30 MB: its fc weights are drawn in row blocks, without a 42 MB float64
+    draw. Whole-array blocks peaked at 52.6, 50.9 and 62.9 MB; 16-row fc
+    blocks, relu masks of the relu input and a workspace array per shape at
+    14.4 and 14.4 MB."""
     use_cpus(monkeypatch, 1)  # tracemalloc sees only this process
     rng = np.random.default_rng(26)
     volumes = rng.normal(size=(4, 1, 64, 64, 64)).astype(np.float32)
     dataset = data_io.LabeledDataset(volumes[:1], np.array([1]), ("a", "b"))
     network = net.build_reference_3d(seed=26)
-    assert traced_peak(lambda: net.train(network, dataset, TrainConfig(0.05, 1, 1, seed=26))) < 32e6
-    assert traced_peak(lambda: net.forward_collect(network, volumes)) < 32e6
+    assert traced_peak(lambda: net.train(network, dataset, TrainConfig(0.05, 1, 1, seed=26))) < 13e6
+    assert traced_peak(lambda: net.forward_collect(network, volumes)) < 13e6
     assert traced_peak(lambda: net.build_reference_3d(seed=26)) < 30e6
+
+
+def test_reference3d_checkpoint_loads_within_its_file_size(tmp_path):
+    """load_checkpoint reads each tensor straight into its own array: a
+    reference3d checkpoint (21 MB, nearly all of it the fc weights) loads
+    within its file size and 1 MB. Reading the whole file first and copying
+    each tensor out of it peaked at 42 MB."""
+    path = tmp_path / "net.ckpt"
+    network = net.build_reference_3d(seed=31)
+    net.save_checkpoint(network, path)
+    del network
+    assert traced_peak(lambda: net.load_checkpoint(path)) < os.path.getsize(path) + 1e6
 
 
 @pytest.mark.parametrize("n,chunks,scratch_elements", [
@@ -571,7 +587,7 @@ def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
     weights: 48-row blocks forward, 1024-column blocks backward) and
     reference3d (128 x 40960: 1024-column blocks backward) take in training
     fits the scratch budget, so the workspace keeps it. The one exception is
-    reference3d's forward block of 16 x 40960, the fewest rows a block holds.
+    reference3d's forward block of 4 x 40960, the fewest rows a block holds.
     The blocks are recorded in this process, so it runs every chunk."""
     use_cpus(monkeypatch, 1)
     real, taken = ops.Workspace.take, []
@@ -589,7 +605,7 @@ def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):
     net.train(net.build_reference_3d(seed=28), data_io.LabeledDataset(volume, [0], ("a", "b")),
               TrainConfig(0.05, 1, 1, seed=28))
     assert (128, 1024) in taken
-    assert {s for s in taken if math.prod(s) > ops._SCRATCH_ELEMENTS} == {(16, 40960)}
+    assert {s for s in taken if math.prod(s) > ops._SCRATCH_ELEMENTS} == {(4, 40960)}
 
 
 def _reference3d_pair(seed):

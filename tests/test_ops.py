@@ -567,7 +567,8 @@ def test_fully_connected_blocks_under_a_smaller_budget_match_whole_cast_bytes(
     32^2 samples (10 x 32 x 32 each) a chunk; at 10 to 12, split forward
     blocks were seen to change float64 bytes."""
     monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", budget)
-    assert (len(ops._row_parts(128, 640, 16)), len(ops._row_parts(640, 128, 16))) == blocks
+    assert (len(ops._row_parts(128, 640, ops._FC_ALIGN)),
+            len(ops._row_parts(640, 128, ops._FC_ALIGN))) == blocks
     _check_blocks_match_whole_cast((128, 640), range(1, 8))
 
 
@@ -622,7 +623,7 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
     """Convolutions of differing shapes and dtypes run twice through one
     workspace. No result shares memory with it, every result keeps the bytes
     of a call without a shared workspace after all later calls, the second
-    round reuses the first round's arrays, and no array larger than the
+    round reuses the first round's buffers, and no buffer larger than the
     scratch budget is kept."""
     ws = ops.Workspace()
     rng = np.random.default_rng(21)
@@ -639,13 +640,12 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
                 fresh = (ops.conv_forward(x, w, b, spec),) + ops.conv_backward(g, x, w, spec)
                 results += zip((y,) + grads, fresh)
         if kept is None:
-            kept = dict(ws.arrays)
-    assert kept and all(ws.arrays[key] is array for key, array in kept.items())
-    assert all(array.size <= ops._SCRATCH_ELEMENTS for array in ws.arrays.values())
-    assert ("cols", (2, 36, 64 * 64)) not in ws.arrays
-    assert not any(role == "pad" for role, _ in ws.arrays)
+            kept = list(ws.buffers)
+    assert all(buffer.size for buffer in kept)
+    assert all(buffer is before for buffer, before in zip(ws.buffers, kept))
+    assert all(buffer.size <= ops._SCRATCH_ELEMENTS for buffer in ws.buffers)
     for got, want in results:
-        assert not any(np.shares_memory(got, array) for array in ws.arrays.values())
+        assert not any(np.shares_memory(got, buffer) for buffer in ws.buffers)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -654,10 +654,19 @@ def test_shared_workspace_results_are_fresh_arrays_with_unchanged_bytes():
 def test_shared_workspace_fully_connected_keeps_bytes(dtype):
     """The fully connected ops take their float64 weight blocks from a shared
     workspace: the bytes of calls without one, no result in workspace memory,
-    the backward's 8192-column blocks of 16 x 40960 weights kept, and the
-    forward's one 16-row block of them, above the scratch budget (as in
-    reference3d's first fully connected layer), never kept."""
-    ws = ops.Workspace()
+    the backward's 8192-column blocks of 16 x 40960 weights from a kept
+    buffer, and the forward's 4-row blocks of them, above the scratch budget
+    (as in reference3d's first fully connected layer), never."""
+    taken = set()
+
+    class Recording(ops.Workspace):
+        def take(self, role, shape):
+            array = super().take(role, shape)
+            taken.add((role, shape, any(np.shares_memory(array, buffer)
+                                        for buffer in self.buffers)))
+            return array
+
+    ws = Recording()
     rng = np.random.default_rng(22)
     results = []
     for m, n, batch in [(128, 640, 10), (2, 128, 10), (128, 640, 3), (16, 40960, 1)]:
@@ -669,9 +678,10 @@ def test_shared_workspace_fully_connected_keeps_bytes(dtype):
                *ops.fully_connected_backward(g, x, w, workspace=ws)]
         want = [ops.fully_connected(x, w, b), *ops.fully_connected_backward(g, x, w)]
         results += zip(got, want)
-    assert set(ws.arrays) == {("fc", (128, 640)), ("fc", (2, 128)), ("fc", (16, 8192))}
+    assert taken == {("fc", (128, 640), True), ("fc", (2, 128), True), ("fc", (16, 8192), True),
+                     ("fc", (4, 40960), False)}
     for got, want in results:
-        assert not any(np.shares_memory(got, array) for array in ws.arrays.values())
+        assert not any(np.shares_memory(got, buffer) for buffer in ws.buffers)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -755,16 +765,16 @@ def test_conv_forward_slabs_hold_whole_tiles(monkeypatch, spatial, slabs):
 def test_conv_forward_slabs_fit_the_budget():
     """A 64^3 volume's layer-0 forward takes its im2col copy and GEMM
     output one slab at a time within the budget: the workspace keeps them,
-    and keeps no array above the budget. The 65^3 padded input is made
-    once, outside the workspace."""
+    one in each buffer, and keeps no buffer above the budget. The 65^3
+    padded input is made once, outside the workspace."""
     rng = np.random.default_rng(23)
     network = _one_conv(1, (64, 64, 64), ConvSpec((2, 2, 2), (1, 1, 1), "same", 10))
     x = rng.normal(size=(1, 1, 64, 64, 64)).astype(np.float32)
     ws = ops.Workspace()
     net._forward_layers(network, x, ws)
-    assert {role for role, _ in ws.arrays} == {"cols", "out"}
-    assert all(a.size <= ops._SCRATCH_ELEMENTS for a in ws.arrays.values())
-    assert ws.nbytes == sum(a.nbytes for a in ws.arrays.values())
+    assert all(buffer.size for buffer in ws.buffers)
+    assert all(buffer.size <= ops._SCRATCH_ELEMENTS for buffer in ws.buffers)
+    assert ws.nbytes == sum(buffer.nbytes for buffer in ws.buffers)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
