@@ -233,11 +233,8 @@ def cmd_train(cfg: dict, out: str) -> dict:
 def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
     at a time (each chunk's activations also feed --dump-out), or from an
-    activation dump in chunks of the same bound. A checkpoint's chunks run
-    in forked workers, as forward_collect's do (see workers), and each
-    process keeps one ops.Workspace for all its chunks; a dump's run in this
-    process. The dump is written chunk by chunk, in order, once every
-    option and the images have been checked."""
+    activation dump in chunks of the same bound. The dump is written chunk
+    by chunk, in order, once every option and the images have been checked."""
     infotheory.check_binning(cfg["bins"], cfg["range"])
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):

@@ -109,21 +109,6 @@ def _entropy_p(p: np.ndarray) -> float:
     return h if h > 0.0 else 0.0
 
 
-def _counts_entropy(counts: np.ndarray) -> float:
-    """Plug-in entropy in bits of one histogram's counts."""
-    return _entropy_p(counts / counts.sum())
-
-
-def _prior_weighted_entropy(table: np.ndarray, priors) -> float:
-    """sum_j priors[j] * H(row j) of a (classes, bins) count table, summed in
-    class order from 0.0 over the positive priors only."""
-    h = 0.0
-    for p, row in zip(priors, table):
-        if p > 0:
-            h += p * _counts_entropy(row)
-    return float(h)
-
-
 def row_entropy(counts: np.ndarray) -> np.ndarray:
     """Plug-in entropy in bits of each row of (rows, bins) counts, bit for
     bit the row's own -sum(p * log2(p)) over its nonzero shares (-0.0 for a
@@ -189,8 +174,10 @@ def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
 
 def _require_finite_activations(activations, image_ids) -> None:
     """NonFiniteError naming the first NaN or infinite activation in
-    extraction order: image, then read point, then filter."""
-    if all(np.isfinite(a).all() for a in activations):
+    extraction order: image, then read point, then filter. Min and max are
+    finite exactly when every value is and make no array of the read's size,
+    so a mask is built only to name the bad value."""
+    if all(np.isfinite([a.min(), a.max()]).all() for a in activations):
         return
     bad = [~np.isfinite(a.reshape(len(a), -1)) for a in activations]
     i = min(int(np.argmax(b.any(axis=1))) for b in bad if b.any())
@@ -211,13 +198,11 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
 
     Per-filter mode gives each filter of a rank >= 2 read point (filters on
     read_shape's axis 0) a histogram of its own; per-layer mode, and every
-    rank-1 read point, pools an image's whole read point. The rows are
-    binned in blocks of at most ops._SCRATCH_ELEMENTS values (whole rows, or
-    pieces of one longer row, whose integer counts are added), so the
-    temporaries stay within the budget, and each value equals the plug-in
-    -sum(p * log2(p)) of that map's own histogram, bit for bit. A NaN or
-    infinite activation raises NonFiniteError naming its image (image_ids[i],
-    else the index), read point and filter.
+    rank-1 read point, pools an image's whole read point. Each value is the
+    plug-in -sum(p * log2(p)) of that map's own histogram, bit for bit,
+    however the rows are cut to the scratch budget. A NaN or infinite
+    activation raises NonFiniteError naming its image (image_ids[i], else the
+    index), read point and filter.
     """
     if mode not in ("per-filter", "per-layer"):
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
@@ -311,7 +296,7 @@ def expected_cent(activations, labels, selector: FilterSelector,
     _, priors, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
     for table in tables:
-        total += _prior_weighted_entropy(table, priors)
+        total += sum(p * h for p, h in zip(priors, row_entropy(table)))
     return float(total / len(tables))
 
 
@@ -322,7 +307,7 @@ def pooled_unconditional_entropy(activations, labels, selector: FilterSelector,
     _, _, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
     for table in tables:
-        total += _counts_entropy(table.sum(axis=0))
+        total += row_entropy(table.sum(axis=0, keepdims=True))[0]
     return float(total / len(tables))
 
 
@@ -357,7 +342,7 @@ def partition_check(activations, labels, selector: FilterSelector,
     classes, priors, (table,) = _class_tables(activations, labels, selector, bin_count)
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
-    class_h = {c: _counts_entropy(row) for c, row in zip(classes, table)}
+    class_h = dict(zip(classes, row_entropy(table)))
     prior = dict(zip(classes, priors))
 
     def side(members):

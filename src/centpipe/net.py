@@ -259,14 +259,11 @@ def cent_read_points(specs: list[LayerSpec], pre_relu: bool = False) -> list[int
 
 def _forward_layers(net: Network, x: np.ndarray, workspace: ops.Workspace | None = None,
                     reads=None, train: bool = False):
-    """Run all layers on a (batch, *input_shape) array, one block of
-    _blocks(streamed=True) at a time, a conv block slab by slab (see
-    _block_forward). Returns (outs, caches): outs[i] is layer i's batched
-    output for each i in `reads` (every layer, if None) and for the last
-    layer, and None for the others, which are not kept; with train, caches
-    holds each block's backward cache, in block order (else it is empty).
-    The convolutions and fully connected ops draw their scratch arrays from
-    `workspace`."""
+    """Run all layers on a (batch, *input_shape) array, block by block of
+    _blocks(streamed=True). Returns (outs, caches): outs[i] is layer i's
+    output for each i in `reads` (every layer if None) and the last layer,
+    else None; with train, caches holds each block's backward cache in block
+    order, else it is empty. Scratch arrays come from `workspace`."""
     if tuple(x.shape[1:]) != net.input_shape:
         raise ShapeMismatch(f"input {x.shape[1:]} != network input shape {net.input_shape}")
     keep = set(range(len(net.specs)) if reads is None else reads) | {len(net.specs) - 1}
@@ -309,21 +306,17 @@ def _tail_backward(g: np.ndarray, cache) -> np.ndarray:
 
 
 def _slabs(net: Network, first: int, last: int, batch: int) -> list[slice]:
-    """The slabs of output rows (first spatial axis) of the conv at `first`
-    that its block through `last` runs in, for a chunk of `batch` samples:
-    runs of whole windows of the block's max-pools and of whole 16-position
-    tiles (see below), as many as keep the larger of a slab's conv output
-    and im2col copy within ops._SCRATCH_ELEMENTS, and at least one of each.
-    A block within the budget, every desk block among them, runs as one
-    slab."""
+    """Slabs of output rows (first spatial axis) that the conv block
+    first..last runs in for a chunk of `batch` samples: runs of whole pool
+    windows and 16-position tiles, as many as keep a slab's conv output and
+    im2col copy within ops._SCRATCH_ELEMENTS, at least one of each."""
     conv = net.specs[first].conv
     channels = (net.layer_shapes[first - 1] if first else net.input_shape)[0]
     out = net.layer_shapes[first]  # (filters, *spatial)
     rest = math.prod(out[2:])
     # OpenBLAS sums a partial tile of output positions in another order than
-    # a full one (slabs of 4 positions were seen to change bytes), so a slab
-    # holds a multiple of 16 positions and the slabs give the forward bytes
-    # of one slab; an output whose positions are no such multiple is one slab
+    # a full one, so a slab holds a multiple of 16 positions and the slabs
+    # give the bytes of one slab; other outputs run as one slab
     tile = 16 // math.gcd(rest, 16)
     if out[1] % tile:
         return [slice(0, out[1])]
@@ -335,18 +328,13 @@ def _slabs(net: Network, first: int, last: int, batch: int) -> list[slice]:
 
 def _block_forward(net: Network, first: int, last: int, x: np.ndarray,
                    workspace: ops.Workspace | None, keep: set, train: bool):
-    """Run the conv block first..last of _blocks(streamed=True) on x one
-    slab of output rows at a time (see _slabs): x is padded once
-    (ops.pad_input), each slab convolves its rows of it, halo included,
-    then runs the tail layers, and its rows of every layer in `keep` and of
-    the block's last layer are written into whole arrays. Returns ({layer:
-    output} for those layers, and with train the cache _block_backward
-    reads, else None): the padded input, its "valid" spec, the slices of x
-    in it, and per slab its input rows, its rows of the block output and
-    its tail layers' caches in layer order: a pool's argmax, and a relu's
-    > 0 mask, which for a relu that a max-pool follows is the pooled
-    output's mask, kept after the pool's cache and a window's volume
-    smaller than the relu's own."""
+    """Run the conv block first..last of _blocks(streamed=True) on x slab by
+    slab (see _slabs), x padded once by ops.pad_input. Returns ({layer:
+    output} for the layers in `keep` and the block's last, and with train
+    the cache _block_backward reads, else None): the padded input, its
+    "valid" spec, x's slices in it, and per slab its input rows, output rows
+    and tail caches in layer order (a pool's argmax; a relu's > 0 mask, of
+    the pooled output, after the pool's cache, where a max-pool follows)."""
     w, b = net.params[first]
     xp, conv, crop = ops.pad_input(x, net.specs[first].conv)
     cache = (xp, conv, crop, [])
@@ -384,16 +372,12 @@ def _input_rows(rows: slice, conv: ConvSpec) -> slice:
 def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool,
                     workspace: ops.Workspace | None):
     """(grad_input, grad_filters, grad_bias) of a conv block from the float64
-    gradient g of its output, slab by slab in the forward's slabs: each
-    slab's rows of g run back through its tail caches, last first, and then
-    conv_backward. A pooled relu mask multiplies the pool's gradient before
-    maxpool_backward routes it: only each window's argmax gets gradient,
-    and there the relu input is positive exactly when the pooled value is.
-    The relu masks multiply in place, so g is overwritten. The filter and
-    bias gradients, and the input-gradient slabs (into the padded input's
-    shape, then cropped to x's), are added in slab order; with
-    input_grad=False grad_input is None and no input gradient is
-    computed."""
+    gradient g of its output, in the forward's slabs: each slab's rows of g
+    run back through its tail caches, last first, then conv_backward, and
+    the gradients are added in slab order. A pooled relu mask multiplies the
+    pool's gradient before maxpool_backward: only each window's argmax gets
+    gradient, and there the relu input is positive exactly when the pooled
+    value is. g is overwritten. With input_grad=False grad_input is None."""
     xp, conv, crop, slabs = cache
     gx = np.zeros(xp.shape) if input_grad else None
     gw = gb = None
@@ -416,14 +400,10 @@ def _block_backward(w: np.ndarray, g: np.ndarray, cache: tuple, input_grad: bool
 def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
                     workspace: ops.Workspace | None = None) -> list[np.ndarray]:
     """One (n, *read_shape) array per CENT read point, in read order, for
-    (n, *input_shape) images, filled one chunk of _chunks(net, n) at a
-    time. Activations default to post-ReLU block outputs; pre_relu reads the
-    raw conv outputs instead (ablation switch). Only the read points' arrays
-    are kept: a conv block runs slab by slab (see _block_forward), and its
-    raw conv output is assembled only when pre_relu reads it. The chunks run in
-    forked workers (see workers), one per usable CPU, each process with its
-    own copy of `workspace` (a fresh one if None), which its chunks share;
-    the arrays do not depend on their number.
+    (n, *input_shape) images: post-ReLU block outputs, or with pre_relu the
+    raw conv outputs (ablation switch). The chunks of _chunks(net, n) run in
+    forked workers, each process with its own copy of `workspace` (a fresh
+    one if None); the arrays do not depend on their number.
     """
     points = cent_read_points(net.specs, pre_relu)
     acts = [np.empty((len(images),) + net.layer_shapes[i], images.dtype) for i in points]
@@ -446,12 +426,10 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
 def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
                     workspace: ops.Workspace | None = None):
     """Per-sample losses of a (batch, *input_shape) chunk and its float64
-    parameter gradients {layer: (weights, bias)} summed over the chunk: one
-    forward and one backward pass per block (a conv block slab by slab, see
-    _block_forward), drawing scratch arrays from `workspace`. A fully
-    connected layer's weight gradient is left as its factors (g, x): the
-    (batch, m) upstream gradient and the (batch, n) flattened input, whose
-    product g.T @ x it is."""
+    parameter gradients {layer: (weights, bias)} summed over the chunk, with
+    scratch from `workspace`. A fully connected layer's weight gradient is
+    left as its factors (g, x): the (batch, m) upstream gradient and the
+    (batch, n) flattened input, whose product g.T @ x it is."""
     outs, caches = _forward_layers(net, x, workspace, (), train=True)
     _, losses, grad = ops.softmax_cross_entropy(outs[-1], labels)
     del outs  # the backward pass needs only the caches, freed as it goes
@@ -477,13 +455,9 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
 
 def _chunk_size(shapes: list[tuple[int, ...]]) -> int:
     """Samples per chunk of a pass over samples whose per-sample arrays have
-    `shapes` (a network's input and layer shapes for training and
-    forward_collect, a dump's read shapes for extract --dump): the scratch
-    budget ops._SCRATCH_ELEMENTS over the largest, at least one. Batched
-    kernels allocate float64 temporaries in proportion to the chunk, so a
-    chunk's largest activation stays within 1 MB of float64: a 10x32x32
-    desk activation allows 12 samples (a batch of 10 is one chunk), a
-    10x64x64 one 3, and a 10x64^3 volume runs one sample per chunk."""
+    `shapes` (a network's input and layer shapes, or a dump's read shapes):
+    ops._SCRATCH_ELEMENTS over the largest, at least one, since batched
+    kernels allocate float64 temporaries in proportion to the chunk."""
     return max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in shapes))
 
 
@@ -531,12 +505,9 @@ def _summed(parts: list[np.ndarray]) -> np.ndarray:
 def _fc_sgd_step(weights: np.ndarray, factors: list, scale: float,
                  workspace: ops.Workspace) -> np.ndarray:
     """_sgd_step on the fully connected weights, in place, with the float64
-    gradient sum of g.T @ x over the chunks' (g, x) factors, added in chunk
-    order, without that (m, n) array: it is rebuilt one block of whole rows
-    at a time, each block at most ops._SCRATCH_ELEMENTS values in
-    `workspace`, and each block of the weights is read before it is
-    written. Weights within that budget are one block, the chunks' own
-    GEMMs. Returns `weights`."""
+    gradient sum of g.T @ x over the chunks' (g, x) factors in chunk order,
+    rebuilt one block of whole rows at a time in `workspace`; each block of
+    the weights is read before it is written. Returns `weights`."""
     m, n = weights.shape
     # blocks of at least two rows: numpy runs one row as a matrix-vector
     # product, which BLAS sums in another order than the GEMM
@@ -577,34 +548,16 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     """Mini-batch SGD on softmax cross-entropy; mutates `net` in place.
 
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
-    Batch order is a pure function of config.seed. Each mini-batch runs as
-    one batched forward and backward pass per chunk (see _chunks);
-    gradients are summed in float64, in chunk order. A batch's chunks run
-    in forked workers, one per usable CPU (see workers), and the losses are
-    checked and the gradients summed in chunk order in the calling process,
-    so no byte depends on the number of workers. A conv block above the
-    scratch budget runs forward and backward one slab of output rows at a
-    time (see _block_forward), keeping for the backward only its padded
-    input, the pool's argmax and the relu's > 0 mask (of the pooled output,
-    where a max-pool follows the relu), so a 64^3 volume makes no whole
-    10x64^3 conv output, relu output, pool gradient or im2col copy. A fully
-    connected layer's weight gradient stays factored until the step, which
-    writes the new weights in place (see _fc_sgd_step), so no (m, n) float64
-    weight gradient and no second weight array is made. One ops.Workspace
-    lives for the whole call, so the kernels and the gradient blocks reuse
-    its two buffers of at most ops._SCRATCH_ELEMENTS values from chunk to
-    chunk and from slab to slab instead of allocating them. Still allocated
-    per call are every conv block's padded float32 input (desk's small ones
-    too), and at reference3d's sizes the second block's float64 input
-    gradient (10x33^3 values), its slabs' im2col copies (one pool window of
-    rows, 80x2048 values, exceeds the budget) and fully_connected's 4x40960
-    float64 weight blocks, one at a time.
-    Returns (net, per-epoch mean loss) and calls on_epoch(epoch, mean_loss,
-    workspace_bytes, processes), if given, after each epoch, with the bytes
-    of scratch the calling process's workspace then keeps and the most
-    processes a batch of the epoch ran in. Raises TrainingDiverged naming
-    the epoch, the batch and the dataset index of the first sample whose
-    loss is not finite.
+    Batch order is a pure function of config.seed. A batch runs as one
+    forward and backward pass per chunk (see _chunks), in forked workers;
+    the calling process checks the losses and sums the float64 gradients in
+    chunk order, so no byte depends on the number of workers. One
+    ops.Workspace serves the whole call. Returns (net, per-epoch mean loss)
+    and calls on_epoch(epoch, mean_loss, workspace_bytes, processes), if
+    given, after each epoch: the bytes that workspace then keeps and the
+    most processes a batch ran in. Raises TrainingDiverged naming the epoch,
+    the batch and the dataset index of the first sample whose loss is not
+    finite, or the epoch after which a parameter is not finite.
     """
     images, labels = np.asarray(dataset.images), np.asarray(dataset.labels)
     n = len(images)

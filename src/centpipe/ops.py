@@ -1,60 +1,22 @@
 """Differentiable layer primitives over dense numpy arrays.
 
-Arrays are the tensor carrier: C-order ndarrays, float32 for network storage.
-Every op is a pure function; backward passes take explicitly returned caches.
-All ops preserve the input dtype but accumulate in float64, so float64 inputs
+Arrays are C-order ndarrays, float32 for network storage. Ops keep no state
+(relu_backward overwrites its grad_output); backward passes take explicitly
+returned caches and return parameter gradients summed over the batch. All
+ops preserve the input dtype but accumulate in float64, so float64 inputs
 give full-precision results for finite-difference checking.
 
-Layouts: every op takes the batched arrays the network passes, and any other
-shape is refused with a ShapeMismatch naming it. Convolution input is
-(batch, channels, *spatial), filters are (filter_count, channels, *kernel),
-2D and 3D spatial ranks supported; relu and maxpool act on any leading axes;
-fully_connected takes a (batch, n) input and its backward a (batch, m)
-gradient with that input; softmax_cross_entropy takes (batch, k) logits with
-a (batch,) array of class indices. Backward passes return the parameter
-gradients summed over the batch, which is what one SGD step needs.
-Convolution forward and backward run as im2col GEMMs: one matmul call covers
-the whole batch, one GEMM per sample inside it.
+Layouts: convolution input is (batch, channels, *spatial) with 2 or 3 spatial
+axes and filters (filter_count, channels, *kernel); relu and maxpool act on
+any leading axes; fully_connected takes (batch, n) input and its backward a
+(batch, m) gradient; softmax_cross_entropy takes (batch, k) logits and a
+(batch,) array of class indices. Any other shape raises ShapeMismatch.
 
-One scratch budget, _SCRATCH_ELEMENTS (1 MB of float64), bounds every part
-the work is cut into, and _row_parts makes every cut. The convolutions run
-on what they are given as one GEMM; the network cuts a conv block (conv,
-relu, max-pool) above the budget into slabs of output rows before it calls
-them (net._block_forward), so a 64^3 volume's convolutions never build a
-whole im2col copy, GEMM output or col2im buffer. fully_connected (whole
-rows) and its backward (whole columns) cast the float32 weights to float64
-in blocks of a multiple of _FC_ALIGN (4), so no float64 copy of a large
-weight matrix is made. Batched temporaries grow with the batch, so training
-and net.forward_collect cap a chunk's largest activation at the same budget
-(net._chunk_size). The chunks run in forked workers, one per usable CPU
-(see workers), each process with OpenBLAS on one thread and a Workspace of
-its own; no byte depends on the number of workers.
-
-Training kernels skip work nothing reads: conv_backward(...,
-input_grad=False) computes no input gradient, which the training loop asks of
-layer 0, whose input is the image, and fully_connected_backward(...,
-weight_grad=False) no weight gradient, which the training loop rebuilds from
-its factors at the step. maxpool_backward routes every window's gradient to
-its argmax with one np.bincount.
-
-A convolution's input is zero-padded by pad_input alone, in its own dtype:
-the network pads a conv block's input once and convolves slabs of it with
-a "valid" spec, and a "same" spec given to conv_forward or conv_backward is
-padded by them the same way. im2col's copy casts it to float64 exactly.
-
-Training reuses its scratch memory: the kernels take their float64 scratch
-arrays from a Workspace (two buffers, see Workspace) and write into them
-through np.copyto and out=, which is the same arithmetic, so the bytes do
-not change. net.train keeps one Workspace for its whole call and
-net.forward_collect one for all its chunks (a forked worker gets a copy).
-Still allocated per call are each conv block's padded input, the im2col
-copies of a 64^3 volume's layer-1 slabs (one pool window of rows, 80x2048
-values, exceeds the budget) and its fc forward's 4x40960 weight blocks, one
-at a time. relu_backward multiplies in place into the upstream gradient,
-which the training loop never reads again; it takes the relu's input or a
-bool mask, and for a relu that a max-pool follows the network keeps the
-pooled output's mask (net._block_forward). centpipe train's per-epoch
-stderr line reports the minor page faults reuse saves.
+_SCRATCH_ELEMENTS (1 MB of float64) bounds every part the work is cut into,
+and _row_parts makes every cut. A kernel takes its float64 scratch from a
+Workspace and writes into it through np.copyto and out=, the same arithmetic
+as a fresh array; no op returns workspace memory. README's "Networks"
+section tells how the network cuts its work to the budget.
 """
 
 from __future__ import annotations
@@ -129,7 +91,7 @@ def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
     return win[sub]
 
 
-# Most float64 elements one scratch part holds (1 MB): see the module docstring
+# Most float64 elements one scratch part holds (1 MB)
 _SCRATCH_ELEMENTS = 1 << 17
 
 # A float64 fc weight block holds a multiple of this many rows (forward) or
@@ -140,14 +102,12 @@ _FC_ALIGN = 4
 
 
 class Workspace:
-    """Two float64 scratch buffers, reused across calls: `take` returns the
-    first values of one of them in the shape asked, "cols", "fc" and "gw"
-    from the first and "out", "gpad" and "gw_part" from the second. No
-    kernel holds two arrays of one buffer at once, and a kernel overwrites
-    what it takes, so no kernel returns workspace memory. A buffer grows to
-    the largest array taken from it, up to _SCRATCH_ELEMENTS values (read
-    when `take` runs); a larger array is allocated for the call that takes
-    it.
+    """Two float64 scratch buffers reused across calls. `take` returns the
+    first values of one in the shape asked: "cols", "fc" and "gw" from the
+    first, "out", "gpad" and "gw_part" from the second. No kernel holds two
+    arrays of one buffer at once, and each overwrites what it takes. A
+    buffer grows to the largest array taken within _SCRATCH_ELEMENTS values
+    (read when `take` runs); a larger array is allocated for its call alone.
     """
 
     _BUFFER = {"cols": 0, "fc": 0, "gw": 0, "out": 1, "gpad": 1, "gw_part": 1}
@@ -215,9 +175,7 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     (F, channels, *kernel) filters.
 
     Returns (batch, F, *out_spatial); each element is the windowed dot
-    product plus bias. Scratch arrays come from `workspace`; the network
-    cuts a large convolution into slabs of output rows before it calls this
-    (see net._block_forward).
+    product plus bias. Scratch arrays come from `workspace`.
     """
     rank = len(spec.kernel)
     _require(x.ndim == rank + 2,

@@ -357,6 +357,14 @@ def test_cent_rows_temporaries_stay_within_the_budget(mode):
     assert traced_peak(lambda: it.cent_rows([act], mode)) < act.size + 3e6
 
 
+@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
+def test_cent_rows_check_finiteness_without_a_mask(mode):
+    """Four 10x64^3 float32 volumes (42 MB) take at most 3 MiB in cent_rows:
+    finiteness is checked by min and max, with no mask of a byte a value."""
+    act = np.random.default_rng(36).standard_normal((4, 10, 64, 64, 64), dtype=np.float32)
+    assert traced_peak(lambda: it.cent_rows([act], mode)) <= 3 * 2**20
+
+
 def test_cent_rows_name_the_first_non_finite_activation():
     """The first bad value in extraction order (image, then read point, then
     filter) is named, whichever read point holds it."""
@@ -547,6 +555,45 @@ def test_dataset_measures_equal_the_per_class_reference(read_points, bins, data)
         assert report.h_informative == priors[0] * class_h[0] / priors[0]
         assert report.h_uninformative == sum(priors[j] * class_h[j] for j in rest) / p_rest
         assert report.h_conditional == sum(p * h for p, h in zip(priors, class_h))
+
+
+def _oracle_entropy(row) -> float:
+    p = row / row.sum()
+    return -(p[p > 0] * np.log2(p[p > 0])).sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_theory_entropies_equal_the_row_oracle_bit_for_bit(k, bins, seed):
+    """expected_cent, pooled_unconditional_entropy and partition_check's
+    entropies equal, with ==, each class table row's own plug-in entropy
+    added in class order from 0.0, also where a class loads a single bin."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 6, size=k)))
+    acts = [(rng.normal(size=(len(labels), 3, 3, 3)) * rng.uniform(0.1, 5.0)).astype(np.float32)]
+    acts[0][labels == rng.integers(k), 1] = 0.5  # one class's filter 1 loads one bin
+    acts[0][:, 2] = 1.5  # a constant filter: every class loads one bin
+    sel = FilterSelector(0)
+    classes, priors, tables = it._class_tables(acts, labels, sel, bins)
+    cond, pooled, class_hs = 0.0, 0.0, []
+    for table in tables:
+        class_hs.append([_oracle_entropy(row) for row in table])
+        h = 0.0
+        for p, class_h in zip(priors, class_hs[-1]):
+            h += p * class_h
+        cond += h
+        pooled += _oracle_entropy(table.sum(axis=0))
+    assert expected_cent(acts, labels, sel, bins) == cond / len(tables)
+    assert pooled_unconditional_entropy(acts, labels, sel, bins) == pooled / len(tables)
+
+    order, cut = [int(c) for c in rng.permutation(classes)], int(rng.integers(1, k))
+    side_a, side_b = tuple(order[:cut]), tuple(order[cut:])
+    fi = int(rng.integers(3))
+    report = partition_check(acts, labels, FilterSelector(0, (fi,)), (side_a, side_b), bins)
+    prior, class_h = dict(zip(classes, priors)), dict(zip(classes, class_hs[fi]))
+    for side, h in ((side_a, report.h_informative), (side_b, report.h_uninformative)):
+        assert h == sum(prior[c] * class_h[c] for c in side) / sum(prior[c] for c in side)
+    assert report.h_conditional == sum(prior[c] * class_h[c] for c in classes)
 
 
 # --- partition decomposition ---
