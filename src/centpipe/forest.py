@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .infotheory import NonFiniteError, row_entropy
+from .infotheory import NonFiniteError, first_nonfinite, row_entropy
 
 CRITERIA = ("gini", "entropy")
 
@@ -444,9 +444,9 @@ class _Grower:
 
 
 def _require_finite(X: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(X))
-    if len(bad):
-        r, c = bad[0]
+    bad = first_nonfinite(X)
+    if bad is not None:
+        r, c = bad
         raise NonFiniteError(f"non-finite feature value {X[r, c]} at row {r}, column {c}")
 
 

@@ -45,9 +45,19 @@ class NonFiniteError(ArithmeticError):
     reached the forest (not a ValueError: exit 1)."""
 
 
+def first_nonfinite(values: np.ndarray) -> tuple[int, ...] | None:
+    """The index of values' first NaN or infinite value in C order, or None
+    if every value is finite. Min and max are finite exactly when every
+    value is and make no array of values' size, so a mask is built only to
+    find a bad value."""
+    if values.size == 0 or np.isfinite([values.min(), values.max()]).all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(~np.isfinite(values)), values.shape))
+
+
 def _require_finite(values: np.ndarray) -> None:
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
+    if first_nonfinite(values) is not None:
+        bad = values.size - np.count_nonzero(np.isfinite(values))
         raise NonFiniteError(f"{bad} of {values.size} samples are NaN or infinite")
 
 
@@ -174,15 +184,13 @@ def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
 
 def _require_finite_activations(activations, image_ids) -> None:
     """NonFiniteError naming the first NaN or infinite activation in
-    extraction order: image, then read point, then filter. Min and max are
-    finite exactly when every value is and make no array of the read's size,
-    so a mask is built only to name the bad value."""
-    if all(np.isfinite([a.min(), a.max()]).all() for a in activations):
+    extraction order: image, then read point, then filter."""
+    firsts = [first_nonfinite(a) for a in activations]
+    if all(first is None for first in firsts):
         return
-    bad = [~np.isfinite(a.reshape(len(a), -1)) for a in activations]
-    i = min(int(np.argmax(b.any(axis=1))) for b in bad if b.any())
-    li = next(li for li, b in enumerate(bad) if b[i].any())
-    row, shape = bad[li][i], activations[li].shape[1:]
+    i = min(first[0] for first in firsts if first is not None)
+    li = next(li for li, a in enumerate(activations) if first_nonfinite(a[i]) is not None)
+    row, shape = ~np.isfinite(activations[li][i].ravel()), activations[li].shape[1:]
     where = f"read point {li}"
     if len(shape) >= 2:
         where += f", filter {int(np.argmax(row)) // math.prod(shape[1:])}"

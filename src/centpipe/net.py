@@ -576,37 +576,40 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
 
     rng = np.random.default_rng(config.seed)
     trace = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        epoch_losses, epoch_workers = [], 1
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            batch = order[start:start + config.batch_size]
-            parts = [batch[s] for s in _chunks(net, len(batch))]
-            processes = workers.count(len(parts), _work(net, len(batch), backward=True))
-            epoch_workers = max(epoch_workers, processes)
-            chunk_grads = []
-            for part, (losses, part_grads) in zip(
-                    parts, list(workers.map(loss_and_grads, parts, processes))):
-                bad = ~np.isfinite(losses)
-                if bad.any():
-                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "
-                                           f"(sample {part[np.argmax(bad)]})")
-                epoch_losses.append(losses)
-                chunk_grads.append(part_grads)
-            scale = config.learning_rate / len(batch)
-            for li in chunk_grads[0]:
-                (w, b), (gws, gbs) = net.params[li], zip(*(part[li] for part in chunk_grads))
-                w = (_sgd_step(w, _summed(gws), scale) if net.specs[li].kind == "conv"
-                     else _fc_sgd_step(w, gws, scale, workspace))
-                net.params[li] = (w, _sgd_step(b, _summed(gbs), scale))
-        for par in net.params:
-            # min and max are finite exactly when every value is, and unlike
-            # isfinite they make no array of the weights' size
-            if par is not None and not all(np.isfinite([a.min(), a.max()]).all() for a in par):
-                raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
-        trace.append(float(np.mean(np.concatenate(epoch_losses))))
-        if on_epoch is not None:
-            on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers)
+    # an overflow or NaN shows as a non-finite loss or parameter, which the
+    # checks below name: numpy's warnings would only add noise before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            epoch_losses, epoch_workers = [], 1
+            for bi, start in enumerate(range(0, n, config.batch_size)):
+                batch = order[start:start + config.batch_size]
+                parts = [batch[s] for s in _chunks(net, len(batch))]
+                processes = workers.count(len(parts), _work(net, len(batch), backward=True))
+                epoch_workers = max(epoch_workers, processes)
+                chunk_grads = []
+                for part, (losses, part_grads) in zip(
+                        parts, list(workers.map(loss_and_grads, parts, processes))):
+                    bad = ~np.isfinite(losses)
+                    if bad.any():
+                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi} "
+                                               f"(sample {part[np.argmax(bad)]})")
+                    epoch_losses.append(losses)
+                    chunk_grads.append(part_grads)
+                scale = config.learning_rate / len(batch)
+                for li in chunk_grads[0]:
+                    (w, b), (gws, gbs) = net.params[li], zip(*(part[li] for part in chunk_grads))
+                    w = (_sgd_step(w, _summed(gws), scale) if net.specs[li].kind == "conv"
+                         else _fc_sgd_step(w, gws, scale, workspace))
+                    net.params[li] = (w, _sgd_step(b, _summed(gbs), scale))
+            for par in net.params:
+                # min and max are finite exactly when every value is, and unlike
+                # isfinite they make no array of the weights' size
+                if par is not None and not all(np.isfinite([a.min(), a.max()]).all() for a in par):
+                    raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
+            trace.append(float(np.mean(np.concatenate(epoch_losses))))
+            if on_epoch is not None:
+                on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers)
     return net, trace
 
 

@@ -15,18 +15,22 @@ any leading axes; fully_connected takes (batch, n) input and its backward a
 _SCRATCH_ELEMENTS (1 MB of float64) bounds every part the work is cut into,
 and _row_parts makes every cut. A kernel takes its float64 scratch from a
 Workspace and writes into it through np.copyto and out=, the same arithmetic
-as a fresh array; no op returns workspace memory. README's "Networks"
-section tells how the network cuts its work to the budget.
+as a fresh array; no op returns workspace memory. Geometry that depends
+only on shapes (output extents, pads, pool window indices) is computed once
+per shape by bounded caches, and no cache holds an array that grows with the
+batch. README's "Networks" section tells how the network cuts its work to the
+budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatch(ValueError):
@@ -59,6 +63,9 @@ class ConvSpec:
         return _out_extent(spatial, self.kernel, self.stride, self.padding)
 
 
+# Shape-only geometry is cached per distinct shape; an exception (a
+# ShapeMismatch) leaves no entry, so a bad call raises on every repeat
+@functools.lru_cache(maxsize=64)
 def _out_extent(spatial, kernel, stride, padding) -> tuple[int, ...]:
     _require(len(spatial) == len(kernel),
              f"spatial rank {spatial} does not match kernel rank {kernel}")
@@ -83,12 +90,15 @@ def _pad_amounts(spatial, kernel, stride, out) -> list[tuple[int, int]]:
 
 
 def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
-    """Strided view of all kernel-sized windows over the trailing len(kernel) axes."""
-    rank = len(kernel)
-    axes = tuple(range(x.ndim - rank, x.ndim))
-    win = sliding_window_view(x, kernel, axis=axes)
-    sub = (slice(None),) * (x.ndim - rank) + tuple(slice(None, None, s) for s in stride)
-    return win[sub]
+    """Read-only strided view of all kernel-sized windows, `stride` apart,
+    over the trailing len(kernel) axes: (*lead, *positions, *kernel). Built
+    from x's own strides, so any strided view of an array works."""
+    lead = x.ndim - len(kernel)
+    steps = x.strides[lead:]
+    positions = _out_extent(x.shape[lead:], kernel, stride, "valid")
+    return as_strided(x, x.shape[:lead] + positions + kernel,
+                      x.strides[:lead] + tuple(d * st for d, st in zip(steps, stride)) + steps,
+                      writeable=False)
 
 
 # Most float64 elements one scratch part holds (1 MB)
@@ -103,14 +113,14 @@ _FC_ALIGN = 4
 
 class Workspace:
     """Two float64 scratch buffers reused across calls. `take` returns the
-    first values of one in the shape asked: "cols", "fc" and "gw" from the
-    first, "out", "gpad" and "gw_part" from the second. No kernel holds two
+    first values of one in the shape asked: "cols", "bias", "fc" and "gw"
+    from the first, "out", "gpad" and "gw_part" from the second. No kernel holds two
     arrays of one buffer at once, and each overwrites what it takes. A
     buffer grows to the largest array taken within _SCRATCH_ELEMENTS values
     (read when `take` runs); a larger array is allocated for its call alone.
     """
 
-    _BUFFER = {"cols": 0, "fc": 0, "gw": 0, "out": 1, "gpad": 1, "gw_part": 1}
+    _BUFFER = {"cols": 0, "bias": 0, "fc": 0, "gw": 0, "out": 1, "gpad": 1, "gw_part": 1}
 
     def __init__(self):
         self.buffers = [np.empty(0), np.empty(0)]
@@ -141,18 +151,28 @@ def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
+@functools.lru_cache(maxsize=64)
+def _pad_geometry(spatial: tuple[int, ...], spec: ConvSpec
+                  ) -> tuple[tuple[slice, ...], tuple[int, ...], ConvSpec]:
+    """pad_input's geometry for (batch, C, *spatial) input: the slices of
+    the input's place in the padded array, the padded spatial extents and
+    the "valid" spec that gives spec's output on it."""
+    pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
+    crop = (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
+    padded = tuple(b + s + a for (b, a), s in zip(pads, spatial))
+    return crop, padded, replace(spec, padding="valid")
+
+
 def pad_input(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
     """The (batch, C, *spatial) input x zero-padded once as spec's padding
     asks (x itself for "valid"), in x's dtype, the "valid" spec that gives
     spec's output on it, and the slices of x's place in it."""
-    spatial = x.shape[2:]
-    pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
-    crop = (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
+    crop, padded, valid = _pad_geometry(x.shape[2:], spec)
     if spec.padding == "valid":
         return x, spec, crop
-    xp = np.zeros(x.shape[:2] + tuple(b + s + a for (b, a), s in zip(pads, spatial)), x.dtype)
+    xp = np.zeros(x.shape[:2] + padded, x.dtype)
     xp[crop] = x
-    return xp, replace(spec, padding="valid"), crop
+    return xp, valid, crop
 
 
 def _im2col(windows: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -200,7 +220,12 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     # one matmul call over the batch, straight into (B, F, positions)
     y = ws.take("out", (len(x), spec.filter_count, cols.shape[2]))
     np.matmul(fw, cols, out=y)
-    y += bias.astype(np.float64, copy=False)[:, None]
+    del cols  # spent: the bias row takes its buffer
+    # the bias added as a whole (F, positions) row: the same sums as a
+    # stride-0 column in about half the time
+    row = ws.take("bias", y.shape[1:])
+    row[...] = bias[:, None]
+    y += row
     # a cast copy: y is workspace memory
     return y.reshape((len(x), spec.filter_count) + out).astype(x.dtype)
 
@@ -289,7 +314,7 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
     a cache recording the argmax of every window for gradient routing. A max
     needs no accumulation, so it runs in the input's dtype.
     """
-    rank = len(window)
+    window, stride, rank = tuple(window), tuple(stride), len(window)
     _require(len(stride) == rank, f"window rank {window} != stride rank {stride}")
     _require(x.ndim >= rank, f"input {x.shape} has fewer axes than window {window}")
     _require(all(w >= 1 for w in window) and all(s >= 1 for s in stride),
@@ -325,9 +350,21 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
         # a -0.0 maximum tied with a later +0.0 stays -0.0 (tests check the
         # signs against a gather at argmax)
         np.maximum(candidate, pooled, out=pooled)
-    cache = PoolCache(x.shape, tuple(window), tuple(stride), padding,
+    cache = PoolCache(x.shape, window, stride, padding,
                       tuple(b for b, _ in pads), xw.shape[x.ndim - rank:], argmax)
     return pooled, cache
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_indices(window, stride, out, padded) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices into one sample's padded (*padded) input of
+    each offset inside a window, in flat window order, and of each window's
+    origin, shaped `out`."""
+    offsets = np.ravel_multi_index(np.unravel_index(np.arange(math.prod(window)), window), padded)
+    origins = np.ravel_multi_index(
+        np.ogrid[tuple(slice(0, st * n, st) for st, n in zip(stride, out))], padded)
+    offsets.flags.writeable = origins.flags.writeable = False
+    return offsets, origins
 
 
 def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
@@ -346,10 +383,7 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     _require(grad_output.shape == lead + out,
              f"grad_output {grad_output.shape} != pooled shape {lead + out}")
     padded = cache.padded_spatial
-    offsets = np.ravel_multi_index(
-        np.unravel_index(np.arange(math.prod(cache.window)), cache.window), padded)
-    origins = np.ravel_multi_index(
-        np.ogrid[tuple(slice(0, st * n, st) for st, n in zip(cache.stride, out))], padded)
+    offsets, origins = _pool_indices(cache.window, cache.stride, out, padded)
     idx = offsets[cache.argmax]
     idx += origins
     idx += np.arange(math.prod(lead)).reshape(lead + (1,) * rank) * math.prod(padded)

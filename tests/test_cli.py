@@ -6,6 +6,8 @@ import json
 import os
 import resource
 import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -292,13 +294,26 @@ def test_extract_config_error_leaves_the_earlier_dump_as_it_was(pipeline, tmp_pa
     data_io.import_activation_dump(str(dump))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1(pipeline, tmp_path):
     code, _, err = run_cli(["train", "--out", str(tmp_path / "t"),
                             "--data", pipeline["data"],
                             "--learning-rate", "1e18", "--epochs", "8"])
     assert code == 1
     assert "runtime failure" in err
+
+
+def test_train_divergence_writes_only_its_error(pipeline, tmp_path):
+    """Run as a process with numpy's warnings shown, as a user sees them: a
+    diverging train exits 1 with its named error and no RuntimeWarning."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "centpipe.cli", "train",
+                           "--out", str(tmp_path / "t"), "--data", pipeline["data"],
+                           "--learning-rate", "1e300", "--epochs", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "runtime failure: TrainingDiverged: non-finite loss at epoch 0" in proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 + 5])

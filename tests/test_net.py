@@ -197,7 +197,6 @@ def test_single_full_batch_step_decreases_loss():
     pytest.fail(f"no loss decrease even at lr={lr * 2}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverged_names_location():
     dataset = small_dataset(per_class=5, seed=3)
     network = net.build_desk_2d(32, 2, seed=6)
@@ -209,7 +208,6 @@ def test_train_diverged_names_location():
     assert "epoch 0" in str(e.value) and "batch 0" in str(e.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverged_names_first_bad_sample_of_a_chunk():
     dataset = small_dataset(per_class=5, seed=3)
     order = np.random.default_rng(0).permutation(10)  # batch 0 is order[:5]
@@ -642,7 +640,6 @@ def test_training_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_diverged_chunk_of_a_worker_names_its_sample(monkeypatch, cpus):
     """A NaN image in chunk 1 of batch 0 (which a worker runs at 2 and 3

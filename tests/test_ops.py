@@ -1,6 +1,7 @@
 """Layer primitives: forward examples, contract errors, and gradient checks
 against central finite differences."""
 
+import math
 import re
 
 import numpy as np
@@ -792,3 +793,121 @@ def test_fully_connected_backward_without_weight_grad(dtype, m, n, batch):
     assert gw is not None and skipped[1] is None
     assert skipped[0].tobytes() == gi.tobytes() and skipped[2].tobytes() == gb.tobytes()
     assert skipped[0].dtype == gi.dtype and skipped[2].dtype == gb.dtype
+
+
+# (input shape, conv spec, pool window, pool stride, pool padding): desk's two
+# blocks and both reference3d variants' first block on a smaller volume, each
+# at 1 and 12 samples
+_GEOMETRIES = [
+    ((batch,) + sample, spec, window, stride, padding)
+    for batch in (1, 12)
+    for sample, spec, window, stride, padding in [
+        ((1, 32, 32), ConvSpec((2, 2), (1, 1), "same", 10), (2, 2), (2, 2), "valid"),
+        ((10, 16, 16), ConvSpec((2, 2), (1, 1), "same", 10), (2, 2), (2, 2), "valid"),
+        ((1, 8, 8, 8), ConvSpec((2, 2, 2), (1, 1, 1), "same", 10), (2, 2, 2), (2, 2, 2), "valid"),
+        ((1, 8, 8, 8), ConvSpec((2, 2, 2), (2, 2, 2), "valid", 10), (2, 2, 2), (1, 1, 1), "same"),
+    ]
+]
+
+
+def _conv_forward_from_scratch(x, w, b, spec):
+    """conv_forward's arithmetic with nothing cached: np.pad, windows by
+    sliding_window_view, and the bias added as a stride-0 column."""
+    out = R.out_extent(x.shape[2:], spec.kernel, spec.stride, spec.padding)
+    if spec.padding == "same":
+        x = np.pad(x, [(0, 0)] * 2 + R.pad_amounts(x.shape[2:], spec.kernel, spec.stride, out))
+    rank = len(spec.kernel)
+    order = [0, 1] + list(range(rank + 2, 2 * rank + 2)) + list(range(2, rank + 2))
+    windows = R.spatial_windows(x, spec.kernel, spec.stride).transpose(order)
+    cols = windows.reshape(len(x), -1, math.prod(out)).astype(np.float64)
+    y = np.matmul(w.reshape(len(w), -1).astype(np.float64), cols)
+    y += b.astype(np.float64)[:, None]
+    return y.reshape((len(x), len(w)) + out).astype(x.dtype)
+
+
+def _run_geometries(rng_seed):
+    """Each geometry's conv forward and backward (also on a non-contiguous
+    slab view of its padded input), pad, max-pool and pool backward, twice
+    over, the geometries alternating: (op, geometry, round, result) rows."""
+    rng = np.random.default_rng(rng_seed)
+    rows = []
+    for rnd in range(2):
+        for gi, (shape, spec, window, stride, padding) in enumerate(_GEOMETRIES):
+            x = rng.normal(size=shape).astype(np.float32)
+            w = rng.normal(size=(spec.filter_count, shape[1]) + spec.kernel).astype(np.float32)
+            b = rng.normal(size=spec.filter_count).astype(np.float32)
+            y = ops.conv_forward(x, w, b, spec)
+            g = rng.normal(size=y.shape)
+            xp, valid, crop = ops.pad_input(x, spec)
+            slab = xp[:, :, 1:1 + 2 * valid.kernel[0]]
+            assert slab.flags.c_contiguous == (shape[0] * shape[1] == 1)
+            pooled, cache = ops.maxpool(y, window, stride, padding)
+            got = {"conv_forward": (x, w, b, spec, y),
+                   "slab_forward": (slab, w, b, valid, ops.conv_forward(slab, w, b, valid)),
+                   "conv_backward": ops.conv_backward(g, x, w, spec),
+                   "pad_input": (xp, valid, crop),
+                   "maxpool": (pooled, cache.argmax),
+                   "maxpool_backward": ops.maxpool_backward(pooled.astype(np.float64), cache)}
+            rows += [(op, gi, rnd, value) for op, value in got.items()]
+    return rows
+
+
+def test_cached_geometry_keeps_the_from_scratch_bytes(monkeypatch):
+    """Ops run over alternating geometries (desk 2-D and reference3d 3-D,
+    "same" and "valid", 1 and 12 samples, a non-contiguous slab view) give
+    the bytes of the same calls with every geometry cache bypassed, windows
+    built by sliding_window_view, inputs padded by np.pad, and convolutions
+    with a column bias."""
+    cached = _run_geometries(31)
+    for op, gi, rnd, value in cached:
+        if op in ("conv_forward", "slab_forward"):
+            x, w, b, spec, y = value
+            want = _conv_forward_from_scratch(np.ascontiguousarray(x), w, b, spec)
+            assert y.dtype == want.dtype and y.tobytes() == want.tobytes(), (op, gi, rnd)
+        elif op == "pad_input":
+            xp, valid, crop = value
+            shape, spec = _GEOMETRIES[gi][:2]
+            pads = R.pad_amounts(shape[2:], spec.kernel, spec.stride,
+                                 R.out_extent(shape[2:], spec.kernel, spec.stride, spec.padding))
+            assert xp.shape == shape[:2] + tuple(s + a + c for s, (a, c) in zip(shape[2:], pads))
+            assert valid == ConvSpec(spec.kernel, spec.stride, "valid", spec.filter_count)
+            assert np.array_equal(np.pad(xp[crop], [(0, 0)] * 2 + pads), xp)
+    for name in ("_out_extent", "_pad_geometry", "_pool_indices"):
+        monkeypatch.setattr(ops, name, getattr(ops, name).__wrapped__)
+    monkeypatch.setattr(ops, "_spatial_windows", R.spatial_windows)
+    for (op, gi, rnd, got), (*_, want) in zip(cached, _run_geometries(31)):
+        for a, b in zip(got, want):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (op, gi, rnd)
+            else:
+                assert a == b, (op, gi, rnd)
+
+
+def test_geometry_caches_hold_no_batch_sized_arrays():
+    """A pool geometry seen at 1 and at 12 samples adds one cache entry, and
+    its index arrays are read-only and sized by one sample's geometry."""
+    ops._pool_indices.cache_clear()
+    rng = np.random.default_rng(32)
+    for batch in (1, 12, 1):
+        pooled, cache = ops.maxpool(rng.normal(size=(batch, 10, 16, 16)), (2, 2), (2, 2))
+        ops.maxpool_backward(pooled, cache)
+    assert ops._pool_indices.cache_info().currsize == 1
+    offsets, origins = ops._pool_indices((2, 2), (2, 2), (8, 8), (16, 16))
+    assert offsets.shape == (4,) and origins.shape == (8, 8)
+    for array in (offsets, origins):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
+def test_out_extent_raises_on_every_repeat_of_a_bad_call():
+    """A ShapeMismatch is never cached: the same bad geometry raises on
+    every call, directly and through an op."""
+    spec = ConvSpec((3, 3), (1, 1), "valid", 1)
+    x, w, b = np.zeros((1, 1, 2, 5)), np.zeros((1, 1, 3, 3)), np.zeros(1)
+    for _ in range(3):
+        with pytest.raises(ShapeMismatch, match="empty output"):
+            ops._out_extent((2, 5), (3, 3), (1, 1), "valid")
+        with pytest.raises(ShapeMismatch, match="empty output"):
+            ops.conv_forward(x, w, b, spec)
+    assert ops._out_extent((3, 5), (3, 3), (1, 1), "valid") == (1, 3)
