@@ -245,15 +245,14 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         raise ConfigError("--pre-relu has no effect with --dump: the dump holds the "
                           "activations it was exported with")
     if from_dump:
-        dump = data_io.import_activation_dump(cfg["dump"])
-        ids, labels, class_names = dump.image_ids, dump.labels, dump.class_names
-        read_shapes = [a.shape for a in dump.activations[0]]
+        ids, labels, class_names, files = data_io.import_activation_dump(cfg["dump"])
+        read_shapes = [a.shape[1:] for a in data_io.stack_tensors(ids[:1], files[:1])]
         chunk = net._chunk_size(read_shapes)
         parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
         processes = 1  # no forward pass: forking it was not measured to pay
 
         def activations(rows):
-            return [np.stack(layer) for layer in zip(*dump.activations[rows])]
+            return data_io.stack_tensors(ids[rows], files[rows], read_shapes)
     else:
         network, dataset = _network_and_dataset(cfg)
         ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names

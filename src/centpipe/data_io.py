@@ -4,7 +4,9 @@ sampling for the data-processing check, activation dumps (`extract
 
 A tensor file is a framed file (see framing) whose body is one tensor record:
 magic "CENTTNSR", u32 version, u32 rank, u64 dims[rank], float32 payload,
-trailing u32 CRC32 of everything before it.
+trailing u32 CRC32 of everything before it. stack_tensors is the one reader
+of per-image tensor files into arrays: load_dataset reads a dataset's images
+through it, and extract --dump each chunk of a dump's activations.
 """
 
 from __future__ import annotations
@@ -156,21 +158,35 @@ def _manifest_rows(path):
     return rows, class_names, os.path.dirname(manifest)
 
 
+def stack_tensors(image_ids, paths, shapes=None) -> list[np.ndarray]:
+    """One (n, *shape) float32 array per column of `paths`, whose row i
+    lists image i's tensor files; each image is read into the arrays and
+    freed before the next. The first image fixes the shapes unless `shapes`
+    is given; an image whose tensors differ raises ValueError naming it."""
+    n = len(paths)
+    stacks = None if shapes is None else [np.empty((n, *s), np.float32) for s in shapes]
+    for i, (image_id, files) in enumerate(zip(image_ids, paths)):
+        tensors = [load_tensor(path) for path in files]
+        if stacks is None:
+            stacks = [np.empty((n, *t.shape), np.float32) for t in tensors]
+        if len(tensors) != len(stacks):
+            raise ValueError(f"image {image_id!r} has {len(tensors)} tensors, "
+                             f"expected {len(stacks)}")
+        for stack, tensor in zip(stacks, tensors):
+            if tensor.shape != stack.shape[1:]:
+                raise ValueError(f"image {image_id!r} has shape {tensor.shape}, "
+                                 f"expected {stack.shape[1:]}")
+            stack[i] = tensor
+        del tensors, tensor  # freed before the next image is read
+    return stacks
+
+
 def load_dataset(path) -> LabeledDataset:
     """Accepts a dataset directory or a manifest.csv path. The images go
     into one array, whose shape the first image fixes."""
     rows, class_names, base = _manifest_rows(path)
-    images = None
-    for i, (image_id, rel, _) in enumerate(rows):
-        arr = load_tensor(os.path.join(base, rel))
-        if images is None:
-            images = np.empty((len(rows),) + arr.shape, arr.dtype)
-        elif arr.shape != images.shape[1:]:
-            raise ValueError(f"image {image_id!r} has shape {arr.shape}, "
-                             f"expected {images.shape[1:]}")
-        images[i] = arr
-        del arr  # freed before the next image is read
-    ids, _, labels = zip(*rows)
+    ids, rels, labels = zip(*rows)
+    images, = stack_tensors(ids, [[os.path.join(base, rel)] for rel in rels])
     return LabeledDataset(images, np.array(labels), class_names, ids)
 
 
@@ -291,16 +307,6 @@ def generate_markov_chain(n: int, noise_levels: int, quantizer_levels: int | Non
                         noise_levels, quantizer_levels)
 
 
-@dataclass
-class ActivationDump:
-    """Per-image layer activations in read order: image i's rows of what
-    forward_collect returns."""
-    activations: list       # activations[i][layer] -> np.ndarray
-    labels: np.ndarray
-    class_names: tuple
-    image_ids: tuple
-
-
 class ActivationDumpWriter:
     """Writes an activation dump one chunk of images at a time and its
     manifest last. A manifest already in out_dir is removed first, so a run
@@ -340,29 +346,28 @@ class ActivationDumpWriter:
         write_manifest(os.path.join(self.out_dir, "manifest.csv"), rows, class_names)
 
 
-def import_activation_dump(path) -> ActivationDump:
-    """Reads ActivationDumpWriter's dump; validates per-layer shapes across
-    images and names the offending image_id on any mismatch."""
+def import_activation_dump(path):
+    """(image_ids, labels int64, class_names, layer files) of
+    ActivationDumpWriter's dump; stack_tensors reads the files. Each image's
+    layer_NN.tnsr files are listed in read-point order, refusing, naming the
+    image, a missing directory, no layer file and numbers NN not 0 to L-1."""
     rows, class_names, base = _manifest_rows(path)
-    per_image = []
-    shapes = None
+    files = []
     for image_id, rel, _ in rows:
         img_dir = os.path.join(base, rel)
         if not os.path.isdir(img_dir):
             raise FileNotFoundError(f"image {image_id!r}: activation directory missing ({img_dir})")
-        layer_files = sorted(f for f in os.listdir(img_dir)
-                             if f.startswith("layer_") and f.endswith(".tnsr"))
-        if not layer_files:
+        names = [f for f in os.listdir(img_dir) if f.startswith("layer_") and f.endswith(".tnsr")]
+        if not names:
             raise ValueError(f"image {image_id!r}: no layer tensors in {img_dir}")
-        acts = [load_tensor(os.path.join(img_dir, f)) for f in layer_files]
-        got = [a.shape for a in acts]
-        if shapes is None:
-            shapes = got
-        elif got != shapes:
-            raise ValueError(f"image {image_id!r}: layer shapes {got} differ from {shapes}")
-        per_image.append(acts)
+        numbers = [int(d) if d.isdecimal() else -1
+                   for d in (f[len("layer_"):-len(".tnsr")] for f in names)]
+        if sorted(numbers) != list(range(len(names))):
+            raise ValueError(f"image {image_id!r}: layer files {sorted(names)} in {img_dir} "
+                             f"are not numbered 0 to {len(names) - 1}")
+        files.append([os.path.join(img_dir, f) for _, f in sorted(zip(numbers, names))])
     ids, _, labels = zip(*rows)
-    return ActivationDump(per_image, np.array(labels, dtype=np.int64), class_names, ids)
+    return ids, np.array(labels, dtype=np.int64), class_names, files
 
 
 def write_features_csv(path, image_ids, labels, matrix) -> None:

@@ -446,8 +446,7 @@ def _loss_and_grads(net: Network, x: np.ndarray, labels: np.ndarray,
         else:  # fully_connected or softmax affine
             w, _ = net.params[first]
             x = cache.astype(np.float64).reshape(len(cache), -1)
-            grad_input, _, gb = ops.fully_connected_backward(g, x, w, workspace=workspace,
-                                                             weight_grad=False)
+            grad_input, gb = ops.fully_connected_backward(g, x, w, workspace=workspace)
             grads[first] = ((g, x), gb)
             g = grad_input.reshape(cache.shape)
     return losses, grads

@@ -424,17 +424,13 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
-                             weights: np.ndarray, workspace: Workspace | None = None,
-                             weight_grad: bool = True
-                             ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Standard affine gradients of a (batch, m) grad_output at the
-    (batch, n) cached input.
-
-    grad_input is (batch, n); grad_weights and grad_bias are summed over the
-    batch. With weight_grad=False, grad_weights is None and its (m, n) outer
-    product grad_output.T @ input is skipped: the caller keeps the two
-    factors instead, as net.train does. The float64 weight blocks come from
-    `workspace`.
+                             weights: np.ndarray, workspace: Workspace | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Affine gradients of a (batch, m) grad_output at the (batch, n) cached
+    input: grad_input (batch, n) and grad_bias summed over the batch. The
+    (m, n) weight gradient grad_output.T @ input is left to the caller, which
+    keeps the two factors, as net.train does. The float64 weight blocks come
+    from `workspace`.
     """
     m, n = weights.shape
     _require(grad_output.ndim == 2 and grad_output.shape[1] == m,
@@ -449,11 +445,8 @@ def fully_connected_backward(grad_output: np.ndarray, cached_input: np.ndarray,
         block = ws.take("fc", weights[:, cols].shape)
         np.copyto(block, weights[:, cols])
         np.matmul(block.T, g.T, out=grad_input[cols])
-    grad_weights = None
     dt = cached_input.dtype
-    if weight_grad:
-        grad_weights = (g.T @ cached_input.astype(np.float64, copy=False)).astype(dt, copy=False)
-    return grad_input.T.astype(dt, copy=False), grad_weights, g.sum(axis=0).astype(dt, copy=False)
+    return grad_input.T.astype(dt, copy=False), g.sum(axis=0).astype(dt, copy=False)
 
 
 def softmax_cross_entropy(logits: np.ndarray, true_class: np.ndarray

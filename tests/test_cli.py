@@ -516,6 +516,25 @@ def test_extract_from_dump_runs_in_one_process(pipeline, tmp_path, monkeypatch):
             == open(pipeline["features"], "rb").read())
 
 
+def test_extract_from_dump_refuses_another_shape_in_its_last_chunk(pipeline, tmp_path,
+                                                                    monkeypatch):
+    """A dump's tensors are read chunk by chunk: an image of another shape
+    in the last of 7 chunks exits 2 naming it, once the earlier chunks were
+    read, and no features.csv is written."""
+    dump = tmp_path / "dump"
+    shutil.copytree(pipeline["dump"], dump)
+    data_io.save_tensor(dump / "activations" / "img_0019" / "layer_01.tnsr",
+                        np.zeros((10, 4, 4), np.float32))
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
+    read, stack = [], data_io.stack_tensors
+    monkeypatch.setattr(data_io, "stack_tensors",
+                        lambda ids, *rest: read.append(len(ids)) or stack(ids, *rest))
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--dump", str(dump)])
+    assert code == 2 and out == "" and "image 'img_0019' has shape (10, 4, 4)" in err, err
+    assert read == [1, 3, 3, 3, 3, 3, 3, 2]
+    assert not (tmp_path / "f" / "features.csv").exists()
+
+
 def test_theory_report_does_not_depend_on_the_worker_count(pipeline, theory_report,
                                                            tmp_path, monkeypatch):
     """forward_collect in chunks of 3, run in 1, 2 or 3 processes, gives the

@@ -13,7 +13,8 @@ from centpipe.data_io import (LabeledDataset, SyntheticSpec,
                               generate_markov_chain, generate_synthetic,
                               import_activation_dump, load_dataset, load_tensor,
                               read_features_csv, read_manifest, save_dataset,
-                              save_tensor, write_features_csv, write_manifest)
+                              save_tensor, stack_tensors, write_features_csv,
+                              write_manifest)
 from centpipe.evaluation import cross_validate, kfold_split
 from centpipe.forest import ForestConfig
 from centpipe.framing import BadMagicError, ChecksumError, TruncatedError, VersionError
@@ -335,7 +336,8 @@ def test_activation_dump_round_trips_or_is_refused_before_writing(tmp_path_facto
     """For generated ids, labels, class names and activations written in
     chunks, either the writer refuses (ValueError) before writing the
     refused chunk or the manifest, or import_activation_dump gives back the
-    same ids, labels, class names and tensor bytes."""
+    same ids, labels and class names and stack_tensors the same tensor
+    bytes."""
     n = len(image_ids)
     labels = data.draw(st.lists(st.integers(-1, len(class_names)), min_size=n, max_size=n))
     activations = [np.array(data.draw(st.lists(st.floats(width=32), min_size=n * size,
@@ -353,16 +355,18 @@ def test_activation_dump_round_trips_or_is_refused_before_writing(tmp_path_facto
         assert not (out / "manifest.csv").exists()
         assert sorted(os.listdir(out / "activations") if written else ()) == sorted(written)
         return
-    dump = import_activation_dump(out)
-    assert dump.image_ids == tuple(image_ids) and dump.class_names == tuple(class_names)
-    assert dump.labels.tolist() == labels
-    for i, layers in enumerate(dump.activations):
-        assert [a.tobytes() for a in layers] == [a[i].tobytes() for a in activations]
+    ids, got_labels, names, files = import_activation_dump(out)
+    assert ids == tuple(image_ids) and names == tuple(class_names)
+    assert got_labels.tolist() == labels
+    stacks = stack_tensors(ids, files)
+    assert [a.dtype for a in stacks] == [np.float32] * len(activations)
+    assert [a.tobytes() for a in stacks] == [a.tobytes() for a in activations]
 
 
 def _dump_rows(dump, mode):
-    """cent_rows of every image of an imported dump."""
-    return cent_rows([np.stack(layer) for layer in zip(*dump.activations)], mode)
+    """cent_rows of every image of an imported dump, read in one stack."""
+    ids, _, _, files = dump
+    return cent_rows(stack_tensors(ids, files), mode)
 
 
 def test_activation_dump_roundtrip_matches_in_process(tmp_path):
@@ -370,8 +374,8 @@ def test_activation_dump_roundtrip_matches_in_process(tmp_path):
     network = net.build_desk_2d(32, 2, seed=9)
     _write_dump(data, network, tmp_path / "dump")
     dump = import_activation_dump(tmp_path / "dump")
-    assert dump.image_ids == data.image_ids
-    assert np.array_equal(dump.labels, data.labels)
+    assert dump[0] == data.image_ids
+    assert np.array_equal(dump[1], data.labels)
     direct = cent_rows(net.forward_collect(network, data.images), "per-filter")
     assert _dump_rows(dump, "per-filter").tobytes() == direct.tobytes()
 
@@ -419,9 +423,60 @@ def test_activation_dump_inconsistent_shapes_names_image(tmp_path):
     _write_dump(data, network, tmp_path / "dump")
     rogue = tmp_path / "dump" / "activations" / "img_0003" / "layer_00.tnsr"
     save_tensor(rogue, np.zeros((10, 4, 4), np.float32))
+    ids, _, _, files = import_activation_dump(tmp_path / "dump")
     with pytest.raises(ValueError) as e:
-        import_activation_dump(tmp_path / "dump")
+        stack_tensors(ids, files)
     assert "img_0003" in str(e.value)
+
+
+def test_activation_dump_reads_layers_in_read_point_order(tmp_path):
+    """Layer files are ordered by their read-point number, not by name: at
+    101 read points layer_100 sorts before layer_11 by name, and comes back
+    last."""
+    acts = [np.full((1, 2), li, np.float32) for li in range(101)]
+    writer = data_io.ActivationDumpWriter(tmp_path)
+    writer.write_chunk(("a",), acts)
+    writer.finish(("a",), [0], ("x", "y"))
+    ids, _, _, files = import_activation_dump(tmp_path)
+    assert [stack[0, 0] for stack in stack_tensors(ids, files)] == list(range(101))
+
+
+@pytest.mark.parametrize("names", [["layer_00.tnsr", "layer_02.tnsr"],
+                                   ["layer_01.tnsr", "layer_02.tnsr"],
+                                   ["layer_00.tnsr", "layer_0.tnsr"],
+                                   ["layer_00.tnsr", "layer_x.tnsr"]])
+def test_activation_dump_refuses_misnumbered_layer_files(tmp_path, names):
+    """Read-point numbers that are not 0 to L-1 for L files (a gap, no 0, a
+    repeat, no number) are refused naming the image, by import and by
+    extract --dump (exit 2)."""
+    write_manifest(tmp_path / "manifest.csv", [("img_7", "activations/img_7", 0)], ("x", "y"))
+    (tmp_path / "activations" / "img_7").mkdir(parents=True)
+    for name in names:
+        save_tensor(tmp_path / "activations" / "img_7" / name, np.zeros(2, np.float32))
+    with pytest.raises(ValueError, match="image 'img_7': layer files .* are not numbered 0 to 1$"):
+        import_activation_dump(tmp_path)
+    assert cli.main(["extract", "--out", str(tmp_path / "f"), "--dump", str(tmp_path)]) == 2
+
+
+def test_extract_from_dump_holds_one_chunk(tmp_path):
+    """extract --dump reads the tensors of one chunk at a time: on 40 images
+    of desk 64x64's pre-ReLU read shapes (3 images a chunk) its traced peak
+    stays under one chunk's arrays plus 3 MB. Reading the whole dump first
+    peaked at 10.6 MB."""
+    shapes = [(10, 64, 64), (10, 32, 32), (128,)]
+    assert net._chunk_size(shapes) == 3
+    rng = np.random.default_rng(33)
+    ids = tuple(f"img_{i:04d}" for i in range(40))
+    writer = data_io.ActivationDumpWriter(tmp_path / "dump")
+    for lo in range(0, len(ids), 4):
+        writer.write_chunk(ids[lo:lo + 4], [rng.normal(size=(4, *s)).astype(np.float32)
+                                            for s in shapes])
+    writer.finish(ids, [i % 2 for i in range(len(ids))], ("a", "b"))
+    argv = ["extract", "--out", str(tmp_path / "f"), "--dump", str(tmp_path / "dump")]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert peak < 3 * 4 * sum(np.prod(s) for s in shapes) + 3e6
 
 
 def test_mock_wide_dump_feature_length(tmp_path):

@@ -418,7 +418,7 @@ def test_checkpoint_reproduces_byte_identical_files(tmp_path):
 def _materialised_train(network, dataset, config, chunk):
     """The training loop with every weight gradient materialised, through
     the ops layer by layer on whole arrays: each chunk's fully connected
-    weight gradient is fully_connected_backward's g.T @ x, the chunks'
+    weight gradient is the factored product g.T @ x, the chunks'
     float64 gradients are summed in chunk order, and each parameter steps
     to float32(param - scale * grad) in float64."""
     rng = np.random.default_rng(config.seed)
@@ -456,7 +456,8 @@ def _materialised_train(network, dataset, config, chunk):
                                                       input_grad=i > 0)
                     else:
                         x = cache.astype(np.float64).reshape(len(cache), -1)
-                        g, gw, gb = ops.fully_connected_backward(g, x, w)
+                        gw = g.T @ x
+                        g, gb = ops.fully_connected_backward(g, x, w)
                         g = g.reshape(cache.shape)
                     if i in total:
                         total[i][0] += gw

@@ -210,7 +210,8 @@ def test_fully_connected_gradients_match_fd():
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
     g = rng.normal(size=3)
-    gi, gw, gb = ops.fully_connected_backward(g[None], x[None], w)
+    gi, gb = ops.fully_connected_backward(g[None], x[None], w)
+    gw = g[None].T @ x[None]  # the factored product net's SGD step rebuilds
 
     def loss(xx=x, ww=w, bb=b):
         return float((ops.fully_connected(xx[None], ww, bb)[0] * g).sum())
@@ -397,7 +398,8 @@ def test_batched_fully_connected_matches_per_sample_reference(batch, sample_shap
     assert y.shape == (batch, width)
     assert rel_err(y, np.stack([R.fully_connected(xi, w, b) for xi in x])) < BATCH_TOL
     g = rng.normal(size=y.shape)
-    gi, gw, gb = ops.fully_connected_backward(g, x.reshape(batch, -1), w)
+    gi, gb = ops.fully_connected_backward(g, x.reshape(batch, -1), w)
+    gw = g.T @ x.reshape(batch, -1)
     ref = [R.fully_connected_backward(gj, xi, w) for gj, xi in zip(g, x)]
     assert gi.shape == (batch, w.shape[1])
     assert rel_err(gi.reshape(x.shape), np.stack([r[0] for r in ref])) < BATCH_TOL
@@ -498,7 +500,9 @@ def test_batched_fully_connected_and_softmax_gradients_match_fd():
     w = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
     g = rng.normal(size=(3, 4))
-    gi, gw, gb = ops.fully_connected_backward(g, x.reshape(3, -1), w)
+    gi, gb = ops.fully_connected_backward(g, x.reshape(3, -1), w)
+    gw = g.T @ x.reshape(3, -1)
+
     def loss(xx=x, ww=w, bb=b):
         return float((ops.fully_connected(xx.reshape(3, -1), ww, bb) * g).sum())
 
@@ -523,7 +527,8 @@ def test_fully_connected_batch_of_one_shape_rule():
     flat = rng.normal(size=6)
     y = ops.fully_connected(flat.reshape(1, 6), w, b)
     assert y.shape == (1, 3) and np.array_equal(y[0], w @ flat + b)
-    gi, gw, gb = ops.fully_connected_backward(y - 1.0, flat.reshape(1, 6), w)
+    gi, gb = ops.fully_connected_backward(y - 1.0, flat.reshape(1, 6), w)
+    gw = (y - 1.0).T @ flat.reshape(1, 6)
     assert gi.shape == (1, 6) and np.array_equal(gi[0], w.T @ (y[0] - 1.0))
     assert np.array_equal(gw, np.outer(y[0] - 1.0, flat)) and np.array_equal(gb, y[0] - 1.0)
     for sample in (flat.reshape(1, 2, 3), flat.reshape(2, 3), flat.reshape(1, 1, 6)):
@@ -586,7 +591,7 @@ def _check_blocks_match_whole_cast(shape, chunks):
             assert np.array_equal(ops.fully_connected(xi, w, b), _fc_whole_cast(xi, w, b))
         g = rng.normal(size=(chunk, m))
         cached = x.astype(np.float64)
-        gi, _, _ = ops.fully_connected_backward(g, cached, w)
+        gi, _ = ops.fully_connected_backward(g, cached, w)
         assert np.array_equal(gi, _fc_input_grad_whole_cast(g, cached, w))
 
 
@@ -781,18 +786,19 @@ def test_conv_forward_slabs_fit_the_budget():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("m,n,batch", [(128, 640, 10), (2, 128, 3), (16, 40960, 1), (5, 7, None)])
 def test_fully_connected_backward_without_weight_grad(dtype, m, n, batch):
-    """weight_grad=False returns None for the weight gradient and keeps the
-    bytes of the input and bias gradients."""
+    """The backward returns the input and bias gradients alone, in the
+    input's dtype (the caller keeps the weight gradient's factors): the
+    input gradient has the bytes of one whole float64 cast of the weights
+    and the bias gradient those of the float64 batch sum."""
     rng = np.random.default_rng(24)
     batch = batch or 1  # None: one sample, as a batch of one
     x = rng.normal(size=(batch, n)).astype(dtype)
     w = rng.normal(size=(m, n)).astype(dtype)
     g = rng.normal(size=(batch, m)).astype(dtype)
-    gi, gw, gb = ops.fully_connected_backward(g, x, w)
-    skipped = ops.fully_connected_backward(g, x, w, weight_grad=False)
-    assert gw is not None and skipped[1] is None
-    assert skipped[0].tobytes() == gi.tobytes() and skipped[2].tobytes() == gb.tobytes()
-    assert skipped[0].dtype == gi.dtype and skipped[2].dtype == gb.dtype
+    gi, gb = ops.fully_connected_backward(g, x, w)
+    assert gi.dtype == gb.dtype == dtype
+    assert gi.tobytes() == _fc_input_grad_whole_cast(g, x, w).astype(dtype).tobytes()
+    assert gb.tobytes() == g.astype(np.float64).sum(axis=0).astype(dtype).tobytes()
 
 
 # (input shape, conv spec, pool window, pool stride, pool padding): desk's two

@@ -8,10 +8,10 @@ Per seed, into OUT_DIR/seed_<s>: synth at 32^2 and 64^2, desk2d training on
 each, extract per-layer with --dump-out, per-filter with --pre-relu and from
 the dump, evaluate under gini and under entropy, permute and theory; then two
 seeded 64^3 volumes, reference3d trained in both variants, each extracted
-with --pre-relu --dump-out and per-layer. Every stage calls centpipe.cli.main
-in-process with paths relative to OUT_DIR. The output is one
-"<sha256>  <path>" line per file written, sorted by path, so two source trees
-are compared by diffing their outputs. Exits 1 if any stage fails.
+with --pre-relu --dump-out, from that dump and per-layer. Every stage calls
+centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
+one "<sha256>  <path>" line per file written, sorted by path, so two source
+trees are compared by diffing their outputs. Exits 1 if any stage fails.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ def _stages(seed: int) -> list[list[str]]:
              "--learning-rate", "0.001", "--batch-size", "2"],
             ["extract", "--out", f"{d}/pre", "--checkpoint", ckpt, "--data", data,
              "--pre-relu", "--dump-out", f"{d}/dump"],
+            ["extract", "--out", f"{d}/from_dump", "--dump", f"{d}/dump"],
             ["extract", "--out", f"{d}/layer", "--checkpoint", ckpt, "--data", data,
              "--mode", "per-layer"],
         ]
