@@ -389,34 +389,37 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     network, dataset = _network_and_dataset(cfg)
     # FilterSelector layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]
-    part_layer = cfg["partition_layer"]
+    part_layer, part_filter = cfg["partition_layer"], cfg["partition_filter"]
     if not 0 <= part_layer < len(read_shapes):
         raise ConfigError(f"partition_layer {part_layer} out of range: the network has "
                           f"read points 0..{len(read_shapes) - 1}")
+    part_shape = read_shapes[part_layer]
+    filters = part_shape[0] if len(part_shape) >= 2 else 1
+    if part_filter is not None and not 0 <= part_filter < filters:
+        raise ConfigError(f"filter {part_filter} out of range (layer has {filters})")
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
     clock = time.perf_counter
     start = clock()
     acts = net.forward_collect(network, dataset.images)  # the one pass every check reads
     forward_done = clock()
     labels = dataset.labels
+    # every filter of a checked read point is binned once, and every check reads its table
+    tables = {layer: infotheory.class_tables(acts, labels, infotheory.FilterSelector(layer),
+                                             cfg["bins"])
+              for layer in dict.fromkeys([*conv_layers, part_layer])}
     conditioning = []
     for layer in conv_layers:
-        sel = infotheory.FilterSelector(layer)
-        expected = infotheory.expected_cent(acts, labels, sel, cfg["bins"])
-        pooled = infotheory.pooled_unconditional_entropy(acts, labels, sel, cfg["bins"])
+        expected = infotheory.expected_cent(tables[layer])
+        pooled = infotheory.pooled_unconditional_entropy(tables[layer])
         conditioning.append({"layer": layer, "expected_cent": expected,
                              "pooled_entropy": pooled,
                              "reduced": bool(expected <= pooled + 1e-9)})
 
-    classes = [int(c) for c in np.unique(labels)]
+    classes = tables[part_layer].classes
     partition = (tuple(classes[:1]), tuple(classes[1:]))
     # the given filter, else the one with the widest entropy gap between the two sides
-    shape = read_shapes[part_layer]
-    candidates = ([cfg["partition_filter"]] if cfg["partition_filter"] is not None
-                  else range(shape[0] if len(shape) >= 2 else 1))
-    reports = [infotheory.partition_check(
-        acts, labels, infotheory.FilterSelector(part_layer, (f,)), partition, cfg["bins"])
-        for f in candidates]
+    candidates = [part_filter] if part_filter is not None else range(filters)
+    reports = [infotheory.partition_check(tables[part_layer], f, partition) for f in candidates]
     best = int(np.argmax([abs(r.h_informative - r.h_uninformative) for r in reports]))
     checks_done = clock()
 
@@ -444,9 +447,10 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     result["report"] = report_path
     # stdout only: the report file above holds neither sizes, counters nor times
     result["read_points"] = _class_histogram_sizes(
-        read_shapes, sorted({*conv_layers, part_layer}), result["images_per_class"], cfg["bins"])
+        read_shapes, sorted(tables), result["images_per_class"], cfg["bins"])
     n = len(dataset.images)
     result["counters"] = {"images": len(labels), "forward_passes": n,
+                          "histogram_tables": sum(len(t.counts) for t in tables.values()),
                           # the processes forward_collect ran its chunks in
                           "workers": net._collect_processes(network, n)}
     result["timings"] = {"forward_s": round(forward_done - start, 6),

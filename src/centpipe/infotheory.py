@@ -5,11 +5,12 @@ data-processing inequality).
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
 check_binning checks every bin count and range, and _bin_counts bins every
 histogram: it takes a group key per value and fills one histogram per group
-in one bincount. cent_rows (extract's CENT path) groups by histogram row, the
-theory checks by class (one call per filter). Their plug-in H(Y|C) uses shared
-fixed-range binning: with priors taken proportional to sample counts, it then
-never exceeds the pooled entropy (exact concavity at the estimator level),
-which is what the conditioning checks rely on.
+in one bincount. cent_rows (extract's CENT path) groups by histogram row,
+class_tables by class (one call per filter), and the theory checks read its
+tables without binning. Their plug-in H(Y|C) uses shared fixed-range
+binning: with priors taken proportional to sample counts, it then never
+exceeds the pooled entropy (exact concavity at the estimator level), which is
+what the conditioning checks rely on.
 make_histogram and extract_cent_features stay only as names the benchmark's
 tracer wraps; no pipeline path calls them.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,13 +260,24 @@ class FilterSelector:
             raise ValueError("filters tuple must be nonempty (or None for all)")
 
 
-def _class_tables(activations, labels, selector: FilterSelector, bin_count: int):
-    """(class ids, image-count priors, tables) of the selected read point,
-    where activations are net.forward_collect's arrays for images with the
-    given labels. tables holds one (classes, bin_count) count table per
-    selected filter, binned in one call over that filter's dataset-wide
+class ClassTables(NamedTuple):
+    """class_tables' result: the class ids in order, their image-count
+    priors, the selected filter ids, and per filter (in that order) its
+    (classes, bin_count) count table."""
+    classes: list[int]
+    priors: np.ndarray
+    filters: tuple[int, ...]
+    counts: list[np.ndarray]
+
+
+def class_tables(activations, labels, selector: FilterSelector, bin_count: int) -> ClassTables:
+    """The class tables of the selected read point, where activations are
+    net.forward_collect's arrays for images with the given labels. Each
+    selected filter is binned once, in one call, over its dataset-wide
     [min, max] ([lo, lo + 1] for a constant filter: any shared grid gives it
-    0-bit entropies)."""
+    0-bit entropies); a NaN or infinite value raises NonFiniteError before
+    its filter is binned. expected_cent, pooled_unconditional_entropy and
+    partition_check read the result and bin nothing."""
     check_binning(bin_count)
     labels = np.asarray(labels, dtype=np.int64)
     if selector.layer >= len(activations):
@@ -274,49 +287,45 @@ def _class_tables(activations, labels, selector: FilterSelector, bin_count: int)
     if len(layer) != len(labels):
         raise ValueError(f"{len(layer)} activation rows for {len(labels)} labels")
     available = layer.shape[1] if layer.ndim >= 3 else 1
-    filter_ids = list(selector.filters) if selector.filters is not None else list(range(available))
+    filter_ids = tuple(selector.filters or range(available))  # filters is None or nonempty
     for fi in filter_ids:
         if not 0 <= fi < available:
             raise ValueError(f"filter {fi} out of range (layer has {available})")
     classes, group = np.unique(labels, return_inverse=True)
-    tables = []
+    counts = []
     for fi in filter_ids:
         vals = (layer[:, fi] if layer.ndim >= 3 else layer).reshape(len(layer), -1)
-        _require_finite(vals)  # a NaN range would fail as a bad range instead
         lo, hi = float(vals.min()), float(vals.max())
-        tables.append(_bin_counts(vals, lo, hi if lo < hi else lo + 1.0, bin_count,
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            _require_finite(vals)  # a NaN range would fail as a bad range instead
+        counts.append(_bin_counts(vals, lo, hi if lo < hi else lo + 1.0, bin_count,
                                   group[:, None], len(classes)))
-    counts = np.bincount(group).astype(np.float64)
-    return [int(c) for c in classes], counts / counts.sum(), tables
+    images = np.bincount(group).astype(np.float64)
+    return ClassTables([int(c) for c in classes], images / images.sum(), filter_ids, counts)
 
 
-def expected_cent(activations, labels, selector: FilterSelector,
-                  bin_count: int = 256) -> float:
-    """Class-conditioned expected entropy over the selected filters.
+def expected_cent(tables: ClassTables) -> float:
+    """Class-conditioned expected entropy over the tables' filters.
 
-    For each filter, class-conditional entropies use a shared fixed range
-    (global min/max over the dataset) and empirical class priors; filters are
-    weighted uniformly. Images contribute equally many values, so priors by
-    image count equal priors by value count and the result is bounded above
-    by pooled_unconditional_entropy (plug-in concavity). Arguments as in
-    _class_tables.
+    For each filter, the prior-weighted sum of its class rows' entropies;
+    filters are weighted uniformly. Images contribute equally many values,
+    so priors by image count equal priors by value count and the result is
+    bounded above by pooled_unconditional_entropy (plug-in concavity on the
+    shared grid).
     """
-    _, priors, tables = _class_tables(activations, labels, selector, bin_count)
     total = 0.0
-    for table in tables:
-        total += sum(p * h for p, h in zip(priors, row_entropy(table)))
-    return float(total / len(tables))
+    for table in tables.counts:
+        total += sum(p * h for p, h in zip(tables.priors, row_entropy(table)))
+    return float(total / len(tables.counts))
 
 
-def pooled_unconditional_entropy(activations, labels, selector: FilterSelector,
-                                 bin_count: int = 256) -> float:
-    """Unconditioned counterpart of expected_cent: pooled entropy per filter,
-    same shared ranges, uniform filter weighting."""
-    _, _, tables = _class_tables(activations, labels, selector, bin_count)
+def pooled_unconditional_entropy(tables: ClassTables) -> float:
+    """Unconditioned counterpart of expected_cent: the entropy of each
+    filter's table summed over its classes, uniform filter weighting."""
     total = 0.0
-    for table in tables:
+    for table in tables.counts:
         total += row_entropy(table.sum(axis=0, keepdims=True))[0]
-    return float(total / len(tables))
+    return float(total / len(tables.counts))
 
 
 @dataclass(frozen=True)
@@ -331,23 +340,24 @@ class PartitionReport:
     partition: tuple = field(default=((), ()))
 
 
-def partition_check(activations, labels, selector: FilterSelector,
-                    partition: tuple, bin_count: int = 256) -> PartitionReport:
-    """Binary class-partition decomposition for one filter.
+def partition_check(tables: ClassTables, filter_id: int, partition: tuple) -> PartitionReport:
+    """Binary class-partition decomposition for one filter of the tables.
 
-    Verifies H(Y|C,F) = p(C')H(Y|C',F) + p(C'')H(Y|C'',F) with shared binning
-    and reports whether H(Y|C',F) < H(Y|C'',F) for the partition as given.
-    The direction is reported, never assumed.
+    Verifies H(Y|C,F) = p(C')H(Y|C',F) + p(C'')H(Y|C'',F) on the filter's
+    class table and reports whether H(Y|C',F) < H(Y|C'',F) for the partition
+    as given. The direction is reported, never assumed.
     """
-    if selector.filters is None or len(selector.filters) != 1:
-        raise ValueError("partition_check needs a selector naming exactly one filter")
+    if filter_id not in tables.filters:
+        raise ValueError(f"filter {filter_id} has no class table "
+                         f"(the tables hold filters {list(tables.filters)})")
     part_a, part_b = tuple(partition[0]), tuple(partition[1])
     if not part_a or not part_b:
         raise ValueError("both partition sides must be nonempty")
     if set(part_a) & set(part_b):
         raise ValueError("partition sides must be disjoint")
 
-    classes, priors, (table,) = _class_tables(activations, labels, selector, bin_count)
+    classes, priors = tables.classes, tables.priors
+    table = tables.counts[tables.filters.index(filter_id)]
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
     class_h = dict(zip(classes, row_entropy(table)))

@@ -290,11 +290,11 @@ def _forward_layers(net: Network, x: np.ndarray, workspace: ops.Workspace | None
 
 
 def _tail_forward(spec: LayerSpec, x: np.ndarray, train: bool):
-    """A relu or max-pool layer on x, with what its backward reads: the
-    relu's > 0 mask (with train only) or the pool cache."""
+    """A relu or max-pool layer on x, with what its backward reads (with
+    train only, else None): the relu's > 0 mask or the pool cache."""
     if spec.kind == "relu":
         return ops.relu(x), (x > 0 if train else None)
-    return ops.maxpool(x, spec.window, spec.stride, spec.padding)
+    return ops.maxpool(x, spec.window, spec.stride, spec.padding, cache=train)
 
 
 def _tail_backward(g: np.ndarray, cache) -> np.ndarray:

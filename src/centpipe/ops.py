@@ -307,12 +307,16 @@ class PoolCache:
 
 
 def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
-            padding: str = "valid") -> tuple[np.ndarray, PoolCache]:
+            padding: str = "valid", cache: bool = True) -> tuple[np.ndarray, PoolCache | None]:
     """Max over sliding windows on the trailing len(window) axes.
 
-    Leading axes (batch, channels) are untouched. Returns the pooled array and
-    a cache recording the argmax of every window for gradient routing. A max
-    needs no accumulation, so it runs in the input's dtype.
+    Leading axes (batch, channels) are untouched. Returns the pooled array
+    and, with cache, the PoolCache maxpool_backward reads: the argmax of every
+    window, its first maximum in flat window order, NaN counting as the
+    largest value as in np.argmax. Without cache (a pass no backward reads)
+    no argmax is kept and the cache is None; the pooled array's bytes are the
+    same either way, signed zeros and NaN included. A max needs no
+    accumulation, so it runs in the input's dtype.
     """
     window, stride, rank = tuple(window), tuple(stride), len(window)
     _require(len(stride) == rank, f"window rank {window} != stride rank {stride}")
@@ -334,25 +338,26 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
     else:
         pads = [(0, 0)] * rank
     windows = _spatial_windows(xw, window, stride)  # (*lead, *out, *window) view
-    # Walk the window offsets in flat order, keeping the first maximum; NaN
-    # counts as the largest value, as in np.argmax. Each offset is a strided
-    # view, so no (*lead, *out, window size) copy is made.
+    # Walk the window offsets in flat order, keeping the first maximum. Each
+    # offset is a strided view, so no (*lead, *out, window size) copy is made.
     offsets = list(itertools.product(*(range(w) for w in window)))
     pooled = windows[(Ellipsis,) + offsets[0]].copy()
-    argmax = np.zeros(pooled.shape, dtype=np.min_scalar_type(len(offsets) - 1))
+    argmax = np.zeros(pooled.shape, dtype=np.min_scalar_type(len(offsets) - 1)) if cache else None
     for flat, offset in enumerate(offsets[1:], 1):
         candidate = windows[(Ellipsis,) + offset]
-        better = ~(candidate <= pooled)   # larger, or either side NaN
-        better &= pooled == pooled        # ... but a NaN maximum stays
-        # offsets rise, so a later winner always has the larger index
-        np.maximum(argmax, better * argmax.dtype.type(flat), out=argmax)
+        if cache:
+            better = ~(candidate <= pooled)   # larger, or either side NaN
+            better &= pooled == pooled        # ... but a NaN maximum stays
+            # offsets rise, so a later winner always has the larger index
+            np.maximum(argmax, better * argmax.dtype.type(flat), out=argmax)
         # np.maximum keeps its second argument on ties: the first maximum, so
         # a -0.0 maximum tied with a later +0.0 stays -0.0 (tests check the
         # signs against a gather at argmax)
         np.maximum(candidate, pooled, out=pooled)
-    cache = PoolCache(x.shape, window, stride, padding,
-                      tuple(b for b, _ in pads), xw.shape[x.ndim - rank:], argmax)
-    return pooled, cache
+    if not cache:
+        return pooled, None
+    return pooled, PoolCache(x.shape, window, stride, padding,
+                             tuple(b for b, _ in pads), xw.shape[x.ndim - rank:], argmax)
 
 
 @functools.lru_cache(maxsize=64)

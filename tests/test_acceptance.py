@@ -20,8 +20,8 @@ from centpipe import cli, data_io, evaluation, forest, infotheory, net, ops
 from centpipe.data_io import LabeledDataset, SyntheticSpec, generate_synthetic
 from centpipe.evaluation import auc, cross_validate, kfold_split
 from centpipe.forest import ForestConfig
-from centpipe.infotheory import (FilterSelector, cent_rows, expected_cent,
-                                 mutual_information,
+from centpipe.infotheory import (FilterSelector, cent_rows, class_tables,
+                                 expected_cent, mutual_information,
                                  pooled_unconditional_entropy)
 
 from conftest import fd_grad, rel_err, pool_safe_input
@@ -187,8 +187,8 @@ def test_criterion_02_entropy_oracles(capsys):
             per_class = [rng.uniform(0.0, 1.0, sizes[j]) for j in range(k)]
             # a read point of one value per image: class j's samples are its images
             values = np.concatenate(per_class)
-            got = expected_cent([values[:, None]], np.repeat(np.arange(k), sizes),
-                                FilterSelector(0), bins)
+            got = expected_cent(class_tables([values[:, None]], np.repeat(np.arange(k), sizes),
+                                             FilterSelector(0), bins))
             pooled = (values.min(), values.max())
             priors = sizes / sizes.sum()
             direct = sum(priors[j] * plugin_entropy(np.histogram(per_class[j], bins, pooled)[0])
@@ -236,9 +236,9 @@ def test_criterion_04_conditioning(capsys, trained_runs):
         run = runs[0]
         acts = net.forward_collect(run.network, run.dataset.images)
         for layer in (0, 1):  # both conv read points
-            sel = FilterSelector(layer)
-            cond = expected_cent(acts, run.dataset.labels, sel)
-            pooled = pooled_unconditional_entropy(acts, run.dataset.labels, sel)
+            tables = class_tables(acts, run.dataset.labels, FilterSelector(layer), 256)
+            cond = expected_cent(tables)
+            pooled = pooled_unconditional_entropy(tables)
             assert cond <= pooled + 0.05, f"layer {layer}: {cond} vs {pooled}"
 
     _report(capsys, 4, "class conditioning never raises expected activation "

@@ -816,7 +816,8 @@ def test_theory_rerun_byte_identical(theory_report, pipeline):
     assert open(out_dir / "theory_report.json", "rb").read() == first
     # counters and times reach stdout only, never the compared report
     summary = json.loads(out)
-    assert summary["counters"] == {"images": 20, "forward_passes": 20, "workers": 1}
+    assert summary["counters"] == {"images": 20, "forward_passes": 20, "histogram_tables": 20,
+                                   "workers": 1}
     assert set(summary["timings"]) == {"forward_s", "checks_s", "dpi_s", "write_s"}
     assert all(v >= 0 for v in summary["timings"].values())
     # the checked read points (the two conv blocks; partition layer 0): a
@@ -924,6 +925,38 @@ def test_theory_partition_layer_out_of_range_exits_2(tmp_path, pipeline, layer):
     assert code == 2, err
     assert f"partition_layer {layer} out of range" in err
     assert "read points 0..2" in err
+
+
+@pytest.mark.parametrize("layer,filter_id,filters", [("0", "99", 10), ("0", "-1", 10),
+                                                     ("2", "3", 1)])
+def test_theory_partition_filter_out_of_range_exits_2_before_the_forward_pass(
+        tmp_path, pipeline, monkeypatch, layer, filter_id, filters):
+    passes, real = [], net.forward_collect
+    monkeypatch.setattr(net, "forward_collect",
+                        lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                              "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                              "--chain-n", "2000", "--partition-layer", layer,
+                              f"--partition-filter={filter_id}"])
+    assert code == 2 and out == ""
+    assert f"error: filter {filter_id} out of range (layer has {filters})" in err
+    assert not (tmp_path / "t" / "theory_report.json").exists()
+    assert passes == []
+
+
+@pytest.mark.parametrize("layer,tables", [("0", 20), ("2", 21)])
+def test_theory_bins_each_checked_filter_once(tmp_path, pipeline, monkeypatch, layer, tables):
+    """Every filter of the two conv read points, and the one filter of the
+    fully connected read point when the partition check reads it, is binned
+    into one class table, which every check at that read point reads."""
+    binned, real = [], infotheory._bin_counts
+    monkeypatch.setattr(infotheory, "_bin_counts",
+                        lambda *args, **kwargs: binned.append(1) or real(*args, **kwargs))
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                              "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                              "--chain-n", "2000", "--partition-layer", layer])
+    assert code == 0, err
+    assert json.loads(out)["counters"]["histogram_tables"] == tables == len(binned)
 
 
 # --- configuration files ---

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from centpipe import infotheory as it
 from centpipe import net, ops
-from centpipe.infotheory import (FilterSelector, NonFiniteError,
+from centpipe.infotheory import (FilterSelector, NonFiniteError, class_tables,
                                  contingency_table, dpi_check,
                                  expected_cent, make_histogram,
                                  mutual_information, partition_check,
@@ -136,18 +136,19 @@ def _one_value_per_image(per_class):
 
 def test_conditional_entropy_separated_constants():
     acts, labels = _one_value_per_image([np.zeros(100), np.ones(100)])
-    sel = FilterSelector(0)
-    assert expected_cent(acts, labels, sel, bin_count=2) == 0.0
+    tables = class_tables(acts, labels, FilterSelector(0), bin_count=2)
+    assert expected_cent(tables) == 0.0
     # conditioning removed a full bit
-    assert pooled_unconditional_entropy(acts, labels, sel, bin_count=2) == 1.0
+    assert pooled_unconditional_entropy(tables) == 1.0
 
 
 def test_conditional_entropy_identical_distributions():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=10000), rng.normal(size=10000)
     acts, labels = _one_value_per_image([a, b])
-    cond = expected_cent(acts, labels, FilterSelector(0))
-    pooled = pooled_unconditional_entropy(acts, labels, FilterSelector(0))
+    tables = class_tables(acts, labels, FilterSelector(0), 256)
+    cond = expected_cent(tables)
+    pooled = pooled_unconditional_entropy(tables)
     assert abs(cond - pooled) < 0.05
 
 
@@ -156,7 +157,7 @@ def test_conditional_entropy_weighted_average():
     a = np.repeat([0.5, 4.5], 64)
     b = np.repeat(np.arange(8) + 0.5, 16)
     acts, labels = _one_value_per_image([a, b])
-    cond = expected_cent(acts, labels, FilterSelector(0), bin_count=8)
+    cond = expected_cent(class_tables(acts, labels, FilterSelector(0), bin_count=8))
     assert abs(cond - 2.0) < 1e-12
 
 
@@ -169,8 +170,9 @@ def test_conditional_entropy_concavity_random_cases():
         per_class = [rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), sizes[j])
                      for j in range(k)]
         acts, labels = _one_value_per_image(per_class)
-        cond = expected_cent(acts, labels, FilterSelector(0), 64)
-        pooled = pooled_unconditional_entropy(acts, labels, FilterSelector(0), 64)
+        tables = class_tables(acts, labels, FilterSelector(0), 64)
+        cond = expected_cent(tables)
+        pooled = pooled_unconditional_entropy(tables)
         assert cond <= pooled + 1e-9
 
 
@@ -443,18 +445,17 @@ def test_expected_cent_single_class_equals_pooled():
     one_class = data.labels == 0
     network = net.build_desk_2d(32, 2, seed=0)
     acts = net.forward_collect(network, data.images[one_class])
-    sel = FilterSelector(0, (0,))
-    cond = expected_cent(acts, data.labels[one_class], sel)
-    pooled = pooled_unconditional_entropy(acts, data.labels[one_class], sel)
+    tables = class_tables(acts, data.labels[one_class], FilterSelector(0, (0,)), 256)
+    cond = expected_cent(tables)
+    pooled = pooled_unconditional_entropy(tables)
     assert abs(cond - pooled) < 1e-12
 
 
 def test_expected_cent_is_mean_over_filters():
     data = small_dataset(per_class=5, seed=1)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=1), data.images)
-    both = expected_cent(acts, data.labels, FilterSelector(0, (2, 5)))
-    f2 = expected_cent(acts, data.labels, FilterSelector(0, (2,)))
-    f5 = expected_cent(acts, data.labels, FilterSelector(0, (5,)))
+    both, f2, f5 = (expected_cent(class_tables(acts, data.labels, FilterSelector(0, f), 256))
+                    for f in ((2, 5), (2,), (5,)))
     assert abs(both - (f2 + f5) / 2) < 1e-12
 
 
@@ -462,8 +463,9 @@ def test_expected_cent_bounded_by_pooled_every_conv_layer():
     data = small_dataset(per_class=8, seed=2)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=2), data.images)
     for layer in (0, 1):
-        cond = expected_cent(acts, data.labels, FilterSelector(layer))
-        pooled = pooled_unconditional_entropy(acts, data.labels, FilterSelector(layer))
+        tables = class_tables(acts, data.labels, FilterSelector(layer), 256)
+        cond = expected_cent(tables)
+        pooled = pooled_unconditional_entropy(tables)
         assert cond <= pooled + 1e-9, f"layer {layer}: {cond} > {pooled}"
 
 
@@ -475,11 +477,11 @@ def test_filter_selector_contract():
     data = small_dataset(per_class=3, seed=3)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=3), data.images)
     with pytest.raises(ValueError, match="out of range"):
-        expected_cent(acts, data.labels, FilterSelector(9))
+        class_tables(acts, data.labels, FilterSelector(9), 256)
     with pytest.raises(ValueError, match="out of range"):
-        expected_cent(acts, data.labels, FilterSelector(0, (99,)))
+        class_tables(acts, data.labels, FilterSelector(0, (99,)), 256)
     with pytest.raises(ValueError, match="activation rows"):
-        expected_cent(acts, data.labels[1:], FilterSelector(0))
+        class_tables(acts, data.labels[1:], FilterSelector(0), 256)
 
 
 def test_bin_count_below_two_is_refused_on_every_path():
@@ -488,11 +490,10 @@ def test_bin_count_below_two_is_refused_on_every_path():
             it.cent_rows([np.arange(4.0).reshape(2, 2)], "per-filter", bins)
     acts = [np.arange(24, dtype=np.float32).reshape(4, 2, 3)]
     labels = np.array([0, 1, 0, 1])
-    for measure in (expected_cent, pooled_unconditional_entropy):
+    # the theory measures bin nothing: their one binning path is class_tables
+    for sel in (FilterSelector(0), FilterSelector(0, (1,))):
         with pytest.raises(ValueError, match="bin_count"):
-            measure(acts, labels, FilterSelector(0), bin_count=1)
-    with pytest.raises(ValueError, match="bin_count"):
-        partition_check(acts, labels, FilterSelector(0, (1,)), ((0,), (1,)), bin_count=1)
+            class_tables(acts, labels, sel, bin_count=1)
 
 
 @st.composite
@@ -541,15 +542,16 @@ def test_dataset_measures_equal_the_per_class_reference(read_points, bins, data)
         for _, _, cond, pooled in refs:
             cond_sum += cond
             pooled_sum += pooled
-        sel = FilterSelector(layer)
-        assert expected_cent(acts, labels, sel, bins) == cond_sum / filters
-        assert pooled_unconditional_entropy(acts, labels, sel, bins) == pooled_sum / filters
+        tables = class_tables(acts, labels, FilterSelector(layer), bins)
+        assert expected_cent(tables) == cond_sum / filters
+        assert pooled_unconditional_entropy(tables) == pooled_sum / filters
 
         fi = data.draw(st.integers(0, filters - 1))
         class_h, priors, _, _ = refs[fi]
         classes = [int(c) for c in np.unique(labels)]
-        report = partition_check(acts, labels, FilterSelector(layer, (fi,)),
-                                 (tuple(classes[:1]), tuple(classes[1:])), bins)
+        report = partition_check(class_tables(acts, labels, FilterSelector(layer, (fi,)), bins),
+                                 fi, (tuple(classes[:1]), tuple(classes[1:])))
+        assert report == partition_check(tables, fi, (tuple(classes[:1]), tuple(classes[1:])))
         rest = range(1, len(classes))
         p_rest = sum(priors[j] for j in rest)
         assert report.h_informative == priors[0] * class_h[0] / priors[0]
@@ -573,23 +575,23 @@ def test_theory_entropies_equal_the_row_oracle_bit_for_bit(k, bins, seed):
     acts = [(rng.normal(size=(len(labels), 3, 3, 3)) * rng.uniform(0.1, 5.0)).astype(np.float32)]
     acts[0][labels == rng.integers(k), 1] = 0.5  # one class's filter 1 loads one bin
     acts[0][:, 2] = 1.5  # a constant filter: every class loads one bin
-    sel = FilterSelector(0)
-    classes, priors, tables = it._class_tables(acts, labels, sel, bins)
+    tables = class_tables(acts, labels, FilterSelector(0), bins)
+    classes, priors = tables.classes, tables.priors
     cond, pooled, class_hs = 0.0, 0.0, []
-    for table in tables:
+    for table in tables.counts:
         class_hs.append([_oracle_entropy(row) for row in table])
         h = 0.0
         for p, class_h in zip(priors, class_hs[-1]):
             h += p * class_h
         cond += h
         pooled += _oracle_entropy(table.sum(axis=0))
-    assert expected_cent(acts, labels, sel, bins) == cond / len(tables)
-    assert pooled_unconditional_entropy(acts, labels, sel, bins) == pooled / len(tables)
+    assert expected_cent(tables) == cond / len(tables.counts)
+    assert pooled_unconditional_entropy(tables) == pooled / len(tables.counts)
 
     order, cut = [int(c) for c in rng.permutation(classes)], int(rng.integers(1, k))
     side_a, side_b = tuple(order[:cut]), tuple(order[cut:])
     fi = int(rng.integers(3))
-    report = partition_check(acts, labels, FilterSelector(0, (fi,)), (side_a, side_b), bins)
+    report = partition_check(tables, fi, (side_a, side_b))
     prior, class_h = dict(zip(classes, priors)), dict(zip(classes, class_hs[fi]))
     for side, h in ((side_a, report.h_informative), (side_b, report.h_uninformative)):
         assert h == sum(prior[c] * class_h[c] for c in side) / sum(prior[c] for c in side)
@@ -601,22 +603,22 @@ def test_theory_entropies_equal_the_row_oracle_bit_for_bit(k, bins, seed):
 def test_partition_check_contract_errors():
     data = small_dataset(per_class=4, seed=4)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=4), data.images)
+    tables = class_tables(acts, data.labels, FilterSelector(0, (0,)), 256)
+    with pytest.raises(ValueError, match="no class table"):
+        partition_check(tables, 1, ((0,), (1,)))
     with pytest.raises(ValueError):
-        partition_check(acts, data.labels, FilterSelector(0), ((0,), (1,)))
-    sel = FilterSelector(0, (0,))
+        partition_check(tables, 0, ((0,), ()))
     with pytest.raises(ValueError):
-        partition_check(acts, data.labels, sel, ((0,), ()))
+        partition_check(tables, 0, ((0, 1), (1,)))
     with pytest.raises(ValueError):
-        partition_check(acts, data.labels, sel, ((0, 1), (1,)))
-    with pytest.raises(ValueError):
-        partition_check(acts, data.labels, sel, ((0,), (2,)))
+        partition_check(tables, 0, ((0,), (2,)))
 
 
 def test_partition_decomposition_exact():
     data = small_dataset(per_class=6, seed=5)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=5), data.images)
-    sel = FilterSelector(0, (1,))
-    report = partition_check(acts, data.labels, sel, ((0,), (1,)))
+    tables = class_tables(acts, data.labels, FilterSelector(0, (1,)), 256)
+    report = partition_check(tables, 1, ((0,), (1,)))
     assert report.decomposition_residual < 1e-9
     recombined = (report.p_informative * report.h_informative
                   + report.p_uninformative * report.h_uninformative)
@@ -624,15 +626,15 @@ def test_partition_decomposition_exact():
     assert abs(report.p_informative + report.p_uninformative - 1.0) < 1e-12
     # the single-filter conditional entropy is the same quantity expected_cent
     # computes for that selector
-    assert abs(report.h_conditional - expected_cent(acts, data.labels, sel)) < 1e-12
+    assert abs(report.h_conditional - expected_cent(tables)) < 1e-12
 
 
 def test_partition_direction_reported_not_assumed():
     data = small_dataset(per_class=6, seed=6)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=6), data.images)
-    sel = FilterSelector(0, (0,))
-    fwd = partition_check(acts, data.labels, sel, ((0,), (1,)))
-    rev = partition_check(acts, data.labels, sel, ((1,), (0,)))
+    tables = class_tables(acts, data.labels, FilterSelector(0, (0,)), 256)
+    fwd = partition_check(tables, 0, ((0,), (1,)))
+    rev = partition_check(tables, 0, ((1,), (0,)))
     assert fwd.h_informative == rev.h_uninformative
     assert fwd.h_uninformative == rev.h_informative
     if fwd.h_informative != fwd.h_uninformative:

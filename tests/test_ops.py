@@ -460,6 +460,29 @@ def test_maxpool_signed_zero_ties_keep_first_maximum(dtype, window, stride, padd
         assert np.array_equal(np.signbit(pi), np.signbit(ref_pooled))
 
 
+_POOL_SPECIALS = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.0])
+
+
+@given(_pool_cases(), st.sampled_from([np.float32, np.float64]), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_maxpool_without_a_cache_gives_the_cached_bytes(case, dtype, special_share):
+    """A forward-only pool keeps no argmax, yet its pooled array is byte for
+    byte the cached call's, in 2-D and 3-D, with overlapping stride-1
+    windows and "same" padding's -inf fill, for inputs a share of whose
+    values are NaN, signed zeros, infinities or ties."""
+    window, stride, padding, shape, _, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    special = rng.random(shape) < special_share
+    x[special] = rng.choice(_POOL_SPECIALS, size=int(special.sum()))
+    x = x.astype(dtype)
+    pooled, cache = ops.maxpool(x, window, stride, padding)
+    bare, none = ops.maxpool(x, window, stride, padding, cache=False)
+    assert isinstance(cache, ops.PoolCache) and none is None
+    assert (bare.dtype, bare.shape) == (pooled.dtype, pooled.shape)
+    assert bare.tobytes() == pooled.tobytes()
+
+
 # --- finite differences on batched inputs ---
 
 @pytest.mark.parametrize("shape,kspec", [

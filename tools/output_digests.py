@@ -6,9 +6,11 @@ Usage (from a checkout, with the src to test on PYTHONPATH):
 
 Per seed, into OUT_DIR/seed_<s>: synth at 32^2 and 64^2, desk2d training on
 each, extract per-layer with --dump-out, per-filter with --pre-relu and from
-the dump, evaluate under gini and under entropy, permute and theory; then two
-seeded 64^3 volumes, reference3d trained in both variants, each extracted
-with --pre-relu --dump-out, from that dump and per-layer. Every stage calls
+the dump, evaluate under gini and under entropy, permute, and theory three
+times (by default, with the partition check at the fully connected read
+point 2, and at filter 3); then two seeded 64^3 volumes, reference3d trained
+in both variants, each extracted with --pre-relu --dump-out, from that dump
+and per-layer. Every stage calls
 centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
 one "<sha256>  <path>" line per file written, sorted by path, so two source
 trees are compared by diffing their outputs. Exits 1 if any stage fails.
@@ -52,6 +54,10 @@ def _stages(seed: int) -> list[list[str]]:
             ["permute", "--out", f"{d}/perm", "--features", f"{d}/layer/features.csv",
              "--seed", s, "--perm-seed", s, *FOREST],
             ["theory", "--out", f"{d}/theory", "--checkpoint", ckpt, "--data", f"{d}/data"],
+            ["theory", "--out", f"{d}/theory_fc", "--checkpoint", ckpt, "--data", f"{d}/data",
+             "--partition-layer", "2"],
+            ["theory", "--out", f"{d}/theory_filter", "--checkpoint", ckpt, "--data",
+             f"{d}/data", "--partition-filter", "3"],
         ]
     for variant in ("pool-reduces", "conv-stride-reduces"):
         d = f"seed_{s}/volume/{variant}"
