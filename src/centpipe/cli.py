@@ -323,7 +323,8 @@ def _load_binary_features(cfg: dict):
     ids, labels, matrix = data_io.read_features_csv(cfg["features"])
     present = np.unique(labels)
     if len(present) != 2 or set(present) != {0, 1}:
-        raise ConfigError(f"evaluation requires binary 0/1 labels, got classes {list(present)}")
+        raise ConfigError(f"evaluation requires binary 0/1 labels, "
+                          f"got classes {present.tolist()}")
     return ids, labels, matrix
 
 
@@ -387,7 +388,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     infotheory.check_binning(cfg["bins"])
     infotheory.check_slack(cfg["slack"])
     network, dataset = _network_and_dataset(cfg)
-    # FilterSelector layers index the CENT read points
+    # theory's layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]
     part_layer, part_filter = cfg["partition_layer"], cfg["partition_filter"]
     if not 0 <= part_layer < len(read_shapes):
@@ -404,8 +405,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     forward_done = clock()
     labels = dataset.labels
     # every filter of a checked read point is binned once, and every check reads its table
-    tables = {layer: infotheory.class_tables(acts, labels, infotheory.FilterSelector(layer),
-                                             cfg["bins"])
+    tables = {layer: infotheory.class_tables(acts, labels, layer, cfg["bins"])
               for layer in dict.fromkeys([*conv_layers, part_layer])}
     conditioning = []
     for layer in conv_layers:

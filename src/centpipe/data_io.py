@@ -91,15 +91,18 @@ def read_manifest(path):
     if len(lines) < 2 or lines[1] != MANIFEST_HEADER:
         raise ValueError(f"{path}: expected header '{MANIFEST_HEADER}'")
     rows = []
-    for ln in lines[2:]:
+    for no, ln in enumerate(lines[2:], 3):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        image_id, rel, label = parts[0], parts[1], int(parts[2])
+            raise ValueError(f"{path}, line {no}: malformed row {ln!r}")
+        try:
+            image_id, rel, label = parts[0], parts[1], int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {no}: {exc}") from None
         if not 0 <= label < len(class_names):
-            raise ValueError(f"{path}: label {label} outside class table "
+            raise ValueError(f"{path}, line {no}: label {label} outside class table "
                              f"of {len(class_names)}")
         rows.append((image_id, rel, label))
     _require_plain_fields([row[0] for row in rows], path, "image_id")
@@ -390,17 +393,20 @@ def read_features_csv(path):
     what write_features_csv refuses in an image_id, a repeated one too, so
     no image can sit in two cross-validation folds."""
     with open(path, "r") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("image_id,label,"):
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("image_id,label,"):
         raise ValueError(f"{path}: expected header 'image_id,label,feat_0,...'")
     ids, labels, rows = [], [], []
-    width = len(lines[0].split(",")) - 2
-    for ln in lines[1:]:
+    width = len(lines[0][1].split(","))
+    for no, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != width + 2:
-            raise ValueError(f"{path}: row width {len(parts)} != header width {width + 2}")
+        if len(parts) != width:
+            raise ValueError(f"{path}, line {no}: row width {len(parts)} != header width {width}")
         ids.append(parts[0])
-        labels.append(int(parts[1]))
-        rows.append([float(v) for v in parts[2:]])
+        try:
+            labels.append(int(parts[1]))
+            rows.append([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {no}: {exc}") from None
     _require_plain_fields(ids, path, "image_id")
     return tuple(ids), np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -3,10 +3,10 @@ information-theoretic checks (conditioning reduction, partition decomposition,
 data-processing inequality).
 
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
-check_binning checks every bin count and range, and _bin_counts bins every
-histogram: it takes a group key per value and fills one histogram per group
-in one bincount. cent_rows (extract's CENT path) groups by histogram row,
-class_tables by class (one call per filter), and the theory checks read its
+check_binning checks every bin count and range, and _bin_rows bins every
+histogram, within the scratch budget. cent_rows (extract's CENT path) gives
+each row a histogram of its own, class_tables adds a filter's rows into one
+histogram per class (one call per filter), and the theory checks read its
 tables without binning. Their plug-in H(Y|C) uses shared fixed-range
 binning: with priors taken proportional to sample counts, it then never
 exceeds the pooled entropy (exact concavity at the estimator level), which is
@@ -29,8 +29,8 @@ from .net import Network, forward_collect
 def check_binning(bin_count: int, range_mode="minmax") -> None:
     """ValueError unless 2 <= bin_count <= ops._SCRATCH_ELEMENTS (one
     histogram's counts within the scratch budget) and range_mode is
-    "minmax" or a finite (lo, hi) pair with lo < hi; the CLI checks its
-    options with it."""
+    "minmax" or a (lo, hi) pair with lo < hi and a finite width hi - lo
+    (so both ends finite); the CLI checks its options with it."""
     if not 2 <= bin_count <= ops._SCRATCH_ELEMENTS:
         raise ValueError(f"bin_count must be in [2, {ops._SCRATCH_ELEMENTS}], got {bin_count}")
     if isinstance(range_mode, str):
@@ -38,8 +38,8 @@ def check_binning(bin_count: int, range_mode="minmax") -> None:
             raise ValueError(f"range_mode must be 'minmax' or (lo, hi), got {range_mode!r}")
         return
     lo, hi = float(range_mode[0]), float(range_mode[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"fixed range needs finite lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(hi - lo) and lo < hi):
+        raise ValueError(f"fixed range needs finite lo < hi and hi - lo, got ({lo}, {hi})")
 
 
 class NonFiniteError(ArithmeticError):
@@ -73,25 +73,41 @@ class Histogram:
     degenerate: bool = False  # constant samples: single loaded bin, lo == hi
 
 
-def _bin_counts(values: np.ndarray, lo, hi, bin_count: int, group=0,
-                groups: int = 1) -> np.ndarray:
-    """(groups, bin_count) int64 equal-width bin counts over [lo, hi]: value
-    v falls in bin floor((v - lo) / (hi - lo) * bin_count) of histogram
-    group, where lo, hi and group are scalars or arrays broadcast against
-    values. Outliers clip into the edge bins and hi into the last bin; where
-    lo == hi every value loads bin 0. One bincount bins every histogram.
+def _bin_rows(rows: np.ndarray, bin_count: int, span=None, group=None,
+              groups: int = 0) -> np.ndarray:
+    """int64 equal-width bin counts of the (count, values) rows: a value v
+    falls in bin floor((v - lo) / (hi - lo) * bin_count), outliers clip into
+    the edge bins and hi into the last bin, and where lo == hi every value
+    loads bin 0. [lo, hi] is the fixed span for every row, or with span None
+    each row's own [min, max]. The result holds a row of counts per row, or
+    with group given, groups rows where row i adds to row group[i]. The rows
+    are binned in ops._row_parts parts, one bincount a part, and a row
+    longer than the budget in pieces whose counts add.
     """
-    x = values.astype(np.float64)  # a copy, worked on in place
-    np.clip(x, lo, hi, out=x)
-    x -= lo
-    x /= np.where(hi > lo, hi - lo, 1.0)
-    x *= bin_count
-    np.floor(x, out=x)
-    idx = x.astype(np.int64)
-    del x
-    np.clip(idx, 0, bin_count - 1, out=idx)
-    idx += np.asarray(group) * bin_count
-    return np.bincount(idx.ravel(), minlength=groups * bin_count).reshape(groups, bin_count)
+    counts = np.zeros((len(rows) if group is None else groups, bin_count), np.int64)
+    for part in ops._row_parts(*rows.shape):
+        block = rows[part]
+        if span is None:
+            lo = block.min(axis=1, keepdims=True).astype(np.float64)
+            hi = block.max(axis=1, keepdims=True).astype(np.float64)
+        else:
+            lo, hi = span
+        into, key = ((counts[part], np.arange(len(block))) if group is None
+                     else (counts, group[part]))
+        for cols in ops._row_parts(rows.shape[1], len(block)):
+            x = block[:, cols].astype(np.float64)  # a copy, worked on in place
+            np.clip(x, lo, hi, out=x)
+            x -= lo
+            x /= np.where(hi > lo, hi - lo, 1.0)
+            x *= bin_count
+            np.floor(x, out=x)
+            idx = x.astype(np.int64)
+            del x
+            np.clip(idx, 0, bin_count - 1, out=idx)
+            idx += key[:, None] * bin_count
+            into += np.bincount(idx.ravel(), minlength=into.size).reshape(into.shape)
+            del idx  # the next piece's copy is made without this one
+    return counts
 
 
 def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histogram:
@@ -111,7 +127,7 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
         lo, hi = float(values.min()), float(values.max())
     else:
         lo, hi = float(range_mode[0]), float(range_mode[1])
-    counts = _bin_counts(values, lo, hi, bin_count)[0]
+    counts = _bin_rows(values[None], bin_count, (lo, hi))[0]
     return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=lo == hi)
 
 
@@ -218,23 +234,12 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
     check_binning(bin_count, range_mode)
     _require_finite_activations(activations, image_ids)
+    span = None if isinstance(range_mode, str) else (float(range_mode[0]), float(range_mode[1]))
     columns = []
     for act in activations:
         n, shape = len(act), act.shape[1:]
         rows = act.reshape(n * (shape[0] if _split_filters(shape, mode) else 1), -1)
-        counts = np.zeros((len(rows), bin_count), np.int64)
-        for part in ops._row_parts(*rows.shape):
-            block = rows[part]
-            if isinstance(range_mode, str):  # "minmax"
-                lo = block.min(axis=1, keepdims=True).astype(np.float64)
-                hi = block.max(axis=1, keepdims=True).astype(np.float64)
-            else:
-                lo, hi = float(range_mode[0]), float(range_mode[1])
-            # a row longer than the budget is binned in pieces, its counts added
-            for cols in ops._row_parts(rows.shape[1], len(block)):
-                counts[part] += _bin_counts(block[:, cols], lo, hi, bin_count,
-                                            np.arange(len(block))[:, None], len(block))
-        h = row_entropy(counts)
+        h = row_entropy(_bin_rows(rows, bin_count, span))
         columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
     return np.concatenate(columns, axis=1)
 
@@ -247,61 +252,43 @@ def extract_cent_features(net: Network, image: np.ndarray, mode: str = "per-filt
                      range_mode)[0]
 
 
-@dataclass(frozen=True)
-class FilterSelector:
-    """Selects filters at one CENT read point; filters=None means all of them."""
-    layer: int
-    filters: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.layer < 0:
-            raise ValueError("layer index must be >= 0")
-        if self.filters is not None and len(self.filters) == 0:
-            raise ValueError("filters tuple must be nonempty (or None for all)")
-
-
 class ClassTables(NamedTuple):
     """class_tables' result: the class ids in order, their image-count
-    priors, the selected filter ids, and per filter (in that order) its
-    (classes, bin_count) count table."""
+    priors, and the (filters, classes, bin_count) int64 count tables of the
+    read point's filters in order."""
     classes: list[int]
     priors: np.ndarray
-    filters: tuple[int, ...]
-    counts: list[np.ndarray]
+    counts: np.ndarray
 
 
-def class_tables(activations, labels, selector: FilterSelector, bin_count: int) -> ClassTables:
-    """The class tables of the selected read point, where activations are
-    net.forward_collect's arrays for images with the given labels. Each
-    selected filter is binned once, in one call, over its dataset-wide
-    [min, max] ([lo, lo + 1] for a constant filter: any shared grid gives it
-    0-bit entropies); a NaN or infinite value raises NonFiniteError before
-    its filter is binned. expected_cent, pooled_unconditional_entropy and
-    partition_check read the result and bin nothing."""
+def class_tables(activations, labels, layer: int, bin_count: int) -> ClassTables:
+    """The class tables of every filter of read point `layer` (a rank-1 read
+    point is one filter), where activations are net.forward_collect's arrays
+    for images with the given labels. Each filter is binned once, in one
+    call, over its dataset-wide [min, max] ([lo, lo + 1] for a constant
+    filter: any shared grid gives it 0-bit entropies); a NaN or infinite
+    value raises NonFiniteError before its filter is binned. expected_cent,
+    pooled_unconditional_entropy and partition_check read the result and bin
+    nothing."""
     check_binning(bin_count)
     labels = np.asarray(labels, dtype=np.int64)
-    if selector.layer >= len(activations):
-        raise ValueError(f"selector layer {selector.layer} out of range "
+    if not 0 <= layer < len(activations):
+        raise ValueError(f"layer {layer} out of range "
                          f"(the activations hold {len(activations)} read points)")
-    layer = np.asarray(activations[selector.layer])
-    if len(layer) != len(labels):
-        raise ValueError(f"{len(layer)} activation rows for {len(labels)} labels")
-    available = layer.shape[1] if layer.ndim >= 3 else 1
-    filter_ids = tuple(selector.filters or range(available))  # filters is None or nonempty
-    for fi in filter_ids:
-        if not 0 <= fi < available:
-            raise ValueError(f"filter {fi} out of range (layer has {available})")
+    acts = np.asarray(activations[layer])
+    if len(acts) != len(labels):
+        raise ValueError(f"{len(acts)} activation rows for {len(labels)} labels")
+    maps = acts.reshape(len(acts), acts.shape[1] if acts.ndim >= 3 else 1, -1)
     classes, group = np.unique(labels, return_inverse=True)
     counts = []
-    for fi in filter_ids:
-        vals = (layer[:, fi] if layer.ndim >= 3 else layer).reshape(len(layer), -1)
+    for vals in maps.swapaxes(0, 1):  # each filter's (images, values)
         lo, hi = float(vals.min()), float(vals.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             _require_finite(vals)  # a NaN range would fail as a bad range instead
-        counts.append(_bin_counts(vals, lo, hi if lo < hi else lo + 1.0, bin_count,
-                                  group[:, None], len(classes)))
+        counts.append(_bin_rows(vals, bin_count, (lo, hi if lo < hi else lo + 1.0),
+                                group, len(classes)))
     images = np.bincount(group).astype(np.float64)
-    return ClassTables([int(c) for c in classes], images / images.sum(), filter_ids, counts)
+    return ClassTables([int(c) for c in classes], images / images.sum(), np.stack(counts))
 
 
 def expected_cent(tables: ClassTables) -> float:
@@ -313,19 +300,16 @@ def expected_cent(tables: ClassTables) -> float:
     bounded above by pooled_unconditional_entropy (plug-in concavity on the
     shared grid).
     """
-    total = 0.0
-    for table in tables.counts:
-        total += sum(p * h for p, h in zip(tables.priors, row_entropy(table)))
-    return float(total / len(tables.counts))
+    filters, classes, bins = tables.counts.shape
+    class_h = row_entropy(tables.counts.reshape(-1, bins)).reshape(filters, classes)
+    return float(sum(sum(p * x for p, x in zip(tables.priors, row)) for row in class_h) / filters)
 
 
 def pooled_unconditional_entropy(tables: ClassTables) -> float:
     """Unconditioned counterpart of expected_cent: the entropy of each
     filter's table summed over its classes, uniform filter weighting."""
-    total = 0.0
-    for table in tables.counts:
-        total += row_entropy(table.sum(axis=0, keepdims=True))[0]
-    return float(total / len(tables.counts))
+    h = row_entropy(tables.counts.sum(axis=1))
+    return float(sum(h) / len(h))
 
 
 @dataclass(frozen=True)
@@ -347,9 +331,9 @@ def partition_check(tables: ClassTables, filter_id: int, partition: tuple) -> Pa
     class table and reports whether H(Y|C',F) < H(Y|C'',F) for the partition
     as given. The direction is reported, never assumed.
     """
-    if filter_id not in tables.filters:
-        raise ValueError(f"filter {filter_id} has no class table "
-                         f"(the tables hold filters {list(tables.filters)})")
+    if not 0 <= filter_id < len(tables.counts):
+        raise ValueError(f"filter {filter_id} out of range "
+                         f"(the tables hold {len(tables.counts)} filters)")
     part_a, part_b = tuple(partition[0]), tuple(partition[1])
     if not part_a or not part_b:
         raise ValueError("both partition sides must be nonempty")
@@ -357,7 +341,7 @@ def partition_check(tables: ClassTables, filter_id: int, partition: tuple) -> Pa
         raise ValueError("partition sides must be disjoint")
 
     classes, priors = tables.classes, tables.priors
-    table = tables.counts[tables.filters.index(filter_id)]
+    table = tables.counts[filter_id]
     if set(part_a) | set(part_b) != set(classes):
         raise ValueError(f"partition {partition} does not cover the classes {classes}")
     class_h = dict(zip(classes, row_entropy(table)))

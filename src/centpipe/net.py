@@ -479,52 +479,34 @@ def _work(net: Network, samples: int, backward: bool = False) -> int:
     return 3 * values if backward else values
 
 
-def _sgd_step(param: np.ndarray, grad: np.ndarray, scale: float,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """float32(param - scale * grad), computed in float64 in grad's buffer
-    (overwriting it): the values of param.astype(float64) - scale * grad
-    without two more float64 copies of the parameter. Written into `out`
-    if given, else into a new array."""
-    np.multiply(grad, scale, out=grad)
-    np.subtract(param, grad, out=grad)
-    if out is None:
-        return grad.astype(np.float32)
-    out[...] = grad
-    return out
-
-
-def _summed(parts: list[np.ndarray]) -> np.ndarray:
-    """The chunks' float64 gradients added in chunk order, into the first."""
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
-    return total
-
-
-def _fc_sgd_step(weights: np.ndarray, factors: list, scale: float,
-                 workspace: ops.Workspace) -> np.ndarray:
-    """_sgd_step on the fully connected weights, in place, with the float64
-    gradient sum of g.T @ x over the chunks' (g, x) factors in chunk order,
-    rebuilt one block of whole rows at a time in `workspace`; each block of
-    the weights is read before it is written. Returns `weights`."""
-    m, n = weights.shape
+def _sgd_step(param: np.ndarray, parts: list, scale: float, workspace: ops.Workspace) -> None:
+    """Step the float32 param in place to float32(param - scale * grad),
+    computed in float64, where grad is the chunks' gradients added in chunk
+    order: each part is a float64 gradient array of param's shape or a
+    fully connected layer's (g, x) factors of g.T @ x. The step runs in
+    blocks of whole rows of param's first axis, each block's gradient built
+    in `workspace` and the block of param read before it is written."""
+    weights = param.reshape(len(param), -1)  # a view: param is C-contiguous
     # blocks of at least two rows: numpy runs one row as a matrix-vector
     # product, which BLAS sums in another order than the GEMM
-    for rows in ops._row_parts(m, n, 2):
-        grad = workspace.take("gw", (rows.stop - rows.start, n))
-        for ci, (g, x) in enumerate(factors):
-            product = workspace.take("gw_part", grad.shape) if ci else grad
-            if len(g) == 1:
+    for rows in ops._row_parts(*weights.shape, 2):
+        grad = workspace.take("gw", weights[rows].shape)
+        for ci, part in enumerate(parts):
+            block = workspace.take("gw_part", grad.shape) if ci else grad
+            if isinstance(part, np.ndarray):
+                np.copyto(block, part.reshape(len(part), -1)[rows])
+            elif len(part[0]) == 1:
                 # one sample: np.matmul runs its plain loop, 0 + g * x per
                 # element, so the same values come from one multiply
-                np.multiply(g[0, rows, None], x, out=product)
-                product += 0.0
+                np.multiply(part[0][0, rows, None], part[1], out=block)
+                block += 0.0
             else:
-                np.matmul(g[:, rows].T, x, out=product)
+                np.matmul(part[0][:, rows].T, part[1], out=block)
             if ci:
-                grad += product
-        _sgd_step(weights[rows], grad, scale, out=weights[rows])
-    return weights
+                grad += block
+        np.multiply(grad, scale, out=grad)
+        np.subtract(weights[rows], grad, out=grad)
+        weights[rows] = grad
 
 
 @dataclass(frozen=True)
@@ -544,7 +526,8 @@ class TrainConfig:
 
 def train(net: Network, dataset, config: TrainConfig, on_epoch=None
           ) -> tuple[Network, list[float]]:
-    """Mini-batch SGD on softmax cross-entropy; mutates `net` in place.
+    """Mini-batch SGD on softmax cross-entropy; steps `net`'s parameter
+    arrays in place.
 
     `dataset` is anything with .images (n, *input_shape) and .labels (n,).
     Batch order is a pure function of config.seed. A batch runs as one
@@ -597,10 +580,9 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                     chunk_grads.append(part_grads)
                 scale = config.learning_rate / len(batch)
                 for li in chunk_grads[0]:
-                    (w, b), (gws, gbs) = net.params[li], zip(*(part[li] for part in chunk_grads))
-                    w = (_sgd_step(w, _summed(gws), scale) if net.specs[li].kind == "conv"
-                         else _fc_sgd_step(w, gws, scale, workspace))
-                    net.params[li] = (w, _sgd_step(b, _summed(gbs), scale))
+                    grads = zip(*(part[li] for part in chunk_grads))  # (gws, gbs)
+                    for param, parts in zip(net.params[li], grads):
+                        _sgd_step(param, parts, scale, workspace)
             for par in net.params:
                 # min and max are finite exactly when every value is, and unlike
                 # isfinite they make no array of the weights' size

@@ -20,8 +20,7 @@ from centpipe import cli, data_io, evaluation, forest, infotheory, net, ops
 from centpipe.data_io import LabeledDataset, SyntheticSpec, generate_synthetic
 from centpipe.evaluation import auc, cross_validate, kfold_split
 from centpipe.forest import ForestConfig
-from centpipe.infotheory import (FilterSelector, cent_rows, class_tables,
-                                 expected_cent, mutual_information,
+from centpipe.infotheory import (cent_rows, class_tables, expected_cent, mutual_information,
                                  pooled_unconditional_entropy)
 
 from conftest import fd_grad, rel_err, pool_safe_input
@@ -188,7 +187,7 @@ def test_criterion_02_entropy_oracles(capsys):
             # a read point of one value per image: class j's samples are its images
             values = np.concatenate(per_class)
             got = expected_cent(class_tables([values[:, None]], np.repeat(np.arange(k), sizes),
-                                             FilterSelector(0), bins))
+                                             0, bins))
             pooled = (values.min(), values.max())
             priors = sizes / sizes.sum()
             direct = sum(priors[j] * plugin_entropy(np.histogram(per_class[j], bins, pooled)[0])
@@ -236,7 +235,7 @@ def test_criterion_04_conditioning(capsys, trained_runs):
         run = runs[0]
         acts = net.forward_collect(run.network, run.dataset.images)
         for layer in (0, 1):  # both conv read points
-            tables = class_tables(acts, run.dataset.labels, FilterSelector(layer), 256)
+            tables = class_tables(acts, run.dataset.labels, layer, 256)
             cond = expected_cent(tables)
             pooled = pooled_unconditional_entropy(tables)
             assert cond <= pooled + 0.05, f"layer {layer}: {cond} vs {pooled}"

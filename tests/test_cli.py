@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net, ops
 
-from conftest import assert_no_child_left, use_cpus, write_reference_dump
+from conftest import assert_no_child_left, small_dataset, use_cpus, write_reference_dump
 
 
 def run_cli(argv):
@@ -252,11 +252,12 @@ def test_too_long_image_id_exits_2(pipeline, tmp_path):
     assert os.listdir(work) == ["f"] and not os.listdir(work / "f")
 
 
-@pytest.mark.parametrize("bounds", ["0,inf", "-inf,inf", "nan,1", "1,1"])
+@pytest.mark.parametrize("bounds", ["0,inf", "-inf,inf", "nan,1", "1,1", "-1e308,1e308"])
 @pytest.mark.parametrize("source", ["data", "dump"])
 def test_extract_bad_fixed_range_exits_2_without_output(pipeline, tmp_path, bounds, source):
-    """A fixed --range must be finite with lo < hi; otherwise extract exits 2
-    before writing features.csv or a dump."""
+    """A fixed --range must have lo < hi and a finite width hi - lo (so both
+    ends finite); otherwise extract exits 2 before writing features.csv or
+    a dump."""
     inputs = (["--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
                "--dump-out", str(tmp_path / "d")] if source == "data"
               else ["--dump", pipeline["dump"]])
@@ -646,7 +647,33 @@ def test_evaluate_rejects_multiclass(tmp_path):
     code, _, err = run_cli(["evaluate", "--out", str(tmp_path / "e"),
                             "--features", str(path)])
     assert code == 2
-    assert "binary" in err
+    assert "error: evaluation requires binary 0/1 labels, got classes [0, 1, 2]" in err
+
+
+@pytest.mark.parametrize("row,bad", [("img_0001,x,0.5", "'x'"), ("img_0001,1,0.5x", "'0.5x'"),
+                                     ("img_0001,1", "row width 2 != header width 3")])
+def test_unparsable_features_row_exits_2_naming_file_and_line(tmp_path, row, bad):
+    """A label or value that does not parse, or a row of another width, is
+    named with its file and its line, counted with the blank lines the
+    reader skips."""
+    path = tmp_path / "features.csv"
+    path.write_text(f"image_id,label,feat_0\nimg_0000,0,0.25\n\n{row}\n")
+    code, out, err = run_cli(["evaluate", "--out", str(tmp_path / "e"), "--features", str(path)])
+    assert code == 2 and out == ""
+    assert f"error: {path}, line 4: " in err and bad in err
+
+
+@pytest.mark.parametrize("label,bad", [("x", "'x'"), ("7", "label 7 outside class table of 2")])
+def test_unparsable_manifest_label_exits_2_naming_file_and_line(tmp_path, label, bad):
+    data = tmp_path / "data"
+    data_io.save_dataset(small_dataset(per_class=2, extent=8, seed=3), str(data))
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[3] = lines[3][:lines[3].rindex(",")] + f",{label}\n"
+    manifest.write_text("".join(lines))
+    code, out, err = run_cli(["train", "--out", str(tmp_path / "net"), "--data", str(data)])
+    assert code == 2 and out == ""
+    assert f"error: {manifest}, line 4: " in err and bad in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "permute"])
@@ -948,9 +975,10 @@ def test_theory_partition_filter_out_of_range_exits_2_before_the_forward_pass(
 def test_theory_bins_each_checked_filter_once(tmp_path, pipeline, monkeypatch, layer, tables):
     """Every filter of the two conv read points, and the one filter of the
     fully connected read point when the partition check reads it, is binned
-    into one class table, which every check at that read point reads."""
-    binned, real = [], infotheory._bin_counts
-    monkeypatch.setattr(infotheory, "_bin_counts",
+    by one _bin_rows call into one class table, which every check at that
+    read point reads."""
+    binned, real = [], infotheory._bin_rows
+    monkeypatch.setattr(infotheory, "_bin_rows",
                         lambda *args, **kwargs: binned.append(1) or real(*args, **kwargs))
     code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
                               "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],

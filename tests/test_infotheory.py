@@ -1,17 +1,17 @@
 """Histogram entropy estimators, CENT extraction, and inequality checks."""
 
 import math
+import sys
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centpipe import infotheory as it
 from centpipe import net, ops
-from centpipe.infotheory import (FilterSelector, NonFiniteError, class_tables,
-                                 contingency_table, dpi_check,
+from centpipe.infotheory import (NonFiniteError, class_tables, contingency_table, dpi_check,
                                  expected_cent, make_histogram,
                                  mutual_information, partition_check,
                                  pooled_unconditional_entropy)
@@ -61,20 +61,23 @@ def test_histogram_contract_errors():
         make_histogram(np.array([1.0]), range_mode=(2.0, 2.0))
 
 
-_BOUNDS = st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf])
+_BOUNDS = (st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf])
+           | st.sampled_from([-1e308, 1e308, -sys.float_info.max, sys.float_info.max]))
 
 
 @settings(max_examples=100, deadline=None)
+@example(-1e308, 1e308)
 @given(_BOUNDS, _BOUNDS)
 def test_fixed_range_must_be_finite_and_increasing_on_every_path(lo, hi):
     """make_histogram, check_binning (the CLI's check) and cent_rows take a
-    fixed (lo, hi) range exactly when both ends are finite and lo < hi."""
+    fixed (lo, hi) range exactly when lo < hi and the width hi - lo is
+    finite, which needs both ends finite: (-1e308, 1e308) is refused."""
     values = np.array([0.0, 1.0, 2.0, 3.0])
     paths = [lambda: make_histogram(values, 4, (lo, hi)),
              lambda: it.check_binning(4, (lo, hi)),
              lambda: it.cent_rows([values.reshape(1, 1, 4)], "per-filter", 4, (lo, hi))]
     for path in paths:
-        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+        if math.isfinite(hi - lo) and lo < hi:
             path()
         else:
             with pytest.raises(ValueError, match="fixed range needs finite lo < hi"):
@@ -136,7 +139,7 @@ def _one_value_per_image(per_class):
 
 def test_conditional_entropy_separated_constants():
     acts, labels = _one_value_per_image([np.zeros(100), np.ones(100)])
-    tables = class_tables(acts, labels, FilterSelector(0), bin_count=2)
+    tables = class_tables(acts, labels, 0, bin_count=2)
     assert expected_cent(tables) == 0.0
     # conditioning removed a full bit
     assert pooled_unconditional_entropy(tables) == 1.0
@@ -146,7 +149,7 @@ def test_conditional_entropy_identical_distributions():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=10000), rng.normal(size=10000)
     acts, labels = _one_value_per_image([a, b])
-    tables = class_tables(acts, labels, FilterSelector(0), 256)
+    tables = class_tables(acts, labels, 0, 256)
     cond = expected_cent(tables)
     pooled = pooled_unconditional_entropy(tables)
     assert abs(cond - pooled) < 0.05
@@ -157,7 +160,7 @@ def test_conditional_entropy_weighted_average():
     a = np.repeat([0.5, 4.5], 64)
     b = np.repeat(np.arange(8) + 0.5, 16)
     acts, labels = _one_value_per_image([a, b])
-    cond = expected_cent(class_tables(acts, labels, FilterSelector(0), bin_count=8))
+    cond = expected_cent(class_tables(acts, labels, 0, bin_count=8))
     assert abs(cond - 2.0) < 1e-12
 
 
@@ -170,7 +173,7 @@ def test_conditional_entropy_concavity_random_cases():
         per_class = [rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), sizes[j])
                      for j in range(k)]
         acts, labels = _one_value_per_image(per_class)
-        tables = class_tables(acts, labels, FilterSelector(0), 64)
+        tables = class_tables(acts, labels, 0, 64)
         cond = expected_cent(tables)
         pooled = pooled_unconditional_entropy(tables)
         assert cond <= pooled + 1e-9
@@ -336,25 +339,45 @@ def test_cent_rows_equal_the_per_map_loop(n, shapes, mode, bins, fixed, seed, da
     assert (rows >= 0.0).all() and (rows <= math.log2(bins)).all()
 
 
-@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
-@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("mode,fixed", [
+    pytest.param("per-filter", False, id="False-per-filter"),
+    pytest.param("per-layer", False, id="False-per-layer"),
+    pytest.param("per-filter", True, id="True-per-filter"),
+    pytest.param("per-layer", True, id="True-per-layer"),
+    pytest.param("class_tables", True, id="class_tables"),  # one range per filter
+])
 def test_cent_rows_in_blocks_keep_their_bytes(monkeypatch, mode, fixed):
     """Under a scratch budget of 16 values, cent_rows bins one 16-value row
     a block (per-filter), or each 48-value row in pieces whose counts it
-    adds (per-layer), and gives the bytes of one block."""
+    adds (per-layer), and class_tables one image's 16 values of a filter,
+    or two images' 6 fc values, a block; each gives the bytes of one block."""
     acts = [np.random.default_rng(33).normal(size=(5, 3, 4, 4)).astype(np.float32),
             np.random.default_rng(34).normal(size=(5, 6))]
     range_mode = (-1.0, 2.5) if fixed else "minmax"
-    whole = it.cent_rows(acts, mode, 16, range_mode)
+
+    def binned() -> bytes:
+        if mode == "class_tables":
+            return b"".join(it.class_tables(acts, [2, 0, 2, 1, 0], layer, 16).counts.tobytes()
+                            for layer in (0, 1))
+        return it.cent_rows(acts, mode, 16, range_mode).tobytes()
+
+    whole = binned()
     monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", 16)
-    assert it.cent_rows(acts, mode, 16, range_mode).tobytes() == whole.tobytes()
+    assert binned() == whole
 
 
-@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
+@pytest.mark.parametrize("mode", ["per-filter", "per-layer", "class_tables"])
 def test_cent_rows_temporaries_stay_within_the_budget(mode):
     """One 10x64^3 float32 read (reference3d's layer-0 --pre-relu read,
     10.5 MB) takes at most its finiteness mask (a byte a value) and 3 MB in
-    cent_rows. Binning the whole read at once peaked at 41.9 MB."""
+    cent_rows. Binning the whole read at once peaked at 41.9 MB. The class
+    tables of 32 such reads at 32^3 (42 MB) take at most 3 MiB: binning a
+    whole filter's 32 images at once peaked at 16 MB."""
+    if mode == "class_tables":
+        act = np.random.default_rng(35).standard_normal((32, 10, 32, 32, 32), dtype=np.float32)
+        labels = np.arange(32) % 2
+        assert traced_peak(lambda: it.class_tables([act], labels, 0, 256)) <= 3 * 2**20
+        return
     act = np.random.default_rng(35).normal(size=(1, 10, 64, 64, 64)).astype(np.float32)
     assert traced_peak(lambda: it.cent_rows([act], mode)) < act.size + 3e6
 
@@ -440,12 +463,17 @@ def test_cent_invariant_under_power_of_two_rescaling():
 
 # --- dataset-level conditioning ---
 
+def _only(tables, filters):
+    """The tables of the given filters alone."""
+    return tables._replace(counts=tables.counts[list(filters)])
+
+
 def test_expected_cent_single_class_equals_pooled():
     data = small_dataset(per_class=6, seed=0)
     one_class = data.labels == 0
     network = net.build_desk_2d(32, 2, seed=0)
     acts = net.forward_collect(network, data.images[one_class])
-    tables = class_tables(acts, data.labels[one_class], FilterSelector(0, (0,)), 256)
+    tables = _only(class_tables(acts, data.labels[one_class], 0, 256), [0])
     cond = expected_cent(tables)
     pooled = pooled_unconditional_entropy(tables)
     assert abs(cond - pooled) < 1e-12
@@ -454,8 +482,8 @@ def test_expected_cent_single_class_equals_pooled():
 def test_expected_cent_is_mean_over_filters():
     data = small_dataset(per_class=5, seed=1)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=1), data.images)
-    both, f2, f5 = (expected_cent(class_tables(acts, data.labels, FilterSelector(0, f), 256))
-                    for f in ((2, 5), (2,), (5,)))
+    tables = class_tables(acts, data.labels, 0, 256)
+    both, f2, f5 = (expected_cent(_only(tables, f)) for f in ((2, 5), (2,), (5,)))
     assert abs(both - (f2 + f5) / 2) < 1e-12
 
 
@@ -463,25 +491,26 @@ def test_expected_cent_bounded_by_pooled_every_conv_layer():
     data = small_dataset(per_class=8, seed=2)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=2), data.images)
     for layer in (0, 1):
-        tables = class_tables(acts, data.labels, FilterSelector(layer), 256)
+        tables = class_tables(acts, data.labels, layer, 256)
         cond = expected_cent(tables)
         pooled = pooled_unconditional_entropy(tables)
         assert cond <= pooled + 1e-9, f"layer {layer}: {cond} > {pooled}"
 
 
-def test_filter_selector_contract():
-    with pytest.raises(ValueError):
-        FilterSelector(-1)
-    with pytest.raises(ValueError):
-        FilterSelector(0, ())
+def test_class_tables_contract():
+    """class_tables refuses a read point outside [0, read points) and labels
+    of another length; partition_check refuses a filter outside [0, filters)."""
     data = small_dataset(per_class=3, seed=3)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=3), data.images)
-    with pytest.raises(ValueError, match="out of range"):
-        class_tables(acts, data.labels, FilterSelector(9), 256)
-    with pytest.raises(ValueError, match="out of range"):
-        class_tables(acts, data.labels, FilterSelector(0, (99,)), 256)
+    for layer in (-1, 3, 9):
+        with pytest.raises(ValueError, match=f"layer {layer} out of range"):
+            class_tables(acts, data.labels, layer, 256)
+    tables = class_tables(acts, data.labels, 0, 256)
+    for fi in (-1, 10, 99):
+        with pytest.raises(ValueError, match=f"filter {fi} out of range"):
+            partition_check(tables, fi, ((0,), (1,)))
     with pytest.raises(ValueError, match="activation rows"):
-        class_tables(acts, data.labels[1:], FilterSelector(0), 256)
+        class_tables(acts, data.labels[1:], 0, 256)
 
 
 def test_bin_count_below_two_is_refused_on_every_path():
@@ -491,9 +520,8 @@ def test_bin_count_below_two_is_refused_on_every_path():
     acts = [np.arange(24, dtype=np.float32).reshape(4, 2, 3)]
     labels = np.array([0, 1, 0, 1])
     # the theory measures bin nothing: their one binning path is class_tables
-    for sel in (FilterSelector(0), FilterSelector(0, (1,))):
-        with pytest.raises(ValueError, match="bin_count"):
-            class_tables(acts, labels, sel, bin_count=1)
+    with pytest.raises(ValueError, match="bin_count"):
+        class_tables(acts, labels, 0, bin_count=1)
 
 
 @st.composite
@@ -542,16 +570,14 @@ def test_dataset_measures_equal_the_per_class_reference(read_points, bins, data)
         for _, _, cond, pooled in refs:
             cond_sum += cond
             pooled_sum += pooled
-        tables = class_tables(acts, labels, FilterSelector(layer), bins)
+        tables = class_tables(acts, labels, layer, bins)
         assert expected_cent(tables) == cond_sum / filters
         assert pooled_unconditional_entropy(tables) == pooled_sum / filters
 
         fi = data.draw(st.integers(0, filters - 1))
         class_h, priors, _, _ = refs[fi]
         classes = [int(c) for c in np.unique(labels)]
-        report = partition_check(class_tables(acts, labels, FilterSelector(layer, (fi,)), bins),
-                                 fi, (tuple(classes[:1]), tuple(classes[1:])))
-        assert report == partition_check(tables, fi, (tuple(classes[:1]), tuple(classes[1:])))
+        report = partition_check(tables, fi, (tuple(classes[:1]), tuple(classes[1:])))
         rest = range(1, len(classes))
         p_rest = sum(priors[j] for j in rest)
         assert report.h_informative == priors[0] * class_h[0] / priors[0]
@@ -575,7 +601,7 @@ def test_theory_entropies_equal_the_row_oracle_bit_for_bit(k, bins, seed):
     acts = [(rng.normal(size=(len(labels), 3, 3, 3)) * rng.uniform(0.1, 5.0)).astype(np.float32)]
     acts[0][labels == rng.integers(k), 1] = 0.5  # one class's filter 1 loads one bin
     acts[0][:, 2] = 1.5  # a constant filter: every class loads one bin
-    tables = class_tables(acts, labels, FilterSelector(0), bins)
+    tables = class_tables(acts, labels, 0, bins)
     classes, priors = tables.classes, tables.priors
     cond, pooled, class_hs = 0.0, 0.0, []
     for table in tables.counts:
@@ -603,9 +629,9 @@ def test_theory_entropies_equal_the_row_oracle_bit_for_bit(k, bins, seed):
 def test_partition_check_contract_errors():
     data = small_dataset(per_class=4, seed=4)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=4), data.images)
-    tables = class_tables(acts, data.labels, FilterSelector(0, (0,)), 256)
-    with pytest.raises(ValueError, match="no class table"):
-        partition_check(tables, 1, ((0,), (1,)))
+    tables = class_tables(acts, data.labels, 0, 256)
+    with pytest.raises(ValueError, match="filter 10 out of range"):
+        partition_check(tables, 10, ((0,), (1,)))
     with pytest.raises(ValueError):
         partition_check(tables, 0, ((0,), ()))
     with pytest.raises(ValueError):
@@ -617,7 +643,7 @@ def test_partition_check_contract_errors():
 def test_partition_decomposition_exact():
     data = small_dataset(per_class=6, seed=5)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=5), data.images)
-    tables = class_tables(acts, data.labels, FilterSelector(0, (1,)), 256)
+    tables = class_tables(acts, data.labels, 0, 256)
     report = partition_check(tables, 1, ((0,), (1,)))
     assert report.decomposition_residual < 1e-9
     recombined = (report.p_informative * report.h_informative
@@ -625,14 +651,14 @@ def test_partition_decomposition_exact():
     assert abs(report.h_conditional - recombined) < 1e-9
     assert abs(report.p_informative + report.p_uninformative - 1.0) < 1e-12
     # the single-filter conditional entropy is the same quantity expected_cent
-    # computes for that selector
-    assert abs(report.h_conditional - expected_cent(tables)) < 1e-12
+    # computes for that filter alone
+    assert abs(report.h_conditional - expected_cent(_only(tables, [1]))) < 1e-12
 
 
 def test_partition_direction_reported_not_assumed():
     data = small_dataset(per_class=6, seed=6)
     acts = net.forward_collect(net.build_desk_2d(32, 2, seed=6), data.images)
-    tables = class_tables(acts, data.labels, FilterSelector(0, (0,)), 256)
+    tables = class_tables(acts, data.labels, 0, 256)
     fwd = partition_check(tables, 0, ((0,), (1,)))
     rev = partition_check(tables, 0, ((1,), (0,)))
     assert fwd.h_informative == rev.h_uninformative

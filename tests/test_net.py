@@ -555,30 +555,44 @@ def test_reference3d_checkpoint_loads_within_its_file_size(tmp_path):
     (40960, [1, 1, 1, 1], None),      # one-sample chunks, as reference3d's
 ])
 def test_fc_gradient_blocks_hold_the_materialised_sum(monkeypatch, n, chunks, scratch_elements):
-    """The float64 gradient blocks _fc_sgd_step hands to _sgd_step are, in
-    row order, the bytes of each chunk's g.T @ x summed in chunk order, and
-    the weights it steps in place are that gradient's SGD step."""
+    """_sgd_step builds the float64 gradient of fully connected weights from
+    the chunks' (g, x) factors, and of conv weights and a bias from the
+    chunks' gradient arrays, in blocks of at least two rows that hold, in
+    row order, the bytes of the chunks' gradients (each g.T @ x) summed in
+    chunk order; it steps the parameter in place by that gradient. A zero
+    parameter stepped at scale -1 holds the gradient itself."""
     if scratch_elements is not None:
         monkeypatch.setattr(ops, "_SCRATCH_ELEMENTS", scratch_elements)
     rng = np.random.default_rng(27)
     factors = [(rng.normal(size=(c, 128)), rng.normal(size=(c, n))) for c in chunks]
-    weights = rng.normal(size=(128, n)).astype(np.float32)
-    want = factors[0][0].T @ factors[0][1]
+    fc_sum = factors[0][0].T @ factors[0][1]
     for g, x in factors[1:]:
-        want += g.T @ x
-    real, blocks = net._sgd_step, []
+        fc_sum += g.T @ x
+    cases = [(rng.normal(size=(128, n)).astype(np.float32), factors, fc_sum)]
+    for shape in ((10, 4, 5, 5), (128,)):  # conv weights and a bias
+        parts = [rng.normal(size=shape) for _ in chunks]
+        total = parts[0].copy()
+        for part in parts[1:]:
+            total += part
+        cases.append((rng.normal(size=shape).astype(np.float32), parts, total))
+    blocks = []
 
-    def capturing(param, grad, scale, out=None):
-        blocks.append(grad.copy())
-        return real(param, grad, scale, out)
+    class Recording(ops.Workspace):
+        def take(self, role, shape):  # a fresh array per gradient block, kept
+            if role == "gw":
+                blocks.append(np.empty(shape))
+                return blocks[-1]
+            return super().take(role, shape)
 
-    monkeypatch.setattr(net, "_sgd_step", capturing)
-    before = weights.copy()  # the step writes the weights in place
-    stepped = net._fc_sgd_step(weights, factors, 0.01, ops.Workspace())
-    assert stepped is weights
-    assert min(len(block) for block in blocks) >= 2
-    assert np.concatenate(blocks).tobytes() == want.tobytes()
-    assert stepped.tobytes() == real(before, want, 0.01).tobytes()
+    for param, parts, grad in cases:
+        for start, scale in ((param, 0.01), (np.zeros_like(param), -1.0)):
+            blocks.clear()
+            stepped = start.copy()
+            net._sgd_step(stepped, parts, scale, Recording())
+            want = start.astype(np.float64) - grad * scale
+            assert min(len(block) for block in blocks) >= 2
+            assert np.concatenate(blocks).tobytes() == want.tobytes()
+            assert stepped.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_training_fc_blocks_fit_the_scratch_budget(monkeypatch):

@@ -10,7 +10,7 @@ the dump, evaluate under gini and under entropy, permute, and theory three
 times (by default, with the partition check at the fully connected read
 point 2, and at filter 3); then two seeded 64^3 volumes, reference3d trained
 in both variants, each extracted with --pre-relu --dump-out, from that dump
-and per-layer. Every stage calls
+and per-layer, and checked by theory. Every stage calls
 centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
 one "<sha256>  <path>" line per file written, sorted by path, so two source
 trees are compared by diffing their outputs. Exits 1 if any stage fails.
@@ -72,6 +72,7 @@ def _stages(seed: int) -> list[list[str]]:
             ["extract", "--out", f"{d}/from_dump", "--dump", f"{d}/dump"],
             ["extract", "--out", f"{d}/layer", "--checkpoint", ckpt, "--data", data,
              "--mode", "per-layer"],
+            ["theory", "--out", f"{d}/theory", "--checkpoint", ckpt, "--data", data],
         ]
     return stages
 
