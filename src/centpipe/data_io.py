@@ -41,6 +41,20 @@ def load_tensor(path) -> np.ndarray:
 MANIFEST_HEADER = "image_id,path,label"
 
 
+def _parse(texts: list, kind, spell, field: str) -> list:
+    """kind() of each text, accepted only when spell() of it gives the text
+    back: the writers' own spelling (str of an int label, repr of a float
+    value), so underscores, spaces, signs and non-ASCII digits that int() and
+    float() take are refused. repr, about 1 us a value, is most of a features
+    file's read, so both steps map over the whole list."""
+    values = list(map(kind, texts))
+    spelled = list(map(spell, values))
+    if spelled != texts:
+        text, back = next((t, b) for t, b in zip(texts, spelled) if t != b)
+        raise ValueError(f"{field} {text!r} is not written as {back!r}")
+    return values
+
+
 def write_manifest(path, rows, class_names) -> None:
     """rows: (image_id, relative path, label index) triples."""
     lines = [f"# classes: {','.join(class_names)}", MANIFEST_HEADER]
@@ -98,7 +112,7 @@ def read_manifest(path):
         if len(parts) != 3:
             raise ValueError(f"{path}, line {no}: malformed row {ln!r}")
         try:
-            image_id, rel, label = parts[0], parts[1], int(parts[2])
+            image_id, rel, (label,) = parts[0], parts[1], _parse(parts[2:], int, str, "label")
         except ValueError as exc:
             raise ValueError(f"{path}, line {no}: {exc}") from None
         if not 0 <= label < len(class_names):
@@ -404,8 +418,8 @@ def read_features_csv(path):
             raise ValueError(f"{path}, line {no}: row width {len(parts)} != header width {width}")
         ids.append(parts[0])
         try:
-            labels.append(int(parts[1]))
-            rows.append([float(v) for v in parts[2:]])
+            labels += _parse(parts[1:2], int, str, "label")
+            rows.append(_parse(parts[2:], float, repr, "value"))
         except ValueError as exc:
             raise ValueError(f"{path}, line {no}: {exc}") from None
     _require_plain_fields(ids, path, "image_id")

@@ -132,7 +132,7 @@ class Metrics:
     mean_auc: float
     fold_scores: tuple  # positive-class scores per fold, for audit
     fold_labels: tuple  # the labels those scores were ranked against
-    counters: dict = field(default_factory=dict)  # trees, nodes, rows predicted, workers
+    counters: dict = field(default_factory=dict)  # trees, nodes, rows, workers, elements
 
     def __post_init__(self):
         if any(not 0.0 <= a <= 1.0 for a in self.per_fold_auc):
@@ -159,7 +159,8 @@ def cross_validate(features, labels, config: ForestConfig, plan: FoldPlan) -> Me
     counters = {"trees_grown": len(model.trees),
                 "tree_nodes": sum(len(tree.feature) for tree in model.trees),
                 "rows_predicted": sum(len(test_idx) for test_idx in plan.test_folds),
-                "fit_workers": model.workers}
+                "fit_workers": model.workers,
+                "split_elements": model.split_elements}
     return Metrics(tuple(fold_auc), float(np.mean(fold_auc)),
                    tuple(fold_scores), tuple(fold_labels), counters)
 

@@ -8,6 +8,14 @@ so fits are bit-for-bit reproducible and schedule-independent. One fit grows
 the forests of several training row sets (a cross-validation's folds)
 together; each is bit for bit the forest that fitting its set alone gives.
 
+A tree holds each distinct row of its bootstrap once, with the number of
+times it was drawn as its weight, and counts, sizes and split scores add up
+those weights. That changes no byte of the tree grown on the draw with its
+copies: every copy of a row has its values, so it lands on the same side of
+any threshold, which only falls between distinct values, and the weighted
+class counts are the same integers, exact in float64, so every impurity,
+decrease, tie and threshold is the same float.
+
 A node's candidates are those Generator.choice(p, size=mtry, replace=False)
 would draw from its tree's generator after the bootstrap. The grower draws
 every open node's at once from each tree's uint32 stream, with the steps the
@@ -76,6 +84,7 @@ class ForestModel:
     mtry: int  # resolved value actually used
     set_class_counts: tuple = ()  # class count of each training set; () for one
     workers: int = 1  # processes that grew the trees
+    split_elements: int = 0  # (node, candidate, distinct row) elements the fit scored
 
     def fold(self, i: int) -> "ForestModel":
         counts = self.set_class_counts or (self.class_count,)
@@ -121,8 +130,9 @@ def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
 
 
 # One pass visits popped nodes holding at most about this many (node,
-# candidate, row) elements, plus one node, so its working arrays stay well
-# under a MB however many trees grow at once.
+# candidate, distinct row) elements, plus one node, so its working arrays
+# stay well under a MB however many trees grow at once. A row drawn several
+# times into a tree's bootstrap is one element, weighted by its count.
 _PASS_ELEMENTS = 8192
 
 
@@ -137,50 +147,53 @@ def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
     return np.sort((key << bits) | np.arange(len(key))) & ((1 << bits) - 1)
 
 
-def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class_count,
-                 min_leaf, criterion):
+def _best_splits(X, rank, y, rows, weight, offsets, sizes, candidates, parent_imp,
+                 class_count, min_leaf, criterion):
     """Best split of each node: (decrease, feature, threshold, n_left) arrays.
 
-    Node i owns rows[offsets[i]:offsets[i] + sizes[i]]. Every (node, candidate)
+    Node i owns rows[offsets[i]:offsets[i] + sizes[i]], each a distinct row
+    of its tree's bootstrap, drawn weight[j] times. Every (node, candidate)
     pair is one segment, and one stable sort of (segment, rank of value)
-    orders each segment by value, as a lexsort would. Candidate thresholds
-    sit between adjacent sorted values, must separate in float (value <= t
-    routes left) and satisfy min_leaf on both sides. The first maximum in
-    (feature, threshold) order wins, so ties resolve to the lowest feature,
-    then the lowest threshold. A decrease <= 1e-12 means no split.
+    orders each segment by value, as a lexsort would. Class counts and the
+    sizes n, n_left and n_right add up the weights, so they are the counts of
+    the bootstrap with its copies. Candidate thresholds sit between adjacent
+    sorted values, must separate in float (value <= t routes left) and
+    satisfy min_leaf on both weighted sides. The first maximum in (feature,
+    threshold) order wins, so ties resolve to the lowest feature, then the
+    lowest threshold. A decrease <= 1e-12 means no split. n_left counts the
+    distinct rows that go left.
     """
     mtry = candidates.shape[1]
     seg_len = np.repeat(sizes, mtry)
     seg_start = np.cumsum(seg_len) - seg_len
+    seg_end = seg_start + seg_len - 1
     total = int(seg_len.sum())
-    seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    pos = np.arange(total) - np.repeat(seg_start, seg_len)  # position within segment
-    r = rows[np.repeat(np.repeat(offsets, mtry), seg_len) + pos]
+    at = np.repeat(np.repeat(offsets, mtry) - seg_start, seg_len) + np.arange(total)
+    r, w = rows[at], weight[at]
+    del at
     # flat index of each (row, candidate) value into X and rank alike
     flat = r.astype(np.int64) * X.shape[1] + np.repeat(candidates.ravel(), seg_len)
+    seg = np.repeat(np.arange(len(seg_len)), seg_len)
     order = _stable_argsort(seg * len(rank) + rank.ravel()[flat], len(seg_len) * len(rank))
+    del seg
     sv = X.ravel()[flat[order]]
-    # Class-major (class, position) running counts over the whole pass, so
-    # that the class sums of the impurities are row adds. They are exact
-    # integers, so the in-place forms give the bytes any order would;
-    # temporaries are freed as soon as they are spent. The last class's row
-    # is the running position count minus the other rows, not a cumsum.
+    w = w[order].astype(np.float64)  # numpy's uint8 multiply: 64 KiB more code paged in
+    # Class-major (class, position) running weighted counts over the whole
+    # pass, so that the class sums of the impurities are row adds. They are
+    # exact integers, so the in-place forms give the bytes any order would;
+    # temporaries are freed as soon as they are spent.
     left_counts = np.empty((class_count, total))
-    np.cumsum(y[r[order]] == np.arange(class_count - 1)[:, None], axis=1, dtype=np.float64,
-              out=left_counts[:-1])
-    last = left_counts[-1]
-    np.subtract(np.arange(1.0, total + 1), left_counts[0] if class_count > 1 else 0.0, out=last)
-    for row in left_counts[1:-1]:
-        last -= row
-    del r, flat, order
-    at_end = left_counts[:, seg_start + seg_len - 1]  # through each segment's last position
+    np.multiply(y[r[order]] == np.arange(class_count)[:, None], w, out=left_counts)
+    del r, flat, order, w
+    np.cumsum(left_counts, axis=1, out=left_counts)
+    at_end = left_counts[:, seg_end]  # through each segment's last position
     right_counts = at_end.repeat(seg_len, axis=1)
     right_counts -= left_counts
     before = np.hstack([np.zeros((class_count, 1)), at_end[:, :-1]])  # ahead of each segment
     left_counts -= before.repeat(seg_len, axis=1)
 
-    n = np.repeat(seg_len, seg_len).astype(np.float64)
-    n_left = pos + 1.0
+    n_left = left_counts.sum(axis=0)
+    n = n_left[seg_end].repeat(seg_len)  # a segment's whole weight
     n_right = n - n_left
     nxt = np.append(sv[1:], sv[-1])  # a segment's last position is invalid anyway
     thr = (sv + nxt) / 2.0
@@ -198,7 +211,8 @@ def _best_splits(X, rank, y, rows, offsets, sizes, candidates, parent_imp, class
     best = np.maximum.reduceat(decrease, node_start)
     hits = np.flatnonzero(decrease == np.repeat(best, mtry * sizes))
     first = hits[np.searchsorted(hits, node_start)]
-    return best, candidates.ravel()[seg[first]], thr[first], pos[first] + 1
+    seg = np.searchsorted(seg_start, first, side="right") - 1
+    return best, candidates.ravel()[seg], thr[first], first - seg_start[seg] + 1
 
 
 def _choice(next_uint32, p: int, m: int) -> list:
@@ -301,9 +315,13 @@ class _Grower:
     """Grows the given tree indices of the forests of several training row
     sets together, one node per unfinished tree per step.
 
-    Every tree's bootstrap rows, as row indices of the whole matrix, fill its
-    own contiguous block of `samples`; each node owns a contiguous range of
-    it, which a split partitions stably in place, left rows first. Each step
+    Every tree's distinct in-bag rows, as row indices of the whole matrix in
+    row order, fill its own contiguous block of `samples`, and the times its
+    bootstrap drew each of them the same places of `weight`;
+    each node owns a contiguous range of both, which a split partitions
+    stably in place, left rows first. Weighted counts are the counts of the
+    draw with its copies, and each copy would go where its row goes, so a
+    tree's splits are those of the draw (see the module docstring). Each step
     pops the top of every tree's own depth-first stack (right child pushed
     first), draws that tree's mtry candidates from its own rng, and scores the
     popped nodes in bounded vectorized passes. A tree's pop order, rng draws
@@ -315,31 +333,40 @@ class _Grower:
     def __init__(self, X, y, rank, sets, class_count, config, mtry, tree_indices):
         self.X, self.y, self.rank = X, y, rank
         self.class_count, self.config, self.mtry = class_count, config, mtry
-        lengths = np.repeat([len(rows) for rows in sets], len(tree_indices))
-        ends = np.cumsum(lengths)
         # Long-lived arrays use the smallest unsigned type that holds their
-        # values: 2 * lengths.max() bounds node ids, depths, stack ranges and
-        # class counts.
+        # values: a set's size bounds a bootstrap count, and twice the largest
+        # bounds node ids, depths, stack ranges and class counts.
         small = np.min_scalar_type
-        width = 2 * int(lengths.max())
-        self.samples = np.empty(ends[-1], dtype=small(len(y)))
-        bitgens = []
+        most = max(len(rows) for rows in sets)
+        width = 2 * most
+        trees = len(sets) * len(tree_indices)
+        # Room for every tree's whole draw, since a tree's distinct rows are
+        # known only once drawn; the trees fill its head end to end.
+        room = sum(len(rows) for rows in sets) * len(tree_indices)
+        self.samples = np.empty(room, dtype=small(len(y)))
+        self.weight = np.empty(room, dtype=small(most))
+        self.start = np.zeros(trees, dtype=np.int64)  # tree t's block of samples starts here
+        self.stack = np.zeros((trees, 16, 4), dtype=small(width))  # (id, lo, hi, depth)
+        bitgens, end = [], 0
         for rows in sets:
             for t in tree_indices:
                 rng = np.random.default_rng([config.seed, t])
-                end = ends[len(bitgens)]
-                self.samples[end - len(rows):end] = (
-                    rows[rng.integers(0, len(rows), len(rows))] if config.bootstrap else rows)
+                drawn = (np.bincount(rng.integers(0, len(rows), len(rows)), minlength=len(rows))
+                         if config.bootstrap else np.ones(len(rows), dtype=np.int64))
+                kept = np.flatnonzero(drawn)
+                i = len(bitgens)
+                self.start[i], end = end, end + len(kept)
+                self.samples[self.start[i]:end], self.weight[self.start[i]:end] = (
+                    rows[kept], drawn[kept])
+                self.stack[i, 0, 2] = len(kept)  # lo and hi count from the tree's start
                 bitgens.append(rng.bit_generator)
         self.draws = _Draws(bitgens, X.shape[1], mtry)
-        self.start = ends - lengths  # tree t's block of samples starts here
-        self.stack = np.zeros((len(lengths), 16, 4), dtype=small(width))  # (id, lo, hi, depth)
-        self.stack[:, 0, 2] = lengths  # lo and hi count from the tree's start
-        self.height = np.ones(len(lengths), dtype=np.int64)
-        self.node_count = np.ones(len(lengths), dtype=np.int64)
+        self.split_elements = 0  # (node, candidate, distinct row) elements scored
+        self.height = np.ones(trees, dtype=np.int64)
+        self.node_count = np.ones(trees, dtype=np.int64)
         # Per field, one array per step with a row per visited node. A leaf
         # keeps left 0 (no child is node 0), feature 0 and threshold 0.0.
-        self.fields = {"tree": small(len(lengths)), "id": small(width),
+        self.fields = {"tree": small(trees), "id": small(width),
                        "counts": small(width), "threshold": np.float64,
                        "feature": small(X.shape[1]), "left": small(width)}
         self.steps = {name: [] for name in self.fields}
@@ -373,24 +400,25 @@ class _Grower:
         sizes = hi - lo
         offsets = np.cumsum(sizes) - sizes
         where = np.repeat(self.start[trees] + lo - offsets, sizes) + np.arange(sizes.sum())
-        rows = self.samples[where]
+        rows, weight = self.samples[where], self.weight[where]
         node_of_row = np.repeat(np.arange(len(trees)), sizes)
-        counts = np.bincount(node_of_row * class_count + y[rows],
+        counts = np.bincount(node_of_row * class_count + y[rows], weight,
                              minlength=len(trees) * class_count)
         counts = counts.reshape(len(trees), class_count)
         rec["counts"][:] = counts
 
-        open_ = ((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * config.min_leaf)
+        open_ = ((counts > 0).sum(axis=1) >= 2) & (counts.sum(axis=1) >= 2 * config.min_leaf)
         if config.max_depth is not None:
             open_ &= depth < config.max_depth
         open_ = np.flatnonzero(open_)
         if len(open_) == 0:
             return
         candidates = self.draws.sorted_candidates(trees[open_])
-        parent_imp = _node_impurity(counts[open_].astype(np.float64), config.criterion)
+        parent_imp = _node_impurity(counts[open_], config.criterion)
+        self.split_elements += self.mtry * int(sizes[open_].sum())
         decrease, feature, threshold, n_left = _best_splits(
-            X, self.rank, y, rows, offsets[open_], sizes[open_], candidates, parent_imp,
-            class_count, config.min_leaf, config.criterion)
+            X, self.rank, y, rows, weight, offsets[open_], sizes[open_], candidates,
+            parent_imp, class_count, config.min_leaf, config.criterion)
 
         split = decrease > 1e-12
         k = open_[split]
@@ -402,7 +430,8 @@ class _Grower:
         moved = slot[node_of_row] >= 0
         r, node = rows[moved], slot[node_of_row[moved]]
         goes_right = ~(X[r, feature[node]] <= threshold[node])
-        self.samples[where[moved]] = r[np.lexsort((goes_right, node))]
+        order = np.lexsort((goes_right, node))
+        self.samples[where[moved]], self.weight[where[moved]] = r[order], weight[moved][order]
 
         t = trees[k]
         left_id = self.node_count[t]
@@ -422,7 +451,7 @@ class _Grower:
         end, each in node id order. Each step's array of a field is freed as
         it is copied, so the columns and the step arrays never both hold
         every node."""
-        self.samples = self.stack = None  # spent: free them before the columns exist
+        self.samples = self.weight = self.stack = None  # spent: free them before the columns exist
         ends = np.cumsum(self.node_count)
         start = ends - self.node_count
         steps = self.steps
@@ -460,11 +489,16 @@ def _dense_rank(X: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _grow_share(X, y, rank, groups, config, mtry, tree_indices) -> list:
+def _grow_share(X, y, rank, groups, config, mtry, tree_indices) -> tuple[list, int]:
     """The trees of `tree_indices` of every grower: (class count, training
-    sets) in `groups`, one list per grower, each set's trees in index order."""
-    return [_Grower(X, y, rank, sets, c, config, mtry, tree_indices).grow()
-            for c, sets in groups]
+    sets) in `groups`, one list per grower, each set's trees in index order;
+    and the elements their split passes scored."""
+    grown, elements = [], 0
+    for c, sets in groups:
+        grower = _Grower(X, y, rank, sets, c, config, mtry, tree_indices)
+        grown.append(grower.grow())
+        elements += grower.split_elements
+    return grown, elements
 
 
 def fit(features, labels, config: ForestConfig = ForestConfig(),
@@ -523,12 +557,14 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
         return _grow_share(X, y, rank, groups, config, mtry, share)
 
     per_set = [[] for _ in sets]
-    for share, grown in zip(shares, workers.map(forest, shares, processes)):
+    split_elements = 0
+    for share, (grown, elements) in zip(shares, workers.map(forest, shares, processes)):
+        split_elements += elements
         for m, trees in zip(members, grown):
             for j, i in enumerate(m):
                 per_set[i] += trees[j * len(share):(j + 1) * len(share)]
-    return ForestModel([tree for trees in per_set for tree in trees], p,
-                       max(class_counts), config, mtry, tuple(class_counts), processes)
+    return ForestModel([tree for trees in per_set for tree in trees], p, max(class_counts),
+                       config, mtry, tuple(class_counts), processes, split_elements)
 
 
 def _leaves(tree: DecisionTree, X: np.ndarray, roots=(0,)) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Shared test helpers: finite-difference oracles and small trained fixtures."""
 
+import inspect
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from centpipe import data_io, net, workers
+from centpipe import data_io, forest, net, workers
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -71,6 +72,21 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_split_elements(monkeypatch) -> list:
+    """Wrap forest._best_splits so that each call appends the (node,
+    candidate, row) elements it scores, mtry times its nodes' rows, to the
+    list returned; it sees calls made in this process only."""
+    real, scored = forest._best_splits, []
+
+    def counting(*args, **kwargs):
+        arguments = inspect.signature(real).bind(*args, **kwargs).arguments
+        scored.append(arguments["candidates"].shape[1] * int(arguments["sizes"].sum()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "_best_splits", counting)
+    return scored
 
 
 def assert_no_child_left():

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from centpipe import cli, data_io, infotheory, net, ops
 
-from conftest import assert_no_child_left, small_dataset, use_cpus, write_reference_dump
+from conftest import (assert_no_child_left, count_split_elements, small_dataset, use_cpus,
+                      write_reference_dump)
 
 
 def run_cli(argv):
@@ -650,12 +651,22 @@ def test_evaluate_rejects_multiclass(tmp_path):
     assert "error: evaluation requires binary 0/1 labels, got classes [0, 1, 2]" in err
 
 
-@pytest.mark.parametrize("row,bad", [("img_0001,x,0.5", "'x'"), ("img_0001,1,0.5x", "'0.5x'"),
-                                     ("img_0001,1", "row width 2 != header width 3")])
+# int() and float() take these, but the writers never spell a label or a
+# value so: digit-group underscores, a space, a sign, a non-ASCII digit
+LOOSE_LABELS = ["0_1", " 1", "+1", "\u0661"]
+LOOSE_VALUES = ["1_0.5", " 0.5", "+0.5", "\u0661.5"]
+
+
+@pytest.mark.parametrize("row,bad", [
+    ("img_0001,x,0.5", "'x'"), ("img_0001,1,0.5x", "'0.5x'"),
+    ("img_0001,1", "row width 2 != header width 3"),
+    *((f"img_0001,{label},0.5", f"label {label!r} is not written as '1'")
+      for label in LOOSE_LABELS),
+    *((f"img_0001,1,{value}", f"value {value!r} is not written as") for value in LOOSE_VALUES)])
 def test_unparsable_features_row_exits_2_naming_file_and_line(tmp_path, row, bad):
-    """A label or value that does not parse, or a row of another width, is
-    named with its file and its line, counted with the blank lines the
-    reader skips."""
+    """A label or value that does not parse, or is not spelled as the writer
+    spells what it parses to, or a row of another width, is named with its
+    file and its line, counted with the blank lines the reader skips."""
     path = tmp_path / "features.csv"
     path.write_text(f"image_id,label,feat_0\nimg_0000,0,0.25\n\n{row}\n")
     code, out, err = run_cli(["evaluate", "--out", str(tmp_path / "e"), "--features", str(path)])
@@ -663,7 +674,9 @@ def test_unparsable_features_row_exits_2_naming_file_and_line(tmp_path, row, bad
     assert f"error: {path}, line 4: " in err and bad in err
 
 
-@pytest.mark.parametrize("label,bad", [("x", "'x'"), ("7", "label 7 outside class table of 2")])
+@pytest.mark.parametrize("label,bad", [
+    ("x", "'x'"), ("7", "label 7 outside class table of 2"),
+    *((label, f"label {label!r} is not written as '1'") for label in LOOSE_LABELS)])
 def test_unparsable_manifest_label_exits_2_naming_file_and_line(tmp_path, label, bad):
     data = tmp_path / "data"
     data_io.save_dataset(small_dataset(per_class=2, extent=8, seed=3), str(data))
@@ -740,6 +753,26 @@ def test_evaluate_summary_reports_counters_and_timings(leak_features, tmp_path, 
     for path in out_dir.iterdir():  # metrics.csv and the ROC files
         text = path.read_text()
         assert not any(key in text for key in (*counters, *summary["timings"]))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "permute"])
+def test_split_elements_counts_what_the_split_passes_score(leak_features, tmp_path, command,
+                                                           monkeypatch):
+    """split_elements sums the (node, candidate, distinct row) elements that
+    every split pass of the fit scored, as a wrapper of forest._best_splits
+    counts them in one process, and reads the same in 2 and 3 processes."""
+    scored, elements = count_split_elements(monkeypatch), {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus, every_map=True)
+        code, out, err = run_cli([command, "--out", str(tmp_path / f"e{cpus}"), "--features",
+                                  leak_features, "--tree-count", "7", "--k", "3"])
+        assert code == 0, err
+        counters = json.loads(out)["counters"]
+        assert counters["fit_workers"] == cpus
+        elements[cpus] = counters["split_elements"]
+        if cpus == 1:
+            in_one = sum(scored)  # later runs score part of their trees in other processes
+    assert elements[1] == elements[2] == elements[3] == in_one > 0
 
 
 def test_extract_takes_no_seed(pipeline, tmp_path):

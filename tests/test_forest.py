@@ -14,7 +14,7 @@ from centpipe.forest import (CRITERIA, DecisionTree, ForestConfig, ForestModel, 
 from centpipe.evaluation import kfold_split
 from centpipe.infotheory import NonFiniteError
 
-from conftest import assert_no_child_left, traced_peak, use_cpus
+from conftest import assert_no_child_left, count_split_elements, traced_peak, use_cpus
 
 
 # --- reference: one tree at a time, one node and one feature at a time ------
@@ -411,6 +411,39 @@ def test_fit_memory_stays_bounded(monkeypatch):
     X = rng.normal(size=(240, 21))
     y = rng.permutation(np.arange(240) % 2)  # shuffled labels grow deep trees
     assert traced_peak(lambda: fit(X, y, ForestConfig(tree_count=100, seed=0))) <= 4 * 2**20
+
+
+def test_grower_holds_each_distinct_inbag_row_once_with_its_draw_count():
+    """A tree's block of samples holds each row its bootstrap drew once, in
+    the training set's order, and its weights are the times the draw took
+    each row (np.bincount of the draw), adding up to the set's size."""
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(60, 3)), np.arange(60) // 2 % 2
+    rows = np.arange(0, 60, 2)  # a 30-row training set
+    config = ForestConfig(tree_count=4, seed=5)
+    grower = forest._Grower(X, y, forest._dense_rank(X), [rows], 2, config, 1, range(4))
+    for t in range(4):
+        drawn = np.bincount(np.random.default_rng([5, t]).integers(0, 30, 30), minlength=30)
+        kept = np.flatnonzero(drawn)
+        assert len(kept) < 30 and grower.stack[t, 0, 2] == len(kept)  # the root's rows
+        block = slice(grower.start[t], grower.start[t] + len(kept))
+        assert grower.samples[block].tolist() == rows[kept].tolist()
+        assert grower.weight[block].tolist() == drawn[kept].tolist()
+        assert grower.weight[block].sum() == 30
+
+
+def test_root_pass_scores_each_distinct_row_once(monkeypatch):
+    """A split pass scores one (node, candidate, row) element per distinct
+    in-bag row, not per draw: the root of a one-tree fit on 30 rows scores
+    mtry times its distinct rows."""
+    use_cpus(monkeypatch, 1)
+    scored = count_split_elements(monkeypatch)
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(30, 4)), np.arange(30) % 2
+    model = fit(X, y, ForestConfig(tree_count=1, mtry=2, max_depth=1, seed=7))
+    distinct = len(np.unique(np.random.default_rng([7, 0]).integers(0, 30, 30)))
+    assert distinct < 30
+    assert scored == [2 * distinct] and model.split_elements == 2 * distinct
 
 
 def _tree_bytes(model):

@@ -6,11 +6,12 @@ Usage (from a checkout, with the src to test on PYTHONPATH):
 
 Per seed, into OUT_DIR/seed_<s>: synth at 32^2 and 64^2, desk2d training on
 each, extract per-layer with --dump-out, per-filter with --pre-relu and from
-the dump, evaluate under gini and under entropy, permute, and theory three
-times (by default, with the partition check at the fully connected read
-point 2, and at filter 3); then two seeded 64^3 volumes, reference3d trained
-in both variants, each extracted with --pre-relu --dump-out, from that dump
-and per-layer, and checked by theory. Every stage calls
+the dump, evaluate under gini, under entropy, with --min-leaf 3 --max-depth 4
+and with --no-bootstrap, permute, and theory three times (by default, with
+the partition check at the fully connected read point 2, and at filter 3);
+then two seeded 64^3 volumes, reference3d trained in both variants, each
+extracted with --pre-relu --dump-out, from that dump and per-layer, and
+checked by theory. Every stage calls
 centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
 one "<sha256>  <path>" line per file written, sorted by path, so two source
 trees are compared by diffing their outputs. Exits 1 if any stage fails.
@@ -51,6 +52,10 @@ def _stages(seed: int) -> list[list[str]]:
              "--seed", s, *FOREST],
             ["evaluate", "--out", f"{d}/entropy", "--features", f"{d}/pre/features.csv",
              "--seed", s, "--criterion", "entropy", *FOREST],
+            ["evaluate", "--out", f"{d}/shallow", "--features", f"{d}/pre/features.csv",
+             "--seed", s, "--min-leaf", "3", "--max-depth", "4", *FOREST],
+            ["evaluate", "--out", f"{d}/no_bootstrap", "--features", f"{d}/pre/features.csv",
+             "--seed", s, "--no-bootstrap", *FOREST],
             ["permute", "--out", f"{d}/perm", "--features", f"{d}/layer/features.csv",
              "--seed", s, "--perm-seed", s, *FOREST],
             ["theory", "--out", f"{d}/theory", "--checkpoint", ckpt, "--data", f"{d}/data"],
