@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import resource
 import sys
@@ -142,14 +141,15 @@ def _network_and_dataset(cfg: dict):
     return network, dataset
 
 
+def _from_options(cls, cfg: dict):
+    """The dataclass cls with each field set from the option of its name, a
+    list value as a tuple: SyntheticSpec, TrainConfig and ForestConfig."""
+    return cls(**{f.name: tuple(cfg[f.name]) if isinstance(cfg[f.name], list) else cfg[f.name]
+                  for f in dataclasses.fields(cls)})
+
+
 def cmd_synth(cfg: dict, out: str) -> dict:
-    spec = data_io.SyntheticSpec(
-        class_count=cfg["class_count"], extent=cfg["extent"],
-        per_class=cfg["per_class"], seed=cfg["seed"],
-        noise_scale=tuple(cfg["noise_scale"]),
-        spatial_frequency=tuple(cfg["spatial_frequency"]),
-        blob_density=tuple(cfg["blob_density"]),
-        null_generator=cfg["null_generator"])
+    spec = _from_options(data_io.SyntheticSpec, cfg)
     clock = time.perf_counter
     start = clock()
     dataset = data_io.generate_synthetic(spec)
@@ -194,6 +194,9 @@ class _EpochReporter:
 
 
 def cmd_train(cfg: dict, out: str) -> dict:
+    if cfg["arch"] == "desk2d" and cfg["variant"] != OPTIONS["variant"].default:
+        raise ConfigError(f"--variant {cfg['variant']} has no effect with desk2d: only "
+                          "reference3d has variants")
     if not cfg["data"]:
         raise ConfigError("a dataset is required (--data)")
     dataset = data_io.load_dataset(cfg["data"])
@@ -207,8 +210,7 @@ def cmd_train(cfg: dict, out: str) -> dict:
         network = net.build_reference_3d(cfg["variant"], seed=cfg["net_seed"])
         if shape != network.input_shape:
             raise ConfigError(f"reference3d expects {network.input_shape} images, got {shape}")
-    train_cfg = net.TrainConfig(cfg["learning_rate"], cfg["epochs"],
-                                cfg["batch_size"], cfg["seed"], cfg["shuffle"])
+    train_cfg = _from_options(net.TrainConfig, cfg)
     clock = time.perf_counter
     start = clock()
     reporter = _EpochReporter()
@@ -241,6 +243,11 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         raise ConfigError("provide either --dump or both --checkpoint and --data")
     if from_dump and cfg["dump_out"]:
         raise ConfigError("--dump-out needs --checkpoint and --data; --dump is already a dump")
+    if cfg["dump_out"] and cfg["data"] and os.path.realpath(os.path.join(
+            cfg["dump_out"], "manifest.csv")) in map(os.path.realpath, (
+            cfg["data"], os.path.join(cfg["data"], "manifest.csv"))):
+        raise ConfigError("--dump-out names the --data directory: the dump would replace its "
+                          "manifest")
     if from_dump and cfg["pre_relu"]:
         raise ConfigError("--pre-relu has no effect with --dump: the dump holds the "
                           "activations it was exported with")
@@ -310,13 +317,6 @@ def cmd_extract(cfg: dict, out: str) -> dict:
             "timings": {f"{k}_s": round(v, 6) for k, v in seconds.items()}}
 
 
-def _forest_config(cfg: dict) -> forest.ForestConfig:
-    return forest.ForestConfig(
-        tree_count=cfg["tree_count"], mtry=cfg["mtry"], max_depth=cfg["max_depth"],
-        min_leaf=cfg["min_leaf"], seed=cfg["seed"], bootstrap=cfg["bootstrap"],
-        criterion=cfg["criterion"])
-
-
 def _load_binary_features(cfg: dict):
     if not cfg["features"]:
         raise ConfigError("a features CSV is required (--features)")
@@ -329,9 +329,8 @@ def _load_binary_features(cfg: dict):
 
 
 def _write_eval_outputs(out: str, metrics, permutation_seed=None) -> dict:
-    evaluation.write_metrics_csv(metrics, os.path.join(out, "metrics.csv"),
-                                 permutation_seed=permutation_seed)
     files = {"metrics": os.path.join(out, "metrics.csv")}
+    evaluation.write_metrics_csv(metrics, files["metrics"], permutation_seed=permutation_seed)
     for i, (scores, labels) in enumerate(zip(metrics.fold_scores, metrics.fold_labels)):
         path = os.path.join(out, f"roc_fold_{i}.csv")
         evaluation.write_roc_csv(evaluation.roc_curve(scores, labels), path)
@@ -352,8 +351,8 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
     clock = time.perf_counter
     start = clock()
     metrics = evaluation.permutation_baseline(
-        matrix, labels, _forest_config(cfg), k=cfg["k"], fold_seed=cfg["fold_seed"],
-        stratified=cfg["stratified"], perm_seed=perm_seed)
+        matrix, labels, _from_options(forest.ForestConfig, cfg), k=cfg["k"],
+        fold_seed=cfg["fold_seed"], stratified=cfg["stratified"], perm_seed=perm_seed)
     validated = clock()
     files = _write_eval_outputs(out, metrics, permutation_seed=perm_seed)
     summary = {"command": "permute" if permute else "evaluate", "config": cfg, "files": files,
@@ -374,7 +373,7 @@ def _class_histogram_sizes(read_shapes, layers, images_per_class: dict, bins: in
     sizes = []
     for li in layers:
         shape = read_shapes[li]
-        filters, values = (shape[0], math.prod(shape[1:])) if len(shape) >= 2 else (1, shape[0])
+        filters, values = infotheory.filter_maps(shape, "per-filter")
         classes = {}
         for name, count in images_per_class.items():
             one = infotheory.histogram_sizes((count * values,), "per-layer", bins)
@@ -394,8 +393,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     if not 0 <= part_layer < len(read_shapes):
         raise ConfigError(f"partition_layer {part_layer} out of range: the network has "
                           f"read points 0..{len(read_shapes) - 1}")
-    part_shape = read_shapes[part_layer]
-    filters = part_shape[0] if len(part_shape) >= 2 else 1
+    filters = infotheory.filter_maps(read_shapes[part_layer], "per-filter")[0]
     if part_filter is not None and not 0 <= part_filter < filters:
         raise ConfigError(f"filter {part_filter} out of range (layer has {filters})")
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]

@@ -179,11 +179,16 @@ def stack_tensors(image_ids, paths, shapes=None) -> list[np.ndarray]:
     """One (n, *shape) float32 array per column of `paths`, whose row i
     lists image i's tensor files; each image is read into the arrays and
     freed before the next. The first image fixes the shapes unless `shapes`
-    is given; an image whose tensors differ raises ValueError naming it."""
+    is given; an image whose tensors differ, or that names a directory,
+    raises ValueError naming it."""
     n = len(paths)
     stacks = None if shapes is None else [np.empty((n, *s), np.float32) for s in shapes]
     for i, (image_id, files) in enumerate(zip(image_ids, paths)):
-        tensors = [load_tensor(path) for path in files]
+        try:
+            tensors = [load_tensor(path) for path in files]
+        except IsADirectoryError as exc:
+            raise ValueError(f"image {image_id!r}: {exc.filename} is a directory, "
+                             "not a tensor file") from None
         if stacks is None:
             stacks = [np.empty((n, *t.shape), np.float32) for t in tensors]
         if len(tensors) != len(stacks):
@@ -290,8 +295,6 @@ class ChainSamples:
     x: np.ndarray
     y: np.ndarray
     c: np.ndarray
-    noise_levels: int
-    quantizer_levels: int | None
 
 
 def generate_markov_chain(n: int, noise_levels: int, quantizer_levels: int | None,
@@ -320,8 +323,7 @@ def generate_markov_chain(n: int, noise_levels: int, quantizer_levels: int | Non
     else:
         y = np.floor(x / x_span * quantizer_levels).astype(np.int64)
         y = np.clip(y, 0, quantizer_levels - 1)
-    return ChainSamples(x.astype(np.int64), y.astype(np.int64), c.astype(np.int64),
-                        noise_levels, quantizer_levels)
+    return ChainSamples(x.astype(np.int64), y.astype(np.int64), c.astype(np.int64))
 
 
 class ActivationDumpWriter:

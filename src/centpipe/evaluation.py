@@ -45,7 +45,8 @@ def kfold_split(labels, k: int = 5, seed: int = 0, stratified: bool = True) -> F
     """Deal permuted indices round-robin into k test folds.
 
     Stratified dealing goes class by class with a continuing fold offset, so
-    fold sizes differ by at most 1 overall and per class.
+    fold sizes differ by at most 1 overall and per class; unstratified
+    dealing deals every index as one class.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -56,18 +57,14 @@ def kfold_split(labels, k: int = 5, seed: int = 0, stratified: bool = True) -> F
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     folds = [[] for _ in range(k)]
-    if stratified:
-        cursor = 0
-        for cls in np.unique(labels):
-            members = order[labels[order] == cls]
-            if len(members) < k:
-                raise ValueError(f"class {cls} has {len(members)} members, fewer than k={k}")
-            for i, idx in enumerate(members):
-                folds[(cursor + i) % k].append(idx)
-            cursor += len(members)
-    else:
-        for i, idx in enumerate(order):
-            folds[i % k].append(idx)
+    cursor = 0
+    for cls in np.unique(labels) if stratified else [None]:
+        members = order if cls is None else order[labels[order] == cls]
+        if len(members) < k:
+            raise ValueError(f"class {cls} has {len(members)} members, fewer than k={k}")
+        for i, idx in enumerate(members):
+            folds[(cursor + i) % k].append(idx)
+        cursor += len(members)
     tests = tuple(np.sort(np.array(f, dtype=np.int64)) for f in folds)
     return FoldPlan(k, seed, stratified, tests)
 
@@ -147,8 +144,6 @@ def cross_validate(features, labels, config: ForestConfig, plan: FoldPlan) -> Me
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} feature rows but {len(y)} labels")
     model = fit(X, y, config, [plan.train_fold(i) for i in range(len(plan.test_folds))])
     fold_auc, fold_scores, fold_labels = [], [], []
     for i, test_idx in enumerate(plan.test_folds):

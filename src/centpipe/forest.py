@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .infotheory import NonFiniteError, first_nonfinite, row_entropy
+from .infotheory import row_entropy
+from .ops import NonFiniteError, first_nonfinite
 
 CRITERIA = ("gini", "entropy")
 
@@ -489,18 +490,6 @@ def _dense_rank(X: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _grow_share(X, y, rank, groups, config, mtry, tree_indices) -> tuple[list, int]:
-    """The trees of `tree_indices` of every grower: (class count, training
-    sets) in `groups`, one list per grower, each set's trees in index order;
-    and the elements their split passes scored."""
-    grown, elements = [], 0
-    for c, sets in groups:
-        grower = _Grower(X, y, rank, sets, c, config, mtry, tree_indices)
-        grown.append(grower.grow())
-        elements += grower.split_elements
-    return grown, elements
-
-
 def fit(features, labels, config: ForestConfig = ForestConfig(),
         train_sets=None) -> ForestModel:
     """Grow a forest on all rows, or one forest per training row set (index
@@ -544,7 +533,6 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     # cannot join. Cross-validation on binary labels makes one grower.
     members = [[i for i, count in enumerate(class_counts) if count == c]
                for c in sorted(set(class_counts))]
-    groups = [(class_counts[m[0]], [sets[i] for i in m]) for m in members]
     # at each level of a tree, a split pass writes about 16 temporaries of one
     # value per row and candidate feature
     work = 16 * config.tree_count * mtry * sum(len(rows) * math.log2(len(rows)) for rows in sets)
@@ -552,17 +540,22 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     shares = [range(config.tree_count * w // processes, config.tree_count * (w + 1) // processes)
               for w in range(processes)]
     rank = _dense_rank(X)
+    # group-major, so job i runs in process i mod processes: process w grows
+    # share w of every group
+    jobs = [(m, share) for m in members for share in shares]
 
-    def forest(share):  # the name a worker's error gives
-        return _grow_share(X, y, rank, groups, config, mtry, share)
+    def forest(job):  # the name a worker's error gives
+        m, share = job
+        grower = _Grower(X, y, rank, [sets[i] for i in m], class_counts[m[0]], config, mtry,
+                         share)
+        return grower.grow(), grower.split_elements
 
     per_set = [[] for _ in sets]
     split_elements = 0
-    for share, (grown, elements) in zip(shares, workers.map(forest, shares, processes)):
+    for (m, share), (trees, elements) in zip(jobs, workers.map(forest, jobs, processes)):
         split_elements += elements
-        for m, trees in zip(members, grown):
-            for j, i in enumerate(m):
-                per_set[i] += trees[j * len(share):(j + 1) * len(share)]
+        for j, i in enumerate(m):
+            per_set[i] += trees[j * len(share):(j + 1) * len(share)]
     return ForestModel([tree for trees in per_set for tree in trees], p, max(class_counts),
                        config, mtry, tuple(class_counts), processes, split_elements)
 

@@ -3,14 +3,15 @@ information-theoretic checks (conditioning reduction, partition decomposition,
 data-processing inequality).
 
 All entropies are plug-in estimates in bits (log base 2), 0*log(0) := 0.
-check_binning checks every bin count and range, and _bin_rows bins every
-histogram, within the scratch budget. cent_rows (extract's CENT path) gives
-each row a histogram of its own, class_tables adds a filter's rows into one
-histogram per class (one call per filter), and the theory checks read its
-tables without binning. Their plug-in H(Y|C) uses shared fixed-range
-binning: with priors taken proportional to sample counts, it then never
-exceeds the pooled entropy (exact concavity at the estimator level), which is
-what the conditioning checks rely on.
+check_binning checks every bin count and range, filter_maps lays out every
+read point, and _bin_rows bins every histogram within the scratch budget.
+cent_rows (extract's CENT path) gives each row a histogram of its own,
+class_tables adds a filter's rows into one histogram per class (one call per
+filter), and the theory checks read its tables without binning. Their
+plug-in H(Y|C) uses shared fixed-range binning: with priors taken
+proportional to sample counts, it then never exceeds the pooled entropy
+(exact concavity at the estimator level), which is what the conditioning
+checks rely on.
 make_histogram and extract_cent_features stay only as names the benchmark's
 tracer wraps; no pipeline path calls them.
 """
@@ -25,36 +26,24 @@ import numpy as np
 
 from . import ops
 from .net import Network, forward_collect
+from .ops import NonFiniteError, first_nonfinite
 
-def check_binning(bin_count: int, range_mode="minmax") -> None:
+def check_binning(bin_count: int, range_mode="minmax") -> tuple[float, float] | None:
     """ValueError unless 2 <= bin_count <= ops._SCRATCH_ELEMENTS (one
     histogram's counts within the scratch budget) and range_mode is
     "minmax" or a (lo, hi) pair with lo < hi and a finite width hi - lo
-    (so both ends finite); the CLI checks its options with it."""
+    (so both ends finite); the CLI checks its options with it. Returns the
+    fixed (lo, hi) as floats, or None for "minmax"."""
     if not 2 <= bin_count <= ops._SCRATCH_ELEMENTS:
         raise ValueError(f"bin_count must be in [2, {ops._SCRATCH_ELEMENTS}], got {bin_count}")
     if isinstance(range_mode, str):
         if range_mode != "minmax":
             raise ValueError(f"range_mode must be 'minmax' or (lo, hi), got {range_mode!r}")
-        return
+        return None
     lo, hi = float(range_mode[0]), float(range_mode[1])
     if not (math.isfinite(hi - lo) and lo < hi):
         raise ValueError(f"fixed range needs finite lo < hi and hi - lo, got ({lo}, {hi})")
-
-
-class NonFiniteError(ArithmeticError):
-    """NaN or infinite samples reached a histogram or a range, or features
-    reached the forest (not a ValueError: exit 1)."""
-
-
-def first_nonfinite(values: np.ndarray) -> tuple[int, ...] | None:
-    """The index of values' first NaN or infinite value in C order, or None
-    if every value is finite. Min and max are finite exactly when every
-    value is and make no array of values' size, so a mask is built only to
-    find a bad value."""
-    if values.size == 0 or np.isfinite([values.min(), values.max()]).all():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(~np.isfinite(values)), values.shape))
+    return lo, hi
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -122,11 +111,7 @@ def make_histogram(samples, bin_count: int = 256, range_mode="minmax") -> Histog
     if values.size == 0:
         raise ValueError("samples must be nonempty")
     _require_finite(values)
-    check_binning(bin_count, range_mode)
-    if isinstance(range_mode, str):  # "minmax"
-        lo, hi = float(values.min()), float(values.max())
-    else:
-        lo, hi = float(range_mode[0]), float(range_mode[1])
+    lo, hi = check_binning(bin_count, range_mode) or (float(values.min()), float(values.max()))
     counts = _bin_rows(values[None], bin_count, (lo, hi))[0]
     return Histogram(bin_count, lo, hi, counts, int(values.size), degenerate=lo == hi)
 
@@ -180,11 +165,15 @@ def mutual_information(joint_counts) -> float:
     return float(mi) if mi > 0.0 else 0.0
 
 
-def _split_filters(read_shape: tuple, mode: str) -> bool:
-    """Whether each filter of a read point of this per-image shape gets a
-    histogram of its own (per-filter mode, rank >= 2); otherwise the image's
-    whole read point is one histogram."""
-    return mode == "per-filter" and len(read_shape) >= 2
+def filter_maps(read_shape: tuple, mode: str) -> tuple[int, int]:
+    """(maps per image, values per map) of a read point of this per-image
+    shape: in per-filter mode each filter (axis 0) of a rank >= 2 read point
+    is a map of its own; otherwise the image's whole read point is one map.
+    Each map is one histogram of a CENT value or one filter of the theory's
+    class tables."""
+    if mode == "per-filter" and len(read_shape) >= 2:
+        return read_shape[0], math.prod(read_shape[1:])
+    return 1, math.prod(read_shape)
 
 
 def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
@@ -193,28 +182,26 @@ def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
     log2(min(values, bins)) in bits. A histogram of v values occupies at
     most v bins, so with few samples per bin the plug-in entropy is capped
     below log2(bins) and biased low (Paninski 2003)."""
-    split = _split_filters(read_shape, mode)
-    values = math.prod(read_shape[1:] if split else read_shape)
-    return {"histograms_per_image": read_shape[0] if split else 1,
-            "values_per_histogram": values, "samples_per_bin": values / bin_count,
+    maps, values = filter_maps(read_shape, mode)
+    return {"histograms_per_image": maps, "values_per_histogram": values,
+            "samples_per_bin": values / bin_count,
             "entropy_cap_bits": math.log2(min(values, bin_count))}
 
 
 def _require_finite_activations(activations, image_ids) -> None:
     """NonFiniteError naming the first NaN or infinite activation in
     extraction order: image, then read point, then filter."""
-    firsts = [first_nonfinite(a) for a in activations]
-    if all(first is None for first in firsts):
+    bad = [(first[0], li, first) for li, first in enumerate(map(first_nonfinite, activations))
+           if first is not None]
+    if not bad:
         return
-    i = min(first[0] for first in firsts if first is not None)
-    li = next(li for li, a in enumerate(activations) if first_nonfinite(a[i]) is not None)
-    row, shape = ~np.isfinite(activations[li][i].ravel()), activations[li].shape[1:]
-    where = f"read point {li}"
-    if len(shape) >= 2:
-        where += f", filter {int(np.argmax(row)) // math.prod(shape[1:])}"
+    i, li, first = min(bad)
+    values = activations[li][i]
+    where = f"read point {li}" + (f", filter {first[1]}" if values.ndim >= 2 else "")
     name = image_ids[i] if image_ids is not None else f"image {i}"
-    raise NonFiniteError(f"{name}: the first NaN or infinite activation is at {where} "
-                         f"({int(row.sum())} of {row.size} values there are NaN or infinite)")
+    raise NonFiniteError(f"{name}: the first NaN or infinite activation is at {where} ("
+                         f"{values.size - np.count_nonzero(np.isfinite(values))} of {values.size}"
+                         " values there are NaN or infinite)")
 
 
 def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
@@ -232,15 +219,13 @@ def cent_rows(activations, mode: str = "per-filter", bin_count: int = 256,
     """
     if mode not in ("per-filter", "per-layer"):
         raise ValueError(f"mode must be per-filter or per-layer, got {mode!r}")
-    check_binning(bin_count, range_mode)
+    span = check_binning(bin_count, range_mode)
     _require_finite_activations(activations, image_ids)
-    span = None if isinstance(range_mode, str) else (float(range_mode[0]), float(range_mode[1]))
     columns = []
     for act in activations:
-        n, shape = len(act), act.shape[1:]
-        rows = act.reshape(n * (shape[0] if _split_filters(shape, mode) else 1), -1)
+        rows = act.reshape(-1, filter_maps(act.shape[1:], mode)[1])
         h = row_entropy(_bin_rows(rows, bin_count, span))
-        columns.append(np.where(h > 0.0, h, 0.0).reshape(n, -1))  # as _entropy_p: no -0.0
+        columns.append(np.where(h > 0.0, h, 0.0).reshape(len(act), -1))  # as _entropy_p: no -0.0
     return np.concatenate(columns, axis=1)
 
 
@@ -278,7 +263,7 @@ def class_tables(activations, labels, layer: int, bin_count: int) -> ClassTables
     acts = np.asarray(activations[layer])
     if len(acts) != len(labels):
         raise ValueError(f"{len(acts)} activation rows for {len(labels)} labels")
-    maps = acts.reshape(len(acts), acts.shape[1] if acts.ndim >= 3 else 1, -1)
+    maps = acts.reshape(len(acts), *filter_maps(acts.shape[1:], "per-filter"))
     classes, group = np.unique(labels, return_inverse=True)
     counts = []
     for vals in maps.swapaxes(0, 1):  # each filter's (images, values)

@@ -236,14 +236,10 @@ def _by_rows(spec: LayerSpec, rank: int) -> bool:
                                    and spec.stride[0] == spec.window[0])
 
 
-def block_ends(specs: list[LayerSpec]) -> list[int]:
-    """Index of the last layer of each block (conv + its relu/pool tail, fc, softmax)."""
-    return [last for _, last in _blocks(specs)]
-
-
 def shape_trace(net: Network) -> list[tuple[int, ...]]:
-    """Input shape followed by each block's output shape."""
-    return [net.input_shape] + [net.layer_shapes[i] for i in block_ends(net.specs)]
+    """Input shape followed by each block's output shape (conv + its
+    relu/pool tail, fc, softmax)."""
+    return [net.input_shape] + [net.layer_shapes[last] for _, last in _blocks(net.specs)]
 
 
 def cent_read_points(specs: list[LayerSpec], pre_relu: bool = False) -> list[int]:
@@ -583,11 +579,8 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                     grads = zip(*(part[li] for part in chunk_grads))  # (gws, gbs)
                     for param, parts in zip(net.params[li], grads):
                         _sgd_step(param, parts, scale, workspace)
-            for par in net.params:
-                # min and max are finite exactly when every value is, and unlike
-                # isfinite they make no array of the weights' size
-                if par is not None and not all(np.isfinite([a.min(), a.max()]).all() for a in par):
-                    raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
+            if any(ops.first_nonfinite(a) is not None for par in net.params if par for a in par):
+                raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
             trace.append(float(np.mean(np.concatenate(epoch_losses))))
             if on_epoch is not None:
                 on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers)

@@ -11,6 +11,8 @@ axes and filters (filter_count, channels, *kernel); relu and maxpool act on
 any leading axes; fully_connected takes (batch, n) input and its backward a
 (batch, m) gradient; softmax_cross_entropy takes (batch, k) logits and a
 (batch,) array of class indices. Any other shape raises ShapeMismatch.
+first_nonfinite is the one scan for NaN or infinite values, of parameters,
+activations and features alike; NonFiniteError is what a failed scan raises.
 
 _SCRATCH_ELEMENTS (1 MB of float64) bounds every part the work is cut into,
 and _row_parts makes every cut. A kernel takes its float64 scratch from a
@@ -35,6 +37,21 @@ from numpy.lib.stride_tricks import as_strided
 
 class ShapeMismatch(ValueError):
     """Contract violation: operand shapes are inconsistent."""
+
+
+class NonFiniteError(ArithmeticError):
+    """NaN or infinite samples reached a histogram or a range, or features
+    reached the forest (not a ValueError: exit 1)."""
+
+
+def first_nonfinite(values: np.ndarray) -> tuple[int, ...] | None:
+    """The index of values' first NaN or infinite value in C order, or None
+    if every value is finite. Min and max are finite exactly when every
+    value is and make no array of values' size, so a mask is built only to
+    find a bad value."""
+    if values.size == 0 or np.isfinite([values.min(), values.max()]).all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(~np.isfinite(values)), values.shape))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -300,7 +317,6 @@ class PoolCache:
     input_shape: tuple[int, ...]
     window: tuple[int, ...]
     stride: tuple[int, ...]
-    padding: str
     pad_before: tuple[int, ...]
     padded_spatial: tuple[int, ...]
     argmax: np.ndarray  # flat index into each window, lowest-index tie break
@@ -356,8 +372,8 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
         np.maximum(candidate, pooled, out=pooled)
     if not cache:
         return pooled, None
-    return pooled, PoolCache(x.shape, window, stride, padding,
-                             tuple(b for b, _ in pads), xw.shape[x.ndim - rank:], argmax)
+    return pooled, PoolCache(x.shape, window, stride, tuple(b for b, _ in pads),
+                             xw.shape[x.ndim - rank:], argmax)
 
 
 @functools.lru_cache(maxsize=64)
@@ -383,10 +399,9 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     """
     rank = len(cache.window)
     lead = cache.input_shape[:len(cache.input_shape) - rank]
-    spatial = cache.input_shape[len(lead):]
-    out = _out_extent(spatial, cache.window, cache.stride, cache.padding)
-    _require(grad_output.shape == lead + out,
-             f"grad_output {grad_output.shape} != pooled shape {lead + out}")
+    spatial, out = cache.input_shape[len(lead):], cache.argmax.shape[len(lead):]
+    _require(grad_output.shape == cache.argmax.shape,
+             f"grad_output {grad_output.shape} != pooled shape {cache.argmax.shape}")
     padded = cache.padded_spatial
     offsets, origins = _pool_indices(cache.window, cache.stride, out, padded)
     idx = offsets[cache.argmax]

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior: flags, config files, outputs, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centpipe import cli, data_io, infotheory, net, ops
+from centpipe import cli, data_io, forest, infotheory, net, ops
 
 from conftest import (assert_no_child_left, count_split_elements, small_dataset, use_cpus,
                       write_reference_dump)
@@ -190,6 +191,59 @@ def test_train_missing_data_exits_2(tmp_path):
     code, _, err = run_cli(["train", "--out", str(tmp_path / "t")])
     assert code == 2
     assert "dataset" in err
+
+
+def test_train_desk2d_refuses_a_variant_before_reading_data(pipeline, tmp_path, monkeypatch):
+    """desk2d has no variants: a --variant other than the default would be
+    recorded in the summary and change nothing, so it exits 2 before the
+    dataset is read and writes no checkpoint. The default is accepted."""
+    def no_read(path):
+        raise AssertionError("the dataset was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data_io, "load_dataset", no_read)
+        code, out, err = run_cli(["train", "--out", str(tmp_path / "t"), "--data",
+                                  pipeline["data"], "--variant", "conv-stride-reduces"])
+    assert code == 2 and out == ""
+    assert "error: --variant conv-stride-reduces has no effect with desk2d" in err
+    assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+    code, _, err = run_cli(["train", "--out", str(tmp_path / "d"), "--data", pipeline["data"],
+                            "--epochs", "1", "--variant", "pool-reduces"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["train", "theory"])
+def test_dataset_row_naming_a_directory_exits_2(pipeline, command, tmp_path):
+    """A dump's manifest rows name activation directories: read as a
+    dataset, the first such row is refused by image and path (exit 2)."""
+    argv = [command, "--out", str(tmp_path / "o"), "--data", pipeline["dump"]]
+    if command == "theory":
+        argv += ["--checkpoint", pipeline["ckpt"]]
+    code, out, err = run_cli(argv)
+    path = os.path.join(pipeline["dump"], "activations", "img_0000")
+    assert code == 2 and out == ""
+    assert f"error: image 'img_0000': {path} is a directory, not a tensor file" in err
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_extract_dump_out_into_the_data_directory_exits_2(pipeline, tmp_path, manifest):
+    """--dump-out naming the --data directory, here through a link, with the
+    data given as that directory or as its manifest, would replace the
+    dataset's manifest with the dump's: it exits 2 before any file is
+    touched."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    os.symlink(data, tmp_path / "link")
+    before = (data / "manifest.csv").read_bytes()
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                              pipeline["ckpt"], "--data",
+                              str(data / "manifest.csv") if manifest else str(data),
+                              "--dump-out", str(tmp_path / "link")])
+    assert code == 2 and out == ""
+    assert "error: --dump-out names the --data directory" in err
+    assert (data / "manifest.csv").read_bytes() == before
+    assert not (data / "activations").exists()
+    assert not (tmp_path / "f" / "features.csv").exists()
 
 
 def test_train_wrong_shape_for_reference3d(pipeline, tmp_path):
@@ -1021,6 +1075,15 @@ def test_theory_bins_each_checked_filter_once(tmp_path, pipeline, monkeypatch, l
 
 
 # --- configuration files ---
+
+@pytest.mark.parametrize("cls, commands", [(data_io.SyntheticSpec, ["synth"]),
+                                           (net.TrainConfig, ["train"]),
+                                           (forest.ForestConfig, ["evaluate", "permute"])])
+def test_every_config_field_is_an_option_of_its_commands(cls, commands):
+    """cli._from_options builds each of these from the options named by its
+    fields, so each field is an option of every command that builds it."""
+    for command in commands:
+        assert {f.name for f in dataclasses.fields(cls)} <= set(cli.COMMANDS[command].keys)
 
 def test_config_file_flat(tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -406,6 +406,24 @@ def test_cent_rows_name_the_first_non_finite_activation():
     with pytest.raises(NonFiniteError, match=r"image 2: .* read point 1 \(1 of 6 values there "
                                              r"are NaN or infinite\)"):
         it.cent_rows(acts, "per-filter")
+    # image 1 is bad at filter 3 of read point 0 and at filter 0 of read
+    # point 1: the read point comes first, whatever the filter
+    acts = [np.zeros((3, 4, 2)), np.zeros((3, 2, 5))]
+    acts[0][1, 3, 0] = acts[1][1, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"image 1: .* read point 0, filter 3 \(1 of 8"):
+        it.cent_rows(acts, "per-filter")
+
+
+@pytest.mark.parametrize("mode, maps", [("per-filter", (10, 256)), ("per-layer", (1, 2560))])
+def test_filter_maps_of_a_conv_read_point(mode, maps):
+    """desk2d's first read point at 32^2: ten filters of 16^2 values, or
+    the whole read point as one map."""
+    assert it.filter_maps((10, 16, 16), mode) == maps
+
+
+@pytest.mark.parametrize("mode", ["per-filter", "per-layer"])
+def test_filter_maps_of_the_fully_connected_read_point(mode):
+    assert it.filter_maps((128,), mode) == (1, 128)
 
 
 def test_histogram_sizes_report_the_entropy_cap():

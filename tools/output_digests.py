@@ -9,9 +9,13 @@ each, extract per-layer with --dump-out, per-filter with --pre-relu and from
 the dump, evaluate under gini, under entropy, with --min-leaf 3 --max-depth 4
 and with --no-bootstrap, permute, and theory three times (by default, with
 the partition check at the fully connected read point 2, and at filter 3);
-then two seeded 64^3 volumes, reference3d trained in both variants, each
-extracted with --pre-relu --dump-out, from that dump and per-layer, and
-checked by theory. Every stage calls
+a null-generator set synthesised with explicit per-class parameters,
+trained with --no-shuffle, extracted over a fixed --range, evaluated with
+--no-stratified and checked by theory with --quantizer-levels none; an
+extract and an evaluate that read a sectioned --config file (seed_<s>/
+config.json, written first); then two seeded 64^3 volumes, reference3d
+trained in both variants, each extracted with --pre-relu --dump-out, from
+that dump and per-layer, and checked by theory. Every stage calls
 centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
 one "<sha256>  <path>" line per file written, sorted by path, so two source
 trees are compared by diffing their outputs. Exits 1 if any stage fails.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
 
@@ -64,6 +69,24 @@ def _stages(seed: int) -> list[list[str]]:
             ["theory", "--out", f"{d}/theory_filter", "--checkpoint", ckpt, "--data",
              f"{d}/data", "--partition-filter", "3"],
         ]
+    d, ckpt = f"seed_{s}/null", f"seed_{s}/null/net/checkpoint.ckpt"
+    stages += [
+        ["synth", "--out", f"{d}/data", "--seed", s, "--per-class", "6", "--extent", "32",
+         "--noise-scale", "0.3,0.3", "--spatial-frequency", "2,2", "--blob-density", "0.2,0.2",
+         "--null-generator"],
+        ["train", "--out", f"{d}/net", "--data", f"{d}/data", "--seed", s, "--net-seed", s,
+         "--epochs", "2", "--no-shuffle"],
+        ["extract", "--out", f"{d}/range", "--checkpoint", ckpt, "--data", f"{d}/data",
+         "--range", "0,2"],
+        ["evaluate", "--out", f"{d}/unstratified", "--features", f"{d}/range/features.csv",
+         "--seed", s, "--no-stratified", *FOREST],
+        ["theory", "--out", f"{d}/theory", "--checkpoint", ckpt, "--data", f"{d}/data",
+         "--quantizer-levels", "none"],
+        ["extract", "--out", f"{d}/config_extract", "--config", f"seed_{s}/config.json",
+         "--checkpoint", ckpt, "--data", f"{d}/data"],
+        ["evaluate", "--out", f"{d}/config_evaluate", "--config", f"seed_{s}/config.json",
+         "--features", f"{d}/config_extract/features.csv", "--seed", s],
+    ]
     for variant in ("pool-reduces", "conv-stride-reduces"):
         d = f"seed_{s}/volume/{variant}"
         ckpt = f"{d}/net/checkpoint.ckpt"
@@ -91,6 +114,15 @@ def _save_volumes(seed: int) -> None:
                          f"seed_{seed}/volume/data")
 
 
+def _save_config(seed: int) -> None:
+    """A sectioned config file giving values as flag text and as typed JSON."""
+    config = {"extract": {"mode": "per-layer", "bins": "64", "range": [-0.5, 2.5]},
+              "evaluate": {"tree_count": 20, "k": "3", "mtry": None, "max_depth": 3,
+                           "bootstrap": False, "criterion": "entropy"}}
+    with open(f"seed_{seed}/config.json", "w") as f:
+        f.write(json.dumps(config, sort_keys=True) + "\n")
+
+
 def _digests() -> list[str]:
     lines = []
     for root, _, files in os.walk("."):
@@ -111,6 +143,7 @@ def main(argv=None) -> int:
     with open(os.devnull, "w") as quiet:
         for seed in args.seeds:
             _save_volumes(seed)
+            _save_config(seed)
             for stage in _stages(seed):
                 with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
                     code = cli.main(stage)
