@@ -90,7 +90,8 @@ def _file_value(key: str, value):
 def _load_config_file(path, command: str) -> dict:
     """The values a config file gives `command`. The file is flat, or
     sectioned when a top-level key names a subcommand: then it gives only the
-    running subcommand's section, or nothing when that is absent."""
+    running subcommand's section, or nothing when that is absent. Every
+    section (a flat file is `command`'s) must be an object of its keys."""
     try:
         with open(path, "r") as f:
             raw = json.load(f)
@@ -98,14 +99,17 @@ def _load_config_file(path, command: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except ValueError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    if isinstance(raw, dict) and set(raw) & set(COMMANDS):
-        stray = sorted(set(raw) - set(COMMANDS))
-        if stray:
-            raise ConfigError(f"config file {path} mixes subcommand sections with keys {stray}")
-        raw = raw.get(command, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, or one per subcommand")
-    return raw
+    sections = raw if isinstance(raw, dict) and set(raw) & set(COMMANDS) else {command: raw}
+    stray = sorted(set(sections) - set(COMMANDS))
+    if stray:
+        raise ConfigError(f"config file {path} mixes subcommand sections with keys {stray}")
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object for {name}")
+        unknown = sorted(set(section) - {"out", *COMMANDS[name].keys})
+        if unknown:
+            raise ConfigError(f"unknown config keys for {name} in {path}: {unknown}")
+    return sections.get(command, {})
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -113,9 +117,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = {key: OPTIONS[key].default for key in ("out", *spec.keys)}
     if args.config is not None:
         file_cfg = _load_config_file(args.config, args.command)
-        unknown = sorted(set(file_cfg) - set(cfg))
-        if unknown:
-            raise ConfigError(f"unknown config keys for {args.command}: {unknown}")
         cfg.update((key, _file_value(key, value)) for key, value in file_cfg.items())
     cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     print("resolved config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
@@ -125,6 +126,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _require_out(cfg: dict) -> str:
     if not cfg.get("out"):
         raise ConfigError("an output directory is required (--out)")
+    if os.path.exists(cfg["out"]) and not os.path.isdir(cfg["out"]):
+        raise ConfigError(f"--out {cfg['out']} is a file, not a directory")
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg["out"]
 
@@ -226,7 +229,8 @@ def cmd_train(cfg: dict, out: str) -> dict:
     return {"command": "train", "config": cfg, "checkpoint": ckpt,
             "epochs": len(trace), "final_loss": trace[-1],
             "counters": {"samples_trained": len(trace) * n,
-                         "chunks": len(trace) * sum(len(net._chunks(network, b)) for b in batches),
+                         "chunks": len(trace) * sum(len(net._chunks(network.sample_shapes, b))
+                                                  for b in batches),
                          "workspace_bytes": reporter.workspace_bytes,
                          "workers": reporter.workers},
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
@@ -248,14 +252,15 @@ def cmd_extract(cfg: dict, out: str) -> dict:
             cfg["data"], os.path.join(cfg["data"], "manifest.csv"))):
         raise ConfigError("--dump-out names the --data directory: the dump would replace its "
                           "manifest")
+    if cfg["dump_out"] and os.path.exists(cfg["dump_out"]) and not os.path.isdir(cfg["dump_out"]):
+        raise ConfigError(f"--dump-out {cfg['dump_out']} is a file, not a directory")
     if from_dump and cfg["pre_relu"]:
         raise ConfigError("--pre-relu has no effect with --dump: the dump holds the "
                           "activations it was exported with")
     if from_dump:
         ids, labels, class_names, files = data_io.import_activation_dump(cfg["dump"])
         read_shapes = [a.shape[1:] for a in data_io.stack_tensors(ids[:1], files[:1])]
-        chunk = net._chunk_size(read_shapes)
-        parts = [slice(lo, lo + chunk) for lo in range(0, len(ids), chunk)]
+        parts = net._chunks(read_shapes, len(ids))
         processes = 1  # no forward pass: forking it was not measured to pay
 
         def activations(rows):
@@ -265,7 +270,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         ids, labels, class_names = dataset.image_ids, dataset.labels, dataset.class_names
         read_shapes = [network.layer_shapes[i]
                        for i in net.cent_read_points(network.specs, cfg["pre_relu"])]
-        parts = net._chunks(network, len(ids))
+        parts = net._chunks(network.sample_shapes, len(ids))
         processes = net._collect_processes(network, len(ids))
         workspace = ops.Workspace()  # each process's chunks share its copy
 

@@ -7,6 +7,7 @@ is available without running a forward pass.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,11 +30,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer: kind plus the fields that kind uses.
+    """One layer: kind plus the fields that kind uses and saves (FIELDS).
 
-    conv uses `conv`; maxpool uses window/stride/padding; fully_connected and
-    softmax use `width` (softmax is an affine map to `width` logits followed by
-    softmax normalization).
+    conv uses `conv`; maxpool uses window/stride/padding, a ConvSpec's window;
+    fully_connected and softmax use `width` (softmax is an affine map to
+    `width` logits followed by softmax normalization).
     """
 
     kind: str
@@ -43,44 +44,35 @@ class LayerSpec:
     padding: str = "valid"
     width: int | None = None
 
-    KINDS = ("conv", "relu", "maxpool", "fully_connected", "softmax")
+    FIELDS = {"conv": ("conv",), "relu": (), "maxpool": ("window", "stride", "padding"),
+              "fully_connected": ("width",), "softmax": ("width",)}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv" and self.conv is None:
-            raise ValueError("conv layer needs a ConvSpec")
-        if self.kind == "maxpool" and (self.window is None or self.stride is None):
-            raise ValueError("maxpool layer needs window and stride")
-        if self.kind in ("fully_connected", "softmax") and not self.width:
-            raise ValueError(f"{self.kind} layer needs a positive width")
+        missing = [name for name in self.FIELDS[self.kind] if not getattr(self, name)]
+        if missing:
+            raise ValueError(f"{self.kind} layer needs {' and '.join(missing)}")
+        if self.kind == "maxpool":
+            ConvSpec(self.window, self.stride, self.padding)  # raises ShapeMismatch
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "conv":
-            c = self.conv
-            d["conv"] = {"kernel": list(c.kernel), "stride": list(c.stride),
-                         "padding": c.padding, "filter_count": c.filter_count}
-        elif self.kind == "maxpool":
-            d.update(window=list(self.window), stride=list(self.stride),
-                     padding=self.padding)
-        elif self.kind in ("fully_connected", "softmax"):
-            d["width"] = self.width
+        d = {name: getattr(self, name) for name in ("kind", *self.FIELDS[self.kind])}
+        if "conv" in d:
+            d["conv"] = dataclasses.asdict(self.conv)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        kind = d["kind"]
-        if kind == "conv":
-            c = d["conv"]
-            return LayerSpec("conv", conv=ConvSpec(tuple(c["kernel"]), tuple(c["stride"]),
-                                                   c["padding"], c["filter_count"]))
-        if kind == "maxpool":
-            return LayerSpec("maxpool", window=tuple(d["window"]),
-                             stride=tuple(d["stride"]), padding=d["padding"])
-        if kind in ("fully_connected", "softmax"):
-            return LayerSpec(kind, width=d["width"])
-        return LayerSpec(kind)
+    @classmethod
+    def from_dict(cls, d: dict) -> "LayerSpec":
+        fields = _tuples({name: d[name] for name in cls.FIELDS.get(d["kind"], ())})
+        if "conv" in fields:
+            fields["conv"] = ConvSpec(**_tuples(fields["conv"]))
+        return cls(d["kind"], **fields)
+
+
+def _tuples(d: dict) -> dict:
+    """d with each list value (a JSON array) as a tuple."""
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in d.items()}
 
 
 @dataclass
@@ -95,58 +87,61 @@ class Network:
         if not -2**63 <= self.seed < 2**63:  # the checkpoint stores it as an i64
             raise ValueError(f"net seed {self.seed} is outside the signed 64-bit range")
 
+    @property
+    def sample_shapes(self) -> list[tuple[int, ...]]:
+        """The per-sample shapes of a pass: the input's, then each layer's."""
+        return [self.input_shape] + self.layer_shapes
+
 
 def _chain_shapes(input_shape: tuple[int, ...], specs: list[LayerSpec]) -> list[tuple[int, ...]]:
     shapes = []
     cur = tuple(input_shape)
     for i, spec in enumerate(specs):
-        if spec.kind == "conv":
-            c = spec.conv
-            if len(cur) != len(c.kernel) + 1:
-                raise ShapeMismatch(f"layer {i}: conv expects (channels, spatial) rank "
-                                    f"{len(c.kernel) + 1}, got {cur}")
-            cur = (c.filter_count,) + c.output_extent(cur[1:])
-        elif spec.kind == "relu":
-            pass
-        elif spec.kind == "maxpool":
-            rank = len(spec.window)
-            if len(cur) < rank:
-                raise ShapeMismatch(f"layer {i}: pool window {spec.window} deeper than {cur}")
-            out = ops._out_extent(cur[len(cur) - rank:], spec.window, spec.stride, spec.padding)
-            cur = cur[:len(cur) - rank] + out
-        elif spec.kind in ("fully_connected", "softmax"):
-            cur = (spec.width,)
+        try:
+            if spec.kind == "conv":
+                cur = (spec.conv.filter_count,) + spec.conv.output_extent(cur[1:])
+            elif spec.kind == "maxpool":
+                rank = len(spec.window)
+                out = ops._out_extent(cur[len(cur) - rank:], spec.window, spec.stride,
+                                      spec.padding)
+                cur = cur[:len(cur) - rank] + out
+            elif spec.kind in ("fully_connected", "softmax"):
+                cur = (spec.width,)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"layer {i}: {spec.kind} on {cur}: {exc}") from None
         shapes.append(cur)
     return shapes
 
 
-def _init_params(input_shape, specs, layer_shapes, seed):
-    """Uniform[-s, s] with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = np.random.default_rng(seed)
-    params: list[tuple[np.ndarray, np.ndarray] | None] = []
-    prev = tuple(input_shape)
-    for spec, shape in zip(specs, layer_shapes):
+def _param_shapes(input_shape, specs, layer_shapes) -> list:
+    """Each layer's (weights, bias) shapes, or None: a conv's (filters,
+    channels, *kernel) and (filters,), an affine layer's (width, n) and (width,)."""
+    shapes = []
+    for spec, prev in zip(specs, [tuple(input_shape)] + layer_shapes):
         if spec.kind == "conv":
-            c = spec.conv
-            ksize = math.prod(c.kernel)
-            fan_in, fan_out = prev[0] * ksize, c.filter_count * ksize
-            s = math.sqrt(6.0 / (fan_in + fan_out))
-            w = _uniform(rng, s, (c.filter_count, prev[0]) + c.kernel)
-            params.append((w, np.zeros(c.filter_count, np.float32)))
+            filters = spec.conv.filter_count
+            shapes.append(((filters, prev[0]) + spec.conv.kernel, (filters,)))
         elif spec.kind in ("fully_connected", "softmax"):
-            n = math.prod(prev)
-            s = math.sqrt(6.0 / (n + spec.width))
-            params.append((_uniform(rng, s, (spec.width, n)), np.zeros(spec.width, np.float32)))
+            shapes.append(((spec.width, math.prod(prev)), (spec.width,)))
         else:
-            params.append(None)
-        prev = shape
-    return params
+            shapes.append(None)
+    return shapes
 
 
-def _uniform(rng, s: float, shape: tuple[int, ...]) -> np.ndarray:
-    """float32 Uniform[-s, s] draws of `shape`, taken from rng's float64
-    stream in blocks of whole rows within ops._SCRATCH_ELEMENTS: the values
-    of one float64 draw of the whole shape, without that float64 array."""
+def _init_params(param_shapes, seed):
+    """Each layer's weights drawn by _uniform, in layer order; zero biases."""
+    rng = np.random.default_rng(seed)
+    return [None if pair is None else (_uniform(rng, pair[0]), np.zeros(pair[1], np.float32))
+            for pair in param_shapes]
+
+
+def _uniform(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """float32 Uniform[-s, s] draws of an (out, in, *kernel) weight `shape`,
+    s = sqrt(6 / (fan_in + fan_out)), taken from rng's float64 stream in
+    blocks of whole rows within ops._SCRATCH_ELEMENTS: the values of one
+    float64 draw of the whole shape, without that float64 array."""
+    fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
+    s = math.sqrt(6.0 / (fan_in + fan_out))
     w = np.empty(shape, np.float32)
     rows = w.reshape(shape[0], -1)
     for part in ops._row_parts(*rows.shape):
@@ -156,7 +151,7 @@ def _uniform(rng, s: float, shape: tuple[int, ...]) -> np.ndarray:
 
 def build_network(input_shape: tuple[int, ...], specs: list[LayerSpec], seed: int = 0) -> Network:
     shapes = _chain_shapes(tuple(input_shape), specs)
-    params = _init_params(input_shape, specs, shapes, seed)
+    params = _init_params(_param_shapes(input_shape, specs, shapes), seed)
     return Network(tuple(input_shape), list(specs), params, seed, shapes)
 
 
@@ -307,7 +302,7 @@ def _slabs(net: Network, first: int, last: int, batch: int) -> list[slice]:
     windows and 16-position tiles, as many as keep a slab's conv output and
     im2col copy within ops._SCRATCH_ELEMENTS, at least one of each."""
     conv = net.specs[first].conv
-    channels = (net.layer_shapes[first - 1] if first else net.input_shape)[0]
+    channels = net.sample_shapes[first][0]  # the block input's
     out = net.layer_shapes[first]  # (filters, *spatial)
     rest = math.prod(out[2:])
     # OpenBLAS sums a partial tile of output positions in another order than
@@ -397,13 +392,13 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
                     workspace: ops.Workspace | None = None) -> list[np.ndarray]:
     """One (n, *read_shape) array per CENT read point, in read order, for
     (n, *input_shape) images: post-ReLU block outputs, or with pre_relu the
-    raw conv outputs (ablation switch). The chunks of _chunks(net, n) run in
+    raw conv outputs (ablation switch). The chunks of _chunks run in
     forked workers, each process with its own copy of `workspace` (a fresh
     one if None); the arrays do not depend on their number.
     """
     points = cent_read_points(net.specs, pre_relu)
     acts = [np.empty((len(images),) + net.layer_shapes[i], images.dtype) for i in points]
-    parts = _chunks(net, len(images))
+    parts = _chunks(net.sample_shapes, len(images))
     workspace = workspace or ops.Workspace()
 
     def collect(part):
@@ -456,22 +451,22 @@ def _chunk_size(shapes: list[tuple[int, ...]]) -> int:
     return max(1, ops._SCRATCH_ELEMENTS // max(math.prod(s) for s in shapes))
 
 
-def _chunks(net: Network, n: int) -> list[slice]:
-    """The chunks of n samples, in order."""
-    chunk = _chunk_size([net.input_shape] + net.layer_shapes)
+def _chunks(shapes: list[tuple[int, ...]], n: int) -> list[slice]:
+    """The chunks of n samples of per-sample `shapes` (see _chunk_size), in order."""
+    chunk = _chunk_size(shapes)
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
 def _collect_processes(net: Network, n: int) -> int:
     """The processes forward_collect runs the chunks of n samples in."""
-    return workers.count(len(_chunks(net, n)), _work(net, n))
+    return workers.count(len(_chunks(net.sample_shapes, n)), _work(net, n))
 
 
 def _work(net: Network, samples: int, backward: bool = False) -> int:
     """The work of a pass over `samples` samples in workers.MIN_WORK's unit:
     the activation values the forward pass writes, input included, and
     three times that with the backward pass."""
-    values = samples * sum(math.prod(s) for s in [net.input_shape] + net.layer_shapes)
+    values = samples * sum(math.prod(s) for s in net.sample_shapes)
     return 3 * values if backward else values
 
 
@@ -562,7 +557,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
             epoch_losses, epoch_workers = [], 1
             for bi, start in enumerate(range(0, n, config.batch_size)):
                 batch = order[start:start + config.batch_size]
-                parts = [batch[s] for s in _chunks(net, len(batch))]
+                parts = [batch[s] for s in _chunks(net.sample_shapes, len(batch))]
                 processes = workers.count(len(parts), _work(net, len(batch), backward=True))
                 epoch_workers = max(epoch_workers, processes)
                 chunk_grads = []
@@ -611,20 +606,14 @@ def load_checkpoint(path) -> Network:
         header = json.loads(blob)
         specs = [LayerSpec.from_dict(d) for d in header["specs"]]
         input_shape = tuple(header["input_shape"])
+        shapes = _chain_shapes(input_shape, specs)
+        param_shapes = _param_shapes(input_shape, specs, shapes)
     except Exception as exc:
         raise CheckpointError(f"{path}: corrupt layer table ({exc})") from None
-
-    shapes = _chain_shapes(input_shape, specs)
-    params: list[tuple[np.ndarray, np.ndarray] | None] = []
+    expect = [shape for pair in param_shapes if pair is not None for shape in pair]
+    if [t.shape for t in tensors] != expect:
+        raise CheckpointError(f"{path}: parameter tensors {[t.shape for t in tensors]} do not "
+                              f"match the layer table's {expect}")
     it = iter(tensors)
-    try:
-        for spec in specs:
-            if spec.kind in ("conv", "fully_connected", "softmax"):
-                params.append((next(it), next(it)))
-            else:
-                params.append(None)
-    except StopIteration:
-        raise CheckpointError(f"{path}: parameter table shorter than layer table") from None
-    if any(True for _ in it):
-        raise CheckpointError(f"{path}: parameter table longer than layer table")
+    params = [None if pair is None else (next(it), next(it)) for pair in param_shapes]
     return Network(input_shape, specs, params, seed, shapes)

@@ -61,7 +61,8 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Convolution geometry: per-axis kernel extent and stride, padding mode."""
+    """Window geometry of a conv, or of a max-pool (filter_count left at 1):
+    per-axis window (kernel) extent and stride, and padding mode."""
 
     kernel: tuple[int, ...]
     stride: tuple[int, ...]
@@ -70,8 +71,8 @@ class ConvSpec:
 
     def __post_init__(self):
         _require(len(self.kernel) == len(self.stride),
-                 f"kernel rank {self.kernel} != stride rank {self.stride}")
-        _require(all(k >= 1 for k in self.kernel), f"kernel extents must be >= 1, got {self.kernel}")
+                 f"window rank {self.kernel} != stride rank {self.stride}")
+        _require(all(k >= 1 for k in self.kernel), f"window extents must be >= 1, got {self.kernel}")
         _require(all(s >= 1 for s in self.stride), f"strides must be >= 1, got {self.stride}")
         _require(self.padding in ("valid", "same"), f"unknown padding mode {self.padding!r}")
         _require(self.filter_count >= 1, f"filter_count must be >= 1, got {self.filter_count}")
@@ -96,14 +97,6 @@ def _out_extent(spatial, kernel, stride, padding) -> tuple[int, ...]:
                          f"gives empty output on some axis")
         out.append(o)
     return tuple(out)
-
-
-def _pad_amounts(spatial, kernel, stride, out) -> list[tuple[int, int]]:
-    pads = []
-    for s, k, st, o in zip(spatial, kernel, stride, out):
-        total = max((o - 1) * st + k - s, 0)
-        pads.append((total // 2, total - total // 2))
-    return pads
 
 
 def _spatial_windows(x: np.ndarray, kernel, stride) -> np.ndarray:
@@ -171,13 +164,16 @@ def _row_parts(count: int, row_elements: int, align: int = 1) -> list[slice]:
 @functools.lru_cache(maxsize=64)
 def _pad_geometry(spatial: tuple[int, ...], spec: ConvSpec
                   ) -> tuple[tuple[slice, ...], tuple[int, ...], ConvSpec]:
-    """pad_input's geometry for (batch, C, *spatial) input: the slices of
-    the input's place in the padded array, the padded spatial extents and
-    the "valid" spec that gives spec's output on it."""
-    pads = _pad_amounts(spatial, spec.kernel, spec.stride, spec.output_extent(spatial))
-    crop = (slice(None), slice(None)) + tuple(slice(b, b + s) for (b, _), s in zip(pads, spatial))
-    padded = tuple(b + s + a for (b, a), s in zip(pads, spatial))
-    return crop, padded, replace(spec, padding="valid")
+    """The padding geometry of spec's windows on input with trailing axes
+    `spatial` (none for "valid"; "same" pads the odd element after): the
+    slices of the input's place in the padded array, the padded spatial
+    extents and the "valid" spec that gives spec's output on it."""
+    crop, padded = [Ellipsis], []
+    for s, k, st, o in zip(spatial, spec.kernel, spec.stride, spec.output_extent(spatial)):
+        total = max((o - 1) * st + k - s, 0)
+        crop.append(slice(total // 2, total // 2 + s))
+        padded.append(s + total)
+    return tuple(crop), tuple(padded), replace(spec, padding="valid")
 
 
 def pad_input(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
@@ -314,10 +310,9 @@ def relu_backward(grad_output: np.ndarray, cached_input: np.ndarray) -> np.ndarr
 class PoolCache:
     """Everything maxpool_backward needs: geometry plus per-window argmax."""
 
-    input_shape: tuple[int, ...]
     window: tuple[int, ...]
     stride: tuple[int, ...]
-    pad_before: tuple[int, ...]
+    crop: tuple  # the input's place in the padded input (see _pad_geometry)
     padded_spatial: tuple[int, ...]
     argmax: np.ndarray  # flat index into each window, lowest-index tie break
 
@@ -332,27 +327,16 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
     largest value as in np.argmax. Without cache (a pass no backward reads)
     no argmax is kept and the cache is None; the pooled array's bytes are the
     same either way, signed zeros and NaN included. A max needs no
-    accumulation, so it runs in the input's dtype.
+    accumulation, so it runs in the input's dtype. The window rules and
+    padding are a conv's (ConvSpec, _pad_geometry), "same" filled with -inf.
     """
-    window, stride, rank = tuple(window), tuple(stride), len(window)
-    _require(len(stride) == rank, f"window rank {window} != stride rank {stride}")
-    _require(x.ndim >= rank, f"input {x.shape} has fewer axes than window {window}")
-    _require(all(w >= 1 for w in window) and all(s >= 1 for s in stride),
-             f"window {window} and stride {stride} must be positive")
-    _require(padding in ("valid", "same"), f"unknown padding mode {padding!r}")
-
-    spatial = x.shape[x.ndim - rank:]
-    if padding == "valid":
-        _require(all(s >= w for s, w in zip(spatial, window)),
-                 f"window {window} larger than input extent {spatial}")
-    out = _out_extent(spatial, window, stride, padding)
+    spec = ConvSpec(tuple(window), tuple(stride), padding)
+    window, stride, rank = spec.kernel, spec.stride, len(spec.kernel)
+    crop, padded, _ = _pad_geometry(x.shape[x.ndim - rank:], spec)
     xw = x
     if padding == "same":
-        pads = _pad_amounts(spatial, window, stride, out)
-        lead_pads = [(0, 0)] * (x.ndim - rank)
-        xw = np.pad(x, lead_pads + pads, constant_values=-np.inf)
-    else:
-        pads = [(0, 0)] * rank
+        xw = np.full(x.shape[:x.ndim - rank] + padded, -np.inf, x.dtype)
+        xw[crop] = x
     windows = _spatial_windows(xw, window, stride)  # (*lead, *out, *window) view
     # Walk the window offsets in flat order, keeping the first maximum. Each
     # offset is a strided view, so no (*lead, *out, window size) copy is made.
@@ -372,8 +356,7 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
         np.maximum(candidate, pooled, out=pooled)
     if not cache:
         return pooled, None
-    return pooled, PoolCache(x.shape, window, stride, tuple(b for b, _ in pads),
-                             xw.shape[x.ndim - rank:], argmax)
+    return pooled, PoolCache(window, stride, crop, padded, argmax)
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,20 +380,18 @@ def maxpool_backward(grad_output: np.ndarray, cache: PoolCache) -> np.ndarray:
     over the windows would. Overlapping windows accumulate; the padding is
     cropped.
     """
-    rank = len(cache.window)
-    lead = cache.input_shape[:len(cache.input_shape) - rank]
-    spatial, out = cache.input_shape[len(lead):], cache.argmax.shape[len(lead):]
+    lead = cache.argmax.shape[:cache.argmax.ndim - len(cache.window)]
+    out = cache.argmax.shape[len(lead):]
     _require(grad_output.shape == cache.argmax.shape,
              f"grad_output {grad_output.shape} != pooled shape {cache.argmax.shape}")
     padded = cache.padded_spatial
     offsets, origins = _pool_indices(cache.window, cache.stride, out, padded)
     idx = offsets[cache.argmax]
     idx += origins
-    idx += np.arange(math.prod(lead)).reshape(lead + (1,) * rank) * math.prod(padded)
+    idx += np.arange(math.prod(lead)).reshape(lead + (1,) * len(out)) * math.prod(padded)
     gpad = np.bincount(idx.ravel(), weights=grad_output.astype(np.float64, copy=False).ravel(),
                        minlength=math.prod(lead + padded)).reshape(lead + padded)
-    crop = tuple(slice(b, b + s) for b, s in zip(cache.pad_before, spatial))
-    return gpad[(Ellipsis,) + crop].astype(grad_output.dtype, copy=False)
+    return gpad[cache.crop].astype(grad_output.dtype, copy=False)
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,

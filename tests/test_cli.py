@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centpipe import cli, data_io, forest, infotheory, net, ops
+from centpipe import cli, data_io, forest, framing, infotheory, net, ops
 
 from conftest import (assert_no_child_left, count_split_elements, small_dataset, use_cpus,
                       write_reference_dump)
@@ -541,7 +542,7 @@ def test_extract_bytes_do_not_depend_on_the_worker_count(pipeline, tmp_path, mon
     """In chunks of 3 (7 for the 20 images), run in 1, 2 or 3 processes,
     extract writes the pipeline fixture's features and dump, and reports the
     processes on stdout only."""
-    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus, every_map=True)
         extra = ["--dump-out", str(tmp_path / f"dump{cpus}")] if dump_out else []
@@ -597,7 +598,7 @@ def test_theory_report_does_not_depend_on_the_worker_count(pipeline, theory_repo
     report of one process in chunks of 12."""
     _, out_dir = theory_report
     first = (out_dir / "theory_report.json").read_bytes()
-    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus, every_map=True)
         code, out, err = run_cli(["theory", "--out", str(out_dir), "--checkpoint",
@@ -652,6 +653,59 @@ def test_extract_corrupt_checkpoint_exits_1(pipeline, tmp_path):
                             "--checkpoint", str(bad), "--data", pipeline["data"]])
     assert code == 1
     assert "truncated" in err
+
+
+def _write_edited_checkpoint(path, network, edit):
+    """network's checkpoint with edit(header, tensors) applied to its layer
+    table and tensor list first, framed with a valid CRC."""
+    header = {"input_shape": list(network.input_shape),
+              "specs": [spec.to_dict() for spec in network.specs]}
+    tensors = [a for par in network.params if par is not None for a in par]
+    edit(header, tensors)
+    blob = json.dumps(header, sort_keys=True).encode()
+    body = [framing.i64(network.seed), framing.u32(len(blob)), blob, framing.u32(len(tensors))]
+    for tensor in tensors:
+        body += framing.tensor_record(tensor)
+    framing.write_framed(path, net.CHECKPOINT_MAGIC, net.CHECKPOINT_VERSION, body)
+
+
+# desk2d's layers: conv, relu, maxpool (2), conv, relu, maxpool, fully_connected (6), softmax
+_BAD_TABLES = {
+    "pool stride 0": (lambda h, t: h["specs"][2].update(stride=[0, 0]), "corrupt layer table"),
+    "pool window 0": (lambda h, t: h["specs"][2].update(window=[0, 0]), "corrupt layer table"),
+    "pool padding bogus": (lambda h, t: h["specs"][2].update(padding="bogus"),
+                           "corrupt layer table"),
+    "conv after the fc layer": (lambda h, t: h["specs"].insert(7, h["specs"][0]),
+                                "corrupt layer table"),
+    "weights of the wrong shape": (lambda h, t: t.__setitem__(0, np.zeros((10, 1, 2, 3),
+                                                                          np.float32)),
+                                   "do not match the layer table"),
+    "one tensor too few": (lambda h, t: t.pop(), "do not match the layer table"),
+    "one tensor too many": (lambda h, t: t.append(t[-1]), "do not match the layer table"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TABLES))
+def test_checkpoint_whose_table_cannot_build_the_network_exits_1(pipeline, tmp_path,
+                                                                 monkeypatch, case):
+    """A checkpoint with a valid CRC whose layer table or tensors cannot make
+    the network is a CheckpointError naming the file, raised by
+    load_checkpoint; extract and theory exit 1 with it before --data is
+    read, with no traceback and nothing on stdout."""
+    edit, message = _BAD_TABLES[case]
+    path = tmp_path / "bad.ckpt"
+    _write_edited_checkpoint(path, net.build_desk_2d(32, 2, seed=4), edit)
+    with pytest.raises(net.CheckpointError, match=f"^{re.escape(str(path))}: .*{message}"):
+        net.load_checkpoint(path)
+    loads = []
+    monkeypatch.setattr(data_io, "load_dataset", lambda *a: loads.append(a))
+    for command in ("extract", "theory"):
+        code, out, err = run_cli([command, "--out", str(tmp_path / command), "--checkpoint",
+                                  str(path), "--data", pipeline["data"]])
+        assert code == 1 and out == "", err
+        assert f"runtime failure: FramedFileError: {path}: " in err and message in err
+        assert "Traceback" not in err
+    assert loads == []
 
 
 def test_invalid_choice_exits_2(pipeline, tmp_path):
@@ -1154,6 +1208,39 @@ def test_sectioned_config_with_stray_top_level_keys_exits_2(tmp_path):
     code, _, err = run_cli(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
     assert code == 2
     assert "['extent']" in err
+
+
+@pytest.mark.parametrize("bad", [5, [], {"bogus": 1}, {"per_class": 2}])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_malformed_section_exits_2_whichever_subcommand_runs(tmp_path, command, bad):
+    """Every section of a sectioned config file must be an object of its own
+    subcommand's keys, the running one's or not: else exit 2 naming the
+    file and the section, before --out is made. per_class is synth's alone."""
+    other = "train" if command == "extract" else "extract"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: {}, other: bad}))
+    code, out, err = run_cli([command, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert code == 2 and out == "", err
+    assert "error: " in err and str(cfg) in err and other in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "extract --dump-out"])
+def test_output_directory_naming_a_file_exits_2(pipeline, tmp_path, command):
+    """Every subcommand's --out, and extract's --dump-out, naming an
+    existing file exit 2 with an error naming the option and the path,
+    before any work, and leave the file as it was."""
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    option, argv = "--out", [command, "--out", str(file)]
+    if command == "extract --dump-out":
+        option, argv = "--dump-out", ["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                                      pipeline["ckpt"], "--data", pipeline["data"],
+                                      "--dump-out", str(file)]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "", err
+    assert f"error: {option} {file} is a file, not a directory" in err
+    assert file.read_text() == "kept\n" and not (tmp_path / "f" / "features.csv").exists()
 
 
 @pytest.mark.parametrize("command,values,expected", [

@@ -1,6 +1,7 @@
 """Network assembly, training behavior, and checkpoint round-trips."""
 
 import copy
+import json
 import math
 import os
 
@@ -415,6 +416,73 @@ def test_checkpoint_reproduces_byte_identical_files(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# each built-in network's checkpoint layer table, pinned byte for byte
+_LAYER_TABLES = [
+    ((lambda: net.build_desk_2d(32, 2)),
+     '{"input_shape": [1, 32, 32], "specs": [{"conv": {"filter_count": 10, "kernel": [2, '
+     '2], "padding": "same", "stride": [1, 1]}, "kind": "conv"}, {"kind": "relu"}, '
+     '{"kind": "maxpool", "padding": "valid", "stride": [2, 2], "window": [2, 2]}, '
+     '{"conv": {"filter_count": 10, "kernel": [2, 2], "padding": "same", "stride": [1, '
+     '1]}, "kind": "conv"}, {"kind": "relu"}, {"kind": "maxpool", "padding": "valid", '
+     '"stride": [2, 2], "window": [2, 2]}, {"kind": "fully_connected", "width": 128}, '
+     '{"kind": "softmax", "width": 2}]}'),
+    ((lambda: net.build_desk_2d(64, 2)),
+     '{"input_shape": [1, 64, 64], "specs": [{"conv": {"filter_count": 10, "kernel": [2, '
+     '2], "padding": "same", "stride": [1, 1]}, "kind": "conv"}, {"kind": "relu"}, '
+     '{"kind": "maxpool", "padding": "valid", "stride": [2, 2], "window": [2, 2]}, '
+     '{"conv": {"filter_count": 10, "kernel": [2, 2], "padding": "same", "stride": [1, '
+     '1]}, "kind": "conv"}, {"kind": "relu"}, {"kind": "maxpool", "padding": "valid", '
+     '"stride": [2, 2], "window": [2, 2]}, {"kind": "fully_connected", "width": 128}, '
+     '{"kind": "softmax", "width": 2}]}'),
+    ((lambda: net.build_reference_3d("pool-reduces")),
+     '{"input_shape": [1, 64, 64, 64], "specs": [{"conv": {"filter_count": 10, "kernel": '
+     '[2, 2, 2], "padding": "same", "stride": [1, 1, 1]}, "kind": "conv"}, {"kind": '
+     '"relu"}, {"kind": "maxpool", "padding": "valid", "stride": [2, 2, 2], "window": [2, '
+     '2, 2]}, {"conv": {"filter_count": 10, "kernel": [2, 2, 2], "padding": "same", '
+     '"stride": [1, 1, 1]}, "kind": "conv"}, {"kind": "relu"}, {"kind": "maxpool", '
+     '"padding": "valid", "stride": [2, 2, 2], "window": [2, 2, 2]}, {"kind": '
+     '"fully_connected", "width": 128}, {"kind": "softmax", "width": 2}]}'),
+    ((lambda: net.build_reference_3d("conv-stride-reduces")),
+     '{"input_shape": [1, 64, 64, 64], "specs": [{"conv": {"filter_count": 10, "kernel": '
+     '[2, 2, 2], "padding": "valid", "stride": [2, 2, 2]}, "kind": "conv"}, {"kind": '
+     '"relu"}, {"kind": "maxpool", "padding": "same", "stride": [1, 1, 1], "window": [2, '
+     '2, 2]}, {"conv": {"filter_count": 10, "kernel": [2, 2, 2], "padding": "valid", '
+     '"stride": [2, 2, 2]}, "kind": "conv"}, {"kind": "relu"}, {"kind": "maxpool", '
+     '"padding": "same", "stride": [1, 1, 1], "window": [2, 2, 2]}, {"kind": '
+     '"fully_connected", "width": 128}, {"kind": "softmax", "width": 2}]}'),
+]
+
+
+@pytest.mark.parametrize("build,table", _LAYER_TABLES)
+def test_checkpoint_layer_table_keeps_its_bytes(tmp_path, build, table):
+    """The JSON layer table of desk2d at 32 and 64 and of both reference3d
+    variants, byte for byte."""
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(build(), path)
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[20:24], "little")  # after magic, version and seed
+    assert raw[24:24 + size].decode() == table
+
+
+_EVERY_KIND = [
+    net.LayerSpec("conv", conv=ops.ConvSpec((2, 2, 2), (2, 1, 1), "valid", 3)),
+    net.LayerSpec("relu"),
+    net.LayerSpec("maxpool", window=(2, 3), stride=(1, 2), padding="same"),
+    net.LayerSpec("maxpool", window=(2, 2), stride=(2, 2)),
+    net.LayerSpec("fully_connected", width=7),
+    net.LayerSpec("softmax", width=3),
+]
+
+
+def test_layer_spec_of_every_kind_round_trips_through_its_dict():
+    """from_dict gives the spec back from to_dict's dict, and from that dict
+    through JSON, as a checkpoint stores it."""
+    assert {spec.kind for spec in _EVERY_KIND} == set(net.LayerSpec.FIELDS)
+    for spec in _EVERY_KIND:
+        assert net.LayerSpec.from_dict(spec.to_dict()) == spec
+        assert net.LayerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
 def _materialised_train(network, dataset, config, chunk):
     """The training loop with every weight gradient materialised, through
     the ops layer by layer on whole arrays: each chunk's fully connected
@@ -708,7 +776,7 @@ def test_block_slabs_give_the_one_slab_results(monkeypatch, case, budget, slabs)
     another order, so it agrees within the tolerance of chunked training.
     desk2d's pools tile the rows and run in the slabs; conv-stride-reduces'
     overlapping pools run on the whole conv block output."""
-    monkeypatch.setattr(net, "_chunk_size", lambda network: 3)
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
     if case == "desk2d":
         dataset = small_dataset(per_class=4, seed=30)
         build = lambda: net.build_desk_2d(32, 2, seed=30)

@@ -147,6 +147,23 @@ def test_maxpool_window_too_large():
         ops.maxpool(np.zeros((2, 2)), (3, 3), (1, 1))
 
 
+@pytest.mark.parametrize("window,stride,padding", [
+    ((0, 2), (2, 2), "valid"),  # a window of extent 0
+    ((2, 2), (2, 0), "valid"),  # a stride of 0
+    ((2, 2), (2,), "valid"),  # window and stride of different ranks
+    ((2, 2), (2, 2), "bogus"),  # an unknown padding
+    ((5, 2), (1, 1), "valid"),  # a "valid" window wider than the (1, 4, 4) input
+])
+def test_maxpool_and_its_layer_spec_refuse_the_same_geometry(window, stride, padding):
+    """maxpool and a maxpool LayerSpec (through the network that chains it)
+    apply a conv's window rules, and refuse with ShapeMismatch alike."""
+    with pytest.raises(ShapeMismatch):
+        ops.maxpool(np.zeros((2, 1, 4, 4)), window, stride, padding)
+    with pytest.raises(ShapeMismatch):
+        net.build_network((1, 4, 4), [net.LayerSpec("maxpool", window=window, stride=stride,
+                                                     padding=padding)])
+
+
 def test_maxpool_tie_routes_to_first_index():
     x = np.array([[1.0, 1.0], [1.0, 1.0]])
     out, cache = ops.maxpool(x, (2, 2), (2, 2))
