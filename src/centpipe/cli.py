@@ -88,10 +88,11 @@ def _file_value(key: str, value):
 
 
 def _load_config_file(path, command: str) -> dict:
-    """The values a config file gives `command`. The file is flat, or
-    sectioned when a top-level key names a subcommand: then it gives only the
-    running subcommand's section, or nothing when that is absent. Every
-    section (a flat file is `command`'s) must be an object of its keys."""
+    """The values a config file gives `command`, each read by _file_value.
+    The file is flat, or sectioned when a top-level key names a subcommand:
+    then it gives only the running subcommand's section, or nothing when that
+    is absent. Every section (a flat file is `command`'s) must be an object
+    of its keys whose values those keys take."""
     try:
         with open(path, "r") as f:
             raw = json.load(f)
@@ -103,21 +104,22 @@ def _load_config_file(path, command: str) -> dict:
     stray = sorted(set(sections) - set(COMMANDS))
     if stray:
         raise ConfigError(f"config file {path} mixes subcommand sections with keys {stray}")
+    values = {}
     for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config file {path} must hold a JSON object for {name}")
         unknown = sorted(set(section) - {"out", *COMMANDS[name].keys})
         if unknown:
             raise ConfigError(f"unknown config keys for {name} in {path}: {unknown}")
-    return sections.get(command, {})
+        values[name] = {key: _file_value(key, value) for key, value in section.items()}
+    return values.get(command, {})
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     spec = COMMANDS[args.command]
     cfg = {key: OPTIONS[key].default for key in ("out", *spec.keys)}
     if args.config is not None:
-        file_cfg = _load_config_file(args.config, args.command)
-        cfg.update((key, _file_value(key, value)) for key, value in file_cfg.items())
+        cfg.update(_load_config_file(args.config, args.command))
     cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     print("resolved config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
     return cfg

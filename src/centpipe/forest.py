@@ -1,4 +1,4 @@
-"""From-scratch random-forest classifier.
+"""From-scratch random-forest classifier of two classes, labels 0 and 1.
 
 Axis-aligned CART trees grown on seeded bootstrap resamples, mtry features
 per split (default floor(sqrt(p))), thresholds at midpoints of adjacent
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .infotheory import row_entropy
 from .ops import NonFiniteError, first_nonfinite
 
 CRITERIA = ("gini", "entropy")
@@ -71,7 +70,7 @@ class DecisionTree:
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32
     right: np.ndarray      # int32
-    counts: np.ndarray     # float64 (nodes, classes)
+    counts: np.ndarray     # float64 (nodes, 2)
 
 
 @dataclass
@@ -80,54 +79,30 @@ class ForestModel:
     in set order in `trees`; fold(i) is set i's forest as a model of its own."""
     trees: list[DecisionTree]
     feature_count: int
-    class_count: int  # the largest over the training sets
     config: ForestConfig
     mtry: int  # resolved value actually used
-    set_class_counts: tuple = ()  # class count of each training set; () for one
     workers: int = 1  # processes that grew the trees
     split_elements: int = 0  # (node, candidate, distinct row) elements the fit scored
 
     def fold(self, i: int) -> "ForestModel":
-        counts = self.set_class_counts or (self.class_count,)
-        if not 0 <= i < len(counts):
-            raise IndexError(f"model holds {len(counts)} forests, no forest {i}")
-        size = len(self.trees) // len(counts)
-        return ForestModel(self.trees[i * size:(i + 1) * size], self.feature_count, counts[i],
-                           self.config, self.mtry, (counts[i],), self.workers)
-
-
-def _class_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the classes (rows) of class-major values, bit for bit numpy's
-    axis-1 sum of the node-major transpose: below 8 classes that sum adds in
-    order, as row adds do; from 8 on it adds pairwise, so the contiguous
-    transpose is summed instead."""
-    if len(a) >= 8:
-        return np.ascontiguousarray(a.T).sum(axis=1)
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
+        size = self.config.tree_count
+        if not 0 <= i < len(self.trees) // size:
+            raise IndexError(f"model holds {len(self.trees) // size} forests, no forest {i}")
+        return ForestModel(self.trees[i * size:(i + 1) * size], self.feature_count,
+                           self.config, self.mtry, self.workers)
 
 
 def _row_impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each column of class-major counts (class_count, n)."""
+    """Impurity of each column of class-major counts (2, n), bit for bit one
+    node's own sum over its two shares: a zero share adds 0.0, so entropy
+    gives the floats of the sum over the nonzero shares alone."""
     p = counts / sizes
     if criterion == "gini":
-        return 1.0 - _class_sum(np.multiply(p, p, out=p))
+        p *= p
+        return 1.0 - (p[0] + p[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p), 0.0)
-    return -_class_sum(terms)
-
-
-def _node_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each node's class counts (a row), bit for bit what one
-    node's own sum gives: gini over every share, entropy over the nonzero
-    shares only (summing an entropy row with its zeros groups the terms
-    differently from 8 classes on).
-    """
-    if criterion == "gini":
-        return _row_impurity(counts.T, counts.sum(axis=1), criterion)
-    return row_entropy(counts)
+    return -(terms[0] + terms[1])
 
 
 # One pass visits popped nodes holding at most about this many (node,
@@ -149,7 +124,7 @@ def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _best_splits(X, rank, y, rows, weight, offsets, sizes, candidates, parent_imp,
-                 class_count, min_leaf, criterion):
+                 min_leaf, criterion):
     """Best split of each node: (decrease, feature, threshold, n_left) arrays.
 
     Node i owns rows[offsets[i]:offsets[i] + sizes[i]], each a distinct row
@@ -183,14 +158,14 @@ def _best_splits(X, rank, y, rows, weight, offsets, sizes, candidates, parent_im
     # pass, so that the class sums of the impurities are row adds. They are
     # exact integers, so the in-place forms give the bytes any order would;
     # temporaries are freed as soon as they are spent.
-    left_counts = np.empty((class_count, total))
-    np.multiply(y[r[order]] == np.arange(class_count)[:, None], w, out=left_counts)
+    left_counts = np.empty((2, total))
+    np.multiply(y[r[order]] == np.arange(2)[:, None], w, out=left_counts)
     del r, flat, order, w
     np.cumsum(left_counts, axis=1, out=left_counts)
     at_end = left_counts[:, seg_end]  # through each segment's last position
     right_counts = at_end.repeat(seg_len, axis=1)
     right_counts -= left_counts
-    before = np.hstack([np.zeros((class_count, 1)), at_end[:, :-1]])  # ahead of each segment
+    before = np.hstack([np.zeros((2, 1)), at_end[:, :-1]])  # ahead of each segment
     left_counts -= before.repeat(seg_len, axis=1)
 
     n_left = left_counts.sum(axis=0)
@@ -331,9 +306,9 @@ class _Grower:
     bit the tree that fitting its training set alone gives.
     """
 
-    def __init__(self, X, y, rank, sets, class_count, config, mtry, tree_indices):
+    def __init__(self, X, y, rank, sets, config, mtry, tree_indices):
         self.X, self.y, self.rank = X, y, rank
-        self.class_count, self.config, self.mtry = class_count, config, mtry
+        self.config, self.mtry = config, mtry
         # Long-lived arrays use the smallest unsigned type that holds their
         # values: a set's size bounds a bootstrap count, and twice the largest
         # bounds node ids, depths, stack ranges and class counts.
@@ -379,8 +354,7 @@ class _Grower:
                 return self._trees()
             self.height[trees] -= 1
             nid, lo, hi, depth = self.stack[trees, self.height[trees]].T.astype(np.int64)
-            step = {name: np.zeros((len(trees), self.class_count) if name == "counts"
-                                   else len(trees), dtype)
+            step = {name: np.zeros((len(trees), 2) if name == "counts" else len(trees), dtype)
                     for name, dtype in self.fields.items()}
             step["tree"][:], step["id"][:] = trees, nid
             for name, array in step.items():
@@ -397,29 +371,28 @@ class _Grower:
     def _visit(self, rec, trees, lo, hi, depth):
         """Count, score and split one pass of popped nodes, filling their rows
         of the step's arrays (`rec`, one view per field)."""
-        X, y, config, class_count = self.X, self.y, self.config, self.class_count
+        X, y, config = self.X, self.y, self.config
         sizes = hi - lo
         offsets = np.cumsum(sizes) - sizes
         where = np.repeat(self.start[trees] + lo - offsets, sizes) + np.arange(sizes.sum())
         rows, weight = self.samples[where], self.weight[where]
         node_of_row = np.repeat(np.arange(len(trees)), sizes)
-        counts = np.bincount(node_of_row * class_count + y[rows], weight,
-                             minlength=len(trees) * class_count)
-        counts = counts.reshape(len(trees), class_count)
+        counts = np.bincount(node_of_row * 2 + y[rows], weight, minlength=2 * len(trees))
+        counts = counts.reshape(len(trees), 2)
         rec["counts"][:] = counts
 
-        open_ = ((counts > 0).sum(axis=1) >= 2) & (counts.sum(axis=1) >= 2 * config.min_leaf)
+        open_ = (counts > 0).all(axis=1) & (counts.sum(axis=1) >= 2 * config.min_leaf)
         if config.max_depth is not None:
             open_ &= depth < config.max_depth
         open_ = np.flatnonzero(open_)
         if len(open_) == 0:
             return
         candidates = self.draws.sorted_candidates(trees[open_])
-        parent_imp = _node_impurity(counts[open_], config.criterion)
+        parent_imp = _row_impurity(counts[open_].T, counts[open_].sum(axis=1), config.criterion)
         self.split_elements += self.mtry * int(sizes[open_].sum())
         decrease, feature, threshold, n_left = _best_splits(
             X, self.rank, y, rows, weight, offsets[open_], sizes[open_], candidates,
-            parent_imp, class_count, config.min_leaf, config.criterion)
+            parent_imp, config.min_leaf, config.criterion)
 
         split = decrease > 1e-12
         k = open_[split]
@@ -494,6 +467,7 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
         train_sets=None) -> ForestModel:
     """Grow a forest on all rows, or one forest per training row set (index
     arrays into the rows, such as a cross-validation's folds), all together.
+    Labels are 0 and 1, and every set holds both.
 
     Each set's forest is bit for bit the forest that fitting that set's rows
     alone gives, however many worker processes grow it (model.workers).
@@ -513,26 +487,18 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     if not sets:
         raise ValueError("need at least one training set")
     _require_finite(X)
-    class_counts = []
+    classes = np.unique(y)
+    if not set(classes.tolist()) <= {0, 1}:
+        raise ValueError(f"labels must be 0 or 1, got classes {classes.tolist()}")
     for i, rows in enumerate(sets):
         where = "" if train_sets is None else f" in training set {i}"
-        present = y[rows]
         if len(rows) < 2:
             raise ValueError("need at least 2 samples" + where)
-        if present.min() < 0:
-            raise ValueError("labels must be nonnegative class indices")
-        if len(np.unique(present)) < 2:
+        if len(np.unique(y[rows])) < 2:
             raise ValueError("need at least 2 classes present" + where)
-        class_counts.append(int(present.max()) + 1)
     mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(p)))
     if mtry > p:
         raise ValueError(f"mtry {mtry} exceeds feature count {p}")
-
-    # Sets with equal class counts share a grower: the class count is the
-    # width of every row a split score sums, so a set with fewer classes
-    # cannot join. Cross-validation on binary labels makes one grower.
-    members = [[i for i, count in enumerate(class_counts) if count == c]
-               for c in sorted(set(class_counts))]
     # at each level of a tree, a split pass writes about 16 temporaries of one
     # value per row and candidate feature
     work = 16 * config.tree_count * mtry * sum(len(rows) * math.log2(len(rows)) for rows in sets)
@@ -540,24 +506,19 @@ def fit(features, labels, config: ForestConfig = ForestConfig(),
     shares = [range(config.tree_count * w // processes, config.tree_count * (w + 1) // processes)
               for w in range(processes)]
     rank = _dense_rank(X)
-    # group-major, so job i runs in process i mod processes: process w grows
-    # share w of every group
-    jobs = [(m, share) for m in members for share in shares]
 
-    def forest(job):  # the name a worker's error gives
-        m, share = job
-        grower = _Grower(X, y, rank, [sets[i] for i in m], class_counts[m[0]], config, mtry,
-                         share)
+    def forest(share):  # the name a worker's error gives
+        grower = _Grower(X, y, rank, sets, config, mtry, share)
         return grower.grow(), grower.split_elements
 
     per_set = [[] for _ in sets]
     split_elements = 0
-    for (m, share), (trees, elements) in zip(jobs, workers.map(forest, jobs, processes)):
+    for share, (trees, elements) in zip(shares, workers.map(forest, shares, processes)):
         split_elements += elements
-        for j, i in enumerate(m):
-            per_set[i] += trees[j * len(share):(j + 1) * len(share)]
-    return ForestModel([tree for trees in per_set for tree in trees], p, max(class_counts),
-                       config, mtry, tuple(class_counts), processes, split_elements)
+        for i in range(len(sets)):
+            per_set[i] += trees[i * len(share):(i + 1) * len(share)]
+    return ForestModel([tree for trees in per_set for tree in trees], p, config, mtry,
+                       processes, split_elements)
 
 
 def _leaves(tree: DecisionTree, X: np.ndarray, roots=(0,)) -> np.ndarray:
@@ -590,7 +551,7 @@ def _joined(trees: list[DecisionTree]) -> tuple[DecisionTree, np.ndarray]:
 
 
 def predict_proba_many(model: ForestModel, features) -> np.ndarray:
-    """(rows, classes): per row, the mean over trees of the reached leaf's
+    """(rows, 2): per row, the mean over trees of the reached leaf's
     class distribution, walking every tree at once and summing in tree order."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
@@ -599,7 +560,7 @@ def predict_proba_many(model: ForestModel, features) -> np.ndarray:
     nodes, roots = _joined(model.trees)
     leaves = _leaves(nodes, X, roots).reshape(len(roots), len(X))
     dist = nodes.counts / nodes.counts.sum(axis=1, keepdims=True)
-    acc = np.zeros((len(X), model.class_count))
+    acc = np.zeros((len(X), 2))
     for leaf in leaves:
         acc += dist[leaf]
     return acc / len(model.trees)

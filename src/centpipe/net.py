@@ -53,6 +53,8 @@ class LayerSpec:
         missing = [name for name in self.FIELDS[self.kind] if not getattr(self, name)]
         if missing:
             raise ValueError(f"{self.kind} layer needs {' and '.join(missing)}")
+        if "width" in self.FIELDS[self.kind] and (type(self.width) is not int or self.width < 1):
+            raise ValueError(f"{self.kind} layer width must be an int >= 1, got {self.width!r}")
         if self.kind == "maxpool":
             ConvSpec(self.window, self.stride, self.padding)  # raises ShapeMismatch
 

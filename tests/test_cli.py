@@ -680,6 +680,8 @@ _BAD_TABLES = {
     "weights of the wrong shape": (lambda h, t: t.__setitem__(0, np.zeros((10, 1, 2, 3),
                                                                           np.float32)),
                                    "do not match the layer table"),
+    "fc width -3": (lambda h, t: next(d for d in h["specs"] if d["kind"] == "fully_connected")
+                    .update(width=-3), "corrupt layer table"),
     "one tensor too few": (lambda h, t: t.pop(), "do not match the layer table"),
     "one tensor too many": (lambda h, t: t.append(t[-1]), "do not match the layer table"),
 }
@@ -1223,6 +1225,38 @@ def test_malformed_section_exits_2_whichever_subcommand_runs(tmp_path, command, 
     assert code == 2 and out == "", err
     assert "error: " in err and str(cfg) in err and other in err
     assert not (tmp_path / "o").exists()
+
+
+# per subcommand, a value of one of its keys that the key does not take, and
+# what the key takes, as the error names it
+_MISTYPED = {
+    "synth": ("per_class", "x", "an integer"),
+    "train": ("learning_rate", True, "a number"),
+    "extract": ("bins", "x", "an integer"),
+    "evaluate": ("criterion", "bogus", "a string in ['gini', 'entropy']"),
+    "permute": ("perm_seed", 2.5, "an integer or null"),
+    "theory": ("partition_layer", [1], "an integer"),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_mistyped_value_in_another_section_exits_2(tmp_path, command):
+    """Every section's values are typed whichever subcommand runs: a value
+    in another subcommand's section that its key does not take exits 2 with
+    the error that subcommand would give, before --out is made."""
+    names = list(cli.COMMANDS)
+    other = names[(names.index(command) + 1) % len(names)]
+    key, value, takes = _MISTYPED[other]
+    message = f"config key {key!r} takes {takes}, got {json.dumps(value)}"
+    assert key in cli.COMMANDS[other].keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: {}, other: {key: value}}))
+    code, out, err = run_cli([command, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert code == 2 and out == "", err
+    assert f"error: {message}" in err
+    assert not (tmp_path / "o").exists()
+    code, _, err = run_cli([other, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert code == 2 and f"error: {message}" in err  # the same refusal as its own
 
 
 @pytest.mark.parametrize("command", [*cli.COMMANDS, "extract --dump-out"])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,10 +152,9 @@ def _forest_cases(draw):
     criterion = draw(st.sampled_from(CRITERIA))
     n = draw(st.integers(4, 80))
     p = draw(st.integers(1, 8))
-    classes = draw(st.integers(2, 12))
     levels = draw(st.sampled_from([None, 2, 3, 5]))  # few levels: many tied values
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = rng.integers(0, classes, n)
+    y = rng.integers(0, 2, n)
     y[:2] = (0, 1)
     X = (rng.normal(size=(n, p)) if levels is None
          else rng.integers(0, levels, (n, p)).astype(np.float64))
@@ -179,32 +179,27 @@ def test_fit_and_predict_match_reference(case):
             assert _same_bytes(getattr(tree, name), getattr(ref, name)), name
     queries = np.vstack([X, X[:5] + 0.25, X[-5:] - 0.5])
     assert _same_bytes(predict_proba_many(model, queries),
-                       _ref_predict_proba_many(trees, model.class_count, queries))
+                       _ref_predict_proba_many(trees, 2, queries))
 
 
 @st.composite
 def _fold_cases(draw):
     """Data, a config and several training row sets: a fold plan's train
-    splits (stratified or not, so sizes may differ) and, when the labels
-    allow, one more set without the top class."""
+    splits, stratified or not. n is not a multiple of k, so the test folds,
+    and with them the training sets, differ in size."""
     criterion = draw(st.sampled_from(CRITERIA))
-    classes = draw(st.integers(2, 12))
-    n = draw(st.integers(12, 70))
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(12, 70).filter(lambda n: n % k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = rng.integers(0, classes, n)
+    y = rng.integers(0, 2, n)
     y[:4] = (0, 1, 0, 1)
     levels = draw(st.sampled_from([None, 2, 4]))
     p = draw(st.integers(1, 6))
     X = (rng.normal(size=(n, p)) if levels is None
          else rng.integers(0, levels, (n, p)).astype(np.float64))
-    k = draw(st.integers(2, 5))
-    members = np.bincount(y)
-    stratified = draw(st.booleans()) and bool((members[members > 0] >= k).all())
+    stratified = draw(st.booleans()) and bool((np.bincount(y) >= k).all())
     plan = kfold_split(y, k=k, seed=draw(st.integers(0, 1000)), stratified=stratified)
     sets = [plan.train_fold(i) for i in range(k)]
-    without_top = np.flatnonzero(y != y.max())
-    if len(np.unique(y[without_top])) >= 2:
-        sets.insert(draw(st.integers(0, k)), without_top)
     config = ForestConfig(tree_count=draw(st.integers(1, 5)),
                           mtry=draw(st.none() | st.integers(1, p)),
                           max_depth=draw(st.sampled_from([None, 1, 3])),
@@ -218,15 +213,17 @@ def _fold_cases(draw):
 @given(_fold_cases())
 def test_fold_forests_match_fits_on_each_set_alone(case):
     """fit grows every training set's forest in one grower over the whole
-    matrix; each must equal fitting that set's rows alone, byte for byte."""
+    matrix, whatever their sizes; each must equal fitting that set's rows
+    alone, byte for byte."""
     X, y, config, sets = case
     assume(all(len(np.unique(y[rows])) >= 2 for rows in sets))
+    assert len({len(rows) for rows in sets}) > 1
     model = fit(X, y, config, sets)
     assert len(model.trees) == len(sets) * config.tree_count
     queries = np.vstack([X, X[:5] + 0.25, X[-5:] - 0.5])
     for i, rows in enumerate(sets):
         alone, fold = fit(X[rows], y[rows], config), model.fold(i)
-        assert (fold.class_count, fold.mtry) == (alone.class_count, alone.mtry)
+        assert (fold.feature_count, fold.mtry) == (alone.feature_count, alone.mtry)
         assert len(fold.trees) == len(alone.trees)
         for tree, ref in zip(fold.trees, alone.trees):
             for name in ("feature", "threshold", "left", "right", "counts"):
@@ -235,15 +232,17 @@ def test_fold_forests_match_fits_on_each_set_alone(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 20), st.integers(1, 40), st.sampled_from(CRITERIA),
-       st.integers(0, 2**32 - 1))
-def test_node_impurity_equals_one_node_impurity_per_row(classes, rows, criterion, seed):
+@given(st.integers(1, 40), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
+def test_node_impurity_equals_one_node_impurity_per_row(rows, criterion, seed):
+    """Parents and children alike are scored by _row_impurity on class-major
+    counts; with a class absent (a zero share) too, each node's impurity is
+    the float of its own sum, which for entropy skips the zero share."""
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 4, (rows, classes)) * rng.integers(0, 2, (rows, classes))
-    counts[:, rng.integers(0, classes)] += 1  # every node holds a row
+    counts = rng.integers(0, 4, (rows, 2)) * rng.integers(0, 2, (rows, 2))
+    counts[:, rng.integers(0, 2)] += 1  # every node holds a row
     counts = counts.astype(np.float64)
     expected = np.array([_ref_impurity(row, criterion) for row in counts])
-    assert _same_bytes(forest._node_impurity(counts, criterion), expected)
+    assert _same_bytes(forest._row_impurity(counts.T, counts.sum(axis=1), criterion), expected)
 
 
 # --- candidate draws: every open node of a pass draws at once ---------------
@@ -389,6 +388,18 @@ def test_fit_contract_errors():
         fit(X, y, ForestConfig(mtry=5))  # mtry > feature count
 
 
+@pytest.mark.parametrize("shift, classes", [(0, "[0, 1, 2]"), (-1, "[-1, 0, 1]")])
+def test_fit_refuses_labels_other_than_0_and_1(shift, classes):
+    """The forest has two classes, 0 and 1: any other label is refused,
+    naming every class found, whether the whole matrix or a training set
+    holds it."""
+    X, _ = _two_blobs()
+    y = np.arange(len(X)) % 3 + shift
+    for sets in (None, [np.arange(len(X))]):
+        with pytest.raises(ValueError, match=re.escape(f"got classes {classes}")):
+            fit(X, y, ForestConfig(tree_count=2), sets)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_rejected_with_position(bad):
     X, y = _two_blobs()
@@ -421,7 +432,7 @@ def test_grower_holds_each_distinct_inbag_row_once_with_its_draw_count():
     X, y = rng.normal(size=(60, 3)), np.arange(60) // 2 % 2
     rows = np.arange(0, 60, 2)  # a 30-row training set
     config = ForestConfig(tree_count=4, seed=5)
-    grower = forest._Grower(X, y, forest._dense_rank(X), [rows], 2, config, 1, range(4))
+    grower = forest._Grower(X, y, forest._dense_rank(X), [rows], config, 1, range(4))
     for t in range(4):
         drawn = np.bincount(np.random.default_rng([5, t]).integers(0, 30, 30), minlength=30)
         kept = np.flatnonzero(drawn)
@@ -456,21 +467,23 @@ def _tree_bytes(model):
 @pytest.mark.parametrize("tree_count", [1, 2, 7])
 def test_fit_bytes_do_not_depend_on_the_worker_count(monkeypatch, criterion, tree_count):
     """Workers grow contiguous ranges of tree indices, which do not split
-    evenly here, over four folds and a set without the top class (a second
-    grower); the trees are byte for byte those of one process."""
+    evenly here, over four folds and one more set of another size, all in
+    each worker's one grower; the trees are byte for byte those of one
+    process."""
     rng = np.random.default_rng(4)
-    y = rng.integers(0, 3, 90)
+    y = rng.integers(0, 2, 90)
     X = rng.normal(size=(90, 5))
     X[:, 1] = y + rng.normal(0, 0.5, 90)
     plan = kfold_split(y, k=4, seed=1, stratified=True)
-    sets = [plan.train_fold(i) for i in range(4)] + [np.flatnonzero(y != 2)]
+    sets = [plan.train_fold(i) for i in range(4)] + [np.arange(0, 90, 2)]
+    assert len({len(rows) for rows in sets}) == 3  # 67, 68 and 45 rows
     config = ForestConfig(tree_count=tree_count, seed=9, criterion=criterion)
     fits = {}
     for workers in (1, 2, 3):
         use_cpus(monkeypatch, workers, every_map=True)
         fits[workers] = model = fit(X, y, config, sets)
         assert model.workers == min(workers, tree_count)
-        assert model.set_class_counts == (3, 3, 3, 3, 2)
+        assert len(model.trees) == 5 * tree_count
     assert _tree_bytes(fits[1]) == _tree_bytes(fits[2]) == _tree_bytes(fits[3])
 
 
@@ -558,8 +571,8 @@ def test_predict_proba_is_mean_of_leaf_distributions():
         assert np.abs(predict_proba_many(model, x[None])[0] - manual).max() < 1e-12
 
 
-def _leaf_tree(class_idx, class_count=2):
-    counts = np.zeros((1, class_count))
+def _leaf_tree(class_idx):
+    counts = np.zeros((1, 2))
     counts[0, class_idx] = 1.0
     return DecisionTree(np.array([-1], np.int32), np.zeros(1),
                         np.array([-1], np.int32), np.array([-1], np.int32), counts)
@@ -568,14 +581,14 @@ def _leaf_tree(class_idx, class_count=2):
 def test_vote_arithmetic_explicit_split():
     # 60 pure-class-0 leaves and 40 pure-class-1 leaves average to (0.6, 0.4)
     trees = [_leaf_tree(0)] * 60 + [_leaf_tree(1)] * 40
-    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=100), 1)
+    model = ForestModel(trees, 2, ForestConfig(tree_count=100), 1)
     probs = predict_proba_many(model, np.zeros((1, 2)))[0]
     assert np.allclose(probs, [0.6, 0.4], atol=1e-12)
 
 
 def test_unanimous_vote():
     trees = [_leaf_tree(1)] * 10
-    model = ForestModel(trees, 2, 2, ForestConfig(tree_count=10), 1)
+    model = ForestModel(trees, 2, ForestConfig(tree_count=10), 1)
     assert np.array_equal(predict_proba_many(model, np.zeros((1, 2))), [[0.0, 1.0]])
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -481,6 +482,20 @@ def test_layer_spec_of_every_kind_round_trips_through_its_dict():
     for spec in _EVERY_KIND:
         assert net.LayerSpec.from_dict(spec.to_dict()) == spec
         assert net.LayerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+@pytest.mark.parametrize("kind", ["fully_connected", "softmax"])
+@pytest.mark.parametrize("width", [-3, 2.5, True])
+def test_layer_width_must_be_a_positive_int(kind, width):
+    """A width that is not an int >= 1 (a bool is not one) is refused by
+    the spec, naming the kind and the width, before any array is made; a
+    missing or zero width keeps its "needs width" message."""
+    with pytest.raises(ValueError, match=f"^{kind} layer width must be an int >= 1, got "
+                                         f"{re.escape(repr(width))}$"):
+        net.build_network((4,), [net.LayerSpec(kind, width=width)])
+    for missing in (None, 0):
+        with pytest.raises(ValueError, match=f"^{kind} layer needs width$"):
+            net.LayerSpec(kind, width=missing)
 
 
 def _materialised_train(network, dataset, config, chunk):

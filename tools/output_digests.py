@@ -13,12 +13,17 @@ a null-generator set synthesised with explicit per-class parameters,
 trained with --no-shuffle, extracted over a fixed --range, evaluated with
 --no-stratified and checked by theory with --quantizer-levels none; an
 extract and an evaluate that read a sectioned --config file (seed_<s>/
-config.json, written first); then two seeded 64^3 volumes, reference3d
-trained in both variants, each extracted with --pre-relu --dump-out, from
-that dump and per-layer, and checked by theory. Every stage calls
-centpipe.cli.main in-process with paths relative to OUT_DIR. The output is
-one "<sha256>  <path>" line per file written, sorted by path, so two source
-trees are compared by diffing their outputs. Exits 1 if any stage fails.
+config.json, written first); a set at the benchmark's controls shape (150
+images per class at 32^2, one epoch, per-filter features) evaluated and
+permuted (the benchmark's first permutation seed, 2s + 1) with 100 trees
+over 5 folds, whose fits take hundreds of split passes and, on seeds 1-5,
+grow the node stacks past their first 16 rows; then two seeded 64^3
+volumes, reference3d trained in both variants, each extracted with
+--pre-relu --dump-out, from that dump and per-layer, and checked by theory.
+Every stage calls centpipe.cli.main in-process with paths relative to
+OUT_DIR. The output is one "<sha256>  <path>" line per file written, sorted
+by path, so two source trees are compared by diffing their outputs. Exits 1
+if any stage fails.
 """
 
 from __future__ import annotations
@@ -86,6 +91,18 @@ def _stages(seed: int) -> list[list[str]]:
          "--checkpoint", ckpt, "--data", f"{d}/data"],
         ["evaluate", "--out", f"{d}/config_evaluate", "--config", f"seed_{s}/config.json",
          "--features", f"{d}/config_extract/features.csv", "--seed", s],
+    ]
+    d, ckpt = f"seed_{s}/controls", f"seed_{s}/controls/net/checkpoint.ckpt"
+    controls = ["--features", f"{d}/feat/features.csv", "--seed", s, "--fold-seed", s,
+                "--tree-count", "100", "--k", "5"]
+    stages += [
+        ["synth", "--out", f"{d}/data", "--seed", s, "--per-class", "150", "--extent", "32"],
+        ["train", "--out", f"{d}/net", "--data", f"{d}/data", "--seed", s, "--net-seed", s,
+         "--epochs", "1"],
+        ["extract", "--out", f"{d}/feat", "--checkpoint", ckpt, "--data", f"{d}/data",
+         "--mode", "per-filter"],
+        ["evaluate", "--out", f"{d}/eval", *controls],
+        ["permute", "--out", f"{d}/perm", "--perm-seed", str(2 * seed + 1), *controls],
     ]
     for variant in ("pool-reduces", "conv-stride-reduces"):
         d = f"seed_{s}/volume/{variant}"
