@@ -6,10 +6,11 @@ the defaults and the config-file check are built from them. The config takes
 the defaults, then the --config JSON file, then explicit flags; it is echoed
 to stderr and embedded in the JSON summary printed to stdout. Exit codes: 0
 success; 2 config or contract error (ConfigError, ValueError,
-FileNotFoundError, KeyError); 1 any other failure. Re-running a subcommand
-with the same config produces byte-identical files. `theory` and `extract`
-read the trained network and the dataset from --checkpoint and --data
-(`extract` from --dump instead); nothing here trains a network but `train`.
+FileNotFoundError, IsADirectoryError, NotADirectoryError, KeyError); 1 any
+other failure. Re-running a subcommand with the same config produces
+byte-identical files. `theory` and `extract` read the trained network and the
+dataset from --checkpoint and --data (`extract` from --dump instead); nothing
+here trains a network but `train`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     if args.config is not None:
         cfg.update(_load_config_file(args.config, args.command))
     cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
+    for key, value in cfg.items():  # numpy's generators take no negative seed
+        if key.endswith("seed") and value is not None and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     print("resolved config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
     return cfg
 
@@ -273,7 +277,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
         read_shapes = [network.layer_shapes[i]
                        for i in net.cent_read_points(network.specs, cfg["pre_relu"])]
         parts = net._chunks(network.sample_shapes, len(ids))
-        processes = net._collect_processes(network, len(ids))
+        processes = net._processes(network, len(ids))
         workspace = ops.Workspace()  # each process's chunks share its copy
 
         def activations(rows):
@@ -457,7 +461,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     result["counters"] = {"images": len(labels), "forward_passes": n,
                           "histogram_tables": sum(len(t.counts) for t in tables.values()),
                           # the processes forward_collect ran its chunks in
-                          "workers": net._collect_processes(network, n)}
+                          "workers": net._processes(network, n)}
     result["timings"] = {"forward_s": round(forward_done - start, 6),
                          "checks_s": round(checks_done - forward_done, 6),
                          "dpi_s": round(dpi_done - checks_done, 6),
@@ -571,7 +575,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         summary = args.handler(cfg, _require_out(cfg))
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as e:
+    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - boundary between library and shell

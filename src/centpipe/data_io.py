@@ -32,9 +32,9 @@ def save_tensor(path, tensor) -> None:
 
 def load_tensor(path) -> np.ndarray:
     """A tensor file's tensor; a bad file raises a framing.FramedFileError."""
-    with FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file") as reader:
-        tensor = reader.tensor()
-        reader.finish()
+    reader = FramedReader(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor file")
+    tensor = reader.tensor()
+    reader.finish()
     return tensor
 
 

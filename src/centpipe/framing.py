@@ -3,14 +3,14 @@ checkpoints, and the atomic writer under every output file.
 
 A framed file (little-endian) is an 8-byte magic, a u32 version, a body and a
 u32 CRC32 of every byte before it. A tensor record inside a body is a u32
-rank, u64 dims[rank] and the float32 payload. The reader reads the file field
-by field, each payload straight into the array it returns, and computes the
-CRC over the bytes as it reads them; it checks every field's extent against
-the file's size before it reads or allocates, and the CRC last, so a cut
-file reports as truncated rather than as a checksum mismatch. Every writer,
-framed or text, writes a temporary file beside the target and renames it
-into place, so a failed write never leaves a partial file under the final
-name.
+rank, u64 dims[rank] and the float32 payload. The reader reads the file whole
+into one buffer with one read and closes it; each field it hands out is a
+view of that buffer, so a file is held in memory once. It checks every
+field's extent against the body's end before it hands the field out, and the
+CRC over the buffer last, so a cut file reports as truncated rather than as
+a checksum mismatch. Every writer, framed or text, writes a temporary file
+beside the target and renames it into place, so a failed write never leaves
+a partial file under the final name.
 """
 
 from __future__ import annotations
@@ -94,54 +94,35 @@ def write_framed(path, magic: bytes, version: int, body: list) -> None:
 
 
 class FramedReader:
-    """Reads the body of one framed file field by field, in a with block
-    that closes the file.
+    """Reads a framed file whole into one byte buffer at construction and
+    hands out the body's fields from a cursor over it.
 
-    Opening checks the magic and the version; take, u32, i64 and tensor
-    consume the body in order, each raising TruncatedError before it reads
-    if its field would run past the body's end; finish checks that the body
-    was used up and that the CRC matches. `what` names the format in error
-    messages.
+    Construction checks the magic and the version; take, u32, i64 and
+    tensor consume the body in order, each raising TruncatedError if its
+    field would run past the body's end; finish checks that the body was
+    used up and that the CRC matches. take and tensor return views of the
+    buffer, never copies. `what` names the format in error messages.
     """
 
     def __init__(self, path, magic: bytes, version: int, what: str):
         self.path, self.what = path, what
-        self.file = open(path, "rb")
-        try:
-            self.end = os.fstat(self.file.fileno()).st_size - 4
-            if self.file.read(len(magic)) != magic:
-                raise BadMagicError(f"{path}: not a {what} (bad magic)")
-            self.pos, self.crc = len(magic), zlib.crc32(magic)
-            found = self.u32()
-            if found != version:
-                raise VersionError(f"{path}: unsupported {what} version {found}")
-        except BaseException:
-            self.file.close()
-            raise
+        with open(path, "rb") as f:
+            self.buffer = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
+            if f.readinto(self.buffer) != len(self.buffer):  # the file shrank while read
+                raise TruncatedError(f"{path}: truncated {what}")
+        self.pos, self.end = len(magic), len(self.buffer) - 4
+        if self.buffer[:len(magic)].tobytes() != magic:
+            raise BadMagicError(f"{path}: not a {what} (bad magic)")
+        found = self.u32()
+        if found != version:
+            raise VersionError(f"{path}: unsupported {what} version {found}")
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def _claim(self, n: int) -> None:
+    def take(self, n: int) -> np.ndarray:
+        """The next n bytes of the body, as a uint8 view of the buffer."""
         if self.pos + n > self.end:
             raise TruncatedError(f"{self.path}: truncated {self.what}")
         self.pos += n
-
-    def _read_into(self, buffer) -> None:
-        """Fill the byte buffer from the file (its extent already claimed)
-        and add it to the CRC."""
-        if self.file.readinto(buffer) != len(buffer):  # the file shrank while read
-            raise TruncatedError(f"{self.path}: truncated {self.what}")
-        self.crc = zlib.crc32(buffer, self.crc)
-
-    def take(self, n: int) -> bytearray:
-        self._claim(n)
-        data = bytearray(n)
-        self._read_into(data)
-        return data
+        return self.buffer[self.pos - n:self.pos]
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
@@ -150,18 +131,18 @@ class FramedReader:
         return int.from_bytes(self.take(8), "little", signed=True)
 
     def tensor(self) -> np.ndarray:
-        dims = tuple(int(d) for d in np.frombuffer(self.take(8 * self.u32()), "<u8"))
-        self._claim(4 * math.prod(dims))
+        """The next tensor record's payload as a float32 view of the buffer,
+        which may sit at any byte offset: numpy reads unaligned views."""
+        dims = tuple(int(d) for d in self.take(8 * self.u32()).view("<u8"))
+        payload = self.take(4 * math.prod(dims)).view("<f4")
         try:
-            tensor = np.empty(dims, "<f4")
-        except ValueError:  # no elements, but an extent numpy cannot hold
+            return payload.reshape(dims)
+        except (ValueError, OverflowError):  # no elements, but an extent numpy cannot hold
             raise FramedFileError(f"{self.path}: impossible dims {dims}") from None
-        self._read_into(tensor.reshape(-1).view(np.uint8))
-        return tensor
 
     def finish(self) -> None:
         if self.pos != self.end:
             raise FramedFileError(
                 f"{self.path}: {self.end - self.pos} bytes after the {self.what} body")
-        if self.crc != int.from_bytes(self.file.read(4), "little"):
+        if zlib.crc32(self.buffer[:self.end]) != int.from_bytes(self.buffer[self.end:], "little"):
             raise ChecksumError(f"{self.path}: checksum mismatch")

@@ -409,7 +409,7 @@ def forward_collect(net: Network, images: np.ndarray, pre_relu: bool = False,
 
     # no zip over the results: its reused result tuple would hold a chunk's
     # arrays while the next chunk runs
-    results = workers.map(collect, parts, _collect_processes(net, len(images)))
+    results = workers.map(collect, parts, _processes(net, len(images)))
     for part in parts:
         for act, out in zip(acts, next(results)):
             act[part] = out
@@ -459,17 +459,12 @@ def _chunks(shapes: list[tuple[int, ...]], n: int) -> list[slice]:
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _collect_processes(net: Network, n: int) -> int:
-    """The processes forward_collect runs the chunks of n samples in."""
-    return workers.count(len(_chunks(net.sample_shapes, n)), _work(net, n))
-
-
-def _work(net: Network, samples: int, backward: bool = False) -> int:
-    """The work of a pass over `samples` samples in workers.MIN_WORK's unit:
-    the activation values the forward pass writes, input included, and
-    three times that with the backward pass."""
-    values = samples * sum(math.prod(s) for s in net.sample_shapes)
-    return 3 * values if backward else values
+def _processes(net: Network, n: int, backward: bool = False) -> int:
+    """The processes a pass over n samples runs its chunks in (workers.count),
+    its work being the activation values the forward pass writes, input
+    included, and three times that with the backward pass."""
+    values = n * sum(math.prod(s) for s in net.sample_shapes)
+    return workers.count(len(_chunks(net.sample_shapes, n)), 3 * values if backward else values)
 
 
 def _sgd_step(param: np.ndarray, parts: list, scale: float, workspace: ops.Workspace) -> None:
@@ -560,7 +555,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
             for bi, start in enumerate(range(0, n, config.batch_size)):
                 batch = order[start:start + config.batch_size]
                 parts = [batch[s] for s in _chunks(net.sample_shapes, len(batch))]
-                processes = workers.count(len(parts), _work(net, len(batch), backward=True))
+                processes = _processes(net, len(batch), backward=True)
                 epoch_workers = max(epoch_workers, processes)
                 chunk_grads = []
                 for part, (losses, part_grads) in zip(
@@ -599,11 +594,11 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    with FramedReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint") as reader:
-        seed = reader.i64()
-        blob = reader.take(reader.u32())
-        tensors = [reader.tensor() for _ in range(reader.u32())]
-        reader.finish()
+    reader = FramedReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    seed = reader.i64()
+    blob = reader.take(reader.u32()).tobytes()
+    tensors = [reader.tensor() for _ in range(reader.u32())]
+    reader.finish()
     try:
         header = json.loads(blob)
         specs = [LayerSpec.from_dict(d) for d in header["specs"]]

@@ -32,7 +32,7 @@ import pickle
 import signal
 
 # The estimate below which a map runs inline, in float64 values that its work
-# writes: the network counts its activation values (see net._work), the
+# writes: the network counts its activation values (see net._processes), the
 # forest the temporaries of its split passes (see forest.fit). Forking and
 # reaping a worker costs about 10 ms on a 2-vCPU host, and 2^23 values are
 # about 50 ms of desk forward passes, so half of that work saves more than

@@ -1,5 +1,5 @@
-"""The gain rule of tools/ab_pairs.py on fixed paired numbers. The script is
-imported from its file, unchanged."""
+"""The gain and no-regression rules of tools/ab_pairs.py on fixed paired
+numbers. The script is imported from its file, unchanged."""
 
 import importlib.util
 import pathlib
@@ -53,3 +53,35 @@ def test_higher_is_better_turns_the_rule_around():
     assert ab_pairs.verdict(PARENT, change, "higher")["gain"]
     v = ab_pairs.verdict(PARENT, change, "lower")
     assert v["wins"] == 0 and v["median_gap"] == pytest.approx(-0.3) and not v["gain"]
+
+
+def test_a_median_worse_by_at_most_the_bound_is_within_it():
+    r = ab_pairs.regression(PARENT, [3.75] * 10, "lower", 0.25)  # 0.75 / 3.0 worse
+    assert r["worse"] == pytest.approx(0.25) and r["spread"] == pytest.approx(0.145 / 3.0)
+    assert r["status"] == "within bound"
+    assert ab_pairs.regression(PARENT, [2.0] * 10, "lower", 0.25)["status"] == "within bound"
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    r = ab_pairs.regression(PARENT, [3.9] * 10, "lower", 0.25)
+    assert r["worse"] == pytest.approx(0.3) and r["status"] == "regressed"
+
+
+def test_a_parent_iqr_above_the_bound_is_unresolved():
+    # an IQR of 0.145 is 4.8 % of the median 3.0
+    assert ab_pairs.regression(PARENT, [3.9] * 10, "lower", 0.04)["status"] == "unresolved"
+    assert ab_pairs.regression(PARENT, [3.0] * 10, "lower", 0.04)["status"] == "unresolved"
+    assert ab_pairs.regression(PARENT, [3.0] * 10, "lower", 0.05)["status"] == "within bound"
+
+
+def test_every_change_run_better_than_every_parent_run_resolves_a_wide_spread():
+    assert ab_pairs.regression(PARENT, [2.7] * 10, "lower", 0.04)["status"] == "within bound"
+    # one change run (2.85) is worse than the parent's best (2.8)
+    assert ab_pairs.regression(PARENT, [2.7] * 9 + [2.85], "lower", 0.04)["status"] == \
+        "unresolved"
+
+
+def test_higher_is_better_turns_the_regression_rule_around():
+    r = ab_pairs.regression(PARENT, [2.1] * 10, "higher", 0.25)
+    assert r["worse"] == pytest.approx(0.3) and r["status"] == "regressed"
+    assert ab_pairs.regression(PARENT, [3.9] * 10, "higher", 0.25)["status"] == "within bound"

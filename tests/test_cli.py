@@ -1277,6 +1277,54 @@ def test_output_directory_naming_a_file_exits_2(pipeline, tmp_path, command):
     assert file.read_text() == "kept\n" and not (tmp_path / "f" / "features.csv").exists()
 
 
+@pytest.mark.parametrize("probe", [
+    "extract --checkpoint DIR", "theory --checkpoint DIR", "evaluate --features DIR",
+    "permute --features DIR", "train --config DIR", "synth --out FILE/sub",
+    "extract --checkpoint FILE/x", "extract --dump-out FILE/sub"])
+def test_path_of_the_wrong_kind_exits_2(pipeline, tmp_path, probe):
+    """A directory where a file is meant, or a path under a file, exits 2
+    with an error naming the path and no traceback."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    command, option, value = probe.split()
+    path = value.replace("DIR", str(tmp_path / "dir")).replace("FILE", str(tmp_path / "file"))
+    argv = [command, *([] if option == "--out" else ["--out", str(tmp_path / "o")]), option, path]
+    if command in ("extract", "theory"):
+        argv += ["--data", pipeline["data"]]
+        argv += [] if option == "--checkpoint" else ["--checkpoint", pipeline["ckpt"]]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "", err
+    assert err.splitlines()[-1].startswith("error: ") and path in err
+    assert "Traceback" not in err and not (tmp_path / "o" / "features.csv").exists()
+
+
+_SEEDS = [(command, key) for command, spec in cli.COMMANDS.items()
+          for key in spec.keys if key.endswith("seed")]
+
+
+def test_the_seed_rule_covers_every_seed_option():
+    assert {key for _, key in _SEEDS} == {"seed", "net_seed", "fold_seed", "perm_seed",
+                                          "chain_seed"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,key", _SEEDS)
+def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, command, key, source):
+    """A negative seed, which numpy's generators refuse, is refused by key
+    and value before any input is read or output directory made: these runs
+    give no input at all, and each would otherwise fail on that first."""
+    argv = [command, "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}=-3")
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({command: {key: -3}}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "", err
+    assert f"error: {key} must be >= 0, got -3" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,values,expected", [
     ("train", {"epochs": "3"}, 3),  # a string reads as the flag's text
     ("synth", {"per_class": 2.5}, None),

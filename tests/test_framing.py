@@ -133,6 +133,50 @@ def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch, writer
     assert os.listdir(tmp_path) == ["target"]
 
 
+class _CountingFile:
+    """Stands in for open(): the file it opens, recording every read call."""
+
+    last = None  # the latest instance
+
+    def __init__(self, *args):
+        self.file, self.reads = open(*args), []
+        _CountingFile.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def __getattr__(self, name):
+        if name.startswith("read"):
+            self.reads.append(name)
+        return getattr(self.file, name)
+
+
+@pytest.mark.parametrize("offset", range(4))
+def test_tensor_records_round_trip_at_every_offset(tmp_path, monkeypatch, offset):
+    """Tensor records whose payloads sit at each byte offset mod 4 load as
+    views of the file's one buffer with the saved bytes. The reader reads
+    the file with one readinto and has closed it when construction ends."""
+    tensors = [np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5,
+               np.zeros((0, 3), np.float32), np.float32([np.inf, -0.0, np.nan])]
+    path = tmp_path / "file"
+    framing.write_framed(path, b"TESTFILE", 3, [b"x" * offset] + [
+        part for t in tensors for part in framing.tensor_record(t)])
+    monkeypatch.setattr(framing, "open", _CountingFile, raising=False)
+    reader = framing.FramedReader(path, b"TESTFILE", 3, "test file")
+    assert _CountingFile.last.reads == ["readinto"] and _CountingFile.last.file.closed
+    assert reader.take(offset).tobytes() == b"x" * offset
+    loaded = [reader.tensor() for _ in tensors]
+    reader.finish()
+    for saved, got in zip(tensors, loaded):
+        assert got.dtype == np.float32 and got.shape == saved.shape
+        assert got.tobytes() == saved.tobytes()
+        assert got.base is reader.buffer  # a view, never a copy
+    assert loaded[0].flags.aligned == (offset == 0)
+
+
 def _save_small(fmt, path):
     """A small tensor file or checkpoint at path, and its loader."""
     if fmt == "tensor":

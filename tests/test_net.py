@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centpipe import data_io, net, ops, workers
+from centpipe import data_io, framing, net, ops, workers
 from centpipe.net import CheckpointError, TrainConfig, TrainingDiverged
 from centpipe.ops import ShapeMismatch
 
@@ -334,6 +334,36 @@ def test_checkpoint_roundtrip_forward_bitwise(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("pad", range(4))
+def test_checkpoint_payloads_at_every_offset_load_as_saved(tmp_path, pad):
+    """The payloads follow a JSON layer table of any length, so they sit at
+    any byte offset mod 4. Each loads as a view of the file's buffer, equal
+    to the saved array, and the loaded network's forward pass keeps the
+    saved one's bytes at every layer."""
+    dataset = small_dataset(per_class=2, seed=4)
+    network = net.build_desk_2d(32, 2, seed=7)
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(network, path)
+    raw = path.read_bytes()
+    blob_end = 24 + int.from_bytes(raw[20:24], "little")  # magic, version, seed, blob_len
+    blob = raw[24:blob_end] + b" " * pad  # JSON takes trailing white space
+    framing.write_framed(path, net.CHECKPOINT_MAGIC, net.CHECKPOINT_VERSION,
+                         [framing.i64(network.seed), framing.u32(len(blob)), blob,
+                          raw[blob_end:-4]])
+    loaded = net.load_checkpoint(path)
+    saved = [a for par in network.params if par for a in par]
+    tensors = [a for par in loaded.params if par for a in par]
+    assert len(tensors) == len(saved)
+    for a, b in zip(saved, tensors):
+        assert b.dtype == np.float32 and np.array_equal(a, b)
+        assert b.base is not None and b.base is tensors[0].base  # views of one buffer
+        assert b.flags.aligned == (len(blob) % 4 == 0)
+    outs_a, _ = net._forward_layers(network, dataset.images)
+    outs_b, _ = net._forward_layers(loaded, dataset.images)
+    for a, b in zip(outs_a, outs_b):
+        assert a.tobytes() == b.tobytes()
+
+
 _I64_EDGES = [-2**63 - 1, -2**63, -1, 0, 2**63 - 1, 2**63]
 
 
@@ -620,10 +650,10 @@ def test_reference3d_training_chunk_memory_stays_bounded(monkeypatch):
 
 
 def test_reference3d_checkpoint_loads_within_its_file_size(tmp_path):
-    """load_checkpoint reads each tensor straight into its own array: a
-    reference3d checkpoint (21 MB, nearly all of it the fc weights) loads
-    within its file size and 1 MB. Reading the whole file first and copying
-    each tensor out of it peaked at 42 MB."""
+    """load_checkpoint reads the file whole into one buffer and each tensor
+    is a view of it: a reference3d checkpoint (21 MB, nearly all of it the
+    fc weights) loads within its file size and 1 MB. Copying each tensor
+    out of the buffer as well peaked at 42 MB."""
     path = tmp_path / "net.ckpt"
     network = net.build_reference_3d(seed=31)
     net.save_checkpoint(network, path)

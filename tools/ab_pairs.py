@@ -9,9 +9,10 @@ Pair i runs `python3 perfbench/run.py --workload W --seed S --seconds T
 parent runs first in even pairs and the change first in odd ones, so neither
 side always gets the warmer machine. The script prints each pair's end-to-end
 metrics, then per metric each side's median and quartiles, the pairs the
-change won, and the verdict of the gain rule (see `verdict`). The direction
-of each metric ("lower" or "higher" is better) comes from the change's
-BENCHMARK.json. Exits 1 if a run fails or reports itself incorrect.
+change won, the verdict of the gain rule (see `verdict`) and that of the
+no-regression rule (see `regression`). The direction of each metric ("lower"
+or "higher" is better) and its bound come from the change's BENCHMARK.json.
+Exits 1 if a run fails or reports itself incorrect.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ def verdict(parent, change, better: str = "lower") -> dict:
     return {"pairs": len(parent), "wins": int(wins), "median_gap": float(gap),
             "parent_iqr": float(q3 - q1),
             "gain": bool(10 * wins >= 9 * len(parent) and gap > q3 - q1)}
+
+
+def regression(parent, change, better: str = "lower", bound: float = 0.0) -> dict:
+    """The no-regression rule on paired values, with BENCHMARK.json's bound
+    as a share of the parent's median: "unresolved" when the parent's
+    interquartile range exceeds the bound (the runs spread too widely to
+    tell) and not every change run is better than every parent run, else
+    "within bound" when the change's median is worse than the parent's by
+    at most the bound, else "regressed"."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    worse = sign * (np.median(change) - median) / median
+    spread = (q3 - q1) / median
+    clear = all(sign * (p - c) > 0 for p in parent for c in change)
+    status = ("unresolved" if spread > bound and not clear
+              else "within bound" if worse <= bound else "regressed")
+    return {"worse": float(worse), "spread": float(spread), "bound": bound, "status": status}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -67,6 +85,7 @@ def main(argv=None) -> int:
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = contract["run_seconds"] if args.seconds is None else args.seconds
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in contract["end_to_end"]}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -83,14 +102,17 @@ def main(argv=None) -> int:
     for name, direction in better.items():
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
-        v = verdict(parent, change, direction)
+        v, r = verdict(parent, change, direction), regression(parent, change, direction,
+                                                               bound[name])
         sides = "  ".join(
             f"{side} median {np.median(vals):.4g} [{np.percentile(vals, 25):.4g}, "
             f"{np.percentile(vals, 75):.4g}]" for side, vals in (("parent", parent),
                                                                    ("change", change)))
         print(f"{name} ({direction} is better): {sides}; change better in {v['wins']} of "
               f"{v['pairs']} pairs; median gap {v['median_gap']:.4g} against parent IQR "
-              f"{v['parent_iqr']:.4g}: {'GAIN' if v['gain'] else 'no gain'}")
+              f"{v['parent_iqr']:.4g}: {'GAIN' if v['gain'] else 'no gain'}; change worse by "
+              f"{r['worse']:+.1%} against a bound of {r['bound']:.0%}, parent IQR "
+              f"{r['spread']:.1%} of its median: {r['status']}")
     return 0
 
 
