@@ -89,11 +89,11 @@ def _file_value(key: str, value):
 
 
 def _load_config_file(path, command: str) -> dict:
-    """The values a config file gives `command`, each read by _file_value.
-    The file is flat, or sectioned when a top-level key names a subcommand:
-    then it gives only the running subcommand's section, or nothing when that
-    is absent. Every section (a flat file is `command`'s) must be an object
-    of its keys whose values those keys take."""
+    """{subcommand: its values} of a config file, each value read by
+    _file_value. The file is flat, or sectioned when a top-level key names
+    a subcommand: the running one takes only its own section, or nothing
+    when that is absent. Every section (a flat file is `command`'s) must be
+    an object of its keys whose values those keys take."""
     try:
         with open(path, "r") as f:
             raw = json.load(f)
@@ -113,18 +113,19 @@ def _load_config_file(path, command: str) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys for {name} in {path}: {unknown}")
         values[name] = {key: _file_value(key, value) for key, value in section.items()}
-    return values.get(command, {})
+    return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     spec = COMMANDS[args.command]
     cfg = {key: OPTIONS[key].default for key in ("out", *spec.keys)}
-    if args.config is not None:
-        cfg.update(_load_config_file(args.config, args.command))
+    sections = {} if args.config is None else _load_config_file(args.config, args.command)
+    cfg.update(sections.get(args.command, {}))
     cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
-    for key, value in cfg.items():  # numpy's generators take no negative seed
-        if key.endswith("seed") and value is not None and value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
+    for values in (cfg, *sections.values()):  # numpy's generators take no negative seed
+        for key, value in values.items():
+            if key.endswith("seed") and value is not None and value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
     print("resolved config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
     return cfg
 
@@ -164,9 +165,7 @@ def cmd_synth(cfg: dict, out: str) -> dict:
     dataset = data_io.generate_synthetic(spec)
     generated = clock()
     bytes_written = data_io.save_dataset(dataset, out)
-    return {"command": "synth", "config": cfg,
-            "images": len(dataset.images),
-            "classes": list(dataset.class_names),
+    return {"images": len(dataset.images), "classes": list(dataset.class_names),
             "manifest": os.path.join(out, "manifest.csv"),
             "counters": {"images": len(dataset.images), "bytes_written": bytes_written},
             "timings": {"generate_s": round(generated - start, 6),
@@ -209,16 +208,14 @@ def cmd_train(cfg: dict, out: str) -> dict:
     if not cfg["data"]:
         raise ConfigError("a dataset is required (--data)")
     dataset = data_io.load_dataset(cfg["data"])
-    classes = len(dataset.class_names)
     shape = dataset.images.shape[1:]
-    if cfg["arch"] == "desk2d":
-        if len(shape) != 3 or shape[0] != 1 or shape[1] != shape[2]:
-            raise ConfigError(f"desk2d expects (1, e, e) images, got {shape}")
-        network = net.build_desk_2d(shape[1], classes, seed=cfg["net_seed"])
+    if cfg["arch"] == "desk2d":  # at the last extent; a rank-0 set's 0 is refused there
+        network = net.build_desk_2d(shape[-1] if shape else 0, len(dataset.class_names),
+                                    seed=cfg["net_seed"])
     else:  # reference3d: the parser and the config check allow no other arch
         network = net.build_reference_3d(cfg["variant"], seed=cfg["net_seed"])
-        if shape != network.input_shape:
-            raise ConfigError(f"reference3d expects {network.input_shape} images, got {shape}")
+    if shape != network.input_shape:
+        raise ConfigError(f"{cfg['arch']} expects {network.input_shape} images, got {shape}")
     train_cfg = _from_options(net.TrainConfig, cfg)
     clock = time.perf_counter
     start = clock()
@@ -232,8 +229,7 @@ def cmd_train(cfg: dict, out: str) -> dict:
     # every mini-batch runs one forward+backward call per chunk of it
     n = len(dataset.images)
     batches = [min(train_cfg.batch_size, n - lo) for lo in range(0, n, train_cfg.batch_size)]
-    return {"command": "train", "config": cfg, "checkpoint": ckpt,
-            "epochs": len(trace), "final_loss": trace[-1],
+    return {"checkpoint": ckpt, "epochs": len(trace), "final_loss": trace[-1],
             "counters": {"samples_trained": len(trace) * n,
                          "chunks": len(trace) * sum(len(net._chunks(network.sample_shapes, b))
                                                   for b in batches),
@@ -318,7 +314,7 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     sizes = [dict(read_point=li, shape=list(shape),
                   **infotheory.histogram_sizes(shape, cfg["mode"], cfg["bins"]))
              for li, shape in enumerate(read_shapes)]
-    return {"command": "extract", "config": cfg, "features": features_path,
+    return {"features": features_path,
             "rows": int(matrix.shape[0]), "feature_count": int(matrix.shape[1]),
             "read_points": sizes,
             "counters": {"forward_passes": 0 if from_dump else len(ids), "chunks": len(blocks),
@@ -342,21 +338,19 @@ def _load_binary_features(cfg: dict):
 def _write_eval_outputs(out: str, metrics, permutation_seed=None) -> dict:
     files = {"metrics": os.path.join(out, "metrics.csv")}
     evaluation.write_metrics_csv(metrics, files["metrics"], permutation_seed=permutation_seed)
-    for i, (scores, labels) in enumerate(zip(metrics.fold_scores, metrics.fold_labels)):
-        path = os.path.join(out, f"roc_fold_{i}.csv")
-        evaluation.write_roc_csv(evaluation.roc_curve(scores, labels), path)
-        files[f"roc_fold_{i}"] = path
-    pooled = evaluation.roc_curve(np.concatenate(metrics.fold_scores),
-                                  np.concatenate(metrics.fold_labels))
-    files["roc_pooled"] = os.path.join(out, "roc_pooled.csv")
-    evaluation.write_roc_csv(pooled, files["roc_pooled"])
+    curves = {f"roc_fold_{i}": fold for i, fold in
+              enumerate(zip(metrics.fold_scores, metrics.fold_labels))}
+    curves["roc_pooled"] = (np.concatenate(metrics.fold_scores),
+                            np.concatenate(metrics.fold_labels))
+    for name, (scores, labels) in curves.items():
+        files[name] = os.path.join(out, f"{name}.csv")
+        evaluation.write_roc_csv(evaluation.roc_curve(scores, labels), files[name])
     return files
 
 
 def cmd_evaluate(cfg: dict, out: str) -> dict:
     """evaluate, and permute: the same cross-validation after a seeded label
     shuffle (perm_seed None, evaluate's case, is the identity)."""
-    permute = "perm_seed" in cfg
     _, labels, matrix = _load_binary_features(cfg)
     perm_seed = cfg.get("perm_seed")
     clock = time.perf_counter
@@ -366,12 +360,11 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
         fold_seed=cfg["fold_seed"], stratified=cfg["stratified"], perm_seed=perm_seed)
     validated = clock()
     files = _write_eval_outputs(out, metrics, permutation_seed=perm_seed)
-    summary = {"command": "permute" if permute else "evaluate", "config": cfg, "files": files,
-               "per_fold_auc": list(metrics.per_fold_auc), "mean_auc": metrics.mean_auc,
-               "counters": metrics.counters,
+    summary = {"files": files, "per_fold_auc": list(metrics.per_fold_auc),
+               "mean_auc": metrics.mean_auc, "counters": metrics.counters,
                "timings": {"cross_validate_s": round(validated - start, 6),
                            "write_s": round(clock() - validated, 6)}}
-    if permute:
+    if "perm_seed" in cfg:
         summary["perm_seed"] = perm_seed
     return summary
 
@@ -575,6 +568,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         summary = args.handler(cfg, _require_out(cfg))
+        summary.update(command=args.command, config=cfg)
     except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,7 +6,8 @@ A tensor file is a framed file (see framing) whose body is one tensor record:
 magic "CENTTNSR", u32 version, u32 rank, u64 dims[rank], float32 payload,
 trailing u32 CRC32 of everything before it. stack_tensors is the one reader
 of per-image tensor files into arrays: load_dataset reads a dataset's images
-through it, and extract --dump each chunk of a dump's activations.
+through it, and extract --dump each chunk of a dump's activations. Manifests
+and the features CSV are UTF-8 text, read through _text_lines.
 """
 
 from __future__ import annotations
@@ -93,11 +94,20 @@ def _require_plain_fields(values, source, field: str, seen=None) -> None:
         seen.add(value)
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file without their line ends; a file that is
+    not UTF-8 raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return [ln.rstrip("\n") for ln in f]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_manifest(path):
     """Returns (rows, class_names); validates class names unique, ids unique
     plain file names, and labels in range."""
-    with open(path, "r") as f:
-        lines = [ln.rstrip("\n") for ln in f]
+    lines = _text_lines(path)
     if not lines or not lines[0].startswith("# classes: "):
         raise ValueError(f"{path}: missing '# classes:' header line")
     class_names = tuple(lines[0][len("# classes: "):].split(","))
@@ -408,8 +418,7 @@ def read_features_csv(path):
     """Returns (image_ids, labels int64, feature matrix float64); refuses
     what write_features_csv refuses in an image_id, a repeated one too, so
     no image can sit in two cross-validation folds."""
-    with open(path, "r") as f:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1) if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(_text_lines(path), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("image_id,label,"):
         raise ValueError(f"{path}: expected header 'image_id,label,feat_0,...'")
     ids, labels, rows = [], [], []

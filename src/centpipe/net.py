@@ -1,8 +1,8 @@
 """Layer stacks: construction, SGD training, activation snapshots, checkpoints.
 
 A Network is an ordered list of LayerSpec plus float32 parameter arrays.
-Shapes are chained and validated at build time, so the published shape trace
-is available without running a forward pass.
+One walk of the layer table (_chain_shapes) gives each layer's output and
+parameter shapes at build and load time, so no shape needs a forward pass.
 """
 
 from __future__ import annotations
@@ -95,46 +95,31 @@ class Network:
         return [self.input_shape] + self.layer_shapes
 
 
-def _chain_shapes(input_shape: tuple[int, ...], specs: list[LayerSpec]) -> list[tuple[int, ...]]:
-    shapes = []
+def _chain_shapes(input_shape: tuple[int, ...], specs: list[LayerSpec]) -> tuple[list, list]:
+    """The one walk of a layer table: each layer's output shape, and its (weights,
+    bias) shapes or None: a conv's (filters, channels, *kernel) and (filters,), an
+    affine layer's (width, n) and (width,). Raises ShapeMismatch naming a bad layer."""
+    shapes, params = [], []
     cur = tuple(input_shape)
     for i, spec in enumerate(specs):
+        prev, par = cur, None
         try:
             if spec.kind == "conv":
-                cur = (spec.conv.filter_count,) + spec.conv.output_extent(cur[1:])
+                filters = spec.conv.filter_count
+                cur = (filters,) + spec.conv.output_extent(prev[1:])
+                par = ((filters, prev[0]) + spec.conv.kernel, (filters,))
             elif spec.kind == "maxpool":
-                rank = len(spec.window)
-                out = ops._out_extent(cur[len(cur) - rank:], spec.window, spec.stride,
-                                      spec.padding)
-                cur = cur[:len(cur) - rank] + out
+                lead = len(cur) - len(spec.window)  # the axes before the pooled ones
+                cur = cur[:lead] + ops._out_extent(cur[lead:], spec.window, spec.stride,
+                                                   spec.padding)
             elif spec.kind in ("fully_connected", "softmax"):
                 cur = (spec.width,)
+                par = ((spec.width, math.prod(prev)), (spec.width,))
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {i}: {spec.kind} on {cur}: {exc}") from None
         shapes.append(cur)
-    return shapes
-
-
-def _param_shapes(input_shape, specs, layer_shapes) -> list:
-    """Each layer's (weights, bias) shapes, or None: a conv's (filters,
-    channels, *kernel) and (filters,), an affine layer's (width, n) and (width,)."""
-    shapes = []
-    for spec, prev in zip(specs, [tuple(input_shape)] + layer_shapes):
-        if spec.kind == "conv":
-            filters = spec.conv.filter_count
-            shapes.append(((filters, prev[0]) + spec.conv.kernel, (filters,)))
-        elif spec.kind in ("fully_connected", "softmax"):
-            shapes.append(((spec.width, math.prod(prev)), (spec.width,)))
-        else:
-            shapes.append(None)
-    return shapes
-
-
-def _init_params(param_shapes, seed):
-    """Each layer's weights drawn by _uniform, in layer order; zero biases."""
-    rng = np.random.default_rng(seed)
-    return [None if pair is None else (_uniform(rng, pair[0]), np.zeros(pair[1], np.float32))
-            for pair in param_shapes]
+        params.append(par)
+    return shapes, params
 
 
 def _uniform(rng, shape: tuple[int, ...]) -> np.ndarray:
@@ -152,8 +137,11 @@ def _uniform(rng, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def build_network(input_shape: tuple[int, ...], specs: list[LayerSpec], seed: int = 0) -> Network:
-    shapes = _chain_shapes(tuple(input_shape), specs)
-    params = _init_params(_param_shapes(input_shape, specs, shapes), seed)
+    """Weights drawn by _uniform from one default_rng(seed) in layer order; zero biases."""
+    shapes, param_shapes = _chain_shapes(input_shape, specs)
+    rng = np.random.default_rng(seed)
+    params = [None if pair is None else (_uniform(rng, pair[0]), np.zeros(pair[1], np.float32))
+              for pair in param_shapes]
     return Network(tuple(input_shape), list(specs), params, seed, shapes)
 
 
@@ -170,40 +158,37 @@ def _conv_block(filters: int, kernel: tuple[int, ...], conv_stride: tuple[int, .
 REFERENCE_VARIANTS = ("pool-reduces", "conv-stride-reduces")
 
 
-def build_reference_3d(variant: str = "pool-reduces", seed: int = 0) -> Network:
-    """4-layer volumetric stack: 64^3 input -> 10x32^3 -> 10x16^3 -> 128 -> 2.
+def _stack(input_shape: tuple, classes: int, seed: int, variant: str = "pool-reduces") -> Network:
+    """Both built-in stacks: two blocks of a 10-filter 2-wide conv, a relu and a
+    2-wide max-pool, then fully_connected 128 and softmax over `classes`. Either the
+    unit-stride "same" conv keeps each extent and the stride-2 pool halves it
+    (pool-reduces), or the stride-2 conv halves it and the stride-1 "same" pool
+    keeps it (conv-stride-reduces)."""
+    one, two = (1,) * (len(input_shape) - 1), (2,) * (len(input_shape) - 1)
+    block = ((two, one, "same", two, "valid") if variant == "pool-reduces"
+             else (two, two, "valid", one, "same"))
+    specs = _conv_block(10, *block) + _conv_block(10, *block)
+    specs += [LayerSpec("fully_connected", width=128), LayerSpec("softmax", width=classes)]
+    return build_network(input_shape, specs, seed)
 
-    pool-reduces: unit-stride zero-padded conv, pooling halves each extent.
-    conv-stride-reduces: stride-2 conv halves, same-extent stride-1 pooling.
-    """
+
+def build_reference_3d(variant: str = "pool-reduces", seed: int = 0) -> Network:
+    """_stack on 64^3 volumes: 1x64^3 -> 10x32^3 -> 10x16^3 -> 128 -> 2."""
     if variant not in REFERENCE_VARIANTS:
         raise ValueError(f"variant must be one of {REFERENCE_VARIANTS}, got {variant!r}")
-    if variant == "pool-reduces":
-        block = lambda f: _conv_block(f, (2, 2, 2), (1, 1, 1), "same", (2, 2, 2), "valid")
-    else:
-        block = lambda f: _conv_block(f, (2, 2, 2), (2, 2, 2), "valid", (1, 1, 1), "same")
-    specs = block(10) + block(10) + [
-        LayerSpec("fully_connected", width=128),
-        LayerSpec("softmax", width=2),
-    ]
-    return build_network((1, 64, 64, 64), specs, seed)
+    return _stack((1, 64, 64, 64), 2, seed, variant)
 
 
 DESK_EXTENTS = (32, 64)
 
 
 def build_desk_2d(input_extent: int, classes: int, seed: int = 0) -> Network:
-    """2D analog of the volumetric stack for desk-scale synthetic experiments."""
+    """_stack's pool-reduces variant on extent^2 images, for desk-scale experiments."""
     if input_extent not in DESK_EXTENTS:
         raise ValueError(f"input_extent must be one of {DESK_EXTENTS}, got {input_extent}")
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
-    block = lambda f: _conv_block(f, (2, 2), (1, 1), "same", (2, 2), "valid")
-    specs = block(10) + block(10) + [
-        LayerSpec("fully_connected", width=128),
-        LayerSpec("softmax", width=classes),
-    ]
-    return build_network((1, input_extent, input_extent), specs, seed)
+    return _stack((1, input_extent, input_extent), classes, seed)
 
 
 def _blocks(specs: list[LayerSpec], streamed: bool = False):
@@ -603,8 +588,7 @@ def load_checkpoint(path) -> Network:
         header = json.loads(blob)
         specs = [LayerSpec.from_dict(d) for d in header["specs"]]
         input_shape = tuple(header["input_shape"])
-        shapes = _chain_shapes(input_shape, specs)
-        param_shapes = _param_shapes(input_shape, specs, shapes)
+        shapes, param_shapes = _chain_shapes(input_shape, specs)
     except Exception as exc:
         raise CheckpointError(f"{path}: corrupt layer table ({exc})") from None
     expect = [shape for pair in param_shapes if pair is not None for shape in pair]

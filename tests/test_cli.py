@@ -254,6 +254,32 @@ def test_train_wrong_shape_for_reference3d(pipeline, tmp_path):
     assert "reference3d expects" in err
 
 
+@pytest.mark.parametrize("shape", [(3, 32, 32), (1, 32), (1, 32, 16), ()])
+def test_train_desk2d_refuses_images_of_another_shape(tmp_path, shape):
+    """desk2d is built at the images' last extent and takes only images of
+    its input shape: others exit 2, naming (1, 32, 32) where the network
+    builds, with no traceback and no checkpoint. A rank-0 set comes only
+    from hand-made tensor files."""
+    data = tmp_path / "data"
+    if shape:
+        images = np.zeros((2, *shape), np.float32)
+        data_io.save_dataset(data_io.LabeledDataset(images, [0, 1], ("a", "b")), data)
+    else:
+        (data / "tensors").mkdir(parents=True)
+        for i in range(2):
+            framing.write_framed(data / "tensors" / f"img_{i}.tnsr", data_io.TENSOR_MAGIC,
+                                 data_io.TENSOR_VERSION, framing.tensor_record(np.float32(i)))
+        data_io.write_manifest(data / "manifest.csv", [(f"img_{i}", f"tensors/img_{i}.tnsr", i)
+                                                       for i in range(2)], ("a", "b"))
+    code, out, err = run_cli(["train", "--out", str(tmp_path / "t"), "--data", str(data),
+                              "--epochs", "1", "--batch-size", "1"])
+    assert code == 2 and out == "", err
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+    if shape[-1:] == (32,):
+        assert f"error: desk2d expects (1, 32, 32) images, got {shape}" in err
+    assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+
+
 def test_repeated_class_name_exits_2(pipeline, tmp_path):
     """A dataset whose manifest names one class twice is refused by every
     subcommand that loads it, instead of merging the two classes' counts."""
@@ -1298,6 +1324,54 @@ def test_path_of_the_wrong_kind_exits_2(pipeline, tmp_path, probe):
     assert "Traceback" not in err and not (tmp_path / "o" / "features.csv").exists()
 
 
+# every path-valued option of every subcommand (a str option without
+# choices, and --config), with each kind of wrong path; --out and
+# --dump-out take a missing path or a directory, so those are no cases
+_PATH_KEYS = ["config", *(key for key, opt in cli.OPTIONS.items()
+                          if opt.kind is str and opt.choices is None)]
+_WRONG_PATHS = ["missing", "directory", "under a file", "empty file", "another artifact"]
+_PATH_CASES = [(command, key, kind) for command, spec in cli.COMMANDS.items()
+               for key in ("config", "out", *spec.keys) if key in _PATH_KEYS
+               for kind in _WRONG_PATHS
+               if not (key in ("out", "dump_out") and kind in ("missing", "directory"))]
+
+
+@pytest.mark.parametrize("command,key,kind", _PATH_CASES)
+def test_wrong_path_exits_2_naming_it(pipeline, tmp_path, command, key, kind):
+    """With every other input valid, a wrong path exits 2 with an error
+    naming it, or exits 1 with a FramedFileError naming it for a
+    --checkpoint that is empty or another artifact (no checkpoint magic);
+    never with a traceback. No file is written to --out, and the files
+    given are left as they were. Another artifact is a checkpoint, or for
+    --checkpoint a features CSV."""
+    for name in ("dir", "o"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "empty").touch()
+    shutil.copyfile(pipeline["features" if key == "checkpoint" else "ckpt"], tmp_path / "other")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    path = str(tmp_path / {"missing": "missing", "directory": "dir", "under a file": "file/x",
+                           "empty file": "empty", "another artifact": "other"}[kind])
+    inputs = {"data": pipeline["data"], "checkpoint": pipeline["ckpt"],
+              "features": pipeline["features"]}
+    given = {k: v for k, v in inputs.items() if k in cli.COMMANDS[command].keys and key != "dump"}
+    given.update({"out": str(tmp_path / "o"), key: path})
+    argv = [command, *(a for k, v in given.items() for a in ("--" + k.replace("_", "-"), v))]
+    code, out, err = run_cli(argv + (["--per-class", "1", "--extent", "8"]
+                                     if command == "synth" else []))
+    framed = key == "checkpoint" and kind in ("empty file", "another artifact")
+    assert (code, out) == (1 if framed else 2, ""), err
+    last = err.splitlines()[-1]
+    if framed:
+        error = re.match(r"runtime failure: (\w+): ", last)[1]
+        assert issubclass(getattr(framing, error), framing.FramedFileError), last
+    else:
+        assert last.startswith("error: "), last
+    assert path in last and "Traceback" not in err
+    assert not (tmp_path / "o").is_dir() or not any((tmp_path / "o").iterdir())
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 _SEEDS = [(command, key) for command, spec in cli.COMMANDS.items()
           for key in spec.keys if key.endswith("seed")]
 
@@ -1322,6 +1396,21 @@ def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, command, key, 
     code, out, err = run_cli(argv)
     assert code == 2 and out == "", err
     assert f"error: {key} must be >= 0, got -3" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seed_in_another_section_exits_2(tmp_path, command):
+    """The seed rule reads every section of a config file, not only the
+    running subcommand's: a negative seed in another section exits 2 naming
+    it, before --out is made."""
+    other, key = next((name, key) for name, key in _SEEDS if name != command)
+    (tmp_path / "cfg.json").write_text(json.dumps({command: {}, other: {key: -1}}))
+    argv = [command, "--out", str(tmp_path / "o"), "--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv + (["--per-class", "2", "--extent", "8"]
+                                     if command == "synth" else []))
+    assert code == 2 and out == "", err
+    assert f"error: {key} must be >= 0, got -1" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 """Network assembly, training behavior, and checkpoint round-trips."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -493,6 +494,33 @@ def test_checkpoint_layer_table_keeps_its_bytes(tmp_path, build, table):
     raw = path.read_bytes()
     size = int.from_bytes(raw[20:24], "little")  # after magic, version and seed
     assert raw[24:24 + size].decode() == table
+
+
+# the sha256 of each built-in stack's untrained checkpoint, net seed 0: its
+# layer table and every initial weight, byte for byte
+_UNTRAINED_CHECKPOINTS = [
+    ((lambda: net.build_desk_2d(32, 2)),
+     "ea887f5ea273f4d353c72b1d603a132fda58c8b9dfce3e0271b3e3007844e4f4"),
+    ((lambda: net.build_desk_2d(32, 3)),
+     "06811ca95354ac2ae661d72a5a25ad1ceb9cf86ac739b9a101ee9b33042ba864"),
+    ((lambda: net.build_desk_2d(64, 2)),
+     "1fd68f146e3e564f78ad25adf4c3beaf0f1c01a44372aad152beea0e8a03a20a"),
+    ((lambda: net.build_desk_2d(64, 3)),
+     "c54136fa5cfda95287017867e7294270c5841788a4eb014676840d7a301bf4d4"),
+    ((lambda: net.build_reference_3d("pool-reduces")),
+     "7e3cb7fb0931e0d2e560468e8280165472c08ef2f695fa2d2beea9cbe0e82c20"),
+    ((lambda: net.build_reference_3d("conv-stride-reduces")),
+     "ac3f0791b317e4e16545c75d07296837823c879a7e15a8b8c61797c7a75df2bd"),
+]
+
+
+@pytest.mark.parametrize("build,digest", _UNTRAINED_CHECKPOINTS)
+def test_untrained_checkpoint_keeps_its_bytes(tmp_path, build, digest):
+    """desk2d at 32 and 64 with 2 and 3 classes and both reference3d
+    variants: the untrained checkpoint, initial weights included."""
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 _EVERY_KIND = [

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tokenize
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -52,3 +54,43 @@ def test_totals_match_a_direct_count():
     assert out[-1].split() == ["total", str(sum(w[0] for w in want.values())),
                                str(sum(w[1] for w in want.values()))]
     assert len(out) == len(paths) + 2
+
+
+# two hand-written module sets: b.py only before, c.py only after
+_BEFORE = {"a.py": '"""Doc."""\n\nx = 1  # note\n',
+           "b.py": 'def f():\n    """Doc,\n    two lines."""\n    return 1\n'}
+_AFTER = {"a.py": "x = 1\ny = 2\n# note\n", "c.py": "import os\n"}
+
+
+def _write_modules(root, modules):
+    root.mkdir()
+    for name, source in modules.items():
+        (root / name).write_text(source)
+    return root
+
+
+def test_against_counts_each_side_and_a_missing_module_as_0(tmp_path):
+    before = src_size.sizes(_write_modules(tmp_path / "before", _BEFORE))
+    after = src_size.sizes(_write_modules(tmp_path / "after", _AFTER))
+    assert src_size.compare(before, after) == {
+        "a.py": ((3, 1), (3, 2)), "b.py": ((4, 2), (0, 0)), "c.py": ((0, 0), (1, 1)),
+        "total": ((7, 3), (4, 3))}
+
+
+def test_against_prints_before_and_after(tmp_path, capsys):
+    before = _write_modules(tmp_path / "before", _BEFORE)
+    after = _write_modules(tmp_path / "after", _AFTER)
+    assert src_size.main([str(after), "--against", str(before)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["module", "lines", "code"],
+        ["a.py", "3", "→", "3", "1", "→", "2"],
+        ["b.py", "4", "→", "0", "2", "→", "0"],
+        ["c.py", "0", "→", "1", "0", "→", "1"],
+        ["total", "7", "→", "4", "3", "→", "3"]]
+
+
+def test_a_path_that_is_no_directory_exits_2(tmp_path, capsys):
+    after = _write_modules(tmp_path / "after", _AFTER)
+    with pytest.raises(SystemExit) as exit_:
+        src_size.main([str(after), "--against", str(tmp_path / "missing")])
+    assert exit_.value.code == 2 and "missing is not a directory" in capsys.readouterr().err

@@ -2,12 +2,14 @@
 
 Usage (from anywhere):
 
-    python tools/src_size.py [SRC_DIR]
+    python tools/src_size.py [SRC_DIR] [--against PARENT_SRC]
 
 SRC_DIR defaults to this checkout's src/centpipe. One line per module holds
 its `wc -l` count and its code lines, counted with `ast`: lines that are not
 blank, not a comment and not part of a module, class or function docstring.
-The last line holds the totals.
+The last line holds the totals. With --against, each count reads as
+PARENT_SRC's → SRC_DIR's, over the modules of either; a module missing on
+one side counts 0 there.
 """
 
 from __future__ import annotations
@@ -44,15 +46,33 @@ def sizes(src: pathlib.Path = SRC) -> dict[str, tuple[int, int]]:
     return {path.name: size(path.read_text()) for path in sorted(src.glob("*.py"))}
 
 
+def compare(before: dict, after: dict) -> dict[str, tuple[tuple[int, int], tuple[int, int]]]:
+    """Module name -> (its size in `before`, in `after`) over the modules of
+    either sizes() table, (0, 0) on a side that lacks it, then "total" ->
+    each side's summed sizes."""
+    rows = {name: (before.get(name, (0, 0)), after.get(name, (0, 0)))
+            for name in sorted(before.keys() | after.keys())}
+    rows["total"] = tuple((sum(s[0] for s in t.values()), sum(s[1] for s in t.values()))
+                          for t in (before, after))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", type=pathlib.Path, default=SRC)
-    table = sizes(parser.parse_args(argv).src)
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
-    for name, (lines, code) in table.items():
-        print(f"{name:<16}{lines:>7}{code:>7}")
-    print(f"{'total':<16}{sum(s[0] for s in table.values()):>7}"
-          f"{sum(s[1] for s in table.values()):>7}")
+    parser.add_argument("--against", type=pathlib.Path, metavar="PARENT_SRC",
+                        help="print each count as PARENT_SRC's → SRC's")
+    args = parser.parse_args(argv)
+    for src in (args.src, args.against):
+        if src is not None and not src.is_dir():
+            parser.error(f"{src} is not a directory")
+    after = sizes(args.src)
+    before = after if args.against is None else sizes(args.against)
+    width = 7 if args.against is None else 14
+    print(f"{'module':<16}{'lines':>{width}}{'code':>{width}}")
+    for name, (b, a) in compare(before, after).items():
+        cells = a if args.against is None else (f"{b[0]} → {a[0]}", f"{b[1]} → {a[1]}")
+        print(f"{name:<16}{cells[0]:>{width}}{cells[1]:>{width}}")
     return 0
 
 
