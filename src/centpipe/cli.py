@@ -176,13 +176,13 @@ class _EpochReporter:
     """net.train callback printing one JSON line per epoch to stderr (epoch,
     mean loss, wall seconds of that epoch, and the minor page faults during
     it of this process and its workers, which workers.map reaps before a
-    batch ends), and keeping the training workspace's latest size and the
-    most processes a batch ran in for the stdout summary. Times, faults,
-    sizes and process counts never reach an output file."""
+    batch ends), and keeping for the stdout summary the training workspace's
+    latest size, the most processes a batch ran in and the sum of the chunk
+    passes. Times, faults, sizes and counts never reach an output file."""
 
     def __init__(self):
         self.last, self.last_faults = time.perf_counter(), self._faults()
-        self.workspace_bytes, self.workers = 0, 1
+        self.workspace_bytes, self.workers, self.chunks = 0, 1, 0
 
     @staticmethod
     def _faults() -> int:
@@ -190,7 +190,7 @@ class _EpochReporter:
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
     def __call__(self, epoch: int, mean_loss: float, workspace_bytes: int,
-                 processes: int) -> None:
+                 processes: int, chunks: int) -> None:
         now, faults = time.perf_counter(), self._faults()
         print(json.dumps({"epoch": epoch, "mean_loss": mean_loss,
                           "seconds": round(now - self.last, 6),
@@ -199,12 +199,14 @@ class _EpochReporter:
         self.last, self.last_faults = now, faults
         self.workspace_bytes = workspace_bytes
         self.workers = max(self.workers, processes)
+        self.chunks += chunks
 
 
 def cmd_train(cfg: dict, out: str) -> dict:
     if cfg["arch"] == "desk2d" and cfg["variant"] != OPTIONS["variant"].default:
         raise ConfigError(f"--variant {cfg['variant']} has no effect with desk2d: only "
                           "reference3d has variants")
+    train_cfg = _from_options(net.TrainConfig, cfg)
     if not cfg["data"]:
         raise ConfigError("a dataset is required (--data)")
     dataset = data_io.load_dataset(cfg["data"])
@@ -216,7 +218,6 @@ def cmd_train(cfg: dict, out: str) -> dict:
         network = net.build_reference_3d(cfg["variant"], seed=cfg["net_seed"])
     if shape != network.input_shape:
         raise ConfigError(f"{cfg['arch']} expects {network.input_shape} images, got {shape}")
-    train_cfg = _from_options(net.TrainConfig, cfg)
     clock = time.perf_counter
     start = clock()
     reporter = _EpochReporter()
@@ -226,14 +227,9 @@ def cmd_train(cfg: dict, out: str) -> dict:
     net.save_checkpoint(network, ckpt)
     framing.write_text(os.path.join(out, "loss_trace.csv"), "epoch,mean_loss\n" + "".join(
         f"{e},{v!r}\n" for e, v in enumerate(trace)))
-    # every mini-batch runs one forward+backward call per chunk of it
-    n = len(dataset.images)
-    batches = [min(train_cfg.batch_size, n - lo) for lo in range(0, n, train_cfg.batch_size)]
     return {"checkpoint": ckpt, "epochs": len(trace), "final_loss": trace[-1],
-            "counters": {"samples_trained": len(trace) * n,
-                         "chunks": len(trace) * sum(len(net._chunks(network.sample_shapes, b))
-                                                  for b in batches),
-                         "workspace_bytes": reporter.workspace_bytes,
+            "counters": {"samples_trained": len(trace) * len(dataset.images),
+                         "chunks": reporter.chunks, "workspace_bytes": reporter.workspace_bytes,
                          "workers": reporter.workers},
             "timings": {"train_s": round(trained - start, 6), "save_s": round(clock() - trained, 6)}}
 
@@ -311,9 +307,10 @@ def cmd_extract(cfg: dict, out: str) -> dict:
     if dump_writer:
         dump_writer.finish(ids, labels, class_names)
     seconds["write"] += clock() - start
-    sizes = [dict(read_point=li, shape=list(shape),
-                  **infotheory.histogram_sizes(shape, cfg["mode"], cfg["bins"]))
-             for li, shape in enumerate(read_shapes)]
+    sizes = [dict(read_point=li, shape=list(shape), histograms_per_image=maps,
+                  **infotheory.histogram_sizes(values, cfg["bins"]))
+             for li, shape in enumerate(read_shapes)
+             for maps, values in [infotheory.filter_maps(shape, cfg["mode"])]]
     return {"features": features_path,
             "rows": int(matrix.shape[0]), "feature_count": int(matrix.shape[1]),
             "read_points": sizes,
@@ -351,12 +348,13 @@ def _write_eval_outputs(out: str, metrics, permutation_seed=None) -> dict:
 def cmd_evaluate(cfg: dict, out: str) -> dict:
     """evaluate, and permute: the same cross-validation after a seeded label
     shuffle (perm_seed None, evaluate's case, is the identity)."""
+    forest_cfg = _from_options(forest.ForestConfig, cfg)
     _, labels, matrix = _load_binary_features(cfg)
     perm_seed = cfg.get("perm_seed")
     clock = time.perf_counter
     start = clock()
     metrics = evaluation.permutation_baseline(
-        matrix, labels, _from_options(forest.ForestConfig, cfg), k=cfg["k"],
+        matrix, labels, forest_cfg, k=cfg["k"],
         fold_seed=cfg["fold_seed"], stratified=cfg["stratified"], perm_seed=perm_seed)
     validated = clock()
     files = _write_eval_outputs(out, metrics, permutation_seed=perm_seed)
@@ -369,28 +367,14 @@ def cmd_evaluate(cfg: dict, out: str) -> dict:
     return summary
 
 
-def _class_histogram_sizes(read_shapes, layers, images_per_class: dict, bins: int) -> list:
-    """Sizes behind the theory checks at each of `layers`: a class's
-    histogram of one filter holds that filter's values over the class's
-    images, so its sizes are histogram_sizes of those values as one
-    histogram."""
-    sizes = []
-    for li in layers:
-        shape = read_shapes[li]
-        filters, values = infotheory.filter_maps(shape, "per-filter")
-        classes = {}
-        for name, count in images_per_class.items():
-            one = infotheory.histogram_sizes((count * values,), "per-layer", bins)
-            classes[name] = {key: one[key] for key in
-                             ("values_per_histogram", "samples_per_bin", "entropy_cap_bits")}
-        sizes.append(dict(read_point=li, shape=list(shape), filters=filters, classes=classes))
-    return sizes
-
-
 def cmd_theory(cfg: dict, out: str) -> dict:
     infotheory.check_binning(cfg["bins"])
-    infotheory.check_slack(cfg["slack"])
     network, dataset = _network_and_dataset(cfg)
+    labels = dataset.labels
+    present = np.unique(labels)
+    if len(present) < 2:
+        raise ConfigError(f"{cfg['data']} holds one class, {dataset.class_names[present[0]]!r}: "
+                          "the theory checks compare classes")
     # theory's layers index the CENT read points
     read_shapes = [network.layer_shapes[i] for i in net.cent_read_points(network.specs)]
     part_layer, part_filter = cfg["partition_layer"], cfg["partition_filter"]
@@ -403,9 +387,14 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
     clock = time.perf_counter
     start = clock()
+    # the network-free DPI check first, so that its own checks refuse a bad
+    # chain option or slack before the forward pass; its chain is freed here
+    dpi = infotheory.dpi_check(data_io.generate_markov_chain(
+        cfg["chain_n"], cfg["noise_levels"], cfg["quantizer_levels"],
+        cfg["chain_classes"], cfg["chain_seed"]), slack=cfg["slack"])
+    dpi_done = clock()
     acts = net.forward_collect(network, dataset.images)  # the one pass every check reads
     forward_done = clock()
-    labels = dataset.labels
     # every filter of a checked read point is binned once, and every check reads its table
     tables = {layer: infotheory.class_tables(acts, labels, layer, cfg["bins"])
               for layer in dict.fromkeys([*conv_layers, part_layer])}
@@ -425,12 +414,6 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     best = int(np.argmax([abs(r.h_informative - r.h_uninformative) for r in reports]))
     checks_done = clock()
 
-    chain = data_io.generate_markov_chain(
-        cfg["chain_n"], cfg["noise_levels"], cfg["quantizer_levels"],
-        cfg["chain_classes"], cfg["chain_seed"])
-    dpi = infotheory.dpi_check(chain, slack=cfg["slack"])
-    dpi_done = clock()
-
     result = {
         "command": "theory",
         "config": cfg,
@@ -447,18 +430,23 @@ def cmd_theory(cfg: dict, out: str) -> dict:
     report_path = os.path.join(out, "theory_report.json")
     framing.write_text(report_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     result["report"] = report_path
-    # stdout only: the report file above holds neither sizes, counters nor times
-    result["read_points"] = _class_histogram_sizes(
-        read_shapes, sorted(tables), result["images_per_class"], cfg["bins"])
+    # stdout only: the report file above holds neither sizes, counters nor times;
+    # a class's histogram of one filter holds that filter's values over its images
+    result["read_points"] = [
+        dict(read_point=li, shape=list(read_shapes[li]), filters=filters, classes={
+            name: infotheory.histogram_sizes(count * values, cfg["bins"])
+            for name, count in result["images_per_class"].items()})
+        for li in sorted(tables)
+        for filters, values in [infotheory.filter_maps(read_shapes[li], "per-filter")]]
     n = len(dataset.images)
     result["counters"] = {"images": len(labels), "forward_passes": n,
                           "histogram_tables": sum(len(t.counts) for t in tables.values()),
                           # the processes forward_collect ran its chunks in
                           "workers": net._processes(network, n)}
-    result["timings"] = {"forward_s": round(forward_done - start, 6),
+    result["timings"] = {"forward_s": round(forward_done - dpi_done, 6),
                          "checks_s": round(checks_done - forward_done, 6),
-                         "dpi_s": round(dpi_done - checks_done, 6),
-                         "write_s": round(clock() - dpi_done, 6)}
+                         "dpi_s": round(dpi_done - start, 6),
+                         "write_s": round(clock() - checks_done, 6)}
     return result
 
 

@@ -21,9 +21,6 @@ from .framing import write_text
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    seed: int
-    stratified: bool
     test_folds: tuple  # tuple of int64 index arrays, one per fold
 
     def __post_init__(self):
@@ -66,7 +63,7 @@ def kfold_split(labels, k: int = 5, seed: int = 0, stratified: bool = True) -> F
             folds[(cursor + i) % k].append(idx)
         cursor += len(members)
     tests = tuple(np.sort(np.array(f, dtype=np.int64)) for f in folds)
-    return FoldPlan(k, seed, stratified, tests)
+    return FoldPlan(tests)
 
 
 @dataclass(frozen=True)

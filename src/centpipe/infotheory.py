@@ -176,16 +176,14 @@ def filter_maps(read_shape: tuple, mode: str) -> tuple[int, int]:
     return 1, math.prod(read_shape)
 
 
-def histogram_sizes(read_shape: tuple, mode: str, bin_count: int) -> dict:
-    """Sizes behind one read point's CENT values: histograms per image,
-    values per histogram, samples per bin, and the entropy cap
-    log2(min(values, bins)) in bits. A histogram of v values occupies at
-    most v bins, so with few samples per bin the plug-in entropy is capped
-    below log2(bins) and biased low (Paninski 2003)."""
-    maps, values = filter_maps(read_shape, mode)
-    return {"histograms_per_image": maps, "values_per_histogram": values,
-            "samples_per_bin": values / bin_count,
-            "entropy_cap_bits": math.log2(min(values, bin_count))}
+def histogram_sizes(values: int, bin_count: int) -> dict:
+    """Sizes behind a histogram of `values` values: values per histogram,
+    samples per bin, and the entropy cap log2(min(values, bins)) in bits (0
+    for no values). A histogram of v values occupies at most v bins, so with
+    few samples per bin the plug-in entropy is capped below log2(bins) and
+    biased low (Paninski 2003)."""
+    return {"values_per_histogram": values, "samples_per_bin": values / bin_count,
+            "entropy_cap_bits": math.log2(max(min(values, bin_count), 1))}
 
 
 def _require_finite_activations(activations, image_ids) -> None:
@@ -375,19 +373,14 @@ class DpiReport:
     slack: float
 
 
-def check_slack(slack: float) -> None:
-    """Refuse a DPI slack that is not a finite number (ValueError)."""
-    if not math.isfinite(slack):
-        raise ValueError(f"slack must be finite, got {slack}")
-
-
 def dpi_check(chain, slack: float = 0.02) -> DpiReport:
     """Data-processing inequality on samples from a chain X -> Y -> C.
 
     `chain` carries integer-coded .x, .y, .c arrays. Plug-in MI from
     contingency tables; holds = I(Y;C) <= I(X;C) + slack, a finite number.
     """
-    check_slack(slack)
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     i_xc = mutual_information(contingency_table(chain.x, chain.c))
     i_yc = mutual_information(contingency_table(chain.y, chain.c))
     return DpiReport(float(i_xc), float(i_yc), bool(i_yc <= i_xc + slack), slack)

@@ -508,11 +508,11 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
     the calling process checks the losses and sums the float64 gradients in
     chunk order, so no byte depends on the number of workers. One
     ops.Workspace serves the whole call. Returns (net, per-epoch mean loss)
-    and calls on_epoch(epoch, mean_loss, workspace_bytes, processes), if
-    given, after each epoch: the bytes that workspace then keeps and the
-    most processes a batch ran in. Raises TrainingDiverged naming the epoch,
-    the batch and the dataset index of the first sample whose loss is not
-    finite, or the epoch after which a parameter is not finite.
+    and calls on_epoch(epoch, mean_loss, workspace_bytes, processes, chunks),
+    if given, after each epoch: the bytes that workspace then keeps, the most
+    processes a batch ran in and the epoch's chunk passes. TrainingDiverged
+    names the epoch, batch and dataset index of the first sample whose loss
+    is not finite, or the epoch after which a parameter is not finite.
     """
     images, labels = np.asarray(dataset.images), np.asarray(dataset.labels)
     n = len(images)
@@ -560,7 +560,7 @@ def train(net: Network, dataset, config: TrainConfig, on_epoch=None
                 raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
             trace.append(float(np.mean(np.concatenate(epoch_losses))))
             if on_epoch is not None:
-                on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers)
+                on_epoch(epoch, trace[-1], workspace.nbytes, epoch_workers, len(epoch_losses))
     return net, trace
 
 

@@ -176,14 +176,17 @@ def _pad_geometry(spatial: tuple[int, ...], spec: ConvSpec
     return tuple(crop), tuple(padded), replace(spec, padding="valid")
 
 
-def pad_input(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
-    """The (batch, C, *spatial) input x zero-padded once as spec's padding
-    asks (x itself for "valid"), in x's dtype, the "valid" spec that gives
-    spec's output on it, and the slices of x's place in it."""
-    crop, padded, valid = _pad_geometry(x.shape[2:], spec)
+def pad_input(x: np.ndarray, spec: ConvSpec, fill: float = 0.0
+              ) -> tuple[np.ndarray, ConvSpec, tuple[slice, ...]]:
+    """x padded once with `fill` (zeros for a conv, -inf for a max-pool) on
+    its trailing len(spec.kernel) axes, under any leading axes, as spec's
+    padding asks (x itself for "valid"), in x's dtype; the "valid" spec that
+    gives spec's output on it; and the slices of x's place in it."""
+    lead = x.ndim - len(spec.kernel)
+    crop, padded, valid = _pad_geometry(x.shape[lead:], spec)
     if spec.padding == "valid":
         return x, spec, crop
-    xp = np.zeros(x.shape[:2] + padded, x.dtype)
+    xp = np.full(x.shape[:lead] + padded, fill, x.dtype)
     xp[crop] = x
     return xp, valid, crop
 
@@ -328,15 +331,11 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
     no argmax is kept and the cache is None; the pooled array's bytes are the
     same either way, signed zeros and NaN included. A max needs no
     accumulation, so it runs in the input's dtype. The window rules and
-    padding are a conv's (ConvSpec, _pad_geometry), "same" filled with -inf.
+    padding are a conv's (ConvSpec, pad_input), "same" filled with -inf.
     """
     spec = ConvSpec(tuple(window), tuple(stride), padding)
-    window, stride, rank = spec.kernel, spec.stride, len(spec.kernel)
-    crop, padded, _ = _pad_geometry(x.shape[x.ndim - rank:], spec)
-    xw = x
-    if padding == "same":
-        xw = np.full(x.shape[:x.ndim - rank] + padded, -np.inf, x.dtype)
-        xw[crop] = x
+    window, stride = spec.kernel, spec.stride
+    xw, _, crop = pad_input(x, spec, -np.inf)
     windows = _spatial_windows(xw, window, stride)  # (*lead, *out, *window) view
     # Walk the window offsets in flat order, keeping the first maximum. Each
     # offset is a strided view, so no (*lead, *out, window size) copy is made.
@@ -356,7 +355,7 @@ def maxpool(x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...],
         np.maximum(candidate, pooled, out=pooled)
     if not cache:
         return pooled, None
-    return pooled, PoolCache(window, stride, crop, padded, argmax)
+    return pooled, PoolCache(window, stride, crop, xw.shape[xw.ndim - len(window):], argmax)
 
 
 @functools.lru_cache(maxsize=64)

@@ -31,6 +31,9 @@ import os
 import pickle
 import signal
 
+# loaded here, so _blas_threads finds OpenBLAS whatever the caller imported first
+import numpy  # noqa: F401
+
 # The estimate below which a map runs inline, in float64 values that its work
 # writes: the network counts its activation values (see net._processes), the
 # forest the temporaries of its split passes (see forest.fit). Forking and
@@ -93,6 +96,7 @@ def _fork(fn, items) -> tuple:
                     pipe.flush()
                     if not result[0]:
                         break
+                    del result  # not held while the next item runs
         finally:
             os._exit(0)
     os.close(write)
@@ -130,6 +134,7 @@ def map(fn, items: list, processes: int):
             result = fn(item) if w == 0 else _receive(fn, *children[w - 1])
             if i + 1 < len(items):
                 yield result
+                del result  # handed over: not held while the next item runs
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's

@@ -157,7 +157,7 @@ def test_epoch_faults_count_the_reaped_workers(monkeypatch, capsys):
     reporter = cli._EpochReporter()
     faults[resource.RUSAGE_SELF] += 5
     faults[resource.RUSAGE_CHILDREN] += 70
-    reporter(0, 0.5, 0, 2)
+    reporter(0, 0.5, 0, 2, 3)
     assert json.loads(capsys.readouterr().err)["minor_faults"] == 75
 
 
@@ -1098,6 +1098,8 @@ def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
 @pytest.mark.parametrize("flag,value,named", [
     ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"), ("--bins", "131073", "bin_count"),
     ("--slack", "nan", "slack"), ("--slack", "inf", "slack"), ("--slack", "-inf", "slack"),
+    ("--chain-n", "0", "n"), ("--noise-levels", "0", "noise_levels"),
+    ("--quantizer-levels", "0", "quantizer_levels"), ("--chain-classes", "1", "classes"),
 ])
 def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, monkeypatch,
                                                            flag, value, named):
@@ -1111,6 +1113,59 @@ def test_theory_bad_bins_or_slack_exits_2_without_a_report(tmp_path, pipeline, m
     assert f"error: {named} must be" in err
     assert not (tmp_path / "t" / "theory_report.json").exists()
     assert passes == []  # refused before the forward pass
+
+
+@pytest.mark.parametrize("key", ["checkpoint", "data"])
+def test_theory_wrong_input_exits_2_before_the_dpi_check(tmp_path, pipeline, monkeypatch, key):
+    """The DPI check runs once the inputs are read: a missing --checkpoint
+    or --data exits 2 naming it, not the bad chain option also given, and
+    no chain is checked."""
+    checks = []
+    monkeypatch.setattr(infotheory, "dpi_check", lambda *args, **kwargs: checks.append(args))
+    inputs = {"checkpoint": pipeline["ckpt"], "data": pipeline["data"]}
+    inputs[key] = str(tmp_path / "missing")
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"), "--chain-n", "0",
+                              *(a for k, v in inputs.items() for a in (f"--{k}", v))])
+    assert code == 2 and out == "", err
+    assert inputs[key] in err.splitlines()[-1] and "n must be" not in err
+    assert checks == []
+
+
+def test_theory_one_class_dataset_exits_2_before_the_forward_pass(tmp_path, pipeline,
+                                                                  monkeypatch):
+    """A dataset whose images all hold one class gives the checks nothing to
+    compare: it exits 2 naming the dataset and the class, before the DPI
+    check and the forward pass."""
+    calls, real = [], net.forward_collect
+    monkeypatch.setattr(net, "forward_collect",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    monkeypatch.setattr(infotheory, "dpi_check", lambda *args, **kwargs: calls.append(2))
+    data = data_io.load_dataset(pipeline["data"])
+    one = data.labels == 1
+    path = str(tmp_path / "one")
+    data_io.save_dataset(data_io.LabeledDataset(data.images[one], data.labels[one],
+                                                data.class_names), path)
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"),
+                              "--checkpoint", pipeline["ckpt"], "--data", path])
+    assert code == 2 and out == "", err
+    assert f"error: {path} holds one class, {data.class_names[1]!r}" in err
+    assert calls == [] and not (tmp_path / "t" / "theory_report.json").exists()
+
+
+def test_theory_class_without_images_has_empty_histograms(tmp_path, pipeline):
+    """A class the dataset names but holds no image of is checked with the
+    others: each of its histograms holds no value, capped at 0 bits."""
+    data = data_io.load_dataset(pipeline["data"])
+    path = str(tmp_path / "gap")
+    data_io.save_dataset(data_io.LabeledDataset(data.images, data.labels,
+                                                (*data.class_names, "unseen")), path)
+    code, out, err = run_cli(["theory", "--out", str(tmp_path / "t"), "--checkpoint",
+                              pipeline["ckpt"], "--data", path, "--chain-n", "2000"])
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["images_per_class"]["unseen"] == 0
+    assert [p["classes"]["unseen"] for p in summary["read_points"]] == [
+        {"values_per_histogram": 0, "samples_per_bin": 0.0, "entropy_cap_bits": 0.0}] * 2
 
 
 @pytest.mark.parametrize("layer", ["3", "5", "-1"])
@@ -1397,6 +1452,31 @@ def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, command, key, 
     assert code == 2 and out == "", err
     assert f"error: {key} must be >= 0, got -3" in err
     assert not (tmp_path / "o").exists()
+
+
+_READERS = [(data_io, "load_dataset"), (data_io, "read_features_csv"), (net, "load_checkpoint")]
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("train", "batch_size", "0"), ("train", "epochs", "0"), ("train", "learning_rate", "0"),
+    ("train", "learning_rate", "nan"),
+    *((command, key, "0") for command in ("evaluate", "permute")
+      for key in ("tree_count", "min_leaf", "mtry", "max_depth"))])
+def test_out_of_range_option_exits_2_before_any_input_is_read(pipeline, tmp_path, monkeypatch,
+                                                              command, key, value):
+    """train's TrainConfig and evaluate's and permute's ForestConfig are
+    built before any input is read: an out-of-range value exits 2 naming
+    its option, and no dataset, features CSV or checkpoint is opened."""
+    reads = []
+    for module, name in _READERS:
+        monkeypatch.setattr(module, name, lambda *args, name=name: reads.append(name))
+    given = ["--data", pipeline["data"]] if command == "train" else [
+        "--features", pipeline["features"]]
+    code, out, err = run_cli([command, "--out", str(tmp_path / "o"), *given,
+                              f"--{key.replace('_', '-')}={value}"])
+    assert code == 2 and out == "", err
+    assert err.splitlines()[-1].startswith("error: ") and key in err.splitlines()[-1]
+    assert reads == []
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -429,11 +429,14 @@ def test_filter_maps_of_the_fully_connected_read_point(mode):
 def test_histogram_sizes_report_the_entropy_cap():
     """desk2d's second read point: 64 values per filter at 256 bins, so a
     filter's entropy is capped at 6 of the nominal 8 bits."""
-    sizes = it.histogram_sizes((10, 8, 8), "per-filter", 256)
-    assert sizes == {"histograms_per_image": 10, "values_per_histogram": 64,
-                     "samples_per_bin": 0.25, "entropy_cap_bits": 6.0}
-    assert it.histogram_sizes((10, 8, 8), "per-layer", 256)["entropy_cap_bits"] == 8.0
-    assert it.histogram_sizes((128,), "per-filter", 64)["histograms_per_image"] == 1
+    maps, values = it.filter_maps((10, 8, 8), "per-filter")
+    assert maps == 10
+    assert it.histogram_sizes(values, 256) == {"values_per_histogram": 64,
+                                               "samples_per_bin": 0.25, "entropy_cap_bits": 6.0}
+    per_layer = it.filter_maps((10, 8, 8), "per-layer")[1]
+    assert it.histogram_sizes(per_layer, 256)["entropy_cap_bits"] == 8.0
+    maps, values = it.filter_maps((128,), "per-filter")
+    assert maps == 1 and it.histogram_sizes(values, 64)["entropy_cap_bits"] == 6.0
 
 
 def test_cent_rows_contract():

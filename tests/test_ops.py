@@ -1,6 +1,7 @@
 """Layer primitives: forward examples, contract errors, and gradient checks
 against central finite differences."""
 
+import itertools
 import math
 import re
 
@@ -140,6 +141,29 @@ def test_maxpool_matches_window_oracle():
     for i in range(3):
         for j in range(3):
             assert out[i, j] == x[2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
+
+
+@pytest.mark.parametrize("shape,window,stride", [
+    ((5, 6), (2, 3), (1, 2)),  # no leading axis
+    ((2, 3, 2, 5, 4), (3, 2), (2, 1)),  # three leading axes
+])
+def test_maxpool_same_matches_window_oracle_under_any_leading_axes(shape, window, stride):
+    """"same" pads only the trailing window axes, with -inf, the odd element
+    after: each output is the max of its window's elements inside the input,
+    and the gradient comes back in the input's shape."""
+    x = np.random.default_rng(8).normal(size=shape)
+    out, cache = ops.maxpool(x, window, stride, "same")
+    spatial = shape[len(shape) - len(window):]
+    extents = tuple(-(-s // st) for s, st in zip(spatial, stride))
+    assert out.shape == shape[:len(shape) - len(window)] + extents
+    before = [max((o - 1) * st + k - s, 0) // 2
+              for s, k, st, o in zip(spatial, window, stride, extents)]
+    axes = tuple(range(-len(window), 0))
+    for pos in itertools.product(*map(range, extents)):
+        box = tuple(slice(max(p * st - b, 0), p * st - b + k)
+                    for p, st, b, k in zip(pos, stride, before, window))
+        assert np.array_equal(out[(Ellipsis, *pos)], x[(Ellipsis, *box)].max(axis=axes))
+    assert ops.maxpool_backward(np.ones_like(out), cache).shape == shape
 
 
 def test_maxpool_window_too_large():

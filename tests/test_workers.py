@@ -3,6 +3,9 @@ reaping and the OpenBLAS thread count."""
 
 import contextlib
 import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -91,3 +94,48 @@ def test_a_caller_that_stops_early_leaves_no_child(monkeypatch):
     assert_no_child_left()
     assert _blas_threads() == threads
     assert workers.count(2, workers.MIN_WORK) == 2
+
+
+_BUILT = []  # a weak reference to every _Result built or unpickled in this process
+
+
+class _Result:
+    """A map result that registers itself when built or unpickled, with the
+    items of the earlier results its process still held when it was made."""
+
+    def __init__(self, item, held):
+        self.item, self.held = item, held
+        _BUILT.append(weakref.ref(self))
+
+    def __reduce__(self):
+        return _Result, (self.item, self.held)
+
+
+def _note_held(item):
+    return _Result(item, [ref().item for ref in _BUILT if ref() is not None])
+
+
+def test_no_process_holds_a_result_it_has_handed_over(monkeypatch):
+    """Neither the caller nor a child keeps a result it has yielded or sent
+    while it runs a later item: each process holds at most the result it is
+    making."""
+    use_cpus(monkeypatch, 2)
+    seen = []
+    for result in workers.map(_note_held, list(range(6)), workers.count(6, workers.MIN_WORK)):
+        seen.append((result.item, result.held))
+        del result  # the loop variable would hold it while the map runs the next item
+    assert seen == [(item, []) for item in range(6)]
+    assert_no_child_left()
+
+
+def test_the_openblas_lookup_does_not_depend_on_import_order():
+    """workers finds numpy's OpenBLAS (or its absence) alike whether or not
+    the caller imported numpy first: the lookup runs once per process."""
+    src = os.path.dirname(os.path.dirname(workers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    found = [subprocess.run(
+        [sys.executable, "-c", f"{first}from centpipe import workers; "
+         "print(workers._blas_threads() is None)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+        for first in ("", "import numpy; ")]
+    assert found == [f"{workers._blas_threads() is None}\n"] * 2

@@ -13,7 +13,9 @@ a null-generator set synthesised with explicit per-class parameters,
 trained with --no-shuffle, extracted over a fixed --range, evaluated with
 --no-stratified and checked by theory with --quantizer-levels none; an
 extract and an evaluate that read a sectioned --config file (seed_<s>/
-config.json, written first); a set at the benchmark's controls shape (150
+config.json, written first); a three-class set with per-class parameters,
+trained for two epochs and checked by theory, whose partition puts two
+classes on one side; a set at the benchmark's controls shape (150
 images per class at 32^2, one epoch, per-filter features) evaluated and
 permuted (the benchmark's first permutation seed, 2s + 1) with 100 trees
 over 5 folds, whose fits take hundreds of split passes and, on seeds 1-5,
@@ -91,6 +93,15 @@ def _stages(seed: int) -> list[list[str]]:
          "--checkpoint", ckpt, "--data", f"{d}/data"],
         ["evaluate", "--out", f"{d}/config_evaluate", "--config", f"seed_{s}/config.json",
          "--features", f"{d}/config_extract/features.csv", "--seed", s],
+    ]
+    d, ckpt = f"seed_{s}/three", f"seed_{s}/three/net/checkpoint.ckpt"
+    stages += [
+        ["synth", "--out", f"{d}/data", "--seed", s, "--class-count", "3", "--per-class", "6",
+         "--noise-scale", "0.1,0.25,0.4", "--spatial-frequency", "0,3,6",
+         "--blob-density", "0.5,0.3,0.1"],
+        ["train", "--out", f"{d}/net", "--data", f"{d}/data", "--seed", s, "--net-seed", s,
+         "--epochs", "2"],
+        ["theory", "--out", f"{d}/theory", "--checkpoint", ckpt, "--data", f"{d}/data"],
     ]
     d, ckpt = f"seed_{s}/controls", f"seed_{s}/controls/net/checkpoint.ckpt"
     controls = ["--features", f"{d}/feat/features.csv", "--seed", s, "--fold-seed", s,
