@@ -16,7 +16,6 @@ here trains a network but `train`.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -236,9 +235,9 @@ def cmd_train(cfg: dict, out: str) -> dict:
 
 def cmd_extract(cfg: dict, out: str) -> dict:
     """CENT features from a checkpoint and dataset, one forward_collect chunk
-    at a time (each chunk's activations also feed --dump-out), or from an
-    activation dump in chunks of the same bound. The dump is written chunk
-    by chunk, in order, once every option and the images have been checked."""
+    at a time, or from an activation dump in chunks of the same bound. Each
+    chunk's process writes its --dump-out tensors and hands back only its
+    CENT rows; the CSV and the dump's manifest are written last, here."""
     infotheory.check_binning(cfg["bins"], cfg["range"])
     from_dump = cfg["dump"] is not None
     if from_dump == (cfg["checkpoint"] is not None or cfg["data"] is not None):
@@ -276,30 +275,22 @@ def cmd_extract(cfg: dict, out: str) -> dict:
             return infotheory.forward_collect(network, dataset.images[rows],
                                               pre_relu=cfg["pre_relu"], workspace=workspace)
     clock = time.perf_counter
+    dump_writer = data_io.ActivationDumpWriter(cfg["dump_out"]) if cfg["dump_out"] else None
 
     def features(rows):
-        """A chunk's CENT rows, its activations if --dump-out takes them, and
-        the seconds of its forward and CENT steps."""
+        """A chunk's CENT rows and its forward, CENT and dump seconds; its
+        activations, dumped here with --dump-out, never leave this process."""
         start = clock()
         acts = activations(rows)
         forward_done = clock()
         block = infotheory.cent_rows(acts, cfg["mode"], cfg["bins"], cfg["range"], ids[rows])
-        return block, acts if cfg["dump_out"] else None, forward_done - start, clock() - forward_done
+        cent_done = clock()
+        if dump_writer:
+            dump_writer.write_chunk(ids[rows], acts)
+        return block, (forward_done - start, cent_done - forward_done, clock() - cent_done)
 
-    dump_writer = data_io.ActivationDumpWriter(cfg["dump_out"]) if cfg["dump_out"] else None
-    seconds = {"forward": 0.0, "cent": 0.0, "write": 0.0}
-    blocks = []
-    with contextlib.closing(workers.map(features, parts, processes)) as results:
-        for rows in parts:  # not a zip: its reused tuple would hold the last acts
-            block, acts, forward_s, cent_s = next(results)
-            blocks.append(block)
-            start = clock()
-            if dump_writer:
-                dump_writer.write_chunk(ids[rows], acts)
-            del acts  # not held while the next chunk runs
-            seconds["forward"] += forward_s
-            seconds["cent"] += cent_s
-            seconds["write"] += clock() - start
+    blocks, spent = zip(*workers.map(features, parts, processes))
+    seconds = dict(zip(("forward", "cent", "write"), map(sum, zip(*spent))))
     matrix = np.concatenate(blocks)
     start = clock()
     features_path = os.path.join(out, "features.csv")
@@ -383,7 +374,7 @@ def cmd_theory(cfg: dict, out: str) -> dict:
                           f"read points 0..{len(read_shapes) - 1}")
     filters = infotheory.filter_maps(read_shapes[part_layer], "per-filter")[0]
     if part_filter is not None and not 0 <= part_filter < filters:
-        raise ConfigError(f"filter {part_filter} out of range (layer has {filters})")
+        raise ConfigError(f"partition_filter {part_filter} out of range (layer has {filters})")
     conv_layers = [i for i, shape in enumerate(read_shapes) if len(shape) >= 2]
     clock = time.perf_counter
     start = clock()

@@ -249,15 +249,15 @@ class SyntheticSpec:
             values = getattr(self, name)
             if len(values) != self.class_count:
                 raise ValueError(f"{name} needs {self.class_count} entries")
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite, got {list(values)}")
+            if not all(0 <= v < np.inf for v in values):  # nan fails both
+                raise ValueError(f"{name} must be finite and >= 0, got {list(values)}")
         triples = list(zip(self.noise_scale, self.spatial_frequency, self.blob_density))
         if not self.null_generator and len(set(triples)) != len(triples):
             raise ValueError("class parameters must be distinct unless null_generator")
 
 
 def _blob_field(rng, extent: int, density: float) -> np.ndarray:
-    count = max(0, round(density * extent / 4))
+    count = round(density * extent / 4)
     if count == 0:
         return np.zeros((extent, extent))
     yy, xx = np.mgrid[0:extent, 0:extent].astype(np.float64)
@@ -337,10 +337,11 @@ def generate_markov_chain(n: int, noise_levels: int, quantizer_levels: int | Non
 
 
 class ActivationDumpWriter:
-    """Writes an activation dump one chunk of images at a time and its
-    manifest last. A manifest already in out_dir is removed first, so a run
-    cut short leaves a dump that import_activation_dump refuses, never one
-    that mixes two runs' tensors under the old manifest."""
+    """Writes an activation dump chunk by chunk, in any process (a forked
+    copy checks repeated ids within its own chunks), and its manifest last.
+    A manifest already in out_dir is removed first, so a run cut short leaves
+    a dump that import_activation_dump refuses, never one that mixes two
+    runs' tensors under the old manifest."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir

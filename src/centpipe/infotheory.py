@@ -379,8 +379,8 @@ def dpi_check(chain, slack: float = 0.02) -> DpiReport:
     `chain` carries integer-coded .x, .y, .c arrays. Plug-in MI from
     contingency tables; holds = I(Y;C) <= I(X;C) + slack, a finite number.
     """
-    if not math.isfinite(slack):
-        raise ValueError(f"slack must be finite, got {slack}")
+    if not 0 <= slack < math.inf:  # nan fails both
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     i_xc = mutual_information(contingency_table(chain.x, chain.c))
     i_yc = mutual_information(contingency_table(chain.y, chain.c))
     return DpiReport(float(i_xc), float(i_yc), bool(i_yc <= i_xc + slack), slack)

@@ -145,16 +145,6 @@ def build_network(input_shape: tuple[int, ...], specs: list[LayerSpec], seed: in
     return Network(tuple(input_shape), list(specs), params, seed, shapes)
 
 
-def _conv_block(filters: int, kernel: tuple[int, ...], conv_stride: tuple[int, ...],
-                conv_pad: str, pool_stride: tuple[int, ...], pool_pad: str) -> list[LayerSpec]:
-    rank = len(kernel)
-    return [
-        LayerSpec("conv", conv=ConvSpec(kernel, conv_stride, conv_pad, filters)),
-        LayerSpec("relu"),
-        LayerSpec("maxpool", window=(2,) * rank, stride=pool_stride, padding=pool_pad),
-    ]
-
-
 REFERENCE_VARIANTS = ("pool-reduces", "conv-stride-reduces")
 
 
@@ -165,10 +155,12 @@ def _stack(input_shape: tuple, classes: int, seed: int, variant: str = "pool-red
     (pool-reduces), or the stride-2 conv halves it and the stride-1 "same" pool
     keeps it (conv-stride-reduces)."""
     one, two = (1,) * (len(input_shape) - 1), (2,) * (len(input_shape) - 1)
-    block = ((two, one, "same", two, "valid") if variant == "pool-reduces"
-             else (two, two, "valid", one, "same"))
-    specs = _conv_block(10, *block) + _conv_block(10, *block)
-    specs += [LayerSpec("fully_connected", width=128), LayerSpec("softmax", width=classes)]
+    conv_stride, conv_pad, pool_stride, pool_pad = (
+        (one, "same", two, "valid") if variant == "pool-reduces" else (two, "valid", one, "same"))
+    block = [LayerSpec("conv", conv=ConvSpec(two, conv_stride, conv_pad, 10)), LayerSpec("relu"),
+             LayerSpec("maxpool", window=two, stride=pool_stride, padding=pool_pad)]
+    specs = block + block + [LayerSpec("fully_connected", width=128),
+                             LayerSpec("softmax", width=classes)]
     return build_network(input_shape, specs, seed)
 
 

@@ -2,14 +2,17 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
+import pathlib
 import re
 import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
@@ -89,6 +92,7 @@ def test_synth_summary_embeds_config(tmp_path):
     ("--noise-scale", "nan,0.4"), ("--noise-scale", "inf,0.4"),
     ("--spatial-frequency", "inf,6"), ("--spatial-frequency", "0,-inf"),
     ("--blob-density", "inf,0.1"), ("--blob-density", "0.5,nan"),
+    ("--noise-scale", "-1,0.4"), ("--spatial-frequency", "-1,0"), ("--blob-density", "-3,0.1"),
 ])
 def test_synth_non_finite_class_parameter_exits_2(tmp_path, flag, value):
     code, out, err = run_cli(["synth", "--out", str(tmp_path / "d"), "--per-class", "2",
@@ -582,6 +586,33 @@ def test_extract_bytes_do_not_depend_on_the_worker_count(pipeline, tmp_path, mon
         if dump_out:
             assert _tree_bytes(tmp_path / f"dump{cpus}") == _tree_bytes(pipeline["dump"])
         assert_no_child_left()
+
+
+def test_extract_dump_chunks_are_written_where_they_were_computed(pipeline, tmp_path,
+                                                                  monkeypatch):
+    """In chunks of 3 (7 for the 20 images) over 2 processes, each process
+    writes the dump files of the chunks it computed, so both write; the dump
+    is the pipeline fixture's."""
+    monkeypatch.setattr(net, "_chunk_size", lambda shapes: 3)
+    use_cpus(monkeypatch, 2, every_map=True)
+    writers = tmp_path / "writers"
+    write = data_io.ActivationDumpWriter.write_chunk
+
+    def logged(self, image_ids, activations):
+        with open(writers, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        write(self, image_ids, activations)
+
+    monkeypatch.setattr(data_io.ActivationDumpWriter, "write_chunk", logged)
+    code, out, err = run_cli(["extract", "--out", str(tmp_path / "f"), "--checkpoint",
+                              pipeline["ckpt"], "--data", pipeline["data"],
+                              "--dump-out", str(tmp_path / "dump")])
+    assert code == 0, err
+    assert json.loads(out)["counters"]["workers"] == 2
+    pids = writers.read_text().split()
+    assert len(pids) == 7 and str(os.getpid()) in pids and len(set(pids)) == 2
+    assert _tree_bytes(tmp_path / "dump") == _tree_bytes(pipeline["dump"])
+    assert_no_child_left()
 
 
 def test_extract_from_dump_runs_in_one_process(pipeline, tmp_path, monkeypatch):
@@ -1098,6 +1129,7 @@ def test_theory_partition_at_the_fully_connected_read_point(tmp_path, pipeline):
 @pytest.mark.parametrize("flag,value,named", [
     ("--bins", "1", "bin_count"), ("--bins", "0", "bin_count"), ("--bins", "131073", "bin_count"),
     ("--slack", "nan", "slack"), ("--slack", "inf", "slack"), ("--slack", "-inf", "slack"),
+    ("--slack", "-0.5", "slack"),
     ("--chain-n", "0", "n"), ("--noise-levels", "0", "noise_levels"),
     ("--quantizer-levels", "0", "quantizer_levels"), ("--chain-classes", "1", "classes"),
 ])
@@ -1190,7 +1222,7 @@ def test_theory_partition_filter_out_of_range_exits_2_before_the_forward_pass(
                               "--chain-n", "2000", "--partition-layer", layer,
                               f"--partition-filter={filter_id}"])
     assert code == 2 and out == ""
-    assert f"error: filter {filter_id} out of range (layer has {filters})" in err
+    assert f"error: partition_filter {filter_id} out of range (layer has {filters})" in err
     assert not (tmp_path / "t" / "theory_report.json").exists()
     assert passes == []
 
@@ -1477,6 +1509,98 @@ def test_out_of_range_option_exits_2_before_any_input_is_read(pipeline, tmp_path
     assert code == 2 and out == "", err
     assert err.splitlines()[-1].startswith("error: ") and key in err.splitlines()[-1]
     assert reads == []
+
+
+_NUMERIC_CASES = [(command, key) for command, spec in cli.COMMANDS.items() for key in spec.keys
+                  if cli.OPTIONS[key].kind in (int, float, cli._opt_int, cli._floats, cli._range)]
+# "x" is of no numeric option's type; from a config file it is the JSON true
+_BOUNDARY = ["0", "-1", "-0.5", "nan", "inf", "-inf", "x"]
+# the owner's parameter an option maps to, which its refusal may name instead
+_ALIASES = {"bins": "bin_count", "chain_n": "n", "chain_classes": "classes"}
+# options whose rules need the input: they run with real inputs, and on
+# exit 2 no forward pass has run
+_NEEDS_INPUT = {
+    "k": "kfold_split checks it against the rows",
+    "partition_layer": "checked against the network's read points",
+    "partition_filter": "checked against the read point's filters",
+    **dict.fromkeys(("chain_n", "noise_levels", "quantizer_levels", "chain_classes",
+                     "chain_seed", "slack"),
+                    "theory refuses its DPI options once the inputs load"),
+}
+
+
+class _InputRead(Exception):
+    """Raised by a patched loader: the run read its input."""
+
+
+def _boundary_argv(pipeline, root, command, key, text, source):
+    """The command line giving `key` the boundary value `text` after small
+    working values of the command's other options, as a flag or from a
+    config file (a JSON number, or true for "x"); a list option takes it as
+    its first entry."""
+    both = {"checkpoint": pipeline["ckpt"], "data": pipeline["data"]}
+    trees = {"features": pipeline["features"], "tree_count": "3"}
+    base = {"synth": {"per_class": "2", "extent": "8"},
+            "train": {"data": pipeline["data"], "epochs": "1"}, "extract": both,
+            "evaluate": trees, "permute": trees, "theory": {**both, "chain_n": "2000"}}[command]
+    argv = [command, "--out", str(root / "o"),
+            *(f"--{k.replace('_', '-')}={v}" for k, v in base.items() if k != key)]
+    opt = cli.OPTIONS[key]
+    listed = opt.kind in (cli._floats, cli._range)
+    rest = (opt.default[1:] if isinstance(opt.default, list) else [1.0]) if listed else []
+    if source == "flag":
+        return argv + [f"--{key.replace('_', '-')}={','.join([text, *map(repr, rest)])}"]
+    value = True if text == "x" else json.loads(text.replace("nan", "NaN").replace(
+        "inf", "Infinity"))
+    (root / "cfg.json").write_text(json.dumps({command: {key: [value, *rest] if listed
+                                                         else value}}))
+    return argv + ["--config", str(root / "cfg.json")]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(_NUMERIC_CASES), text=st.sampled_from(_BOUNDARY),
+       source=st.sampled_from(["flag", "config"]))
+@example(("synth", "noise_scale"), "-1", "flag")
+@example(("theory", "slack"), "-0.5", "flag")
+def test_boundary_option_value_exits_cleanly(pipeline, case, text, source):
+    """Every numeric option given 0, -1, -0.5, nan, +-inf or a value of the
+    wrong type exits 0, 1 or 2 with no traceback, and exit 1 only where an
+    accepted value reached an input that the patched loaders refuse. On exit
+    2 the error names the option, --out holds nothing, and no input was read
+    (_NEEDS_INPUT's options run with real inputs) nor forward pass run."""
+    command, key = case
+    reads, passes, err = [], [], io.StringIO()
+
+    def refuse(*args, name):
+        reads.append(name)
+        raise _InputRead(name)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = pathlib.Path(tmp)
+        use_cpus(mp, 1)  # forward passes are counted in this process
+        forward = net._forward_layers
+        mp.setattr(net, "_forward_layers", lambda *args: passes.append(1) or forward(*args))
+        if key not in _NEEDS_INPUT:
+            for module, name in _READERS:
+                mp.setattr(module, name, functools.partial(refuse, name=name))
+        argv = _boundary_argv(pipeline, root, command, key, text, source)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # the parser refused the flag's text
+                code = e.code
+        err = err.getvalue()
+        assert "Traceback" not in err, err
+        if code == 1:
+            assert reads and f"runtime failure: _InputRead: {reads[0]}" in err, err
+            return
+        assert code in (0, 2), err
+        if code == 2:
+            names = {key, "--" + key.replace("_", "-"), _ALIASES.get(key, key)}
+            last = err.splitlines()[-1]
+            assert any(re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", last) for n in names), err
+            assert not (root / "o").exists() or not any((root / "o").iterdir())
+            assert reads == [] and passes == []
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -831,9 +831,11 @@ def test_forward_collect_bytes_do_not_depend_on_the_worker_count(monkeypatch, pr
 def _stride_reduces_3d(seed):
     """A small 3D stack of conv-stride-reduces' blocks, whose stride-1
     "same" pools overlap: 16^3 -> 4x8^3 -> 4x4^3 -> 8 -> 2."""
-    block = lambda f: net._conv_block(f, (2, 2, 2), (2, 2, 2), "valid", (1, 1, 1), "same")
-    specs = block(4) + block(4) + [net.LayerSpec("fully_connected", width=8),
-                                   net.LayerSpec("softmax", width=2)]
+    block = [net.LayerSpec("conv", conv=ops.ConvSpec((2, 2, 2), (2, 2, 2), "valid", 4)),
+             net.LayerSpec("relu"),
+             net.LayerSpec("maxpool", window=(2, 2, 2), stride=(1, 1, 1), padding="same")]
+    specs = block + block + [net.LayerSpec("fully_connected", width=8),
+                             net.LayerSpec("softmax", width=2)]
     return net.build_network((1, 16, 16, 16), specs, seed)
 
 

@@ -26,15 +26,23 @@ Every stage calls centpipe.cli.main in-process with paths relative to
 OUT_DIR. The output is one "<sha256>  <path>" line per file written, sorted
 by path, so two source trees are compared by diffing their outputs. Exits 1
 if any stage fails.
+
+`environment()` names what the digests depend on beyond the source: the
+Python and numpy versions, and the OpenBLAS build with the kernel core it
+picked at run time. tests/output_digests.txt holds it as a `# ` header line
+over the digests of seeds 1-5, and tests/test_output_digests.py checks the
+source against that file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -159,6 +167,25 @@ def _digests() -> list[str]:
             with open(path, "rb") as f:
                 lines.append(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def environment() -> str:
+    """'python <version>, numpy <version>, <OpenBLAS's own configuration
+    line>': the line names its version, build options and the core whose
+    kernels it runs, which a DYNAMIC_ARCH build picks by CPU."""
+    with open("/proc/self/maps") as f:
+        paths = sorted({ln.split()[-1] for ln in f
+                        if "openblas" in ln.lower() and ln.split()[-1].startswith("/")})
+    versions = f"python {platform.python_version()}, numpy {np.__version__}"
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config64_",
+                     "openblas_get_config"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_char_p, []
+                return f"{versions}, {' '.join(get().decode().split())}"
+    return f"{versions}, no OpenBLAS loaded"
 
 
 def main(argv=None) -> int:
